@@ -232,6 +232,47 @@ def memory_bounds(
     )
 
 
+def bound_key(
+    assignment: Assignment,
+    decision,
+    cluster: Cluster,
+    memory: MemoryKind = MemoryKind.SYSTEM_MEM,
+) -> Tuple:
+    """Everything :func:`memory_bounds` reads, as a hashable key.
+
+    Of the decision it reads ``grid``, ``dist``, ``seq``, ``steps_dim``
+    and ``step_comm`` directly, and ``tiled`` and ``output_style``
+    through :func:`~repro.tuner.space.formats_for`; decisions that
+    differ only elsewhere (``rotate``, ``leaf``, ``checkpoint``) share
+    one bound. A field the bound starts reading must join this key.
+    """
+    from repro.bench.cache import cluster_signature
+
+    return (
+        assignment_key(assignment),
+        cluster_signature(cluster),
+        memory.value,
+        decision.grid,
+        decision.dist,
+        decision.seq,
+        decision.steps_dim,
+        decision.step_comm,
+        decision.tiled,
+        decision.output_style,
+    )
+
+
+def assignment_key(assignment: Assignment) -> Tuple:
+    """The assignment's einsum text, accumulate flag and tensor table."""
+    return (
+        repr(assignment),
+        assignment.accumulate,
+        tuple(
+            (t.name, t.shape, t.dtype.str) for t in assignment.tensors()
+        ),
+    )
+
+
 def _target_is_node_memory(cluster: Cluster, memory: MemoryKind) -> bool:
     if memory is MemoryKind.SYSTEM_MEM:
         return cluster.nodes[0].system_memory is not None

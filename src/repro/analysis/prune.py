@@ -16,16 +16,30 @@ Two rules keep candidates out of the simulator entirely:
 
 :func:`prune_reason` returns the human-readable reason string (one of
 the module constants) or ``None`` when the candidate must be simulated.
+
+A tune asks for the same verdicts many times: with coarse rungs the
+beam search prunes every candidate before rung 0 and the oracle checks
+the final beam again, and candidates that differ only in ``leaf`` or
+``rotate`` share one memory bound. A :class:`PruneMemo`, owned by the
+tune's oracle, computes each bound once per
+:func:`~repro.analysis.membound.bound_key` and each dominance verdict
+once per exact decision and efficiency pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from repro.analysis.membound import memory_bounds
+from repro.analysis.membound import (
+    MemoryBound,
+    assignment_key,
+    bound_key,
+    memory_bounds,
+)
 from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster, MemoryKind
+from repro.obs.metrics import METRICS
 from repro.sim.params import MachineParams
 
 STATIC_OOM = "static: home-instance lower bound exceeds memory capacity"
@@ -42,16 +56,62 @@ def prune_reason(
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
     params: Optional[MachineParams] = None,
     check_capacity: bool = True,
+    memo: Optional["PruneMemo"] = None,
 ) -> Optional[str]:
-    """Why ``decision`` need not be simulated, or ``None``."""
+    """Why ``decision`` need not be simulated, or ``None``.
+
+    ``memo`` reuses verdicts computed earlier in the same tune.
+    """
+    bounds = memo.memory_bounds if memo is not None else memory_bounds
+    dominated = memo.dominated if memo is not None else _dominated_loops
     if check_capacity:
-        if memory_bounds(assignment, decision, cluster, memory).infeasible:
+        if bounds(assignment, decision, cluster, memory).infeasible:
             return STATIC_OOM
-    if params is not None and _dominated_loops(
-        assignment, decision, params
-    ):
+    if params is not None and dominated(assignment, decision, params):
         return STATIC_DOMINATED
     return None
+
+
+class PruneMemo:
+    """Static verdicts of one tune, each computed once.
+
+    Holds every verdict it computed and is never cleared, so it must not
+    outlive the tune: the oracle that owns it shares it with its coarse
+    siblings only.
+    """
+
+    def __init__(self):
+        self._bounds: Dict[Tuple, MemoryBound] = {}
+        self._dominated: Dict[Tuple, bool] = {}
+
+    def memory_bounds(
+        self, assignment: Assignment, decision, cluster: Cluster,
+        memory: MemoryKind,
+    ) -> MemoryBound:
+        key = bound_key(assignment, decision, cluster, memory)
+        bound = self._bounds.get(key)
+        if bound is None:
+            METRICS.inc("analysis.bound_memo_misses")
+            bound = memory_bounds(assignment, decision, cluster, memory)
+            self._bounds[key] = bound
+        else:
+            METRICS.inc("analysis.bound_memo_hits")
+        return bound
+
+    def dominated(
+        self, assignment: Assignment, decision, params: MachineParams
+    ) -> bool:
+        key = (
+            assignment_key(assignment),
+            decision,
+            params.naive_leaf_efficiency,
+            params.gemm_efficiency,
+        )
+        verdict = self._dominated.get(key)
+        if verdict is None:
+            verdict = _dominated_loops(assignment, decision, params)
+            self._dominated[key] = verdict
+        return verdict
 
 
 def _dominated_loops(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 import os
 import re
 import signal
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.prune import STATIC_OOM, prune_reason
+from repro.analysis.prune import PruneMemo, STATIC_OOM, prune_reason
 from repro.bench.cache import (
     SIM_CACHE,
     cluster_signature,
@@ -43,7 +42,6 @@ from repro.bench.cache import (
 from repro.bench.perf_log import locked, write_atomic
 from repro.bench.parallel import register_sweep, run_points
 from repro.core.kernel import compile_kernel
-from repro.formats.distribution import Broadcast, DimName, Fixed
 from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
 from repro.machine.grid import Grid
@@ -52,7 +50,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.spans import span
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN, MachineParams
-from repro.tuner.space import Decision, formats_for, realize
+from repro.tuner.space import Decision, realize
 from repro.util.errors import OutOfMemoryError, ReproError
 
 #: Cost assigned to candidates that OOM or fail to compile: they sort
@@ -231,6 +229,17 @@ class EvalOutcome:
     @property
     def feasible(self) -> bool:
         return self.cost != INFEASIBLE
+
+    @staticmethod
+    def pruned_by(decision: Decision, reason: str) -> "EvalOutcome":
+        """The outcome of a candidate the static analyzer rejected."""
+        return EvalOutcome(
+            decision=decision,
+            cost=INFEASIBLE,
+            oom=reason == STATIC_OOM,
+            error=reason,
+            pruned=True,
+        )
 
     def to_record(self) -> Dict:
         return {
@@ -484,69 +493,6 @@ class TuningLedger:
 
 
 # ----------------------------------------------------------------------
-# Static memory feasibility (a conservative lower bound).
-# ----------------------------------------------------------------------
-
-
-def statically_infeasible(
-    assignment: Assignment,
-    decision: Decision,
-    cluster: Cluster,
-    memory: MemoryKind,
-) -> bool:
-    """True when a candidate provably cannot fit, without simulating.
-
-    Sums a *lower bound* of guaranteed-resident home-instance bytes:
-    tensors whose distribution homes a piece on every machine point
-    (no ``Fixed`` face) must keep at least one floor-sized piece per
-    node (per processor for framebuffer-resident tensors) — fully
-    partitioned tensors keep one *distinct* piece per processor. The
-    bound deliberately ignores replica sharing, fetch staging, and
-    reduction buffers, so it never rules out a feasible candidate; its
-    value is catching replication-heavy layouts whose footprint grows
-    with ``n^2/sqrt(p)`` and therefore *shrinks* relative to capacity
-    on the coarse successive-halving rung.
-    """
-    per_node = 0.0
-    per_proc = 0.0
-    ppn = cluster.procs_per_node
-    formats = formats_for(assignment, decision, memory)
-    for tensor in assignment.tensors():
-        fmt = formats.get(tensor.name)
-        if fmt is None or not fmt.distributions:
-            continue
-        dist = fmt.distributions[0]
-        if any(isinstance(m, Fixed) for m in dist.machine_dims):
-            continue  # face-homed: not resident everywhere
-        parts = {}
-        for idx, (mdim, extent) in enumerate(
-            zip(dist.machine_dims, decision.grid)
-        ):
-            if isinstance(mdim, DimName):
-                mode = dist.partitioned[idx]
-                parts[mode] = parts.get(mode, 1) * extent
-        piece = float(tensor.itemsize)
-        for mode, extent in enumerate(tensor.shape):
-            piece *= max(1, extent // parts.get(mode, 1))
-        replicated = any(
-            isinstance(m, Broadcast) for m in dist.machine_dims
-        )
-        # Same-node processors may share a replicated piece; fully
-        # partitioned pieces are distinct per processor.
-        node_copies = 1 if replicated else min(
-            ppn, max(1, math.prod(decision.grid) // cluster.num_nodes)
-        )
-        per_node += piece * node_copies
-        per_proc += piece
-    node = cluster.nodes[0]
-    if memory is MemoryKind.SYSTEM_MEM:
-        if node.system_memory is None:
-            return False
-        return per_node > node.system_memory.capacity_bytes
-    return per_proc > cluster.processors[0].memory.capacity_bytes
-
-
-# ----------------------------------------------------------------------
 # Evaluation.
 # ----------------------------------------------------------------------
 
@@ -597,34 +543,17 @@ def evaluate_one(
     memory: MemoryKind,
     mode: str,
     check_capacity: bool,
-    static_prune: bool = True,
     timeout_s: Optional[float] = None,
 ) -> EvalOutcome:
     """Realize, compile, and simulate one candidate (mutates the
-    assignment's tensor formats; pass a private copy).
+    assignment's tensor formats; pass a private copy). Static pruning
+    is the caller's: see :meth:`Oracle.prune_reason`.
 
     ``timeout_s`` bounds the candidate's wall-clock evaluation: a stuck
     realize/compile/simulate returns an infeasible outcome whose
     ``error`` names the timeout (counted in :attr:`Oracle.errors`)
     instead of hanging the whole tune.
     """
-    if static_prune:
-        reason = prune_reason(
-            assignment,
-            decision,
-            cluster,
-            memory,
-            params=params,
-            check_capacity=check_capacity,
-        )
-        if reason is not None:
-            return EvalOutcome(
-                decision=decision,
-                cost=INFEASIBLE,
-                oom=reason == STATIC_OOM,
-                error=reason,
-                pruned=True,
-            )
     structure = ""
     executed = repriced = False
     try:
@@ -682,10 +611,10 @@ def tuner_eval_batch(
     memory: MemoryKind,
     mode: str,
     check_capacity: bool,
-    static_prune: bool = True,
     timeout_s: Optional[float] = None,
 ) -> List[EvalOutcome]:
-    """One fork-pool task: evaluate a chunk of candidates.
+    """One fork-pool task: simulate a chunk of candidates (the oracle
+    has already settled their static verdicts).
 
     Registered with :mod:`repro.bench.parallel` so the driver can
     dispatch it by name; the worker's new simulation-cache entries ride
@@ -695,7 +624,7 @@ def tuner_eval_batch(
     return [
         evaluate_one(
             work, cluster, decision, params, memory, mode,
-            check_capacity, static_prune, timeout_s=timeout_s,
+            check_capacity, timeout_s=timeout_s,
         )
         for decision in decisions
     ]
@@ -759,10 +688,13 @@ class Oracle:
         self.structure_scored = 0
         self.trace_executions = 0
         self.repriced = 0
+        #: Static verdicts computed so far in this tune.
+        self.prune_memo = PruneMemo()
 
     def for_cluster(self, cluster: Cluster) -> "Oracle":
-        """A sibling oracle on a different (e.g. coarsened) cluster."""
-        return Oracle(
+        """A sibling oracle on a different (e.g. coarsened) cluster,
+        sharing this one's static verdicts."""
+        sibling = Oracle(
             cluster,
             params=self.params,
             memory=self.memory,
@@ -772,6 +704,25 @@ class Oracle:
             ledger=self.ledger,
             static_prune=self.static_prune,
             timeout_s=self.timeout_s,
+        )
+        sibling.prune_memo = self.prune_memo
+        return sibling
+
+    def prune_reason(
+        self, assignment: Assignment, decision: Decision
+    ) -> Optional[str]:
+        """Why ``decision`` need not be simulated here, or ``None``
+        (always ``None`` with static pruning off)."""
+        if not self.static_prune:
+            return None
+        return prune_reason(
+            assignment,
+            decision,
+            self.cluster,
+            self.memory,
+            params=self.params,
+            check_capacity=self.check_capacity,
+            memo=self.prune_memo,
         )
 
     def evaluate(
@@ -890,6 +841,16 @@ class Oracle:
     def _evaluate_pending(
         self, assignment: Assignment, pending: List[Decision]
     ) -> List[EvalOutcome]:
+        # Static verdicts are settled here, against the memo, so only
+        # candidates that need a simulation reach the workers.
+        outcomes: Dict[Decision, EvalOutcome] = {}
+        survivors: List[Decision] = []
+        for decision in pending:
+            reason = self.prune_reason(assignment, decision)
+            if reason is None:
+                survivors.append(decision)
+            else:
+                outcomes[decision] = EvalOutcome.pruned_by(decision, reason)
         common = dict(
             assignment=assignment,
             cluster=self.cluster,
@@ -897,16 +858,19 @@ class Oracle:
             memory=self.memory,
             mode=self.mode,
             check_capacity=self.check_capacity,
-            static_prune=self.static_prune,
             timeout_s=self.timeout_s,
         )
-        if self.jobs <= 1 or len(pending) <= 1:
+        if self.jobs <= 1 or len(survivors) <= 1:
             # In-process: evaluate against a private copy so the
             # caller's tensor formats are not clobbered mid-search.
-            return tuner_eval_batch(decisions=pending, **common)
-        chunks = min(self.jobs * 4, len(pending))
-        per_point = [
-            dict(common, decisions=pending[c::chunks])
-            for c in range(chunks)
-        ]
-        return run_points("tuner_eval_batch", per_point, self.jobs)
+            simulated = tuner_eval_batch(decisions=survivors, **common)
+        else:
+            chunks = min(self.jobs * 4, len(survivors))
+            per_point = [
+                dict(common, decisions=survivors[c::chunks])
+                for c in range(chunks)
+            ]
+            simulated = run_points("tuner_eval_batch", per_point, self.jobs)
+        for outcome in simulated:
+            outcomes[outcome.decision] = outcome
+        return [outcomes[d] for d in pending]

@@ -29,12 +29,9 @@ from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster
 from repro.machine.machine import Machine
 from repro.sim.params import LASSEN, MachineParams
-from repro.analysis.prune import prune_reason
 from repro.tuner.oracle import (
     EvalOutcome,
-    INFEASIBLE,
     Oracle,
-    STATIC_OOM,
     TuningLedger,
 )
 from repro.tuner.space import (
@@ -205,21 +202,6 @@ def beam_search(
             if d not in sampled:
                 sampled.append(d)
         candidates = sampled
-    dead: Dict[Decision, str] = {}
-    if oracle.static_prune:
-        for c in candidates:
-            reason = prune_reason(
-                assignment,
-                c,
-                oracle.cluster,
-                oracle.memory,
-                params=oracle.params,
-                check_capacity=oracle.check_capacity,
-            )
-            if reason is not None:
-                dead[c] = reason
-        oracle.pruned_static += len(dead)
-
     # Rung ladder: coarse, coarse*eta, ..., full.
     targets: List[int] = []
     procs = min(coarse_procs, full_procs)
@@ -228,6 +210,15 @@ def beam_search(
         procs *= eta
     targets.append(full_procs)
 
+    # Full-scale static verdicts, for the coarse rungs to honour (a
+    # lone full-scale rung gets them from the oracle).
+    dead: Dict[Decision, str] = {}
+    if len(targets) > 1:
+        for c in candidates:
+            reason = oracle.prune_reason(assignment, c)
+            if reason is not None:
+                dead[c] = reason
+
     exponent = _problem_exponent(assignment)
     rungs: List[Dict] = []
     prev_ranking: List[Decision] = []
@@ -235,6 +226,10 @@ def beam_search(
     for level, procs in enumerate(targets):
         last = level == len(targets) - 1
         if last:
+            # Each pruned candidate counts once: the oracle counts the
+            # ones it evaluates here, the rest were cut on coarse rungs.
+            tried = set(candidates)
+            oracle.pruned_static += sum(1 for d in dead if d not in tried)
             outcomes = oracle.evaluate(assignment, candidates)
             ranked = _rank(outcomes)
             # Refill: if nothing in the beam fits at full scale, pull
@@ -242,7 +237,6 @@ def beam_search(
             # because coarse rungs are blind to fetch-staging OOMs that
             # only appear at scale — fall all the way back to the full
             # rung-0 ranking before giving up.
-            tried = set(candidates)
             pool = [
                 d for d in prev_ranking
                 if d not in tried and d not in dead
@@ -276,11 +270,9 @@ def beam_search(
         outcomes = []
         for original in candidates:
             if original in dead:
-                reason = dead[original]
-                outcomes.append(EvalOutcome(
-                    decision=original, cost=INFEASIBLE,
-                    oom=reason == STATIC_OOM, error=reason, pruned=True,
-                ))
+                outcomes.append(
+                    EvalOutcome.pruned_by(original, dead[original])
+                )
                 continue
             co = coarse_outcomes[original]
             outcomes.append(EvalOutcome(

@@ -193,8 +193,19 @@ class TestFrameDiscipline:
 
 class TestClientTimeout:
     def test_timeout_poisons_the_connection_with_typed_error(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        # The tune must outlast the client's timeout. With warm caches a
+        # real one can finish first, so the forked worker sleeps first.
+        import repro.serve.worker as worker
+
+        real_tune = worker.tune_request
+
+        def slow_tune(*args, **kwargs):
+            time.sleep(0.5)
+            return real_tune(*args, **kwargs)
+
+        monkeypatch.setattr(worker, "tune_request", slow_tune)
         request = _request(96)
         with serving(
             tmp_path, client_kwargs={"timeout": 0.05}

@@ -72,8 +72,7 @@ class TestEvaluateTimeout:
         monkeypatch.setattr(oracle_mod, "oracle_simulate", stuck)
         outcome = evaluate_one(
             assignment, cluster, decision, LASSEN,
-            MemoryKind.SYSTEM_MEM, "orbit", True,
-            static_prune=False, timeout_s=0.1,
+            MemoryKind.SYSTEM_MEM, "orbit", True, timeout_s=0.1,
         )
         assert not outcome.feasible
         assert "Timeout" in outcome.error
