@@ -500,11 +500,6 @@ class ScheduleAnswer:
             request_fingerprint=record.get("request_fingerprint", ""),
         )
 
-    def with_provenance(self, provenance: str) -> "ScheduleAnswer":
-        from dataclasses import replace
-
-        return replace(self, provenance=provenance)
-
 
 # ----------------------------------------------------------------------
 # The one engine behind every surface.

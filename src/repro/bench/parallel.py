@@ -1,32 +1,40 @@
-"""Process-parallel sweep driver for the figure generators.
+"""The one process supervisor: sweeps, the tuning oracle and the daemon.
 
 Weak-scaling sweeps are embarrassingly parallel across node counts —
 each point compiles and simulates its own kernels — but the paper's
 figure tables must come back in axis order, and the keyed plan/trace
 cache (:mod:`repro.bench.cache`) should stay warm across the whole
-benchmark session. The driver therefore:
+benchmark session. Every dispatcher (figure sweeps, ``Oracle(jobs>1)``
+through :func:`run_points`, the serving daemon through
+:func:`repro.serve.supervise.run_supervised`) forks through one
+supervised primitive, :func:`run_forked`:
 
-* forks one worker per point (``fork`` start method, so workers inherit
-  the parent's warm cache for free);
-* has every worker return its rows *plus* the cache entries it added
+* one ``fork``-start child per dispatcher slot runs points back to
+  back over a duplex pipe, so it inherits the parent's warm cache and
+  keeps the skeletons and plans it builds for its later points;
+* every point ships back its rows *plus* the cache entries it added
   (both the simulation cache and the closed-form baseline store) and
-  its observability deltas (metric counters, wall-clock spans);
-* merges those deltas back into the parent's process-global caches, so
-  a figure computed with ``--jobs 8`` leaves the same cache state
-  behind as a sequential run, and later figures (or
-  ``headline_speedups``) reuse every simulated configuration.
+  its observability deltas (metric counters, wall-clock spans), which
+  :func:`install_envelope` merges into the parent's process-global
+  state, so a figure computed with ``--jobs 8`` leaves the same cache
+  state behind as a sequential run;
+* a child that dies mid-point (SIGKILL, OOM killer, segfault) is pipe
+  EOF — a detected ``("crash", detail)`` outcome for that point, never
+  a hang — and a fresh child takes the next point.
 
-On platforms without ``fork`` (or with ``jobs <= 1``) the driver simply
-runs the points sequentially in-process.
+On platforms without ``fork`` (or with ``jobs <= 1``) sweeps simply run
+sequentially in-process.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import os
 import threading
 import traceback
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List
+from typing import Sequence, Tuple
 
 from repro.bench.cache import (
     SIM_CACHE,
@@ -42,10 +50,17 @@ _SWEEPS: Dict[str, Callable] = {}
 
 #: Serializes the parent-side cache/metrics merge (and the sequential
 #: fallback, which mutates the globals directly). The serving daemon
-#: dispatches sweeps from an executor thread while its event loop keeps
+#: runs supervised tunes on executor threads while its event loop keeps
 #: answering hits on the main thread; without this, two concurrent
-#: ``run_points`` calls could interleave their installs.
-_DISPATCH_LOCK = threading.Lock()
+#: dispatchers could interleave their installs. Re-entrant so
+#: :func:`run_points` can hold it across its whole install loop.
+_DISPATCH_LOCK = threading.RLock()
+
+#: Held from pipe creation until the parent closes the child's end: a
+#: child forked concurrently by another thread would otherwise inherit
+#: that end and keep the pipe open past the real child's death, turning
+#: its EOF (the crash signal) into a wait.
+_FORK_LOCK = threading.Lock()
 
 
 def register_sweep(name: str, fn: Callable):
@@ -71,11 +86,10 @@ def _resolve(name: str) -> Callable:
 
 
 def _run_point(payload):
-    """One worker task; never raises.
+    """One point in a child; never raises.
 
     Exceptions are shipped back as ``("err", traceback text)`` instead
-    of propagating: a raising worker would poison the whole
-    ``pool.map`` and lose the other points' finished work, so the
+    of propagating, so the child survives for its next point and the
     parent decides what to do (retry in-process, then surface the
     original worker traceback).
     """
@@ -89,8 +103,8 @@ def _run_point(payload):
     except Exception:
         return ("err", traceback.format_exc())
     # The observability deltas ride the same envelope as the cache
-    # deltas: a forked worker inherited the parent's counters and span
-    # list, so only what accumulated after the fork ships back.
+    # deltas: a forked child inherited the parent's counters and span
+    # list, so only what accumulated during this point ships back.
     return ("ok", (
         rows,
         SIM_CACHE.export(exclude=sim_before),
@@ -100,39 +114,128 @@ def _run_point(payload):
     ))
 
 
+def _child_main(conn, parent_end):
+    """A slot child: run each point the parent sends until told to stop."""
+    global _DISPATCH_LOCK, _FORK_LOCK
+    # The fork may land while a parent thread holds either lock; the
+    # child would inherit it held by a thread that does not exist here,
+    # and its own run_points would deadlock. Locks don't survive forks.
+    _DISPATCH_LOCK = threading.RLock()
+    _FORK_LOCK = threading.Lock()
+    # Only the parent may hold this end, so the child sees EOF (and
+    # exits) once the parent is gone.
+    parent_end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        conn.send(_run_point(task))
+
+
+def _spawn():
+    ctx = multiprocessing.get_context("fork")
+    with _FORK_LOCK:
+        conn, child_end = ctx.Pipe()
+        proc = ctx.Process(
+            target=_child_main, args=(child_end, conn), daemon=True
+        )
+        proc.start()
+        child_end.close()  # EOF on ``conn`` now tracks the child alone
+    return proc, conn
+
+
+def run_forked(
+    tasks: Iterable[Tuple[Hashable, Tuple[str, dict]]],
+) -> Iterator[Tuple[Hashable, Tuple[str, object]]]:
+    """Run ``(key, (name, kwargs))`` points back to back in one child.
+
+    Yields ``(key, outcome)`` as each point lands, where ``outcome`` is
+    ``("ok", envelope)`` (see :func:`_run_point`; pass it to
+    :func:`install_envelope`), ``("err", traceback)`` for an exception
+    the child caught itself, or ``("crash", detail)`` when the child
+    died without delivering. The next point is drawn from ``tasks``
+    only when the child is free, so slots sharing one queue balance
+    load dynamically; a crashed child is replaced for the next point.
+    Without ``fork`` the points run in-process.
+    """
+    if not _fork_available():
+        for key, task in tasks:
+            try:
+                yield key, _run_point_strict(task)
+            except Exception:
+                yield key, ("err", traceback.format_exc())
+        return
+    child = None
+    try:
+        for key, task in tasks:
+            if child is None:
+                child = _spawn()
+            proc, conn = child
+            try:
+                conn.send(task)
+                outcome = conn.recv()
+            except (EOFError, OSError):
+                conn.close()
+                proc.join()
+                child = None
+                outcome = (
+                    "crash",
+                    f"worker pid={proc.pid} died without delivering "
+                    f"(exitcode={proc.exitcode})",
+                )
+            yield key, outcome
+    finally:
+        if child is not None:
+            proc, conn = child
+            # The idle child exits on this sentinel. It is not joined:
+            # its teardown (~2 ms) would add to every dispatch, and
+            # multiprocessing reaps it at the next fork or at exit.
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+            conn.close()
+
+
+def install_envelope(envelope):
+    """Merge a point's envelope into this process's global caches,
+    metrics and spans; returns the point's rows."""
+    rows, sim_delta, base_delta, metrics_delta, spans = envelope
+    with _DISPATCH_LOCK:
+        SIM_CACHE.install(sim_delta)
+        install_baselines(base_delta)
+        METRICS.install(metrics_delta)
+        install_spans(spans)
+    return rows
+
+
 def run_points(
     name: str,
     per_point_kwargs: Sequence[dict],
     jobs: int,
     costs: Sequence[float] = None,
-    always_fork: bool = False,
 ) -> List:
     """Run one sweep function over many kwargs sets, possibly in parallel.
 
     Returns the concatenated row lists in input order. With ``jobs > 1``
-    the points run in forked worker processes and their cache deltas are
-    merged back into this process's global caches.
+    the points run in ``jobs`` slots — a dispatcher thread each, driving
+    one :func:`run_forked` child — that pull from one shared queue; the
+    envelopes are installed in input order once every slot is done.
 
-    ``costs`` (optional, one per point) orders the dispatch: expensive
-    points start first, one task per worker pull (no chunk batching), so
-    a sweep's largest configurations never serialize behind each other
-    in one worker while the others sit idle. Row order is unaffected.
-
-    ``always_fork`` forks even for a single point or ``jobs=1``: the
-    serving daemon uses it so a lone cold tune still runs in a child
-    process, keeping the parent's event loop (the microsecond hit path)
-    free of GIL-heavy simulation work. Platforms without ``fork`` fall
-    back to the sequential path regardless.
+    ``costs`` (optional, one per point) orders the queue: expensive
+    points start first, one point per pull, so a sweep's largest
+    configurations never serialize behind each other in one slot while
+    the others sit idle. Row order is unaffected.
     """
     tasks = [(name, kwargs) for kwargs in per_point_kwargs]
-    # More workers than cores just adds fork and scheduling overhead —
+    # More slots than cores just adds fork and scheduling overhead —
     # single-core runners (CI containers) degrade to a clean sequential
     # pass instead of time-slicing forks.
     jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
-    sequential = jobs <= 1 or len(tasks) <= 1
-    if always_fork and tasks:
-        sequential = False
-    if sequential or not _fork_available():
+    if jobs <= 1 or not _fork_available():
         with _DISPATCH_LOCK:
             rows: List = []
             for task in tasks:
@@ -141,33 +244,48 @@ def run_points(
     order = list(range(len(tasks)))
     if costs is not None:
         order.sort(key=lambda i: -costs[i])
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        dispatched = pool.map(
-            _run_point, [tasks[i] for i in order], chunksize=1
-        )
-    results = [None] * len(tasks)
-    for slot, result in zip(order, dispatched):
-        results[slot] = result
+    queue = collections.deque(order)
+    results: List = [None] * len(tasks)
+
+    def pull():
+        while True:
+            try:
+                index = queue.popleft()
+            except IndexError:
+                return
+            yield index, tasks[index]
+
+    errors: List[Exception] = []
+
+    def slot():
+        try:
+            for index, outcome in run_forked(pull()):
+                results[index] = outcome
+        except Exception as err:  # re-raised on the calling thread
+            errors.append(err)
+
+    threads = [
+        threading.Thread(target=slot, daemon=True) for _ in range(jobs)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     rows = []
     with _DISPATCH_LOCK:
-        for slot, outcome in enumerate(results):
-            status, result = outcome
-            if status == "err":
+        for task, (status, result) in zip(tasks, results):
+            if status != "ok":
                 # Retry the failed point once, sequentially in this
-                # process: transient worker trouble (a fork inheriting a
-                # torn cache, resource exhaustion under full fan-out)
-                # often clears on resubmission. A second failure
-                # surfaces the *original worker* traceback — the retry
-                # may fail differently, but the first crash is what to
-                # debug.
-                status, result = _retry_point(tasks[slot], result)
-            point_rows, sim_delta, base_delta, metrics_delta, spans = result
-            SIM_CACHE.install(sim_delta)
-            install_baselines(base_delta)
-            METRICS.install(metrics_delta)
-            install_spans(spans)
-            rows.extend(point_rows)
+                # process: transient worker trouble (a fork inheriting
+                # a torn cache, resource exhaustion under full fan-out,
+                # a killed child) often clears on resubmission. A
+                # second failure surfaces the *original worker* error
+                # — the retry may fail differently, but the first
+                # crash is what to debug.
+                _, result = _retry_point(task, result)
+            rows.extend(install_envelope(result))
     return rows
 
 

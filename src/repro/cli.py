@@ -52,7 +52,7 @@ def add_common_args(
             "--jobs",
             type=int,
             default=jobs_default,
-            help="parallel fork-pool workers",
+            help="parallel forked worker slots (one child each)",
         )
     if seed:
         parser.add_argument(
@@ -174,11 +174,3 @@ def ledger_failed(ledger, stream=None) -> bool:
 def workload_sizes(assignment) -> Dict[str, tuple]:
     """Tensor name -> shape, for run banners and JSON payloads."""
     return {t.name: t.shape for t in assignment.tensors()}
-
-
-def json_default(value):
-    """Fallback serializer for payloads carrying numpy scalars."""
-    try:
-        return value.item()
-    except AttributeError:
-        return str(value)

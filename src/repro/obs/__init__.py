@@ -18,7 +18,7 @@ stacks, with three pillars:
 * **Metrics registry** — :data:`repro.obs.metrics.METRICS` unifies the
   counters previously scattered across five subsystems (orbit fallback
   events, phase replays, simulation-cache hits, oracle incrementality,
-  fork-pool retries) behind one snapshot API, surfaced by the CLIs,
+  sweep worker retries) behind one snapshot API, surfaced by the CLIs,
   appended to ``BENCH_simulator.json`` records, and consumed by the
   regression gate.
 

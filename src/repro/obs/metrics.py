@@ -3,8 +3,9 @@
 Before this module the repo's efficiency counters lived on five
 unrelated objects — ``OrbitExecutor.fallback_events``, the cost model's
 step-price digest hits, ``SIM_CACHE.hits``, the tuner oracle's
-incrementality stats, the fork-pool's retry count — each printed (or
-not) by whichever CLI happened to own it. The registry unifies them:
+incrementality stats, the sweep supervisor's retry count — each
+printed (or not) by whichever CLI happened to own it. The registry
+unifies them:
 
 * **Counters** (:meth:`MetricsRegistry.inc`) accumulate monotonically;
   subsystems increment them at their natural aggregation points.
@@ -51,7 +52,7 @@ Number = Union[int, float]
 #: * ``serve.misses`` — queries with no cached answer (queued to tune);
 #: * ``serve.deduped`` — queries that joined an identical in-flight
 #:   tune instead of starting their own;
-#: * ``serve.tunes`` — cold tunes completed by the fork-pool oracle;
+#: * ``serve.tunes`` — tunes completed by supervised serve workers;
 #: * ``serve.warm_started`` — tunes seeded from a tuned neighbor's
 #:   projected decision (strictly fewer simulations than cold);
 #: * ``serve.errors`` — requests that failed (bad einsum, tune error,

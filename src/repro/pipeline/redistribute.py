@@ -75,7 +75,3 @@ def redistribution_report(
 
 def clear_cache():
     _MEMO.clear()
-
-
-def cache_size() -> int:
-    return len(_MEMO)

@@ -99,10 +99,6 @@ class PipelineReport:
     def redistribution_bytes(self) -> float:
         return sum(e.moved_bytes for e in self.edges)
 
-    @property
-    def matched_edges(self) -> List[EdgeCost]:
-        return [e for e in self.edges if e.matched]
-
     def describe(self) -> str:
         lines = [f"pipeline: {self.total_time:.4f}s simulated"]
         for stage in self.stages:

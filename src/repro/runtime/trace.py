@@ -100,11 +100,6 @@ class CopyColumns:
         if self.count is None:
             self.count = np.ones(self.n, dtype=np.int64)
 
-    @property
-    def total_count(self) -> int:
-        """Number of physical copies the rows stand for."""
-        return int(self.count.sum())
-
     def expanded(self) -> "CopyColumns":
         """Unit-multiplicity view: each row repeated ``count`` times.
 

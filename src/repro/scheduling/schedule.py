@@ -65,12 +65,6 @@ class Schedule:
             body = forall
         return body
 
-    def _innermost_body(self) -> Stmt:
-        chain = self._chain()
-        if not chain:
-            return self.stmt
-        return chain[-1].body
-
     # ------------------------------------------------------------------
     # Classic transformations (split / divide / collapse / reorder ...).
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ two paths are deliberately asymmetric:
   therefore one tune), and dispatched through the supervised forked
   runner (:mod:`repro.serve.supervise`) — the GIL-heavy search runs in
   child processes, never in the loop's, and a SIGKILL'd child is a
-  detected crash that retries with backoff instead of a hung pool.
+  detected crash that retries with backoff instead of a hang.
 
 **Resilience semantics** (see ``docs/serving.md``):
 
@@ -72,8 +72,8 @@ from repro.serve.supervise import (
     run_supervised,
 )
 
-# Import for the side effect: registers the serve_tune_batch sweep in
-# this process, so forked workers inherit it resolved.
+# Import for the side effect: registers the serve_tune sweep in this
+# process, so forked workers inherit it resolved.
 from repro.serve import worker as _worker  # noqa: F401
 
 #: Sentinel frame for a line that exceeded the stream limit (the frame
@@ -386,15 +386,13 @@ class ScheduleServer:
         self, fingerprint: str, record: Dict,
         deadline_s: Optional[float],
     ) -> Dict:
-        warm: Dict[str, str] = {}
+        warm = None
         if self.warm_start:
             try:
                 request = ScheduleRequest.from_record(record)
-                encoded = self._neighbor_decision(request, fingerprint)
+                warm = self._neighbor_decision(request, fingerprint)
             except Exception:
-                encoded = None
-            if encoded:
-                warm[fingerprint] = encoded
+                pass
         timeout_s = self.timeout_s
         if deadline_s is not None:
             timeout_s = (
@@ -403,7 +401,7 @@ class ScheduleServer:
                 else min(timeout_s, deadline_s)
             )
         return {
-            "records": [record],
+            "record": record,
             "ledger_path": str(self.ledger.path),
             "warm": warm,
             "timeout_s": timeout_s,
@@ -428,7 +426,7 @@ class ScheduleServer:
                         fingerprint
                     )
             return run_supervised(
-                "serve_tune_batch",
+                "serve_tune",
                 kwargs,
                 retries=self.worker_retries,
                 backoff_s=self.retry_backoff_s,
@@ -450,23 +448,7 @@ class ScheduleServer:
                 )
             if status == "ok":
                 self.quarantine.record_success(fingerprint)
-                rows = [
-                    r for r in result
-                    if r.get("fingerprint") == fingerprint
-                ]
-                if rows:
-                    row = rows[0]
-                else:
-                    # The worker returned a short batch (the bug class
-                    # the old zip silently truncated on): surface it as
-                    # a structured error instead of hanging the client.
-                    METRICS.inc("serve.errors")
-                    row = {
-                        "status": "error",
-                        "fingerprint": fingerprint,
-                        "error": "worker returned no row for this "
-                                 "request",
-                    }
+                row = result
             elif status == "err":
                 row = {
                     "status": "error",
@@ -613,6 +595,10 @@ class ScheduleServer:
                 finally:
                     self._busy -= 1
         except (ConnectionResetError, BrokenPipeError):
+            pass
+        except asyncio.CancelledError:
+            # stop() cancels idle connections; ending the task normally
+            # keeps the stream protocol from logging the cancellation.
             pass
         finally:
             try:

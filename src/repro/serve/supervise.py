@@ -1,25 +1,18 @@
-"""Supervised tune dispatch: crash-proof forks, retries, quarantine.
+"""Supervised tune dispatch: retries with backoff, and quarantine.
 
-The daemon originally shipped miss batches through
-:func:`repro.bench.parallel.run_points`, whose ``multiprocessing.Pool``
-has exactly the wrong failure mode for a server: a SIGKILL'd worker
-(OOM killer, chaos injection, a tune that segfaults the interpreter)
-hangs ``pool.map`` forever, wedging the dispatcher thread and every
-client waiting on that batch. This module replaces the pool with a
-per-point supervised fork:
+The daemon runs each miss through the one process supervisor,
+:func:`repro.bench.parallel.run_forked`: a ``fork``-start child
+connected by a pipe, whose death without delivering its envelope is a
+detected ``("crash", detail)`` outcome — never a hang. The envelope
+(rows plus cache, metrics and span deltas) merges back through
+:func:`repro.bench.parallel.install_envelope`, exactly as sweeps do.
+On top of that primitive this module adds the serving policy:
 
-* :func:`fork_point` runs one sweep point in a dedicated ``fork``-start
-  :class:`multiprocessing.Process` connected by a
-  :class:`~multiprocessing.Pipe`. A child that dies without delivering
-  its envelope surfaces as pipe EOF — a detected ``("crash", detail)``
-  outcome, never a hang. The envelope itself (rows + cache, metrics,
-  span deltas) is :func:`repro.bench.parallel._run_point`'s, so cache
-  warmth and observability merge back exactly as pool dispatch did.
-* :func:`run_supervised` wraps the fork in retry-with-backoff: crashes
-  retry up to ``retries`` times (counted in ``serve.crashes`` /
-  ``serve.retried``), structured ``("err", ...)`` rows do not (the
-  worker already caught the exception; re-running a deterministic
-  failure buys nothing).
+* :func:`run_supervised` retries crashes with exponential backoff, up
+  to ``retries`` times (counted in ``serve.crashes`` /
+  ``serve.retried``); structured ``("err", ...)`` outcomes do not
+  retry (the worker already caught the exception; re-running a
+  deterministic failure buys nothing).
 * :class:`QuarantineStore` persists consecutive-crash counts per
   request fingerprint, so a poison request — one that kills its worker
   every time — is cut off after ``threshold`` crashes with a durable
@@ -34,20 +27,12 @@ is only meaningful when the tune runs in a child.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.bench.cache import SIM_CACHE, install_baselines
-from repro.bench.parallel import (
-    _DISPATCH_LOCK,
-    _fork_available,
-    _run_point,
-    _run_point_strict,
-)
+from repro.bench.parallel import install_envelope, run_forked
 from repro.obs.metrics import METRICS
-from repro.obs.spans import install_spans
 
 QUARANTINE_FILE = "QUARANTINE.json"
 
@@ -56,103 +41,18 @@ QUARANTINE_FILE = "QUARANTINE.json"
 _MAX_BACKOFF_S = 1.0
 
 
-def _child_main(conn, payload):
-    """Run one sweep point in the child and ship the outcome back."""
-    # The fork may land while *another* dispatcher thread in the
-    # parent holds the shared dispatch lock — the child inherits it
-    # permanently locked (the owning thread does not exist here) and
-    # its own sequential run_points would deadlock on it. Locks don't
-    # survive forks; give the child a fresh one.
-    import threading
-
-    from repro.bench import parallel as _parallel
-
-    _parallel._DISPATCH_LOCK = threading.Lock()
-    try:
-        outcome = _run_point(payload)
-    except BaseException:  # _run_point never raises, but stay crashable
-        conn.close()
-        raise
-    try:
-        conn.send(outcome)
-    finally:
-        conn.close()
-
-
-def fork_point(
-    name: str, kwargs: dict, timeout_s: Optional[float] = None
-) -> Tuple[str, object]:
-    """Run one sweep point in a supervised forked child.
-
-    Returns ``("ok", envelope)`` (see
-    :func:`repro.bench.parallel._run_point`), ``("err", traceback)``
-    for an exception the worker caught itself, or ``("crash", detail)``
-    when the child died without delivering — killed, segfaulted, or
-    past ``timeout_s`` (a hard wall-clock bound on the whole fork, on
-    top of the oracle's own per-candidate timeout; the child is killed
-    on expiry).
-    """
-    if not _fork_available():
-        try:
-            status, result = _run_point_strict((name, kwargs))
-        except Exception as err:
-            return ("err", f"{type(err).__name__}: {err}")
-        return (status, result)
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_child_main, args=(send, (name, kwargs)), daemon=True
-    )
-    proc.start()
-    send.close()  # the parent's copy; EOF now tracks the child alone
-    try:
-        if timeout_s is not None and not recv.poll(timeout_s):
-            proc.kill()
-            proc.join()
-            return (
-                "crash",
-                f"worker pid={proc.pid} exceeded {timeout_s}s wall "
-                "clock and was killed",
-            )
-        outcome = recv.recv()
-    except EOFError:
-        proc.join()
-        return (
-            "crash",
-            f"worker pid={proc.pid} died without delivering "
-            f"(exitcode={proc.exitcode})",
-        )
-    finally:
-        recv.close()
-    proc.join()
-    return outcome
-
-
-def install_envelope(envelope) -> list:
-    """Merge a worker envelope into the parent's process-global state
-    and return its rows. Serialized on the shared dispatch lock — the
-    daemon may run several supervised forks concurrently."""
-    rows, sim_delta, base_delta, metrics_delta, spans = envelope
-    with _DISPATCH_LOCK:
-        SIM_CACHE.install(sim_delta)
-        install_baselines(base_delta)
-        METRICS.install(metrics_delta)
-        install_spans(spans)
-    return rows
-
-
 def run_supervised(
     name: str,
     kwargs: dict,
     retries: int = 2,
     backoff_s: float = 0.05,
-    timeout_s: Optional[float] = None,
     on_attempt: Optional[Callable[[int], None]] = None,
 ) -> Tuple[str, object, int]:
-    """Fork a point, retrying crashes with exponential backoff.
+    """Run one point in a supervised child, retrying crashes with
+    exponential backoff.
 
     Returns ``(status, result, crashes)`` where ``status`` is ``"ok"``
-    (``result`` is the installed row list), ``"err"`` (a traceback
+    (``result`` is the installed point result), ``"err"`` (a traceback
     string from the worker), or ``"crash"`` (every attempt died;
     ``result`` is the last crash detail). ``crashes`` counts dead
     children across all attempts — the quarantine's currency.
@@ -165,7 +65,7 @@ def run_supervised(
     for attempt in range(retries + 1):
         if on_attempt is not None:
             on_attempt(attempt)
-        status, result = fork_point(name, kwargs, timeout_s=timeout_s)
+        [(_, (status, result))] = run_forked([(None, (name, kwargs))])
         if status == "ok":
             return ("ok", install_envelope(result), crashes)
         if status == "err":

@@ -1,22 +1,24 @@
-"""The daemon's tune worker: one fork-pool sweep per miss batch.
+"""The daemon's tune worker: one supervised child per miss.
 
-``serve_tune_batch`` is an ordinary :mod:`repro.bench.parallel` sweep
-(registered under that name), so the daemon dispatches misses through
-the exact machinery the figure generators use: one forked child per
-request (``always_fork=True`` keeps even a lone miss out of the
-daemon's event-loop process), simulation-cache and metrics deltas
-shipped back in the envelope, in-process retry on worker failure.
+``serve_tune`` is an ordinary :mod:`repro.bench.parallel` sweep
+function (registered under that name). The daemon runs it through
+:func:`repro.serve.supervise.run_supervised`, which forks it with the
+same primitive the figure sweeps use (:func:`repro.bench.parallel.
+run_forked`): the GIL-heavy tune stays out of the daemon's event-loop
+process, simulation-cache and metrics deltas ship back in the
+envelope, and a killed child is a detected crash that the daemon
+retries with backoff.
 
-Each worker tunes with ``jobs=1`` — pool workers are daemonic and may
-not fork grandchildren; parallelism across concurrent misses comes
-from the pool itself.
+The tune itself runs with ``jobs=1``: supervised children are
+daemonic and may not fork grandchildren, so parallelism across
+concurrent misses comes from the daemon's dispatcher threads.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.api import ScheduleRequest, tune_request
 from repro.bench.parallel import register_sweep
@@ -25,26 +27,25 @@ from repro.serve.shard import open_ledger
 from repro.tuner.space import Decision
 
 
-def serve_tune_batch(
-    records: List[Dict],
+def serve_tune(
+    record: Dict,
     ledger_path: Optional[str] = None,
-    warm: Optional[Dict[str, str]] = None,
+    warm: Optional[str] = None,
     timeout_s: Optional[float] = None,
     chaos_kill: bool = False,
     parent_pid: Optional[int] = None,
-) -> List[Dict]:
-    """Tune every request record; returns one row per request.
+) -> Dict:
+    """Tune one request record; returns its row.
 
-    ``warm`` maps request fingerprints to the *encoded decision* of
-    their nearest tuned neighbor; those requests search only the warm
-    neighborhood (``strategy="warm"`` — strictly fewer simulations
-    than a cold tune). Completed answers are persisted to the ledger
+    ``warm`` is the *encoded decision* of the request's nearest tuned
+    neighbor; when given, the tune searches only the warm neighborhood
+    (``strategy="warm"`` — strictly fewer simulations than a cold
+    tune). A completed answer is persisted to the ledger
     (lock-merge-save, so concurrent workers never drop each other's
     work) before the row is returned.
 
-    Rows are ``{"status": "ok", "fingerprint", "answer"}`` or
-    ``{"status": "error", "fingerprint", "error"}`` — a bad request
-    never poisons the batch.
+    The row is ``{"status": "ok", "fingerprint", "answer"}`` or
+    ``{"status": "error", "fingerprint", "error"}``.
 
     ``chaos_kill`` is the seeded chaos harness's injection point
     (:mod:`repro.faults.chaos`): the worker SIGKILLs *itself* right
@@ -58,49 +59,44 @@ def serve_tune_batch(
         and os.getpid() != parent_pid
     ):
         os.kill(os.getpid(), signal.SIGKILL)
-    warm = warm or {}
     ledger = open_ledger(ledger_path)
-    rows: List[Dict] = []
-    for record in records:
-        fingerprint = ""
-        try:
-            request = ScheduleRequest.from_record(record)
-            fingerprint = request.fingerprint()
-            warm_encoded = warm.get(fingerprint)
-            if warm_encoded:
-                METRICS.inc("serve.warm_started")
-                result = tune_request(
-                    request,
-                    warm_start=Decision.decode(warm_encoded),
-                    strategy="warm",
-                    ledger=ledger,
-                    timeout_s=timeout_s,
-                )
-            else:
-                result = tune_request(
-                    request, ledger=ledger, timeout_s=timeout_s
-                )
-            answer = result.answer
-            METRICS.inc("serve.tunes")
-            if ledger is not None:
-                ledger.put_answer(
-                    fingerprint,
-                    {"request": record, "answer": answer.to_record()},
-                )
-                ledger.save()
-            rows.append({
-                "status": "ok",
-                "fingerprint": fingerprint,
-                "answer": answer.to_record(),
-            })
-        except Exception as err:  # ship the failure, keep the batch
-            METRICS.inc("serve.errors")
-            rows.append({
-                "status": "error",
-                "fingerprint": fingerprint,
-                "error": f"{type(err).__name__}: {err}",
-            })
-    return rows
+    fingerprint = ""
+    try:
+        request = ScheduleRequest.from_record(record)
+        fingerprint = request.fingerprint()
+        if warm:
+            METRICS.inc("serve.warm_started")
+            result = tune_request(
+                request,
+                warm_start=Decision.decode(warm),
+                strategy="warm",
+                ledger=ledger,
+                timeout_s=timeout_s,
+            )
+        else:
+            result = tune_request(
+                request, ledger=ledger, timeout_s=timeout_s
+            )
+        answer = result.answer
+        METRICS.inc("serve.tunes")
+        if ledger is not None:
+            ledger.put_answer(
+                fingerprint,
+                {"request": record, "answer": answer.to_record()},
+            )
+            ledger.save()
+        return {
+            "status": "ok",
+            "fingerprint": fingerprint,
+            "answer": answer.to_record(),
+        }
+    except Exception as err:  # ship the failure as a row
+        METRICS.inc("serve.errors")
+        return {
+            "status": "error",
+            "fingerprint": fingerprint,
+            "error": f"{type(err).__name__}: {err}",
+        }
 
 
-register_sweep("serve_tune_batch", serve_tune_batch)
+register_sweep("serve_tune", serve_tune)

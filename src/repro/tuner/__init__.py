@@ -5,7 +5,7 @@ The subsystem has three layers:
 * :mod:`repro.tuner.space` — the schedule space as declarative,
   replayable decision vectors with symmetry canonicalization;
 * :mod:`repro.tuner.oracle` — candidate scoring through the
-  orbit-compressed simulator, fanned out over the shared fork-pool,
+  orbit-compressed simulator, fanned out over the sweep supervisor,
   with a persistent tuning ledger;
 * :mod:`repro.tuner.search` — exhaustive search for small spaces and
   beam search with successive halving for large ones, seeded with the

@@ -8,9 +8,9 @@ layers keep re-evaluation cheap:
 * the process-global :data:`~repro.bench.cache.SIM_CACHE` memoizes
   ``(plan, machine, params, mode)`` so identical candidates (canonical
   representatives, repeated rungs) simulate once;
-* batches fan out over the existing fork-pool driver
-  (:mod:`repro.bench.parallel`), whose workers inherit the warm cache
-  and ship their deltas back;
+* batches fan out over the sweep supervisor
+  (:mod:`repro.bench.parallel`), whose forked slot children inherit
+  the warm cache and ship their deltas back;
 * a persistent :class:`TuningLedger` (JSON, written atomically) maps
   ``workload-signature/decision`` to the simulated summary, so a
   re-tune — same workload, same params — replays from disk without
@@ -365,10 +365,6 @@ class TuningLedger:
             return data["entries"], answers
         return {}, {}
 
-    def _read_entries(self) -> Dict[str, Dict]:
-        entries, _answers = self._read()
-        return entries
-
     @staticmethod
     def _salvage(text: str) -> Dict[str, Dict]:
         """Entry records that still parse inside a corrupt ledger.
@@ -507,7 +503,7 @@ def _deadline(timeout_s: Optional[float]):
 
     Uses ``SIGALRM``/``setitimer``, so it only arms on the main thread
     of a Unix process (exactly where oracle evaluation runs — in the
-    driving process or inside fork-pool workers); anywhere else it is a
+    driving process or inside forked workers); anywhere else it is a
     no-op rather than a crash. Nested use keeps the outer timer.
     """
     if not timeout_s or timeout_s <= 0:
@@ -613,8 +609,8 @@ def tuner_eval_batch(
     check_capacity: bool,
     timeout_s: Optional[float] = None,
 ) -> List[EvalOutcome]:
-    """One fork-pool task: simulate a chunk of candidates (the oracle
-    has already settled their static verdicts).
+    """One sweep point: simulate a chunk of candidates (the oracle has
+    already settled their static verdicts).
 
     Registered with :mod:`repro.bench.parallel` so the driver can
     dispatch it by name; the worker's new simulation-cache entries ride

@@ -116,10 +116,6 @@ class Rect:
         """The rectangle covering an entire tensor of the given shape."""
         return Rect(tuple(Interval.extent(n) for n in shape))
 
-    @staticmethod
-    def point_at(coords: Sequence[int]) -> "Rect":
-        return Rect(tuple(Interval.point(c) for c in coords))
-
     @property
     def dim(self) -> int:
         return len(self.intervals)

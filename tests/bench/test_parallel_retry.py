@@ -1,16 +1,21 @@
-"""Fork-pool worker crash handling: retry once, then surface.
+"""Sweep worker crash handling: retry once, then surface.
 
-A sweep point that dies in a forked worker must not poison the whole
-``pool.map`` (losing every other point's work) and must never hang the
-driver: the parent retries the point once in-process, and a second
-failure raises with the *original worker* traceback attached.
+A sweep point that fails or dies in a forked worker must not lose the
+other points' work and must never hang the driver: the parent retries
+the point once in-process, and a second failure raises with the
+*original worker* traceback attached.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import parallel
 from repro.bench.parallel import register_sweep, run_points
 
@@ -25,7 +30,7 @@ _PARENT_PID = os.getpid()
 @pytest.fixture
 def multicore(monkeypatch):
     """Pretend we have cores: single-core runners degrade run_points to
-    the sequential path, which would bypass the pool entirely."""
+    the sequential path, which would bypass the forked workers."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
 
@@ -78,6 +83,44 @@ class TestRetry:
             "_good_point", [{"value": v} for v in range(5)], jobs=3
         )
         assert rows == [("row", v) for v in range(5)]
+
+    @fork_only
+    def test_killed_worker_is_retried_not_hung(self):
+        """A SIGKILLed worker is a detected crash: its point retries
+        in-process and the sweep returns every row in order. Runs in a
+        subprocess under a timeout, so a regression fails the test
+        instead of hanging the suite."""
+        script = textwrap.dedent("""
+            import os, signal
+            os.cpu_count = lambda: 4
+            from repro.bench.parallel import register_sweep, run_points
+            from repro.obs.metrics import METRICS
+
+            PARENT = os.getpid()
+
+            def _suicidal_point(value):
+                if value == 1 and os.getpid() != PARENT:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return [("row", value)]
+
+            register_sweep("_suicidal_point", _suicidal_point)
+            rows = run_points(
+                "_suicidal_point", [{"value": v} for v in range(3)],
+                jobs=2,
+            )
+            assert rows == [("row", v) for v in range(3)], rows
+            retries = METRICS.snapshot(sources=False)["bench.pool_retries"]
+            assert retries == 1, retries
+            print("recovered")
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=60,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "recovered"
 
     def test_sequential_path_propagates_directly(self):
         """With jobs<=1 there is no worker to crash: exceptions surface

@@ -7,7 +7,14 @@ process-global metrics registry.
 """
 
 import contextlib
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
+
+import repro
 
 from repro.api import ScheduleRequest, canonical_json, tune_request
 from repro.machine.cluster import Cluster
@@ -145,6 +152,30 @@ class TestProtocolOps:
             assert stats["shards"] == server.ledger.shards
             assert stats["answers"] == 0
             assert client.shutdown()["stopping"]
+
+    def test_shutdown_tears_down_silently(self, tmp_path):
+        """Draining the daemon cancels its idle connections; that must
+        not log a traceback on stderr."""
+        sock = tmp_path / "serve.sock"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--socket", str(sock),
+             "--ledger", str(tmp_path / "ledger")],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not sock.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            with ScheduleClient(socket_path=str(sock), timeout=30) as c:
+                assert c.ping()
+                assert c.shutdown()["stopping"]
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
 
     def test_hits_do_not_block_on_inflight_tune(self, tmp_path):
         request = _request()
