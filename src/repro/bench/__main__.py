@@ -164,9 +164,10 @@ def main(argv=None) -> int:
                         node_counts=trio, gpu=args.gpu, jobs=args.jobs
                     )
                 if top:
-                    # Beyond 4096 nodes only Cannon's systolic phases
-                    # replay; the broadcast algorithms re-resolve every
-                    # phase and would take hours at 131k processors.
+                    # Beyond 4096 nodes SUMMA's broadcast chunks
+                    # straddle home pieces, so its phases take the
+                    # multi-piece path and never replay; with Johnson
+                    # they would take hours at 131k processors.
                     rows += matmul_weak_scaling(
                         node_counts=top,
                         algorithms=("cannon",),

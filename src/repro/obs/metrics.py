@@ -85,6 +85,34 @@ SERVE_COUNTERS = (
 )
 
 
+#: The orbit executor's per-run counters (``OrbitExecutor`` attributes
+#: of the same name, summed into the registry after each run):
+#:
+#: * ``orbit.fallback_events`` — copies that re-entered the scalar
+#:   per-context machinery (pinned at zero by the parity suite);
+#: * ``orbit.phase_full`` — tensor phases resolved in full (mirror
+#:   join, request index, class fold);
+#: * ``orbit.phase_conjugate`` — tensor phases replayed as the exact
+#:   image of the previous one under a torus shift of the members and
+#:   a translation of the requests;
+#: * ``orbit.phase_seam`` — conjugate replays with a seam: members the
+#:   map does not explain, joined against the carried request classes;
+#: * ``orbit.phase_replays`` — all replays (conjugate plus seam);
+#: * ``orbit.multi_piece_batches``, ``orbit.flush_batches``,
+#:   ``orbit.leaf_comm_phases`` — coverage of the class-batched
+#:   multi-piece, reduction-flush and leaf-communication paths.
+ORBIT_COUNTERS = (
+    "orbit.fallback_events",
+    "orbit.phase_full",
+    "orbit.phase_conjugate",
+    "orbit.phase_seam",
+    "orbit.phase_replays",
+    "orbit.multi_piece_batches",
+    "orbit.flush_batches",
+    "orbit.leaf_comm_phases",
+)
+
+
 class MetricsRegistry:
     """Counters, gauges, and snapshot-time sources under dotted names."""
 

@@ -46,7 +46,7 @@ import numpy as np
 from repro.codegen.plan import LaunchNode, LeafNode, PlanNode, SeqNode
 from repro.machine.cluster import MemoryKind
 from repro.machine.machine import Machine
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
 from repro.runtime.executor import ExecutionResult, Executor, _Ctx
@@ -164,6 +164,51 @@ def fold_two(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Fold two row sets into one comparable key space."""
     keys = fold_rows(np.vstack([a, b]))
     return keys[: a.shape[0]], keys[a.shape[0]:]
+
+
+def _fold_keys(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Equal-key groups of an int64 key column: ``(first, counts)`` in
+    key order, as :func:`fold_groups` orders them. A dense key range
+    folds by counting, with no sort."""
+    base = int(key.min())
+    span = int(key.max()) - base + 1
+    if span <= 4 * key.size + 1024:
+        dense = key - base
+        full = np.bincount(dense, minlength=span)
+        present = full > 0
+        inv = np.take(np.cumsum(present) - 1, dense)
+        counts = full[present]
+    else:
+        _, inv, counts = np.unique(
+            key, return_inverse=True, return_counts=True
+        )
+    first = np.full(counts.size, key.size, dtype=np.int64)
+    np.minimum.at(first, inv, np.arange(key.size, dtype=np.int64))
+    return first, counts
+
+
+def _pack_key(cols, spans) -> Optional[np.ndarray]:
+    """Mixed-radix int64 key of non-negative columns (``cols[i] <
+    spans[i]``), order-preserving like :func:`_pack_columns`; ``None``
+    when the radix would overflow."""
+    total = 1
+    for span in spans:
+        total *= int(span)
+    if total >= 2 ** 62:
+        return None
+    key = np.zeros(cols[0].size, dtype=np.int64)
+    for col, span in zip(cols, spans):
+        key *= int(span)
+        key += col
+    return key
+
+
+def _linear(coords: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """Row-major linear index of each ``(k, mdim)`` coordinate row."""
+    out = coords[:, 0] * strides[0]
+    for d in range(1, coords.shape[1]):
+        out = out + coords[:, d] * strides[d]
+    return out
 
 
 #: Deterministic odd multipliers for the executor's hash joins (exact
@@ -316,9 +361,9 @@ class _Mirror:
     def __init__(self, ndim: int, mdim: int):
         self.ndim = ndim
         self.mdim = mdim
-        #: Mutation counter (bumped by add/free): the translation-replay
-        #: fast path uses it to prove the mirror is unchanged modulo a
-        #: phase's own held-set churn.
+        #: Mutation counter (bumped by add/free): the conjugate replay
+        #: uses it to prove the mirror is unchanged modulo a phase's own
+        #: held-set churn.
         self.version = 0
         cap = 64
         self.lo = np.zeros((cap, ndim), dtype=np.int64)
@@ -363,12 +408,19 @@ class _Mirror:
 
     def add_rows(self, lo, hi, coords, mem, nbytes) -> np.ndarray:
         rows = self.alloc(lo.shape[0])
-        self.lo[rows] = lo
-        self.hi[rows] = hi
-        self.coords[rows] = coords
-        self.mem[rows] = mem
-        self.nbytes[rows] = nbytes
-        self.alive[rows] = True
+        at = rows
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size and bool(
+            (np.diff(rows) == 1).all()
+        ):
+            # Recycled rows usually come back as one run: slices write
+            # far faster than row gathers.
+            at = slice(int(rows[0]), int(rows[-1]) + 1)
+        self.lo[at] = lo
+        self.hi[at] = hi
+        self.coords[at] = coords
+        self.mem[at] = mem
+        self.nbytes[at] = nbytes
+        self.alive[at] = True
         self.version += 1
         return rows
 
@@ -824,6 +876,20 @@ class _EmitInfo:
 
 
 @dataclass
+class _Classes:
+    """One phase's request classes: the distinct rectangles its
+    fetching members request."""
+
+    labels: np.ndarray  # class per fetching member
+    cols: np.ndarray    # (classes, 2 * ndim) endpoints, lo then hi
+    counts: np.ndarray  # fetching members per class
+
+    @property
+    def distinct(self) -> bool:
+        return self.counts.size == self.labels.size
+
+
+@dataclass
 class _Chunk:
     """One bulk emission batch (one tensor, one phase)."""
 
@@ -965,7 +1031,7 @@ class OrbitExecutor(Executor):
         #: steady-state phases re-emit the same class rectangles step
         #: after step.
         self._rect_memo: Dict[Tuple, Rect] = {}
-        #: Per-(region, tensor) phase memos for translation replay.
+        #: Per-(region, tensor) phase memos for conjugate replay.
         self._phase_memos: Dict[Tuple[int, str], _PhaseMemo] = {}
         #: The previous phase's held rows, per tensor (set by the fetch
         #: path; lets memos separate held-set churn from static rows).
@@ -983,10 +1049,13 @@ class OrbitExecutor(Executor):
         self.multi_piece_batches = 0
         self.flush_batches = 0
         self.leaf_comm_phases = 0
-        #: Phases emitted through the steady-state replay fast paths
-        #: (translation, permutation, transport) instead of a full
-        #: resolve — the replay-provenance counter the metrics registry
-        #: reports as ``orbit.phase_replays``.
+        #: Resolve outcomes per tensor phase (``orbit.phase_*`` in the
+        #: metrics registry): full resolves, and conjugate replays of
+        #: the previous phase — seamless, or with a seam of members the
+        #: map does not explain. ``phase_replays`` is their sum.
+        self.phase_full = 0
+        self.phase_conjugate = 0
+        self.phase_seam = 0
         self.phase_replays = 0
 
     # -- plumbing ------------------------------------------------------
@@ -1017,11 +1086,8 @@ class OrbitExecutor(Executor):
         self.trace.memory_high_water = dict(self.env.high_water)
         METRICS.inc("orbit.runs")
         METRICS.inc("orbit.steps", len(self.trace.steps))
-        METRICS.inc("orbit.fallback_events", self.fallback_events)
-        METRICS.inc("orbit.phase_replays", self.phase_replays)
-        METRICS.inc("orbit.multi_piece_batches", self.multi_piece_batches)
-        METRICS.inc("orbit.flush_batches", self.flush_batches)
-        METRICS.inc("orbit.leaf_comm_phases", self.leaf_comm_phases)
+        for counter in ORBIT_COUNTERS:
+            METRICS.inc(counter, getattr(self, counter[len("orbit."):]))
         if self.sanitize:
             # Orbit traces are class-compressed (one representative copy
             # per orbit); the sanitizer's hold tracking needs the full
@@ -1389,7 +1455,7 @@ class OrbitExecutor(Executor):
                 continue
             mirror = self.env._mirrors.get(name)
             version = mirror.version if mirror is not None else -1
-            if memo.outcome_valid:
+            if memo.ready:
                 memo.version = version
             if memo.index_fresh:
                 memo.index_version = version
@@ -1403,7 +1469,8 @@ class OrbitExecutor(Executor):
         Emits copies (columnar for orbit classes, batched per rect class
         for multi-piece requests) and returns the registration batch
         ``(ctx rows, lo, hi, mem, bytes, order)`` to commit. Steady
-        translation phases short-circuit through :class:`_PhaseMemo`.
+        systolic phases replay the previous one through
+        :meth:`_replay_conjugate`.
         """
         plan = self.plan
         tensor = plan.tensors[name]
@@ -1426,64 +1493,9 @@ class OrbitExecutor(Executor):
             self._phase_memos[memo_key] = memo
         live_all = bool(live.all())
         prev_lo, prev_hi, prev_live_all = memo.lo, memo.hi, memo.live_all
-        delta = memo.advance(lo, hi, live_all)
-        # Rotation phases permute the request assignment: every member
-        # requests what its ``s``-shifted neighbour requested last phase
-        # (``s`` drawn from the previous phase's uniform holder-offset
-        # set). A two-phase streak with one ``s`` makes the cached
-        # holder pairs provably carry over.
-        perm = None
-        perm_shift = None
-        if (
-            delta is None
-            and live_all
-            and prev_live_all
-            and ndim
-            and memo.pair_offsets
-            and prev_lo is not None
-            and prev_lo.shape == lo.shape
-        ):
-            shape_vec = self._mt.shape
-            mdim = shape_vec.size
-            candidates = []
-            seen_shifts = set()
-
-            def consider(vec):
-                key = tuple(int(x) for x in vec)
-                if key not in seen_shifts and any(key):
-                    seen_shifts.add(key)
-                    candidates.append(np.asarray(vec, dtype=np.int64))
-
-            # Most phases repeat the previous shift; unit steps cover
-            # plain rotations whose holder offset differs from the
-            # request shift; the holder offsets themselves (and their
-            # inverses) cover skewed patterns.
-            if memo.perm_shift is not None:
-                consider(memo.perm_shift)
-            for d in range(mdim):
-                unit = np.zeros(mdim, dtype=np.int64)
-                unit[d] = 1
-                consider(unit)
-                consider((-unit) % shape_vec)
-            for cand_s in memo.pair_offsets:
-                consider(cand_s)
-                consider((-cand_s) % shape_vec)
-            for cand_s in candidates:
-                cand = region.perm_for_shift(cand_s, self._mt)
-                if (
-                    cand is not None
-                    and np.array_equal(lo, prev_lo[:, cand])
-                    and np.array_equal(hi, prev_hi[:, cand])
-                ):
-                    perm = cand
-                    perm_shift = cand_s
-                    break
-        if perm is not None and memo.perm_shift is not None and \
-                np.array_equal(perm_shift, memo.perm_shift):
-            memo.perm_streak += 1
-        else:
-            memo.perm_streak = 1 if perm is not None else 0
-        memo.perm_shift = perm_shift
+        # batch_bounds allocates fresh endpoint matrices per phase, so
+        # holding references (no copy) is safe.
+        memo.lo, memo.hi, memo.live_all = lo, hi, live_all
         h_lo, h_hi, h_ok = region.home(self, name)
         local = h_ok & live
         for d in range(ndim):
@@ -1492,60 +1504,25 @@ class OrbitExecutor(Executor):
         remaining = live & ~local
         rem_idx = np.flatnonzero(remaining)
         if rem_idx.size == 0:
-            memo.outcome_valid = False
+            memo.ready = False
             return None
         mirror = self.env._mirrors.get(name)
-        replay_common = (
-            memo.outcome_valid
+        if (
+            memo.ready
+            and live_all
+            and prev_live_all
             and mirror is not None
             and mirror.version == memo.version
-            and memo.rem_mask is not None
-            and np.array_equal(remaining, memo.rem_mask)
-        )
-        if (
-            replay_common
-            and perm is not None
-            and memo.perm_streak >= 2
-            and memo.pair_has is not None
-            and bool(np.array_equal(remaining[perm], remaining))
-            and bool(np.array_equal(memo.pair_has[perm], memo.pair_has))
+            and prev_lo.shape == lo.shape
         ):
-            out = self._replay_permutation(
-                memo, name, region, step, lo, hi, tensor, perm, rem_idx,
-                mirror,
-            )
-            if out is not None:
-                self.phase_replays += 1
-                return out
-        elif replay_common and delta is not None and memo.streak >= 2:
-            out = self._replay_translation(
-                memo, name, region, step, lo, hi, tensor, delta, rem_idx,
-                mirror,
-            )
-            if out is not None:
-                self.phase_replays += 1
-                return out
-        if (
-            perm is not None
-            and memo.registered_all
-            and memo.requests_distinct
-            and memo.rem_mask is not None
-            and memo.fixed_hash is not None
-            and mirror is not None
-            and mirror.version == memo.version
-        ):
-            # Rotations whose fetch set moves too (the local-tile hole
-            # travels): pairs are synthesized from the permutation.
-            out = self._replay_transport(
+            out = self._replay_conjugate(
                 memo, name, name_pos, n_names, region, step, lo, hi,
-                tensor, perm, perm_shift, remaining, rem_idx, mirror,
+                prev_lo, prev_hi, tensor, rem_idx,
             )
             if out is not None:
-                self.phase_replays += 1
                 return out
-        memo.outcome_valid = False
-        memo.registered_all = False
-        memo.rem_mask = remaining.copy()
+        self.phase_full += 1
+        memo.ready = False
         # Holder-locality and holder candidates: join requests against
         # the live instance mirror on exact rect equality. When the
         # mirror provably holds exactly the previous phase's registered
@@ -1559,7 +1536,6 @@ class OrbitExecutor(Executor):
         holder_local = np.zeros(rem_idx.size, dtype=bool)
         pair_req = np.zeros(0, dtype=np.int64)
         pair_coords_all = np.zeros((0, self.machine.dim), dtype=np.int64)
-        pairs_clean = True
         req_k = None
         req_keys_cols = None
         if ndim:
@@ -1590,7 +1566,6 @@ class OrbitExecutor(Executor):
                     memo.fixed_hash, req_k, memo.fixed_cols, req_keys_cols
                 )
                 if fix_req.size:
-                    pairs_clean = False
                     pair_req = np.concatenate([pair_req, fix_req])
                     pair_coords_all = np.concatenate(
                         [pair_coords_all, memo.fixed_coords[fix_pos]]
@@ -1617,12 +1592,6 @@ class OrbitExecutor(Executor):
                 pair_req = p_req
                 pair_rows = inst_rows[order[p_pos]]
                 pair_coords_all = mirror.coords[pair_rows]
-                prev_held = self._prev_held.get(name)
-                if pair_rows.size:
-                    pairs_clean = bool(
-                        prev_held is not None
-                        and np.all(np.isin(pair_rows, prev_held))
-                    )
         if pair_req.size:
             same = np.all(
                 pair_coords_all == region.coords[rem_idx[pair_req]],
@@ -1645,31 +1614,17 @@ class OrbitExecutor(Executor):
                 keep = fetch_mask[pair_req]
                 pair_req = new_pos[pair_req[keep]]
                 pair_coords_all = pair_coords_all[keep]
-        shape_vec = self._mt.shape
-        size = self._mt.size
-        big = np.iinfo(np.int64).max
-        holder_best = np.full(k, big, dtype=np.int64)
         req_coords = region.coords[fetch_idx]
-        pair_key = None
-        pair_coords = None
-        if pair_req.size:
-            pair_coords = pair_coords_all
-            pdelta = np.abs(pair_coords - req_coords[pair_req])
-            dist = np.minimum(pdelta, shape_vec - pdelta).sum(axis=1)
-            # Selection key: (distance, holder-before-owner, coords) —
-            # exactly the scalar `_sources_from` ordering. ``pair_req``
-            # is non-decreasing by construction, so the per-request
-            # minimum is a segment reduction (much faster than
-            # ``np.minimum.at``).
-            pair_key = dist * 2 * size + pair_coords @ self._mt.strides
-            seg = np.flatnonzero(np.r_[True, pair_req[1:] != pair_req[:-1]])
-            seg_req = pair_req[seg]
-            holder_best[seg_req] = np.minimum.reduceat(pair_key, seg)
-        best, have, src_coords = self._select_winners(
-            name, tensor, region, lo, hi, fetch_idx, req_coords,
-            holder_best, pair_req, pair_key, pair_coords,
+        pair_coords = pair_coords_all if pair_req.size else None
+        pair_key, holder_best = self._holder_keys(
+            pair_req, pair_coords, req_coords, k
         )
-        order_base = np.int64(n_names)
+        lo_f = lo[:, fetch_idx]
+        hi_f = hi[:, fetch_idx]
+        have, src_coords = self._select_winners(
+            tensor, lo_f, hi_f, req_coords, holder_best, pair_req,
+            pair_key, pair_coords,
+        )
         no_src = np.flatnonzero(~have)
         if no_src.size:
             # Members with no single source: the multi-piece path,
@@ -1693,10 +1648,10 @@ class OrbitExecutor(Executor):
         else:
             req_k_f = req_k
             req_cols_f = req_keys_cols
-        requests_distinct = self._store_req_index(
+        classes = self._store_req_index(
             memo, fetch_idx, req_k_f, req_cols_f, ndim
         )
-        if not use_index and mirror is not None and ndim:
+        if not use_index and ndim:
             self._rebuild_fixed(
                 memo, mirror, inst_rows, self._prev_held.get(name), ndim
             )
@@ -1707,69 +1662,100 @@ class OrbitExecutor(Executor):
             emitted = self._emit_bulk(
                 step, name, region,
                 fetch_idx[win_pos],
-                lo[:, fetch_idx[win_pos]],
-                hi[:, fetch_idx[win_pos]],
+                lo_f[:, win_pos],
+                hi_f[:, win_pos],
                 src_coords[win_pos],
                 tensor,
-                distinct=requests_distinct,
+                distinct=classes is not None and classes.distinct,
             )
-        # Registration batch (all fetching members, pieces included).
-        vol = np.ones(k, dtype=np.int64)
-        for d in range(ndim):
-            vol *= hi[d, fetch_idx] - lo[d, fetch_idx]
-        byte_rows = vol * tensor.itemsize
-        mem_rows = self._mt.tensor_mem_of_proc(tensor)[region.proc[fetch_idx]]
-        order = fetch_idx.astype(np.int64) * order_base + name_pos
-        reg_lo = lo[:, fetch_idx].T.copy()
-        reg_hi = hi[:, fetch_idx].T.copy()
-        self._store_memo(
-            memo, name, region, mirror, rem_idx, fetch_idx,
-            bool(holder_local.any()), pair_req, pair_coords,
-            pair_key, pairs_clean, requests_distinct, holder_best,
-            have, src_coords, emitted, reg_lo, reg_hi, mem_rows,
-            byte_rows, order, ndim,
+        return self._commit_memo(
+            memo, region, lo_f, hi_f, fetch_idx, tensor, name_pos, n_names,
+            classes, src_coords if no_src.size == 0 else None, emitted,
+            shift=None, seam=0,
         )
-        return (fetch_idx, reg_lo, reg_hi, mem_rows, byte_rows, order)
 
-    def _select_winners(self, name, tensor, region, lo, hi, fetch_idx,
-                        req_coords, holder_best, pair_req, pair_key,
-                        pair_coords):
+    def _select_winners(self, tensor, req_lo, req_hi, req_coords,
+                        holder_best, pair_req, pair_key, pair_coords,
+                        cls=None):
         """Owner candidates plus winner selection (shared by the full
-        and replay paths; owner blocks are not translation covariant)."""
+        and replay paths; owner blocks are not translation covariant).
+
+        ``req_lo``/``req_hi`` hold one request column per fetching
+        member, or one per request class when ``cls`` maps members to
+        classes — the owner arithmetic then runs once per distinct
+        request. Returns ``(have, src_coords)``.
+        """
         mt = self._mt
         shape_vec = mt.shape
-        size = mt.size
-        big = np.iinfo(np.int64).max
-        k = fetch_idx.size
+        k = req_coords.shape[0]
         ndim = tensor.ndim
         # The single-owner candidate, via the vectorized distribution
         # arithmetic; replica dims concretize to the requester's coords.
         pat, valid = tensor.format.owner_pattern_batch(
             self.machine,
-            lo[:, fetch_idx] if ndim else None,
-            hi[:, fetch_idx] if ndim else None,
+            req_lo if ndim else None,
+            req_hi if ndim else None,
             tensor.shape,
-            count=k,
+            count=req_lo.shape[1],
         )
-        owner_coords = np.where(
-            pat >= 0, pat, req_coords.T % shape_vec[:, None]
-        ).T
-        odelta = np.abs(owner_coords - req_coords)
-        odist = np.minimum(odelta, shape_vec - odelta).sum(axis=1)
-        okey = np.where(
-            valid,
-            (odist * 2 + 1) * size + owner_coords @ mt.strides,
-            big,
-        )
+        replicas = bool((pat < 0).any())
+        if cls is not None:
+            pat = np.take(pat, cls, axis=1)
+            valid = np.take(valid, cls)
+        owner = list(pat)
+        if replicas:
+            for d in range(shape_vec.size):
+                owner[d] = np.where(
+                    owner[d] >= 0, owner[d], req_coords[:, d] % shape_vec[d]
+                )
+        if pair_req is None or not pair_req.size:
+            # No holder anywhere: the owner wins wherever there is one.
+            return valid, np.stack(
+                [np.where(valid, col, 0) for col in owner], axis=1
+            )
+        big = np.iinfo(np.int64).max
+        odist = np.zeros(k, dtype=np.int64)
+        olin = np.zeros(k, dtype=np.int64)
+        for d in range(shape_vec.size):
+            delta = np.abs(owner[d] - req_coords[:, d])
+            odist += np.minimum(delta, shape_vec[d] - delta)
+            olin += owner[d] * mt.strides[d]
+        okey = np.where(valid, (odist * 2 + 1) * mt.size + olin, big)
         best = np.minimum(holder_best, okey)
-        src_coords = np.zeros((k, shape_vec.size), dtype=np.int64)
-        have = best < big
         owner_win = valid & (okey == best)
-        src_coords[owner_win] = owner_coords[owner_win]
-        if pair_req is not None and pair_req.size:
-            win = pair_key == best[pair_req]
-            src_coords[pair_req[win]] = pair_coords[win]
-        return best, have, src_coords
+        win = np.flatnonzero(pair_key == np.take(best, pair_req))
+        win_req = np.take(pair_req, win)
+        src = []
+        for d in range(shape_vec.size):
+            col = np.where(owner_win, owner[d], 0)
+            col[win_req] = np.take(pair_coords[:, d], win)
+            src.append(col)
+        return best < big, np.stack(src, axis=1)
+
+    def _holder_keys(self, pair_req, pair_coords, req_coords, k,
+                     single=False):
+        """Holder selection keys and the per-request best key.
+
+        Key: (distance, holder-before-owner, coords) — exactly the
+        scalar `_sources_from` ordering. ``pair_req`` is non-decreasing
+        by construction, so the per-request minimum is a segment
+        reduction (much faster than ``np.minimum.at``), or a plain
+        scatter when each request has one pair (``single``).
+        """
+        mt = self._mt
+        holder_best = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+        if not pair_req.size:
+            return None, holder_best
+        dist = _torus_dist(
+            pair_coords, np.take(req_coords, pair_req, axis=0), mt.shape
+        )
+        pair_key = dist * 2 * mt.size + _linear(pair_coords, mt.strides)
+        if single:
+            holder_best[pair_req] = pair_key
+        else:
+            seg = np.flatnonzero(np.r_[True, pair_req[1:] != pair_req[:-1]])
+            holder_best[pair_req[seg]] = np.minimum.reduceat(pair_key, seg)
+        return pair_key, holder_best
 
     def _rebuild_fixed(self, memo, mirror, inst_rows, prev_held, ndim):
         """(Re)build the static-instance index: live rows outside the
@@ -1796,218 +1782,283 @@ class OrbitExecutor(Executor):
             )
 
     def _store_req_index(self, memo, fetch_idx, req_k_f, req_cols_f,
-                         ndim) -> bool:
+                         ndim) -> Optional["_Classes"]:
         """Carry this phase's (sorted) request index into the next one;
-        returns whether the requests are pairwise distinct (hash-
-        distinct implies rect-distinct)."""
+        returns its request classes (``None`` for 0-dim tensors, or when
+        two distinct rectangles share a hash)."""
         if ndim == 0 or req_k_f is None:
             memo.req_index_hash = None
-            return False
+            return None
         order = np.argsort(req_k_f, kind="stable")
         sh = req_k_f[order]
+        cols = req_cols_f[order]
         memo.req_index_hash = sh
         memo.req_index_member = fetch_idx[order]
-        memo.req_index_cols = req_cols_f[order]
+        memo.req_index_cols = cols
         memo.index_fresh = True
-        if sh.size > 1:
-            return not bool(np.any(sh[1:] == sh[:-1]))
-        return sh.size == 1
-
-    def _store_memo(self, memo, name, region, mirror, rem_idx,
-                    fetch_idx, had_holder_local, pair_req, pair_coords,
-                    pair_key, pairs_clean, requests_distinct, holder_best,
-                    have, src_coords, emitted, reg_lo, reg_hi, mem_rows,
-                    byte_rows, order, ndim):
-        """Capture a fully-resolved phase for future replay.
-
-        Only phases whose holder candidates all came from the previous
-        phase's held set are replayable (``pairs_clean``): matches
-        against longer-lived instances are not translation/rotation
-        covariant, and a probe at replay time additionally checks that
-        no *new* request matches one of those rows.
-        """
-        memo.requests_distinct = requests_distinct
-        memo.registered_all = ndim > 0 and not had_holder_local
-        memo.outcome_valid = (
-            ndim > 0
-            and emitted is not None
-            and bool(have.all())
-            and mirror is not None
-            and not had_holder_local
-            and pairs_clean
+        new = np.r_[True, sh[1:] != sh[:-1]]
+        dup = ~new[1:]
+        if dup.any() and not np.array_equal(cols[1:][dup], cols[:-1][dup]):
+            return None
+        starts = np.flatnonzero(new)
+        labels = np.empty(sh.size, dtype=np.int64)
+        labels[order] = np.cumsum(new) - 1
+        return _Classes(
+            labels, cols[starts], np.diff(np.r_[starts, sh.size])
         )
-        if not memo.outcome_valid:
-            return
+
+    def _commit_memo(self, memo, region, lo_f, hi_f, fetch_idx, tensor,
+                     name_pos, n_names, classes, src_coords, emitted,
+                     shift, seam):
+        """Build a phase's registration batch (every fetching member,
+        pieces included) and remember what the next phase's conjugate
+        replay carries: fetchers, request classes, winners, emission.
+        The caller pins ``memo.version`` after the commit."""
+        vol = np.ones(fetch_idx.size, dtype=np.int64)
+        for d in range(tensor.ndim):
+            vol *= hi_f[d] - lo_f[d]
+        byte_rows = vol * tensor.itemsize
+        mem_rows = np.take(
+            self._mt.tensor_mem_of_proc(tensor),
+            np.take(region.proc, fetch_idx),
+        )
+        order = fetch_idx.astype(np.int64) * np.int64(n_names) + name_pos
+        memo.ready = classes is not None and memo.fixed_hash is not None
+        memo.version = -1
         memo.fetch_idx = fetch_idx
-        # Rotation signature: every member with holder candidates sees
-        # the same offset multiset (a coset — over-partitioned rotation
-        # dims give duplicate request rects and several equidistant
-        # holders per member). Such holder structures are equivariant
-        # under the coset's shifts, which is what lets a replay carry
-        # the pairs over verbatim.
-        memo.pair_offsets = None
-        memo.pair_has = None
-        if pair_req.size:
-            k = fetch_idx.size
-            cnt_per = np.bincount(pair_req, minlength=k)
-            has = cnt_per > 0
-            cvals = np.unique(cnt_per[has])
-            if cvals.size == 1:
-                c = int(cvals[0])
-                offs = (
-                    pair_coords - region.coords[fetch_idx[pair_req]]
-                ) % self._mt.shape
-                ranges = [(0, int(e)) for e in self._mt.shape]
-                okeys = fold_rows(offs, ranges)
-                order = np.lexsort((okeys, pair_req))
-                mat = okeys[order].reshape(-1, c)
-                if bool(np.all(mat == mat[0])):
-                    first_rows = offs[order[:c]]
-                    memo.pair_offsets = [
-                        first_rows[j].copy() for j in range(c)
-                    ]
-                    pair_has = np.zeros(region.n, dtype=bool)
-                    pair_has[fetch_idx[has]] = True
-                    memo.pair_has = pair_has
-        memo.pair_req = pair_req
-        memo.pair_coords = pair_coords
-        memo.pair_key = pair_key
-        memo.holder_best = holder_best
-        memo.requests_distinct = requests_distinct
+        memo.classes = classes
         memo.src_coords = src_coords
         memo.emit = emitted
-        memo.reg_lo = reg_lo
-        memo.reg_hi = reg_hi
-        memo.reg_mem = mem_rows
-        memo.reg_bytes = byte_rows
-        memo.reg_order = order
-        memo.version = mirror.version
+        memo.shift = shift
+        memo.seam = seam
+        return (fetch_idx, lo_f.T.copy(), hi_f.T.copy(), mem_rows,
+                byte_rows, order)
 
-    def _probe_fixed(self, memo, lo, hi, rem_idx, ndim) -> bool:
-        """True when some request matches a static instance row."""
-        if not memo.fixed_hash.size:
-            return False
-        req_cols = np.empty((rem_idx.size, 2 * ndim), dtype=np.int64)
-        req_cols[:, :ndim] = lo[:, rem_idx].T
-        req_cols[:, ndim:] = hi[:, rem_idx].T
-        rh = _hash_rows(req_cols)
-        pos = np.searchsorted(memo.fixed_hash, rh)
-        pos = np.minimum(pos, memo.fixed_hash.size - 1)
-        maybe = memo.fixed_hash[pos] == rh
-        return bool(
-            np.any(maybe)
-            and np.any(
-                np.all(
-                    memo.fixed_cols[pos[maybe]] == req_cols[maybe], axis=1
+    def _conjugate_map(self, memo, region, lo_f, hi_f, prev_lo, prev_hi,
+                       rem_idx):
+        """The map under which this phase is the previous one's image.
+
+        A fetching member ``m`` is *carried* by a torus shift ``s`` and a
+        translation ``d`` when the member at ``coords(m) + s`` fetched
+        last phase and requested exactly ``request(m) - d``; the rest
+        form the seam. The previous phase's map is tried first and kept
+        while its seam does not grow; otherwise zero and the unit shifts
+        are screened by how many members' preimages did not fetch, and
+        the smallest seam wins, preferring ``d = 0`` (whose request
+        classes carry their holders). Returns ``(s, d, prev rows,
+        carried)``, or ``None`` when every map leaves over half of
+        the members unexplained.
+        """
+        mt = self._mt
+        k = rem_idx.size
+        prev_row = np.full(region.n, -1, dtype=np.int64)
+        prev_row[memo.fetch_idx] = np.arange(
+            memo.fetch_idx.size, dtype=np.int64
+        )
+
+        def carry(s, src, pr):
+            ok = pr >= 0
+            ref = int(np.argmax(ok))
+            delta = lo_f[:, ref] - prev_lo[:, src[ref]]
+            for d in range(lo_f.shape[0]):
+                ok &= lo_f[d] == np.take(prev_lo[d], src) + delta[d]
+                ok &= hi_f[d] == np.take(prev_hi[d], src) + delta[d]
+            rank = (bool(delta.any()), k - int(np.count_nonzero(ok)))
+            return rank, (s, delta, pr, ok)
+
+        def preimage(s):
+            perm = region.perm_for_shift(s, mt)
+            if perm is None:
+                return None
+            src = np.take(perm, rem_idx)
+            return src, np.take(prev_row, src)
+
+        best = None
+        if memo.shift is not None:
+            got = preimage(memo.shift)
+            if got is not None:
+                best = carry(memo.shift, *got)
+                if best[0][1] <= memo.seam:
+                    return best[1]
+        eye = np.eye(mt.shape.size, dtype=np.int64)
+        screened = []
+        for s in np.vstack([0 * eye[:1], eye, (-eye) % mt.shape]):
+            if memo.shift is not None and np.array_equal(s, memo.shift):
+                continue
+            got = preimage(s)
+            if got is not None:
+                lost = int(np.count_nonzero(got[1] < 0))
+                screened.append((lost, len(screened), s, got))
+        screened.sort(key=lambda c: c[:2])
+        for lost, _, s, got in screened:
+            if lost * 2 > k or (best is not None and (False, lost) >= best[0]):
+                break
+            got = carry(s, *got)
+            if best is None or got[0] < best[0]:
+                best = got
+            if best[0][1] == 0:
+                break
+        if best is None or best[0][1] * 2 > k:
+            return None
+        return best[1]
+
+    def _replay_conjugate(self, memo, name, name_pos, n_names, region,
+                          step, lo, hi, prev_lo, prev_hi, tensor, rem_idx):
+        """Resolve a phase as the conjugate image of the previous one.
+
+        Systolic loops repeat one phase up to a torus shift ``s`` of the
+        members (and their sources) and a uniform translation ``d`` of
+        the request rectangles: Cannon's rotations (``d = 0``), SUMMA's
+        moving broadcast roots (``s, d != 0``), plain translations
+        (``s = 0``). :meth:`_conjugate_map` finds the map; members it
+        does not explain form a small seam (Cannon's wrap column on
+        grids narrower than its tile count).
+
+        What the map carries is permuted, not re-derived: the request
+        classes (distinct rectangles), and through them the holder
+        pairs — the mirror provably holds exactly the previous phase's
+        registrations plus static rows (version chain), so a class's
+        holders are the previous fetchers of the class with the same
+        rectangle. Seam members join classes by rectangle. Owner
+        arithmetic and winner selection re-run once per class, and a
+        phase whose winners and payload shapes repeat member for member
+        reuses the previous emission columns outright. Anything
+        unproven — a static-row match, a holder at the requester, a
+        multi-piece request, a hash collision — returns ``None`` and the
+        caller resolves in full.
+        """
+        ndim = tensor.ndim
+        k = rem_idx.size
+        lo_f = np.take(lo, rem_idx, axis=1)
+        hi_f = np.take(hi, rem_idx, axis=1)
+        found = self._conjugate_map(
+            memo, region, lo_f, hi_f, prev_lo, prev_hi, rem_idx
+        )
+        if found is None:
+            return None
+        shift, delta, pr, carried = found
+        prev = memo.classes
+        # Request classes: carried members inherit their preimage's;
+        # seam members join a class by rectangle or found new ones.
+        cls_cols = prev.cols + np.concatenate([delta, delta])
+        labels = np.take(prev.labels, pr)
+        seam = np.flatnonzero(~carried)
+        if seam.size:
+            seam_cols = np.concatenate([lo_f[:, seam].T, hi_f[:, seam].T],
+                                       axis=1)
+            hit = _match_rows(seam_cols, cls_cols)
+            labels[seam] = hit
+            fresh = hit < 0
+            if fresh.any():
+                fcols = seam_cols[fresh]
+                _, first, inv = np.unique(
+                    _hash_rows(fcols), return_index=True, return_inverse=True
                 )
+                if not np.array_equal(fcols[first][inv], fcols):
+                    return None
+                labels[seam[fresh]] = cls_cols.shape[0] + inv
+                cls_cols = np.concatenate([cls_cols, fcols[first]])
+        counts = np.bincount(labels, minlength=cls_cols.shape[0])
+        used = counts > 0
+        if not used.all():
+            labels = np.take(np.cumsum(used) - 1, labels)
+            cls_cols = cls_cols[used]
+            counts = counts[used]
+        if memo.fixed_hash.size:
+            fix_req, _ = _probe_index(
+                memo.fixed_hash, _hash_rows(cls_cols), memo.fixed_cols,
+                cls_cols,
             )
+            if fix_req.size:
+                return None
+        # Holders: the previous fetchers of the class with this class's
+        # rectangle (the same class when ``d = 0``).
+        if delta.any():
+            held = _match_rows(cls_cols, prev.cols)
+        else:
+            held = np.flatnonzero(used)
+            held[held >= prev.counts.size] = -1
+        hc = np.take(held, labels)
+        rows = np.flatnonzero(hc >= 0)
+        pair_req = np.zeros(0, dtype=np.int64)
+        pair_coords = None
+        req_coords = np.take(region.coords, rem_idx, axis=0)
+        if rows.size:
+            hc = np.take(hc, rows)
+            if prev.distinct:
+                row_of = np.empty(prev.counts.size, dtype=np.int64)
+                row_of[prev.labels] = np.arange(
+                    prev.labels.size, dtype=np.int64
+                )
+                pair_req, pair_prev = rows, np.take(row_of, hc)
+            else:
+                cnt = prev.counts[hc]
+                order = np.argsort(prev.labels, kind="stable")
+                starts = np.cumsum(prev.counts) - prev.counts
+                pair_req = np.repeat(rows, cnt)
+                rank = np.arange(pair_req.size, dtype=np.int64) - np.repeat(
+                    np.cumsum(cnt) - cnt, cnt
+                )
+                pair_prev = order[np.repeat(starts[hc], cnt) + rank]
+            pair_coords = np.take(
+                region.coords, np.take(memo.fetch_idx, pair_prev), axis=0
+            )
+        pair_key, holder_best = self._holder_keys(
+            pair_req, pair_coords, req_coords, k, single=prev.distinct
         )
-
-    def _replay_translation(self, memo, name, region, step, lo, hi,
-                            tensor, delta, rem_idx, mirror):
-        """Emit a phase as a uniform translation of the previous one.
-
-        Preconditions verified by the caller: uniform request
-        translation with a two-phase delta streak, an unchanged mirror
-        modulo this tensor's own held-set churn, and an identical
-        remaining-member set. Holder pairs and their selection keys are
-        translation invariant; the owner arithmetic re-runs (owner
-        blocks move under translation) and the winner table must come
-        back unchanged, else the caller resolves in full.
-        """
-        ndim = tensor.ndim
-        fetch_idx = memo.fetch_idx
-        if fetch_idx.size != rem_idx.size:
+        # A holder at distance zero is the requester itself.
+        if pair_req.size and bool((pair_key < self._mt.size).any()):
             return None
-        if self._probe_fixed(memo, lo, hi, rem_idx, ndim):
-            return None
-        req_coords = region.coords[fetch_idx]
-        best, have, src_coords = self._select_winners(
-            name, tensor, region, lo, hi, fetch_idx, req_coords,
-            memo.holder_best, memo.pair_req, memo.pair_key,
-            memo.pair_coords,
+        have, src_coords = self._select_winners(
+            tensor, cls_cols[:, :ndim].T, cls_cols[:, ndim:].T, req_coords,
+            holder_best, pair_req, pair_key, pair_coords, cls=labels,
         )
-        if not have.all() or not np.array_equal(src_coords, memo.src_coords):
+        if not have.all():
             return None
+        classes = _Classes(labels, cls_cols, counts)
         emit = memo.emit
-        chunk = emit.chunk
-        new_chunk = _Chunk(
-            tensor_id=chunk.tensor_id,
-            lo=chunk.lo + delta,
-            hi=chunk.hi + delta,
-            nbytes=chunk.nbytes,
-            src_proc=chunk.src_proc,
-            dst_proc=chunk.dst_proc,
-            src_gpu=chunk.src_gpu,
-            dst_gpu=chunk.dst_gpu,
-            reduce=False,
-            distinct=chunk.distinct,
-        )
-        builder = self._builder(step)
-        new_pos = len(builder.chunks)
-        builder.chunks.append(new_chunk)
-        builder.replay_votes.append((emit.builder, emit.pos))
-        rep_lo = emit.rep_lo + delta
-        rep_hi = emit.rep_hi + delta
-        self._append_reps(step, name, rep_lo, rep_hi, emit.rep_args, ndim)
-        memo.emit = _EmitInfo(
-            chunk=new_chunk, pos=new_pos, builder=builder,
-            keep=emit.keep, first=emit.first, counts=emit.counts,
-            rep_args=emit.rep_args, rep_lo=rep_lo, rep_hi=rep_hi,
-        )
-        memo.reg_lo = memo.reg_lo + delta
-        memo.reg_hi = memo.reg_hi + delta
-        memo.version = mirror.version
+        if (
+            emit is not None
+            and memo.src_coords is not None
+            and np.array_equal(rem_idx, memo.fetch_idx)
+            and np.array_equal(src_coords, memo.src_coords)
+            and np.array_equal(
+                hi_f - lo_f,
+                np.take(prev_hi, rem_idx, axis=1)
+                - np.take(prev_lo, rem_idx, axis=1),
+            )
+        ):
+            # Winners and payload shapes repeat member for member: the
+            # emission columns and class partition carry, only the
+            # rectangles move. A pure translation also clones the step.
+            emitted = self._emit_carried(
+                step, name, emit, lo_f, hi_f, ndim, classes.distinct,
+                vote=not shift.any() and seam.size == 0,
+            )
+        else:
+            emitted = self._emit_bulk(
+                step, name, region, rem_idx, lo_f, hi_f, src_coords,
+                tensor, distinct=classes.distinct,
+            )
+        self.phase_replays += 1
+        if seam.size:
+            self.phase_seam += 1
+        else:
+            self.phase_conjugate += 1
         memo.req_index_hash = None
-        memo.outcome_valid = True
-        return (
-            fetch_idx,
-            memo.reg_lo,
-            memo.reg_hi,
-            memo.reg_mem,
-            memo.reg_bytes,
-            memo.reg_order,
+        return self._commit_memo(
+            memo, region, lo_f, hi_f, rem_idx, tensor, name_pos, n_names,
+            classes, src_coords, emitted, shift, int(seam.size),
         )
 
-    def _replay_permutation(self, memo, name, region, step, lo, hi,
-                            tensor, perm, rem_idx, mirror):
-        """Emit a rotation phase: requests permute to the ``s``-shifted
-        neighbour's, everything per-member else is unchanged.
-
-        Holder pairs remain one-per-member at the same uniform offset
-        (so the selection keys are unchanged); owner candidates re-run
-        and the winner table must come back unchanged; per-member
-        payload sizes must be invariant (ragged boundary tiles defeat
-        the replay and fall back to a full resolve).
-        """
-        ndim = tensor.ndim
-        fetch_idx = memo.fetch_idx
-        if fetch_idx.size != rem_idx.size:
-            return None
-        if self._probe_fixed(memo, lo, hi, rem_idx, ndim):
-            return None
-        vol = np.ones(fetch_idx.size, dtype=np.int64)
-        for d in range(ndim):
-            vol *= hi[d, fetch_idx] - lo[d, fetch_idx]
-        if not np.array_equal(vol * tensor.itemsize, memo.reg_bytes):
-            return None
-        req_coords = region.coords[fetch_idx]
-        best, have, src_coords = self._select_winners(
-            name, tensor, region, lo, hi, fetch_idx, req_coords,
-            memo.holder_best, memo.pair_req, memo.pair_key,
-            memo.pair_coords,
-        )
-        if not have.all() or not np.array_equal(src_coords, memo.src_coords):
-            return None
-        emit = memo.emit
+    def _emit_carried(self, step, name, emit, lo_f, hi_f, ndim, distinct,
+                      vote):
+        """Re-emit the previous phase's chunk with this phase's
+        rectangles (endpoints, payloads and classes unchanged)."""
         chunk = emit.chunk
         keep = emit.keep
-        if keep is None:
-            kept_lo = lo[:, fetch_idx].T.copy()
-            kept_hi = hi[:, fetch_idx].T.copy()
-        else:
-            kept_lo = lo[:, fetch_idx[keep]].T.copy()
-            kept_hi = hi[:, fetch_idx[keep]].T.copy()
+        kept_lo = (lo_f if keep is None else lo_f[:, keep]).T.copy()
+        kept_hi = (hi_f if keep is None else hi_f[:, keep]).T.copy()
         new_chunk = _Chunk(
             tensor_id=chunk.tensor_id,
             lo=kept_lo,
@@ -2018,110 +2069,24 @@ class OrbitExecutor(Executor):
             src_gpu=chunk.src_gpu,
             dst_gpu=chunk.dst_gpu,
             reduce=False,
-            distinct=chunk.distinct,
+            distinct=distinct,
         )
         builder = self._builder(step)
         new_pos = len(builder.chunks)
         builder.chunks.append(new_chunk)
-        # Group ids depend on absolute rectangles, which permute across
-        # members here — the step's columns are *not* byte-identical to
-        # the source step's, so no clone vote (finalize re-folds).
+        if vote:
+            # Every column but the (uniformly translated) rectangles is
+            # the source chunk's, and group ids are translation
+            # invariant: finalize may clone the source step's columns.
+            builder.replay_votes.append((emit.builder, emit.pos))
         rep_lo = kept_lo[emit.first]
         rep_hi = kept_hi[emit.first]
         self._append_reps(step, name, rep_lo, rep_hi, emit.rep_args, ndim)
-        memo.emit = _EmitInfo(
+        return _EmitInfo(
             chunk=new_chunk, pos=new_pos, builder=builder,
             keep=keep, first=emit.first, counts=emit.counts,
             rep_args=emit.rep_args, rep_lo=rep_lo, rep_hi=rep_hi,
         )
-        memo.reg_lo = lo[:, fetch_idx].T.copy()
-        memo.reg_hi = hi[:, fetch_idx].T.copy()
-        memo.version = mirror.version
-        memo.req_index_hash = None
-        memo.outcome_valid = True
-        return (
-            fetch_idx,
-            memo.reg_lo,
-            memo.reg_hi,
-            memo.reg_mem,
-            memo.reg_bytes,
-            memo.reg_order,
-        )
-
-    def _replay_transport(self, memo, name, name_pos, n_names, region,
-                          step, lo, hi, tensor, perm, shift, remaining,
-                          rem_idx, mirror):
-        """Resolve a rotation phase without the mirror join.
-
-        Handles rotations whose *fetch set* moves too (the local-tile
-        "hole" travels with the rotation): the requests are a verified
-        permutation of the previous phase's pairwise-distinct requests,
-        so a member's only possible holder is its shifted neighbour —
-        exactly when that neighbour fetched (and registered) last
-        phase. Pairs are synthesized from the permutation instead of
-        joined against the mirror; owner candidates and winners are
-        computed exactly as in the full path, and emission and
-        registration run on fresh columns.
-        """
-        ndim = tensor.ndim
-        if self._probe_fixed(memo, lo, hi, rem_idx, ndim):
-            return None
-        fetch_idx = rem_idx
-        k = fetch_idx.size
-        mt = self._mt
-        shape_vec = mt.shape
-        size = mt.size
-        big = np.iinfo(np.int64).max
-        has = memo.rem_mask[perm[fetch_idx]]
-        pair_req = np.flatnonzero(has)
-        req_coords = region.coords[fetch_idx]
-        pair_coords = (req_coords[pair_req] + shift) % shape_vec
-        dist = int(np.minimum(shift, shape_vec - shift).sum())
-        pair_key = dist * 2 * size + pair_coords @ mt.strides
-        holder_best = np.full(k, big, dtype=np.int64)
-        holder_best[pair_req] = pair_key
-        best, have, src_coords = self._select_winners(
-            name, tensor, region, lo, hi, fetch_idx, req_coords,
-            holder_best, pair_req, pair_key, pair_coords,
-        )
-        if not have.all():
-            return None
-        emitted = self._emit_bulk(
-            step, name, region, fetch_idx, lo[:, fetch_idx],
-            hi[:, fetch_idx], src_coords, tensor, distinct=True,
-        )
-        vol = np.ones(k, dtype=np.int64)
-        for d in range(ndim):
-            vol *= hi[d, fetch_idx] - lo[d, fetch_idx]
-        byte_rows = vol * tensor.itemsize
-        mem_rows = mt.tensor_mem_of_proc(tensor)[region.proc[fetch_idx]]
-        order = fetch_idx.astype(np.int64) * np.int64(n_names) + name_pos
-        reg_lo = lo[:, fetch_idx].T.copy()
-        reg_hi = hi[:, fetch_idx].T.copy()
-        # Refresh the memo exactly as a full resolve would.
-        memo.outcome_valid = emitted is not None
-        memo.registered_all = True
-        memo.rem_mask = remaining.copy()
-        memo.fetch_idx = fetch_idx
-        memo.pair_req = pair_req
-        memo.pair_coords = pair_coords
-        memo.pair_key = pair_key
-        memo.holder_best = holder_best
-        memo.pair_offsets = [shift.copy()]
-        pair_has = np.zeros(region.n, dtype=bool)
-        pair_has[fetch_idx[pair_req]] = True
-        memo.pair_has = pair_has
-        memo.requests_distinct = True
-        memo.src_coords = src_coords
-        memo.emit = emitted
-        memo.reg_lo = reg_lo
-        memo.reg_hi = reg_hi
-        memo.reg_mem = mem_rows
-        memo.reg_bytes = byte_rows
-        memo.reg_order = order
-        memo.req_index_hash = None
-        memo.version = mirror.version
-        return (fetch_idx, reg_lo, reg_hi, mem_rows, byte_rows, order)
 
     def _append_reps(self, step, name, rep_lo, rep_hi, rep_args, ndim):
         """Append class-representative copies with replayed rects."""
@@ -2155,9 +2120,10 @@ class OrbitExecutor(Executor):
         the members *send* their partials to the owners.
         """
         mt = self._mt
-        other_lin = other_coords @ mt.strides
-        other_proc = mt.proc_of_point[other_lin]
-        member_proc = region.proc[member_idx]
+        other_proc = np.take(
+            mt.proc_of_point, _linear(other_coords, mt.strides)
+        )
+        member_proc = np.take(region.proc, member_idx)
         ndim = lo.shape[0]
         vol = np.ones(member_idx.size, dtype=np.int64)
         for d in range(ndim):
@@ -2174,14 +2140,14 @@ class OrbitExecutor(Executor):
             if not keep.any():
                 return None
             keep_mask = keep
-            member_idx = member_idx[keep]
-            lo = lo[:, keep]
-            hi = hi[:, keep]
-            other_coords = other_coords[keep]
-            other_proc = other_proc[keep]
-            member_proc = member_proc[keep]
-            nbytes = nbytes[keep]
-        member_coords = region.coords[member_idx]
+            member_idx = np.compress(keep, member_idx)
+            lo = np.compress(keep, lo, axis=1)
+            hi = np.compress(keep, hi, axis=1)
+            other_coords = np.compress(keep, other_coords, axis=0)
+            other_proc = np.compress(keep, other_proc)
+            member_proc = np.compress(keep, member_proc)
+            nbytes = np.compress(keep, nbytes)
+        member_coords = np.take(region.coords, member_idx, axis=0)
         # Endpoint memories as the scalar `_emit_copy` prices them: the
         # instance side (fetch source / reduction destination) is the
         # tensor-preference-aware memory (`source_memory`), the context
@@ -2190,15 +2156,15 @@ class OrbitExecutor(Executor):
         if reduce:
             src_proc, dst_proc = member_proc, other_proc
             src_coords, dst_coords = member_coords, other_coords
-            src_mem = mt.procmem_of_proc[src_proc]
-            dst_mem = mt.tensor_mem_of_proc(tensor)[dst_proc]
+            src_mem = np.take(mt.procmem_of_proc, src_proc)
+            dst_mem = np.take(mt.tensor_mem_of_proc(tensor), dst_proc)
         else:
             src_proc, dst_proc = other_proc, member_proc
             src_coords, dst_coords = other_coords, member_coords
-            src_mem = mt.tensor_mem_of_proc(tensor)[src_proc]
-            dst_mem = mt.procmem_of_proc[dst_proc]
-        src_gpu = mt.mem_gpu[src_mem]
-        dst_gpu = mt.mem_gpu[dst_mem]
+            src_mem = np.take(mt.tensor_mem_of_proc(tensor), src_proc)
+            dst_mem = np.take(mt.procmem_of_proc, dst_proc)
+        src_gpu = np.take(mt.mem_gpu, src_mem)
+        dst_gpu = np.take(mt.mem_gpu, dst_mem)
         builder = self._builder(step)
         chunk = _Chunk(
             tensor_id=self._tensor_ids[name],
@@ -2215,21 +2181,25 @@ class OrbitExecutor(Executor):
         chunk_pos = len(builder.chunks)
         builder.chunks.append(chunk)
         # Orbit classes: (shape, source offset, inter/intra) — one
-        # representative Copy per class, weighted by multiplicity.
+        # representative Copy per class, weighted by multiplicity. The
+        # payload is a function of the shape, so it needs no column.
         k = nbytes.size
         mdim = mt.shape.size
-        offs = (src_coords - dst_coords) % mt.shape
-        inter = mt.node_of_proc[src_proc] != mt.node_of_proc[dst_proc]
-        shapes = hi - lo
-        # Uniform-shift fast path: one shape, one offset, one payload —
-        # a systolic phase — splits only by inter/intra character, so
-        # the class fold collapses to a bincount of ``inter``.
-        uniform = (
-            bool(np.all(offs == offs[0]))
-            and bool(np.all(nbytes == nbytes[0]))
-            and bool(np.all(shapes == shapes[:, :1]))
+        cols = [hi[d] - lo[d] for d in range(ndim)]
+        for d in range(mdim):
+            off = src_coords[:, d] - dst_coords[:, d]
+            cols.append(np.where(off < 0, off + mt.shape[d], off))
+        inter = np.take(mt.node_of_proc, src_proc) != np.take(
+            mt.node_of_proc, dst_proc
         )
-        if uniform:
+        cols.append(inter)
+        spans = [e + 1 for e in tensor.shape] + [int(e) for e in mt.shape]
+        spans.append(2)
+        key = _pack_key(cols, spans) if k else None
+        if key is not None and bool(((key >> 1) == (key[0] >> 1)).all()):
+            # Uniform-shift fast path: one shape, one offset, one
+            # payload — a systolic phase — splits only by inter/intra
+            # character, so the class fold collapses to a count.
             n_inter = int(np.count_nonzero(inter))
             if n_inter == 0 or n_inter == k:
                 first = np.zeros(1, dtype=np.int64)
@@ -2242,18 +2212,12 @@ class OrbitExecutor(Executor):
                     dtype=np.int64,
                 )
                 counts = np.array([k - n_inter, n_inter], dtype=np.int64)
+        elif key is not None:
+            first, counts = _fold_keys(key)
         else:
-            class_cols = np.empty((k, ndim + mdim + 2), dtype=np.int64)
-            class_cols[:, :ndim] = shapes.T
-            class_cols[:, ndim:ndim + mdim] = offs
-            class_cols[:, ndim + mdim] = inter
-            class_cols[:, ndim + mdim + 1] = nbytes
-            ranges = (
-                [(0, e + 1) for e in tensor.shape]
-                + [(0, int(e)) for e in mt.shape]
-                + [(0, 2), (0, int(tensor.nbytes) + 1)]
+            first, counts = fold_groups(
+                np.column_stack(cols), [(0, span) for span in spans]
             )
-            first, counts = fold_groups(class_cols, ranges)
         procs = self.machine.cluster.processors
         reps = first.tolist()
         rep_counts = counts.tolist()
@@ -2453,56 +2417,38 @@ class OrbitExecutor(Executor):
 
 
 class _PhaseMemo:
-    """One tensor's previous communication phase, for translation replay.
+    """One tensor's previous communication phase, for conjugate replay.
 
-    A systolic loop issues the *same* phase every iteration up to a
-    uniform coordinate translation of every request rectangle. When the
-    executor proves a phase is such a translation (equal live sets,
-    exactly shifted endpoint columns, an unchanged instance-mirror
-    modulo its own held-set churn, and no request matching a
-    non-translated instance), it replays the previous phase's resolved
-    outcome — holder pairs, winners, emission chunk, class
-    representatives, registration batch — with shifted rectangles
-    instead of re-deriving it. Owner candidates are *not* translation
-    covariant (a shifted rectangle has a different home block), so the
-    owner arithmetic and winner selection always re-run; everything
-    re-used is provably identical under the verified conditions.
+    Holds what :meth:`OrbitExecutor._replay_conjugate` carries into the
+    next phase: the request endpoints, the fetching members and their
+    request classes, winners, the emission,
+    the map that produced the phase, the static-instance index and the
+    carried request index of the full path. ``ready`` marks a phase
+    whose state a replay may build on; ``version`` pins the mirror
+    after the phase's commit.
     """
 
     __slots__ = (
-        "lo", "hi", "live_all", "delta", "streak", "version",
-        "rem_mask", "fetch_idx", "holder_local_any", "registered_all",
-        "pair_req", "pair_coords", "pair_key", "holder_best",
-        "pair_offsets", "pair_has", "perm_streak", "perm_shift",
-        "requests_distinct",
+        "lo", "hi", "live_all", "ready", "version",
+        "fetch_idx", "classes", "src_coords", "emit",
+        "shift", "seam",
         "fixed_hash", "fixed_cols", "fixed_coords",
         "req_index_hash", "req_index_member", "req_index_cols",
         "index_version", "index_fresh",
-        "src_coords", "emit",
-        "reg_lo", "reg_hi", "reg_mem", "reg_bytes", "reg_order",
-        "outcome_valid",
     )
 
     def __init__(self):
         self.lo = None
         self.hi = None
         self.live_all = False
-        self.delta = None
-        self.streak = 0
+        self.ready = False
         self.version = -1
-        self.rem_mask = None
         self.fetch_idx = None
-        self.holder_local_any = False
-        self.registered_all = False
-        self.pair_req = None
-        self.pair_coords = None
-        self.pair_key = None
-        self.holder_best = None
-        self.pair_offsets = None
-        self.pair_has = None
-        self.perm_streak = 0
-        self.perm_shift = None
-        self.requests_distinct = False
+        self.classes = None
+        self.src_coords = None
+        self.emit = None
+        self.shift = None
+        self.seam = 0
         self.fixed_hash = None
         self.fixed_cols = None
         self.fixed_coords = None
@@ -2511,46 +2457,6 @@ class _PhaseMemo:
         self.req_index_cols = None
         self.index_version = -1
         self.index_fresh = False
-        self.src_coords = None
-        self.emit = None
-        self.reg_lo = None
-        self.reg_hi = None
-        self.reg_mem = None
-        self.reg_bytes = None
-        self.reg_order = None
-        self.outcome_valid = False
-
-    def advance(self, lo: np.ndarray, hi: np.ndarray,
-                live_all: bool) -> Optional[np.ndarray]:
-        """Update the translation streak; returns the uniform delta when
-        this phase is an exact translation of the previous one."""
-        delta = None
-        if (
-            live_all
-            and self.live_all
-            and self.lo is not None
-            and self.lo.shape == lo.shape
-            and lo.size
-        ):
-            d = lo[:, 0] - self.lo[:, 0]
-            if (
-                np.array_equal(lo, self.lo + d[:, None])
-                and np.array_equal(hi, self.hi + d[:, None])
-            ):
-                delta = d
-        if delta is not None and self.delta is not None and np.array_equal(
-            delta, self.delta
-        ):
-            self.streak += 1
-        else:
-            self.streak = 1 if delta is not None else 0
-        self.delta = delta
-        # batch_bounds allocates fresh endpoint matrices per phase, so
-        # holding references (no copy) is safe.
-        self.lo = lo
-        self.hi = hi
-        self.live_all = live_all
-        return delta
 
 
 class _EventStream:
@@ -2627,6 +2533,37 @@ def _probe_index(sorted_hash: np.ndarray, req_k: np.ndarray,
         pair_req = pair_req[genuine]
         pair_pos = pair_pos[genuine]
     return pair_req, pair_pos
+
+
+def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of ``a``, the index of the equal row of ``b`` (rows
+    of ``b`` pairwise distinct), or -1. The larger side is sorted and
+    the smaller probes it (a binary search per probe costs more than a
+    sort per element)."""
+    out = np.full(a.shape[0], -1, dtype=np.int64)
+    if not a.shape[0] or not b.shape[0]:
+        return out
+    ha = _hash_rows(a)
+    hb = _hash_rows(b)
+    if a.shape[0] > b.shape[0]:
+        order = np.argsort(ha)
+        b_pos, a_pos = _probe_index(ha[order], hb, a[order], b)
+        out[order[a_pos]] = b_pos
+    else:
+        order = np.argsort(hb)
+        a_pos, b_pos = _probe_index(hb[order], ha, b[order], a)
+        out[a_pos] = order[b_pos]
+    return out
+
+
+def _torus_dist(a: np.ndarray, b: np.ndarray, shape: np.ndarray):
+    """Per-row torus (wraparound Manhattan) distance between two
+    ``(k, mdim)`` coordinate matrices."""
+    dist = np.zeros(a.shape[0], dtype=np.int64)
+    for d in range(a.shape[1]):
+        delta = np.abs(a[:, d] - b[:, d])
+        dist += np.minimum(delta, shape[d] - delta)
+    return dist
 
 
 def _rank_within(group: np.ndarray) -> np.ndarray:

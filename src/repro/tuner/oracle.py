@@ -307,8 +307,12 @@ class TuningLedger:
     The serving layer (:mod:`repro.serve`) additionally stores finished
     canonical answers under an ``"answers"`` object keyed by request
     fingerprint (see :mod:`repro.api`); the key is omitted entirely
-    while empty, so purely tuner-written ledgers keep their historical
-    byte layout.
+    while empty, so purely tuner-written ledgers carry no empty
+    ``"answers"`` object.
+    Files are compact JSON (sorted keys, no whitespace): the indented
+    layout older versions wrote forces Python's pure-Python encoder and
+    saved about four times slower; it still loads, since only the
+    parsed content matters.
     Writes go through a temporary file and ``os.replace`` so a crashed
     or concurrent tune can never truncate it; entries are sorted on
     save so equal tuning runs produce byte-identical files.
@@ -478,7 +482,9 @@ class TuningLedger:
                 }
             if stats is not None:
                 payload["oracle_stats"] = stats
-            text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+            text = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            ) + "\n"
             ok = write_atomic(self.path, text)
         if not ok:
             self.save_failures += 1

@@ -23,7 +23,13 @@ from repro.algorithms.matmul import (
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
-from repro.runtime.orbit import OrbitExecutor, fold_rows
+from repro.runtime.orbit import (
+    OrbitExecutor,
+    _fold_keys,
+    _match_rows,
+    fold_groups,
+    fold_rows,
+)
 from repro.sim.params import LASSEN
 from repro.util.errors import OutOfMemoryError
 
@@ -244,6 +250,26 @@ class TestFoldRows:
             assert by_key.setdefault(int(key), row) == row
         # equal rows -> equal keys
         assert np.array_equal(keys[100:200], keys[:100])
+
+    @pytest.mark.parametrize("high", [50, 2**40])
+    def test_key_fold_matches_row_fold(self, high):
+        # Dense key ranges fold by counting, sparse ones by sorting;
+        # both must give fold_groups' groups in fold_groups' order.
+        rng = np.random.default_rng(1)
+        key = rng.integers(0, high, size=400)
+        first, counts = _fold_keys(key)
+        ref_first, ref_counts = fold_groups(key[:, None])
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(counts, ref_counts)
+
+    def test_match_rows_finds_equal_rows(self):
+        rng = np.random.default_rng(2)
+        b = np.unique(rng.integers(0, 6, size=(40, 4)), axis=0)
+        for a in (b[::3], np.vstack([b, b + 100])):
+            out = _match_rows(a, b)
+            for row, hit in zip(a, out):
+                found = np.flatnonzero(np.all(b == row, axis=1))
+                assert hit == (found[0] if found.size else -1)
 
     def test_degenerate_shapes(self):
         assert fold_rows(np.zeros((0, 3), dtype=np.int64)).size == 0

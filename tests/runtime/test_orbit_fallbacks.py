@@ -13,6 +13,8 @@ three now execute as columnar class-level operations; these tests pin
   regression cannot silently re-route through an untested path.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -146,8 +148,60 @@ class TestNoFallbackAcrossSuite:
         assert_parity_no_fallback(build(m44, n))
 
     def test_rotation_replay_stays_exact(self):
-        # Long systolic loops hit the translation/rotation replay fast
-        # paths; the reports must stay byte-identical to scalar.
+        # Long systolic loops hit the conjugate replay fast path; the
+        # reports must stay byte-identical to scalar.
         m = Machine(Cluster.cpu_cluster(64), Grid(16, 8))
         assert_parity_no_fallback(cannon(m, 2048))
         assert_parity_no_fallback(summa(m, 1999))
+
+
+class _FullResolveCounter(OrbitExecutor):
+    """Records, per tensor, the phases that resolved in full."""
+
+    def run(self, inputs=None):
+        self.full_by_tensor = Counter()
+        return super().run(inputs)
+
+    def _resolve_tensor(self, name, *args):
+        before = self.phase_full
+        out = super()._resolve_tensor(name, *args)
+        self.full_by_tensor[name] += self.phase_full - before
+        return out
+
+
+class TestConjugateReplay:
+    """Steady systolic phases replay as conjugates of the previous one.
+
+    An 8x4 grid is narrower than Cannon's 8 tiles, so its rotations
+    leave a seam of members the torus shift does not explain; SUMMA's
+    broadcast roots move every phase, so its phases are shifted and
+    translated images of each other.
+    """
+
+    @pytest.fixture
+    def m84(self):
+        return Machine(Cluster.cpu_cluster(16), Grid(8, 4))
+
+    def _replayed(self, kernel):
+        executor = _FullResolveCounter(kernel.plan)
+        result = executor.run()
+        orbit = CostModel(kernel.machine.cluster, LASSEN).time_trace(
+            result.trace
+        )
+        scalar = kernel.simulate(LASSEN, mode="scalar")
+        assert orbit == scalar, f"{orbit!r} != {scalar!r}"
+        assert executor.fallback_events == 0
+        assert executor.phase_replays == (
+            executor.phase_conjugate + executor.phase_seam
+        )
+        assert executor.full_by_tensor
+        assert max(executor.full_by_tensor.values()) <= 3
+        return executor
+
+    def test_cannon_seam(self, m84):
+        executor = self._replayed(cannon(m84, 2048))
+        assert executor.phase_seam > 0
+
+    def test_summa_moving_roots(self, m84):
+        executor = self._replayed(summa(m84, 2048))
+        assert executor.phase_conjugate > 0

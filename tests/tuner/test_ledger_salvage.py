@@ -31,6 +31,28 @@ def populated(tmp_path):
 
 
 class TestSalvage:
+    def test_saves_compact_json(self, populated):
+        path, _, _ = populated
+        text = path.read_text()
+        data = json.loads(text)
+        assert text == json.dumps(
+            data, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
+    def test_indented_layout_still_loads(self, populated):
+        # Older versions saved with ``indent=1``; such files load as-is
+        # and re-save in the compact layout with the same content.
+        path, _, _ = populated
+        reference = TuningLedger(path)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        ledger = TuningLedger(path)
+        assert ledger.salvaged == 0
+        assert ledger.entries == reference.entries
+        assert not path.with_name(path.name + ".corrupt").exists()
+        assert ledger.save()
+        assert json.loads(path.read_text()) == data
+
     def test_clean_ledger_loads_without_salvage(self, populated):
         path, _, _ = populated
         ledger = TuningLedger(path)
