@@ -165,9 +165,11 @@ def main(argv=None) -> int:
                     )
                 if top:
                     # Beyond 4096 nodes SUMMA's broadcast chunks
-                    # straddle home pieces, so its phases take the
-                    # multi-piece path and never replay; with Johnson
-                    # they would take hours at 131k processors.
+                    # straddle home pieces: its phases decompose in one
+                    # batch each but never replay (~9 s at 8192 nodes
+                    # against Cannon's ~6 s, growing with every
+                    # phase), and Johnson's single phase would take
+                    # hours at 131k processors.
                     rows += matmul_weak_scaling(
                         node_counts=top,
                         algorithms=("cannon",),

@@ -306,6 +306,90 @@ class Format:
             for prefix, piece, _rect in state
         ]
 
+    def owner_pieces_batch(
+        self,
+        machine: Machine,
+        los: np.ndarray,
+        his: np.ndarray,
+        tensor_shape: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized :meth:`owner_pieces` over request endpoint columns.
+
+        ``los``/``his`` are ``(ndim, k)`` endpoint matrices of ``k``
+        request rectangles. Returns ``(req, pattern, piece_lo,
+        piece_hi)``, one column per piece:
+
+        * ``req`` — the request each piece belongs to; the pieces of
+          request ``j`` are contiguous and in :meth:`owner_pieces`
+          order (level by level, ``cover_pieces`` product order);
+        * ``pattern`` — ``(machine.dim, m)`` owner patterns, ``-1``
+          where the scalar pattern holds ``None``;
+        * ``piece_lo``/``piece_hi`` — ``(ndim, m)`` piece endpoints.
+
+        Each level expands every row by the blocks its request overlaps,
+        one partitioned machine dimension at a time, so the last machine
+        dimension varies fastest exactly as ``itertools.product`` does.
+        """
+        k = los.shape[1]
+        if not self.distributions:
+            return (
+                np.arange(k, dtype=np.int64),
+                np.zeros((machine.dim, k), dtype=np.int64),
+                los.astype(np.int64),
+                his.astype(np.int64),
+            )
+        ndim = len(tensor_shape)
+        req = np.arange(k, dtype=np.int64)
+        pattern = np.full((machine.dim, k), -1, dtype=np.int64)
+        p_lo = los.astype(np.int64)
+        p_hi = his.astype(np.int64)
+        own_lo = np.zeros((ndim, k), dtype=np.int64)
+        own_hi = np.repeat(
+            np.asarray(tensor_shape, dtype=np.int64).reshape(ndim, 1), k, 1
+        )
+        offset = 0
+        for dist, grid in zip(self.distributions, machine.levels):
+            for j, mdim in enumerate(dist.machine_dims):
+                if isinstance(mdim, Fixed):
+                    pattern[offset + j, :] = mdim.value
+                    continue
+                if isinstance(mdim, Broadcast):
+                    continue
+                tdim = dist.partitioned[j]
+                base = own_lo[tdim]
+                end = own_hi[tdim]
+                # split_evenly tiles; the overlapped blocks are the ones
+                # holding the clipped request's first and last element.
+                tile = np.maximum(-(-(end - base) // grid.shape[j]), 1)
+                clip_lo = np.maximum(p_lo[tdim], base)
+                clip_hi = np.minimum(p_hi[tdim], end)
+                first = (clip_lo - base) // tile
+                last = (clip_hi - 1 - base) // tile
+                n_blocks = np.where(clip_hi > clip_lo, last - first + 1, 0)
+                rows = np.repeat(np.arange(req.size), n_blocks)
+                starts = np.cumsum(n_blocks) - n_blocks
+                block = first[rows] + (
+                    np.arange(rows.size) - np.repeat(starts, n_blocks)
+                )
+                req = req[rows]
+                pattern = pattern[:, rows]
+                p_lo = p_lo[:, rows]
+                p_hi = p_hi[:, rows]
+                own_lo = own_lo[:, rows]
+                own_hi = own_hi[:, rows]
+                b_lo = own_lo[tdim] + block * tile[rows]
+                b_hi = np.minimum(b_lo + tile[rows], own_hi[tdim])
+                pattern[offset + j] = block
+                p_lo[tdim] = np.maximum(p_lo[tdim], b_lo)
+                p_hi[tdim] = np.minimum(p_hi[tdim], b_hi)
+                own_lo[tdim] = b_lo
+                own_hi[tdim] = b_hi
+            offset += grid.dim
+        # Dimensions no level partitions keep the request's (possibly
+        # empty) interval; the scalar decomposition drops empty pieces.
+        keep = np.all(p_hi > p_lo, axis=0)
+        return req[keep], pattern[:, keep], p_lo[:, keep], p_hi[:, keep]
+
     def notation(self) -> str:
         """Human-readable distribution chain."""
         if not self.distributions:

@@ -100,7 +100,10 @@ SERVE_COUNTERS = (
 #: * ``orbit.phase_replays`` — all replays (conjugate plus seam);
 #: * ``orbit.multi_piece_batches``, ``orbit.flush_batches``,
 #:   ``orbit.leaf_comm_phases`` — coverage of the class-batched
-#:   multi-piece, reduction-flush and leaf-communication paths.
+#:   multi-piece, reduction-flush and leaf-communication paths;
+#: * ``orbit.leaf_reused`` — leaf calls whose work columns equal the
+#:   previous iteration's in the same region, replayed without the
+#:   per-processor fold.
 ORBIT_COUNTERS = (
     "orbit.fallback_events",
     "orbit.phase_full",
@@ -110,6 +113,7 @@ ORBIT_COUNTERS = (
     "orbit.multi_piece_batches",
     "orbit.flush_batches",
     "orbit.leaf_comm_phases",
+    "orbit.leaf_reused",
 )
 
 

@@ -15,6 +15,7 @@ three now execute as columnar class-level operations; these tests pin
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -34,24 +35,68 @@ from repro.machine.cluster import Cluster
 from repro.runtime.orbit import OrbitExecutor
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
+from repro.util.errors import LoweringError
 
 
-def run_orbit(kernel, check_capacity=False):
+def run_orbit(kernel, check_capacity=False, executor_cls=OrbitExecutor):
     """Execute on a fresh orbit executor; return (executor, report)."""
-    executor = OrbitExecutor(kernel.plan, check_capacity=check_capacity)
+    executor = executor_cls(kernel.plan, check_capacity=check_capacity)
     result = executor.run()
     model = CostModel(kernel.machine.cluster, LASSEN)
     return executor, model.time_trace(result.trace)
 
 
-def assert_parity_no_fallback(kernel, check_capacity=False):
-    executor, orbit = run_orbit(kernel, check_capacity)
+def assert_parity_no_fallback(kernel, check_capacity=False,
+                              executor_cls=OrbitExecutor):
+    executor, orbit = run_orbit(kernel, check_capacity, executor_cls)
     scalar = kernel.simulate(
         LASSEN, check_capacity=check_capacity, mode="scalar"
     )
     assert orbit == scalar, f"{orbit!r} != {scalar!r}"
     assert executor.fallback_events == 0
     return executor
+
+
+class _EmitCounter(OrbitExecutor):
+    """Records the bulk emissions each straddling batch makes."""
+
+    def run(self, inputs=None):
+        self.bulk_emits = 0
+        self.multi_piece_emits = []
+        self.flush_emits = 0
+        return super().run(inputs)
+
+    def _emit_bulk(self, *args, **kwargs):
+        self.bulk_emits += 1
+        return super()._emit_bulk(*args, **kwargs)
+
+    def _emit_multi_piece(self, *args):
+        before = self.bulk_emits
+        super()._emit_multi_piece(*args)
+        self.multi_piece_emits.append(self.bulk_emits - before)
+
+    def _orbit_flush(self, *args):
+        before = self.bulk_emits
+        super()._orbit_flush(*args)
+        self.flush_emits += self.bulk_emits - before
+
+
+def johnson_transposed_output(n):
+    """Johnson's schedule with the output tiled transposed (``yx``) on a
+    2x4x2 grid: the partials straddle several owners' home pieces."""
+    A = TensorVar("A", (n, n), Format("xy -> yx0"))
+    B = TensorVar("B", (n, n), Format("xz -> x0z"))
+    C = TensorVar("C", (n, n), Format("zy -> 0yz"))
+    i, j, k = index_vars("i j k")
+    io, ii, jo, ji, ko, ki = index_vars("io ii jo ji ko ki")
+    sched = (
+        Schedule(Assignment(A[i, j], B[i, k] * C[k, j]))
+        .distribute([i, j, k], [io, jo, ko], [ii, ji, ki], Grid(2, 4, 2))
+        .communicate([A, B, C], ko)
+    )
+    return compile_kernel(
+        sched, Machine(Cluster.cpu_cluster(8), Grid(2, 4, 2))
+    )
 
 
 @pytest.fixture
@@ -84,6 +129,16 @@ class TestReductionFlushes:
         executor = assert_parity_no_fallback(solomonik(m222, 101))
         assert executor.flush_batches > 0
 
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_straddling_partials(self, n):
+        # Partials that no single owner covers decompose per owner
+        # piece, and each flushed tensor still emits once.
+        executor = assert_parity_no_fallback(
+            johnson_transposed_output(n), executor_cls=_EmitCounter
+        )
+        assert executor.flush_batches > 0
+        assert executor.flush_emits == executor.flush_batches
+
 
 class TestMultiPieceFetch:
     """Requests spanning several home pieces resolve per rect class."""
@@ -107,6 +162,34 @@ class TestMultiPieceFetch:
         kernel = transfer_kernel(src, Format("xy -> x*"), machine)
         executor = assert_parity_no_fallback(kernel)
         assert executor.multi_piece_batches > 0
+
+    @pytest.mark.parametrize("build,grid,n", [
+        (summa, (8, 4), 257), (cannon, (16, 2), 1000),
+    ])
+    def test_one_emission_per_batch(self, build, grid, n):
+        # Task tiles straddling home pieces: every class decomposes in
+        # one call and the whole batch emits once.
+        kernel = build(Machine(Cluster.cpu_cluster(16), Grid(*grid)), n)
+        executor = assert_parity_no_fallback(
+            kernel, executor_cls=_EmitCounter
+        )
+        assert executor.multi_piece_batches > 0
+        assert executor.multi_piece_emits == (
+            [1] * executor.multi_piece_batches
+        )
+
+    def test_class_without_owner_raises(self, m44):
+        # Like the scalar decomposition, a request no home piece holds
+        # any of (here: empty in one dimension) is a lowering error.
+        kernel = summa(m44, 64)
+        executor = OrbitExecutor(kernel.plan)
+        coords = np.zeros((2, 2), dtype=np.int64)
+        lo = np.array([[0, 3], [0, 5]])
+        hi = np.array([[8, 3], [8, 9]])
+        with pytest.raises(LoweringError, match="no valid instance"):
+            executor._owner_rows(
+                "B", kernel.plan.tensors["B"], coords, lo, hi
+            )
 
 
 class TestLeafComm:
@@ -136,6 +219,29 @@ class TestLeafComm:
     def test_non_divisible_leaf_comm(self):
         executor = assert_parity_no_fallback(self._leaf_comm_kernel(n=67, k=51))
         assert executor.leaf_comm_phases > 0
+
+    def test_staged_partials_are_not_reused(self):
+        # A transposed output makes every k-step's leaf stage partials
+        # that its own flush drains: the steps' work columns repeat, but
+        # replaying a step would skip staging the next step's partials.
+        n = 64
+        A = TensorVar("A", (n, n), Format("xy -> yx"))
+        B = TensorVar("B", (n, n), Format("xy -> xy"))
+        C = TensorVar("C", (n, n), Format("xy -> xy"))
+        i, j, k = index_vars("i j k")
+        io, ii, jo, ji, ko, ki = index_vars("io ii jo ji ko ki")
+        sched = (
+            Schedule(Assignment(A[i, j], B[i, k] * C[k, j]))
+            .distribute([i, j], [io, jo], [ii, ji], Grid(2, 2))
+            .split(k, ko, ki, n // 4)
+            .reorder([ko, ii, ji, ki])
+            .communicate([B, C], ko)
+        )
+        kernel = compile_kernel(
+            sched, Machine(Cluster.cpu_cluster(2), Grid(2, 2))
+        )
+        executor = assert_parity_no_fallback(kernel)
+        assert executor.flush_batches == 4
 
 
 class TestNoFallbackAcrossSuite:
@@ -196,6 +302,7 @@ class TestConjugateReplay:
         )
         assert executor.full_by_tensor
         assert max(executor.full_by_tensor.values()) <= 3
+        assert executor.leaf_reused > 0
         return executor
 
     def test_cannon_seam(self, m84):
@@ -205,3 +312,8 @@ class TestConjugateReplay:
     def test_summa_moving_roots(self, m84):
         executor = self._replayed(summa(m84, 2048))
         assert executor.phase_conjugate > 0
+
+    def test_ragged_tiles_not_reused(self, m84):
+        # n=257 gives ragged tiles whose leaf work differs between
+        # iterations; reusing a previous iteration's would break parity.
+        assert_parity_no_fallback(cannon(m84, 257))
