@@ -14,10 +14,10 @@ or efficiency counter regressed.
 Records carrying a metrics snapshot (``metrics.counters``, written by
 ``append_record(..., counters=...)``) are additionally compared on the
 efficiency rules of :func:`compare_counters` — regressions wall-clock
-noise hides, like the orbit executor's scalar fallback reappearing or
-a replay hit rate collapsing. A baseline record that predates the
-metrics schema (no counters) is *reported*, never failed: old
-trajectories stay usable as timing baselines.
+noise hides, like serving workers starting to crash or a replay hit
+rate collapsing. A baseline record that predates the metrics schema
+(no counters) is *reported*, never failed: old trajectories stay
+usable as timing baselines.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ MIN_RATE = 0.5
 #: is fine: the gate compares like-named records, and the soak's
 #: record legitimately carries nonzero values on both sides.)
 APPEARANCE_RULES = (
-    ("orbit.fallback_events", "orbit scalar fallbacks reappeared"),
     ("serve.crashes", "serving tune workers started crashing"),
     ("serve.quarantined", "serving requests started being quarantined"),
     ("serve.shed", "serving daemon started shedding load"),

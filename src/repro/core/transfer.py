@@ -204,8 +204,8 @@ def redistribution_trace(
     empty trace. Replicated source dimensions resolve to the
     destination's canonical coordinate — a local replica when the
     destination holds one, a deterministic holder otherwise. Requests
-    spanning several source pieces fall back to the scalar
-    :meth:`~repro.formats.format.Format.owner_pieces` decomposition.
+    spanning several source pieces split per owner piece, all requests
+    at once (:meth:`~repro.formats.format.Format.owner_pieces_batch`).
 
     Replicated *destination* dimensions are materialized: every replica
     holder receives its piece (the cost model groups the equal-source
@@ -282,75 +282,52 @@ def _redistribution_trace(
     k = sel.size
     dst_coords = [tuple(int(c) for c in all_coords[i]) for i in sel]
     dst_procs = [dst_machine.proc_at(c) for c in dst_coords]
-    dst_rects = [
-        Rect(
-            tuple(
-                Interval(int(b_lo[d, i]), int(b_hi[d, i]))
-                for d in range(ndim)
-            )
-        )
-        for i in sel
-    ]
-    los = his = None
-    if ndim:
-        los = b_lo[:, sel]
-        his = b_hi[:, sel]
+    los = b_lo[:, sel] if ndim else np.zeros((0, k), dtype=np.int64)
+    his = b_hi[:, sel] if ndim else np.zeros((0, k), dtype=np.int64)
 
-    # Source owners, batched; replica dims (-1) concretize to the
+    # Source owner pieces, batched: one row per (destination, piece) in
+    # destination order — a single row holding the whole rectangle when
+    # one home piece covers it. Replica dims (-1) concretize to the
     # destination's canonical source-machine coordinate.
-    pattern, valid = src_format.owner_pattern_batch(
-        src_machine, los, his, tensor.shape, count=k
+    req, pattern, p_lo, p_hi = src_format.owner_pieces_batch(
+        src_machine, los, his, tensor.shape
     )
     canon = np.array(
         [_canonical_coords(src_machine, p.proc_id) for p in dst_procs],
         dtype=np.int64,
     ).T
-    src_coords = np.where(pattern >= 0, pattern, canon)
+    src_coords = np.where(pattern >= 0, pattern, canon[:, req])
 
     src_mem_kind = src_format.memory
     dst_mem_kind = dst_format.memory
     itemsize = tensor.itemsize
-    for j in range(k):
+    for r in range(req.size):
+        j = int(req[r])
         dst_proc = dst_procs[j]
         dst_mem = _instance_memory(dst_machine, dst_proc, dst_mem_kind)
-        if valid[j]:
-            rep = tuple(int(d) for d in np.flatnonzero(pattern[:, j] < 0))
-            pieces = [
-                (tuple(int(c) for c in src_coords[:, j]), dst_rects[j], rep)
-            ]
-        else:
-            # Multi-piece request: scalar decomposition, replica dims
-            # resolved exactly like the batched path.
-            pieces = []
-            for pat, piece in src_format.owner_pieces(
-                src_machine, dst_rects[j], tensor.shape
-            ):
-                coords = tuple(
-                    p if p is not None else int(canon[d, j])
-                    for d, p in enumerate(pat)
-                )
-                rep = tuple(
-                    d for d, p in enumerate(pat) if p is None
-                )
-                pieces.append((coords, piece, rep))
-        for coords, piece, rep in pieces:
-            if piece.is_empty:
-                continue
-            if avoid:
-                coords = _redirect_coords(src_machine, coords, rep, avoid)
-            src_proc = src_machine.proc_at(coords)
-            src_mem = _instance_memory(src_machine, src_proc, src_mem_kind)
-            if src_proc.proc_id == dst_proc.proc_id and src_mem is dst_mem:
-                continue  # already resident: nothing to move
-            step.copies.append(Copy(
-                tensor=tensor.name,
-                rect=piece,
-                nbytes=piece.volume * itemsize,
-                src_proc=src_proc,
-                dst_proc=dst_proc,
-                src_mem=src_mem,
-                dst_mem=dst_mem,
-                src_coords=coords,
-                dst_coords=dst_coords[j],
-            ))
+        coords = tuple(int(c) for c in src_coords[:, r])
+        if avoid:
+            rep = tuple(int(d) for d in np.flatnonzero(pattern[:, r] < 0))
+            coords = _redirect_coords(src_machine, coords, rep, avoid)
+        src_proc = src_machine.proc_at(coords)
+        src_mem = _instance_memory(src_machine, src_proc, src_mem_kind)
+        if src_proc.proc_id == dst_proc.proc_id and src_mem is dst_mem:
+            continue  # already resident: nothing to move
+        piece = Rect(
+            tuple(
+                Interval(int(p_lo[d, r]), int(p_hi[d, r]))
+                for d in range(ndim)
+            )
+        )
+        step.copies.append(Copy(
+            tensor=tensor.name,
+            rect=piece,
+            nbytes=piece.volume * itemsize,
+            src_proc=src_proc,
+            dst_proc=dst_proc,
+            src_mem=src_mem,
+            dst_mem=dst_mem,
+            src_coords=coords,
+            dst_coords=dst_coords[j],
+        ))
     return trace

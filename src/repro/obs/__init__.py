@@ -16,11 +16,11 @@ stacks, with three pillars:
   driver's envelope, exported to the same Chrome-trace format plus an
   aggregated flat profile.
 * **Metrics registry** — :data:`repro.obs.metrics.METRICS` unifies the
-  counters previously scattered across five subsystems (orbit fallback
-  events, phase replays, simulation-cache hits, oracle incrementality,
-  sweep worker retries) behind one snapshot API, surfaced by the CLIs,
-  appended to ``BENCH_simulator.json`` records, and consumed by the
-  regression gate.
+  counters previously scattered across five subsystems (orbit phase
+  replays, cost-model step-price hits, simulation-cache hits, oracle
+  incrementality, sweep worker retries) behind one snapshot API,
+  surfaced by the CLIs, appended to ``BENCH_simulator.json`` records,
+  and consumed by the regression gate.
 
 ``python -m repro.obs`` lists recent perf records, diffs two runs'
 metrics, and exports traces (see :mod:`repro.obs.__main__`).

@@ -1,8 +1,8 @@
 """The fleet-wide metrics registry: one snapshot API for every counter.
 
 Before this module the repo's efficiency counters lived on five
-unrelated objects — ``OrbitExecutor.fallback_events``, the cost model's
-step-price digest hits, ``SIM_CACHE.hits``, the tuner oracle's
+unrelated objects — the orbit executor's phase counters, the cost
+model's step-price digest hits, ``SIM_CACHE.hits``, the tuner oracle's
 incrementality stats, the sweep supervisor's retry count — each
 printed (or not) by whichever CLI happened to own it. The registry
 unifies them:
@@ -20,7 +20,7 @@ unifies them:
 the CLIs print it, ``bench/perf_log.append_record`` embeds it in
 ``BENCH_simulator.json`` records (under ``metrics.counters``), and
 ``bench/regression.py`` compares it across runs to flag efficiency
-regressions (fallback reappearance, replay hit-rate collapse) that
+regressions (crash reappearance, replay hit-rate collapse) that
 wall-clock noise hides.
 
 Fork merging mirrors the simulation cache's envelope: workers export
@@ -88,10 +88,8 @@ SERVE_COUNTERS = (
 #: The orbit executor's per-run counters (``OrbitExecutor`` attributes
 #: of the same name, summed into the registry after each run):
 #:
-#: * ``orbit.fallback_events`` — copies that re-entered the scalar
-#:   per-context machinery (pinned at zero by the parity suite);
 #: * ``orbit.phase_full`` — tensor phases resolved in full (mirror
-#:   join, request index, class fold);
+#:   join, class fold);
 #: * ``orbit.phase_conjugate`` — tensor phases replayed as the exact
 #:   image of the previous one under a torus shift of the members and
 #:   a translation of the requests;
@@ -105,7 +103,6 @@ SERVE_COUNTERS = (
 #:   previous iteration's in the same region, replayed without the
 #:   per-processor fold.
 ORBIT_COUNTERS = (
-    "orbit.fallback_events",
     "orbit.phase_full",
     "orbit.phase_conjugate",
     "orbit.phase_seam",

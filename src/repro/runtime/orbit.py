@@ -28,12 +28,14 @@ runs as numpy column arithmetic:
    per-member endpoint columns are still built (as numpy arrays, never
    Python objects) and pinned on each step, so the cost model's
    link-contention accounting is byte-identical to full execution.
-4. **Fallback.** Anything the class analysis cannot prove uniform —
-   requests spanning several home pieces, reduction flushes, leaf-level
-   communication or flushes — falls back to the per-context scalar
-   machinery against the same state, so results stay exact (asserted
-   by ``tests/runtime/test_orbit_executor.py`` on every Figure 9
-   schedule plus deliberately non-divisible problem sizes).
+4. **No per-context path.** Requests spanning several home pieces,
+   reduction flushes and leaf-level communication are class-batched
+   too, with memory events replayed in the scalar interpreter's order;
+   the executor has no per-context resolve API. Results stay exact
+   against the scalar interpreter (asserted by
+   ``tests/runtime/test_orbit_executor.py`` on every Figure 9 schedule
+   plus deliberately non-divisible problem sizes, and by
+   ``tests/runtime/test_orbit_fallbacks.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
 from repro.runtime.executor import ExecutionResult, Executor, _Ctx
-from repro.runtime.instances import DataEnvironment
 from repro.runtime.trace import Copy, CopyColumns, Step, Trace
 from repro.util.errors import LoweringError, OutOfMemoryError
 from repro.util.geometry import Interval, Rect
@@ -251,7 +252,7 @@ class _MachineTables:
             (p.node_id for p in cluster.processors), np.int64, n_procs
         )
         self.memories = cluster.memories()
-        self.mem_index = {m.name: i for i, m in enumerate(self.memories)}
+        mem_index = {m.name: i for i, m in enumerate(self.memories)}
         n_mem = len(self.memories)
         self.mem_capacity = np.fromiter(
             (m.capacity_bytes for m in self.memories), np.int64, n_mem
@@ -260,13 +261,13 @@ class _MachineTables:
             (m.kind is MemoryKind.GPU_FB for m in self.memories), bool, n_mem
         )
         self.procmem_of_proc = np.fromiter(
-            (self.mem_index[p.memory.name] for p in cluster.processors),
+            (mem_index[p.memory.name] for p in cluster.processors),
             np.int64,
             n_procs,
         )
         self.sysmem_of_node = np.fromiter(
             (
-                self.mem_index[nd.system_memory.name]
+                mem_index[nd.system_memory.name]
                 if nd.system_memory is not None
                 else -1
                 for nd in cluster.nodes
@@ -433,17 +434,6 @@ class _Mirror:
         """Row ids of all live instances."""
         return np.flatnonzero(self.alive[: self.tail])
 
-    def rows_matching(self, lo: Tuple[int, ...], hi: Tuple[int, ...]):
-        """Live rows holding exactly the given rectangle (scalar path)."""
-        live = self.snapshot()
-        if live.size == 0:
-            return live
-        mask = np.ones(live.size, dtype=bool)
-        for d in range(self.ndim):
-            mask &= self.lo[live, d] == lo[d]
-            mask &= self.hi[live, d] == hi[d]
-        return live[mask]
-
 
 class _PartialTable:
     """Columnar pending-partials store for one tensor.
@@ -483,17 +473,21 @@ class _PartialTable:
 # ----------------------------------------------------------------------
 
 
-class OrbitState(DataEnvironment):
+class OrbitState:
     """Instance tables and memory accounting on columnar storage.
 
-    The scalar query API (``resolve`` / ``register`` / ``release`` /
-    partial tracking) is preserved — the orbit executor's fallback paths
-    use it — but holder state lives in per-tensor :class:`_Mirror`
-    tables and memory accounting in flat numpy arrays, so bulk phases
-    can be applied with bincounts rather than per-context dict updates.
+    Holder state lives in per-tensor :class:`_Mirror` tables, pending
+    output partials in :class:`_PartialTable` s and memory accounting in
+    flat numpy arrays, so every phase applies as bincounts rather than
+    per-context dict updates. Home instances are charged on
+    construction, like the scalar
+    :class:`~repro.runtime.instances.DataEnvironment`.
     """
 
     def __init__(self, plan, check_capacity: bool, tables: _MachineTables):
+        self.plan = plan
+        self.machine: Machine = plan.machine
+        self.check_capacity = check_capacity
         self._mt = tables
         n_mem = len(tables.memories)
         self._usage_arr = np.zeros(n_mem, dtype=np.int64)
@@ -501,7 +495,7 @@ class OrbitState(DataEnvironment):
         self._touched = np.zeros(n_mem, dtype=bool)
         self._mirrors: Dict[str, _Mirror] = {}
         self._partial_tabs: Dict[str, _PartialTable] = {}
-        super().__init__(plan, check_capacity=check_capacity)
+        self._account_home()
 
     # -- memory accounting on arrays -----------------------------------
 
@@ -512,36 +506,14 @@ class OrbitState(DataEnvironment):
             for i in np.flatnonzero(self._touched)
         }
 
-    @high_water.setter
-    def high_water(self, value):
-        # The base-class constructor assigns an empty dict; accounting
-        # here is array-backed, so the assignment is a no-op.
-        pass
-
-    def _add_bytes(self, mem, n: int):
-        i = self._mt.mem_index[mem.name]
-        usage = int(self._usage_arr[i]) + n
-        self._usage_arr[i] = usage
-        self._touched[i] = True
-        if usage > self._high_arr[i]:
-            self._high_arr[i] = usage
-        if self.check_capacity and usage > mem.capacity_bytes:
-            raise OutOfMemoryError(mem.name, usage, mem.capacity_bytes)
-
-    def _sub_bytes(self, mem, n: int):
-        i = self._mt.mem_index[mem.name]
-        self._usage_arr[i] -= n
-
-    def usage_of(self, mem) -> int:
-        return int(self._usage_arr[self._mt.mem_index[mem.name]])
-
     def bulk_add(self, mem_ids, amounts, order):
         """Apply a phase's registration charges at once.
 
-        Equivalent to ``_add_bytes`` per event in ``order``: the peak
-        is reached after the last add either way, and on a capacity
-        overflow the events are replayed in order so the raised error
-        carries exactly the usage at the first crossing.
+        Equivalent to the scalar ``DataEnvironment._add_bytes`` per
+        event in ``order``: the peak is reached after the last add
+        either way, and on a capacity overflow the events are replayed
+        in order so the raised error carries exactly the usage at the
+        first crossing.
         """
         if mem_ids.size == 0:
             return
@@ -583,10 +555,11 @@ class OrbitState(DataEnvironment):
         """Apply an interleaved add/sub event stream exactly.
 
         ``mem_ids``/``deltas`` are already in scalar event order.
-        Equivalent to ``_add_bytes``/``_sub_bytes`` per event: the
-        per-memory running usage determines the high-water marks, and on
-        a capacity overflow the events are replayed in order so the
-        raised error carries exactly the usage at the first crossing.
+        Equivalent to the scalar ``_add_bytes``/``_sub_bytes`` per
+        event: the per-memory running usage determines the high-water
+        marks, and on a capacity overflow the events are replayed in
+        order so the raised error carries exactly the usage at the
+        first crossing.
         Used for phases whose adds and releases interleave per context
         (reduction flushes, leaf-level communication).
         """
@@ -635,7 +608,7 @@ class OrbitState(DataEnvironment):
     def _account_home(self):
         """Charge every distinct home instance to its memory.
 
-        Vectorized replacement of the base class's per-point loop: home
+        Vectorized replacement of the scalar per-point loop: home
         rectangles come from :meth:`Format.owned_rect_batch` over every
         machine point at once, replicas collapse to one charge per
         distinct ``(memory, rectangle)`` via row folding, and the
@@ -653,11 +626,9 @@ class OrbitState(DataEnvironment):
             if not tensor.format.is_distributed:
                 if tensor.ndim == 0:
                     continue
-                mem = self._memory_for(
-                    tuple([0] * self.machine.dim), name
-                )
+                # Undistributed tensors live at machine point 0.
                 mem_chunks.append(
-                    np.array([mt.mem_index[mem.name]], dtype=np.int64)
+                    mt.tensor_mem_of_proc(tensor)[mt.proc_of_point[:1]]
                 )
                 amount_chunks.append(
                     np.array([tensor.nbytes], dtype=np.int64)
@@ -775,85 +746,6 @@ class OrbitState(DataEnvironment):
             self._mirrors[name] = m
         return m
 
-    def _holder_coords(self, name: str, rect: Rect) -> List[Tuple[int, ...]]:
-        m = self._mirrors.get(name)
-        if m is None:
-            return []
-        rows = m.rows_matching(rect.lo, rect.hi)
-        return [tuple(int(c) for c in m.coords[r]) for r in rows]
-
-    def is_local(self, name, coords, rect) -> bool:
-        if self.owns(name, coords, rect):
-            return True
-        m = self._mirrors.get(name)
-        if m is None:
-            return False
-        rows = m.rows_matching(rect.lo, rect.hi)
-        if rows.size == 0:
-            return False
-        target = np.asarray(coords, dtype=np.int64)
-        return bool(np.any(np.all(m.coords[rows] == target, axis=1)))
-
-    def register(self, name, coords, rect) -> bool:
-        if rect.is_empty or self.is_local(name, coords, rect):
-            return False
-        tensor = self.plan.tensors[name]
-        mem = self._memory_for(coords, name)
-        nbytes = rect.volume * tensor.itemsize
-        m = self.mirror(name)
-        m.add_rows(
-            np.asarray([rect.lo], dtype=np.int64).reshape(1, m.ndim),
-            np.asarray([rect.hi], dtype=np.int64).reshape(1, m.ndim),
-            np.asarray([coords], dtype=np.int64).reshape(1, m.mdim),
-            np.asarray([self._mt.mem_index[mem.name]], dtype=np.int64),
-            np.asarray([nbytes], dtype=np.int64),
-        )
-        self._add_bytes(mem, nbytes)
-        return True
-
-    def release(self, name, coords, rect):
-        m = self._mirrors.get(name)
-        if m is None:
-            return
-        rows = m.rows_matching(rect.lo, rect.hi)
-        if rows.size == 0:
-            return
-        target = np.asarray(coords, dtype=np.int64)
-        hit = rows[np.all(m.coords[rows] == target, axis=1)]
-        if hit.size == 0:
-            return
-        row = hit[:1]
-        m.free_rows(row)
-        tensor = self.plan.tensors[name]
-        self._sub_bytes(
-            self._memory_for(coords, name), rect.volume * tensor.itemsize
-        )
-
-    def _find_sources(self, name, coords, rect):
-        return self._sources_from(
-            name,
-            rect,
-            coords,
-            self._holder_coords(name, rect),
-            self._owner_pattern(name, rect),
-        )
-
-    def resolve_batch(self, name, rect, coords_list):
-        if rect.is_empty:
-            return [[] for _ in coords_list]
-        holder_list = self._holder_coords(name, rect)
-        holder_set = set(holder_list)
-        pattern = self._owner_pattern(name, rect)
-        out = []
-        for coords in coords_list:
-            if self.owns(name, coords, rect) or coords in holder_set:
-                out.append([])
-                continue
-            out.append(
-                self._sources_from(name, rect, coords, holder_list, pattern)
-            )
-        return out
-
 
 # ----------------------------------------------------------------------
 # Step builder: exact expanded columns + compressed representatives.
@@ -915,7 +807,7 @@ class _StepBuilder:
     Every emission path — single-source fetches, multi-piece
     redistribution, reduction flushes, leaf-level communication — lands
     here as a columnar :class:`_Chunk`; there is no per-``Copy`` scalar
-    side channel anymore (the former ``fallback`` list).
+    side channel.
     """
 
     step: Step
@@ -1036,16 +928,10 @@ class OrbitExecutor(Executor):
         #: The previous phase's held rows, per tensor (set by the fetch
         #: path; lets memos separate held-set churn from static rows).
         self._prev_held: Dict[str, np.ndarray] = {}
-        #: Copies that re-entered the per-context scalar machinery. All
-        #: known plan shapes execute fully class-batched, so this stays
-        #: zero (pinned by the parity suite); the scalar escape hatch is
-        #: kept only so an unforeseen plan degrades to exact-but-slow
-        #: instead of wrong.
-        self.fallback_events = 0
-        #: Coverage counters for the class-batched paths that replaced
-        #: the per-context fallbacks (multi-piece redistribution,
-        #: reduction flushes, leaf-level communication phases) — the
-        #: parity suite asserts the paths actually ran.
+        #: Coverage counters for the class-batched multi-piece
+        #: redistribution, reduction flushes and leaf-level
+        #: communication phases — the parity suite asserts the paths
+        #: actually ran.
         self.multi_piece_batches = 0
         self.flush_batches = 0
         self.leaf_comm_phases = 0
@@ -1117,40 +1003,6 @@ class OrbitExecutor(Executor):
             b = _StepBuilder(step)
             self._builders[id(step)] = b
         return b
-
-    def _emit_copy(self, step, name, rect, src_coords, ctx, reduce=False):
-        # Scalar escape hatch: count it, and route the copy into the
-        # columnar builder as a one-row chunk so the pinned columns stay
-        # exact even if an unforeseen path lands here.
-        self.fallback_events += 1
-        before = len(step.copies)
-        super()._emit_copy(step, name, rect, src_coords, ctx, reduce)
-        if len(step.copies) > before:
-            c = step.copies[-1]
-            ndim = c.rect.dim
-            lo = np.array(
-                [[iv.lo for iv in c.rect.intervals]], dtype=np.int64
-            ).reshape(1, ndim)
-            hi = np.array(
-                [[iv.hi for iv in c.rect.intervals]], dtype=np.int64
-            ).reshape(1, ndim)
-            self._builder(step).chunks.append(
-                _Chunk(
-                    tensor_id=self._tensor_ids[c.tensor],
-                    lo=lo,
-                    hi=hi,
-                    nbytes=np.array([c.nbytes], dtype=np.int64),
-                    src_proc=np.array([c.src_proc.proc_id], dtype=np.int64),
-                    dst_proc=np.array([c.dst_proc.proc_id], dtype=np.int64),
-                    src_gpu=np.array(
-                        [c.src_mem.kind is MemoryKind.GPU_FB], dtype=bool
-                    ),
-                    dst_gpu=np.array(
-                        [c.dst_mem.kind is MemoryKind.GPU_FB], dtype=bool
-                    ),
-                    reduce=c.reduce,
-                )
-            )
 
     # -- plan-tree interpretation --------------------------------------
 
@@ -1469,19 +1321,13 @@ class OrbitExecutor(Executor):
         if release:
             self._release_held(release)
         # Pin each memo to the post-commit, post-release mirror version:
-        # the next phase replays (or probes the carried request index)
-        # only if nothing else touched the mirror.
+        # the next phase replays only if nothing else touched the mirror.
         for name in effective:
             memo = self._phase_memos.get((id(block), name))
-            if memo is None:
+            if memo is None or not memo.ready:
                 continue
             mirror = self.env._mirrors.get(name)
-            version = mirror.version if mirror is not None else -1
-            if memo.ready:
-                memo.version = version
-            if memo.index_fresh:
-                memo.index_version = version
-                memo.index_fresh = False
+            memo.version = mirror.version if mirror is not None else -1
         return held
 
     def _resolve_tensor(self, name: str, name_pos: int, n_names: int,
@@ -1545,16 +1391,11 @@ class OrbitExecutor(Executor):
                 return out
         self.phase_full += 1
         memo.ready = False
-        # Holder-locality and holder candidates: join requests against
-        # the live instance mirror on exact rect equality. When the
-        # mirror provably holds exactly the previous phase's registered
-        # requests plus known static rows (version chain), the join
-        # probes the previous phase's *carried* sorted request index —
-        # no per-phase instance sort; otherwise the classic hash join
-        # runs against a fresh snapshot. Join keys are fast row hashes;
-        # every candidate pair is verified on the original endpoint
-        # columns, so collisions only cost a filtered candidate —
-        # results stay exact.
+        # Holder-locality and holder candidates: hash-join requests
+        # against a snapshot of the live instance mirror on exact rect
+        # equality. Join keys are fast row hashes; every candidate pair
+        # is verified on the original endpoint columns, so collisions
+        # only cost a filtered candidate — results stay exact.
         holder_local = np.zeros(rem_idx.size, dtype=bool)
         pair_req = np.zeros(0, dtype=np.int64)
         pair_coords_all = np.zeros((0, self.machine.dim), dtype=np.int64)
@@ -1567,75 +1408,43 @@ class OrbitExecutor(Executor):
             req_keys_cols[:, :ndim] = lo[:, rem_idx].T
             req_keys_cols[:, ndim:] = hi[:, rem_idx].T
             req_k = _hash_rows(req_keys_cols)
-        use_index = (
-            ndim > 0
-            and mirror is not None
-            and memo.req_index_hash is not None
-            and memo.fixed_hash is not None
-            and mirror.version == memo.index_version
+        inst_rows = (
+            mirror.snapshot() if mirror is not None
+            else np.zeros(0, dtype=np.int64)
         )
-        if use_index:
-            held_req, held_pos = _probe_index(
-                memo.req_index_hash, req_k, memo.req_index_cols,
-                req_keys_cols,
+        if inst_rows.size and ndim:
+            inst_cols = np.empty((inst_rows.size, 2 * ndim), dtype=np.int64)
+            inst_cols[:, :ndim] = mirror.lo[inst_rows]
+            inst_cols[:, ndim:] = mirror.hi[inst_rows]
+            inst_k = _hash_rows(inst_cols)
+            order = np.argsort(inst_k, kind="stable")
+            pair_req, p_pos = _probe_index(
+                inst_k[order], req_k, inst_cols[order], req_keys_cols
             )
-            pair_req = held_req
-            pair_coords_all = region.coords[
-                memo.req_index_member[held_pos]
-            ]
-            if memo.fixed_hash.size:
-                fix_req, fix_pos = _probe_index(
-                    memo.fixed_hash, req_k, memo.fixed_cols, req_keys_cols
-                )
-                if fix_req.size:
-                    pair_req = np.concatenate([pair_req, fix_req])
-                    pair_coords_all = np.concatenate(
-                        [pair_coords_all, memo.fixed_coords[fix_pos]]
-                    )
-                    order_p = np.argsort(pair_req, kind="stable")
-                    pair_req = pair_req[order_p]
-                    pair_coords_all = pair_coords_all[order_p]
-        else:
-            inst_rows = (
-                mirror.snapshot() if mirror is not None
-                else np.zeros(0, dtype=np.int64)
-            )
-            if inst_rows.size and ndim:
-                inst_cols = np.empty(
-                    (inst_rows.size, 2 * ndim), dtype=np.int64
-                )
-                inst_cols[:, :ndim] = mirror.lo[inst_rows]
-                inst_cols[:, ndim:] = mirror.hi[inst_rows]
-                inst_k = _hash_rows(inst_cols)
-                order = np.argsort(inst_k, kind="stable")
-                p_req, p_pos = _probe_index(
-                    inst_k[order], req_k, inst_cols[order], req_keys_cols
-                )
-                pair_req = p_req
-                pair_rows = inst_rows[order[p_pos]]
-                pair_coords_all = mirror.coords[pair_rows]
+            pair_coords_all = mirror.coords[inst_rows[order[p_pos]]]
         if pair_req.size:
             same = np.all(
                 pair_coords_all == region.coords[rem_idx[pair_req]],
                 axis=1,
             )
             holder_local[pair_req[same]] = True
-        if not holder_local.any():
-            fetch_idx = rem_idx
-            k = fetch_idx.size
-        else:
+        fetch_idx = rem_idx
+        if holder_local.any():
             fetch_mask = ~holder_local
             fetch_idx = rem_idx[fetch_mask]
             if fetch_idx.size == 0:
                 return None
-            k = fetch_idx.size
             # Renumber candidate pairs onto the fetching subset.
             new_pos = np.full(rem_idx.size, -1, dtype=np.int64)
-            new_pos[fetch_mask] = np.arange(k, dtype=np.int64)
+            new_pos[fetch_mask] = np.arange(fetch_idx.size, dtype=np.int64)
             if pair_req.size:
                 keep = fetch_mask[pair_req]
                 pair_req = new_pos[pair_req[keep]]
                 pair_coords_all = pair_coords_all[keep]
+            if ndim:
+                req_k = req_k[fetch_mask]
+                req_keys_cols = req_keys_cols[fetch_mask]
+        k = fetch_idx.size
         req_coords = region.coords[fetch_idx]
         pair_coords = pair_coords_all if pair_req.size else None
         pair_key, holder_best = self._holder_keys(
@@ -1658,22 +1467,10 @@ class OrbitExecutor(Executor):
                 hi[:, fetch_idx[no_src]],
                 tensor,
             )
-        # Carry this phase's request index (the next phase probes it
-        # instead of sorting the mirror) and rebuild the static-row
-        # index when this phase ran against a fresh snapshot.
-        if holder_local.any():
-            f_mask = ~holder_local
-            req_k_f = req_k[f_mask] if req_k is not None else None
-            req_cols_f = (
-                req_keys_cols[f_mask] if req_keys_cols is not None else None
-            )
-        else:
-            req_k_f = req_k
-            req_cols_f = req_keys_cols
-        classes = self._store_req_index(
-            memo, fetch_idx, req_k_f, req_cols_f, ndim
-        )
-        if not use_index and ndim:
+        # Request classes and the static-row index the next phase's
+        # replay carries.
+        classes = self._request_classes(req_k, req_keys_cols)
+        if ndim:
             self._rebuild_fixed(
                 memo, mirror, inst_rows, self._prev_held.get(name), ndim
             )
@@ -1782,7 +1579,7 @@ class OrbitExecutor(Executor):
     def _rebuild_fixed(self, memo, mirror, inst_rows, prev_held, ndim):
         """(Re)build the static-instance index: live rows outside the
         previous phase's held set, with their coords — probed by every
-        replay and by the carried-index join."""
+        replay."""
         if prev_held is not None and prev_held.size:
             fixed = inst_rows[~np.isin(inst_rows, prev_held)]
         else:
@@ -1803,21 +1600,16 @@ class OrbitExecutor(Executor):
                 (0, self.machine.dim), dtype=np.int64
             )
 
-    def _store_req_index(self, memo, fetch_idx, req_k_f, req_cols_f,
-                         ndim) -> Optional["_Classes"]:
-        """Carry this phase's (sorted) request index into the next one;
-        returns its request classes (``None`` for 0-dim tensors, or when
-        two distinct rectangles share a hash)."""
-        if ndim == 0 or req_k_f is None:
-            memo.req_index_hash = None
+    @staticmethod
+    def _request_classes(req_k, req_cols) -> Optional["_Classes"]:
+        """The fetching members' request classes (distinct rectangles),
+        from their row hashes and endpoint columns; ``None`` for 0-dim
+        tensors, or when two distinct rectangles share a hash."""
+        if req_k is None:
             return None
-        order = np.argsort(req_k_f, kind="stable")
-        sh = req_k_f[order]
-        cols = req_cols_f[order]
-        memo.req_index_hash = sh
-        memo.req_index_member = fetch_idx[order]
-        memo.req_index_cols = cols
-        memo.index_fresh = True
+        order = np.argsort(req_k, kind="stable")
+        sh = req_k[order]
+        cols = req_cols[order]
         new = np.r_[True, sh[1:] != sh[:-1]]
         dup = ~new[1:]
         if dup.any() and not np.array_equal(cols[1:][dup], cols[:-1][dup]):
@@ -2067,7 +1859,6 @@ class OrbitExecutor(Executor):
             self.phase_seam += 1
         else:
             self.phase_conjugate += 1
-        memo.req_index_hash = None
         return self._commit_memo(
             memo, region, lo_f, hi_f, rem_idx, tensor, name_pos, n_names,
             classes, src_coords, emitted, shift, int(seam.size),
@@ -2421,9 +2212,8 @@ class _PhaseMemo:
 
     Holds what :meth:`OrbitExecutor._replay_conjugate` carries into the
     next phase: the request endpoints, the fetching members and their
-    request classes, winners, the emission,
-    the map that produced the phase, the static-instance index and the
-    carried request index of the full path. ``ready`` marks a phase
+    request classes, winners, the emission, the map that produced the
+    phase and the static-instance index. ``ready`` marks a phase
     whose state a replay may build on; ``version`` pins the mirror
     after the phase's commit.
     """
@@ -2433,8 +2223,6 @@ class _PhaseMemo:
         "fetch_idx", "classes", "src_coords", "emit",
         "shift", "seam",
         "fixed_hash", "fixed_cols", "fixed_coords",
-        "req_index_hash", "req_index_member", "req_index_cols",
-        "index_version", "index_fresh",
     )
 
     def __init__(self):
@@ -2452,11 +2240,6 @@ class _PhaseMemo:
         self.fixed_hash = None
         self.fixed_cols = None
         self.fixed_coords = None
-        self.req_index_hash = None
-        self.req_index_member = None
-        self.req_index_cols = None
-        self.index_version = -1
-        self.index_fresh = False
 
 
 class _EventStream:

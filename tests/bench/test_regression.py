@@ -93,16 +93,16 @@ class TestCli:
 
 
 class TestCounterGate:
-    def test_fallback_reappearance_fails(self):
-        base = {"s": rec("s", 1.0, {"orbit.fallback_events": 0})}
-        cur = {"s": rec("s", 1.0, {"orbit.fallback_events": 3})}
+    def test_crash_reappearance_fails(self):
+        base = {"s": rec("s", 1.0, {"serve.crashes": 0})}
+        cur = {"s": rec("s", 1.0, {"serve.crashes": 3})}
         findings, pre_schema = compare_counters(base, cur)
-        assert [f[1] for f in findings] == ["orbit.fallback_events"]
+        assert [f[1] for f in findings] == ["serve.crashes"]
         assert pre_schema == []
 
-    def test_nonzero_baseline_fallbacks_do_not_arm_the_rule(self):
-        base = {"s": rec("s", 1.0, {"orbit.fallback_events": 2})}
-        cur = {"s": rec("s", 1.0, {"orbit.fallback_events": 5})}
+    def test_nonzero_baseline_crashes_do_not_arm_the_rule(self):
+        base = {"s": rec("s", 1.0, {"serve.crashes": 2})}
+        cur = {"s": rec("s", 1.0, {"serve.crashes": 5})}
         findings, _ = compare_counters(base, cur)
         assert findings == []
 
@@ -130,7 +130,7 @@ class TestCounterGate:
 
     def test_stable_rates_pass(self):
         counters = {
-            "orbit.fallback_events": 0,
+            "serve.crashes": 0,
             "orbit.phase_replays": 80, "orbit.steps": 100,
             "costmodel.step_price_hits": 90,
             "costmodel.step_price_misses": 10,
@@ -148,7 +148,7 @@ class TestCounterGate:
         base = write_log(tmp_path / "base.json", [rec("sweep", 1.0)])
         cur = write_log(
             tmp_path / "cur.json",
-            [rec("sweep", 1.0, {"orbit.fallback_events": 9})],
+            [rec("sweep", 1.0, {"serve.crashes": 9})],
         )
         assert main(["--baseline", str(base), "--log", str(cur)]) == 0
         out = capsys.readouterr().out
@@ -157,11 +157,11 @@ class TestCounterGate:
     def test_counter_regression_fails_cli(self, tmp_path, capsys):
         base = write_log(
             tmp_path / "base.json",
-            [rec("sweep", 1.0, {"orbit.fallback_events": 0})],
+            [rec("sweep", 1.0, {"serve.crashes": 0})],
         )
         cur = write_log(
             tmp_path / "cur.json",
-            [rec("sweep", 1.0, {"orbit.fallback_events": 2})],
+            [rec("sweep", 1.0, {"serve.crashes": 2})],
         )
         assert main(["--baseline", str(base), "--log", str(cur)]) == 1
         out = capsys.readouterr().out

@@ -105,7 +105,7 @@ class TestGlobalRegistry:
         """Equal-seed runs produce identical explicit counters.
 
         The registry's own counters are derived from what was computed
-        (steps, replays, fallbacks), never from wall-clock — so two
+        (steps, replays, flush batches), never from wall-clock — so two
         identical simulations increment identically.
         """
         from repro.algorithms.matmul import cannon

@@ -1,15 +1,14 @@
-"""The former scalar escape hatches, now class-batched — parity pinned.
+"""The orbit executor's class-batched irregular paths — parity pinned.
 
-PR 2's orbit executor fell back to the per-context scalar machinery on
-three paths: requests spanning several home pieces (multi-piece
-redistribution), reduction flushes, and leaf-level communication. All
-three now execute as columnar class-level operations; these tests pin
+Requests spanning several home pieces (multi-piece redistribution),
+reduction flushes, leaf-level communication and re-requests of held
+rectangles all execute as columnar class-level operations. These tests
+pin
 
-* byte-identical ``SimReport``s against the scalar reference
-  interpreter on schedules that exercise each path,
-* that the executor *counts zero* re-entries into the per-context
-  fallback (``fallback_events``), and
-* that the batched replacements actually ran (coverage counters), so a
+* byte-identical ``SimReport``s (and ``OutOfMemoryError`` payloads)
+  against the scalar reference interpreter on schedules that exercise
+  each path, and
+* that the batched paths actually ran (coverage counters), so a
   regression cannot silently re-route through an untested path.
 """
 
@@ -31,11 +30,12 @@ from repro import (
 from repro.algorithms.higher_order import innerprod, mttkrp
 from repro.algorithms.matmul import cannon, cosma, solomonik, summa
 from repro.core.transfer import transfer_kernel
-from repro.machine.cluster import Cluster
+from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.runtime.batchbounds import batch_bounds
 from repro.runtime.orbit import OrbitExecutor
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
-from repro.util.errors import LoweringError
+from repro.util.errors import LoweringError, OutOfMemoryError
 
 
 def run_orbit(kernel, check_capacity=False, executor_cls=OrbitExecutor):
@@ -46,14 +46,12 @@ def run_orbit(kernel, check_capacity=False, executor_cls=OrbitExecutor):
     return executor, model.time_trace(result.trace)
 
 
-def assert_parity_no_fallback(kernel, check_capacity=False,
-                              executor_cls=OrbitExecutor):
+def assert_parity(kernel, check_capacity=False, executor_cls=OrbitExecutor):
     executor, orbit = run_orbit(kernel, check_capacity, executor_cls)
     scalar = kernel.simulate(
         LASSEN, check_capacity=check_capacity, mode="scalar"
     )
     assert orbit == scalar, f"{orbit!r} != {scalar!r}"
-    assert executor.fallback_events == 0
     return executor
 
 
@@ -81,7 +79,7 @@ class _EmitCounter(OrbitExecutor):
         self.flush_emits += self.bulk_emits - before
 
 
-def johnson_transposed_output(n):
+def johnson_transposed_output(n, cluster=None):
     """Johnson's schedule with the output tiled transposed (``yx``) on a
     2x4x2 grid: the partials straddle several owners' home pieces."""
     A = TensorVar("A", (n, n), Format("xy -> yx0"))
@@ -95,8 +93,28 @@ def johnson_transposed_output(n):
         .communicate([A, B, C], ko)
     )
     return compile_kernel(
-        sched, Machine(Cluster.cpu_cluster(8), Grid(2, 4, 2))
+        sched, Machine(cluster or Cluster.cpu_cluster(8), Grid(2, 4, 2))
     )
+
+
+def four_socket_cluster(capacity):
+    """Four nodes of four CPU sockets sharing one system memory each."""
+    return Cluster.build(
+        num_nodes=4,
+        procs_per_node=4,
+        proc_kind=ProcessorKind.CPU_SOCKET,
+        proc_mem_kind=MemoryKind.SYSTEM_MEM,
+        proc_mem_capacity=capacity,
+        system_mem_capacity=capacity,
+    )
+
+
+def outcome(simulate):
+    """A simulation's report, or its ``OutOfMemoryError`` payload."""
+    try:
+        return simulate()
+    except OutOfMemoryError as err:
+        return (err.memory_name, err.needed_bytes, err.capacity_bytes)
 
 
 @pytest.fixture
@@ -110,43 +128,102 @@ def m222():
 
 
 class TestReductionFlushes:
-    """Reduction write-backs: columnar flush batches, no fallback."""
+    """Reduction write-backs: columnar flush batches."""
 
     def test_solomonik_flush(self, m222):
-        executor = assert_parity_no_fallback(solomonik(m222, 256))
+        executor = assert_parity(solomonik(m222, 256))
         assert executor.flush_batches > 0
 
     def test_mttkrp_flush(self, m222):
-        executor = assert_parity_no_fallback(mttkrp(m222, 64, r=16))
+        executor = assert_parity(mttkrp(m222, 64, r=16))
         assert executor.flush_batches > 0
 
     def test_innerprod_flush(self, m44):
-        executor = assert_parity_no_fallback(innerprod(m44, 64))
+        executor = assert_parity(innerprod(m44, 64))
         assert executor.flush_batches > 0
 
     def test_prime_extent_reduction(self, m222):
         # Ragged partials: per-member rect columns are non-uniform.
-        executor = assert_parity_no_fallback(solomonik(m222, 101))
+        executor = assert_parity(solomonik(m222, 101))
         assert executor.flush_batches > 0
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_straddling_partials(self, n):
         # Partials that no single owner covers decompose per owner
         # piece, and each flushed tensor still emits once.
-        executor = assert_parity_no_fallback(
+        executor = assert_parity(
             johnson_transposed_output(n), executor_cls=_EmitCounter
         )
         assert executor.flush_batches > 0
         assert executor.flush_emits == executor.flush_batches
+
+    @pytest.mark.parametrize("cap_delta,oom", [(0, False), (-1, True)])
+    def test_flush_stages_one_piece_at_a_time(self, cap_delta, oom):
+        # On four-socket nodes two owner pieces of one straddling
+        # partial share a node's system memory, and staging their
+        # transient reduction instances (add, release, next piece) sets
+        # that memory's high-water mark. A capacity of exactly that mark
+        # fits on both interpreters; one byte less fails on both with
+        # the same payload. Staging every piece before releasing any
+        # would overflow the exact capacity.
+        n = 256
+        free = johnson_transposed_output(n, four_socket_cluster(2**40))
+        peak = max(
+            free.simulate(LASSEN, mode="scalar").memory_high_water.values()
+        )
+        kernel = johnson_transposed_output(
+            n, four_socket_cluster(peak + cap_delta)
+        )
+        executor = OrbitExecutor(kernel.plan, check_capacity=True)
+        model = CostModel(kernel.machine.cluster, LASSEN)
+        orbit = outcome(lambda: model.time_trace(executor.run().trace))
+        scalar = outcome(
+            lambda: kernel.simulate(
+                LASSEN, check_capacity=True, mode="scalar"
+            )
+        )
+        assert orbit == scalar, f"{orbit!r} != {scalar!r}"
+        assert isinstance(scalar, tuple) == oom
+        assert executor.flush_batches > 0
+
+    @pytest.mark.parametrize("n,grid,nodes", [
+        (64, (2, 4), 4), (101, (4, 4), 8),
+    ])
+    def test_flush_at_sequential_loop(self, n, grid, nodes):
+        # The output is communicated at the k-loop, so each iteration's
+        # partials flush at the end of the iteration (a sequential-loop
+        # flush, not a task-end one); the transposed output makes them
+        # straddle owner pieces.
+        A = TensorVar("A", (n, n), Format("xy -> yx"))
+        B = TensorVar("B", (n, n), Format("xy -> xy"))
+        C = TensorVar("C", (n, n), Format("xy -> xy"))
+        i, j, k = index_vars("i j k")
+        io, ii, jo, ji, ko, ki = index_vars("io ii jo ji ko ki")
+        sched = (
+            Schedule(Assignment(A[i, j], B[i, k] * C[k, j]))
+            .distribute([i, j], [io, jo], [ii, ji], Grid(*grid))
+            .split(k, ko, ki, 16)
+            .reorder([ko, ii, ji, ki])
+            .communicate([A, B, C], ko)
+            .substitute([ii, ji, ki], "blas_gemm")
+        )
+        kernel = compile_kernel(
+            sched, Machine(Cluster.cpu_cluster(nodes), Grid(*grid))
+        )
+        executor = assert_parity(kernel)
+        iterations = -(-n // 16)
+        assert executor.flush_batches == iterations
+        labels = [s.label for s in executor.trace.steps]
+        assert labels.count("ko reduction") == iterations
 
 
 class TestMultiPieceFetch:
     """Requests spanning several home pieces resolve per rect class."""
 
     def test_cosma_stays_exact(self):
-        # COSMA's recursive splits stress non-uniform phases (its former
-        # fallback copies were reduction flushes).
-        executor = assert_parity_no_fallback(
+        # COSMA's recursive splits stress non-uniform phases, and its
+        # partials flush through the reduction path.
+        executor = assert_parity(
             cosma(Cluster.cpu_cluster(8), 256)
         )
         assert executor.flush_batches > 0
@@ -160,7 +237,7 @@ class TestMultiPieceFetch:
         # Row-replicating the 2-D-tiled source: every destination task
         # reads a full row panel, which spans four source pieces.
         kernel = transfer_kernel(src, Format("xy -> x*"), machine)
-        executor = assert_parity_no_fallback(kernel)
+        executor = assert_parity(kernel)
         assert executor.multi_piece_batches > 0
 
     @pytest.mark.parametrize("build,grid,n", [
@@ -170,7 +247,7 @@ class TestMultiPieceFetch:
         # Task tiles straddling home pieces: every class decomposes in
         # one call and the whole batch emits once.
         kernel = build(Machine(Cluster.cpu_cluster(16), Grid(*grid)), n)
-        executor = assert_parity_no_fallback(
+        executor = assert_parity(
             kernel, executor_cls=_EmitCounter
         )
         assert executor.multi_piece_batches > 0
@@ -213,11 +290,11 @@ class TestLeafComm:
     def test_default_lowered_matmul(self):
         # Tensors without an explicit communicate tag fetch (and the
         # output flushes) at the leaf — the naive completion.
-        executor = assert_parity_no_fallback(self._leaf_comm_kernel())
+        executor = assert_parity(self._leaf_comm_kernel())
         assert executor.leaf_comm_phases > 0
 
     def test_non_divisible_leaf_comm(self):
-        executor = assert_parity_no_fallback(self._leaf_comm_kernel(n=67, k=51))
+        executor = assert_parity(self._leaf_comm_kernel(n=67, k=51))
         assert executor.leaf_comm_phases > 0
 
     def test_staged_partials_are_not_reused(self):
@@ -240,25 +317,88 @@ class TestLeafComm:
         kernel = compile_kernel(
             sched, Machine(Cluster.cpu_cluster(2), Grid(2, 2))
         )
-        executor = assert_parity_no_fallback(kernel)
+        executor = assert_parity(kernel)
         assert executor.flush_batches == 4
 
 
+class _HeldRerequestCounter(OrbitExecutor):
+    """Counts full resolves where a member re-requests a rectangle it
+    still holds as a cached instance (the holder-local join)."""
+
+    def run(self, inputs=None):
+        self.held_rerequests = 0
+        return super().run(inputs)
+
+    def _resolve_tensor(self, name, name_pos, n_names, region, block,
+                        step):
+        mirror = self.env._mirrors.get(name)
+        held = set()
+        if mirror is not None:
+            for r in mirror.snapshot():
+                held.add((
+                    tuple(mirror.coords[r]),
+                    tuple(mirror.lo[r]),
+                    tuple(mirror.hi[r]),
+                ))
+        lo, hi, live = batch_bounds(
+            block, self.graph, self.plan.accesses[name], self.full_env
+        )
+        rerequest = any(
+            (tuple(region.coords[m]), tuple(lo[:, m]), tuple(hi[:, m]))
+            in held
+            for m in np.flatnonzero(live)
+        )
+        before = self.phase_full
+        out = super()._resolve_tensor(
+            name, name_pos, n_names, region, block, step
+        )
+        if rerequest and self.phase_full > before:
+            self.held_rerequests += 1
+        return out
+
+
+class TestHolderLocal:
+    """A member re-requesting a rectangle it still holds fetches nothing."""
+
+    def test_rerequest_of_held_rectangle(self):
+        # B's row panel depends only on the distributed i, so every
+        # j-iteration re-requests the panel the previous one fetched
+        # (and still holds until this phase commits).
+        n = 64
+        A = TensorVar("A", (n, n), Format("xy -> x"))
+        B = TensorVar("B", (n, n), Format("xy -> y"))
+        C = TensorVar("C", (n, n), Format("xy -> x"))
+        i, j, k = index_vars("i j k")
+        io, ii, jo, ji = index_vars("io ii jo ji")
+        sched = (
+            Schedule(Assignment(A[i, j], B[i, k] * C[k, j]))
+            .distribute([i], [io], [ii], Grid(4))
+            .split(j, jo, ji, 16)
+            .reorder([jo, ii, ji, k])
+            .communicate([B, C], jo)
+        )
+        kernel = compile_kernel(
+            sched, Machine(Cluster.cpu_cluster(2), Grid(4))
+        )
+        executor = assert_parity(kernel, executor_cls=_HeldRerequestCounter)
+        assert executor.held_rerequests > 0
+
+
 class TestNoFallbackAcrossSuite:
-    """The flagship schedules never re-enter the scalar machinery."""
+    """The flagship schedules stay byte-identical to scalar."""
 
     @pytest.mark.parametrize("build,n", [
         (cannon, 256), (summa, 256), (cannon, 257),
     ])
     def test_matmuls(self, m44, build, n):
-        assert_parity_no_fallback(build(m44, n))
+        assert_parity(build(m44, n))
 
     def test_rotation_replay_stays_exact(self):
         # Long systolic loops hit the conjugate replay fast path; the
         # reports must stay byte-identical to scalar.
         m = Machine(Cluster.cpu_cluster(64), Grid(16, 8))
-        assert_parity_no_fallback(cannon(m, 2048))
-        assert_parity_no_fallback(summa(m, 1999))
+        assert_parity(cannon(m, 2048))
+        assert_parity(summa(m, 1999))
 
 
 class _FullResolveCounter(OrbitExecutor):
@@ -296,7 +436,6 @@ class TestConjugateReplay:
         )
         scalar = kernel.simulate(LASSEN, mode="scalar")
         assert orbit == scalar, f"{orbit!r} != {scalar!r}"
-        assert executor.fallback_events == 0
         assert executor.phase_replays == (
             executor.phase_conjugate + executor.phase_seam
         )
@@ -316,4 +455,4 @@ class TestConjugateReplay:
     def test_ragged_tiles_not_reused(self, m84):
         # n=257 gives ragged tiles whose leaf work differs between
         # iterations; reusing a previous iteration's would break parity.
-        assert_parity_no_fallback(cannon(m84, 257))
+        assert_parity(cannon(m84, 257))
