@@ -15,9 +15,9 @@ identically by
 * the daemon's newline-delimited JSON protocol
   (:mod:`repro.serve.protocol`) — requests and answers cross the wire
   as their :meth:`~ScheduleRequest.to_record` dicts;
-* the sharded ledger (:mod:`repro.serve.shard`) — answers persist under
-  their request fingerprint, so a daemon restart re-serves every tuned
-  schedule from microsecond in-memory hits.
+* the tuning ledger (:class:`repro.tuner.oracle.TuningLedger`) —
+  answers persist under their request fingerprint, so a daemon restart
+  re-serves every tuned schedule from microsecond in-memory hits.
 
 Everything in a record is a JSON scalar/list/dict, floats round-trip
 exactly (``json`` uses ``repr``), and :meth:`ScheduleRequest.fingerprint`

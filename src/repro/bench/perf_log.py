@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from repro.util.fileio import locked, write_atomic
 
 #: The executor mode benchmark timings are recorded under by default.
 DEFAULT_MODE = "orbit"
@@ -61,44 +61,6 @@ def log_path() -> Path:
         return Path(override)
     # src/repro/bench/perf_log.py -> repository root.
     return Path(__file__).resolve().parents[3] / "BENCH_simulator.json"
-
-
-@contextmanager
-def locked(path: Path):
-    """Best-effort advisory lock serializing concurrent writers of
-    ``path`` (shared by the perf log and the tuner's ledger).
-
-    The lock file lives *beside* the target (same directory), so logs
-    pointed into temporary directories (``REPRO_BENCH_LOG`` in tests,
-    per-run ledgers) lock within that directory — never at a shared
-    global location — and the sidecar is a runtime artifact covered by
-    ``.gitignore``, not repository content. A missing parent directory
-    is created first, so a fresh temp path can be locked immediately.
-    """
-    lock_file = None
-    try:
-        import fcntl
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lock_file = open(path.with_name(path.name + ".lock"), "a+")
-        fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-    except (ImportError, OSError):
-        # Fall back to unlocked appends (atomic replace still protects
-        # readers); don't leak the handle if only the flock failed.
-        if lock_file is not None:
-            lock_file.close()
-        lock_file = None
-    try:
-        yield
-    finally:
-        if lock_file is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
-            except (ImportError, OSError):
-                pass
-            lock_file.close()
 
 
 def _salvage(text: str) -> Optional[List[Dict]]:
@@ -149,35 +111,6 @@ def _load(path: Path) -> Tuple[Optional[List[Dict]], bool]:
             return None, False
         return salvaged, True
     return (data, False) if isinstance(data, list) else (None, False)
-
-
-def write_atomic(path: Path, text: str) -> bool:
-    """Write ``text`` to ``path`` via a same-directory temp file and
-    ``os.replace``, so readers never observe a torn file. Shared by the
-    perf log and the tuner's ledger."""
-    try:
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-    except OSError:
-        return False
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            # fsync before the rename: without it, a crash (or power
-            # loss) between write and replace can publish an *empty*
-            # temp file under the final name — a stale-but-valid log
-            # that silently drops every record written so far.
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return False
-    return True
 
 
 def read_records(path: Optional[Path] = None) -> List[Dict]:

@@ -9,10 +9,10 @@ loop. The shared pieces now live here:
   group (each flag opt-in per CLI, defaults preserved);
 * :func:`add_cluster_args` / :func:`build_cluster` — the
   ``--nodes/--size/--gpu`` workload-cluster group;
-* :func:`make_ledger` — the one ``--ledger`` path rule: a directory
-  (or a new path without a ``.json`` suffix) opens the *sharded*
-  ledger the serving daemon uses, a ``.json`` file the classic
-  single-file ledger;
+* :func:`make_ledger` — the :class:`~repro.tuner.oracle.TuningLedger`
+  at ``--ledger``: a ``.json`` file is a one-shard ledger, a directory
+  (or a new path without a ``.json`` suffix) a root of shards like the
+  serving daemon's;
 * :func:`print_metrics` / :func:`emit` — human metrics printing and
   the ``--json`` machine-readable alternative. Every CLI supports
   ``--json``; the payload always carries the metrics snapshot under
@@ -43,8 +43,8 @@ def add_common_args(
         parser.add_argument(
             "--ledger",
             default=None,
-            help="tuning-ledger path: a directory (or extensionless "
-            "new path) is sharded, a .json file is single-file; "
+            help="tuning-ledger path: a .json file holds one shard, "
+            "a directory (or extensionless new path) a root of shards; "
             "re-tunes are incremental either way",
         )
     if jobs:
@@ -127,9 +127,10 @@ def build_cluster(args):
 
 def make_ledger(args):
     """Open the ledger named by ``--ledger`` (None when unset)."""
-    from repro.serve.shard import open_ledger
+    from repro.tuner.oracle import TuningLedger
 
-    return open_ledger(getattr(args, "ledger", None))
+    path = getattr(args, "ledger", None)
+    return TuningLedger(path) if path is not None else None
 
 
 def metrics_snapshot() -> Dict:

@@ -2,7 +2,7 @@
 
 A long-running daemon that answers the paper's central query — the
 best distributed schedule for (einsum, shapes, dtype, machine) — from
-a sharded tuning ledger: exact hits from an in-memory index in
+a tuning-ledger root: exact hits from an in-memory index in
 microseconds, misses batched and fork-dispatched to the tuning oracle,
 warm-started from the nearest tuned neighbor. See ``docs/serving.md``.
 
@@ -10,16 +10,6 @@ Public surface:
 
 * :class:`repro.serve.daemon.ScheduleServer` — the asyncio daemon;
 * :class:`repro.serve.client.ScheduleClient` — the blocking client;
-* :class:`repro.serve.shard.ShardedLedger` /
-  :func:`repro.serve.shard.open_ledger` /
-  :func:`repro.serve.shard.migrate_single_file` — the sharded ledger;
-* canonical request/answer types live in :mod:`repro.api`.
+* the ledger is :class:`repro.tuner.oracle.TuningLedger`, and
+  canonical request/answer types live in :mod:`repro.api`.
 """
-
-from repro.serve.shard import (  # noqa: F401
-    ShardedLedger,
-    migrate_single_file,
-    open_ledger,
-)
-
-__all__ = ["ShardedLedger", "migrate_single_file", "open_ledger"]

@@ -3,20 +3,23 @@
 Usage::
 
     python -m repro.serve --ledger DIR [--socket PATH | --port N]
-        [--jobs 2] [--shards 8] [--no-warm] [--timeout SECONDS]
+        [--jobs 2] [--no-warm] [--timeout SECONDS]
         [--max-pending 64] [--line-limit BYTES]
     python -m repro.serve --ledger DIR --migrate OLD_LEDGER.json
     python -m repro.serve --smoke [--json]
     python -m repro.serve --chaos [--seed N] [--json]
 
-Default mode runs the daemon over the sharded ledger rooted at
-``--ledger`` until a client sends ``shutdown`` (or SIGINT/SIGTERM,
-both of which drain gracefully: no new tunes admitted, in-flight ones
-finished, waiters answered). A unix socket (``--socket``) is
-preferred; without one the daemon binds localhost TCP.
+Default mode runs the daemon over the tuning-ledger root at
+``--ledger`` (a directory; a fresh root gets 8 shards) until a client
+sends ``shutdown`` (or SIGINT/SIGTERM, both of which drain gracefully:
+no new tunes admitted, in-flight ones finished, waiters answered). A
+``.json`` ledger is refused with a one-line error: the daemon keeps
+its quarantine store beside the shards. A unix socket (``--socket``)
+is preferred; without one the daemon binds localhost TCP.
 
-``--migrate`` reshards an existing single-file tuning ledger into the
-``--ledger`` directory and exits (the source file is left untouched).
+``--migrate`` copies every record of another ledger (typically a
+one-shard ``.json`` file) into the ``--ledger`` ledger, routed to its
+shards, and exits (the source is left untouched).
 
 ``--smoke`` is the CI serve-smoke job: it starts a daemon on a
 temporary unix socket, replays a canned mixed hit/miss/warm trace
@@ -59,20 +62,23 @@ def _run_daemon(args) -> int:
 
     from repro.serve.daemon import ScheduleServer
 
-    server = ScheduleServer(
-        Path(args.ledger),
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        tune_jobs=args.jobs,
-        warm_start=not args.no_warm,
-        timeout_s=args.timeout,
-        shards=args.shards,
-        max_pending=args.max_pending,
-        quarantine_after=args.quarantine_after,
-        worker_retries=args.worker_retries,
-        line_limit=args.line_limit,
-    )
+    try:
+        server = ScheduleServer(
+            Path(args.ledger),
+            socket_path=args.socket,
+            host=args.host,
+            port=args.port,
+            tune_jobs=args.jobs,
+            warm_start=not args.no_warm,
+            timeout_s=args.timeout,
+            max_pending=args.max_pending,
+            quarantine_after=args.quarantine_after,
+            worker_retries=args.worker_retries,
+            line_limit=args.line_limit,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     where = args.socket or f"{args.host}:{args.port}"
     print(
         f"serving schedules from {server.ledger.path} "
@@ -87,32 +93,32 @@ def _run_daemon(args) -> int:
 
 
 def _run_migrate(args) -> int:
-    from repro.serve.shard import migrate_single_file
+    from repro.tuner.oracle import TuningLedger
 
     source = Path(args.migrate)
     if not source.exists():
         print(f"no such ledger: {source}", file=sys.stderr)
         return 1
-    sharded = migrate_single_file(
-        source, Path(args.ledger), shards=args.shards or 8
-    )
-    entries = len(sharded)
-    answers = sum(1 for _ in sharded.answers())
+    target = TuningLedger(args.ledger)
+    target.copy_from(TuningLedger(source))
+    target.save()
+    entries = len(target)
+    answers = len(target.answers)
     payload = {
         "migrated_from": str(source),
-        "root": str(sharded.path),
-        "shards": sharded.shards,
+        "root": str(target.path),
+        "shards": target.shards,
         "entries": entries,
         "answers": answers,
     }
     if not cli.emit(args, payload):
         print(
             f"migrated {entries} entries and {answers} answers from "
-            f"{source} into {sharded.path} ({sharded.shards} shards)"
+            f"{source} into {target.path} ({target.shards} shards)"
         )
-    if sharded.save_failures:
+    if target.save_failures:
         print(
-            f"migration could not write {sharded.path}", file=sys.stderr
+            f"migration could not write {target.path}", file=sys.stderr
         )
         return 1
     return 0
@@ -479,7 +485,7 @@ def _run_chaos(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Serve tuned schedules from a sharded ledger.",
+        description="Serve tuned schedules from a tuning-ledger root.",
     )
     parser.add_argument(
         "--socket",
@@ -491,17 +497,10 @@ def main(argv=None) -> int:
         "--port", type=int, default=protocol.DEFAULT_PORT
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for a fresh ledger root (existing roots "
-        "keep their manifest's count)",
-    )
-    parser.add_argument(
         "--migrate",
         metavar="LEDGER_JSON",
         default=None,
-        help="reshard this single-file ledger into --ledger and exit",
+        help="copy this ledger's records into --ledger and exit",
     )
     parser.add_argument(
         "--no-warm",

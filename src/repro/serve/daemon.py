@@ -44,8 +44,8 @@ neighbor's decision is projected onto the miss's processor count
 a warm miss simulates only that small neighborhood instead of the
 full space.
 
-Completed answers are persisted to the sharded ledger *by the worker
-child* using the lock/salvage pattern, then installed into the
+Completed answers are persisted to the ledger root's shards *by the
+worker child* using the lock/salvage pattern, then installed into the
 in-memory index here; a daemon restart rebuilds the index from the
 shards and serves every previously tuned answer as a hit.
 """
@@ -65,12 +65,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.api import HIT, QUARANTINED, ScheduleRequest
 from repro.obs.metrics import METRICS
 from repro.serve import protocol
-from repro.serve.shard import ShardedLedger
 from repro.serve.supervise import (
     QuarantineStore,
     quarantined_answer,
     run_supervised,
 )
+from repro.tuner.oracle import TuningLedger
 
 # Import for the side effect: registers the serve_tune sweep in this
 # process, so forked workers inherit it resolved.
@@ -102,7 +102,8 @@ def _draining_row(fingerprint: str) -> Dict:
 
 
 class ScheduleServer:
-    """One serving daemon over one sharded ledger root."""
+    """One serving daemon over one ledger root (a directory: the
+    quarantine store lives beside the shards)."""
 
     def __init__(
         self,
@@ -113,7 +114,6 @@ class ScheduleServer:
         tune_jobs: int = 2,
         warm_start: bool = True,
         timeout_s: Optional[float] = None,
-        shards: Optional[int] = None,
         max_pending: int = 64,
         quarantine_after: int = 3,
         worker_retries: int = 2,
@@ -122,7 +122,12 @@ class ScheduleServer:
         line_limit: int = 1 << 20,
         chaos=None,
     ):
-        self.ledger = ShardedLedger(Path(ledger_root), shards=shards)
+        self.ledger = TuningLedger(ledger_root)
+        if self.ledger.manifest is None:
+            raise ValueError(
+                f"the daemon's ledger must be a directory, not the "
+                f"one-shard file {self.ledger.path}"
+            )
         self.socket_path = socket_path
         self.host = host
         self.port = port
@@ -167,7 +172,7 @@ class ScheduleServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.tune_jobs, thread_name_prefix="serve-tune"
         )
-        for fingerprint, record in self.ledger.answers():
+        for fingerprint, record in self.ledger.answers.items():
             self._index_answer(fingerprint, record)
 
     # -- the in-memory answer index ------------------------------------

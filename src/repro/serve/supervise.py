@@ -33,6 +33,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.bench.parallel import install_envelope, run_forked
 from repro.obs.metrics import METRICS
+from repro.util.fileio import locked, write_atomic
 
 QUARANTINE_FILE = "QUARANTINE.json"
 
@@ -83,7 +84,7 @@ def run_supervised(
 class QuarantineStore:
     """Durable consecutive-crash bookkeeping per request fingerprint.
 
-    Lives beside the sharded ledger (``<root>/QUARANTINE.json``) and
+    Lives beside the ledger's shards (``<root>/QUARANTINE.json``) and
     uses the same advisory-lock + atomic-replace discipline, so a
     daemon restart — or a concurrent daemon on the same root — sees
     every recorded crash. Counts are *consecutive*: a successful tune
@@ -103,8 +104,6 @@ class QuarantineStore:
         return data if isinstance(data, dict) else {}
 
     def _write(self, data: Dict[str, Dict]):
-        from repro.bench.perf_log import write_atomic
-
         write_atomic(
             self.path, json.dumps(data, sort_keys=True, indent=1)
         )
@@ -113,8 +112,6 @@ class QuarantineStore:
         self, fingerprint: str, crashes: int, error: str
     ) -> int:
         """Add ``crashes`` consecutive crashes; returns the new total."""
-        from repro.bench.perf_log import locked
-
         with locked(self.path):
             data = self._load()
             entry = data.get(fingerprint) or {"crashes": 0}
@@ -126,8 +123,6 @@ class QuarantineStore:
 
     def record_success(self, fingerprint: str):
         """A clean tune resets the consecutive-crash count."""
-        from repro.bench.perf_log import locked
-
         with locked(self.path):
             data = self._load()
             if fingerprint in data:

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from repro.api import ScheduleRequest, tune_request
 from repro.bench.parallel import register_sweep
 from repro.obs.metrics import METRICS
-from repro.serve.shard import open_ledger
+from repro.tuner.oracle import TuningLedger
 from repro.tuner.space import Decision
 
 
@@ -59,7 +59,7 @@ def serve_tune(
         and os.getpid() != parent_pid
     ):
         os.kill(os.getpid(), signal.SIGKILL)
-    ledger = open_ledger(ledger_path)
+    ledger = TuningLedger(ledger_path) if ledger_path is not None else None
     fingerprint = ""
     try:
         request = ScheduleRequest.from_record(record)

@@ -21,8 +21,8 @@ headline results are appended to the ``BENCH_simulator.json`` perf
 trajectory.
 
 The ``--ledger/--jobs/--seed/--json`` group is the shared one from
-:mod:`repro.cli`: ``--ledger`` accepts a directory (the serving
-daemon's sharded layout) or a ``.json`` file, and ``--json`` replaces
+:mod:`repro.cli`: ``--ledger`` accepts a directory (a root of shards,
+the serving daemon's layout) or a ``.json`` file, and ``--json`` replaces
 the human report with one machine-readable summary object.
 
 Exit status is non-zero when the tuning run raises, when any oracle

@@ -11,10 +11,10 @@ layers keep re-evaluation cheap:
 * batches fan out over the sweep supervisor
   (:mod:`repro.bench.parallel`), whose forked slot children inherit
   the warm cache and ship their deltas back;
-* a persistent :class:`TuningLedger` (JSON, written atomically) maps
-  ``workload-signature/decision`` to the simulated summary, so a
-  re-tune — same workload, same params — replays from disk without
-  simulating anything.
+* a persistent :class:`TuningLedger` (one JSON file, or a directory of
+  JSON shards; written atomically) maps ``workload-signature/decision``
+  to the simulated summary, so a re-tune — same workload, same params —
+  replays from disk without simulating anything.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.prune import PruneMemo, STATIC_OOM, prune_reason
 from repro.bench.cache import (
@@ -39,7 +39,6 @@ from repro.bench.cache import (
     kernel_fingerprint,
     params_key,
 )
-from repro.bench.perf_log import locked, write_atomic
 from repro.bench.parallel import register_sweep, run_points
 from repro.core.kernel import compile_kernel
 from repro.ir.tensor import Assignment
@@ -52,6 +51,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN, MachineParams
 from repro.tuner.space import Decision, realize
 from repro.util.errors import OutOfMemoryError, ReproError
+from repro.util.fileio import locked, write_atomic
 
 #: Cost assigned to candidates that OOM or fail to compile: they sort
 #: after every feasible candidate but remain in the ledger.
@@ -299,79 +299,168 @@ def workload_signature(
     return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
+#: A ledger root's manifest file, pinning its shard count.
+MANIFEST = "MANIFEST.json"
+#: Shard count of a fresh ledger root (an existing manifest wins).
+ROOT_SHARDS = 8
+
+
+class _Shard:
+    """One shard's records: the file's as loaded, plus unsaved puts."""
+
+    __slots__ = ("entries", "answers")
+
+    def __init__(self, entries: Dict[str, Dict], answers: Dict[str, Dict]):
+        self.entries = entries
+        self.answers = answers
+
+
 class TuningLedger:
     """Persistent candidate -> summary store (incremental re-tunes).
 
-    The ledger is a JSON object ``{"version": 1, "entries": {key:
-    record}}`` with keys ``<workload signature>/<decision encoding>``.
-    The serving layer (:mod:`repro.serve`) additionally stores finished
-    canonical answers under an ``"answers"`` object keyed by request
-    fingerprint (see :mod:`repro.api`); the key is omitted entirely
-    while empty, so purely tuner-written ledgers carry no empty
-    ``"answers"`` object.
-    Files are compact JSON (sorted keys, no whitespace): the indented
+    A ledger is a list of *shards*. Each shard is one JSON object
+    ``{"version": 1, "entries": {key: record}}`` with keys ``<workload
+    signature>/<decision encoding>``. The serving layer
+    (:mod:`repro.serve`) additionally stores finished canonical answers
+    under an ``"answers"`` object keyed by request fingerprint (see
+    :mod:`repro.api`); the key is omitted entirely while empty, so
+    purely tuner-written shards carry no empty ``"answers"`` object.
+    Shards are compact JSON (sorted keys, no whitespace): the indented
     layout older versions wrote forces Python's pure-Python encoder and
     saved about four times slower; it still loads, since only the
     parsed content matters.
-    Writes go through a temporary file and ``os.replace`` so a crashed
-    or concurrent tune can never truncate it; entries are sorted on
-    save so equal tuning runs produce byte-identical files.
+
+    The path picks the layout:
+
+    * ``None`` — one in-memory shard that is never saved;
+    * a ``.json`` path or any existing file — one shard, that file;
+    * an existing directory or any other new path — a *root*::
+
+        <root>/MANIFEST.json   {"shards": 8, "version": 1}
+        <root>/shard-00.json   one shard, the same format as a .json file
+        ...
+
+      Entries route to a shard by their workload signature, answers by
+      their request fingerprint — both uniform hex digests, so shards
+      stay balanced at ``int(hex[:8], 16) % shards``. A fresh root
+      gets :data:`ROOT_SHARDS` shards; an existing manifest's count
+      wins, so every process that opens a root routes identically.
+
+    A one-shard ledger loads its file in the constructor; a root loads
+    each shard on first use (a daemon answering one workload never
+    parses the others). Saves write only the shards changed since the
+    last save, each through a temporary file and ``os.replace`` so a
+    crashed or concurrent tune can never truncate it; entries are
+    sorted on save so equal tuning runs produce byte-identical files.
 
     Loads are crash-hardened the same way the perf log's are: a torn or
-    corrupt file (killed writer on a filesystem without atomic replace,
-    stray editor, disk-full truncation) is *salvaged* — every entry
-    record that still parses is kept — and the damaged original is
-    quarantined to ``<path>.corrupt`` for inspection, so one bad byte
-    never silently discards a night of tuning.
+    corrupt shard (killed writer on a filesystem without atomic
+    replace, stray editor, disk-full truncation) is *salvaged* — every
+    entry record that still parses is kept, and the next save rewrites
+    the shard — and the damaged original is quarantined to
+    ``<shard>.corrupt`` for inspection, so one bad byte never silently
+    discards a night of tuning.
     """
 
     VERSION = 1
 
     def __init__(self, path: Optional[os.PathLike] = None):
         self.path = Path(path) if path is not None else None
-        self.entries: Dict[str, Dict] = {}
         self.hits = 0
         self.misses = 0
-        #: Saves that should have persisted but could not (an unwritable
-        #: path — counted so callers like the CLI can fail loudly; a
-        #: pathless in-memory ledger never counts).
+        #: Writes that should have persisted but could not (an
+        #: unwritable path — counted so callers like the CLI can fail
+        #: loudly; a pathless in-memory ledger never counts).
         self.save_failures = 0
-        #: Entries recovered from a corrupt file at load time (the
-        #: original was quarantined to ``<path>.corrupt``).
+        #: Entries recovered from corrupt shards at load time (each
+        #: original was quarantined to ``<shard>.corrupt``).
         self.salvaged = 0
-        #: Canonical serving answers keyed by request fingerprint
-        #: (:meth:`repro.api.ScheduleRequest.fingerprint`).
-        self.answers: Dict[str, Dict] = {}
-        if self.path is not None:
-            self.entries, self.answers = self._read()
+        p = self.path
+        is_root = p is not None and (
+            p.is_dir() or (not p.exists() and p.suffix != ".json")
+        )
+        #: The root's manifest file (``None`` for a one-shard ledger).
+        self.manifest = p / MANIFEST if is_root else None
+        self.shards = self._resolve_shard_count() if is_root else 1
+        self._loaded: List[Optional[_Shard]] = [None] * self.shards
+        self._dirty: set = set()
+        if not is_root:
+            self._shard(0)
 
-    def _read(self) -> Tuple[Dict[str, Dict], Dict[str, Dict]]:
-        """The on-disk ``(entries, answers)`` maps (salvaging a corrupt
-        file recovers entries only — answers are re-derivable from a
-        re-tune, entries are the expensive part)."""
-        if self.path is None or not self.path.exists():
-            return {}, {}
+    # -- layout --------------------------------------------------------
+
+    def _resolve_shard_count(self) -> int:
+        """An existing manifest's count wins — re-opening a root with a
+        different count would silently mis-route every key. A fresh
+        root's manifest is written under the advisory lock; a manifest
+        that cannot be written or read counts as a save failure."""
+        manifest = self.manifest
         try:
-            text = self.path.read_text()
+            if not manifest.exists():
+                self.path.mkdir(parents=True, exist_ok=True)
+                with locked(manifest):
+                    # Re-checked under the lock: another process may
+                    # have won the race, and then its count stands.
+                    if not manifest.exists() and not write_atomic(
+                        manifest,
+                        json.dumps({"version": 1, "shards": ROOT_SHARDS},
+                                   sort_keys=True) + "\n",
+                    ):
+                        raise OSError(f"cannot write {manifest}")
+            count = int(json.loads(manifest.read_text())["shards"])
+            if count > 0:
+                return count
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        self.save_failures += 1
+        return ROOT_SHARDS
+
+    def _shard_path(self, index: int) -> Optional[Path]:
+        if self.manifest is None:
+            return self.path
+        return self.path / f"shard-{index:02d}.json"
+
+    def _route(self, hex_key: str) -> int:
+        """The shard holding ``hex_key`` (a wsig or a fingerprint)."""
+        if self.shards == 1:
+            return 0
+        return int(hex_key[:8], 16) % self.shards
+
+    def _shard(self, index: int) -> _Shard:
+        shard = self._loaded[index]
+        if shard is None:
+            shard = self._loaded[index] = self._read(index)
+        return shard
+
+    def _read(self, index: int) -> _Shard:
+        """Shard ``index`` as on disk. Salvaging a corrupt file recovers
+        entries only — answers are re-derivable from a re-tune, entries
+        are the expensive part — and marks the shard for rewriting."""
+        path = self._shard_path(index)
+        if path is None or not path.exists():
+            return _Shard({}, {})
+        try:
+            text = path.read_text()
         except OSError:
-            return {}, {}
+            return _Shard({}, {})
         try:
             data = json.loads(text)
         except json.JSONDecodeError:
             entries = self._salvage(text)
             self.salvaged += len(entries)
-            self._quarantine(text)
-            return entries, {}
+            self._quarantine(path, text)
+            self._dirty.add(index)
+            return _Shard(entries, {})
         if isinstance(data, dict) and isinstance(data.get("entries"), dict):
             answers = data.get("answers")
             if not isinstance(answers, dict):
                 answers = {}
-            return data["entries"], answers
-        return {}, {}
+            return _Shard(data["entries"], answers)
+        return _Shard({}, {})
 
     @staticmethod
     def _salvage(text: str) -> Dict[str, Dict]:
-        """Entry records that still parse inside a corrupt ledger.
+        """Entry records that still parse inside a corrupt shard.
 
         Scans for ``"<wsig>/<decision>": {record}`` pairs with
         ``json.JSONDecoder.raw_decode`` — the same recovery the perf
@@ -417,81 +506,129 @@ class TuningLedger:
                 pos = quote + 1
         return entries
 
-    def _quarantine(self, text: str):
-        """Preserve a corrupt ledger next to itself (best effort)."""
+    @staticmethod
+    def _quarantine(path: Path, text: str):
+        """Preserve a corrupt shard next to itself (best effort)."""
         try:
-            write_atomic(
-                self.path.with_name(self.path.name + ".corrupt"), text
-            )
+            write_atomic(path.with_name(path.name + ".corrupt"), text)
         except OSError:
             pass
 
+    # -- records -------------------------------------------------------
+
     def get(self, wsig: str, decision: Decision) -> Optional[EvalOutcome]:
-        record = self.entries.get(f"{wsig}/{decision.encode()}")
+        shard = self._shard(self._route(wsig))
+        record = shard.entries.get(f"{wsig}/{decision.encode()}")
         if record is None:
             return None
         return EvalOutcome.from_record(record)
 
     def put(self, wsig: str, outcome: EvalOutcome):
+        index = self._route(wsig)
         key = f"{wsig}/{outcome.decision.encode()}"
-        self.entries[key] = outcome.to_record()
+        self._shard(index).entries[key] = outcome.to_record()
+        self._dirty.add(index)
 
     def get_answer(self, fingerprint: str) -> Optional[Dict]:
-        return self.answers.get(fingerprint)
+        return self._shard(self._route(fingerprint)).answers.get(fingerprint)
 
     def put_answer(self, fingerprint: str, record: Dict):
         """Store a serving answer record ``{"request": ..., "answer":
         ...}`` under its request fingerprint."""
-        self.answers[fingerprint] = record
+        index = self._route(fingerprint)
+        self._shard(index).answers[fingerprint] = record
+        self._dirty.add(index)
+
+    def _merged(self, field: str) -> Dict[str, Dict]:
+        merged: Dict[str, Dict] = {}
+        for index in range(self.shards):
+            merged.update(getattr(self._shard(index), field))
+        return merged
+
+    @property
+    def entries(self) -> Dict[str, Dict]:
+        """Every entry record by key (a copy; loads every shard)."""
+        return self._merged("entries")
+
+    @property
+    def answers(self) -> Dict[str, Dict]:
+        """Every answer record by fingerprint (a copy; loads every
+        shard — daemon startup)."""
+        return self._merged("answers")
+
+    def copy_from(self, source: "TuningLedger"):
+        """Copy every raw entry and answer record of ``source`` into
+        this ledger, each routed to its shard here (``--migrate``).
+        ``source`` is left untouched; the copies persist on the next
+        :meth:`save`."""
+        for key, record in source.entries.items():
+            index = self._route(key.split("/", 1)[0])
+            self._shard(index).entries[key] = record
+            self._dirty.add(index)
+        for fingerprint, record in source.answers.items():
+            self.put_answer(fingerprint, record)
+
+    def reload(self):
+        """Drop the in-memory state (unsaved records too) and re-read
+        shards on next use — readers polling a ledger that other
+        processes write into."""
+        self._loaded = [None] * self.shards
+        self._dirty.clear()
+
+    # -- persistence ---------------------------------------------------
 
     def save(self, stats: Optional[Dict] = None) -> bool:
-        """Persist the ledger; returns False when the path is unset or
-        the (atomic) write failed.
+        """Persist every changed shard; returns False when the path is
+        unset or any (atomic) write failed.
 
-        Saves take the shared advisory lock, re-read the file, and
-        merge entries other processes added since we loaded it (our
-        entries win on key conflicts — evaluation is deterministic, so
+        Each shard save takes the shard's advisory lock, re-reads the
+        file, and merges records other processes added since we loaded
+        it (ours win on key conflicts — evaluation is deterministic, so
         conflicting records are equal anyway), so concurrent tunes
         sharing one ledger never drop each other's work.
 
         ``stats`` (the oracle's hit counts; see :meth:`Oracle.stats`)
-        is recorded under ``"oracle_stats"`` — counters are derived
-        from candidate fingerprints, not cache state, so equal-seed
-        runs still write byte-identical ledgers.
+        is recorded under ``"oracle_stats"`` in every shard written —
+        counters are derived from candidate fingerprints, not cache
+        state, so equal-seed runs still write byte-identical ledgers.
         """
         if self.path is None:
             return False
+        ok = True
+        for index in sorted(self._dirty):
+            if self._save_shard(index, stats):
+                self._dirty.discard(index)
+            else:
+                self.save_failures += 1
+                ok = False
+        return ok
+
+    def _save_shard(self, index: int, stats: Optional[Dict]) -> bool:
+        path = self._shard_path(index)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
-            self.save_failures += 1
             return False
-        with locked(self.path):
-            merged, merged_answers = self._read()
-            merged.update(self.entries)
-            merged_answers.update(self.answers)
-            self.entries = merged
-            self.answers = merged_answers
-            payload = {
-                "version": self.VERSION,
-                "entries": {k: merged[k] for k in sorted(merged)},
-            }
-            if merged_answers:
-                payload["answers"] = {
-                    k: merged_answers[k] for k in sorted(merged_answers)
-                }
+        with locked(path):
+            merged = self._read(index)
+            mine = self._loaded[index]
+            merged.entries.update(mine.entries)
+            merged.answers.update(mine.answers)
+            self._loaded[index] = merged
+            payload = {"version": self.VERSION, "entries": merged.entries}
+            if merged.answers:
+                payload["answers"] = merged.answers
             if stats is not None:
                 payload["oracle_stats"] = stats
             text = json.dumps(
                 payload, sort_keys=True, separators=(",", ":")
             ) + "\n"
-            ok = write_atomic(self.path, text)
-        if not ok:
-            self.save_failures += 1
-        return ok
+            return write_atomic(path, text)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(
+            len(self._shard(index).entries) for index in range(self.shards)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,83 @@
+"""Crash-safe file primitives shared by every on-disk store.
+
+The perf log (:mod:`repro.bench.perf_log`), the tuning ledger
+(:class:`repro.tuner.oracle.TuningLedger`) and the serving daemon's
+quarantine store (:mod:`repro.serve.supervise`) all persist with the
+same discipline: writers serialize on an advisory lock beside the
+target (:func:`locked`), and every write lands through a same-directory
+temp file and ``os.replace`` (:func:`write_atomic`), so readers never
+observe a torn file.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def locked(path: Path):
+    """Best-effort advisory lock serializing concurrent writers of
+    ``path``.
+
+    The lock file lives *beside* the target (same directory), so logs
+    pointed into temporary directories (``REPRO_BENCH_LOG`` in tests,
+    per-run ledgers) lock within that directory — never at a shared
+    global location — and the sidecar is a runtime artifact covered by
+    ``.gitignore``, not repository content. A missing parent directory
+    is created first, so a fresh temp path can be locked immediately.
+    """
+    lock_file = None
+    try:
+        import fcntl
+
+        path.parent.mkdir(parents=True, exist_ok=True)
+        lock_file = open(path.with_name(path.name + ".lock"), "a+")
+        fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
+    except (ImportError, OSError):
+        # Fall back to unlocked appends (atomic replace still protects
+        # readers); don't leak the handle if only the flock failed.
+        if lock_file is not None:
+            lock_file.close()
+        lock_file = None
+    try:
+        yield
+    finally:
+        if lock_file is not None:
+            try:
+                import fcntl
+
+                fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
+            except (ImportError, OSError):
+                pass
+            lock_file.close()
+
+
+def write_atomic(path: Path, text: str) -> bool:
+    """Write ``text`` to ``path`` via a same-directory temp file and
+    ``os.replace``, so readers never observe a torn file."""
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent), prefix=path.name, suffix=".tmp"
+        )
+    except OSError:
+        return False
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            # fsync before the rename: without it, a crash (or power
+            # loss) between write and replace can publish an *empty*
+            # temp file under the final name — a stale-but-valid log
+            # that silently drops every record written so far.
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True

@@ -21,7 +21,7 @@ from repro.machine.cluster import Cluster
 from repro.obs.metrics import METRICS
 from repro.serve.client import ScheduleClient
 from repro.serve.daemon import ScheduleServer, start_background
-from repro.serve.shard import ShardedLedger
+from repro.tuner.oracle import TuningLedger
 from repro.tuner.workloads import sized
 
 
@@ -130,7 +130,7 @@ class TestDedupAndWarm:
             assert answer["cost"] != "infeasible"
         assert _counter("serve.warm_started") == warm0 + 1
         # Persisted with its true provenance, not rewritten to "hit".
-        ledger = ShardedLedger(tmp_path / "ledger")
+        ledger = TuningLedger(tmp_path / "ledger")
         record = ledger.get_answer(_request(size=128).fingerprint())
         assert record["answer"]["provenance"] == "warm-started"
 
@@ -187,6 +187,23 @@ class TestProtocolOps:
             assert all(r["provenance"] == "hit" for r in responses)
             done = client.schedule(slow)
             assert done["status"] == "ok"
+
+
+class TestLedgerPath:
+    def test_json_ledger_is_refused_in_one_line(self, tmp_path, capsys):
+        """The daemon's quarantine store lives beside the shards, so a
+        one-shard ``.json`` ledger is an error, not a directory named
+        ``X.json``."""
+        from repro.serve.__main__ import main
+
+        existing = tmp_path / "old"
+        existing.write_text('{"version": 1, "entries": {}}')
+        for path in (tmp_path / "X.json", existing):
+            assert main(["--ledger", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "directory" in err, err
+        assert not (tmp_path / "X.json").exists()
+        assert existing.is_file()
 
 
 def _canonical(answer_record):

@@ -1,9 +1,9 @@
-"""Multi-process ledger stress: concurrent writers, kill -9 crashes.
+"""Multi-process ledger-root stress: concurrent writers, kill -9 crashes.
 
-The acceptance bar for the sharded ledger is the single-file one's,
-under load: N uncoordinated writer processes lose nothing to each
-other (every save is an advisory-locked read-merge-write), equal-seed
-writer schedules leave byte-identical shard directories, and a
+The acceptance bar for a ledger root is a one-shard file's, under
+load: N uncoordinated writer processes lose nothing to each other
+(every shard save is an advisory-locked read-merge-write), equal-seed
+writer schedules leave byte-identical root directories, and a
 ``kill -9`` landing anywhere inside the persistence path never leaves
 a corrupt shard on disk (every replace is atomic).
 """
@@ -14,7 +14,7 @@ import os
 import signal
 from pathlib import Path
 
-from repro.serve.shard import MANIFEST, ShardedLedger
+from repro.tuner.oracle import MANIFEST, TuningLedger
 
 WRITERS = 4
 PER_WRITER = 25
@@ -31,8 +31,17 @@ def _record(writer: int, i: int) -> dict:
     }
 
 
+def _root(path: Path, shards: int) -> Path:
+    """A fresh root pinned to ``shards`` by a pre-written manifest."""
+    path.mkdir(parents=True)
+    (path / MANIFEST).write_text(
+        json.dumps({"version": 1, "shards": shards}) + "\n"
+    )
+    return path
+
+
 def _writer(root: str, writer: int, per_writer: int):
-    ledger = ShardedLedger(Path(root), shards=4)
+    ledger = TuningLedger(Path(root))
     for i in range(per_writer):
         ledger.put_answer(_fingerprint(writer, i), _record(writer, i))
         if not ledger.save():
@@ -41,7 +50,7 @@ def _writer(root: str, writer: int, per_writer: int):
 
 
 def _crash_victim(root: str, started):
-    ledger = ShardedLedger(Path(root), shards=2)
+    ledger = TuningLedger(Path(root))
     i = 0
     while True:
         ledger.put_answer(_fingerprint(9, i), _record(9, i))
@@ -53,7 +62,7 @@ def _crash_victim(root: str, started):
 
 class TestConcurrentWriters:
     def test_no_writer_loses_entries(self, tmp_path):
-        root = tmp_path / "root"
+        root = _root(tmp_path / "root", 4)
         ctx = mp.get_context("fork")
         procs = [
             ctx.Process(target=_writer, args=(str(root), w, PER_WRITER))
@@ -65,8 +74,8 @@ class TestConcurrentWriters:
             p.join(timeout=60)
             assert p.exitcode == 0
 
-        ledger = ShardedLedger(root)
-        answers = dict(ledger.answers())
+        ledger = TuningLedger(root)
+        answers = ledger.answers
         assert len(answers) == WRITERS * PER_WRITER
         for w in range(WRITERS):
             for i in range(PER_WRITER):
@@ -76,7 +85,7 @@ class TestConcurrentWriters:
     def test_equal_schedules_are_byte_identical(self, tmp_path):
         roots = [tmp_path / "a", tmp_path / "b"]
         for root in roots:
-            ledger = ShardedLedger(root, shards=4)
+            ledger = TuningLedger(root)
             for w in range(2):
                 for i in range(8):
                     ledger.put_answer(
@@ -94,7 +103,7 @@ class TestConcurrentWriters:
 
 class TestKillDuringPersistence:
     def test_sigkill_never_corrupts_a_shard(self, tmp_path):
-        root = tmp_path / "root"
+        root = _root(tmp_path / "root", 2)
         ctx = mp.get_context("fork")
         started = ctx.Event()
         victim = ctx.Process(target=_crash_victim, args=(str(root), started))
@@ -113,29 +122,29 @@ class TestKillDuringPersistence:
             if path.name.endswith(".lock"):
                 continue  # advisory-lock sentinels, always empty
             json.loads(path.read_text())
-        reopened = ShardedLedger(root)
-        answers = dict(reopened.answers())
+        reopened = TuningLedger(root)
+        answers = reopened.answers
         assert reopened.salvaged == 0
         for i in range(4):
             assert answers[_fingerprint(9, i)] == _record(9, i)
 
     def test_reload_sees_another_process_saves(self, tmp_path):
-        root = tmp_path / "root"
-        reader = ShardedLedger(root, shards=2)
-        assert dict(reader.answers()) == {}
+        root = _root(tmp_path / "root", 2)
+        reader = TuningLedger(root)
+        assert reader.answers == {}
         ctx = mp.get_context("fork")
         writer = ctx.Process(target=_writer, args=(str(root), 0, 5))
         writer.start()
         writer.join(timeout=60)
         assert writer.exitcode == 0
         reader.reload()
-        assert len(dict(reader.answers())) == 5
+        assert len(reader.answers) == 5
 
     def test_interrupted_before_first_save_leaves_empty_root(
         self, tmp_path
     ):
         root = tmp_path / "root"
-        ShardedLedger(root, shards=2)  # manifest only, no dirty shards
+        TuningLedger(root)  # manifest only, no dirty shards
         names = sorted(
             p.name for p in root.iterdir()
             if not p.name.endswith(".lock")
