@@ -6,9 +6,10 @@ counts in reach: 131,072 processors, 512 communication phases whose
 steady state replays instead of re-resolving. Like every benchmark
 here the default run reduces the axis to fit the suite budget — the
 trio through the small counts plus Cannon alone at 32,768 nodes
-(~2 min of exact per-member column arithmetic on one core); set
-``REPRO_FULL_SWEEP=1`` to push the top point to the full 65,536 nodes
-(~6 min, the `python -m repro.bench weak65536` axis top). Broadcast
+(23 s on a 2-core VM); set ``REPRO_FULL_SWEEP=1`` to push the top
+point to the full 65,536 nodes (98 s there, the
+`python -m repro.bench weak65536` axis top). Each simulation prices
+its phases as they close, so the top point stays under 1 GB. Broadcast
 algorithms stop at the small counts: they have no replayable phase
 structure and would dominate the budget without adding information
 about the scaling claim, which is Cannon's.

@@ -24,7 +24,7 @@ from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
 from repro.machine.machine import Machine
 from repro.runtime.executor import ExecutionResult, Executor
 from repro.scheduling.schedule import Schedule
-from repro.sim.costmodel import CostModel
+from repro.sim.costmodel import CostModel, SkeletonAccumulator
 from repro.sim.params import LASSEN, MachineParams
 from repro.sim.report import SimReport
 
@@ -86,6 +86,8 @@ class Kernel:
         mode: str = "batched",
         sanitize: bool = False,
         fault_plan=None,
+        *,
+        skeleton=None,
     ) -> ExecutionResult:
         """Symbolic execution: the full phase trace, no data movement.
 
@@ -102,6 +104,13 @@ class Kernel:
         a planned node kill raises
         :class:`~repro.util.errors.NodeFailure` at the exact phase
         boundary, identically in every mode.
+
+        ``skeleton`` (a
+        :class:`~repro.sim.costmodel.SkeletonAccumulator`) receives
+        every step. The orbit executor prices each step as it closes
+        and then releases its copy columns, so the returned trace keeps
+        labels, representatives and work but cannot be priced again;
+        the other modes add the steps after the run.
         """
         if mode == "orbit":
             from repro.runtime.orbit import OrbitExecutor
@@ -109,6 +118,7 @@ class Kernel:
             executor = OrbitExecutor(
                 self.plan, check_capacity=check_capacity,
                 sanitize=sanitize, fault_plan=fault_plan,
+                skeleton=skeleton,
             )
         elif mode in ("batched", "scalar"):
             executor = Executor(
@@ -124,7 +134,11 @@ class Kernel:
                 f"unknown execution mode {mode!r} "
                 f"(expected 'orbit', 'batched' or 'scalar')"
             )
-        return executor.run()
+        result = executor.run()
+        if skeleton is not None and mode != "orbit":
+            for step in result.trace.steps:
+                skeleton.add(step)
+        return result
 
     def simulate(
         self,
@@ -143,17 +157,34 @@ class Kernel:
         Defaults to the orbit-compressed executor — simulation cost
         scales with the number of distinct per-context behaviours
         instead of the grid size, with byte-identical ``SimReport``
-        numbers (``tests/runtime/test_orbit_executor.py``). Pass
-        ``mode="batched"`` or ``mode="scalar"`` for the uncompressed
-        interpreters. ``breakdown=True`` attaches the per-phase
-        :class:`~repro.sim.report.PhaseBreakdown` without changing any
-        report number.
+        numbers (``tests/runtime/test_orbit_executor.py``). Each step
+        is priced as it closes and its copy columns dropped, so peak
+        memory grows with the processor count, not with processors ×
+        phases: Cannon on 65,536 CPU nodes simulates in under 1 GB.
+        The report equals ``CostModel.time_trace`` of the full trace.
+        Pass ``mode="batched"`` or ``mode="scalar"`` for the
+        uncompressed interpreters. ``breakdown=True`` attaches the
+        per-phase :class:`~repro.sim.report.PhaseBreakdown` without
+        changing any report number.
+
+        With a ``fault_plan`` the run keeps every step's columns, so
+        the :class:`~repro.util.errors.NodeFailure` a kill raises
+        carries a partial trace that can still be priced.
         """
-        result = self.trace(
-            check_capacity=check_capacity, mode=mode, fault_plan=fault_plan
-        )
         model = CostModel(self.machine.cluster, params)
-        return model.time_trace(result.trace, breakdown=breakdown)
+        if fault_plan is not None:
+            result = self.trace(
+                check_capacity=check_capacity, mode=mode,
+                fault_plan=fault_plan,
+            )
+            return model.time_trace(result.trace, breakdown=breakdown)
+        acc = SkeletonAccumulator(model)
+        result = self.trace(
+            check_capacity=check_capacity, mode=mode, skeleton=acc
+        )
+        return model.price_skeleton(
+            acc.finish(result.trace.memory_high_water), breakdown=breakdown
+        )
 
     def analyze(
         self,

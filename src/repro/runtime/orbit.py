@@ -816,18 +816,34 @@ class _StepBuilder:
     #: chunk; lets the fetch path prove the whole step is a clone.
     replay_votes: List[Tuple] = field(default_factory=list)
     clone_src: Optional["_StepBuilder"] = None
+    #: The finalized columns (``None`` for a step without copies). Kept
+    #: here rather than read back from the step, whose columns a
+    #: streamed run releases once priced; a later clone copies them.
+    columns: Optional[CopyColumns] = None
 
     def finalize(self, tables: _MachineTables, tensor_ids: Dict[str, int],
                  extent_cap: int = None):
-        if self.clone_src is not None:
+        src = self.clone_src
+        # Drop the links to earlier builders: only the fetch that built
+        # this step reads them, and each builder would otherwise keep
+        # its whole replay chain alive.
+        self.replay_votes = []
+        self.clone_src = None
+        if src is not None:
             # Translation-replayed step: the columns are byte-identical
-            # to the source step's (pinned there first — builders
-            # finalize in step order).
-            self.step.pin_columns(self.clone_src.step.columns())
-            return
+            # to the source step's (finalized first — builders finalize
+            # in step order).
+            self.columns = src.columns
+        else:
+            self.columns = self._build(tables, tensor_ids, extent_cap)
+        if self.columns is not None:
+            self.step.pin_columns(self.columns)
+
+    def _build(self, tables: _MachineTables, tensor_ids: Dict[str, int],
+               extent_cap: Optional[int]) -> Optional[CopyColumns]:
         rows = sum(c.lo.shape[0] for c in self.chunks)
         if rows == 0:
-            return
+            return None
         max_nd = 0
         for c in self.chunks:
             max_nd = max(max_nd, c.lo.shape[1])
@@ -878,7 +894,7 @@ class _StepBuilder:
             group = fold_rows(gcols, ranges)
         src_node = tables.node_of_proc[src_proc]
         dst_node = tables.node_of_proc[dst_proc]
-        cols = CopyColumns(
+        return CopyColumns(
             n=rows,
             nbytes=nbytes,
             src_proc=src_proc,
@@ -894,7 +910,6 @@ class _StepBuilder:
             num_groups=int(group.max()) + 1 if rows else 0,
             count=np.ones(rows, dtype=np.int64),
         )
-        self.step.pin_columns(cols)
 
 
 # ----------------------------------------------------------------------
@@ -907,14 +922,24 @@ class OrbitExecutor(Executor):
 
     def __init__(
         self, plan, check_capacity: bool = False, sanitize: bool = False,
-        fault_plan=None,
+        fault_plan=None, skeleton=None,
     ):
         super().__init__(
             plan, materialize=False, check_capacity=check_capacity,
             batched=True, sanitize=sanitize, fault_plan=fault_plan,
         )
+        #: A :class:`~repro.sim.costmodel.SkeletonAccumulator` that
+        #: prices each step as it closes, after which the step's copy
+        #: columns are released (``None``: keep the full record).
+        self._skeleton = skeleton
         self._mt = machine_tables(self.machine)
+        self._extent_cap = max(
+            (max(t.shape) for t in plan.tensors.values() if t.shape),
+            default=1,
+        )
         self._regions: Dict[int, "_Region"] = {}
+        #: The open step's builder (keyed by step id); popped when the
+        #: step closes.
         self._builders: Dict[int, _StepBuilder] = {}
         self._tensor_ids = {
             name: i for i, name in enumerate(sorted(plan.tensors))
@@ -963,14 +988,7 @@ class OrbitExecutor(Executor):
         ctxs = [root_ctx]
         with span("orbit.run"):
             self._exec(self.plan.root, ctxs, self._make_block(ctxs))
-            extent_cap = max(
-                (max(t.shape) for t in self.plan.tensors.values()
-                 if t.shape),
-                default=1,
-            )
-            with span("orbit.finalize"):
-                for builder in self._builders.values():
-                    builder.finalize(self._mt, self._tensor_ids, extent_cap)
+            self._close_step()
         self.trace.memory_high_water = dict(self.env.high_water)
         METRICS.inc("orbit.runs")
         METRICS.inc("orbit.steps", len(self.trace.steps))
@@ -996,6 +1014,29 @@ class OrbitExecutor(Executor):
         block = super()._make_block(ctxs)
         self._regions[id(block)] = _Region(self, ctxs, block)
         return block
+
+    def _new_step(self, label: str) -> Step:
+        """Open the next phase. The current one closes first — before
+        the fault hook in :meth:`Trace.new_step` may interrupt the run,
+        so a failure's partial trace holds finalized steps only."""
+        self._close_step()
+        return self.trace.new_step(label)
+
+    def _close_step(self):
+        """Finalize the last step's columns; in a streamed run, price
+        the step and release them."""
+        if not self.trace.steps:
+            return
+        step = self.trace.steps[-1]
+        builder = self._builders.pop(id(step), None)
+        if builder is not None:
+            with span("orbit.finalize"):
+                builder.finalize(
+                    self._mt, self._tensor_ids, self._extent_cap
+                )
+        if self._skeleton is not None:
+            self._skeleton.add(step)
+            step.release_columns()
 
     def _builder(self, step: Step) -> _StepBuilder:
         b = self._builders.get(id(step))
@@ -1031,11 +1072,11 @@ class OrbitExecutor(Executor):
         block = self._make_block(new_ctxs)
         held = None
         if node.comm:
-            step = self.trace.new_step("task-start fetch")
+            step = self._new_step("task-start fetch")
             held = self._orbit_fetch(node.comm, block, step)
         self._exec(node.body, new_ctxs, block)
         if node.flush:
-            step = self.trace.new_step("task-end reduction")
+            step = self._new_step("task-end reduction")
             events = _EventStream()
             self._orbit_flush(
                 node.flush, self._regions[id(block)], step, events
@@ -1056,13 +1097,13 @@ class OrbitExecutor(Executor):
                     ctx.env[node.var] = point
             block.bind(node.var, iteration)
             if node.comm:
-                step = self.trace.new_step(f"{node.var.name}={iteration}")
+                step = self._new_step(f"{node.var.name}={iteration}")
                 prev = self._orbit_fetch(
                     node.comm, block, step, release=prev
                 )
             self._exec(node.body, ctxs, block)
             if node.flush:
-                step = self.trace.new_step(f"{node.var.name} reduction")
+                step = self._new_step(f"{node.var.name} reduction")
                 events = _EventStream()
                 self._orbit_flush(
                     node.flush, self._regions[id(block)], step, events

@@ -255,6 +255,17 @@ class Step:
         self._columns = columns
         self._columns_pinned = True
 
+    def release_columns(self):
+        """Drop the columnar view once the step has been priced.
+
+        A streamed run (``Kernel.simulate``) prices each step as it
+        closes; releasing its columns keeps peak memory at one step's
+        worth. A released step's view cannot be rebuilt — orbit steps
+        keep only class representatives — so :meth:`columns` raises.
+        """
+        self._columns = None
+        self._columns_pinned = True
+
     def columns(self) -> CopyColumns:
         """The columnar copy view, built on first use and cached.
 
@@ -262,6 +273,12 @@ class Step:
         and the cost model reads them only after the step is complete.
         """
         if self._columns_pinned:
+            if self._columns is None:
+                raise RuntimeError(
+                    f"step {self.label!r} was priced as it closed and its "
+                    f"copy columns released; trace without a skeleton "
+                    f"to keep them"
+                )
             return self._columns
         if self._columns is None or self._columns.n != len(self.copies):
             self._columns = CopyColumns.from_copies(self.copies)

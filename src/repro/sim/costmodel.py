@@ -148,59 +148,13 @@ class CostModel:
         )
 
     def skeleton_of(self, trace: Trace) -> TraceSkeleton:
-        """Price a trace's communication and capture its work entries.
-
-        Steps with byte-identical copy batches (a systolic algorithm's
-        steady state repeats one batch every iteration) are priced once
-        via a content digest, so communication pricing scales with the
-        number of *distinct* steps. The digest hit pattern is kept per
-        step (``price_replayed``) — the replay provenance the
-        observability layer surfaces — and counted in the metrics
-        registry.
-        """
-        with span("costmodel.skeleton"):
-            steps: List[Tuple[float, Tuple[WorkEntry, ...]]] = []
-            priced: Dict[Tuple, float] = {}
-            labels: List[str] = []
-            copy_bytes: List[int] = []
-            inter_bytes: List[int] = []
-            replayed: List[bool] = []
-            price_hits = 0
-            for step in trace.steps:
-                cols = step.columns()
-                hit = False
-                if cols.n == 0:
-                    t_comm = 0.0
-                else:
-                    digest = _step_digest(cols)
-                    t_comm = priced.get(digest)
-                    hit = t_comm is not None
-                    if not hit:
-                        t_comm = self.comm_time(cols)
-                        priced[digest] = t_comm
-                steps.append((t_comm, _work_entries(step)))
-                labels.append(step.label)
-                copy_bytes.append(step.total_copy_bytes)
-                inter_bytes.append(step.inter_node_bytes)
-                replayed.append(hit)
-                price_hits += hit
-            METRICS.inc("costmodel.step_price_hits", price_hits)
-            METRICS.inc(
-                "costmodel.step_price_misses", len(steps) - price_hits
-            )
-            # The per-step byte columns sum (exact integers, same
-            # order) to the trace aggregates the seed read directly.
-            return TraceSkeleton(
-                steps=steps,
-                inter_node_bytes=sum(inter_bytes),
-                total_copy_bytes=sum(copy_bytes),
-                num_nodes=self.cluster.num_nodes,
-                memory_high_water=dict(trace.memory_high_water),
-                labels=tuple(labels),
-                step_copy_bytes=tuple(copy_bytes),
-                step_inter_bytes=tuple(inter_bytes),
-                price_replayed=tuple(replayed),
-            )
+        """Price a finished trace's steps into a skeleton (see
+        :class:`SkeletonAccumulator`, which also prices steps as a run
+        produces them)."""
+        acc = SkeletonAccumulator(self)
+        for step in trace.steps:
+            acc.add(step)
+        return acc.finish(trace.memory_high_water)
 
     def price_skeleton(
         self,
@@ -526,3 +480,71 @@ class CostModel:
             proc_in.max(),
         )
         return float(worst_link) + params.latency * max_stages
+
+
+class SkeletonAccumulator:
+    """Prices steps one at a time into a :class:`TraceSkeleton`.
+
+    ``add(step)`` prices a completed step's communication and captures
+    its work entries; ``finish(high_water)`` returns the skeleton. An
+    executor given an accumulator (``Kernel.trace(skeleton=...)``)
+    adds each step as it closes and then releases the step's copy
+    columns, so a streamed run never holds more than one step's
+    columns; :meth:`CostModel.skeleton_of` adds a finished trace's
+    steps in order. Both give the same skeleton.
+
+    Steps with byte-identical copy batches (a systolic algorithm's
+    steady state repeats one batch every iteration) are priced once via
+    a content digest, so communication pricing scales with the number
+    of *distinct* steps. The digest hit pattern is kept per step
+    (``price_replayed``) — the replay provenance the observability
+    layer surfaces — and counted in the metrics registry.
+    """
+
+    def __init__(self, model: CostModel):
+        self._model = model
+        self._steps: List[Tuple[float, Tuple[WorkEntry, ...]]] = []
+        self._priced: Dict[Tuple, float] = {}
+        self._labels: List[str] = []
+        self._copy_bytes: List[int] = []
+        self._inter_bytes: List[int] = []
+        self._replayed: List[bool] = []
+
+    def add(self, step: Step):
+        with span("costmodel.skeleton"):
+            cols = step.columns()
+            hit = False
+            if cols.n == 0:
+                t_comm = 0.0
+            else:
+                digest = _step_digest(cols)
+                t_comm = self._priced.get(digest)
+                hit = t_comm is not None
+                if not hit:
+                    t_comm = self._model.comm_time(cols)
+                    self._priced[digest] = t_comm
+            self._steps.append((t_comm, _work_entries(step)))
+            self._labels.append(step.label)
+            self._copy_bytes.append(step.total_copy_bytes)
+            self._inter_bytes.append(step.inter_node_bytes)
+            self._replayed.append(hit)
+
+    def finish(self, high_water: Dict[str, int]) -> TraceSkeleton:
+        price_hits = sum(self._replayed)
+        METRICS.inc("costmodel.step_price_hits", price_hits)
+        METRICS.inc(
+            "costmodel.step_price_misses", len(self._steps) - price_hits
+        )
+        # The per-step byte columns sum (exact integers, same order) to
+        # the trace aggregates the seed read directly.
+        return TraceSkeleton(
+            steps=self._steps,
+            inter_node_bytes=sum(self._inter_bytes),
+            total_copy_bytes=sum(self._copy_bytes),
+            num_nodes=self._model.cluster.num_nodes,
+            memory_high_water=dict(high_water),
+            labels=tuple(self._labels),
+            step_copy_bytes=tuple(self._copy_bytes),
+            step_inter_bytes=tuple(self._inter_bytes),
+            price_replayed=tuple(self._replayed),
+        )

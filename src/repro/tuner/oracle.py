@@ -47,7 +47,7 @@ from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.obs.spans import span
-from repro.sim.costmodel import CostModel
+from repro.sim.costmodel import CostModel, SkeletonAccumulator
 from repro.sim.params import LASSEN, MachineParams
 from repro.tuner.space import Decision, realize
 from repro.util.errors import OutOfMemoryError, ReproError
@@ -177,14 +177,17 @@ def oracle_simulate(kernel, params: MachineParams, check_capacity: bool,
             )
             return report, False, True
     model = CostModel(kernel.machine.cluster, params)
+    acc = SkeletonAccumulator(model)
     try:
-        result = kernel.trace(check_capacity=check_capacity, mode=mode)
+        result = kernel.trace(
+            check_capacity=check_capacity, mode=mode, skeleton=acc
+        )
     except OutOfMemoryError as err:
         args = (err.memory_name, err.needed_bytes, err.capacity_bytes)
         SKELETONS.put(skey, ("oom", args))
         SIM_CACHE.put(kernel, params, check_capacity, mode, ("oom", args))
         raise
-    skeleton = model.skeleton_of(result.trace)
+    skeleton = acc.finish(result.trace.memory_high_water)
     report = model.price_skeleton(skeleton)
     SKELETONS.put(
         skey, ("ok", skeleton, _leaf_kernels(kernel.plan))

@@ -9,7 +9,11 @@ structured :class:`NodeFailure` payload.
 import pytest
 
 from repro import Grid, Machine, compile_kernel
+from repro.algorithms.matmul import cannon, summa
 from repro.faults.events import FaultPlan, KillNode
+from repro.machine.cluster import Cluster
+from repro.sim.costmodel import CostModel
+from repro.sim.params import LASSEN
 from repro.tuner.space import from_heuristic, realize
 from repro.tuner.workloads import lean_cluster, matmul, ttv
 from repro.util.errors import NodeFailure
@@ -78,8 +82,11 @@ class TestInjection:
 
     def test_simulate_also_injects(self, kernel):
         plan = FaultPlan(events=(KillNode(phase=1, node=0),))
-        with pytest.raises(NodeFailure):
+        with pytest.raises(NodeFailure) as exc:
             kernel.simulate(fault_plan=plan)
+        # The failure's partial trace keeps its columns: it still prices.
+        model = CostModel(kernel.machine.cluster, LASSEN)
+        assert model.time_trace(exc.value.partial_trace).num_steps == 1
 
     def test_other_workload_shapes(self):
         kernel = build_kernel(ttv(48), lean_cluster(4), (2, 2))
@@ -91,3 +98,26 @@ class TestInjection:
             kernel.machine.proc_at(coords).node_id == 3
             for _name, coords, _rect in exc.value.lost
         )
+
+
+class TestPartialTracePricing:
+    """A kill's partial trace prices the same in every interpreter: the
+    orbit executor finalizes the completed step before the fault hook
+    can interrupt the run, so no step falls back to its compressed
+    representatives."""
+
+    @pytest.mark.parametrize("build", [cannon, summa])
+    def test_orbit_partial_trace_prices_like_batched(self, build):
+        kernel = build(Machine(Cluster.cpu_cluster(16), Grid(8, 4)), 2048)
+        model = CostModel(kernel.machine.cluster, LASSEN)
+        for phase in range(1, 6):
+            plan = FaultPlan(events=(KillNode(phase=phase, node=1),))
+            priced = {}
+            for mode in ("batched", "orbit"):
+                with pytest.raises(NodeFailure) as exc:
+                    kernel.trace(mode=mode, fault_plan=plan)
+                partial = exc.value.partial_trace
+                assert len(partial.steps) == phase
+                report = model.time_trace(partial)
+                priced[mode] = (report.total_time, report.inter_node_bytes)
+            assert priced["orbit"] == priced["batched"], phase

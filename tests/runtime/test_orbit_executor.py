@@ -8,6 +8,9 @@ case-study schedule, on higher-order kernels, and on deliberately
 non-divisible (prime-extent) problems that defeat the symmetry.
 """
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from repro.algorithms.matmul import (
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
+from repro.runtime import orbit as orbit_module
 from repro.runtime.orbit import (
     OrbitExecutor,
     _fold_keys,
@@ -30,6 +34,7 @@ from repro.runtime.orbit import (
     fold_groups,
     fold_rows,
 )
+from repro.sim.costmodel import CostModel, SkeletonAccumulator
 from repro.sim.params import LASSEN
 from repro.util.errors import OutOfMemoryError
 
@@ -42,7 +47,26 @@ def assert_identical_reports(kernel, check_capacity=False):
         LASSEN, check_capacity=check_capacity, mode="scalar"
     )
     assert orbit == scalar, f"{orbit!r} != {scalar!r}"
+    assert_streamed_matches_full(kernel, check_capacity)
     return orbit
+
+
+def assert_streamed_matches_full(kernel, check_capacity=False):
+    """``simulate`` prices orbit steps as they close; the report must
+    equal pricing the full orbit trace afterwards, byte for byte."""
+    model = CostModel(kernel.machine.cluster, LASSEN)
+    for breakdown in (False, True):
+        streamed = kernel.simulate(
+            LASSEN, check_capacity=check_capacity, mode="orbit",
+            breakdown=breakdown,
+        )
+        full = model.time_trace(
+            kernel.trace(check_capacity=check_capacity, mode="orbit").trace,
+            breakdown=breakdown,
+        )
+        assert pickle.dumps(streamed) == pickle.dumps(full), (
+            f"{streamed!r} != {full!r}"
+        )
 
 
 @pytest.fixture
@@ -142,12 +166,13 @@ class TestMachinesAndMemories:
             kernel.simulate(LASSEN, mode="orbit")
         with pytest.raises(OutOfMemoryError) as scalar_err:
             kernel.simulate(LASSEN, mode="scalar")
-        a, b = orbit_err.value, scalar_err.value
-        assert (a.memory_name, a.needed_bytes, a.capacity_bytes) == (
-            b.memory_name,
-            b.needed_bytes,
-            b.capacity_bytes,
-        )
+        with pytest.raises(OutOfMemoryError) as traced_err:
+            kernel.trace(mode="orbit")
+        payloads = [
+            (e.memory_name, e.needed_bytes, e.capacity_bytes)
+            for e in (orbit_err.value, scalar_err.value, traced_err.value)
+        ]
+        assert payloads[0] == payloads[1] == payloads[2]
 
 
 class TestCompression:
@@ -205,6 +230,67 @@ class TestCompression:
             assert sorted(np.bincount(oc.group).tolist()) == sorted(
                 np.bincount(sc.group).tolist()
             )
+
+
+class _Probe(SkeletonAccumulator):
+    """Records the executor's live state each time a step is priced."""
+
+    def __init__(self, model, executor):
+        super().__init__(model)
+        self.executor = executor
+        self.builders = []  # weak references to every builder made
+        self.samples = []
+
+    def add(self, step):
+        super().add(step)
+        steps = self.executor.trace.steps
+        self.samples.append((
+            len(self.executor._builders),
+            sum(ref() is not None for ref in self.builders),
+            sum(s._columns is not None for s in steps),
+        ))
+
+
+class TestStreamedPricing:
+    # SUMMA's steady phases replay the previous phase's chunks, so each
+    # builder votes for its predecessor: a builder that kept its votes
+    # after finalizing would keep the whole chain alive.
+    @pytest.mark.parametrize("build", [cannon, summa])
+    def test_state_stays_bounded_over_many_phases(self, build, monkeypatch):
+        kernel = build(Machine(Cluster.cpu_cluster(64), Grid(64, 2)), 1024)
+        model = CostModel(kernel.machine.cluster, LASSEN)
+        executor = OrbitExecutor(kernel.plan)
+        probe = _Probe(model, executor)
+        executor._skeleton = probe
+        make = orbit_module._StepBuilder
+
+        def tracked(step):
+            builder = make(step)
+            probe.builders.append(weakref.ref(builder))
+            return builder
+
+        monkeypatch.setattr(orbit_module, "_StepBuilder", tracked)
+        result = executor.run()
+        steps = result.trace.steps
+        assert len(steps) >= 60
+        assert len(probe.samples) == len(steps)
+        assert len(probe.builders) >= 60
+        # Only the step being priced is open and holds columns; phase
+        # memos keep the last builder per tensor alive.
+        for open_builders, live_builders, pinned in probe.samples:
+            assert open_builders == 0
+            assert live_builders <= 4
+            assert pinned <= 1
+        for step in steps:
+            with pytest.raises(RuntimeError, match="released"):
+                step.columns()
+        skeleton = probe.finish(result.trace.memory_high_water)
+        full = kernel.trace(check_capacity=False, mode="orbit").trace
+        assert model.price_skeleton(skeleton) == model.time_trace(full)
+
+    def test_unstreamed_trace_keeps_its_columns(self, m44):
+        trace = cannon(m44, 256).trace(mode="orbit").trace
+        assert all(step.columns() is not None for step in trace.steps)
 
 
 class TestAnalysisOnCompressedTraces:
