@@ -160,7 +160,7 @@ class Kernel:
         numbers (``tests/runtime/test_orbit_executor.py``). Each step
         is priced as it closes and its copy columns dropped, so peak
         memory grows with the processor count, not with processors ×
-        phases: Cannon on 65,536 CPU nodes simulates in under 1 GB.
+        phases: Cannon on 65,536 CPU nodes peaks under 400 MB.
         The report equals ``CostModel.time_trace`` of the full trace.
         Pass ``mode="batched"`` or ``mode="scalar"`` for the
         uncompressed interpreters. ``breakdown=True`` attaches the

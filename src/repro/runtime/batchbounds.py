@@ -38,7 +38,7 @@ BatchInterval = Tuple[np.ndarray, np.ndarray]
 
 
 class CtxBlock:
-    """Columnar view of one context list (one plan region).
+    """Columnar view of ``n`` task contexts (one plan region).
 
     ``env`` maps each bound loop variable to per-context ``(lo, hi)``
     endpoint columns. Launch variables hold one point per context;
@@ -48,21 +48,24 @@ class CtxBlock:
     and invalidated on every bind.
     """
 
-    def __init__(self, ctxs, gpu_flags: Optional[np.ndarray] = None):
-        self.ctxs = ctxs
-        self.n = len(ctxs)
-        self.env: Dict[IndexVar, BatchInterval] = {}
-        if ctxs:
-            for var in ctxs[0].env:
-                lo = np.fromiter(
-                    (c.env[var].lo for c in ctxs), np.int64, self.n
-                )
-                hi = np.fromiter(
-                    (c.env[var].hi for c in ctxs), np.int64, self.n
-                )
-                self.env[var] = (lo, hi)
+    def __init__(self, env: Dict[IndexVar, BatchInterval], n: int,
+                 gpu_flags: Optional[np.ndarray] = None):
+        self.n = n
+        self.env = env
         self.gpu = gpu_flags
         self._memo: Dict[Tuple[IndexVar, bool], BatchInterval] = {}
+
+    @classmethod
+    def from_ctxs(cls, ctxs, gpu_flags: Optional[np.ndarray] = None):
+        """The columnar view of a list of per-context records."""
+        n = len(ctxs)
+        env: Dict[IndexVar, BatchInterval] = {}
+        if ctxs:
+            for var in ctxs[0].env:
+                lo = np.fromiter((c.env[var].lo for c in ctxs), np.int64, n)
+                hi = np.fromiter((c.env[var].hi for c in ctxs), np.int64, n)
+                env[var] = (lo, hi)
+        return cls(env, n, gpu_flags)
 
     def bind(self, var: IndexVar, value: int):
         """Bind a sequential variable to one iteration for all contexts."""

@@ -287,7 +287,7 @@ class Executor:
             bool,
             len(ctxs),
         )
-        return CtxBlock(ctxs, gpu)
+        return CtxBlock.from_ctxs(ctxs, gpu)
 
     def _exec(
         self, node: PlanNode, ctxs: List[_Ctx], block: Optional[CtxBlock]

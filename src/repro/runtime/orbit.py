@@ -21,17 +21,21 @@ runs as numpy column arithmetic:
    by sort/searchsorted instead of per-context dict probes. Nearest-
    source selection reproduces the scalar rule ``min((torus distance,
    coords))`` exactly.
-3. **Compressed traces.** Each orbit emits one representative
-   :class:`~repro.runtime.trace.Copy` carrying a ``count``
-   multiplicity; per-processor :class:`~repro.runtime.trace.Work` is
-   likewise stored once per class of identical timelines. The exact
-   per-member endpoint columns are still built (as numpy arrays, never
-   Python objects) and pinned on each step, so the cost model's
-   link-contention accounting is byte-identical to full execution.
-4. **No per-context path.** Requests spanning several home pieces,
-   reduction flushes and leaf-level communication are class-batched
-   too, with memory events replayed in the scalar interpreter's order;
-   the executor has no per-context resolve API. Results stay exact
+3. **Compressed traces.** Each orbit contributes one representative
+   copy carrying a ``count`` multiplicity, stored as columns
+   (:class:`~repro.runtime.trace.CopyReps`) that ``step.copies`` turns
+   into :class:`~repro.runtime.trace.Copy` objects on first read;
+   per-processor :class:`~repro.runtime.trace.Work` is likewise stored
+   once per class of identical timelines. The exact per-member endpoint
+   columns are still built (as numpy arrays, never Python objects) and
+   pinned on each step, so the cost model's link-contention accounting
+   is byte-identical to full execution.
+4. **No per-context path.** Launches build their contexts as columns
+   (coordinates, loop-variable endpoints, processors); requests
+   spanning several home pieces, reduction flushes and leaf-level
+   communication are class-batched too, with memory events replayed in
+   the scalar interpreter's order; the executor has no per-context
+   resolve API. Results stay exact
    against the scalar interpreter (asserted by
    ``tests/runtime/test_orbit_executor.py`` on every Figure 9 schedule
    plus deliberately non-divisible problem sizes, and by
@@ -40,7 +44,7 @@ runs as numpy column arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,10 +55,10 @@ from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
-from repro.runtime.executor import ExecutionResult, Executor, _Ctx
-from repro.runtime.trace import Copy, CopyColumns, Step, Trace
+from repro.runtime.executor import ExecutionResult, Executor
+from repro.runtime.trace import CopyColumns, CopyReps, Step, Trace
 from repro.util.errors import LoweringError, OutOfMemoryError
-from repro.util.geometry import Interval, Rect
+from repro.util.geometry import Rect
 
 # ----------------------------------------------------------------------
 # Key folding: collision-free int64 row keys for vectorized joins.
@@ -761,10 +765,7 @@ class _EmitInfo:
     builder: "_StepBuilder"
     keep: Optional[np.ndarray]  # row filter over the member set, or None
     first: np.ndarray           # class representatives (kept-row index)
-    counts: np.ndarray
-    rep_args: List[dict]
-    rep_lo: np.ndarray
-    rep_hi: np.ndarray
+    reps: CopyReps
 
 
 @dataclass
@@ -944,10 +945,6 @@ class OrbitExecutor(Executor):
         self._tensor_ids = {
             name: i for i, name in enumerate(sorted(plan.tensors))
         }
-        #: Representative Rect objects, memoized by endpoint tuple —
-        #: steady-state phases re-emit the same class rectangles step
-        #: after step.
-        self._rect_memo: Dict[Tuple, Rect] = {}
         #: Per-(region, tensor) phase memos for conjugate replay.
         self._phase_memos: Dict[Tuple[int, str], _PhaseMemo] = {}
         #: The previous phase's held rows, per tensor (set by the fetch
@@ -980,14 +977,13 @@ class OrbitExecutor(Executor):
         self.trace = Trace()
         self._arm_faults()
         self.arrays = {}
-        root_ctx = _Ctx(
-            ctx_id=0,
-            coords=tuple([0] * self.machine.dim),
-            proc=self.machine.proc_at(tuple([0] * self.machine.dim)),
+        # The root context runs at machine point 0.
+        root = self._region_block(
+            np.zeros((1, self.machine.dim), dtype=np.int64),
+            self._mt.proc_of_point[:1], {},
         )
-        ctxs = [root_ctx]
         with span("orbit.run"):
-            self._exec(self.plan.root, ctxs, self._make_block(ctxs))
+            self._exec(self.plan.root, root)
             self._close_step()
         self.trace.memory_high_water = dict(self.env.high_water)
         METRICS.inc("orbit.runs")
@@ -1010,9 +1006,16 @@ class OrbitExecutor(Executor):
             memory_high_water=dict(self.env.high_water),
         )
 
-    def _make_block(self, ctxs: List[_Ctx]) -> CtxBlock:
-        block = super()._make_block(ctxs)
-        self._regions[id(block)] = _Region(self, ctxs, block)
+    def _region_block(self, coords: np.ndarray, proc: np.ndarray,
+                      env: Dict) -> CtxBlock:
+        """A context block and its region from context columns:
+        machine coordinates, processor ids and loop-variable
+        endpoints."""
+        mt = self._mt
+        block = CtxBlock(
+            env, proc.size, mt.mem_gpu[mt.procmem_of_proc[proc]]
+        )
+        self._regions[id(block)] = _Region(coords, proc, block)
         return block
 
     def _new_step(self, label: str) -> Step:
@@ -1047,34 +1050,44 @@ class OrbitExecutor(Executor):
 
     # -- plan-tree interpretation --------------------------------------
 
-    def _exec_launch(self, node: LaunchNode, ctxs: List[_Ctx]):
-        from itertools import product
+    def _exec(self, node: PlanNode, block: CtxBlock):
+        if isinstance(node, LaunchNode):
+            self._exec_launch(node, block)
+        elif isinstance(node, SeqNode):
+            self._exec_seq(node, block)
+        elif isinstance(node, LeafNode):
+            self._exec_leaf(node, block)
+        else:
+            raise LoweringError(f"unknown plan node {type(node).__name__}")
 
-        new_ctxs: List[_Ctx] = []
-        for ctx in ctxs:
-            for point in product(*(range(e) for e in node.extents)):
-                coords = list(ctx.coords)
-                env = dict(ctx.env)
-                for dim, var, value in zip(
-                    node.machine_dims, node.vars, point
-                ):
-                    coords[dim] = value
-                    env[var] = Interval.point(value)
-                coords_t = tuple(coords)
-                new_ctxs.append(
-                    _Ctx(
-                        ctx_id=len(new_ctxs),
-                        coords=coords_t,
-                        proc=self.machine.proc_at(coords_t),
-                        env=env,
-                    )
-                )
-        block = self._make_block(new_ctxs)
+    def _exec_launch(self, node: LaunchNode, parent: CtxBlock):
+        # Child contexts parent-major, then launch points in
+        # lexicographic order; each inherits its parent's coordinates
+        # and bindings (sequential ones are scalars) and binds the
+        # launch variables to its point.
+        mt = self._mt
+        n = parent.n
+        points = np.indices(node.extents).reshape(len(node.extents), -1)
+        fan = points.shape[1]
+        coords = np.repeat(self._regions[id(parent)].coords, fan, axis=0)
+        env = {
+            var: tuple(
+                np.repeat(np.broadcast_to(col, (n,)), fan) for col in cols
+            )
+            for var, cols in parent.env.items()
+        }
+        for dim, var, point in zip(node.machine_dims, node.vars, points):
+            point = np.tile(point, n)
+            coords[:, dim] = point
+            env[var] = (point, point + 1)
+        block = self._region_block(
+            coords, mt.proc_of_point[coords @ mt.strides], env
+        )
         held = None
         if node.comm:
             step = self._new_step("task-start fetch")
             held = self._orbit_fetch(node.comm, block, step)
-        self._exec(node.body, new_ctxs, block)
+        self._exec(node.body, block)
         if node.flush:
             step = self._new_step("task-end reduction")
             events = _EventStream()
@@ -1085,23 +1098,16 @@ class OrbitExecutor(Executor):
         if held is not None:
             self._release_held(held)
 
-    def _exec_seq(self, node: SeqNode, ctxs, block):
-        # Nested launches re-snapshot context environments, so the
-        # per-context binding only matters when the body launches again.
-        bind_ctx_envs = _has_launch(node.body)
+    def _exec_seq(self, node: SeqNode, block: CtxBlock):
         prev = None
         for iteration in range(node.extent):
-            if bind_ctx_envs:
-                point = Interval.point(iteration)
-                for ctx in ctxs:
-                    ctx.env[node.var] = point
             block.bind(node.var, iteration)
             if node.comm:
                 step = self._new_step(f"{node.var.name}={iteration}")
                 prev = self._orbit_fetch(
                     node.comm, block, step, release=prev
                 )
-            self._exec(node.body, ctxs, block)
+            self._exec(node.body, block)
             if node.flush:
                 step = self._new_step(f"{node.var.name} reduction")
                 events = _EventStream()
@@ -1111,12 +1117,9 @@ class OrbitExecutor(Executor):
                 self.env.apply_events(*events.ordered())
         if prev is not None:
             self._release_held(prev)
-        if bind_ctx_envs:
-            for ctx in ctxs:
-                ctx.env.pop(node.var, None)
         block.unbind(node.var)
 
-    def _exec_leaf(self, node: LeafNode, ctxs, block):
+    def _exec_leaf(self, node: LeafNode, block: CtxBlock):
         step = self.trace.current
         region = self._regions[id(block)]
         batch = self._leaf_work_batch(node, block)
@@ -1887,7 +1890,7 @@ class OrbitExecutor(Executor):
             # emission columns and class partition carry, only the
             # rectangles move. A pure translation also clones the step.
             emitted = self._emit_carried(
-                step, name, emit, lo_f, hi_f, ndim, classes.distinct,
+                step, emit, lo_f, hi_f, classes.distinct,
                 vote=not shift.any() and seam.size == 0,
             )
         else:
@@ -1905,8 +1908,7 @@ class OrbitExecutor(Executor):
             classes, src_coords, emitted, shift, int(seam.size),
         )
 
-    def _emit_carried(self, step, name, emit, lo_f, hi_f, ndim, distinct,
-                      vote):
+    def _emit_carried(self, step, emit, lo_f, hi_f, distinct, vote):
         """Re-emit the previous phase's chunk with this phase's
         rectangles (endpoints, payloads and classes unchanged)."""
         chunk = emit.chunk
@@ -1933,39 +1935,21 @@ class OrbitExecutor(Executor):
             # the source chunk's, and group ids are translation
             # invariant: finalize may clone the source step's columns.
             builder.replay_votes.append((emit.builder, emit.pos))
-        rep_lo = kept_lo[emit.first]
-        rep_hi = kept_hi[emit.first]
-        self._append_reps(step, name, rep_lo, rep_hi, emit.rep_args, ndim)
+        reps = replace(
+            emit.reps, lo=kept_lo[emit.first], hi=kept_hi[emit.first]
+        )
+        step.defer_copies(reps)
         return _EmitInfo(
             chunk=new_chunk, pos=new_pos, builder=builder,
-            keep=keep, first=emit.first, counts=emit.counts,
-            rep_args=emit.rep_args, rep_lo=rep_lo, rep_hi=rep_hi,
+            keep=keep, first=emit.first, reps=reps,
         )
-
-    def _append_reps(self, step, name, rep_lo, rep_hi, rep_args, ndim):
-        """Append class-representative copies with replayed rects."""
-        rect_memo = self._rect_memo
-        append = step.copies.append
-        lo_list = rep_lo.tolist()
-        hi_list = rep_hi.tolist()
-        for r, args in enumerate(rep_args):
-            rect_key = (tuple(lo_list[r]), tuple(hi_list[r]))
-            rect = rect_memo.get(rect_key)
-            if rect is None:
-                rect = Rect(
-                    tuple(
-                        Interval(lo_list[r][d], hi_list[r][d])
-                        for d in range(ndim)
-                    )
-                )
-                rect_memo[rect_key] = rect
-            append(Copy(tensor=name, rect=rect, **args))
 
     def _emit_bulk(self, step: Step, name: str, region: "_Region",
                    member_idx: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    other_coords: np.ndarray, tensor, reduce: bool = False,
                    distinct: bool = False):
-        """Emit one phase-tensor batch: columns plus class representatives.
+        """Emit one phase-tensor batch: columns plus class representatives
+        (``step.copies`` builds those on first read).
 
         ``member_idx`` names the region contexts on one side of the
         transfer and ``other_coords`` the machine points on the other:
@@ -2035,7 +2019,7 @@ class OrbitExecutor(Executor):
         chunk_pos = len(builder.chunks)
         builder.chunks.append(chunk)
         # Orbit classes: (shape, source offset, inter/intra) — one
-        # representative Copy per class, weighted by multiplicity. The
+        # representative copy per class, weighted by multiplicity. The
         # payload is a function of the shape, so it needs no column.
         k = nbytes.size
         mdim = mt.shape.size
@@ -2072,55 +2056,26 @@ class OrbitExecutor(Executor):
             first, counts = fold_groups(
                 np.column_stack(cols), [(0, span) for span in spans]
             )
-        procs = self.machine.cluster.processors
-        reps = first.tolist()
-        rep_counts = counts.tolist()
-        rep_lo = lo[:, first].T.tolist()
-        rep_hi = hi[:, first].T.tolist()
-        rep_src_c = src_coords[first].tolist()
-        rep_dst_c = dst_coords[first].tolist()
-        rep_nbytes = nbytes[first].tolist()
-        rep_src_p = src_proc[first].tolist()
-        rep_dst_p = dst_proc[first].tolist()
-        rep_src_m = src_mem[first].tolist()
-        rep_dst_m = dst_mem[first].tolist()
-        append = step.copies.append
-        rect_memo = self._rect_memo
-        rep_args = []
-        for r in range(len(reps)):
-            rect_key = (tuple(rep_lo[r]), tuple(rep_hi[r]))
-            rect = rect_memo.get(rect_key)
-            if rect is None:
-                rect = Rect(
-                    tuple(
-                        Interval(rep_lo[r][d], rep_hi[r][d])
-                        for d in range(ndim)
-                    )
-                )
-                rect_memo[rect_key] = rect
-            args = dict(
-                nbytes=rep_nbytes[r],
-                src_proc=procs[rep_src_p[r]],
-                dst_proc=procs[rep_dst_p[r]],
-                src_mem=mt.memories[rep_src_m[r]],
-                dst_mem=mt.memories[rep_dst_m[r]],
-                src_coords=tuple(rep_src_c[r]),
-                dst_coords=tuple(rep_dst_c[r]),
-                reduce=reduce,
-                count=rep_counts[r],
-            )
-            rep_args.append(args)
-            append(Copy(tensor=name, rect=rect, **args))
+        reps = CopyReps(
+            tensor=name,
+            lo=lo[:, first].T,
+            hi=hi[:, first].T,
+            nbytes=nbytes[first],
+            count=counts,
+            src_proc=src_proc[first],
+            dst_proc=dst_proc[first],
+            src_mem=src_mem[first],
+            dst_mem=dst_mem[first],
+            src_coords=src_coords[first],
+            dst_coords=dst_coords[first],
+            reduce=reduce,
+            processors=self.machine.cluster.processors,
+            memories=mt.memories,
+        )
+        step.defer_copies(reps)
         return _EmitInfo(
-            chunk=chunk,
-            pos=chunk_pos,
-            builder=builder,
-            keep=keep_mask,
-            first=first,
-            counts=counts,
-            rep_args=rep_args,
-            rep_lo=lo[:, first].T.copy(),
-            rep_hi=hi[:, first].T.copy(),
+            chunk=chunk, pos=chunk_pos, builder=builder,
+            keep=keep_mask, first=first, reps=reps,
         )
 
     def _emit_multi_piece(self, step: Step, name: str, region: "_Region",
@@ -2173,7 +2128,7 @@ class OrbitExecutor(Executor):
         covered[cls] = True
         if not covered.all():
             c = int(np.argmin(covered))
-            rect = _rect_from(c_lo[:, c], c_hi[:, c], c_lo.shape[0])
+            rect = Rect.from_bounds(c_lo[:, c].tolist(), c_hi[:, c].tolist())
             raise LoweringError(
                 f"no valid instance found for {name} rect {rect}"
             )
@@ -2430,20 +2385,17 @@ def _fan_out(row_class: np.ndarray, inv: np.ndarray, n_classes: int):
 
 
 class _Region:
-    """Per-context-batch lookup tables (one plan launch region)."""
+    """Per-context-batch lookup tables (one plan launch region):
+    each context's machine coordinates ``(n, mdim)`` and processor id."""
 
-    def __init__(self, executor: OrbitExecutor, ctxs: List[_Ctx],
+    def __init__(self, coords: np.ndarray, proc: np.ndarray,
                  block: CtxBlock):
+        # Holding the block keeps its id — the region and phase-memo
+        # key — from being reused.
         self.block = block
-        self.ctxs = ctxs
-        self.n = len(ctxs)
-        mdim = executor.machine.dim
-        coords = np.empty((self.n, mdim), dtype=np.int64)
-        for i, ctx in enumerate(ctxs):
-            coords[i] = ctx.coords
+        self.n = proc.size
         self.coords = coords
-        mt = executor._mt
-        self.proc = mt.proc_of_point[coords @ mt.strides]
+        self.proc = proc
         self._home: Dict[str, Tuple] = {}
         self._member_of_linear: Optional[np.ndarray] = None
         self._perms: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
@@ -2494,16 +2446,3 @@ class _Region:
         self._home[name] = out
         return out
 
-
-def _rect_from(lo: np.ndarray, hi: np.ndarray, ndim: int) -> Rect:
-    return Rect(
-        tuple(Interval(int(lo[d]), int(hi[d])) for d in range(ndim))
-    )
-
-
-def _has_launch(node: PlanNode) -> bool:
-    while node is not None:
-        if isinstance(node, LaunchNode):
-            return True
-        node = getattr(node, "body", None)
-    return False

@@ -13,6 +13,12 @@ and residency flags) plus a precomputed collective-group id per copy.
 The columns are derived once per step and cached; ``step.copies`` stays
 the canonical record (tests and analyses construct and append ``Copy``
 objects directly).
+
+The orbit-compressed executor emits each step's class representatives
+as columns (:class:`CopyReps`, plain arrays) rather than ``Copy``
+objects: ``step.copies`` builds them on first read, in emission order,
+so a streamed simulation that prices only the columns never creates
+them.
 """
 
 from __future__ import annotations
@@ -57,6 +63,52 @@ class Copy:
     @property
     def inter_node(self) -> bool:
         return self.src_proc.node_id != self.dst_proc.node_id
+
+
+@dataclass(eq=False)
+class CopyReps:
+    """One emission's class-representative copies, as columns.
+
+    Row ``r`` is the representative of one orbit class: its rectangle
+    (``lo``/``hi``, ``(r, ndim)``), payload, multiplicity, endpoint
+    processor and memory ids (indices into ``processors`` and
+    ``memories``) and endpoint machine coordinates. :meth:`copies`
+    turns the rows into :class:`Copy` objects.
+    """
+
+    tensor: str
+    lo: np.ndarray
+    hi: np.ndarray
+    nbytes: np.ndarray
+    count: np.ndarray
+    src_proc: np.ndarray
+    dst_proc: np.ndarray
+    src_mem: np.ndarray
+    dst_mem: np.ndarray
+    src_coords: np.ndarray
+    dst_coords: np.ndarray
+    reduce: bool
+    processors: List[Processor]
+    memories: List[Memory]
+
+    def copies(self) -> List[Copy]:
+        procs, mems = self.processors, self.memories
+        cols = (
+            self.lo, self.hi, self.nbytes, self.src_proc, self.dst_proc,
+            self.src_mem, self.dst_mem, self.src_coords, self.dst_coords,
+            self.count,
+        )
+        return [
+            Copy(
+                tensor=self.tensor, rect=Rect.from_bounds(lo, hi),
+                nbytes=nbytes, src_proc=procs[sp], dst_proc=procs[dp],
+                src_mem=mems[sm], dst_mem=mems[dm], src_coords=tuple(sc),
+                dst_coords=tuple(dc), reduce=self.reduce, count=count,
+            )
+            for lo, hi, nbytes, sp, dp, sm, dm, sc, dc, count in zip(
+                *(col.tolist() for col in cols)
+            )
+        ]
 
 
 @dataclass
@@ -239,6 +291,22 @@ class Step:
         self._columns: Optional[CopyColumns] = None
         self._columns_pinned = False
 
+    def _get_copies(self) -> List[Copy]:
+        if self._deferred:
+            deferred, self._deferred = self._deferred, []
+            for reps in deferred:
+                self._copies.extend(reps.copies())
+        return self._copies
+
+    def _set_copies(self, copies: List[Copy]):
+        self._copies = copies
+        self._deferred: List[CopyReps] = []
+
+    def defer_copies(self, reps: CopyReps):
+        """Append class representatives to build on the first read of
+        :attr:`copies` (after every copy appended before them)."""
+        self._deferred.append(reps)
+
     def work_for(self, proc: Processor) -> Work:
         if proc.proc_id not in self.work:
             self.work[proc.proc_id] = Work()
@@ -295,6 +363,11 @@ class Step:
     @property
     def total_flops(self) -> float:
         return sum(w.flops * w.count for w in self.work.values())
+
+
+# ``copies`` stays a dataclass field (constructor argument, equality,
+# repr) but reads through the deferred representatives.
+Step.copies = property(Step._get_copies, Step._set_copies)
 
 
 @dataclass

@@ -525,8 +525,10 @@ class SkeletonAccumulator:
                     self._priced[digest] = t_comm
             self._steps.append((t_comm, _work_entries(step)))
             self._labels.append(step.label)
-            self._copy_bytes.append(step.total_copy_bytes)
-            self._inter_bytes.append(step.inter_node_bytes)
+            # Exact sums over the copies, without building them.
+            weighted = cols.nbytes * cols.count
+            self._copy_bytes.append(int(weighted.sum()))
+            self._inter_bytes.append(int(weighted @ cols.inter))
             self._replayed.append(hit)
 
     def finish(self, high_water: Dict[str, int]) -> TraceSkeleton:

@@ -8,6 +8,7 @@ case-study schedule, on higher-order kernels, and on deliberately
 non-divisible (prime-extent) problems that defeat the symmetry.
 """
 
+import hashlib
 import pickle
 import weakref
 
@@ -23,6 +24,11 @@ from repro.algorithms.matmul import (
     solomonik,
     summa,
 )
+from repro.algorithms.matmul import matmul_assignment
+from repro.codegen.plan import LaunchNode, SeqNode
+from repro.core.kernel import compile_kernel
+from repro.formats.format import Format
+from repro.ir.expr import index_vars
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
@@ -34,7 +40,9 @@ from repro.runtime.orbit import (
     fold_groups,
     fold_rows,
 )
+from repro.runtime.trace import Step
 from repro.sim.costmodel import CostModel, SkeletonAccumulator
+from repro.scheduling.schedule import Schedule
 from repro.sim.params import LASSEN
 from repro.util.errors import OutOfMemoryError
 
@@ -69,14 +77,22 @@ def assert_streamed_matches_full(kernel, check_capacity=False):
         )
 
 
+def _m44():
+    return Machine(Cluster.cpu_cluster(8), Grid(4, 4))
+
+
+def _m222():
+    return Machine(Cluster.cpu_cluster(4), Grid(2, 2, 2))
+
+
 @pytest.fixture
 def m44():
-    return Machine(Cluster.cpu_cluster(8), Grid(4, 4))
+    return _m44()
 
 
 @pytest.fixture
 def m222():
-    return Machine(Cluster.cpu_cluster(4), Grid(2, 2, 2))
+    return _m222()
 
 
 class TestFig9Parity:
@@ -173,6 +189,249 @@ class TestMachinesAndMemories:
             for e in (orbit_err.value, scalar_err.value, traced_err.value)
         ]
         assert payloads[0] == payloads[1] == payloads[2]
+
+
+def _nested_matmul(machine, n, memory, layout):
+    """``A(i,j) = B(i,k) C(k,j)`` with a sequential ``ko`` loop between
+    or above index launches.
+
+    ``layout`` picks the plan: ``"flat"`` is Launch(io) -> Seq(ko) ->
+    Launch(jo) over the two dimensions of one grid; ``"levels"`` is
+    Launch(node grid) -> Seq(ko) -> Launch(processor grid) of a
+    hierarchical machine; ``"top"`` is Seq(ko) -> Launch(both levels).
+    """
+    levels = len(machine.levels)
+    f = Format(["xy -> xy"] * levels, memory=memory)
+    stmt, _, _, _ = matmul_assignment(n, f, f, f)
+    i, j, k = stmt.all_vars
+    io, ii, jo, ji, ko, ki = index_vars("io ii jo ji ko ki")
+    if layout == "flat":
+        gx, gy = machine.shape
+        sched = (
+            Schedule(stmt)
+            .distribute([i], [io], [ii], Grid(gx))
+            .divide(j, jo, ji, gy)
+            .divide(k, ko, ki, 2)
+            .reorder([ko, jo, ii, ji])
+            .distribute(jo)
+            .communicate(["A", "C"], jo)
+            .communicate("B", ko)
+        )
+        return compile_kernel(sched, machine)
+    iio, iii, jio, jii = index_vars("iio iii jio jii")
+    sched = (
+        Schedule(stmt)
+        .distribute([i, j], [io, jo], [ii, ji], machine.levels[0])
+        .distribute(
+            [ii, ji], [iio, jio], [iii, jii], machine.levels[1], level=1
+        )
+        .split(k, ko, ki, n // 4)
+    )
+    if layout == "top":
+        sched.reorder([ko, io, jo, iio, jio, iii, jii])
+    else:
+        sched.reorder([ko, iio, jio, iii, jii])
+    sched.communicate("A", jio).communicate(["B", "C"], ko)
+    return compile_kernel(sched, machine)
+
+
+def _shape(node):
+    """The plan tree's Launch/Seq spine, e.g. ``"LSL"``."""
+    out = ""
+    while isinstance(node, (LaunchNode, SeqNode)):
+        out += "L" if isinstance(node, LaunchNode) else "S"
+        node = node.body
+    return out
+
+
+def assert_modes_byte_identical(kernel):
+    reports = [
+        pickle.dumps(kernel.simulate(LASSEN, check_capacity=True, mode=mode))
+        for mode in ("scalar", "batched", "orbit")
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert_streamed_matches_full(kernel, check_capacity=True)
+
+
+class TestNestedLaunches:
+    """Launches under a multi-context parent or a sequential loop build
+    their contexts from the parent's columns; every interpreter must
+    agree byte for byte."""
+
+    def test_flat_machine(self, m44):
+        kernel = _nested_matmul(m44, 64, MemoryKind.SYSTEM_MEM, "flat")
+        assert _shape(kernel.plan.root) == "LSL"
+        assert_modes_byte_identical(kernel)
+
+    def test_flat_machine_prime_extent(self, m44):
+        kernel = _nested_matmul(m44, 67, MemoryKind.SYSTEM_MEM, "flat")
+        assert_modes_byte_identical(kernel)
+
+    def test_hierarchical_machine(self):
+        m = Machine(Cluster.gpu_cluster(4), Grid(2, 2), Grid(2, 2))
+        kernel = _nested_matmul(m, 64, MemoryKind.GPU_FB, "levels")
+        assert _shape(kernel.plan.root) == "LSL"
+        assert_modes_byte_identical(kernel)
+
+    def test_sequential_loop_above_launch(self):
+        m = Machine(Cluster.gpu_cluster(4), Grid(2, 2), Grid(2, 2))
+        kernel = _nested_matmul(m, 64, MemoryKind.GPU_FB, "top")
+        # Adjacent distributed loops lower to one launch, whatever
+        # their machine levels: plans never nest Launch -> Launch.
+        assert _shape(kernel.plan.root) == "SL"
+        assert_modes_byte_identical(kernel)
+
+    def test_oom_payloads_match(self):
+        # Home pieces fit a 1 GiB framebuffer; the node-level chunk
+        # fetches under the sequential loop do not.
+        cluster = Cluster.gpu_cluster(4, framebuffer_gib=2)
+        m = Machine(cluster, Grid(2, 2), Grid(2, 2))
+        kernel = _nested_matmul(m, 16000, MemoryKind.GPU_FB, "levels")
+        runs = [
+            lambda mode=mode: kernel.simulate(
+                LASSEN, check_capacity=True, mode=mode
+            )
+            for mode in ("scalar", "batched", "orbit")
+        ]
+        runs.append(lambda: kernel.trace(check_capacity=True, mode="orbit"))
+        payloads = []
+        for run in runs:
+            with pytest.raises(OutOfMemoryError) as err:
+                run()
+            e = err.value
+            payloads.append((e.memory_name, e.needed_bytes, e.capacity_bytes))
+        assert payloads == [payloads[0]] * 4
+        # Past the three home tiles: the failure is inside the loop.
+        assert payloads[0][1] > 3 * (16000 // 4) ** 2 * 8
+
+
+def _copy_rows_digest(trace) -> str:
+    """Digest of every step's ``copies``: order, fields and counts."""
+    rows = [
+        (step.label, [
+            (c.tensor, tuple((iv.lo, iv.hi) for iv in c.rect.intervals),
+             c.nbytes, c.src_proc.proc_id, c.dst_proc.proc_id,
+             c.src_mem.name, c.dst_mem.name, c.src_coords, c.dst_coords,
+             c.reduce, c.count)
+            for c in step.copies
+        ])
+        for step in trace.steps
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+#: Digests of ``Kernel.trace(mode="orbit")`` step copies as eager
+#: per-class ``Copy`` emission produced them; building representatives
+#: on first read must reproduce them exactly.
+PINNED_COPIES = {
+    "cannon": (lambda: cannon(_m44(), 256), "13d0271d966b1f86"),
+    "summa": (lambda: summa(_m44(), 256), "94acb7326f7b49a0"),
+    "pumma": (lambda: pumma(_m44(), 256), "bb3342bbe58e83b9"),
+    "johnson": (lambda: johnson(_m222(), 256), "9b0e78b04a320192"),
+    "solomonik": (lambda: solomonik(_m222(), 256), "240e6550b76c3f2c"),
+    "cosma": (
+        lambda: cosma(Cluster.cpu_cluster(8), 256), "4e2e1e3b7b2985ec"
+    ),
+    "ttv": (lambda: ttv(_m44(), 64), "59b2c920f2585ff8"),
+    "innerprod": (lambda: innerprod(_m44(), 64), "627edc9880b9e4df"),
+    "ttm": (lambda: ttm(
+        Machine(Cluster.cpu_cluster(8), Grid(16)), 64, r=16
+    ), "59b2c920f2585ff8"),
+    "mttkrp": (lambda: mttkrp(_m222(), 64, r=16), "8b5762a13af0d809"),
+    "cannon-257": (lambda: cannon(_m44(), 257), "2affdddde576c113"),
+    "summa-131": (lambda: summa(_m44(), 131), "799ab1a73026adbb"),
+    "johnson-101": (lambda: johnson(_m222(), 101), "913320300a0a289f"),
+    "systolic-tie": (lambda: cannon(
+        Machine(Cluster.cpu_cluster(9, sockets_per_node=1), Grid(3, 3)), 96
+    ), "1b82c054f80e4e0f"),
+    "gpu-framebuffer": (lambda: cannon(
+        Machine(Cluster.gpu_cluster(4), Grid(4, 4)), 512,
+        memory=MemoryKind.GPU_FB,
+    ), "8b58da0859dfa563"),
+    "hierarchical": (lambda: cannon(
+        Machine(Cluster.gpu_cluster(4), Grid(2, 2), Grid(2, 2)), 256,
+        memory=MemoryKind.GPU_FB,
+    ), "549f77e64c2db75e"),
+    "host-resident-cannon": (lambda: cannon(
+        Machine(Cluster.gpu_cluster(4, gpus_per_node=2), Grid(4, 2)), 512,
+        memory=MemoryKind.SYSTEM_MEM,
+    ), "33bc11d1e0f9767e"),
+    "host-resident-summa": (lambda: summa(
+        Machine(Cluster.gpu_cluster(4, gpus_per_node=2), Grid(4, 2)), 512,
+        memory=MemoryKind.SYSTEM_MEM,
+    ), "0fcd4d3435f5c2cc"),
+    "over-decomposition": (lambda: cannon(
+        Machine(Cluster.cpu_cluster(2, sockets_per_node=1), Grid(4, 4)), 128
+    ), "d7b954270cd1b1a6"),
+    "nested-flat": (lambda: _nested_matmul(
+        _m44(), 67, MemoryKind.SYSTEM_MEM, "flat"
+    ), "f7b8a17735f3e17d"),
+    "nested-levels": (lambda: _nested_matmul(
+        Machine(Cluster.gpu_cluster(4), Grid(2, 2), Grid(2, 2)), 64,
+        MemoryKind.GPU_FB, "levels",
+    ), "bd166d3cbd2dddb1"),
+}
+
+
+class TestDeferredRepresentatives:
+    """Orbit steps store class representatives as columns and build
+    ``Copy`` objects on the first read of ``step.copies``."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_COPIES))
+    def test_copies_match_eager_emission(self, case):
+        build, digest = PINNED_COPIES[case]
+        trace = build().trace(mode="orbit").trace
+        assert _copy_rows_digest(trace) == digest
+
+    @pytest.mark.parametrize("case", ["summa-131", "nested-levels"])
+    def test_column_totals_equal_representative_sums(self, case):
+        kernel = PINNED_COPIES[case][0]()
+        trace = kernel.trace(mode="orbit").trace
+        copy_bytes = [step.total_copy_bytes for step in trace.steps]
+        inter_bytes = [step.inter_node_bytes for step in trace.steps]
+        for step, total, inter_total in zip(
+            trace.steps, copy_bytes, inter_bytes
+        ):
+            cols = step.columns()
+            inter = cols.inter
+            assert int(cols.nbytes @ cols.count) == total
+            assert int(cols.nbytes[inter] @ cols.count[inter]) == inter_total
+        # The streamed accumulator prices from the columns alone.
+        acc = SkeletonAccumulator(CostModel(kernel.machine.cluster, LASSEN))
+        streamed = kernel.trace(mode="orbit", skeleton=acc).trace
+        skeleton = acc.finish(streamed.memory_high_water)
+        assert skeleton.step_copy_bytes == tuple(copy_bytes)
+        assert skeleton.step_inter_bytes == tuple(inter_bytes)
+        assert not any(step._copies for step in streamed.steps)
+
+    def test_deferred_step_pickles_and_compares(self, m44):
+        kernel = cannon(m44, 256)
+        ours = kernel.trace(mode="orbit").trace.steps
+        theirs = kernel.trace(mode="orbit").trace.steps
+        pos = next(i for i, s in enumerate(ours) if s._deferred)
+        step, twin = ours[pos], theirs[pos]
+        eager = Step(
+            label=twin.label,
+            copies=[c for reps in twin._deferred for c in reps.copies()],
+            work=twin.work,
+        )
+        restored = pickle.loads(pickle.dumps(step))
+        assert restored._deferred  # pickled as columns, not copies
+        assert restored == twin == step == eager
+        assert repr(restored) == repr(twin) == repr(step) == repr(eager)
+        assert not step._deferred
+
+    def test_direct_appends_keep_emission_order(self, m44):
+        step = next(
+            s for s in cannon(m44, 256).trace(mode="orbit").trace.steps
+            if s._deferred
+        )
+        first = list(step._deferred)
+        extra = first[0].copies()[0]
+        step.copies.append(extra)  # builds the queued representatives
+        step.defer_copies(first[-1])
+        built = [c for reps in first for c in reps.copies()]
+        assert step.copies == built + [extra] + first[-1].copies()
 
 
 class TestCompression:
