@@ -20,11 +20,7 @@ import pytest
 
 from repro import LASSEN, Pipeline
 from repro.faults.events import FaultPlan, KillNode
-from repro.faults.replan import (
-    replan_kernel,
-    replan_pipeline,
-    sized_cluster,
-)
+from repro.faults.replan import replan_kernel, replan_pipeline
 from repro.tuner.joint import tune_pipeline
 from repro.tuner.search import tune
 from repro.tuner.workloads import lean_cluster, matmul, matmul_chain
@@ -86,7 +82,7 @@ class TestPinnedRecovery:
         plan, report = recovery
         # The from-scratch yardstick: the same pipeline tuned for the
         # surviving machine with no failure to pay for.
-        surviving = sized_cluster(pipeline.cluster, NODES - 1)
+        surviving = pipeline.cluster.resized(NODES - 1)
         scratch = tune_pipeline(
             Pipeline(matmul_chain(SIDE), surviving), LASSEN, seed=0
         )
@@ -124,7 +120,7 @@ class TestKernelRecoveryPin:
             decision=decision, fault_plan=plan, seed=0,
         )
         assert report.failed
-        surviving = sized_cluster(cluster, NODES - 1)
+        surviving = cluster.resized(NODES - 1)
         scratch = tune(matmul(SIDE), surviving, LASSEN, seed=0)
         optimum = scratch.report.total_time
         assert report.total_time <= PIN_FACTOR * optimum

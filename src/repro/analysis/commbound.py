@@ -86,20 +86,13 @@ def comm_lower_bound(
     tensors = assignment.tensors()
     itemsize = min(t.itemsize for t in tensors)
 
-    node = cluster.nodes[0]
     if local_bytes is None:
-        if memory is MemoryKind.GPU_FB:
-            capacity = sum(
-                p.memory.capacity_bytes
-                for p in node.processors
-                if p.memory.kind is MemoryKind.GPU_FB
-            )
+        if memory is not MemoryKind.GPU_FB:
+            capacity = cluster.system_mem_capacity
+        elif cluster.proc_mem_kind is MemoryKind.GPU_FB:
+            capacity = cluster.procs_per_node * cluster.proc_mem_capacity
         else:
-            capacity = (
-                node.system_memory.capacity_bytes
-                if node.system_memory is not None
-                else sum(p.memory.capacity_bytes for p in node.processors)
-            )
+            capacity = 0
         local_bytes = min(capacity, sum(t.nbytes for t in tensors))
 
     # Volume bound: distinct operand bytes the busiest node touches.

@@ -96,7 +96,7 @@ def memory_bounds(
 
     machine = Machine(cluster, Grid(*decision.grid))
     formats = formats_for(assignment, decision, memory)
-    per_node = _target_is_node_memory(cluster, memory)
+    per_node = memory is MemoryKind.SYSTEM_MEM
     points = _target_points(machine, cluster, per_node)
     if per_node:
         target = cluster.nodes[0].system_memory
@@ -271,12 +271,6 @@ def assignment_key(assignment: Assignment) -> Tuple:
             (t.name, t.shape, t.dtype.str) for t in assignment.tensors()
         ),
     )
-
-
-def _target_is_node_memory(cluster: Cluster, memory: MemoryKind) -> bool:
-    if memory is MemoryKind.SYSTEM_MEM:
-        return cluster.nodes[0].system_memory is not None
-    return False
 
 
 def _target_points(

@@ -235,17 +235,13 @@ class MachineSpec:
 
     @staticmethod
     def from_cluster(cluster: Cluster) -> "MachineSpec":
-        proc = cluster.processors[0]
-        system = cluster.nodes[0].system_memory
         return MachineSpec(
             nodes=cluster.num_nodes,
             procs_per_node=cluster.procs_per_node,
-            proc_kind=proc.kind.value,
-            proc_mem_kind=proc.memory.kind.value,
-            proc_mem_bytes=proc.memory.capacity_bytes,
-            system_mem_bytes=(
-                system.capacity_bytes if system is not None else 0
-            ),
+            proc_kind=cluster.processor_kind.value,
+            proc_mem_kind=cluster.proc_mem_kind.value,
+            proc_mem_bytes=cluster.proc_mem_capacity,
+            system_mem_bytes=cluster.system_mem_capacity,
         )
 
     def to_cluster(self) -> Cluster:

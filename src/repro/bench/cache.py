@@ -43,17 +43,13 @@ from repro.util.errors import OutOfMemoryError
 
 def cluster_signature(cluster: Cluster) -> Tuple:
     """Structural identity of a cluster (homogeneous by construction)."""
-    proc = cluster.processors[0]
-    node = cluster.nodes[0]
     return (
         cluster.num_nodes,
         cluster.procs_per_node,
-        proc.kind.value,
-        proc.memory.kind.value,
-        proc.memory.capacity_bytes,
-        node.system_memory.capacity_bytes
-        if node.system_memory is not None
-        else None,
+        cluster.processor_kind.value,
+        cluster.proc_mem_kind.value,
+        cluster.proc_mem_capacity,
+        cluster.system_mem_capacity,
     )
 
 

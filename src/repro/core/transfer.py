@@ -130,9 +130,7 @@ def _instance_memory(
     if wants is MemoryKind.GPU_FB and proc.memory.kind is MemoryKind.GPU_FB:
         return proc.memory
     if wants is MemoryKind.SYSTEM_MEM:
-        node = machine.cluster.nodes[proc.node_id]
-        if node.system_memory is not None:
-            return node.system_memory
+        return machine.cluster.nodes[proc.node_id].system_memory
     return proc.memory
 
 

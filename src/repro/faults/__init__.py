@@ -54,7 +54,6 @@ from repro.faults.replan import (
     StageRecovery,
     replan_kernel,
     replan_pipeline,
-    sized_cluster,
 )
 from repro.util.errors import NodeFailure
 
@@ -81,5 +80,4 @@ __all__ = [
     "StageRecovery",
     "replan_kernel",
     "replan_pipeline",
-    "sized_cluster",
 ]

@@ -57,28 +57,6 @@ from repro.tuner.space import Decision, realize
 from repro.util.errors import NodeFailure
 
 
-def sized_cluster(cluster: Cluster, nodes: int) -> Cluster:
-    """A cluster of ``nodes`` nodes with ``cluster``'s node anatomy.
-
-    Shrinks (node failure, regrid-down) and grows (regrid-up) alike;
-    processor kind, per-processor memory and system memory carry over.
-    """
-    if nodes < 1:
-        raise ValueError(f"cannot build a {nodes}-node cluster")
-    proto = cluster.processors[0]
-    system = cluster.nodes[0].system_memory
-    return Cluster.build(
-        num_nodes=nodes,
-        procs_per_node=cluster.procs_per_node,
-        proc_kind=proto.kind,
-        proc_mem_kind=proto.memory.kind,
-        proc_mem_capacity=proto.memory.capacity_bytes,
-        system_mem_capacity=(
-            system.capacity_bytes if system is not None else 0
-        ),
-    )
-
-
 def _default_memory(cluster: Cluster) -> MemoryKind:
     return (
         MemoryKind.GPU_FB
@@ -235,7 +213,7 @@ def replan_kernel(
         )
 
     completed = model.time_trace(failure.partial_trace).total_time
-    surviving = sized_cluster(cluster, cluster.num_nodes - 1)
+    surviving = cluster.resized(cluster.num_nodes - 1)
     retune = tune(
         copy.deepcopy(assignment),
         surviving,
@@ -424,7 +402,7 @@ def replan_pipeline(
     for stage in pipeline.stages:
         resize = fault_plan.resize_before(stage.name)
         if resize is not None and resize.nodes != current.num_nodes:
-            current = sized_cluster(current, resize.nodes)
+            current = current.resized(resize.nodes)
         decision = decisions[stage.name]
         retuned = False
         if math.prod(decision.grid) != current.num_processors:
@@ -511,7 +489,7 @@ def replan_pipeline(
             )
             stage_time = recovery.total_time
             if recovery.failed:
-                current = sized_cluster(current, current.num_nodes - 1)
+                current = current.resized(current.num_nodes - 1)
                 decision = Decision.decode(recovery.retuned_decision)
                 retuned = True
                 # The stage's output materializes in the re-tuned

@@ -1,10 +1,19 @@
 """Physical cluster description: nodes, processors, memories.
 
 The cluster is the *physical* half of the machine abstraction. A
-:class:`Cluster` is a list of identical nodes; each node holds one or more
-processors (CPU sockets or GPUs), each with an attached local memory. The
-logical grid view (:class:`repro.machine.machine.Machine`) maps grid
-coordinates onto these processors.
+:class:`Cluster` is a number of identical nodes; each node holds one or
+more processors (CPU sockets or GPUs), each with an attached local
+memory. The logical grid view (:class:`repro.machine.machine.Machine`)
+maps grid coordinates onto these processors.
+
+Like the Legion runtime DISTAL targets, a cluster answers questions about
+its resources rather than keeping one object per resource: it stores only
+its node anatomy (node count, processors per node, processor kind, the
+processors' memory kind and capacity, the system memory capacity). The
+:class:`Processor`, :class:`Node` and :class:`Memory` objects are built on
+first access and kept, and the simulator's hot paths read the same facts
+as numpy columns (node and memory id of every processor, system memory of
+every node, capacity and GPU flag of every memory) without building any.
 
 Capacities live here; link bandwidths and compute rates live in
 :mod:`repro.sim.params` because they parameterize the cost model, not the
@@ -14,8 +23,12 @@ program semantics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Tuple
+
+import numpy as np
 
 GIB = 1024 ** 3
 
@@ -83,101 +96,186 @@ class Node:
     """One cluster node: its processors plus a shared system memory."""
 
     node_id: int
-    processors: List[Processor] = field(default_factory=list)
-    system_memory: Optional[Memory] = None
+    processors: List[Processor]
+    system_memory: Memory
+
+
+class LazySeq(Sequence):
+    """A read-only sequence whose items are built on first access.
+
+    Each item is built once by ``make(index)`` and then kept, so the
+    same index always returns the same object; :attr:`built` counts
+    the items built so far.
+    """
+
+    def __init__(self, length: int, make: Callable[[int], object]):
+        self._len = length
+        self._make = make
+        self._items: Dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"index {index} out of range for {self._len}")
+        item = self._items.get(i)
+        if item is None:
+            item = self._items[i] = self._make(i)
+        return item
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(self._len))
+
+    @property
+    def built(self) -> int:
+        return len(self._items)
 
 
 class Cluster:
-    """A homogeneous cluster of nodes.
+    """A homogeneous cluster, stored as its node anatomy.
 
-    Use the :meth:`cpu_cluster` / :meth:`gpu_cluster` factories for
-    Lassen-like configurations (the paper's testbed: dual-socket Power9
-    nodes with four V100 GPUs each), or the generic constructor for
-    arbitrary shapes in tests.
+    Every node holds ``procs_per_node`` processors of one kind and a
+    system memory; each processor's memory is either that system
+    memory (``proc_mem_kind`` is ``SYSTEM_MEM``: CPU sockets) or a
+    framebuffer of its own. Memory ids follow :meth:`memories` order:
+    per node, the system memory first, then the framebuffers.
+
+    ``processors``, ``nodes`` and :meth:`memories` build their
+    :class:`Processor`/:class:`Node`/:class:`Memory` objects on first
+    access; the ``*_of_*`` methods give the same facts as numpy columns
+    without building any. Use the :meth:`cpu_cluster` /
+    :meth:`gpu_cluster` factories for Lassen-like configurations (the
+    paper's testbed: dual-socket Power9 nodes with four V100 GPUs
+    each), or :meth:`build` for arbitrary shapes.
     """
 
-    def __init__(self, nodes: List[Node]):
-        if not nodes:
-            raise ValueError("a cluster needs at least one node")
-        self.nodes = nodes
-        self.processors: List[Processor] = []
-        for node in nodes:
-            self.processors.extend(node.processors)
-        counts = {len(node.processors) for node in nodes}
-        if len(counts) != 1:
-            raise ValueError("all nodes must have the same processor count")
-        self.procs_per_node = counts.pop()
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_processors(self) -> int:
-        return len(self.processors)
-
-    @property
-    def processor_kind(self) -> ProcessorKind:
-        return self.processors[0].kind
-
-    def memories(self) -> List[Memory]:
-        """All distinct memories in the cluster."""
-        seen: List[Memory] = []
-        names = set()
-        for node in self.nodes:
-            if node.system_memory is not None:
-                seen.append(node.system_memory)
-                names.add(node.system_memory.name)
-            for proc in node.processors:
-                if proc.memory.name not in names:
-                    names.add(proc.memory.name)
-                    seen.append(proc.memory)
-        return seen
-
-    @staticmethod
-    def build(
+    def __init__(
+        self,
         num_nodes: int,
         procs_per_node: int,
         proc_kind: ProcessorKind,
         proc_mem_kind: MemoryKind,
         proc_mem_capacity: int,
         system_mem_capacity: int = 256 * GIB,
-    ) -> "Cluster":
-        """Generic constructor for a homogeneous cluster."""
+    ):
         if num_nodes <= 0 or procs_per_node <= 0:
             raise ValueError("node and processor counts must be positive")
-        nodes = []
-        proc_id = 0
-        for node_id in range(num_nodes):
-            sysmem = Memory(
-                name=f"n{node_id}/sysmem",
-                kind=MemoryKind.SYSTEM_MEM,
-                capacity_bytes=system_mem_capacity,
-                node_id=node_id,
-            )
-            node = Node(node_id=node_id, system_memory=sysmem)
-            for local in range(procs_per_node):
-                if proc_mem_kind is MemoryKind.SYSTEM_MEM:
-                    mem = sysmem
-                else:
-                    mem = Memory(
-                        name=f"n{node_id}/fb{local}",
-                        kind=proc_mem_kind,
-                        capacity_bytes=proc_mem_capacity,
-                        node_id=node_id,
-                    )
-                node.processors.append(
-                    Processor(
-                        proc_id=proc_id,
-                        kind=proc_kind,
-                        node_id=node_id,
-                        local_index=local,
-                        memory=mem,
-                    )
-                )
-                proc_id += 1
-            nodes.append(node)
-        return Cluster(nodes)
+        self.num_nodes = num_nodes
+        self.procs_per_node = procs_per_node
+        self.processor_kind = proc_kind
+        self.proc_mem_kind = proc_mem_kind
+        self.proc_mem_capacity = proc_mem_capacity
+        self.system_mem_capacity = system_mem_capacity
+        self._shared = proc_mem_kind is MemoryKind.SYSTEM_MEM
+        self.mems_per_node = 1 if self._shared else 1 + procs_per_node
+        self.processors = LazySeq(self.num_processors, self._processor)
+        self.nodes = LazySeq(num_nodes, self._node)
+        self._memories = LazySeq(
+            num_nodes * self.mems_per_node, self._memory
+        )
+
+    @classmethod
+    def build(cls, *args, **kwargs) -> "Cluster":
+        """Generic constructor for a homogeneous cluster (the same
+        arguments as the class)."""
+        return cls(*args, **kwargs)
+
+    @property
+    def anatomy(self) -> Tuple:
+        """The constructor arguments: everything the cluster is."""
+        return (
+            self.num_nodes,
+            self.procs_per_node,
+            self.processor_kind,
+            self.proc_mem_kind,
+            self.proc_mem_capacity,
+            self.system_mem_capacity,
+        )
+
+    def resized(self, nodes: int) -> "Cluster":
+        """A cluster of ``nodes`` nodes with this node anatomy."""
+        return Cluster(nodes, *self.anatomy[1:])
+
+    def __reduce__(self):
+        return (Cluster, self.anatomy)
+
+    @property
+    def num_processors(self) -> int:
+        return self.num_nodes * self.procs_per_node
+
+    def memories(self) -> Sequence[Memory]:
+        """All distinct memories in the cluster, indexed by memory id."""
+        return self._memories
+
+    def memory_name(self, mem_id: int) -> str:
+        node, slot = divmod(mem_id, self.mems_per_node)
+        return f"n{node}/sysmem" if slot == 0 else f"n{node}/fb{slot - 1}"
+
+    # -- on-demand objects ----------------------------------------------
+
+    def _memory(self, mem_id: int) -> Memory:
+        node, slot = divmod(mem_id, self.mems_per_node)
+        if slot == 0:
+            kind, capacity = MemoryKind.SYSTEM_MEM, self.system_mem_capacity
+        else:
+            kind, capacity = self.proc_mem_kind, self.proc_mem_capacity
+        return Memory(self.memory_name(mem_id), kind, capacity, node)
+
+    def _processor(self, proc_id: int) -> Processor:
+        node, local = divmod(proc_id, self.procs_per_node)
+        mem_id = node * self.mems_per_node
+        if not self._shared:
+            mem_id += 1 + local
+        return Processor(
+            proc_id, self.processor_kind, node, local, self._memories[mem_id]
+        )
+
+    def _node(self, node_id: int) -> Node:
+        first = node_id * self.procs_per_node
+        return Node(
+            node_id,
+            self.processors[first:first + self.procs_per_node],
+            self._memories[node_id * self.mems_per_node],
+        )
+
+    # -- columns ----------------------------------------------------------
+
+    def node_of_proc(self) -> np.ndarray:
+        return (
+            np.arange(self.num_processors, dtype=np.int64)
+            // self.procs_per_node
+        )
+
+    def procmem_of_proc(self) -> np.ndarray:
+        """Memory id of each processor's local memory."""
+        if self._shared:
+            return self.node_of_proc()
+        node, local = np.divmod(
+            np.arange(self.num_processors, dtype=np.int64),
+            self.procs_per_node,
+        )
+        return node * self.mems_per_node + 1 + local
+
+    def sysmem_of_node(self) -> np.ndarray:
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        return nodes * self.mems_per_node
+
+    def mem_capacity(self) -> np.ndarray:
+        per_node = [self.system_mem_capacity]
+        per_node += [self.proc_mem_capacity] * (self.mems_per_node - 1)
+        return np.tile(np.asarray(per_node, dtype=np.int64), self.num_nodes)
+
+    def mem_gpu(self) -> np.ndarray:
+        """Whether each memory is a GPU framebuffer."""
+        fb = self.proc_mem_kind is MemoryKind.GPU_FB
+        per_node = [False] + [fb] * (self.mems_per_node - 1)
+        return np.tile(np.asarray(per_node, dtype=bool), self.num_nodes)
 
     @staticmethod
     def cpu_cluster(

@@ -133,12 +133,15 @@ class Machine:
                 linear % self.cluster.num_processors
             ]
         else:
+            cluster = self.cluster
             node_linear = self.levels[0].linearize(per_level[0])
-            node = self.cluster.nodes[node_linear % self.cluster.num_nodes]
             local_linear = 0
             for grid, lc in zip(self.levels[1:], per_level[1:]):
                 local_linear = local_linear * grid.size + grid.linearize(lc)
-            proc = node.processors[local_linear % len(node.processors)]
+            proc = cluster.processors[
+                node_linear % cluster.num_nodes * cluster.procs_per_node
+                + local_linear % cluster.procs_per_node
+            ]
         self._proc_cache[key] = proc
         return proc
 

@@ -21,7 +21,7 @@ in ``tests/runtime/test_batched_executor.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -44,8 +44,9 @@ class CtxBlock:
     endpoint columns. Launch variables hold one point per context;
     sequential variables are re-bound per iteration with :meth:`bind`
     (a scalar — the same point for every context — so re-binding costs
-    O(1), not O(contexts)). Evaluation results are memoized per phase
-    and invalidated on every bind.
+    O(1), not O(contexts)). Evaluation results are memoized; a bind or
+    unbind drops only the entries whose derivation visited the rebound
+    variable, so values that do not depend on it survive the phase.
     """
 
     def __init__(self, env: Dict[IndexVar, BatchInterval], n: int,
@@ -54,6 +55,10 @@ class CtxBlock:
         self.env = env
         self.gpu = gpu_flags
         self._memo: Dict[Tuple[IndexVar, bool], BatchInterval] = {}
+        # Per memo entry, every variable its derivation visited; the
+        # stack collects them for the evaluations in progress.
+        self._deps: Dict[Tuple[IndexVar, bool], FrozenSet[IndexVar]] = {}
+        self._visiting: List[Set[IndexVar]] = []
 
     @classmethod
     def from_ctxs(cls, ctxs, gpu_flags: Optional[np.ndarray] = None):
@@ -70,11 +75,17 @@ class CtxBlock:
     def bind(self, var: IndexVar, value: int):
         """Bind a sequential variable to one iteration for all contexts."""
         self.env[var] = (np.int64(value), np.int64(value + 1))
-        self._memo.clear()
+        self._forget(var)
 
     def unbind(self, var: IndexVar):
         self.env.pop(var, None)
-        self._memo.clear()
+        self._forget(var)
+
+    def _forget(self, var: IndexVar):
+        stale = [key for key, deps in self._deps.items() if var in deps]
+        for key in stale:
+            del self._memo[key]
+            del self._deps[key]
 
     # ------------------------------------------------------------------
     # Batched value_of.
@@ -89,11 +100,21 @@ class CtxBlock:
     ) -> BatchInterval:
         """Per-context interval of ``var``, exactly as ``value_of``."""
         key = (var, exact)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        out = self._eval(graph, var, full_env, exact)
-        memo[key] = out
+        visiting = self._visiting
+        out = self._memo.get(key)
+        if out is not None:
+            if visiting:
+                visiting[-1].update(self._deps[key])
+            return out
+        visiting.append({var})
+        try:
+            out = self._eval(graph, var, full_env, exact)
+        finally:
+            deps = visiting.pop()
+        if visiting:
+            visiting[-1].update(deps)
+        self._memo[key] = out
+        self._deps[key] = frozenset(deps)
         return out
 
     def _eval(self, graph, var, full_env, exact) -> BatchInterval:
@@ -170,7 +191,13 @@ class CtxBlock:
 
 
 def _clip_extent(lo, hi, extent: int) -> BatchInterval:
-    """``Interval.clip(Interval.extent(extent))``, element-wise."""
+    """``Interval.clip(Interval.extent(extent))``, element-wise.
+
+    Endpoints already inside the extent come back as the same arrays,
+    so memoized values share memory with the context columns.
+    """
+    if np.all(lo >= 0) and np.all(hi <= extent) and np.all(hi >= lo):
+        return (lo, hi)
     lo2 = np.maximum(lo, 0)
     hi2 = np.maximum(np.minimum(hi, extent), lo2)
     return (lo2, hi2)

@@ -128,9 +128,7 @@ class DataEnvironment:
         if wants is MemoryKind.GPU_FB and proc.memory.kind is MemoryKind.GPU_FB:
             return proc.memory
         if wants is MemoryKind.SYSTEM_MEM:
-            node = self.machine.cluster.nodes[proc.node_id]
-            if node.system_memory is not None:
-                return node.system_memory
+            return self.machine.cluster.nodes[proc.node_id].system_memory
         return proc.memory
 
     def _add_bytes(self, mem: Memory, n: int):

@@ -252,33 +252,13 @@ class _MachineTables:
             strides[d] = strides[d + 1] * shape[d + 1]
         self.strides = strides
         n_procs = cluster.num_processors
-        self.node_of_proc = np.fromiter(
-            (p.node_id for p in cluster.processors), np.int64, n_procs
-        )
+        self.node_of_proc = cluster.node_of_proc()
         self.memories = cluster.memories()
-        mem_index = {m.name: i for i, m in enumerate(self.memories)}
-        n_mem = len(self.memories)
-        self.mem_capacity = np.fromiter(
-            (m.capacity_bytes for m in self.memories), np.int64, n_mem
-        )
-        self.mem_gpu = np.fromiter(
-            (m.kind is MemoryKind.GPU_FB for m in self.memories), bool, n_mem
-        )
-        self.procmem_of_proc = np.fromiter(
-            (mem_index[p.memory.name] for p in cluster.processors),
-            np.int64,
-            n_procs,
-        )
-        self.sysmem_of_node = np.fromiter(
-            (
-                mem_index[nd.system_memory.name]
-                if nd.system_memory is not None
-                else -1
-                for nd in cluster.nodes
-            ),
-            np.int64,
-            cluster.num_nodes,
-        )
+        self.memory_name = cluster.memory_name
+        self.mem_capacity = cluster.mem_capacity()
+        self.mem_gpu = cluster.mem_gpu()
+        self.procmem_of_proc = cluster.procmem_of_proc()
+        self.sysmem_of_node = cluster.sysmem_of_node()
         # All machine coordinates, row-major (matches machine.points()).
         coords = np.stack(
             np.unravel_index(np.arange(self.size), tuple(shape)), axis=1
@@ -288,12 +268,8 @@ class _MachineTables:
         # machines place points row-major over all processors; multi-
         # level machines place the outer level over nodes and the inner
         # levels row-major within a node (over-decomposition wraps).
-        proc_ids = np.fromiter(
-            (p.proc_id for p in cluster.processors), np.int64, n_procs
-        )
         if len(machine.levels) == 1:
-            linear = coords @ strides
-            table = proc_ids[linear % n_procs]
+            table = (coords @ strides) % n_procs
         else:
             outer_dim = machine.levels[0].dim
             node_lin = coords[:, :outer_dim] @ strides[:outer_dim] \
@@ -304,18 +280,8 @@ class _MachineTables:
             istr = np.ones(len(inner_shape), dtype=np.int64)
             for d in range(len(inner_shape) - 2, -1, -1):
                 istr[d] = istr[d + 1] * inner_shape[d + 1]
-            per_node = np.stack(
-                [
-                    np.fromiter(
-                        (p.proc_id for p in nd.processors),
-                        np.int64,
-                        len(nd.processors),
-                    )
-                    for nd in cluster.nodes
-                ]
-            )
-            local = (inner @ istr) % per_node.shape[1]
-            table = per_node[node_lin, local]
+            ppn = cluster.procs_per_node
+            table = node_lin * ppn + (inner @ istr) % ppn
         self.proc_of_point = table
         self._tensor_mem: Dict[Tuple[str, str], np.ndarray] = {}
 
@@ -333,8 +299,7 @@ class _MachineTables:
         if cached is not None:
             return cached
         if wants is MemoryKind.SYSTEM_MEM:
-            sys_of_proc = self.sysmem_of_node[self.node_of_proc]
-            out = np.where(sys_of_proc >= 0, sys_of_proc, self.procmem_of_proc)
+            out = self.sysmem_of_node[self.node_of_proc]
         else:
             out = self.procmem_of_proc.copy()
         self._tensor_mem[key] = out
@@ -505,8 +470,9 @@ class OrbitState:
 
     @property
     def high_water(self) -> Dict[str, int]:
+        name = self._mt.memory_name
         return {
-            self._mt.memories[i].name: int(self._high_arr[i])
+            name(i): int(self._high_arr[i])
             for i in np.flatnonzero(self._touched)
         }
 
@@ -537,7 +503,7 @@ class OrbitState:
                 run[mid] += int(amounts[j])
                 if run[mid] > caps[mid]:
                     raise OutOfMemoryError(
-                        self._mt.memories[mid].name,
+                        self._mt.memory_name(mid),
                         int(run[mid]),
                         int(caps[mid]),
                     )
@@ -591,7 +557,7 @@ class OrbitState:
                 usage[mid] += int(deltas[j])
                 if deltas[j] > 0 and usage[mid] > caps[mid]:
                     raise OutOfMemoryError(
-                        self._mt.memories[mid].name,
+                        self._mt.memory_name(mid),
                         int(usage[mid]),
                         int(caps[mid]),
                     )
@@ -985,7 +951,8 @@ class OrbitExecutor(Executor):
         with span("orbit.run"):
             self._exec(self.plan.root, root)
             self._close_step()
-        self.trace.memory_high_water = dict(self.env.high_water)
+        high_water = self.env.high_water
+        self.trace.memory_high_water = high_water
         METRICS.inc("orbit.runs")
         METRICS.inc("orbit.steps", len(self.trace.steps))
         for counter in ORBIT_COUNTERS:
@@ -1003,7 +970,7 @@ class OrbitExecutor(Executor):
         return ExecutionResult(
             trace=self.trace,
             outputs={},
-            memory_high_water=dict(self.env.high_water),
+            memory_high_water=dict(high_water),
         )
 
     def _region_block(self, coords: np.ndarray, proc: np.ndarray,

@@ -24,7 +24,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class CopyReps:
     src_coords: np.ndarray
     dst_coords: np.ndarray
     reduce: bool
-    processors: List[Processor]
-    memories: List[Memory]
+    processors: Sequence[Processor]
+    memories: Sequence[Memory]
 
     def copies(self) -> List[Copy]:
         procs, mems = self.processors, self.memories

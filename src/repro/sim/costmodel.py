@@ -129,7 +129,7 @@ class CostModel:
     def __init__(self, cluster: Cluster, params: MachineParams):
         self.cluster = cluster
         self.params = params
-        self._procs = {p.proc_id: p for p in cluster.processors}
+        self._gpu = cluster.processor_kind is ProcessorKind.GPU
 
     # ------------------------------------------------------------------
     # Public API.
@@ -282,9 +282,8 @@ class CostModel:
         other_flops = np.empty(n)
         bytes_touched = np.empty(n)
         staged = np.empty(n)
-        is_gpu = np.empty(n, dtype=bool)
+        is_gpu = np.full(n, self._gpu)
         for i, entry in enumerate(entries):
-            is_gpu[i] = self._procs[entry[0]].kind is ProcessorKind.GPU
             g = o = 0.0
             for kern, fl in entry[1]:
                 if kernel_map is not None:

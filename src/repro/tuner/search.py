@@ -127,23 +127,6 @@ def exhaustive_search(
     return _rank(outcomes), [rung]
 
 
-def _shrink_cluster(cluster: Cluster, procs: int) -> Cluster:
-    """A smaller cluster with the same node anatomy (for coarse rungs)."""
-    nodes = max(1, procs // cluster.procs_per_node)
-    proto = cluster.processors[0]
-    system = cluster.nodes[0].system_memory
-    return Cluster.build(
-        num_nodes=nodes,
-        procs_per_node=cluster.procs_per_node,
-        proc_kind=proto.kind,
-        proc_mem_kind=proto.memory.kind,
-        proc_mem_capacity=proto.memory.capacity_bytes,
-        system_mem_capacity=(
-            system.capacity_bytes if system is not None else 0
-        ),
-    )
-
-
 def _problem_exponent(assignment: Assignment) -> float:
     """Weak-scaling exponent: per-processor footprint is preserved when
     extents scale with procs^(1/ndim) of the largest tensor."""
@@ -257,7 +240,10 @@ def beam_search(
                 "survivors": 1,
             })
             return ranked, rungs
-        coarse_cluster = _shrink_cluster(oracle.cluster, procs)
+        cluster = oracle.cluster
+        coarse_cluster = cluster.resized(
+            max(1, procs // cluster.procs_per_node)
+        )
         actual = coarse_cluster.num_processors
         scale = (actual / full_procs) ** exponent
         coarse_assignment = scale_assignment(assignment, scale)

@@ -16,7 +16,7 @@ from repro.analysis.prune import (
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.obs.metrics import METRICS
 from repro.sim.params import LASSEN
-from repro.tuner.search import _problem_exponent, _shrink_cluster
+from repro.tuner.search import _problem_exponent
 from repro.tuner.space import (
     Decision,
     coarsen,
@@ -80,7 +80,7 @@ def test_memo_matches_fresh_on_a_coarse_rung():
     cluster = Cluster.cpu_cluster(8, system_mem_gib=1)
     memory = MemoryKind.SYSTEM_MEM
     space = enumerate_space(assignment, cluster.num_processors)
-    coarse_cluster = _shrink_cluster(cluster, 4)
+    coarse_cluster = cluster.resized(4 // cluster.procs_per_node)
     procs = coarse_cluster.num_processors
     coarse_assignment = scale_assignment(
         assignment,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.faults.events import FaultPlan, KillNode
-from repro.faults.replan import replan_kernel, sized_cluster
+from repro.faults.replan import replan_kernel
 from repro.sim.params import LASSEN
 from repro.tuner.space import Decision, from_heuristic
 from repro.tuner.workloads import lean_cluster, matmul
@@ -32,14 +32,14 @@ class TestSizedCluster:
     def test_shrink_and_grow_keep_anatomy(self):
         cluster = lean_cluster(4)
         for nodes in (1, 3, 8):
-            resized = sized_cluster(cluster, nodes)
+            resized = cluster.resized(nodes)
             assert resized.num_nodes == nodes
             assert resized.procs_per_node == cluster.procs_per_node
             assert resized.processor_kind is cluster.processor_kind
 
     def test_rejects_empty_cluster(self):
         with pytest.raises(ValueError):
-            sized_cluster(lean_cluster(4), 0)
+            lean_cluster(4).resized(0)
 
 
 class TestReplanKernel:
