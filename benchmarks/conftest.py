@@ -8,10 +8,8 @@ them live; they are also captured into the report).
 The suite self-reports its wall-clock against a budget
 (``REPRO_BENCH_BUDGET_S``, default 240 s — sized to cover the
 4096-node weak-scaling sweep on the orbit-compressed executor) and
-fails the run when over budget if ``REPRO_ENFORCE_BUDGET=1``. Each
-benchmark's duration is also appended to the ``BENCH_simulator.json``
-perf trajectory at the repo root, so simulator performance is tracked
-across PRs.
+fails the run when over budget if ``REPRO_ENFORCE_BUDGET=1``. Numbers
+that a change claims or is gated on come from ``perfbench/run.py``.
 """
 
 import os
@@ -21,7 +19,6 @@ import pytest
 
 _BUDGET_S = float(os.environ.get("REPRO_BENCH_BUDGET_S", "240"))
 _suite_start = None
-_durations = []
 
 
 def pytest_collection_modifyitems(items):
@@ -46,24 +43,12 @@ def pytest_sessionstart(session):
     _suite_start = time.monotonic()
 
 
-def pytest_runtest_logreport(report):
-    if report.when == "call" and report.passed:
-        _durations.append((report.nodeid, report.duration))
-
-
 def pytest_sessionfinish(session, exitstatus):
     if _suite_start is None:
         return
     wall = time.monotonic() - _suite_start
     if wall > _BUDGET_S and os.environ.get("REPRO_ENFORCE_BUDGET"):
         session.exitstatus = 1
-    try:
-        from repro.bench.perf_log import append_record
-
-        for nodeid, duration in _durations:
-            append_record(f"bench:{nodeid.split('::')[-1]}", duration)
-    except Exception:
-        pass  # the perf log must never fail a benchmark run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,8 +14,6 @@ reports — recovery is part of the deterministic simulation contract,
 not a best-effort path.
 """
 
-import time
-
 import pytest
 
 from repro import LASSEN, Pipeline
@@ -56,22 +54,13 @@ def decisions(pipeline):
 
 @pytest.fixture(scope="module")
 def recovery(pipeline, decisions):
-    from repro.bench.perf_log import append_record
-
     plan = FaultPlan(
         events=(KillNode(phase=1, node=NODES - 3, stage="T"),), seed=42
     )
-    start = time.monotonic()
     report = replan_pipeline(
         pipeline, decisions, LASSEN, fault_plan=plan, seed=0,
         workload="chain-matmul",
     )
-    wall = time.monotonic() - start
-    append_record("fault-recovery:chain_16nodes", wall, metrics={
-        "recovered_total_s": report.total_time,
-        "baseline_s": report.baseline_time,
-        "migration_bytes": report.migration_bytes,
-    })
     return plan, report
 
 

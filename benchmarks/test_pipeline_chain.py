@@ -10,7 +10,6 @@ memory (the mismatch there comes from grid shapes, not capacity).
 """
 
 import os
-import time
 
 import pytest
 
@@ -23,12 +22,9 @@ JOBS = int(os.environ.get("REPRO_TUNE_JOBS", "8"))
 
 @pytest.fixture(scope="module")
 def chain_result():
-    from repro.bench.perf_log import append_record
-
     cluster = lean_cluster(256, mem_gib=2)
     pipeline = Pipeline(matmul_chain(65536, 512), cluster)
-    start = time.monotonic()
-    result = tune_pipeline(
+    return tune_pipeline(
         pipeline,
         LASSEN,
         top_k=5,
@@ -36,16 +32,6 @@ def chain_result():
         coarse_procs=16,
         jobs=JOBS,
     )
-    wall = time.monotonic() - start
-    append_record("tune-pipeline:chain_256nodes", wall, metrics={
-        "combinations": result.combinations,
-        "evaluations": result.evaluations,
-        "joint_cost_s": result.report.combined.total_time,
-        "independent_cost_s": (
-            result.independent_report.combined.total_time
-        ),
-    })
-    return result
 
 
 class TestChainAtScale:

@@ -168,11 +168,6 @@ def test_chaos_soak_answers_stay_exact_and_bounded(tmp_path):
     assert controller.kills_fired >= 1, "no healthy worker was killed"
     assert controller.drops_fired + controller.torn_fired >= 2
 
-    from repro.bench.perf_log import append_record
-
-    append_record(
-        "serve:chaos-soak", wall, counters=METRICS.snapshot()
-    )
     print(
         f"{operations} ops under chaos in {wall:.2f}s "
         f"(slowest op {slowest:.2f}s); fired: "

@@ -11,9 +11,6 @@ return a schedule that
   regime automatic schedule selection exists for;
 * is an ordinary :class:`Schedule` + formats that replay
   byte-identically from the winning decision vector.
-
-Wall-clock lands in ``BENCH_simulator.json`` via the benchmark
-conftest, alongside the tuner's own ``tune:*`` records.
 """
 
 import os
@@ -56,20 +53,6 @@ def tuned():
         seed=0,
     )
     wall = time.monotonic() - start
-    # The module fixture does the real work, so record the tuner's
-    # wall-clock explicitly in the perf trajectory (the conftest's
-    # per-test records only see the assertion bodies).
-    from repro.bench.perf_log import append_record
-
-    append_record(
-        "bench:tuner_fig9_512nodes",
-        wall,
-        metrics={
-            "space": result.search.space_size,
-            "simulations": result.search.evaluations,
-            "tuned_cost_s": result.search.best.cost,
-        },
-    )
     return cluster, n, result, wall
 
 

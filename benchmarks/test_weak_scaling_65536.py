@@ -19,7 +19,6 @@ import os
 
 from conftest import node_counts
 
-from repro.bench.perf_log import append_record
 from repro.bench.weak_scaling import matmul_weak_scaling
 
 
@@ -66,8 +65,3 @@ def test_weak_scaling_toward_65536_nodes(run_once):
     # Weak scaling holds to the top count: per-node throughput within
     # 25% of one node.
     assert cannon[top] > 0.75 * cannon[1]
-    append_record(
-        f"weak65536:cannon_gflops_per_node_{top}",
-        0.0,
-        metrics={str(n): cannon[n] for n in cannon},
-    )

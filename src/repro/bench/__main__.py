@@ -15,12 +15,10 @@ Usage::
 Prints the corresponding paper table. ``--jobs N`` (from the shared
 :mod:`repro.cli` group) distributes sweep points over worker
 processes; ``--json`` emits the tables as one machine-readable object
-instead of formatted text; ``--profile`` prints per-figure wall-clock
-and appends it (with headline simulated metrics) to the
-``BENCH_simulator.json`` perf trajectory at the repo root. ``--list``
-prints the available sweep names one per line (CI workflows iterate it
-instead of hard-coding names). A sweep that raises produces a non-zero
-exit code.
+instead of formatted text; ``--profile`` prints per-figure wall-clock,
+even when a sweep fails. ``--list`` prints the available sweep names
+one per line (CI workflows iterate it instead of hard-coding names). A
+sweep that raises produces a non-zero exit code.
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print per-figure wall-clock and append it to "
-        "BENCH_simulator.json",
+        help="print per-figure wall-clock",
     )
     args = parser.parse_args(argv)
     if args.list:
@@ -209,30 +206,12 @@ def main(argv=None) -> int:
             },
         })
 
-    # The profile flushes even when the sweep failed: the figures that
-    # *did* finish carry the wall-clock evidence of where the run died,
-    # which used to be discarded with the non-zero exit.
-    if args.profile:
-        from repro.bench.perf_log import append_record
-        from repro.obs.metrics import METRICS
-
-        if not args.json:
-            print("== Wall-clock profile ==")
+    # The profile prints even when the sweep failed: the figures that
+    # *did* finish carry the wall-clock evidence of where the run died.
+    if args.profile and not args.json:
+        print("== Wall-clock profile ==")
         for label, wall in profile:
-            if not args.json:
-                print(f"  {label:<10s} {wall:8.2f}s")
-            append_record(f"cli:{label}", wall)
-        if profile:
-            append_record(
-                f"profile:{args.figure}",
-                sum(wall for _label, wall in profile),
-                metrics={
-                    "profile": {label: round(wall, 4)
-                                for label, wall in profile},
-                    "failed": bool(status),
-                },
-                counters=METRICS.snapshot(),
-            )
+            print(f"  {label:<10s} {wall:8.2f}s")
     return status
 
 

@@ -19,11 +19,9 @@ stacks, with three pillars:
   counters previously scattered across five subsystems (orbit phase
   replays, cost-model step-price hits, simulation-cache hits, oracle
   incrementality, sweep worker retries) behind one snapshot API,
-  surfaced by the CLIs, appended to ``BENCH_simulator.json`` records,
-  and consumed by the regression gate.
+  surfaced by the CLIs.
 
-``python -m repro.obs`` lists recent perf records, diffs two runs'
-metrics, and exports traces (see :mod:`repro.obs.__main__`).
+``python -m repro.obs`` exports traces (see :mod:`repro.obs.__main__`).
 """
 
 from repro.obs.metrics import METRICS, MetricsRegistry

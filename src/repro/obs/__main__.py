@@ -2,11 +2,6 @@
 
 Subcommands:
 
-* ``list`` — recent perf-log records (``BENCH_simulator.json``), with
-  a marker for records carrying a metrics snapshot.
-* ``diff NAME [NAME2]`` — counter-by-counter comparison between the
-  two most recent records of ``NAME`` (or the latest of ``NAME`` and
-  ``NAME2``).
 * ``export`` — build a workload (same builders the weak-scaling sweeps
   use), simulate it with a per-phase breakdown, and write a Chrome
   trace-event JSON any trace viewer opens; ``--spans`` merges in
@@ -26,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro import cli
 from repro.obs.export import (
@@ -45,75 +40,6 @@ from repro.obs.spans import (
 
 #: Workloads the exporter knows how to build (the weak-scaling set).
 WORKLOADS = ("cannon", "summa", "pumma", "johnson")
-
-
-def _records() -> List[Dict]:
-    from repro.bench.perf_log import read_records
-
-    return read_records()
-
-
-def _counters(record: Dict) -> Optional[Dict]:
-    metrics = record.get("metrics")
-    if isinstance(metrics, dict):
-        counters = metrics.get("counters")
-        if isinstance(counters, dict):
-            return counters
-    return None
-
-
-def cmd_list(args) -> int:
-    records = _records()
-    if cli.emit(args, {"records": records[-args.limit:]}):
-        return 0
-    if not records:
-        print("perf log is empty (no BENCH_simulator.json records)")
-        return 0
-    for record in records[-args.limit:]:
-        stamp = time.strftime(
-            "%Y-%m-%d %H:%M", time.localtime(record.get("timestamp", 0))
-        )
-        counters = _counters(record)
-        mark = f"  [{len(counters)} counters]" if counters else ""
-        wall = record.get("wall_s", float("nan"))
-        print(f"{stamp}  {record.get('name', '?'):<28s} "
-              f"{wall:>9.3f}s{mark}")
-    return 0
-
-
-def cmd_diff(args) -> int:
-    records = _records()
-    mine = [r for r in records if r.get("name") == args.name]
-    if args.name2:
-        theirs = [r for r in records if r.get("name") == args.name2]
-        if not mine or not theirs:
-            missing = args.name if not mine else args.name2
-            print(f"no records named {missing!r}")
-            return 1
-        a, b = mine[-1], theirs[-1]
-    else:
-        if len(mine) < 2:
-            print(f"need two records named {args.name!r} to diff "
-                  f"(have {len(mine)})")
-            return 1
-        a, b = mine[-2], mine[-1]
-    if cli.emit(args, {"a": a, "b": b}):
-        return 0
-    print(f"A: {a['name']}  wall {a.get('wall_s')}s")
-    print(f"B: {b['name']}  wall {b.get('wall_s')}s")
-    ca, cb = _counters(a) or {}, _counters(b) or {}
-    if not ca and not cb:
-        print("(neither record carries a metrics snapshot)")
-        return 0
-    names = sorted(set(ca) | set(cb))
-    width = max(len(n) for n in names)
-    for name in names:
-        va, vb = ca.get(name), cb.get(name)
-        if va == vb:
-            print(f"  {name:<{width}s}  {va}")
-        else:
-            print(f"  {name:<{width}s}  {va} -> {vb}")
-    return 0
 
 
 def _build_kernel(workload: str, nodes: int, size: Optional[int],
@@ -257,15 +183,6 @@ def main(argv=None) -> int:
     cli.add_common_args(parser, ledger=False, jobs=False, seed=False)
     sub = parser.add_subparsers(dest="command")
 
-    p_list = sub.add_parser("list", help="recent perf-log records")
-    p_list.add_argument("--limit", type=int, default=20)
-    cli.add_common_args(p_list, ledger=False, jobs=False, seed=False)
-
-    p_diff = sub.add_parser("diff", help="diff two runs' metrics")
-    p_diff.add_argument("name")
-    p_diff.add_argument("name2", nargs="?", default=None)
-    cli.add_common_args(p_diff, ledger=False, jobs=False, seed=False)
-
     p_exp = sub.add_parser("export", help="export a simulated-time trace")
     p_exp.add_argument("--workload", choices=WORKLOADS, default="cannon")
     p_exp.add_argument("--nodes", type=int, default=64)
@@ -284,10 +201,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.demo or args.command == "demo":
         return cmd_demo(args)
-    if args.command == "list":
-        return cmd_list(args)
-    if args.command == "diff":
-        return cmd_diff(args)
     if args.command == "export":
         return cmd_export(args)
     parser.print_help()

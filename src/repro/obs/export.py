@@ -165,7 +165,7 @@ def write_trace(trace: dict, path: str) -> str:
 
 
 def profile_summary(records: List[SpanRecord]) -> dict:
-    """The flat profile as a JSON-ready dict (perf-log embedding)."""
+    """The flat profile as a JSON-ready dict."""
     return {
         name: {"calls": calls, "total_s": total, "self_s": self_s}
         for name, (calls, total, self_s) in flat_profile(records).items()

@@ -17,11 +17,12 @@ unifies them:
   reported without double bookkeeping.
 
 :meth:`MetricsRegistry.snapshot` returns one sorted, JSON-ready dict;
-the CLIs print it, ``bench/perf_log.append_record`` embeds it in
-``BENCH_simulator.json`` records (under ``metrics.counters``), and
-``bench/regression.py`` compares it across runs to flag efficiency
-regressions (crash reappearance, replay hit-rate collapse) that
-wall-clock noise hides.
+the CLIs print it, and ``perfbench``'s serve-mixed workload reports
+the ``serve.*`` counters among its per-layer metrics. Efficiency rules
+that wall-clock noise hides are exact checks where they run:
+``python -m repro.serve --smoke`` fails on any nonzero error, crash,
+quarantine, shed or drain counter, and tier-1 pins the orbit step and
+phase-replay counts of weak-scaled Cannon and SUMMA.
 
 Fork merging mirrors the simulation cache's envelope: workers export
 the counter deltas they accumulated after the fork

@@ -32,7 +32,8 @@ with the client, and exits non-zero unless
 * concurrent identical misses were deduplicated in flight;
 * a pipelined hit burst completed while a cold tune was still
   running (the hit path never blocks on tuning);
-* the ``serve.*`` counters account for all of the above.
+* the ``serve.*`` counters account for all of the above, and the
+  error, crash, quarantine, shed and drain counters stay at zero.
 
 ``--chaos`` is the CI chaos-smoke job: a seeded
 :class:`repro.faults.chaos.ChaosPlan` (worker kills, a poison request,
@@ -130,6 +131,17 @@ def _canon(answer_record) -> str:
     return canonical_json(
         ScheduleAnswer.from_record(answer_record).canonical_record()
     )
+
+
+#: Counters a healthy smoke trace leaves at zero: any failed request,
+#: crashed or quarantined tune, shed miss or drain error fails it.
+ZERO_COUNTERS = (
+    "serve.errors",
+    "serve.crashes",
+    "serve.quarantined",
+    "serve.shed",
+    "serve.drained",
+)
 
 
 def _run_smoke(args) -> int:
@@ -252,10 +264,9 @@ def _run_smoke(args) -> int:
                 f"counter {name} = {counters.get(name, 0)}, "
                 f"expected >= {floor}"
             )
-    if counters.get("serve.errors", 0):
-        failures.append(
-            f"serve.errors = {counters['serve.errors']} during smoke"
-        )
+    for name in ZERO_COUNTERS:
+        if counters.get(name, 0):
+            failures.append(f"{name} = {counters[name]} during smoke")
 
     payload = {
         "failures": failures,

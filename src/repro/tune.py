@@ -16,9 +16,7 @@ vector. ``--pipeline`` tunes a multi-kernel pipeline *jointly* —
 per-stage decision vectors plus the handoff format of every
 intermediate tensor — and prints the independent-vs-joint comparison
 with the per-stage and redistribution breakdown. ``--demo`` runs a
-seconds-scale exhaustive tune (the CI smoke test). Wall-clock and
-headline results are appended to the ``BENCH_simulator.json`` perf
-trajectory.
+seconds-scale exhaustive tune (the CI smoke test).
 
 The ``--ledger/--jobs/--seed/--json`` group is the shared one from
 :mod:`repro.cli`: ``--ledger`` accepts a directory (a root of shards,
@@ -63,18 +61,6 @@ def _cost_or_none(outcome):
     if outcome is None or not outcome.feasible:
         return None
     return outcome.cost
-
-
-def _append_perf(name: str, wall: float, metrics: dict):
-    try:
-        from repro.bench.perf_log import append_record
-        from repro.obs.metrics import METRICS
-
-        append_record(
-            name, wall, metrics=metrics, counters=METRICS.snapshot()
-        )
-    except Exception:
-        pass  # the perf log must never fail a tuning run
 
 
 def _tune_unified(args, assignment, cluster, ledger):
@@ -156,16 +142,6 @@ def _run_single(args, cluster, ledger) -> int:
                 "communication lower bound"
             )
 
-    _append_perf(f"tune:{args.workload}", wall, {
-        "workload": args.workload,
-        "nodes": args.nodes,
-        "space": search.space_size,
-        "evaluations": search.evaluations,
-        "tuned_cost_s": None if not best.feasible else best.cost,
-        "heuristic_cost_s": (
-            None if not heuristic.feasible else heuristic.cost
-        ),
-    })
     if not cli.emit(args, {
         "workload": args.workload,
         "nodes": args.nodes,
@@ -252,14 +228,6 @@ def _run_pipeline(args, cluster, ledger) -> int:
     independent_cost = (
         None if independent is None else independent.combined.total_time
     )
-    _append_perf(f"tune-pipeline:{args.pipeline}", wall, {
-        "pipeline": args.pipeline,
-        "nodes": args.nodes,
-        "combinations": result.combinations,
-        "evaluations": result.evaluations,
-        "joint_cost_s": joint_cost,
-        "independent_cost_s": independent_cost,
-    })
     if not cli.emit(args, {
         "pipeline": args.pipeline,
         "nodes": args.nodes,

@@ -356,13 +356,12 @@ class TuningLedger:
     crashed or concurrent tune can never truncate it; entries are
     sorted on save so equal tuning runs produce byte-identical files.
 
-    Loads are crash-hardened the same way the perf log's are: a torn or
-    corrupt shard (killed writer on a filesystem without atomic
-    replace, stray editor, disk-full truncation) is *salvaged* — every
-    entry record that still parses is kept, and the next save rewrites
-    the shard — and the damaged original is quarantined to
-    ``<shard>.corrupt`` for inspection, so one bad byte never silently
-    discards a night of tuning.
+    Loads are crash-hardened: a torn or corrupt shard (killed writer on
+    a filesystem without atomic replace, stray editor, disk-full
+    truncation) is *salvaged* — every entry record that still parses is
+    kept, and the next save rewrites the shard — and the damaged
+    original is quarantined to ``<shard>.corrupt`` for inspection, so
+    one bad byte never silently discards a night of tuning.
     """
 
     VERSION = 1

@@ -1,12 +1,11 @@
 """Crash-safe file primitives shared by every on-disk store.
 
-The perf log (:mod:`repro.bench.perf_log`), the tuning ledger
-(:class:`repro.tuner.oracle.TuningLedger`) and the serving daemon's
-quarantine store (:mod:`repro.serve.supervise`) all persist with the
-same discipline: writers serialize on an advisory lock beside the
-target (:func:`locked`), and every write lands through a same-directory
-temp file and ``os.replace`` (:func:`write_atomic`), so readers never
-observe a torn file.
+The tuning ledger (:class:`repro.tuner.oracle.TuningLedger`) and the
+serving daemon's quarantine store (:mod:`repro.serve.supervise`) both
+persist with the same discipline: writers serialize on an advisory
+lock beside the target (:func:`locked`), and every write lands through
+a same-directory temp file and ``os.replace`` (:func:`write_atomic`),
+so readers never observe a torn file.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ def locked(path: Path):
     """Best-effort advisory lock serializing concurrent writers of
     ``path``.
 
-    The lock file lives *beside* the target (same directory), so logs
-    pointed into temporary directories (``REPRO_BENCH_LOG`` in tests,
-    per-run ledgers) lock within that directory — never at a shared
-    global location — and the sidecar is a runtime artifact covered by
-    ``.gitignore``, not repository content. A missing parent directory
-    is created first, so a fresh temp path can be locked immediately.
+    The lock file lives *beside* the target (same directory), so stores
+    pointed into temporary directories (per-run ledgers) lock within
+    that directory — never at a shared global location — and the
+    sidecar is a runtime artifact covered by ``.gitignore``, not
+    repository content. A missing parent directory is created first,
+    so a fresh temp path can be locked immediately.
     """
     lock_file = None
     try:

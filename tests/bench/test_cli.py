@@ -1,7 +1,5 @@
 """Smoke tests for the ``python -m repro.bench`` figure CLI."""
 
-import json
-
 import pytest
 
 from repro.bench.__main__ import main, parse_nodes
@@ -40,15 +38,11 @@ class TestCli:
         sequential = capsys.readouterr().out
         assert parallel == sequential
 
-    def test_profile_prints_and_logs(self, capsys, tmp_path, monkeypatch):
-        log = tmp_path / "BENCH_simulator.json"
-        monkeypatch.setenv("REPRO_BENCH_LOG", str(log))
+    def test_profile_prints_and_logs(self, capsys):
         assert main(["ttv", "--nodes", "1", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "Wall-clock profile" in out
-        records = json.loads(log.read_text())
-        assert records and records[0]["name"] == "cli:ttv"
-        assert records[0]["wall_s"] >= 0
+        assert "ttv" in out.split("Wall-clock profile")[1]
 
     def test_failing_sweep_exits_nonzero(self, capsys, monkeypatch):
         import repro.bench.__main__ as cli
@@ -61,15 +55,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert "benchmark sweep failed" in err
 
-    def test_profile_persists_when_sweep_fails(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # The figures that finished before the crash still land in the
-        # perf log, and the summary record is marked failed.
+    def test_profile_persists_when_sweep_fails(self, capsys, monkeypatch):
+        # The figures that finished before the crash still print their
+        # wall-clock: the evidence of where the run died.
         import repro.bench.__main__ as cli
-
-        log = tmp_path / "BENCH_simulator.json"
-        monkeypatch.setenv("REPRO_BENCH_LOG", str(log))
 
         def boom(*args, **kwargs):
             raise RuntimeError("sweep exploded")
@@ -77,11 +66,6 @@ class TestCli:
         monkeypatch.setattr(cli, "fig16_higher_order", boom)
         assert main(["all", "--nodes", "1", "--profile"]) == 1
         out = capsys.readouterr().out
-        assert "Wall-clock profile" in out
-        records = json.loads(log.read_text())
-        by_name = {r["name"]: r for r in records}
-        assert "cli:fig15a" in by_name
-        assert "cli:fig15b" in by_name
-        summary = by_name["profile:all"]
-        assert summary["metrics"]["failed"] is True
-        assert "counters" in summary["metrics"]
+        profile = out.split("Wall-clock profile")[1]
+        assert "fig15a" in profile
+        assert "fig15b" in profile

@@ -1,10 +1,9 @@
-"""The ``python -m repro.obs`` CLI: list, diff, export, demo."""
+"""The ``python -m repro.obs`` CLI: export, demo."""
 
 import json
 
 import pytest
 
-from repro.bench.perf_log import append_record
 from repro.obs.__main__ import main
 from repro.obs.spans import reset_spans, set_tracing
 
@@ -14,54 +13,6 @@ def clean_tracing():
     yield
     set_tracing(None)
     reset_spans()
-
-
-@pytest.fixture
-def perf_log(tmp_path, monkeypatch):
-    log = tmp_path / "BENCH_simulator.json"
-    monkeypatch.setenv("REPRO_BENCH_LOG", str(log))
-    return log
-
-
-class TestList:
-    def test_empty_log(self, perf_log, capsys):
-        assert main(["list"]) == 0
-        assert "empty" in capsys.readouterr().out
-
-    def test_lists_records_with_counter_mark(self, perf_log, capsys):
-        append_record("cli:ttv", 1.25)
-        append_record("tune:matmul", 3.5, counters={"orbit.runs": 4})
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "cli:ttv" in out
-        assert "tune:matmul" in out
-        assert "[1 counters]" in out
-
-
-class TestDiff:
-    def test_needs_two_records(self, perf_log, capsys):
-        append_record("tune:matmul", 1.0, counters={"a": 1})
-        assert main(["diff", "tune:matmul"]) == 1
-        assert "need two" in capsys.readouterr().out
-
-    def test_diffs_counters(self, perf_log, capsys):
-        append_record("tune:matmul", 1.0,
-                      counters={"oracle.simulated": 10, "same": 5})
-        append_record("tune:matmul", 0.8,
-                      counters={"oracle.simulated": 4, "same": 5})
-        assert main(["diff", "tune:matmul"]) == 0
-        out = capsys.readouterr().out
-        assert "10 -> 4" in out
-        assert "same" in out
-
-    def test_diff_two_names(self, perf_log, capsys):
-        append_record("a", 1.0, counters={"x": 1})
-        append_record("b", 1.0, counters={"x": 2})
-        assert main(["diff", "a", "b"]) == 0
-        assert "1 -> 2" in capsys.readouterr().out
-
-    def test_missing_name(self, perf_log, capsys):
-        assert main(["diff", "nope"]) == 1
 
 
 class TestExport:

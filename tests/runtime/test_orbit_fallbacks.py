@@ -29,8 +29,10 @@ from repro import (
 )
 from repro.algorithms.higher_order import innerprod, mttkrp
 from repro.algorithms.matmul import cannon, cosma, solomonik, summa
+from repro.bench.weak_scaling import square_grid, weak_matrix_size
 from repro.core.transfer import transfer_kernel
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.obs.metrics import METRICS
 from repro.runtime.batchbounds import batch_bounds
 from repro.runtime.orbit import OrbitExecutor
 from repro.sim.costmodel import CostModel
@@ -451,6 +453,25 @@ class TestConjugateReplay:
     def test_summa_moving_roots(self, m84):
         executor = self._replayed(summa(m84, 2048))
         assert executor.phase_conjugate > 0
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
+    @pytest.mark.parametrize(
+        "nodes, steps, replays", [(64, 18, 30), (256, 34, 62)]
+    )
+    def test_weak_scaled_replay_counts(self, builder, nodes, steps, replays):
+        # Exact counts at the Fig 15 weak-scaled sizes: a steady phase
+        # that stops replaying shows here as fewer replays.
+        cluster = Cluster.cpu_cluster(nodes)
+        machine = Machine(cluster, Grid(*square_grid(cluster.num_processors)))
+        kernel = builder(machine, weak_matrix_size(8192, nodes))
+        before = METRICS.snapshot(sources=False)
+        kernel.simulate(LASSEN)
+        after = METRICS.snapshot(sources=False)
+        delta = {
+            name: after.get(name, 0) - before.get(name, 0)
+            for name in ("orbit.steps", "orbit.phase_replays")
+        }
+        assert delta == {"orbit.steps": steps, "orbit.phase_replays": replays}
 
     def test_ragged_tiles_not_reused(self, m84):
         # n=257 gives ragged tiles whose leaf work differs between

@@ -90,25 +90,17 @@ class TestKernelTune:
 
 
 class TestCli:
-    def test_demo_smoke(self, capsys, tmp_path, monkeypatch):
+    def test_demo_smoke(self, capsys):
         from repro.tune import main
 
-        log = tmp_path / "BENCH_simulator.json"
-        monkeypatch.setenv("REPRO_BENCH_LOG", str(log))
         assert main(["--demo", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "heuristic cost" in out
         assert "tuned cost" in out
-        records = json.loads(log.read_text())
-        assert records[-1]["name"] == "tune:matmul"
-        assert "tuned_cost_s" in records[-1]["metrics"]
 
-    def test_ledger_roundtrip_through_cli(self, tmp_path, monkeypatch):
+    def test_ledger_roundtrip_through_cli(self, tmp_path):
         from repro.tune import main
 
-        monkeypatch.setenv(
-            "REPRO_BENCH_LOG", str(tmp_path / "bench.json")
-        )
         ledger = tmp_path / "ledger.json"
         args = [
             "--workload", "matmul", "--nodes", "2", "--size", "1024",
@@ -121,11 +113,9 @@ class TestCli:
         assert main(args) == 0
         assert len(json.loads(ledger.read_text())["entries"]) == first
 
-    def test_pipeline_smoke(self, capsys, tmp_path, monkeypatch):
+    def test_pipeline_smoke(self, capsys):
         from repro.tune import main
 
-        log = tmp_path / "BENCH_simulator.json"
-        monkeypatch.setenv("REPRO_BENCH_LOG", str(log))
         args = [
             "--pipeline", "chain-matmul", "--nodes", "2",
             "--size", "1024", "--top-k", "2",
@@ -134,22 +124,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "joint pipeline" in out
         assert "independent" in out
-        records = json.loads(log.read_text())
-        assert records[-1]["name"] == "tune-pipeline:chain-matmul"
-        assert "joint_cost_s" in records[-1]["metrics"]
 
 
 class TestCliExitCodes:
     """`python -m repro.tune` fails loudly, like `repro.bench` does."""
 
-    def test_unwritable_ledger_exits_nonzero(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_unwritable_ledger_exits_nonzero(self, capsys):
         from repro.tune import main
 
-        monkeypatch.setenv(
-            "REPRO_BENCH_LOG", str(tmp_path / "bench.json")
-        )
         # /dev/null is a file, so the ledger's parent mkdir must fail.
         args = [
             "--workload", "matmul", "--nodes", "2", "--size", "1024",
@@ -159,14 +141,11 @@ class TestCliExitCodes:
         assert "could not be written" in capsys.readouterr().err
 
     def test_oracle_simulation_failure_exits_nonzero(
-        self, tmp_path, monkeypatch, capsys
+        self, monkeypatch, capsys
     ):
         import repro.tune as tune_cli
         import repro.tuner.search as search_mod
 
-        monkeypatch.setenv(
-            "REPRO_BENCH_LOG", str(tmp_path / "bench.json")
-        )
         real_tune = search_mod.tune
 
         def failing_tune(*args, **kwargs):
@@ -181,13 +160,10 @@ class TestCliExitCodes:
         assert tune_cli.main(args) == 1
         assert "simulation(s) failed" in capsys.readouterr().err
 
-    def test_crash_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+    def test_crash_exits_nonzero(self, monkeypatch, capsys):
         import repro.tune as tune_cli
         import repro.tuner.search as search_mod
 
-        monkeypatch.setenv(
-            "REPRO_BENCH_LOG", str(tmp_path / "bench.json")
-        )
 
         def exploding_tune(*args, **kwargs):
             raise RuntimeError("oracle died")
