@@ -97,6 +97,11 @@ SERVE_COUNTERS = (
 #: * ``orbit.phase_seam`` — conjugate replays with a seam: members the
 #:   map does not explain, joined against the carried request classes;
 #: * ``orbit.phase_replays`` — all replays (conjugate plus seam);
+#: * ``orbit.members_carried`` — replayed fetching members whose source
+#:   the conjugate map proved (``src(m + s) - s``), kept without the
+#:   holder join and winner selection;
+#: * ``orbit.members_rederived`` — replayed fetching members resolved
+#:   through that derivation (seam, several holders, owner undercuts);
 #: * ``orbit.multi_piece_batches``, ``orbit.flush_batches``,
 #:   ``orbit.leaf_comm_phases`` — coverage of the class-batched
 #:   multi-piece, reduction-flush and leaf-communication paths;
@@ -108,6 +113,8 @@ ORBIT_COUNTERS = (
     "orbit.phase_conjugate",
     "orbit.phase_seam",
     "orbit.phase_replays",
+    "orbit.members_carried",
+    "orbit.members_rederived",
     "orbit.multi_piece_batches",
     "orbit.flush_batches",
     "orbit.leaf_comm_phases",

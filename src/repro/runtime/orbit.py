@@ -44,840 +44,33 @@ runs as numpy column arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.codegen.plan import LaunchNode, LeafNode, PlanNode, SeqNode
-from repro.machine.cluster import MemoryKind
-from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
 from repro.runtime.executor import ExecutionResult, Executor
-from repro.runtime.trace import CopyColumns, CopyReps, Step, Trace
-from repro.util.errors import LoweringError, OutOfMemoryError
-from repro.util.geometry import Rect
-
-# ----------------------------------------------------------------------
-# Key folding: collision-free int64 row keys for vectorized joins.
-# ----------------------------------------------------------------------
-
-
-def fold_rows(mat: np.ndarray, ranges=None) -> np.ndarray:
-    """A collision-free int64 key per row of an integer matrix.
-
-    One lexicographic sort of the whole matrix followed by an
-    adjacent-row comparison assigns dense ranks (0..n_distinct-1) in
-    row-lexicographic order. Equal rows — across the whole matrix — get
-    equal keys; distinct rows get distinct keys. A single ``lexsort``
-    replaces the seed's per-column ``np.unique`` cascade (one argsort
-    per column per fold), which dominated large-grid class grouping.
-    """
-    n = mat.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if mat.shape[1] == 0:
-        return np.zeros(n, dtype=np.int64)
-    order, diff = _sorted_groups(mat, ranges)
-    new_key = np.empty(n, dtype=np.int64)
-    new_key[0] = 0
-    if n > 1:
-        new_key[1:] = np.cumsum(diff)
-    keys = np.empty(n, dtype=np.int64)
-    keys[order] = new_key
-    return keys
-
-
-def _sorted_groups(mat: np.ndarray, ranges=None):
-    """Row sort order and adjacent-row difference flags of a matrix.
-
-    Columns are losslessly packed while their combined value range fits
-    an int64 (each argsort pass of the lexsort costs the same, so
-    halving the column count roughly halves the sort); the packing is
-    exact (mixed-radix over per-column ranges), so equal rows stay
-    equal and distinct rows distinct.
-    """
-    packed = _pack_columns(mat, ranges)
-    if len(packed) == 1:
-        order = np.argsort(packed[0], kind="stable")
-        sm0 = packed[0][order]
-        diff = sm0[1:] != sm0[:-1]
-    else:
-        order = np.lexsort(packed[::-1])
-        sm = [col[order] for col in packed]
-        diff = sm[0][1:] != sm[0][:-1]
-        for col in sm[1:]:
-            diff = diff | (col[1:] != col[:-1])
-    return order, diff
-
-
-def _pack_columns(mat: np.ndarray, ranges=None) -> List[np.ndarray]:
-    """Mixed-radix-pack a matrix's columns into as few int64 keys as
-    ranges allow (exact: distinct rows stay distinct, equal stay equal).
-
-    ``ranges``, when given, supplies each column's value range as
-    ``(min, max_exclusive)`` so the per-column scans are skipped —
-    callers that know static bounds (grid shapes, tensor extents) save
-    two ufunc reductions per column.
-    """
-    if ranges is None:
-        mins = mat.min(axis=0)
-        highs = mat.max(axis=0) + 1
-    else:
-        mins = [r[0] for r in ranges]
-        highs = [r[1] for r in ranges]
-    cols: List[np.ndarray] = []
-    acc = None
-    acc_range = 1
-    limit = 2 ** 62
-    for c in range(mat.shape[1]):
-        r = int(highs[c]) - int(mins[c])
-        shifted = mat[:, c] - mins[c]
-        if acc is None:
-            acc, acc_range = shifted.astype(np.int64), r
-        elif acc_range * r < limit:
-            acc = acc * np.int64(r) + shifted
-            acc_range *= r
-        else:
-            cols.append(acc)
-            acc, acc_range = shifted.astype(np.int64), r
-    cols.append(acc)
-    return cols
-
-
-def fold_groups(mat: np.ndarray, ranges=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Equal-row groups of a matrix: ``(first, counts)``.
-
-    ``first[g]`` is the lowest row index of group ``g`` (the class
-    representative) and ``counts[g]`` its multiplicity; groups come in
-    row-lexicographic order — exactly what ``np.unique`` on
-    :func:`fold_rows` keys returns, minus the second sort.
-    """
-    n = mat.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order, diff = _sorted_groups(mat, ranges)
-    starts = np.flatnonzero(np.r_[True, diff])
-    counts = np.diff(np.r_[starts, n])
-    first = np.minimum.reduceat(order, starts)
-    return first, counts
-
-
-def fold_two(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold two row sets into one comparable key space."""
-    keys = fold_rows(np.vstack([a, b]))
-    return keys[: a.shape[0]], keys[a.shape[0]:]
-
-
-def _fold_keys(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Equal-key groups of an int64 key column: ``(first, counts)`` in
-    key order, as :func:`fold_groups` orders them. A dense key range
-    folds by counting, with no sort."""
-    base = int(key.min())
-    span = int(key.max()) - base + 1
-    if span <= 4 * key.size + 1024:
-        dense = key - base
-        full = np.bincount(dense, minlength=span)
-        present = full > 0
-        inv = np.take(np.cumsum(present) - 1, dense)
-        counts = full[present]
-    else:
-        _, inv, counts = np.unique(
-            key, return_inverse=True, return_counts=True
-        )
-    first = np.full(counts.size, key.size, dtype=np.int64)
-    np.minimum.at(first, inv, np.arange(key.size, dtype=np.int64))
-    return first, counts
-
-
-def _pack_key(cols, spans) -> Optional[np.ndarray]:
-    """Mixed-radix int64 key of non-negative columns (``cols[i] <
-    spans[i]``), order-preserving like :func:`_pack_columns`; ``None``
-    when the radix would overflow."""
-    total = 1
-    for span in spans:
-        total *= int(span)
-    if total >= 2 ** 62:
-        return None
-    key = np.zeros(cols[0].size, dtype=np.int64)
-    for col, span in zip(cols, spans):
-        key *= int(span)
-        key += col
-    return key
-
-
-def _linear(coords: np.ndarray, strides: np.ndarray) -> np.ndarray:
-    """Row-major linear index of each ``(k, mdim)`` coordinate row."""
-    out = coords[:, 0] * strides[0]
-    for d in range(1, coords.shape[1]):
-        out = out + coords[:, d] * strides[d]
-    return out
-
-
-#: Deterministic odd multipliers for the executor's hash joins (exact
-#: matches are verified afterwards, so collisions cost nothing but a
-#: filtered candidate).
-_HASH_MULTS = (
-    np.random.default_rng(0xD15A1).integers(
-        1, 2 ** 63 - 1, size=64, dtype=np.int64
-    )
-    | 1
+from repro.runtime.orbit_state import (
+    OrbitState,
+    _Chunk,
+    _Classes,
+    _EmitInfo,
+    _fold_keys,
+    _hash_rows,
+    _linear,
+    _MachineTables,
+    _pack_key,
+    _StepBuilder,
+    fold_groups,
+    fold_rows,
+    machine_tables,
 )
-
-
-def _hash_rows(mat: np.ndarray) -> np.ndarray:
-    """A fast (collision-possible) int64 key per row; callers must
-    verify candidate matches on the original columns."""
-    with np.errstate(over="ignore"):
-        return mat @ _HASH_MULTS[: mat.shape[1]]
-
-
-# ----------------------------------------------------------------------
-# Machine tables (cached per Machine instance).
-# ----------------------------------------------------------------------
-
-
-class _MachineTables:
-    """Numpy lookup tables for grid points, processors and memories."""
-
-    def __init__(self, machine: Machine):
-        cluster = machine.cluster
-        shape = machine.shape
-        self.shape = np.asarray(shape, dtype=np.int64)
-        self.size = machine.size
-        strides = np.ones(len(shape), dtype=np.int64)
-        for d in range(len(shape) - 2, -1, -1):
-            strides[d] = strides[d + 1] * shape[d + 1]
-        self.strides = strides
-        n_procs = cluster.num_processors
-        self.node_of_proc = cluster.node_of_proc()
-        self.memories = cluster.memories()
-        self.memory_name = cluster.memory_name
-        self.mem_capacity = cluster.mem_capacity()
-        self.mem_gpu = cluster.mem_gpu()
-        self.procmem_of_proc = cluster.procmem_of_proc()
-        self.sysmem_of_node = cluster.sysmem_of_node()
-        # All machine coordinates, row-major (matches machine.points()).
-        coords = np.stack(
-            np.unravel_index(np.arange(self.size), tuple(shape)), axis=1
-        ).astype(np.int64)
-        self.point_coords = coords
-        # Vectorized Machine.proc_at over every grid point: flat
-        # machines place points row-major over all processors; multi-
-        # level machines place the outer level over nodes and the inner
-        # levels row-major within a node (over-decomposition wraps).
-        if len(machine.levels) == 1:
-            table = (coords @ strides) % n_procs
-        else:
-            outer_dim = machine.levels[0].dim
-            node_lin = coords[:, :outer_dim] @ strides[:outer_dim] \
-                // strides[outer_dim - 1]
-            node_lin = node_lin % cluster.num_nodes
-            inner = coords[:, outer_dim:]
-            inner_shape = shape[outer_dim:]
-            istr = np.ones(len(inner_shape), dtype=np.int64)
-            for d in range(len(inner_shape) - 2, -1, -1):
-                istr[d] = istr[d + 1] * inner_shape[d + 1]
-            ppn = cluster.procs_per_node
-            table = node_lin * ppn + (inner @ istr) % ppn
-        self.proc_of_point = table
-        self._tensor_mem: Dict[Tuple[str, str], np.ndarray] = {}
-
-    def tensor_mem_of_proc(self, tensor) -> np.ndarray:
-        """Memory id a tensor instance occupies, per processor.
-
-        Mirrors ``DataEnvironment._memory_for_uncached``: framebuffer-
-        pinned formats use the processor memory (which *is* the
-        framebuffer on GPUs), host-resident formats use the node system
-        memory when one exists.
-        """
-        wants = tensor.format.memory
-        key = (tensor.name, wants.value)
-        cached = self._tensor_mem.get(key)
-        if cached is not None:
-            return cached
-        if wants is MemoryKind.SYSTEM_MEM:
-            out = self.sysmem_of_node[self.node_of_proc]
-        else:
-            out = self.procmem_of_proc.copy()
-        self._tensor_mem[key] = out
-        return out
-
-
-def machine_tables(machine: Machine) -> _MachineTables:
-    tables = getattr(machine, "_orbit_tables", None)
-    if tables is None:
-        tables = _MachineTables(machine)
-        machine._orbit_tables = tables
-    return tables
-
-
-# ----------------------------------------------------------------------
-# Columnar instance mirror (the orbit-mode holder tables).
-# ----------------------------------------------------------------------
-
-
-class _Mirror:
-    """Columnar cached-instance store for one tensor.
-
-    Rows are ``(rect lo, rect hi, holder coords, memory, bytes)``.
-    Freed rows are recycled, so the arrays stay bounded by the peak
-    number of live instances. Row ids are stable for the lifetime of
-    the instance, which is what phase-held bookkeeping releases by.
-    """
-
-    def __init__(self, ndim: int, mdim: int):
-        self.ndim = ndim
-        self.mdim = mdim
-        #: Mutation counter (bumped by add/free): the conjugate replay
-        #: uses it to prove the mirror is unchanged modulo a phase's own
-        #: held-set churn.
-        self.version = 0
-        cap = 64
-        self.lo = np.zeros((cap, ndim), dtype=np.int64)
-        self.hi = np.zeros((cap, ndim), dtype=np.int64)
-        self.coords = np.zeros((cap, mdim), dtype=np.int64)
-        self.mem = np.zeros(cap, dtype=np.int64)
-        self.nbytes = np.zeros(cap, dtype=np.int64)
-        self.alive = np.zeros(cap, dtype=bool)
-        self.tail = 0
-        self._free = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, need: int):
-        cap = self.alive.size
-        new_cap = max(cap * 2, cap + need)
-        for name in ("lo", "hi", "coords"):
-            arr = getattr(self, name)
-            grown = np.zeros((new_cap, arr.shape[1]), dtype=np.int64)
-            grown[:cap] = arr
-            setattr(self, name, grown)
-        for name, dtype in (("mem", np.int64), ("nbytes", np.int64)):
-            arr = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=dtype)
-            grown[:cap] = arr
-            setattr(self, name, grown)
-        alive = np.zeros(new_cap, dtype=bool)
-        alive[:cap] = self.alive
-        self.alive = alive
-
-    def alloc(self, k: int) -> np.ndarray:
-        take = min(k, self._free.size)
-        rows = self._free[:take]
-        self._free = self._free[take:]
-        rest = k - take
-        if rest:
-            if self.tail + rest > self.alive.size:
-                self._grow(self.tail + rest - self.alive.size)
-            rows = np.concatenate(
-                [rows, np.arange(self.tail, self.tail + rest, dtype=np.int64)]
-            )
-            self.tail += rest
-        return rows
-
-    def add_rows(self, lo, hi, coords, mem, nbytes) -> np.ndarray:
-        rows = self.alloc(lo.shape[0])
-        at = rows
-        if rows.size and rows[-1] - rows[0] + 1 == rows.size and bool(
-            (np.diff(rows) == 1).all()
-        ):
-            # Recycled rows usually come back as one run: slices write
-            # far faster than row gathers.
-            at = slice(int(rows[0]), int(rows[-1]) + 1)
-        self.lo[at] = lo
-        self.hi[at] = hi
-        self.coords[at] = coords
-        self.mem[at] = mem
-        self.nbytes[at] = nbytes
-        self.alive[at] = True
-        self.version += 1
-        return rows
-
-    def free_rows(self, rows: np.ndarray):
-        self.alive[rows] = False
-        self._free = np.concatenate([self._free, rows])
-        self.version += 1
-
-    def snapshot(self) -> np.ndarray:
-        """Row ids of all live instances."""
-        return np.flatnonzero(self.alive[: self.tail])
-
-
-class _PartialTable:
-    """Columnar pending-partials store for one tensor.
-
-    Rows are ``(context coords, rect lo, rect hi)`` in insertion order —
-    the order the scalar interpreter's per-context rect lists replay
-    during a flush. Rows are appended in bulk by the leaf accounting
-    and removed in bulk when a flush pops them.
-    """
-
-    def __init__(self, ndim: int, mdim: int):
-        self.ndim = ndim
-        self.mdim = mdim
-        self.coords = np.zeros((0, mdim), dtype=np.int64)
-        self.lo = np.zeros((0, ndim), dtype=np.int64)
-        self.hi = np.zeros((0, ndim), dtype=np.int64)
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    def append(self, coords: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.coords = np.concatenate([self.coords, coords])
-        self.lo = np.concatenate([self.lo, lo])
-        self.hi = np.concatenate([self.hi, hi])
-
-    def remove(self, rows: np.ndarray):
-        keep = np.ones(self.n, dtype=bool)
-        keep[rows] = False
-        self.coords = self.coords[keep]
-        self.lo = self.lo[keep]
-        self.hi = self.hi[keep]
-
-
-# ----------------------------------------------------------------------
-# Orbit data environment.
-# ----------------------------------------------------------------------
-
-
-class OrbitState:
-    """Instance tables and memory accounting on columnar storage.
-
-    Holder state lives in per-tensor :class:`_Mirror` tables, pending
-    output partials in :class:`_PartialTable` s and memory accounting in
-    flat numpy arrays, so every phase applies as bincounts rather than
-    per-context dict updates. Home instances are charged on
-    construction, like the scalar
-    :class:`~repro.runtime.instances.DataEnvironment`.
-    """
-
-    def __init__(self, plan, check_capacity: bool, tables: _MachineTables):
-        self.plan = plan
-        self.machine: Machine = plan.machine
-        self.check_capacity = check_capacity
-        self._mt = tables
-        n_mem = len(tables.memories)
-        self._usage_arr = np.zeros(n_mem, dtype=np.int64)
-        self._high_arr = np.zeros(n_mem, dtype=np.int64)
-        self._touched = np.zeros(n_mem, dtype=bool)
-        self._mirrors: Dict[str, _Mirror] = {}
-        self._partial_tabs: Dict[str, _PartialTable] = {}
-        self._account_home()
-
-    # -- memory accounting on arrays -----------------------------------
-
-    @property
-    def high_water(self) -> Dict[str, int]:
-        name = self._mt.memory_name
-        return {
-            name(i): int(self._high_arr[i])
-            for i in np.flatnonzero(self._touched)
-        }
-
-    def bulk_add(self, mem_ids, amounts, order):
-        """Apply a phase's registration charges at once.
-
-        Equivalent to the scalar ``DataEnvironment._add_bytes`` per
-        event in ``order``: the peak is reached after the last add
-        either way, and on a capacity overflow the events are replayed
-        in order so the raised error carries exactly the usage at the
-        first crossing.
-        """
-        if mem_ids.size == 0:
-            return
-        n_mem = self._usage_arr.size
-        adds = np.bincount(
-            mem_ids, weights=amounts.astype(np.float64), minlength=n_mem
-        ).astype(np.int64)
-        new_usage = self._usage_arr + adds
-        if self.check_capacity and bool(
-            np.any(new_usage > self._mt.mem_capacity)
-        ):
-            run = self._usage_arr.copy()
-            caps = self._mt.mem_capacity
-            seq = np.argsort(order, kind="stable")
-            for j in seq:
-                mid = int(mem_ids[j])
-                run[mid] += int(amounts[j])
-                if run[mid] > caps[mid]:
-                    raise OutOfMemoryError(
-                        self._mt.memory_name(mid),
-                        int(run[mid]),
-                        int(caps[mid]),
-                    )
-        self._usage_arr = new_usage
-        self._touched |= adds > 0
-        np.maximum(self._high_arr, new_usage, out=self._high_arr)
-
-    def bulk_sub(self, mem_ids, amounts):
-        if mem_ids.size == 0:
-            return
-        subs = np.bincount(
-            mem_ids,
-            weights=amounts.astype(np.float64),
-            minlength=self._usage_arr.size,
-        ).astype(np.int64)
-        self._usage_arr -= subs
-
-    def apply_events(self, mem_ids, deltas):
-        """Apply an interleaved add/sub event stream exactly.
-
-        ``mem_ids``/``deltas`` are already in scalar event order.
-        Equivalent to the scalar ``_add_bytes``/``_sub_bytes`` per
-        event: the per-memory running usage determines the high-water
-        marks, and on a capacity overflow the events are replayed in
-        order so the raised error carries exactly the usage at the
-        first crossing.
-        Used for phases whose adds and releases interleave per context
-        (reduction flushes, leaf-level communication).
-        """
-        if mem_ids.size == 0:
-            return
-        n_mem = self._usage_arr.size
-        # Segment cumsum: stable-sort by memory, running totals within
-        # each memory's segment stay in event order.
-        by_mem = np.argsort(mem_ids, kind="stable")
-        gm = mem_ids[by_mem]
-        gd = deltas[by_mem]
-        cs = np.cumsum(gd)
-        starts = np.flatnonzero(np.r_[True, gm[1:] != gm[:-1]])
-        seg_len = np.diff(np.r_[starts, gm.size])
-        base = np.where(starts > 0, cs[starts - 1], 0)
-        run = cs - np.repeat(base, seg_len) + self._usage_arr[gm]
-        adds = gd > 0
-        if self.check_capacity and bool(
-            np.any(run[adds] > self._mt.mem_capacity[gm[adds]])
-        ):
-            usage = self._usage_arr.copy()
-            caps = self._mt.mem_capacity
-            for j in range(mem_ids.size):
-                mid = int(mem_ids[j])
-                usage[mid] += int(deltas[j])
-                if deltas[j] > 0 and usage[mid] > caps[mid]:
-                    raise OutOfMemoryError(
-                        self._mt.memory_name(mid),
-                        int(usage[mid]),
-                        int(caps[mid]),
-                    )
-        # Peaks are always attained after an add, so the max over all
-        # running values equals the scalar per-add high-water update.
-        peaks = self._high_arr.copy()
-        np.maximum.at(peaks, gm, run)
-        self._high_arr = peaks
-        self._usage_arr = self._usage_arr + np.bincount(
-            gm, weights=gd.astype(np.float64), minlength=n_mem
-        ).astype(np.int64)
-        self._touched |= (
-            np.bincount(gm[adds], minlength=n_mem) > 0
-        )
-
-    # -- home-instance accounting (vectorized) --------------------------
-
-    def _account_home(self):
-        """Charge every distinct home instance to its memory.
-
-        Vectorized replacement of the scalar per-point loop: home
-        rectangles come from :meth:`Format.owned_rect_batch` over every
-        machine point at once, replicas collapse to one charge per
-        distinct ``(memory, rectangle)`` via row folding, and the
-        charges commit through :meth:`bulk_add` in the scalar event
-        order (tensor-major, machine-point-minor), so OOM outcomes are
-        byte-identical to the reference interpreter.
-        """
-        mt = self._mt
-        coords = mt.point_coords
-        size = coords.shape[0]
-        mem_chunks = []
-        amount_chunks = []
-        order_chunks = []
-        for t_pos, (name, tensor) in enumerate(self.plan.tensors.items()):
-            if not tensor.format.is_distributed:
-                if tensor.ndim == 0:
-                    continue
-                # Undistributed tensors live at machine point 0.
-                mem_chunks.append(
-                    mt.tensor_mem_of_proc(tensor)[mt.proc_of_point[:1]]
-                )
-                amount_chunks.append(
-                    np.array([tensor.nbytes], dtype=np.int64)
-                )
-                order_chunks.append(
-                    np.array([t_pos * size], dtype=np.int64)
-                )
-                continue
-            lo, hi, ok = tensor.format.owned_rect_batch(
-                self.machine, coords, tensor.shape
-            )
-            live = ok
-            vol = np.ones(size, dtype=np.int64)
-            for d in range(tensor.ndim):
-                vol *= hi[d] - lo[d]
-                live = live & (hi[d] > lo[d])
-            sel = np.flatnonzero(live)
-            if sel.size == 0:
-                continue
-            mem_ids = mt.tensor_mem_of_proc(tensor)[mt.proc_of_point[sel]]
-            rows = np.column_stack(
-                [mem_ids, lo[:, sel].T, hi[:, sel].T]
-            )
-            _, first = np.unique(fold_rows(rows), return_index=True)
-            first.sort()
-            take = sel[first]
-            mem_chunks.append(mem_ids[first])
-            amount_chunks.append(vol[take] * tensor.itemsize)
-            order_chunks.append(t_pos * size + take)
-        if mem_chunks:
-            self.bulk_add(
-                np.concatenate(mem_chunks),
-                np.concatenate(amount_chunks),
-                np.concatenate(order_chunks),
-            )
-
-    # -- pending output partials (columnar) -----------------------------
-
-    def partial_table(self, name: str) -> "_PartialTable":
-        tab = self._partial_tabs.get(name)
-        if tab is None:
-            tab = _PartialTable(
-                self.plan.tensors[name].ndim, self.machine.dim
-            )
-            self._partial_tabs[name] = tab
-        return tab
-
-    def note_partials_bulk(
-        self, name: str, coords: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """Record non-owned output writes for a batch of contexts.
-
-        ``coords`` is ``(k, machine.dim)``; ``lo``/``hi`` are
-        ``(ndim, k)`` endpoint columns. Duplicate ``(coords, rect)``
-        rows — against the pending table and within the batch, exactly
-        the scalar ``note_partial`` dedup — are dropped. Returns the
-        kept-row mask; the *caller* charges the memory for kept rows so
-        it can weave the adds into its own event order.
-        """
-        tab = self.partial_table(name)
-        new_rows = np.column_stack([coords, lo.T, hi.T])
-        old_rows = np.column_stack([tab.coords, tab.lo, tab.hi])
-        old_k, new_k = fold_two(old_rows, new_rows)
-        keep = np.ones(new_k.size, dtype=bool)
-        if old_k.size:
-            keep &= ~np.isin(new_k, old_k)
-        # First occurrence within the batch.
-        _, first = np.unique(new_k, return_index=True)
-        dup = np.ones(new_k.size, dtype=bool)
-        dup[first] = False
-        keep &= ~dup
-        if np.any(keep):
-            tab.append(coords[keep], lo[:, keep].T, hi[:, keep].T)
-        return keep
-
-    def take_partials(self, name: str, region_coords: np.ndarray):
-        """Pop pending partials belonging to the given context coords.
-
-        Returns ``(member, lo, hi)`` — the member index of each popped
-        row within ``region_coords`` plus ``(ndim, k)`` rect endpoint
-        columns, in insertion order (the scalar flush order). Rows of
-        other regions stay queued.
-        """
-        tab = self._partial_tabs.get(name)
-        ndim = self.plan.tensors[name].ndim
-        empty = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros((ndim, 0), dtype=np.int64),
-            np.zeros((ndim, 0), dtype=np.int64),
-        )
-        if tab is None or tab.n == 0:
-            return empty
-        tab_k, reg_k = fold_two(tab.coords, region_coords)
-        order = np.argsort(reg_k, kind="stable")
-        sk = reg_k[order]
-        pos = np.minimum(np.searchsorted(sk, tab_k), sk.size - 1)
-        hit = sk[pos] == tab_k
-        rows = np.flatnonzero(hit)
-        if rows.size == 0:
-            return empty
-        member = order[pos[rows]]
-        lo = tab.lo[rows].T.copy()
-        hi = tab.hi[rows].T.copy()
-        tab.remove(rows)
-        return member, lo, hi
-
-    # -- holder state on mirrors ---------------------------------------
-
-    def mirror(self, name: str) -> _Mirror:
-        m = self._mirrors.get(name)
-        if m is None:
-            m = _Mirror(
-                self.plan.tensors[name].ndim, self.machine.dim
-            )
-            self._mirrors[name] = m
-        return m
-
-
-# ----------------------------------------------------------------------
-# Step builder: exact expanded columns + compressed representatives.
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _EmitInfo:
-    """One emitted phase-tensor batch, with what a replay needs."""
-
-    chunk: "_Chunk"
-    pos: int
-    builder: "_StepBuilder"
-    keep: Optional[np.ndarray]  # row filter over the member set, or None
-    first: np.ndarray           # class representatives (kept-row index)
-    reps: CopyReps
-
-
-@dataclass
-class _Classes:
-    """One phase's request classes: the distinct rectangles its
-    fetching members request."""
-
-    labels: np.ndarray  # class per fetching member
-    cols: np.ndarray    # (classes, 2 * ndim) endpoints, lo then hi
-    counts: np.ndarray  # fetching members per class
-
-    @property
-    def distinct(self) -> bool:
-        return self.counts.size == self.labels.size
-
-
-@dataclass
-class _Chunk:
-    """One bulk emission batch (one tensor, one phase)."""
-
-    tensor_id: int
-    lo: np.ndarray  # (k, ndim)
-    hi: np.ndarray
-    nbytes: np.ndarray
-    src_proc: np.ndarray
-    dst_proc: np.ndarray
-    src_gpu: np.ndarray
-    dst_gpu: np.ndarray
-    reduce: bool = False
-    #: True when the rows' rectangles are pairwise distinct (hash-
-    #: verified): every copy is then its own collective group, letting
-    #: the step finalize skip the group fold.
-    distinct: bool = False
-
-
-@dataclass
-class _StepBuilder:
-    """Accumulates a step's exact per-member copy columns.
-
-    Every emission path — single-source fetches, multi-piece
-    redistribution, reduction flushes, leaf-level communication — lands
-    here as a columnar :class:`_Chunk`; there is no per-``Copy`` scalar
-    side channel.
-    """
-
-    step: Step
-    chunks: List[_Chunk] = field(default_factory=list)
-    #: ``(source builder, source chunk index)`` per translation-replayed
-    #: chunk; lets the fetch path prove the whole step is a clone.
-    replay_votes: List[Tuple] = field(default_factory=list)
-    clone_src: Optional["_StepBuilder"] = None
-    #: The finalized columns (``None`` for a step without copies). Kept
-    #: here rather than read back from the step, whose columns a
-    #: streamed run releases once priced; a later clone copies them.
-    columns: Optional[CopyColumns] = None
-
-    def finalize(self, tables: _MachineTables, tensor_ids: Dict[str, int],
-                 extent_cap: int = None):
-        src = self.clone_src
-        # Drop the links to earlier builders: only the fetch that built
-        # this step reads them, and each builder would otherwise keep
-        # its whole replay chain alive.
-        self.replay_votes = []
-        self.clone_src = None
-        if src is not None:
-            # Translation-replayed step: the columns are byte-identical
-            # to the source step's (finalized first — builders finalize
-            # in step order).
-            self.columns = src.columns
-        else:
-            self.columns = self._build(tables, tensor_ids, extent_cap)
-        if self.columns is not None:
-            self.step.pin_columns(self.columns)
-
-    def _build(self, tables: _MachineTables, tensor_ids: Dict[str, int],
-               extent_cap: Optional[int]) -> Optional[CopyColumns]:
-        rows = sum(c.lo.shape[0] for c in self.chunks)
-        if rows == 0:
-            return None
-        max_nd = 0
-        for c in self.chunks:
-            max_nd = max(max_nd, c.lo.shape[1])
-        tid = np.empty(rows, dtype=np.int64)
-        lo = np.full((rows, max_nd), -1, dtype=np.int64)
-        hi = np.full((rows, max_nd), -1, dtype=np.int64)
-        nbytes = np.empty(rows, dtype=np.int64)
-        src_proc = np.empty(rows, dtype=np.int64)
-        dst_proc = np.empty(rows, dtype=np.int64)
-        src_gpu = np.empty(rows, dtype=bool)
-        dst_gpu = np.empty(rows, dtype=bool)
-        reduce = np.zeros(rows, dtype=bool)
-        at = 0
-        for c in self.chunks:
-            k, nd = c.lo.shape
-            sl = slice(at, at + k)
-            tid[sl] = c.tensor_id
-            lo[sl, :nd] = c.lo
-            hi[sl, :nd] = c.hi
-            nbytes[sl] = c.nbytes
-            src_proc[sl] = c.src_proc
-            dst_proc[sl] = c.dst_proc
-            src_gpu[sl] = c.src_gpu
-            dst_gpu[sl] = c.dst_gpu
-            reduce[sl] = c.reduce
-            at += k
-        # Collective groups: (reduce, tensor, rect, root endpoint).
-        if all(c.distinct for c in self.chunks):
-            # Pairwise-distinct rectangles per chunk and per-tensor
-            # chunks: every copy is a singleton group.
-            group = np.arange(rows, dtype=np.int64)
-        else:
-            root = np.where(reduce, dst_proc, src_proc)
-            ranges = None
-            if extent_cap is not None:
-                n_procs = tables.node_of_proc.size
-                ranges = (
-                    [(0, 2), (0, len(tensor_ids) + 1)]
-                    + [(-1, extent_cap + 1)] * (2 * max_nd)
-                    + [(0, n_procs)]
-                )
-            gcols = np.empty((rows, 2 * max_nd + 3), dtype=np.int64)
-            gcols[:, 0] = reduce
-            gcols[:, 1] = tid
-            gcols[:, 2:2 + max_nd] = lo
-            gcols[:, 2 + max_nd:2 + 2 * max_nd] = hi
-            gcols[:, 2 + 2 * max_nd] = root
-            group = fold_rows(gcols, ranges)
-        src_node = tables.node_of_proc[src_proc]
-        dst_node = tables.node_of_proc[dst_proc]
-        return CopyColumns(
-            n=rows,
-            nbytes=nbytes,
-            src_proc=src_proc,
-            dst_proc=dst_proc,
-            src_node=src_node,
-            dst_node=dst_node,
-            inter=src_node != dst_node,
-            reduce=reduce,
-            gpu_resident=src_gpu | dst_gpu,
-            src_gpu=src_gpu,
-            dst_gpu=dst_gpu,
-            group=group,
-            num_groups=int(group.max()) + 1 if rows else 0,
-            count=np.ones(rows, dtype=np.int64),
-        )
-
+from repro.runtime.trace import CopyReps, Step, Trace
+from repro.util.errors import LoweringError
+from repro.util.geometry import Rect
 
 # ----------------------------------------------------------------------
 # The orbit executor.
@@ -916,6 +109,7 @@ class OrbitExecutor(Executor):
         #: The previous phase's held rows, per tensor (set by the fetch
         #: path; lets memos separate held-set churn from static rows).
         self._prev_held: Dict[str, np.ndarray] = {}
+        self._shifts: Dict[Tuple[int, ...], np.ndarray] = {}
         #: Coverage counters for the class-batched multi-piece
         #: redistribution, reduction flushes and leaf-level
         #: communication phases — the parity suite asserts the paths
@@ -933,6 +127,10 @@ class OrbitExecutor(Executor):
         self.phase_conjugate = 0
         self.phase_seam = 0
         self.phase_replays = 0
+        #: Replayed fetching members whose source the conjugate map
+        #: proved, and those resolved through the derivation.
+        self.members_carried = 0
+        self.members_rederived = 0
 
     # -- plumbing ------------------------------------------------------
 
@@ -1279,8 +477,6 @@ class OrbitExecutor(Executor):
         ]
         n_names = len(effective)
         resolved = []
-        builder_before = self._builders.get(id(step))
-        chunks_before = len(builder_before.chunks) if builder_before else 0
         with span("orbit.classify"):
             for pos, name in enumerate(effective):
                 resolved.append(
@@ -1288,23 +484,6 @@ class OrbitExecutor(Executor):
                         name, pos, n_names, region, block, step
                     )
                 )
-        # Whole-step translation replay: when every chunk of this step
-        # is a translation replay of one source step's chunks, in order
-        # and covering all of them, the pinned copy columns are byte-
-        # identical to that step's (payloads, endpoints, flags, and the
-        # group partition are all translation invariant), so finalize
-        # clones them instead of re-folding.
-        builder = self._builders.get(id(step))
-        if builder is not None and chunks_before == 0:
-            votes = builder.replay_votes
-            if (
-                votes
-                and len(votes) == len(builder.chunks)
-                and all(v[0] is votes[0][0] for v in votes)
-                and [v[1] for v in votes] == list(range(len(votes)))
-                and len(votes[0][0].chunks) == len(votes)
-            ):
-                builder.clone_src = votes[0][0]
         # Commit: register instances (pre-phase resolution is complete),
         # then charge the memory in scalar event order.
         held: Dict[str, np.ndarray] = {}
@@ -1316,9 +495,11 @@ class OrbitExecutor(Executor):
                 continue
             idx, lo_rows, hi_rows, mem_rows, byte_rows, order = reg
             mirror = self.env.mirror(name)
-            rows = mirror.add_rows(
-                lo_rows, hi_rows, region.coords[idx], mem_rows, byte_rows
-            )
+            coords = region.coords
+            if idx.size < region.n:
+                coords = coords[idx]
+            rows = mirror.add_rows(lo_rows, hi_rows, coords, mem_rows,
+                                   byte_rows)
             held[name] = rows
             mem_ids.append(mem_rows)
             amounts.append(byte_rows)
@@ -1463,9 +644,13 @@ class OrbitExecutor(Executor):
         )
         lo_f = lo[:, fetch_idx]
         hi_f = hi[:, fetch_idx]
+        classes = self._request_classes(req_k, req_keys_cols)
+        owner, valid = self._member_owners(
+            *self._owners(tensor, lo_f, hi_f), None, req_coords
+        )
         have, src_coords = self._select_winners(
-            tensor, lo_f, hi_f, req_coords, holder_best, pair_req,
-            pair_key, pair_coords,
+            req_coords, owner, valid, holder_best, pair_req, pair_key,
+            pair_coords,
         )
         no_src = np.flatnonzero(~have)
         if no_src.size:
@@ -1478,66 +663,79 @@ class OrbitExecutor(Executor):
                 hi[:, fetch_idx[no_src]],
                 tensor,
             )
-        # Request classes and the static-row index the next phase's
-        # replay carries.
-        classes = self._request_classes(req_k, req_keys_cols)
+        # The static-row index the next phase's replay probes.
         if ndim:
             self._rebuild_fixed(
                 memo, mirror, inst_rows, self._prev_held.get(name), ndim
             )
+        reg = self._registration(
+            region, lo_f, hi_f, fetch_idx, tensor, name_pos, n_names
+        )
         # Columnar emission for the single-source winners.
-        win_pos = np.flatnonzero(have)
+        distinct = classes is not None and classes.distinct
+        sources = None
         emitted = None
-        if win_pos.size:
+        if no_src.size == 0:
+            sources = src_coords
             emitted = self._emit_bulk(
+                step, name, region, fetch_idx, lo_f, hi_f, src_coords,
+                tensor, distinct=distinct, rows=(reg[1], reg[2], reg[4]),
+            )
+        elif no_src.size < k:
+            win_pos = np.flatnonzero(have)
+            self._emit_bulk(
                 step, name, region,
                 fetch_idx[win_pos],
                 lo_f[:, win_pos],
                 hi_f[:, win_pos],
                 src_coords[win_pos],
                 tensor,
-                distinct=classes is not None and classes.distinct,
+                distinct=distinct,
             )
-        return self._commit_memo(
-            memo, region, lo_f, hi_f, fetch_idx, tensor, name_pos, n_names,
-            classes, src_coords if no_src.size == 0 else None, emitted,
-            shift=None, seam=0,
+        self._commit_memo(
+            memo, reg, classes, sources, emitted,
+            shift=None, seam=0, probed=False,
         )
+        return reg
 
-    def _select_winners(self, tensor, req_lo, req_hi, req_coords,
-                        holder_best, pair_req, pair_key, pair_coords,
-                        cls=None):
-        """Owner candidates plus winner selection (shared by the full
-        and replay paths; owner blocks are not translation covariant).
-
-        ``req_lo``/``req_hi`` hold one request column per fetching
-        member, or one per request class when ``cls`` maps members to
-        classes — the owner arithmetic then runs once per distinct
-        request. Returns ``(have, src_coords)``.
-        """
-        mt = self._mt
-        shape_vec = mt.shape
-        k = req_coords.shape[0]
+    def _owners(self, tensor, req_lo, req_hi):
+        """Owner pattern and validity per request column, via the
+        vectorized distribution arithmetic (replica dims are ``-1``)."""
         ndim = tensor.ndim
-        # The single-owner candidate, via the vectorized distribution
-        # arithmetic; replica dims concretize to the requester's coords.
-        pat, valid = tensor.format.owner_pattern_batch(
+        return tensor.format.owner_pattern_batch(
             self.machine,
             req_lo if ndim else None,
             req_hi if ndim else None,
             tensor.shape,
             count=req_lo.shape[1],
         )
+
+    def _member_owners(self, pat, valid, labels, req_coords):
+        """Per-member owner coordinate columns and validity, from one
+        owner pattern per class (``labels``; ``None``: per member).
+        Replica dims concretize to the requester's coordinates."""
+        shape_vec = self._mt.shape
         replicas = bool((pat < 0).any())
-        if cls is not None:
-            pat = np.take(pat, cls, axis=1)
-            valid = np.take(valid, cls)
+        if labels is not None:
+            pat = np.take(pat, labels, axis=1)
+            valid = np.take(valid, labels)
         owner = list(pat)
         if replicas:
             for d in range(shape_vec.size):
                 owner[d] = np.where(
                     owner[d] >= 0, owner[d], req_coords[:, d] % shape_vec[d]
                 )
+        return owner, valid
+
+    def _select_winners(self, req_coords, owner, valid, holder_best,
+                        pair_req, pair_key, pair_coords):
+        """Winner selection between the holders and the owner (shared by
+        the full and replay paths): the scalar rule ``min((torus
+        distance, holder-before-owner, coords))``. Returns ``(have,
+        src_coords)``."""
+        mt = self._mt
+        shape_vec = mt.shape
+        k = req_coords.shape[0]
         if pair_req is None or not pair_req.size:
             # No holder anywhere: the owner wins wherever there is one.
             return valid, np.stack(
@@ -1628,17 +826,17 @@ class OrbitExecutor(Executor):
         starts = np.flatnonzero(new)
         labels = np.empty(sh.size, dtype=np.int64)
         labels[order] = np.cumsum(new) - 1
+        # Classes come in hash order: the sorted index is the identity.
+        cls_hash = sh[starts]
         return _Classes(
-            labels, cols[starts], np.diff(np.r_[starts, sh.size])
+            labels, cols[starts], np.diff(np.r_[starts, sh.size]),
+            cls_hash, (cls_hash, np.arange(starts.size, dtype=np.int64)),
         )
 
-    def _commit_memo(self, memo, region, lo_f, hi_f, fetch_idx, tensor,
-                     name_pos, n_names, classes, src_coords, emitted,
-                     shift, seam):
-        """Build a phase's registration batch (every fetching member,
-        pieces included) and remember what the next phase's conjugate
-        replay carries: fetchers, request classes, winners, emission.
-        The caller pins ``memo.version`` after the commit."""
+    def _registration(self, region, lo_f, hi_f, fetch_idx, tensor,
+                      name_pos, n_names):
+        """A phase's registration batch (every fetching member, pieces
+        included): ``(ctx rows, lo, hi, mem, bytes, order)``."""
         vol = np.ones(fetch_idx.size, dtype=np.int64)
         for d in range(tensor.ndim):
             vol *= hi_f[d] - lo_f[d]
@@ -1648,16 +846,29 @@ class OrbitExecutor(Executor):
             np.take(region.proc, fetch_idx),
         )
         order = fetch_idx.astype(np.int64) * np.int64(n_names) + name_pos
-        memo.ready = classes is not None and memo.fixed_hash is not None
-        memo.version = -1
-        memo.fetch_idx = fetch_idx
-        memo.classes = classes
-        memo.src_coords = src_coords
-        memo.emit = emitted
-        memo.shift = shift
-        memo.seam = seam
         return (fetch_idx, lo_f.T.copy(), hi_f.T.copy(), mem_rows,
                 byte_rows, order)
+
+    @staticmethod
+    def _commit_memo(memo, reg, classes, sources, emitted, shift, seam,
+                     probed):
+        """Remember what the next phase's conjugate replay carries: the
+        fetchers, request classes, sources (when every fetcher has
+        one: coordinates, or linear index and torus distance), the
+        emission, the map and whether the classes were probed against
+        the static rows. The caller pins ``memo.version`` after the
+        commit."""
+        memo.ready = classes is not None and memo.fixed_hash is not None
+        memo.version = -1
+        memo.fetch_idx = reg[0]
+        memo.classes = classes
+        memo.sources = sources
+        memo.emit = emitted
+        memo.shifts = [] if shift is None else [shift] + [
+            s for s in memo.shifts[:1] if not np.array_equal(s, shift)
+        ]
+        memo.seam = seam
+        memo.probed = probed
 
     def _conjugate_map(self, memo, region, lo_f, hi_f, prev_lo, prev_hi,
                        rem_idx):
@@ -1666,17 +877,20 @@ class OrbitExecutor(Executor):
         A fetching member ``m`` is *carried* by a torus shift ``s`` and a
         translation ``d`` when the member at ``coords(m) + s`` fetched
         last phase and requested exactly ``request(m) - d``; the rest
-        form the seam. The previous phase's map is tried first and kept
-        while its seam does not grow; otherwise zero and the unit shifts
-        are screened by how many members' preimages did not fetch, and
-        the smallest seam wins, preferring ``d = 0`` (whose request
-        classes carry their holders). Returns ``(s, d, prev rows,
-        carried)``, or ``None`` when every map leaves over half of
-        the members unexplained.
+        form the seam. The last two maps are tried first, and one is
+        kept while its seam does not grow; otherwise zero and the unit
+        shifts are screened by how many members' preimages did not
+        fetch, and the smallest seam wins, preferring ``d = 0`` (whose
+        request classes carry their holders). Returns ``(s, d, preimage
+        rows, carried, prev row)`` — ``prev row`` is each member's
+        previous fetch position — or ``None`` when every map leaves over
+        half of the members unexplained.
         """
         mt = self._mt
         k = rem_idx.size
-        prev_row = np.full(region.n, -1, dtype=np.int64)
+        # Previous fetch position per member; the extra slot answers -1
+        # for grid points outside the region.
+        prev_row = np.full(region.n + 1, -1, dtype=np.int64)
         prev_row[memo.fetch_idx] = np.arange(
             memo.fetch_idx.size, dtype=np.int64
         )
@@ -1689,7 +903,7 @@ class OrbitExecutor(Executor):
                 ok &= lo_f[d] == np.take(prev_lo[d], src) + delta[d]
                 ok &= hi_f[d] == np.take(prev_hi[d], src) + delta[d]
             rank = (bool(delta.any()), k - int(np.count_nonzero(ok)))
-            return rank, (s, delta, pr, ok)
+            return rank, (s, delta, pr, ok, prev_row)
 
         def preimage(s):
             perm = region.perm_for_shift(s, mt)
@@ -1699,16 +913,26 @@ class OrbitExecutor(Executor):
             return src, np.take(prev_row, src)
 
         best = None
-        if memo.shift is not None:
-            got = preimage(memo.shift)
-            if got is not None:
-                best = carry(memo.shift, *got)
-                if best[0][1] <= memo.seam:
-                    return best[1]
+        tried = []
+        for i, s in enumerate(memo.shifts):
+            # The last two maps first (SUMMA's roots move every other
+            # phase, so its maps alternate); the older one is skipped
+            # when its preimages lose more members than the last seam.
+            got = preimage(s)
+            if got is None or (
+                i and np.count_nonzero(got[1] < 0) > memo.seam
+            ):
+                continue
+            tried.append(s)
+            got = carry(s, *got)
+            if got[0][1] <= memo.seam:
+                return got[1]
+            if best is None or got[0] < best[0]:
+                best = got
         eye = np.eye(mt.shape.size, dtype=np.int64)
         screened = []
         for s in np.vstack([0 * eye[:1], eye, (-eye) % mt.shape]):
-            if memo.shift is not None and np.array_equal(s, memo.shift):
+            if any(np.array_equal(s, t) for t in tried):
                 continue
             got = preimage(s)
             if got is not None:
@@ -1735,79 +959,335 @@ class OrbitExecutor(Executor):
         members (and their sources) and a uniform translation ``d`` of
         the request rectangles: Cannon's rotations (``d = 0``), SUMMA's
         moving broadcast roots (``s, d != 0``), plain translations
-        (``s = 0``). :meth:`_conjugate_map` finds the map; members it
-        does not explain form a small seam (Cannon's wrap column on
-        grids narrower than its tile count).
+        (``s = 0``). :meth:`_conjugate_map` finds the map ``m -> m + s``;
+        members it does not explain form a small seam (Cannon's wrap
+        column on grids narrower than its tile count).
 
-        What the map carries is permuted, not re-derived: the request
-        classes (distinct rectangles), and through them the holder
-        pairs — the mirror provably holds exactly the previous phase's
-        registrations plus static rows (version chain), so a class's
-        holders are the previous fetchers of the class with the same
-        rectangle. Seam members join classes by rectangle. Owner
-        arithmetic and winner selection re-run once per class, and a
-        phase whose winners and payload shapes repeat member for member
-        reuses the previous emission columns outright. Anything
-        unproven — a static-row match, a holder at the requester, a
-        multi-piece request, a hash collision — returns ``None`` and the
-        caller resolves in full.
+        What the map proves is carried, not re-derived:
+
+        * the request classes (distinct rectangles) with their row
+          hashes, sorted hash index and owners (:meth:`_carry_classes`);
+          the mirror provably holds exactly the previous phase's
+          registrations plus static rows (version chain), so a class's
+          holders are the previous fetchers of the class with the same
+          rectangle;
+        * each carried member's source, guessed as ``src(m + s) - s``
+          and kept when the guess is provably the winner: the class has
+          no holder and the guess is its owner, or the class has one
+          holder, it is the guess, it is not the requester and the
+          owner does not beat it (:meth:`_carried_sources`);
+        * the emission's orbit-class keys (shape and source offset are
+          shift invariant) and, when every member carries, the chunk's
+          rows as a permutation of the previous chunk's, which lets the
+          step finalize carry its collective groups.
+
+        Every other member — the seam, classes with several holders,
+        guesses that fail a check — goes through the derivation
+        (:meth:`_derive_sources`), the same rules as the full path.
+        Anything unproven there — a static-row match, a holder at the
+        requester, a multi-piece request, a hash collision — returns
+        ``None`` and the caller resolves in full.
         """
-        ndim = tensor.ndim
         k = rem_idx.size
-        lo_f = np.take(lo, rem_idx, axis=1)
-        hi_f = np.take(hi, rem_idx, axis=1)
+        if k == region.n:
+            lo_f, hi_f, req_coords = lo, hi, region.coords
+        else:
+            lo_f = np.take(lo, rem_idx, axis=1)
+            hi_f = np.take(hi, rem_idx, axis=1)
+            req_coords = np.take(region.coords, rem_idx, axis=0)
         found = self._conjugate_map(
             memo, region, lo_f, hi_f, prev_lo, prev_hi, rem_idx
         )
         if found is None:
             return None
-        shift, delta, pr, carried = found
+        shift, delta, pr, carried, prev_row = found
         prev = memo.classes
-        # Request classes: carried members inherit their preimage's;
-        # seam members join a class by rectangle or found new ones.
-        cls_cols = prev.cols + np.concatenate([delta, delta])
+        got = self._carry_classes(memo, tensor, lo_f, hi_f, pr, carried,
+                                  delta)
+        if got is None:
+            return None
+        classes, held = got
+        if delta.any():
+            held = _match_rows(classes.cols, prev.cols)
+        n_held = np.where(held >= 0, np.take(prev.counts, held), 0)
+        held = np.where(n_held > 0, held, -1)
+        owner, valid = self._member_owners(
+            classes.pat, classes.valid, classes.labels, req_coords
+        )
+        sources = self._prev_sources(memo, region)
+        redo = None  # every member
+        if sources is not None:
+            src_lin, sdist, redo = self._carried_sources(
+                memo, sources, region, shift, pr, carried, prev_row,
+                classes, held, n_held, owner, valid, req_coords,
+            )
+            if redo.size == k:
+                redo = None
+        emit = memo.emit
+        key_hi = None
+        src_coords = None
+        if redo is None:
+            src_coords, _ = self._derive_sources(
+                memo, region, classes, held, None, owner, valid, req_coords
+            )
+            if src_coords is None:
+                return None
+            n_redo = k
+            src_lin = _linear(src_coords, self._mt.strides)
+        else:
+            n_redo = redo.size
+            if n_redo:
+                src_re, req_re = self._derive_sources(
+                    memo, region, classes, held, redo, owner, valid,
+                    req_coords,
+                )
+                if src_re is None:
+                    return None
+                src_lin[redo] = _linear(src_re, self._mt.strides)
+                sdist[redo] = _torus_dist(src_re, req_re, self._mt.shape)
+            if emit is not None and emit.key_hi is not None:
+                # Shape and source offset are shift invariant: carried
+                # members keep their preimage's class key.
+                key_hi = np.take(emit.key_hi, pr)
+                if n_redo:
+                    key_hi[redo] = _pack_key(*self._class_cols(
+                        tensor, lo_f[:, redo], hi_f[:, redo], src_re,
+                        req_re,
+                    ))
+        carry = None
+        if n_redo == 0 and emit is not None and (
+            k == memo.fetch_idx.size
+        ):
+            same = not shift.any() and np.array_equal(rem_idx, memo.fetch_idx)
+            # Rows move rigidly only when every grid point has its own
+            # processor (the row filter and group roots then move too).
+            if same or self._mt.bijective:
+                carry = (emit, pr, same)
+        reg = self._registration(
+            region, lo_f, hi_f, rem_idx, tensor, name_pos, n_names
+        )
+        emitted = self._emit_bulk(
+            step, name, region, rem_idx, lo_f, hi_f, src_coords, tensor,
+            distinct=classes.distinct, other_lin=src_lin,
+            rows=(reg[1], reg[2], reg[4]), key_hi=key_hi, carry=carry,
+        )
+        self.phase_replays += 1
+        self.members_carried += k - n_redo
+        self.members_rederived += n_redo
+        seam = int(k - np.count_nonzero(carried))
+        if seam:
+            self.phase_seam += 1
+        else:
+            self.phase_conjugate += 1
+        self._commit_memo(
+            memo, reg, classes,
+            src_coords if redo is None else (src_lin, sdist),
+            emitted, shift, seam, probed=True,
+        )
+        return reg
+
+    def _carry_classes(self, memo, tensor, lo_f, hi_f, pr, carried, delta):
+        """This phase's request classes, carried from the previous
+        phase's: members the map carries inherit their preimage's class,
+        seam members join a class by rectangle or found new ones. Row
+        hashes move with one add (``_hash_rows`` is linear mod 2**64);
+        when ``d = 0`` the sorted hash index, the owners and the static-
+        row verdict carry too. Returns ``(classes, held)`` — ``held``
+        maps each class to the previous class with its rectangle (``-1``
+        for new ones; meaningful when ``d = 0``) — or ``None`` on a hash
+        collision or a static-row match."""
+        prev = memo.classes
+        ndim = tensor.ndim
+        moved = bool(delta.any())
         labels = np.take(prev.labels, pr)
-        seam = np.flatnonzero(~carried)
-        if seam.size:
-            seam_cols = np.concatenate([lo_f[:, seam].T, hi_f[:, seam].T],
-                                       axis=1)
-            hit = _match_rows(seam_cols, cls_cols)
+        cols, cls_hash, index = prev.cols, prev.hash, prev.index
+        pat, valid = prev.pat, prev.valid
+        if moved:
+            dd = np.concatenate([delta, delta])
+            cols = cols + dd
+            cls_hash = cls_hash + _hash_rows(dd[None, :])
+            index = pat = valid = None
+        n_prev = cols.shape[0]
+        held = None
+        n_fresh = 0
+        if not carried.all():
+            seam = np.flatnonzero(~carried)
+            seam_cols = np.concatenate(
+                [lo_f[:, seam].T, hi_f[:, seam].T], axis=1
+            )
+            seam_hash = _hash_rows(seam_cols)
+            if index is None:
+                order = np.argsort(cls_hash, kind="stable")
+                index = (cls_hash[order], order)
+            sorted_hash, order = index
+            at, pos = _probe_index(
+                sorted_hash, seam_hash, cols, seam_cols, order
+            )
+            hit = np.full(seam.size, -1, dtype=np.int64)
+            hit[at] = np.take(order, pos)
             labels[seam] = hit
             fresh = hit < 0
             if fresh.any():
                 fcols = seam_cols[fresh]
-                _, first, inv = np.unique(
-                    _hash_rows(fcols), return_index=True, return_inverse=True
+                fhash, first, inv = np.unique(
+                    seam_hash[fresh], return_index=True, return_inverse=True
                 )
                 if not np.array_equal(fcols[first][inv], fcols):
                     return None
-                labels[seam[fresh]] = cls_cols.shape[0] + inv
-                cls_cols = np.concatenate([cls_cols, fcols[first]])
-        counts = np.bincount(labels, minlength=cls_cols.shape[0])
-        used = counts > 0
-        if not used.all():
-            labels = np.take(np.cumsum(used) - 1, labels)
-            cls_cols = cls_cols[used]
+                n_fresh = first.size
+                labels[seam[fresh]] = n_prev + inv
+                cols = np.concatenate([cols, fcols[first]])
+                cls_hash = np.concatenate([cls_hash, fhash])
+                slot = np.searchsorted(sorted_hash, fhash)
+                index = (
+                    np.insert(sorted_hash, slot, fhash),
+                    np.insert(order, slot, np.arange(
+                        n_prev, n_prev + n_fresh, dtype=np.int64
+                    )),
+                )
+                held = np.concatenate([
+                    np.arange(n_prev, dtype=np.int64),
+                    np.full(n_fresh, -1, dtype=np.int64),
+                ])
+        counts = np.bincount(labels, minlength=cols.shape[0])
+        if 8 * (counts.size - np.count_nonzero(counts)) > counts.size:
+            # Classes nobody requests stay (a later seam member may
+            # request their rectangle again) while they are few: the
+            # compaction below renumbers every class.
+            used = counts > 0
+            remap = np.cumsum(used) - 1
+            labels = np.take(remap, labels)
+            cols = cols[used]
+            cls_hash = cls_hash[used]
             counts = counts[used]
-        if memo.fixed_hash.size:
+            if held is None:
+                held = np.arange(n_prev, dtype=np.int64)
+            held = held[used]
+            if index is not None:
+                live = np.take(used, index[1])
+                index = (index[0][live], np.take(remap, index[1][live]))
+        renumbered = held is not None
+        if not renumbered:
+            held = np.arange(n_prev, dtype=np.int64)
+        if memo.fixed_hash.size and (moved or not memo.probed or n_fresh):
+            # Static rows: a class matching one is not carried. Classes
+            # whose rectangles were probed last phase need no probe.
+            probe = (
+                slice(None) if moved or not memo.probed
+                else np.flatnonzero(held < 0)
+            )
             fix_req, _ = _probe_index(
-                memo.fixed_hash, _hash_rows(cls_cols), memo.fixed_cols,
-                cls_cols,
+                memo.fixed_hash, cls_hash[probe], memo.fixed_cols,
+                cols[probe],
             )
             if fix_req.size:
                 return None
-        # Holders: the previous fetchers of the class with this class's
-        # rectangle (the same class when ``d = 0``).
-        if delta.any():
-            held = _match_rows(cls_cols, prev.cols)
-        else:
-            held = np.flatnonzero(used)
-            held[held >= prev.counts.size] = -1
+        classes = _Classes(labels, cols, counts, cls_hash, index, pat, valid)
+        if pat is None:
+            # Owners per class: a moved class has a new rectangle, and a
+            # full resolve derived them per member.
+            classes.pat, classes.valid = self._owners(
+                tensor, cols[:, :ndim].T, cols[:, ndim:].T
+            )
+        elif renumbered:
+            kept = held >= 0
+            classes.pat = np.take(pat, np.where(kept, held, 0), axis=1)
+            classes.valid = np.take(valid, np.where(kept, held, 0))
+            if not kept.all():
+                new = np.flatnonzero(~kept)
+                c_lo, c_hi = cols[new, :ndim].T, cols[new, ndim:].T
+                classes.pat[:, new], classes.valid[new] = self._owners(
+                    tensor, c_lo, c_hi
+                )
+        return classes, held
+
+    def _point_shift(self, shift: np.ndarray) -> np.ndarray:
+        """Linear index of ``coords - shift`` (torus) per grid point,
+        cached for the run (the tables outlive it, with their machine).
+        """
+        key = tuple(int(s) for s in shift)
+        out = self._shifts.get(key)
+        if out is None:
+            mt = self._mt
+            out = ((mt.point_coords - shift) % mt.shape) @ mt.strides
+            self._shifts[key] = out
+        return out
+
+    def _prev_sources(self, memo, region):
+        """Each previous fetcher's source as ``(linear index, torus
+        distance)``, or ``None`` when a fetcher had none; a full resolve
+        leaves source coordinates, converted on first use."""
+        sources = memo.sources
+        if isinstance(sources, np.ndarray):
+            mt = self._mt
+            sources = memo.sources = (
+                _linear(sources, mt.strides),
+                _torus_dist(
+                    sources, region.coords[memo.fetch_idx], mt.shape
+                ),
+            )
+        return sources
+
+    def _carried_sources(self, memo, sources, region, shift, pr, carried,
+                         prev_row, classes, held, n_held, owner, valid,
+                         req_coords):
+        """The map's guess for each member's source, ``src(m + s) - s``,
+        and which guesses are proven winners.
+
+        A carried member's class has ``n_held`` holders: the previous
+        fetchers of its rectangle. With none, the owner wins, so the
+        guess stands when it is the (valid) owner. With one, the guess
+        stands when that holder is the guess — the member at the guess
+        fetched this class's rectangle last phase — at a nonzero
+        distance the owner does not undercut (a holder wins distance
+        ties). Torus distance is shift invariant, so the guess's
+        distance is its preimage's. Returns ``(src_lin, sdist, redo)``
+        with ``redo`` the members whose guess is unproven.
+        """
+        mt = self._mt
+        labels = classes.labels
+        guess = np.take(self._point_shift(shift), np.take(sources[0], pr))
+        sdist = np.take(sources[1], pr)
+        holders = np.take(n_held, labels)
+        own_lin = owner[0] * mt.strides[0]
+        for d in range(1, len(owner)):
+            own_lin = own_lin + owner[d] * mt.strides[d]
+        proven = carried & valid & (holders == 0) & (own_lin == guess)
+        if n_held.any():
+            at = np.take(prev_row, np.take(region.member_of(mt), guess))
+            odist = np.zeros(labels.size, dtype=np.int64)
+            for d in range(len(owner)):
+                gap = np.abs(owner[d] - req_coords[:, d])
+                odist += np.minimum(gap, mt.shape[d] - gap)
+            proven |= (
+                carried
+                & (holders == 1)
+                & (at >= 0)
+                & (np.take(memo.classes.labels, at) == np.take(held, labels))
+                & (sdist > 0)
+                & (~valid | (sdist <= odist))
+            )
+        return guess, sdist, np.flatnonzero(~proven)
+
+    def _derive_sources(self, memo, region, classes, held, redo, owner,
+                        valid, req_coords):
+        """Resolve the sources of members ``redo`` (``None``: all) by
+        the full rules: holder pairs from the previous fetchers of each
+        class's rectangle, then winner selection against the owner. Returns
+        ``(src_coords, req_coords)`` of those members, or ``(None,
+        None)`` when one has no single source or holds its own request.
+        """
+        prev = memo.classes
+        labels, req_re = classes.labels, req_coords
+        if redo is not None:
+            labels = np.take(labels, redo)
+            req_re = np.take(req_coords, redo, axis=0)
+            owner = [np.take(col, redo) for col in owner]
+            valid = np.take(valid, redo)
         hc = np.take(held, labels)
         rows = np.flatnonzero(hc >= 0)
         pair_req = np.zeros(0, dtype=np.int64)
         pair_coords = None
-        req_coords = np.take(region.coords, rem_idx, axis=0)
         if rows.size:
             hc = np.take(hc, rows)
             if prev.distinct:
@@ -1829,111 +1309,83 @@ class OrbitExecutor(Executor):
                 region.coords, np.take(memo.fetch_idx, pair_prev), axis=0
             )
         pair_key, holder_best = self._holder_keys(
-            pair_req, pair_coords, req_coords, k, single=prev.distinct
+            pair_req, pair_coords, req_re, labels.size, single=prev.distinct
         )
         # A holder at distance zero is the requester itself.
         if pair_req.size and bool((pair_key < self._mt.size).any()):
-            return None
-        have, src_coords = self._select_winners(
-            tensor, cls_cols[:, :ndim].T, cls_cols[:, ndim:].T, req_coords,
-            holder_best, pair_req, pair_key, pair_coords, cls=labels,
+            return None, None
+        have, src = self._select_winners(
+            req_re, owner, valid, holder_best, pair_req, pair_key,
+            pair_coords,
         )
         if not have.all():
-            return None
-        classes = _Classes(labels, cls_cols, counts)
-        emit = memo.emit
-        if (
-            emit is not None
-            and memo.src_coords is not None
-            and np.array_equal(rem_idx, memo.fetch_idx)
-            and np.array_equal(src_coords, memo.src_coords)
-            and np.array_equal(
-                hi_f - lo_f,
-                np.take(prev_hi, rem_idx, axis=1)
-                - np.take(prev_lo, rem_idx, axis=1),
-            )
-        ):
-            # Winners and payload shapes repeat member for member: the
-            # emission columns and class partition carry, only the
-            # rectangles move. A pure translation also clones the step.
-            emitted = self._emit_carried(
-                step, emit, lo_f, hi_f, classes.distinct,
-                vote=not shift.any() and seam.size == 0,
-            )
-        else:
-            emitted = self._emit_bulk(
-                step, name, region, rem_idx, lo_f, hi_f, src_coords,
-                tensor, distinct=classes.distinct,
-            )
-        self.phase_replays += 1
-        if seam.size:
-            self.phase_seam += 1
-        else:
-            self.phase_conjugate += 1
-        return self._commit_memo(
-            memo, region, lo_f, hi_f, rem_idx, tensor, name_pos, n_names,
-            classes, src_coords, emitted, shift, int(seam.size),
-        )
+            return None, None
+        return src, req_re
 
-    def _emit_carried(self, step, emit, lo_f, hi_f, distinct, vote):
-        """Re-emit the previous phase's chunk with this phase's
-        rectangles (endpoints, payloads and classes unchanged)."""
-        chunk = emit.chunk
-        keep = emit.keep
-        kept_lo = (lo_f if keep is None else lo_f[:, keep]).T.copy()
-        kept_hi = (hi_f if keep is None else hi_f[:, keep]).T.copy()
-        new_chunk = _Chunk(
-            tensor_id=chunk.tensor_id,
-            lo=kept_lo,
-            hi=kept_hi,
-            nbytes=chunk.nbytes,
-            src_proc=chunk.src_proc,
-            dst_proc=chunk.dst_proc,
-            src_gpu=chunk.src_gpu,
-            dst_gpu=chunk.dst_gpu,
-            reduce=False,
-            distinct=distinct,
-        )
-        builder = self._builder(step)
-        new_pos = len(builder.chunks)
-        builder.chunks.append(new_chunk)
-        if vote:
-            # Every column but the (uniformly translated) rectangles is
-            # the source chunk's, and group ids are translation
-            # invariant: finalize may clone the source step's columns.
-            builder.replay_votes.append((emit.builder, emit.pos))
-        reps = replace(
-            emit.reps, lo=kept_lo[emit.first], hi=kept_hi[emit.first]
-        )
-        step.defer_copies(reps)
-        return _EmitInfo(
-            chunk=new_chunk, pos=new_pos, builder=builder,
-            keep=keep, first=emit.first, reps=reps,
-        )
+    def _class_cols(self, tensor, lo, hi, src_coords, dst_coords):
+        """The orbit-class key columns without the inter-node bit —
+        rectangle shape and source offset — and their spans."""
+        mt = self._mt
+        cols = [hi[d] - lo[d] for d in range(lo.shape[0])]
+        for d in range(mt.shape.size):
+            off = src_coords[:, d] - dst_coords[:, d]
+            cols.append(np.where(off < 0, off + mt.shape[d], off))
+        spans = [e + 1 for e in tensor.shape] + [int(e) for e in mt.shape]
+        return cols, spans
 
     def _emit_bulk(self, step: Step, name: str, region: "_Region",
                    member_idx: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   other_coords: np.ndarray, tensor, reduce: bool = False,
-                   distinct: bool = False):
+                   other_coords: Optional[np.ndarray], tensor,
+                   reduce: bool = False, distinct: bool = False,
+                   other_lin: Optional[np.ndarray] = None, rows=None,
+                   key_hi: Optional[np.ndarray] = None, carry=None):
         """Emit one phase-tensor batch: columns plus class representatives
         (``step.copies`` builds those on first read).
 
         ``member_idx`` names the region contexts on one side of the
-        transfer and ``other_coords`` the machine points on the other:
-        for fetches (``reduce=False``) the members *receive* from the
-        resolved sources; for reduction write-backs (``reduce=True``)
-        the members *send* their partials to the owners.
+        transfer and ``other_coords`` (or their linear indices
+        ``other_lin``) the machine points on the other: for fetches
+        (``reduce=False``) the members *receive* from the resolved
+        sources; for reduction write-backs (``reduce=True``) the members
+        *send* their partials to the owners. A replay passes what it
+        already holds: the registration's ``rows`` (``lo``/``hi`` rows
+        and payloads), carried class keys ``key_hi`` and the ``carry``
+        ``(previous emission, member map, same)`` of a chunk whose every
+        row is carried.
         """
         mt = self._mt
-        other_proc = np.take(
-            mt.proc_of_point, _linear(other_coords, mt.strides)
-        )
+        if other_lin is None:
+            other_lin = _linear(other_coords, mt.strides)
+        other_proc = np.take(mt.proc_of_point, other_lin)
         member_proc = np.take(region.proc, member_idx)
-        ndim = lo.shape[0]
-        vol = np.ones(member_idx.size, dtype=np.int64)
-        for d in range(ndim):
-            vol *= hi[d] - lo[d]
-        nbytes = vol * tensor.itemsize
+        if rows is None:
+            vol = np.ones(member_idx.size, dtype=np.int64)
+            for d in range(lo.shape[0]):
+                vol *= hi[d] - lo[d]
+            nbytes = vol * tensor.itemsize
+            lo_rows = hi_rows = None
+        else:
+            lo_rows, hi_rows, nbytes = rows
+        # Orbit classes: (shape, source offset, inter/intra) — one
+        # representative copy per class, weighted by multiplicity. The
+        # payload is a function of the shape, so it needs no column.
+        # The key without the inter bit is kept per member for replays.
+        cols = member_coords = None
+        if key_hi is None:
+            if other_coords is None:
+                other_coords = np.take(mt.point_coords, other_lin, axis=0)
+            member_coords = np.take(region.coords, member_idx, axis=0)
+            cols, spans = self._class_cols(
+                tensor, lo, hi,
+                member_coords if reduce else other_coords,
+                other_coords if reduce else member_coords,
+            )
+            total = 2
+            for span in spans:
+                total *= int(span)
+            if member_idx.size and total < 2 ** 62:
+                key_hi = _pack_key(cols, spans)
+        member_key = key_hi
         # The scalar `_emit_copy` rule: zero-byte copies vanish; same-
         # processor transfers vanish for fetches (over-decomposition)
         # but reduction write-backs are recorded even on one processor.
@@ -1946,35 +1398,44 @@ class OrbitExecutor(Executor):
                 return None
             keep_mask = keep
             member_idx = np.compress(keep, member_idx)
-            lo = np.compress(keep, lo, axis=1)
-            hi = np.compress(keep, hi, axis=1)
-            other_coords = np.compress(keep, other_coords, axis=0)
+            other_lin = np.compress(keep, other_lin)
             other_proc = np.compress(keep, other_proc)
             member_proc = np.compress(keep, member_proc)
             nbytes = np.compress(keep, nbytes)
-        member_coords = np.take(region.coords, member_idx, axis=0)
+            if lo_rows is None:
+                lo = np.compress(keep, lo, axis=1)
+                hi = np.compress(keep, hi, axis=1)
+            else:
+                lo_rows = np.compress(keep, lo_rows, axis=0)
+                hi_rows = np.compress(keep, hi_rows, axis=0)
+            if key_hi is not None:
+                key_hi = np.compress(keep, key_hi)
+            if cols is not None:
+                cols = [np.compress(keep, col) for col in cols]
+                other_coords = np.compress(keep, other_coords, axis=0)
+                member_coords = np.compress(keep, member_coords, axis=0)
+        if lo_rows is None:
+            lo_rows, hi_rows = lo.T.copy(), hi.T.copy()
         # Endpoint memories as the scalar `_emit_copy` prices them: the
         # instance side (fetch source / reduction destination) is the
         # tensor-preference-aware memory (`source_memory`), the context
         # side is its processor memory (host-resident data fetched by a
         # GPU context lands in its framebuffer's accounting domain).
+        tensor_mem = mt.tensor_mem_of_proc(tensor)
         if reduce:
             src_proc, dst_proc = member_proc, other_proc
-            src_coords, dst_coords = member_coords, other_coords
-            src_mem = np.take(mt.procmem_of_proc, src_proc)
-            dst_mem = np.take(mt.tensor_mem_of_proc(tensor), dst_proc)
+            src_gpu = np.take(mt.proc_gpu, src_proc)
+            dst_gpu = np.take(mt.mem_gpu, np.take(tensor_mem, dst_proc))
         else:
             src_proc, dst_proc = other_proc, member_proc
-            src_coords, dst_coords = other_coords, member_coords
-            src_mem = np.take(mt.tensor_mem_of_proc(tensor), src_proc)
-            dst_mem = np.take(mt.procmem_of_proc, dst_proc)
-        src_gpu = np.take(mt.mem_gpu, src_mem)
-        dst_gpu = np.take(mt.mem_gpu, dst_mem)
+            src_gpu = np.take(mt.mem_gpu, np.take(tensor_mem, src_proc))
+            dst_gpu = np.take(mt.proc_gpu, dst_proc)
         builder = self._builder(step)
+        k = nbytes.size
         chunk = _Chunk(
             tensor_id=self._tensor_ids[name],
-            lo=lo.T.copy(),
-            hi=hi.T.copy(),
+            lo=lo_rows,
+            hi=hi_rows,
             nbytes=nbytes,
             src_proc=src_proc,
             dst_proc=dst_proc,
@@ -1983,25 +1444,13 @@ class OrbitExecutor(Executor):
             reduce=reduce,
             distinct=distinct,
         )
+        chunk.carry = self._chunk_carry(carry, keep_mask, k)
         chunk_pos = len(builder.chunks)
         builder.chunks.append(chunk)
-        # Orbit classes: (shape, source offset, inter/intra) — one
-        # representative copy per class, weighted by multiplicity. The
-        # payload is a function of the shape, so it needs no column.
-        k = nbytes.size
-        mdim = mt.shape.size
-        cols = [hi[d] - lo[d] for d in range(ndim)]
-        for d in range(mdim):
-            off = src_coords[:, d] - dst_coords[:, d]
-            cols.append(np.where(off < 0, off + mt.shape[d], off))
         inter = np.take(mt.node_of_proc, src_proc) != np.take(
             mt.node_of_proc, dst_proc
         )
-        cols.append(inter)
-        spans = [e + 1 for e in tensor.shape] + [int(e) for e in mt.shape]
-        spans.append(2)
-        key = _pack_key(cols, spans) if k else None
-        if key is not None and bool(((key >> 1) == (key[0] >> 1)).all()):
+        if key_hi is not None and bool((key_hi == key_hi[0]).all()):
             # Uniform-shift fast path: one shape, one offset, one
             # payload — a systolic phase — splits only by inter/intra
             # character, so the class fold collapses to a count.
@@ -2017,33 +1466,67 @@ class OrbitExecutor(Executor):
                     dtype=np.int64,
                 )
                 counts = np.array([k - n_inter, n_inter], dtype=np.int64)
-        elif key is not None:
-            first, counts = _fold_keys(key)
+        elif key_hi is not None:
+            first, counts = _fold_keys(key_hi * 2 + inter)
         else:
+            spans = [e + 1 for e in tensor.shape] + [int(e) for e in mt.shape]
             first, counts = fold_groups(
-                np.column_stack(cols), [(0, span) for span in spans]
+                np.column_stack(cols + [inter]),
+                [(0, span) for span in spans + [2]],
             )
-        reps = CopyReps(
+        if member_coords is None:
+            first_other = mt.point_coords[other_lin[first]]
+            first_member = region.coords[member_idx[first]]
+        else:
+            first_other = other_coords[first]
+            first_member = member_coords[first]
+        if reduce:
+            src_coords, dst_coords = first_member, first_other
+            src_mem = np.take(mt.procmem_of_proc, src_proc[first])
+            dst_mem = np.take(tensor_mem, dst_proc[first])
+        else:
+            src_coords, dst_coords = first_other, first_member
+            src_mem = np.take(tensor_mem, src_proc[first])
+            dst_mem = np.take(mt.procmem_of_proc, dst_proc[first])
+        step.defer_copies(CopyReps(
             tensor=name,
-            lo=lo[:, first].T,
-            hi=hi[:, first].T,
+            lo=lo_rows[first],
+            hi=hi_rows[first],
             nbytes=nbytes[first],
             count=counts,
             src_proc=src_proc[first],
             dst_proc=dst_proc[first],
-            src_mem=src_mem[first],
-            dst_mem=dst_mem[first],
-            src_coords=src_coords[first],
-            dst_coords=dst_coords[first],
+            src_mem=src_mem,
+            dst_mem=dst_mem,
+            src_coords=src_coords,
+            dst_coords=dst_coords,
             reduce=reduce,
             processors=self.machine.cluster.processors,
             memories=mt.memories,
-        )
-        step.defer_copies(reps)
+        ))
         return _EmitInfo(
-            chunk=chunk, pos=chunk_pos, builder=builder,
-            keep=keep_mask, first=first, reps=reps,
+            chunk=chunk, pos=chunk_pos, builder=builder, keep=keep_mask,
+            key_hi=member_key,
         )
+
+    @staticmethod
+    def _chunk_carry(carry, keep, rows):
+        """A chunk's :attr:`_Chunk.carry` from a replay's ``(previous
+        emission, member map, same)``, given the chunk's row filter over
+        the members and its row count; ``None`` without one."""
+        if carry is None:
+            return None
+        emit, pr, same = carry
+        if rows != emit.chunk.lo.shape[0]:
+            return None
+        row_map = None
+        if not same:
+            row_map = pr if emit.keep is None else np.take(
+                np.cumsum(emit.keep) - 1, pr
+            )
+            if keep is not None:
+                row_map = np.compress(keep, row_map)
+        return emit.builder, emit.pos, row_map, same
 
     def _emit_multi_piece(self, step: Step, name: str, region: "_Region",
                           members: np.ndarray, lo: np.ndarray,
@@ -2175,7 +1658,7 @@ class _PhaseMemo:
 
     Holds what :meth:`OrbitExecutor._replay_conjugate` carries into the
     next phase: the request endpoints, the fetching members and their
-    request classes, winners, the emission, the map that produced the
+    request classes, sources, the emission, the map that produced the
     phase and the static-instance index. ``ready`` marks a phase
     whose state a replay may build on; ``version`` pins the mirror
     after the phase's commit.
@@ -2183,8 +1666,8 @@ class _PhaseMemo:
 
     __slots__ = (
         "lo", "hi", "live_all", "ready", "version",
-        "fetch_idx", "classes", "src_coords", "emit",
-        "shift", "seam",
+        "fetch_idx", "classes", "sources", "emit",
+        "shifts", "seam", "probed",
         "fixed_hash", "fixed_cols", "fixed_coords",
     )
 
@@ -2196,10 +1679,11 @@ class _PhaseMemo:
         self.version = -1
         self.fetch_idx = None
         self.classes = None
-        self.src_coords = None
+        self.sources = None
         self.emit = None
-        self.shift = None
+        self.shifts = []
         self.seam = 0
+        self.probed = False
         self.fixed_hash = None
         self.fixed_cols = None
         self.fixed_coords = None
@@ -2254,12 +1738,14 @@ class _EventStream:
 
 
 def _probe_index(sorted_hash: np.ndarray, req_k: np.ndarray,
-                 sorted_cols: np.ndarray, req_cols: np.ndarray):
+                 sorted_cols: np.ndarray, req_cols: np.ndarray,
+                 order: Optional[np.ndarray] = None):
     """Match request rows against a pre-sorted row-hash index.
 
     Returns ``(pair_req, pair_pos)``: request positions (non-
     decreasing) and matching index positions, every candidate verified
-    exactly on the original columns.
+    exactly on the original columns. With ``order`` the columns are
+    unsorted: index position ``i`` is row ``order[i]`` of them.
     """
     empty = np.zeros(0, dtype=np.int64)
     if sorted_hash.size == 0 or req_k.size == 0:
@@ -2274,7 +1760,8 @@ def _probe_index(sorted_hash: np.ndarray, req_k: np.ndarray,
     starts = np.cumsum(cnt) - cnt
     rank = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
     pair_pos = np.repeat(left, cnt) + rank
-    genuine = np.all(sorted_cols[pair_pos] == req_cols[pair_req], axis=1)
+    at = pair_pos if order is None else np.take(order, pair_pos)
+    genuine = np.all(sorted_cols[at] == req_cols[pair_req], axis=1)
     if not genuine.all():
         pair_req = pair_req[genuine]
         pair_pos = pair_pos[genuine]
@@ -2377,17 +1864,21 @@ class _Region:
         key = tuple(int(s) for s in shift)
         if key in self._perms:
             return self._perms[key]
+        target = (self.coords + shift) % mt.shape
+        perm = self.member_of(mt)[target @ mt.strides]
+        out = None if bool(np.any(perm < 0)) else perm
+        self._perms[key] = out
+        return out
+
+    def member_of(self, mt: _MachineTables) -> np.ndarray:
+        """The member at each grid point (linear index), or -1."""
         if self._member_of_linear is None:
             table = np.full(mt.size, -1, dtype=np.int64)
             table[self.coords @ mt.strides] = np.arange(
                 self.n, dtype=np.int64
             )
             self._member_of_linear = table
-        target = (self.coords + shift) % mt.shape
-        perm = self._member_of_linear[target @ mt.strides]
-        out = None if bool(np.any(perm < 0)) else perm
-        self._perms[key] = out
-        return out
+        return self._member_of_linear
 
     def home(self, executor: OrbitExecutor, name: str):
         """Home-rectangle endpoint columns per context (lazy, cached).

@@ -425,6 +425,12 @@ class ScheduleServer:
         kwargs = self._dispatch_kwargs(fingerprint, record, deadline_s)
 
         def dispatch():
+            # The one module a tune imports that the daemon does not:
+            # imported here, before the first fork rather than at start-
+            # up, every worker inherits it instead of importing (and,
+            # without bytecode caching, compiling) it per miss.
+            import repro.runtime.orbit  # noqa: F401
+
             def on_attempt(_attempt: int):
                 if self.chaos is not None:
                     kwargs["chaos_kill"] = self.chaos.kill_worker(

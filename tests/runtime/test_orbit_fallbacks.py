@@ -13,6 +13,7 @@ pin
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ from repro.core.transfer import transfer_kernel
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
 from repro.obs.metrics import METRICS
 from repro.runtime.batchbounds import batch_bounds
-from repro.runtime.orbit import OrbitExecutor
+from repro.runtime.orbit import (
+    OrbitExecutor, _Chunk, _StepBuilder, machine_tables,
+)
+from repro.runtime.trace import Step
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
 from repro.util.errors import LoweringError, OutOfMemoryError
@@ -454,26 +458,171 @@ class TestConjugateReplay:
         executor = self._replayed(summa(m84, 2048))
         assert executor.phase_conjugate > 0
 
+    #: Replayed members carried / re-derived at the weak-scaled points.
+    MEMBERS = {
+        ("cannon", 64): (2650, 838),
+        ("summa", 64): (3480, 0),
+        ("cannon", 256): (26314, 3958),
+        ("summa", 256): (30256, 0),
+    }
+
     @pytest.mark.parametrize("builder", [cannon, summa])
     @pytest.mark.parametrize(
         "nodes, steps, replays", [(64, 18, 30), (256, 34, 62)]
     )
     def test_weak_scaled_replay_counts(self, builder, nodes, steps, replays):
         # Exact counts at the Fig 15 weak-scaled sizes: a steady phase
-        # that stops replaying shows here as fewer replays.
+        # that stops replaying shows here as fewer replays, and a replay
+        # that stops carrying as fewer carried members.
         cluster = Cluster.cpu_cluster(nodes)
         machine = Machine(cluster, Grid(*square_grid(cluster.num_processors)))
         kernel = builder(machine, weak_matrix_size(8192, nodes))
         before = METRICS.snapshot(sources=False)
         kernel.simulate(LASSEN)
         after = METRICS.snapshot(sources=False)
+        names = (
+            "orbit.steps", "orbit.phase_replays",
+            "orbit.members_carried", "orbit.members_rederived",
+        )
         delta = {
-            name: after.get(name, 0) - before.get(name, 0)
-            for name in ("orbit.steps", "orbit.phase_replays")
+            name: after.get(name, 0) - before.get(name, 0) for name in names
         }
-        assert delta == {"orbit.steps": steps, "orbit.phase_replays": replays}
+        carried, rederived = self.MEMBERS[builder.__name__, nodes]
+        assert delta == dict(zip(
+            names, (steps, replays, carried, rederived)
+        ))
 
     def test_ragged_tiles_not_reused(self, m84):
         # n=257 gives ragged tiles whose leaf work differs between
         # iterations; reusing a previous iteration's would break parity.
         assert_parity(cannon(m84, 257))
+
+
+class _CarryOff(OrbitExecutor):
+    """Re-derives every replayed member's source: no carried winners,
+    class keys, chunk rows or collective groups."""
+
+    def _carried_sources(self, memo, sources, region, shift, pr, *args):
+        k = pr.size
+        empty = np.empty(k, dtype=np.int64)
+        return empty, empty.copy(), np.arange(k, dtype=np.int64)
+
+
+class _WrongGuesses(OrbitExecutor):
+    """Feeds the carry a wrong source guess for every member: the grid
+    point after its true previous source. The proofs must reject them."""
+
+    def _carried_sources(self, memo, sources, *args):
+        wrong = ((sources[0] + 1) % self._mt.size, sources[1])
+        return super()._carried_sources(memo, wrong, *args)
+
+
+class TestCarriedReplay:
+    """The carried replay equals the derivation it skips, byte for byte:
+    step columns (collective groups included), class representatives,
+    memory high-water marks and the priced report."""
+
+    @staticmethod
+    def _run(executor_cls, kernel):
+        executor = executor_cls(kernel.plan)
+        result = executor.run()
+        report = CostModel(kernel.machine.cluster, LASSEN).time_trace(
+            result.trace
+        )
+        return executor, result, report
+
+    def _assert_carry_exact(self, kernel, executor_cls=OrbitExecutor):
+        on, res_on, rep_on = self._run(executor_cls, kernel)
+        off, res_off, rep_off = self._run(_CarryOff, kernel)
+        assert off.members_carried == 0
+        assert on.members_carried + on.members_rederived == (
+            off.members_rederived
+        )
+        assert len(res_on.trace.steps) == len(res_off.trace.steps)
+        for a, b in zip(res_on.trace.steps, res_off.trace.steps):
+            # The class representatives, built from what each run
+            # deferred or recorded; a step with copy rows has some, so
+            # the comparison is not of two empty lists.
+            assert a.copies == b.copies, a.label
+            if a._columns is None:
+                assert b._columns is None
+                continue
+            ca, cb = a.columns(), b.columns()
+            assert bool(a.copies) == bool(ca.n), a.label
+            for name in (
+                "n", "num_groups", "nbytes", "src_proc", "dst_proc",
+                "src_node", "dst_node", "inter", "reduce", "gpu_resident",
+                "src_gpu", "dst_gpu", "group", "count",
+            ):
+                assert np.array_equal(
+                    getattr(ca, name), getattr(cb, name)
+                ), (a.label, name)
+        assert res_on.memory_high_water == res_off.memory_high_water
+        assert rep_on == rep_off
+        return on
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
+    @pytest.mark.parametrize("nodes, grid, n", [
+        (16, (8, 4), 2048),   # Cannon's seam; SUMMA's moving roots
+        (64, (16, 8), 2048),
+        (16, (8, 4), 257),    # ragged tiles
+    ])
+    def test_small_grids(self, builder, nodes, grid, n):
+        machine = Machine(Cluster.cpu_cluster(nodes), Grid(*grid))
+        on = self._assert_carry_exact(builder(machine, n))
+        assert on.members_carried > 0
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
+    def test_gpu_cluster(self, builder):
+        machine = Machine(Cluster.gpu_cluster(4), Grid(4, 4))
+        self._assert_carry_exact(builder(machine, 1024))
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
+    @pytest.mark.parametrize("nodes", [64, 256])
+    def test_weak_scaled(self, builder, nodes):
+        cluster = Cluster.cpu_cluster(nodes)
+        machine = Machine(cluster, Grid(*square_grid(cluster.num_processors)))
+        on = self._assert_carry_exact(
+            builder(machine, weak_matrix_size(8192, nodes))
+        )
+        assert on.members_carried > on.members_rederived
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
+    def test_wrong_guesses_are_rejected(self, builder):
+        # Every carried source is proven, not trusted: corrupted guesses
+        # fall back to the derivation and the result does not move.
+        machine = Machine(Cluster.cpu_cluster(64), Grid(16, 8))
+        kernel = builder(machine, 2048)
+        wrong = self._assert_carry_exact(kernel, _WrongGuesses)
+        right = self._assert_carry_exact(kernel)
+        assert wrong.members_rederived > right.members_rederived
+
+
+def test_carried_groups_equal_the_fold():
+    # A step whose rows are an earlier step's rows permuted, with the
+    # rectangles translated and the roots moved by a processor
+    # bijection, takes that step's group partition through the row map
+    # and ranks it as the full fold does. The bijection reverses the
+    # roots' order, so two groups of one rectangle swap ranks.
+    tables = machine_tables(Machine(Cluster.cpu_cluster(4), Grid(4, 2)))
+    lo = np.column_stack([np.arange(8) // 2 * 10, np.zeros(8, np.int64)])
+    root = np.array([0, 0, 1, 2, 3, 3, 4, 4])
+
+    def chunk(lo, root):
+        ones = np.ones(8, dtype=np.int64)
+        return _Chunk(
+            tensor_id=0, lo=lo, hi=lo + 10, nbytes=ones, src_proc=root,
+            dst_proc=(root + 1) % 8, src_gpu=ones < 0, dst_gpu=ones < 0,
+        )
+
+    prev = _StepBuilder(Step("prev"), [chunk(lo, root)])
+    prev.finalize(tables, {"B": 0}, 100)
+    rows = np.roll(np.arange(8), 3)
+    moved = chunk(lo[rows] + [40, 10], 7 - root[rows])
+    folded = _StepBuilder(Step("folded"), [replace(moved)])
+    folded.finalize(tables, {"B": 0}, 100)
+    moved.carry = (prev, 0, rows, False)
+    carried = _StepBuilder(Step("carried"), [moved])
+    carried.finalize(tables, {"B": 0}, 100)
+    assert carried.columns.num_groups == 5
+    assert np.array_equal(carried.columns.group, folded.columns.group)
