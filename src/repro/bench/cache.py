@@ -26,6 +26,11 @@ outcomes are cached too: a configuration that OOMs re-raises
 :class:`~repro.util.errors.OutOfMemoryError` on every hit, so OOM rows
 in a sweep are as cheap as successful ones.
 
+The tuner's cost oracle (:mod:`repro.tuner.oracle`) scores every
+candidate through :meth:`SimulationCache.simulate` as well, so this is
+the one kernel-simulation memo in the process: its ``hits``/``misses`` count
+figure sweeps and tuning searches alike.
+
 Baseline models (ScaLAPACK, CTF, reference COSMA) build traces from
 closed-form formulas rather than kernels; :func:`cached_baseline`
 memoizes those per ``(function, cluster signature, arguments)``.
@@ -128,25 +133,6 @@ class SimulationCache:
             raise
         self._store[key] = ("ok", report)
         return report
-
-    def cached(self, kernel, params: MachineParams, check_capacity: bool,
-               mode: str):
-        """The stored outcome for a configuration, or ``None``.
-
-        Returns ``("ok", report)`` / ``("oom", args)`` without touching
-        the hit counters; used by the tuner's incremental oracle, which
-        layers a phase-structure store on top of this cache.
-        """
-        return self._store.get(
-            self._key(kernel, params, check_capacity, mode)
-        )
-
-    def put(self, kernel, params: MachineParams, check_capacity: bool,
-            mode: str, outcome: Tuple[str, object]):
-        """Install an externally computed outcome for a configuration."""
-        self._store[
-            self._key(kernel, params, check_capacity, mode)
-        ] = outcome
 
     def clear(self):
         self._store.clear()

@@ -63,13 +63,12 @@ class TraceSkeleton:
     """A priced sub-trace: everything needed to re-derive a
     :class:`SimReport` without the trace.
 
-    Communication is pre-priced per step (``t_comm`` — leaf-kernel
-    independent, since copies never depend on the leaf substitution);
-    compute is kept as per-processor work entries so the tuner's
-    incremental oracle can re-price a shared phase structure under a
-    different leaf kernel (:mod:`repro.tuner.oracle`). Skeletons are
-    small — per-class work rows and one float per step — independent of
-    the machine size.
+    Communication is pre-priced per step (``t_comm``); compute is kept
+    as per-processor-class work entries, priced by the roofline in
+    :meth:`CostModel.price_skeleton`. Skeletons are small — per-class
+    work rows and one float per step — independent of the machine size,
+    so ``Kernel.simulate`` can accumulate one while a run streams its
+    steps and drop each step's copy columns as it closes.
     """
 
     steps: List[Tuple[float, Tuple[WorkEntry, ...]]]
@@ -159,14 +158,11 @@ class CostModel:
     def price_skeleton(
         self,
         skeleton: TraceSkeleton,
-        kernel_map: Optional[Dict[Optional[str], Optional[str]]] = None,
         breakdown: bool = False,
     ) -> SimReport:
-        """A :class:`SimReport` from a priced sub-trace.
-
-        ``kernel_map`` relabels leaf kernels before compute pricing —
-        the incremental oracle's re-pricing of a cached phase structure
-        whose candidate differs only in the substituted leaf.
+        """A :class:`SimReport` from a priced sub-trace: each step's
+        pre-priced communication plus its work entries' roofline
+        compute, overlapped or summed per ``params.overlap``.
 
         ``breakdown=True`` additionally attaches a
         :class:`~repro.sim.report.PhaseBreakdown` built from the same
@@ -181,14 +177,12 @@ class CostModel:
         phases: List[PhaseCost] = []
         for index, (t_comm, work) in enumerate(skeleton.steps):
             if breakdown:
-                entry_times = self._compute_entries(
-                    work, kernel_map, per_entry=True
-                )
+                entry_times = self._compute_entries(work, per_entry=True)
                 t_compute = (
                     float(entry_times.max()) if entry_times.size else 0.0
                 )
             else:
-                t_compute = self._compute_entries(work, kernel_map)
+                t_compute = self._compute_entries(work)
             if self.params.overlap:
                 t_step = max(t_comm, t_compute)
             else:
@@ -259,12 +253,11 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def compute_time(self, step: Step) -> float:
-        return self._compute_entries(_work_entries(step), None)
+        return self._compute_entries(_work_entries(step))
 
     def _compute_entries(
         self,
         entries: Tuple[WorkEntry, ...],
-        kernel_map: Optional[Dict[Optional[str], Optional[str]]],
         per_entry: bool = False,
     ):
         """Compute time of a step's work entries.
@@ -286,8 +279,6 @@ class CostModel:
         for i, entry in enumerate(entries):
             g = o = 0.0
             for kern, fl in entry[1]:
-                if kernel_map is not None:
-                    kern = kernel_map.get(kern, kern)
                 if kern in GEMM_KERNELS:
                     g += fl
                 else:

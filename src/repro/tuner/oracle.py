@@ -7,7 +7,10 @@ layers keep re-evaluation cheap:
 
 * the process-global :data:`~repro.bench.cache.SIM_CACHE` memoizes
   ``(plan, machine, params, mode)`` so identical candidates (canonical
-  representatives, repeated rungs) simulate once;
+  representatives, repeated rungs) simulate once. It is the oracle's
+  only simulation memo: every candidate is scored by one
+  ``SIM_CACHE.simulate`` call, the same ``Kernel.simulate`` path the
+  figures take;
 * batches fan out over the sweep supervisor
   (:mod:`repro.bench.parallel`), whose forked slot children inherit
   the warm cache and ship their deltas back;
@@ -23,22 +26,15 @@ import copy
 import hashlib
 import json
 import os
-import re
 import signal
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.prune import PruneMemo, STATIC_OOM, prune_reason
-from repro.bench.cache import (
-    SIM_CACHE,
-    cluster_signature,
-    kernel_fingerprint,
-    params_key,
-)
+from repro.bench.cache import SIM_CACHE, cluster_signature, params_key
 from repro.bench.parallel import register_sweep, run_points
 from repro.core.kernel import compile_kernel
 from repro.ir.tensor import Assignment
@@ -47,7 +43,6 @@ from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.obs.spans import span
-from repro.sim.costmodel import CostModel, SkeletonAccumulator
 from repro.sim.params import LASSEN, MachineParams
 from repro.tuner.space import Decision, realize
 from repro.util.errors import OutOfMemoryError, ReproError
@@ -58,154 +53,21 @@ from repro.util.fileio import locked, write_atomic
 INFEASIBLE = float("inf")
 
 
-# ----------------------------------------------------------------------
-# Cross-candidate incremental simulation.
-# ----------------------------------------------------------------------
-
-_LEAF_RE = re.compile(r"leaf\[[^\]]*\]")
-
-
-def phase_fingerprint(kernel, check_capacity: bool, mode: str) -> str:
-    """Identity of a candidate's *phase structure*.
-
-    The plan's printed form pins the launch grid, the per-phase request
-    structure (communication points, loop extents, access expressions —
-    the bounds analysis is a pure function of these), reductions, and
-    the tensor formats; the substituted leaf kernel is masked out
-    because it never changes the executed trace — only how the work is
-    priced. Candidates that differ only in leaf substitution therefore
-    share a fingerprint, and beam rungs re-price a cached sub-trace
-    instead of re-executing it.
-    """
-    fp = kernel_fingerprint(kernel)
-    raw = "|".join(
-        str(x)
-        for x in (
-            _LEAF_RE.sub("leaf[*]", fp[0]),
-            fp[1:],
-            check_capacity,
-            mode,
-        )
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-
-def _leaf_kernels(plan) -> List[Optional[str]]:
-    """Substituted leaf kernel names, in plan order."""
-    node = plan.root
-    while not hasattr(node, "assigns"):
-        node = node.body
-    return [node.kernel]
-
-
-class _SkeletonStore:
-    """Per-process LRU of priced sub-traces, keyed by phase structure.
-
-    Values are ``("ok", TraceSkeleton, leaf kernels)`` or ``("oom",
-    error args)``; skeletons are machine-size independent (per-class
-    work rows plus one pre-priced communication float per step), so the
-    store stays small.
-    """
-
-    def __init__(self, cap: int = 256):
-        self.cap = cap
-        self._store: "OrderedDict[str, tuple]" = OrderedDict()
-
-    def get(self, key: str):
-        hit = self._store.get(key)
-        if hit is not None:
-            self._store.move_to_end(key)
-        return hit
-
-    def put(self, key: str, value):
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.cap:
-            self._store.popitem(last=False)
-
-    def clear(self):
-        self._store.clear()
-
-    def __len__(self):
-        return len(self._store)
-
-
-#: Process-global sub-trace store (forked oracle workers inherit it).
-SKELETONS = _SkeletonStore()
-
-
-def oracle_simulate(kernel, params: MachineParams, check_capacity: bool,
-                    mode: str, pkey: Optional[str] = None):
-    """Simulate a candidate, reusing priced sub-traces across candidates.
-
-    Returns ``(report, executed, repriced)``: ``executed`` marks a real
-    trace execution, ``repriced`` a phase-structure hit re-priced under
-    this candidate's leaf kernel (see
-    :meth:`~repro.sim.costmodel.CostModel.price_skeleton`). Raises
-    :class:`OutOfMemoryError` exactly like ``SIM_CACHE.simulate``.
-    """
-    hit = SIM_CACHE.cached(kernel, params, check_capacity, mode)
-    if hit is not None:
-        outcome, payload = hit
-        if outcome == "oom":
-            raise OutOfMemoryError(*payload)
-        return payload, False, False
-    if pkey is None:
-        pkey = phase_fingerprint(kernel, check_capacity, mode)
-    skey = f"{pkey}/{params_key(params)}"
-    cached = SKELETONS.get(skey)
-    if cached is not None:
-        if cached[0] == "oom":
-            SIM_CACHE.put(
-                kernel, params, check_capacity, mode, ("oom", cached[1])
-            )
-            raise OutOfMemoryError(*cached[1])
-        _tag, skeleton, old_leaves = cached
-        new_leaves = _leaf_kernels(kernel.plan)
-        kernel_map = {}
-        consistent = len(old_leaves) == len(new_leaves)
-        if consistent:
-            for old, new in zip(old_leaves, new_leaves):
-                if kernel_map.setdefault(old, new) != new:
-                    consistent = False
-                    break
-        if consistent:
-            model = CostModel(kernel.machine.cluster, params)
-            report = model.price_skeleton(skeleton, kernel_map)
-            SIM_CACHE.put(
-                kernel, params, check_capacity, mode, ("ok", report)
-            )
-            return report, False, True
-    model = CostModel(kernel.machine.cluster, params)
-    acc = SkeletonAccumulator(model)
-    try:
-        result = kernel.trace(
-            check_capacity=check_capacity, mode=mode, skeleton=acc
-        )
-    except OutOfMemoryError as err:
-        args = (err.memory_name, err.needed_bytes, err.capacity_bytes)
-        SKELETONS.put(skey, ("oom", args))
-        SIM_CACHE.put(kernel, params, check_capacity, mode, ("oom", args))
-        raise
-    skeleton = acc.finish(result.trace.memory_high_water)
-    report = model.price_skeleton(skeleton)
-    SKELETONS.put(
-        skey, ("ok", skeleton, _leaf_kernels(kernel.plan))
-    )
-    SIM_CACHE.put(kernel, params, check_capacity, mode, ("ok", report))
-    return report, True, False
+#: Alias kept only because ``perfbench/tune_cold.py`` imports and
+#: clears ``SKELETONS``; a ``benchmark`` change drops it (ROADMAP
+#: item 9).
+SKELETONS = SIM_CACHE
 
 
 @dataclass(frozen=True)
 class EvalOutcome:
     """One candidate's simulated summary (picklable, ledger-shaped).
 
-    ``structure`` / ``executed`` / ``repriced`` describe *how* the
-    outcome was obtained (phase-structure fingerprint, real trace
-    execution vs. sub-trace re-pricing); they ride back from forked
-    workers for the oracle's incrementality accounting but never enter
-    the ledger records (ledgers must be byte-identical across
-    equal-seed runs, and cache hits vary between processes).
+    ``executed`` marks an outcome that ran a trace rather than hitting
+    ``SIM_CACHE``; it rides back from forked workers for the oracle's
+    ``trace_executions`` count but never enters the ledger records
+    (ledgers must be byte-identical across equal-seed runs, and cache
+    hits vary between processes).
     """
 
     decision: Decision
@@ -225,9 +87,7 @@ class EvalOutcome:
     #: candidate never simulated). The expected-cost objective prices
     #: failure exposure and checkpoint overhead per phase.
     num_steps: int = 0
-    structure: str = field(default="", compare=False)
     executed: bool = field(default=False, compare=False)
-    repriced: bool = field(default=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -695,8 +555,6 @@ def evaluate_one(
     ``error`` names the timeout (counted in :attr:`Oracle.errors`)
     instead of hanging the whole tune.
     """
-    structure = ""
-    executed = repriced = False
     try:
         with _deadline(timeout_s):
             with span("oracle.realize"):
@@ -706,9 +564,9 @@ def evaluate_one(
                 )
                 kernel = compile_kernel(schedule, machine)
             with span("oracle.simulate"):
-                structure = phase_fingerprint(kernel, check_capacity, mode)
-                report, executed, repriced = oracle_simulate(
-                    kernel, params, check_capacity, mode, pkey=structure
+                misses = SIM_CACHE.misses
+                report = SIM_CACHE.simulate(
+                    kernel, params, check_capacity, mode
                 )
     except _CandidateTimeout:
         return EvalOutcome(
@@ -717,13 +575,9 @@ def evaluate_one(
             error=(
                 f"Timeout: candidate exceeded {timeout_s:g}s wall-clock"
             ),
-            structure=structure,
         )
     except OutOfMemoryError:
-        return EvalOutcome(
-            decision=decision, cost=INFEASIBLE, oom=True,
-            structure=structure,
-        )
+        return EvalOutcome(decision=decision, cost=INFEASIBLE, oom=True)
     except (ReproError, ValueError) as err:
         return EvalOutcome(
             decision=decision,
@@ -738,9 +592,7 @@ def evaluate_one(
         inter_node_bytes=report.inter_node_bytes,
         max_memory_bytes=float(report.max_memory_bytes),
         num_steps=int(report.num_steps),
-        structure=structure,
-        executed=executed,
-        repriced=repriced,
+        executed=SIM_CACHE.misses > misses,
     )
 
 
@@ -820,15 +672,11 @@ class Oracle:
         #: simulation (see :mod:`repro.analysis.prune`).
         self.pruned_static = 0
         #: Incrementality accounting. ``scored`` counts every decision
-        #: requested; ``structures`` the distinct phase-structure
-        #: fingerprints among simulated candidates (a seed-deterministic
-        #: quantity — what goes into the ledger); ``trace_executions`` /
-        #: ``repriced`` the live behaviour (cache-state dependent).
+        #: requested (seed-deterministic — what goes into the ledger);
+        #: ``trace_executions`` the candidates that missed ``SIM_CACHE``
+        #: (cache-state dependent).
         self.scored = 0
-        self.structures = set()
-        self.structure_scored = 0
         self.trace_executions = 0
-        self.repriced = 0
         #: Static verdicts computed so far in this tune.
         self.prune_memo = PruneMemo()
 
@@ -880,7 +728,7 @@ class Oracle:
             name: getattr(self, name)
             for name in (
                 "scored", "simulated", "pruned_static", "errors",
-                "trace_executions", "repriced",
+                "trace_executions",
             )
         }
         ledger_before = (
@@ -924,11 +772,7 @@ class Oracle:
                     self.pruned_static += 1
                 elif outcome.error and not outcome.oom:
                     self.errors += 1
-                if outcome.structure:
-                    self.structures.add(outcome.structure)
-                    self.structure_scored += 1
                 self.trace_executions += outcome.executed
-                self.repriced += outcome.repriced
                 if self.ledger is not None:
                     self.ledger.put(wsig, outcome)
             self.simulated += len(pending)
@@ -949,17 +793,13 @@ class Oracle:
     def stats(self) -> Dict[str, int]:
         """Deterministic incrementality counters for the ledger.
 
-        ``structure_hits`` counts simulated candidates that shared a
-        phase-structure fingerprint with an earlier one — the
-        re-priced-not-re-executed population. Derived from fingerprints
-        rather than cache state, so equal-seed runs write equal stats.
+        Derived from the search's decisions rather than cache state, so
+        equal-seed runs write equal stats.
         """
         return {
             "scored": self.scored,
             "simulated": self.simulated,
             "pruned_static": self.pruned_static,
-            "structures": len(self.structures),
-            "structure_hits": self.structure_scored - len(self.structures),
             "ledger_hits": (
                 self.ledger.hits if self.ledger is not None else 0
             ),
@@ -974,10 +814,7 @@ class Oracle:
         self.errors += other.errors
         self.pruned_static += other.pruned_static
         self.scored += other.scored
-        self.structures |= other.structures
-        self.structure_scored += other.structure_scored
         self.trace_executions += other.trace_executions
-        self.repriced += other.repriced
 
     def _evaluate_pending(
         self, assignment: Assignment, pending: List[Decision]

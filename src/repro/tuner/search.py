@@ -70,10 +70,11 @@ class SearchOutcome:
     #: (provable OOMs and dominated leaves — see
     #: :mod:`repro.analysis.prune`).
     pruned_static: int = 0
-    #: Incremental-oracle accounting: real trace executions, candidates
-    #: scored by re-pricing a shared phase structure, and the distinct
-    #: structure count (see :mod:`repro.tuner.oracle`).
+    #: Candidates that missed ``SIM_CACHE`` and ran a trace (see
+    #: :mod:`repro.tuner.oracle`).
     trace_executions: int = 0
+    #: Always 0; kept only because ``perfbench/tune_cold.py`` reads
+    #: them. A ``benchmark`` change drops both (ROADMAP item 9).
     repriced: int = 0
     structures: int = 0
 
@@ -87,9 +88,7 @@ class SearchOutcome:
             f"strategy {self.strategy}: {self.space_size} candidates, "
             f"{self.evaluations} evaluated "
             f"({self.pruned_static} statically pruned, "
-            f"{self.trace_executions} trace executions, "
-            f"{self.repriced} re-priced from {self.structures} "
-            f"phase structures)",
+            f"{self.trace_executions} trace executions)",
         ]
         for rung in self.rungs:
             lines.append(
@@ -505,8 +504,6 @@ def tune(
         errors=oracle.errors,
         pruned_static=oracle.pruned_static,
         trace_executions=oracle.trace_executions,
-        repriced=oracle.repriced,
-        structures=len(oracle.structures),
     )
 
     from repro.machine.grid import Grid

@@ -139,20 +139,18 @@ class TestGlobalRegistry:
         """Tuning ledgers stay byte-deterministic with the full
         observability layer live (metrics always on, tracing forced).
 
-        The ledger's embedded oracle stats are derived from phase
-        fingerprints, not cache or counter state — instrumentation must
-        not leak wall-clock-dependent values into it.
+        The ledger's embedded oracle stats are derived from the
+        search's decisions, not cache or counter state — instrumentation
+        must not leak wall-clock-dependent values into it.
         """
         from repro.bench.cache import SIM_CACHE
         from repro.machine.cluster import Cluster
         from repro.obs.spans import reset_spans, set_tracing
-        from repro.tuner.oracle import SKELETONS
         from repro.tuner.search import tune
         from repro.tuner.workloads import matmul
 
         def run(path):
             SIM_CACHE.clear()
-            SKELETONS.clear()
             tune(
                 matmul(2048), Cluster.cpu_cluster(4), jobs=1, seed=7,
                 ledger_path=path,

@@ -1,62 +1,91 @@
-"""Cross-candidate incremental simulation (`tuner/oracle.py`).
+"""Cross-candidate reuse in the tuner oracle (`tuner/oracle.py`).
 
-Candidates sharing a phase structure — same grid, formats, request
-structure, different substituted leaf kernel — must execute one trace
-and re-price the rest; the hit counts must land in the tuning ledger
-without breaking its byte-determinism.
+The oracle scores candidates through one memo, `SIM_CACHE`: statically
+pruned candidates never run a trace, the counts land in the tuning
+ledger without breaking its byte-determinism, and a memoized report
+must equal what a fresh, uncached simulation of the same candidate
+reports.
 """
 
+import copy
 import json
 
 import pytest
 
 from repro.bench.cache import SIM_CACHE
+from repro.core.kernel import compile_kernel
 from repro.machine.cluster import Cluster
-from repro.tuner.oracle import SKELETONS, phase_fingerprint
+from repro.machine.grid import Grid
+from repro.machine.machine import Machine
+from repro.tuner.oracle import Oracle
 from repro.tuner.search import tune
+from repro.tuner.space import enumerate_space, realize
 from repro.tuner.workloads import matmul
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     SIM_CACHE.clear()
-    SKELETONS.clear()
     yield
     SIM_CACHE.clear()
-    SKELETONS.clear()
+
+
+@pytest.fixture(scope="module")
+def default_tune(tmp_path_factory):
+    """One default tune of matmul(4096) on 8 CPU nodes, and the
+    ``oracle_stats`` block of the ledger it wrote."""
+    SIM_CACHE.clear()
+    path = tmp_path_factory.mktemp("ledger") / "ledger.json"
+    result = tune(
+        matmul(4096), Cluster.cpu_cluster(8), jobs=1, ledger_path=path
+    )
+    stats = json.loads(path.read_text())["oracle_stats"]
+    return result.search, stats
+
+
+@pytest.fixture(scope="module")
+def memo_and_fresh():
+    """Every simulated, feasible outcome of the full matmul(2048) space
+    on 4 CPU nodes, paired with a fresh uncached simulation of the same
+    candidate."""
+    SIM_CACHE.clear()
+    cluster = Cluster.cpu_cluster(4)
+    assignment = matmul(2048)
+    oracle = Oracle(cluster)
+    space = enumerate_space(assignment, cluster.num_processors)
+    pairs = []
+    for outcome in oracle.evaluate(assignment, space):
+        if outcome.pruned or not outcome.feasible:
+            continue
+        machine = Machine(cluster, Grid(*outcome.decision.grid))
+        schedule, _ = realize(
+            copy.deepcopy(assignment), machine, outcome.decision,
+            memory=oracle.memory,
+        )
+        pairs.append(
+            (outcome, compile_kernel(schedule, machine).simulate())
+        )
+    assert pairs
+    return pairs
 
 
 class TestIncrementalOracle:
-    def test_fewer_trace_executions_than_candidates(self, tmp_path):
-        # static_prune off: the analyzer would otherwise decide the
-        # loops-leaf candidates without simulating, which is exactly
-        # the repricing population this test pins down.
-        result = tune(
-            matmul(4096), Cluster.cpu_cluster(8), jobs=1,
-            static_prune=False,
-            ledger_path=tmp_path / "ledger.json",
-        )
-        search = result.search
+    def test_fewer_trace_executions_than_candidates(self, default_tune):
+        search, _stats = default_tune
         assert search.evaluations > 0
-        # The gemm-vs-loops leaf axis shares every phase structure, so
-        # at most half the scored candidates execute a trace.
+        # Statically pruned candidates are scored without a trace.
         assert search.trace_executions < search.evaluations
-        assert search.repriced > 0
-        assert search.trace_executions == search.structures
 
-    def test_static_pruning_replaces_repricing(self, tmp_path):
-        # Default path: the same leaf-sharing candidates are now pruned
-        # statically — zero simulations — and the counters say so.
-        result = tune(
-            matmul(4096), Cluster.cpu_cluster(8), jobs=1,
-            ledger_path=tmp_path / "ledger.json",
-        )
-        search = result.search
+    def test_static_pruning_replaces_repricing(self, default_tune):
+        # The analyzer decides the dominated-leaf and provably-OOM
+        # candidates with zero simulations.
+        search, _stats = default_tune
         assert search.pruned_static > 0
         assert search.pruned_static >= search.space_size // 5
-        stats = json.loads(
-            (tmp_path / "ledger.json").read_text()
-        )["oracle_stats"]
+
+    def test_hit_counts_logged_in_ledger(self, default_tune):
+        # The pruned and scored counts land in the ledger.
+        search, stats = default_tune
         assert stats["pruned_static"] == search.pruned_static
         assert stats["scored"] == stats["simulated"] + stats["ledger_hits"]
 
@@ -70,50 +99,23 @@ class TestIncrementalOracle:
         assert pruned.decision == unpruned.decision
         assert pruned.search.best.cost == unpruned.search.best.cost
 
-    def test_hit_counts_logged_in_ledger(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        tune(matmul(4096), Cluster.cpu_cluster(8), jobs=1, ledger_path=path)
-        data = json.loads(path.read_text())
-        stats = data["oracle_stats"]
-        assert stats["scored"] == stats["simulated"] + stats["ledger_hits"]
-        assert stats["structure_hits"] > 0
-        assert stats["structures"] < stats["simulated"]
+    def test_memo_costs_match_fresh_simulation(self, memo_and_fresh):
+        mismatched = [
+            outcome.decision
+            for outcome, fresh in memo_and_fresh
+            if outcome.cost != fresh.total_time
+        ]
+        assert not mismatched
 
-    def test_repriced_reports_match_executed(self):
-        # Re-pricing a cached skeleton must reproduce exactly what a
-        # fresh execution reports: clear the caches, evaluate the same
-        # space twice, compare costs decision by decision.
-        cluster = Cluster.cpu_cluster(4)
-        first = tune(matmul(2048), cluster, strategy="exhaustive")
-        SIM_CACHE.clear()
-        SKELETONS.clear()
-        second = tune(matmul(2048), cluster, strategy="exhaustive")
-        costs_a = {
-            o.decision: o.cost for o in first.search.ranked
-        }
-        costs_b = {
-            o.decision: o.cost for o in second.search.ranked
-        }
-        assert costs_a == costs_b
-        assert first.decision == second.decision
-
-    def test_fingerprint_masks_leaf_kernel_only(self):
-        from repro.core.kernel import compile_kernel
-        from repro.machine.grid import Grid
-        from repro.machine.machine import Machine
-        from repro.tuner.space import enumerate_space, realize
-
-        cluster = Cluster.cpu_cluster(4)
-        assignment = matmul(1024)
-        space = enumerate_space(assignment, cluster.num_processors)
-        by_key = {}
-        for decision in space:
-            machine = Machine(cluster, Grid(*decision.grid))
-            schedule, _ = realize(assignment, machine, decision)
-            kernel = compile_kernel(schedule, machine)
-            key = phase_fingerprint(kernel, True, "orbit")
-            by_key.setdefault(key, set()).add(decision.leaf)
-        # At least one structure is shared by both leaf choices, and no
-        # two different comm/format structures collapse to one key.
-        assert any(len(leaves) > 1 for leaves in by_key.values())
-        assert len(by_key) < len(space)
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: rotation siblings share a SIM_CACHE key",
+    )
+    def test_memo_traffic_matches_fresh_simulation(self, memo_and_fresh):
+        mismatched = [
+            outcome.decision
+            for outcome, fresh in memo_and_fresh
+            if (outcome.comm_time, outcome.inter_node_bytes)
+            != (fresh.comm_time, fresh.inter_node_bytes)
+        ]
+        assert not mismatched

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
+from repro.bench.cache import SIM_CACHE
 from repro.sim.params import LASSEN
-from repro.tuner import oracle as oracle_mod
 from repro.tuner.oracle import (
     Oracle,
     _CandidateTimeout,
@@ -69,7 +69,7 @@ class TestEvaluateTimeout:
         def stuck(*args, **kwargs):
             time.sleep(30)
 
-        monkeypatch.setattr(oracle_mod, "oracle_simulate", stuck)
+        monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
         outcome = evaluate_one(
             assignment, cluster, decision, LASSEN,
             MemoryKind.SYSTEM_MEM, "orbit", True, timeout_s=0.1,
@@ -103,7 +103,7 @@ class TestEvaluateTimeout:
         def stuck(*args, **kwargs):
             time.sleep(30)
 
-        monkeypatch.setattr(oracle_mod, "oracle_simulate", stuck)
+        monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
         oracle = Oracle(
             cluster, params=LASSEN, static_prune=False, timeout_s=0.1
         )
