@@ -6,12 +6,13 @@ figure tables must come back in axis order, and the keyed plan/trace
 cache (:mod:`repro.bench.cache`) should stay warm across the whole
 benchmark session. Every dispatcher (figure sweeps, ``Oracle(jobs>1)``
 through :func:`run_points`, the serving daemon through
-:func:`repro.serve.supervise.run_supervised`) forks through one
-supervised primitive, :func:`run_forked`:
+:func:`repro.serve.supervise.run_supervised`) runs on one supervised
+primitive, the :class:`WorkerSlot`:
 
-* one ``fork``-start child per dispatcher slot runs points back to
-  back over a duplex pipe, so it inherits the parent's warm cache and
-  keeps the skeletons and plans it builds for its later points;
+* one persistent supervised ``fork``-start child per dispatcher slot,
+  replaced after a crash, runs points back to back over a duplex pipe,
+  so it inherits the parent's warm cache and keeps the skeletons and
+  plans it builds for its later points;
 * every point ships back its rows *plus* the cache entries it added
   (both the simulation cache and the closed-form baseline store) and
   its observability deltas (metric counters, wall-clock spans), which
@@ -20,7 +21,7 @@ supervised primitive, :func:`run_forked`:
   state behind as a sequential run;
 * a child that dies mid-point (SIGKILL, OOM killer, segfault) is pipe
   EOF — a detected ``("crash", detail)`` outcome for that point, never
-  a hang — and a fresh child takes the next point.
+  a hang — and the slot forks a fresh child for its next point.
 
 On platforms without ``fork`` (or with ``jobs <= 1``) sweeps simply run
 sequentially in-process.
@@ -147,57 +148,117 @@ def _spawn():
     return proc, conn
 
 
+class WorkerSlot:
+    """One dispatcher slot: a persistent child that runs points back to
+    back, forked on first use and replaced after a crash.
+
+    :meth:`run` returns ``("ok", envelope)`` (see :func:`_run_point`;
+    pass it to :func:`install_envelope`), ``("err", traceback)`` for an
+    exception the child caught itself, or ``("crash", detail)`` when
+    the child died without delivering; the next :meth:`run` then forks
+    a replacement. ``spawns`` counts the children forked. Without
+    ``fork`` the points run in-process.
+
+    :meth:`close` may come from another thread while a point runs:
+    the slot is then closed by that point's :meth:`run` when it
+    returns, and a closed slot never forks again.
+    """
+
+    def __init__(self):
+        self.spawns = 0
+        self._child = None
+        self._state = threading.Lock()
+        self._busy = False
+        self._closed = False
+
+    @property
+    def pid(self):
+        """The live child's pid, or ``None`` before the first fork and
+        after a crash or :meth:`close`."""
+        child = self._child
+        return child[0].pid if child is not None else None
+
+    def run(self, task: Tuple[str, dict]) -> Tuple[str, object]:
+        with self._state:
+            if self._closed:
+                raise RuntimeError("the worker slot is closed")
+            self._busy = True
+        try:
+            return self._run(task)
+        finally:
+            with self._state:
+                self._busy = False
+                closing = self._closed
+            if closing:
+                self._shutdown(join=True)
+
+    def _run(self, task):
+        if not _fork_available():
+            try:
+                return _run_point_strict(task)
+            except Exception:
+                return ("err", traceback.format_exc())
+        if self._child is None:
+            self._child = _spawn()
+            self.spawns += 1
+        proc, conn = self._child
+        try:
+            conn.send(task)
+            return conn.recv()
+        except (EOFError, OSError):
+            conn.close()
+            proc.join()
+            self._child = None
+            return (
+                "crash",
+                f"worker pid={proc.pid} died without delivering "
+                f"(exitcode={proc.exitcode})",
+            )
+
+    def close(self, join: bool = True):
+        """Stop the child (joined unless ``join=False``); the slot never
+        forks again. A busy slot is closed when its point returns."""
+        with self._state:
+            self._closed = True
+            if self._busy:
+                return
+        self._shutdown(join)
+
+    def _shutdown(self, join: bool):
+        if self._child is None:
+            return
+        proc, conn = self._child
+        self._child = None
+        # The idle child exits on this sentinel.
+        try:
+            conn.send(None)
+        except OSError:
+            pass
+        conn.close()
+        if join:
+            proc.join()
+
+
 def run_forked(
     tasks: Iterable[Tuple[Hashable, Tuple[str, dict]]],
 ) -> Iterator[Tuple[Hashable, Tuple[str, object]]]:
-    """Run ``(key, (name, kwargs))`` points back to back in one child.
+    """Run ``(key, (name, kwargs))`` points back to back on one
+    :class:`WorkerSlot`.
 
-    Yields ``(key, outcome)`` as each point lands, where ``outcome`` is
-    ``("ok", envelope)`` (see :func:`_run_point`; pass it to
-    :func:`install_envelope`), ``("err", traceback)`` for an exception
-    the child caught itself, or ``("crash", detail)`` when the child
-    died without delivering. The next point is drawn from ``tasks``
+    Yields ``(key, outcome)`` as each point lands (outcomes as
+    :meth:`WorkerSlot.run`). The next point is drawn from ``tasks``
     only when the child is free, so slots sharing one queue balance
-    load dynamically; a crashed child is replaced for the next point.
-    Without ``fork`` the points run in-process.
+    load dynamically.
     """
-    if not _fork_available():
-        for key, task in tasks:
-            try:
-                yield key, _run_point_strict(task)
-            except Exception:
-                yield key, ("err", traceback.format_exc())
-        return
-    child = None
+    slot = WorkerSlot()
     try:
         for key, task in tasks:
-            if child is None:
-                child = _spawn()
-            proc, conn = child
-            try:
-                conn.send(task)
-                outcome = conn.recv()
-            except (EOFError, OSError):
-                conn.close()
-                proc.join()
-                child = None
-                outcome = (
-                    "crash",
-                    f"worker pid={proc.pid} died without delivering "
-                    f"(exitcode={proc.exitcode})",
-                )
-            yield key, outcome
+            yield key, slot.run(task)
     finally:
-        if child is not None:
-            proc, conn = child
-            # The idle child exits on this sentinel. It is not joined:
-            # its teardown (~2 ms) would add to every dispatch, and
-            # multiprocessing reaps it at the next fork or at exit.
-            try:
-                conn.send(None)
-            except OSError:
-                pass
-            conn.close()
+        # Not joined: the child's teardown (~2 ms) would add to every
+        # sweep, and multiprocessing reaps it at the next fork or at
+        # exit.
+        slot.close(join=False)
 
 
 def install_envelope(envelope):

@@ -10,8 +10,8 @@ deterministic :meth:`~ChaosPlan.sample`, mirroring
 
 Event kinds and where they inject:
 
-* :class:`KillWorker` — the ``n``-th tune-worker dispatch (a forked
-  child of the daemon) dies with SIGKILL mid-tune. Injected by the
+* :class:`KillWorker` — the ``n``-th tune-worker dispatch (run on a
+  slot's persistent child of the daemon) dies with SIGKILL mid-tune. Injected by the
   supervised dispatcher (:mod:`repro.serve.supervise`): the child
   self-kills after opening the ledger, exactly where a real crash
   would lose the unpersisted answer.
@@ -57,8 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KillWorker:
-    """SIGKILL the ``dispatch``-th tune-worker fork (0-based, counted
-    across every dispatch attempt the daemon makes, retries included)."""
+    """SIGKILL the worker serving the ``dispatch``-th tune-worker
+    dispatch (0-based, counted across every dispatch attempt the daemon
+    makes, retries included)."""
 
     dispatch: int
 

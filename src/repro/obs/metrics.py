@@ -63,6 +63,9 @@ Number = Union[int, float]
 #: * ``serve.crashes`` — tune-worker children that died without
 #:   delivering (SIGKILL, segfault, hard timeout);
 #: * ``serve.retried`` — crash retries dispatched with backoff;
+#: * ``serve.worker_spawns`` — tune-worker children forked by the
+#:   daemon: one per dispatcher slot on its first miss, plus one for
+#:   each replacement after a crash;
 #: * ``serve.drained`` — waiters answered with the structured
 #:   ``"draining"`` error during shutdown;
 #: * ``serve.quarantined`` — requests cut off at the consecutive-crash
@@ -80,6 +83,7 @@ SERVE_COUNTERS = (
     "serve.shed",
     "serve.crashes",
     "serve.retried",
+    "serve.worker_spawns",
     "serve.drained",
     "serve.quarantined",
     "serve.reconnects",

@@ -13,10 +13,12 @@ two paths are deliberately asymmetric:
   it the daemon *sheds* with ``status: "overloaded"`` and a
   retry-after hint rather than queueing unboundedly), *deduplicated in
   flight* (concurrent identical requests share one future and
-  therefore one tune), and dispatched through the supervised forked
-  runner (:mod:`repro.serve.supervise`) — the GIL-heavy search runs in
-  child processes, never in the loop's, and a SIGKILL'd child is a
-  detected crash that retries with backoff instead of a hang.
+  therefore one tune), and dispatched through the supervised worker
+  slots (:mod:`repro.serve.supervise`): one persistent supervised
+  child per dispatcher slot, replaced after a crash — the GIL-heavy
+  search runs in child processes, never in the loop's, and a
+  SIGKILL'd child is a detected crash that retries with backoff
+  instead of a hang.
 
 **Resilience semantics** (see ``docs/serving.md``):
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import math
 import os
+import queue
 import signal
 import threading
 import time
@@ -63,6 +66,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.api import HIT, QUARANTINED, ScheduleRequest
+from repro.bench.parallel import WorkerSlot
 from repro.obs.metrics import METRICS
 from repro.serve import protocol
 from repro.serve.supervise import (
@@ -167,11 +171,18 @@ class ScheduleServer:
         #: Connections currently processing a message (response not
         #: yet written) — drain completion waits for zero.
         self._busy = 0
-        # One executor thread per concurrent supervised fork; the
-        # blocking pipe waits live here, never on the event loop.
+        # One executor thread per worker slot; the blocking pipe waits
+        # live here, never on the event loop. Each dispatch borrows a
+        # free slot, so a slot's child serves misses back to back
+        # (forked on the first, replaced after a crash) for the
+        # daemon's lifetime.
         self._executor = ThreadPoolExecutor(
             max_workers=self.tune_jobs, thread_name_prefix="serve-tune"
         )
+        self.workers = [WorkerSlot() for _ in range(self.tune_jobs)]
+        self._free_workers: queue.SimpleQueue = queue.SimpleQueue()
+        for slot in self.workers:
+            self._free_workers.put(slot)
         for fingerprint, record in self.ledger.answers.items():
             self._index_answer(fingerprint, record)
 
@@ -419,16 +430,17 @@ class ScheduleServer:
         record: Dict,
         deadline_s: Optional[float] = None,
     ):
-        """Run one miss through the supervised fork and resolve its
+        """Run one miss on a supervised worker slot and resolve its
         future — *always*, whatever the outcome shape."""
         loop = asyncio.get_running_loop()
         kwargs = self._dispatch_kwargs(fingerprint, record, deadline_s)
 
         def dispatch():
             # The one module a tune imports that the daemon does not:
-            # imported here, before the first fork rather than at start-
-            # up, every worker inherits it instead of importing (and,
-            # without bytecode caching, compiling) it per miss.
+            # imported here, before the first spawn rather than at
+            # start-up, the first worker and every replacement after a
+            # crash inherit it instead of importing (and, without
+            # bytecode caching, compiling) it.
             import repro.runtime.orbit  # noqa: F401
 
             def on_attempt(_attempt: int):
@@ -436,13 +448,18 @@ class ScheduleServer:
                     kwargs["chaos_kill"] = self.chaos.kill_worker(
                         fingerprint
                     )
-            return run_supervised(
-                "serve_tune",
-                kwargs,
-                retries=self.worker_retries,
-                backoff_s=self.retry_backoff_s,
-                on_attempt=on_attempt,
-            )
+            slot = self._free_workers.get()
+            try:
+                return run_supervised(
+                    slot,
+                    "serve_tune",
+                    kwargs,
+                    retries=self.worker_retries,
+                    backoff_s=self.retry_backoff_s,
+                    on_attempt=on_attempt,
+                )
+            finally:
+                self._free_workers.put(slot)
 
         row: Dict = {
             "status": "error",
@@ -696,6 +713,11 @@ class ScheduleServer:
                 future.set_result(_draining_row(fingerprint))
         self.inflight.clear()
         self._executor.shutdown(wait=False)
+        # Idle workers exit and are joined here, so none outlives the
+        # daemon; a busy one is closed by its dispatcher once its point
+        # returns, and no slot forks again.
+        for slot in self.workers:
+            slot.close()
         if self.socket_path:
             try:
                 Path(self.socket_path).unlink()

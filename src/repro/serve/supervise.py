@@ -1,18 +1,20 @@
 """Supervised tune dispatch: retries with backoff, and quarantine.
 
-The daemon runs each miss through the one process supervisor,
-:func:`repro.bench.parallel.run_forked`: a ``fork``-start child
-connected by a pipe, whose death without delivering its envelope is a
-detected ``("crash", detail)`` outcome — never a hang. The envelope
+The daemon runs each miss on a slot of the one process supervisor,
+:class:`repro.bench.parallel.WorkerSlot`: one persistent supervised
+child per dispatcher slot, replaced after a crash, connected by a pipe
+— its death without delivering its envelope is a detected
+``("crash", detail)`` outcome, never a hang. The envelope
 (rows plus cache, metrics and span deltas) merges back through
 :func:`repro.bench.parallel.install_envelope`, exactly as sweeps do.
 On top of that primitive this module adds the serving policy:
 
 * :func:`run_supervised` retries crashes with exponential backoff, up
   to ``retries`` times (counted in ``serve.crashes`` /
-  ``serve.retried``); structured ``("err", ...)`` outcomes do not
-  retry (the worker already caught the exception; re-running a
-  deterministic failure buys nothing).
+  ``serve.retried``), each retry on a freshly forked child (counted,
+  like the first fork, in ``serve.worker_spawns``); structured
+  ``("err", ...)`` outcomes do not retry (the worker already caught
+  the exception; re-running a deterministic failure buys nothing).
 * :class:`QuarantineStore` persists consecutive-crash counts per
   request fingerprint, so a poison request — one that kills its worker
   every time — is cut off after ``threshold`` crashes with a durable
@@ -31,7 +33,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.bench.parallel import install_envelope, run_forked
+from repro.bench.parallel import WorkerSlot, install_envelope
 from repro.obs.metrics import METRICS
 from repro.util.fileio import locked, write_atomic
 
@@ -43,22 +45,24 @@ _MAX_BACKOFF_S = 1.0
 
 
 def run_supervised(
+    slot: WorkerSlot,
     name: str,
     kwargs: dict,
     retries: int = 2,
     backoff_s: float = 0.05,
     on_attempt: Optional[Callable[[int], None]] = None,
 ) -> Tuple[str, object, int]:
-    """Run one point in a supervised child, retrying crashes with
-    exponential backoff.
+    """Run one point on ``slot``'s supervised child, retrying crashes
+    with exponential backoff.
 
     Returns ``(status, result, crashes)`` where ``status`` is ``"ok"``
     (``result`` is the installed point result), ``"err"`` (a traceback
     string from the worker), or ``"crash"`` (every attempt died;
     ``result`` is the last crash detail). ``crashes`` counts dead
     children across all attempts — the quarantine's currency.
-    ``on_attempt`` is called with the attempt index before each fork
-    (the chaos harness uses it to aim kills).
+    ``on_attempt`` is called with the attempt index before each
+    dispatch (the chaos harness uses it to aim kills). Raises
+    :class:`RuntimeError` once the slot is closed.
     """
     crashes = 0
     delay = backoff_s
@@ -66,7 +70,10 @@ def run_supervised(
     for attempt in range(retries + 1):
         if on_attempt is not None:
             on_attempt(attempt)
-        [(_, (status, result))] = run_forked([(None, (name, kwargs))])
+        spawns = slot.spawns
+        status, result = slot.run((name, kwargs))
+        if slot.spawns > spawns:
+            METRICS.inc("serve.worker_spawns")
         if status == "ok":
             return ("ok", install_envelope(result), crashes)
         if status == "err":

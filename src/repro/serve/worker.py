@@ -1,13 +1,14 @@
-"""The daemon's tune worker: one supervised child per miss.
+"""The daemon's tune worker: one persistent supervised child per
+dispatcher slot, replaced after a crash.
 
 ``serve_tune`` is an ordinary :mod:`repro.bench.parallel` sweep
 function (registered under that name). The daemon runs it through
-:func:`repro.serve.supervise.run_supervised`, which forks it with the
-same primitive the figure sweeps use (:func:`repro.bench.parallel.
-run_forked`): the GIL-heavy tune stays out of the daemon's event-loop
-process, simulation-cache and metrics deltas ship back in the
-envelope, and a killed child is a detected crash that the daemon
-retries with backoff.
+:func:`repro.serve.supervise.run_supervised` on the same primitive the
+figure sweeps use (:class:`repro.bench.parallel.WorkerSlot`): the
+GIL-heavy tune stays out of the daemon's event-loop process, one child
+serves its slot's misses back to back, simulation-cache and metrics
+deltas ship back in the envelope, and a killed child is a detected
+crash that the daemon retries with backoff on a fresh child.
 
 The tune itself runs with ``jobs=1``: supervised children are
 daemonic and may not fork grandchildren, so parallelism across

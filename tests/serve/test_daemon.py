@@ -7,12 +7,15 @@ process-global metrics registry.
 """
 
 import contextlib
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -187,6 +190,89 @@ class TestProtocolOps:
             assert all(r["provenance"] == "hit" for r in responses)
             done = client.schedule(slow)
             assert done["status"] == "ok"
+
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+
+
+def _live_children():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+@fork_only
+class TestWorkers:
+    def test_one_worker_serves_sequential_misses(self, tmp_path):
+        spawns0 = _counter("serve.worker_spawns")
+        tunes0 = _counter("serve.tunes")
+        with serving(tmp_path) as (server, client):
+            pids = set()
+            for size in (48, 64, 96):
+                response = client.schedule(_request(size=size))
+                assert response["status"] == "ok"
+                pids.add(server.workers[0].pid)
+            assert client.stats()["counters"]["serve.worker_spawns"] >= 1
+        assert len(pids) == 1 and None not in pids
+        assert _counter("serve.worker_spawns") == spawns0 + 1
+        assert _counter("serve.tunes") == tunes0 + 3
+
+    def test_stop_reaps_idle_workers(self, tmp_path):
+        server = ScheduleServer(
+            tmp_path / "ledger",
+            socket_path=str(tmp_path / "serve.sock"),
+            tune_jobs=2,
+        )
+        handle = start_background(server)
+        try:
+            with ScheduleClient(
+                socket_path=server.socket_path, timeout=120.0
+            ) as client:
+                for size in (48, 64):
+                    assert client.schedule(_request(size))["status"] == "ok"
+            pids = {slot.pid for slot in server.workers} - {None}
+            assert pids and pids <= _live_children()
+        finally:
+            handle.stop()
+        assert not pids & _live_children()
+        assert all(slot.pid is None for slot in server.workers)
+
+    def test_stop_while_tuning_returns_and_reaps_worker(self, tmp_path):
+        server = ScheduleServer(
+            tmp_path / "ledger",
+            socket_path=str(tmp_path / "serve.sock"),
+            tune_jobs=1,
+        )
+        handle = start_background(server)
+        slot = server.workers[0]
+        try:
+            with ScheduleClient(
+                socket_path=server.socket_path, timeout=120.0
+            ) as client:
+                slow = _request(size=512, nodes=4)
+                assert client.schedule(slow, wait=False)["status"] == (
+                    "pending"
+                )
+            deadline = time.monotonic() + 60
+            while slot.pid is None and time.monotonic() < deadline:
+                time.sleep(0.005)
+            pid = slot.pid
+            assert pid is not None
+        finally:
+            handle.stop()
+        assert not handle.thread.is_alive()
+        deadline = time.monotonic() + 60
+        while pid in _live_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pid not in _live_children()
+        # The dispatcher closed the slot when its point returned: it
+        # never forks again.
+        with pytest.raises(RuntimeError, match="closed"):
+            slot.run(("serve_tune", {"record": slow.to_record()}))
+        # Let the dispatcher thread finish installing its envelope, so
+        # its counters land before the next test reads deltas.
+        server._executor.shutdown(wait=True)
 
 
 class TestLedgerPath:

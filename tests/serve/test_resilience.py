@@ -286,21 +286,32 @@ class TestQuarantine:
             assert served["provenance"] == "quarantined"
         assert _counter("serve.crashes") == crashes0 + 2
 
-    def test_transient_crash_retries_to_success(self, tmp_path):
-        # One positional kill: the first dispatch dies, the retry
-        # tunes cleanly — no quarantine, correct answer.
+    @pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
+    def test_transient_crash_retries_to_success(self, tmp_path, reused):
+        # One positional kill: the dispatch dies, the retry tunes
+        # cleanly on a fresh child — no quarantine, correct answer.
+        # ``reused`` kills dispatch 1, after a clean miss, so the dead
+        # child is one that already served a miss.
         request = _request(64)
         controller = ChaosController(
-            ChaosPlan(events=(KillWorker(dispatch=0),))
+            ChaosPlan(events=(KillWorker(dispatch=int(reused)),))
         )
-        quarantined0 = _counter("serve.quarantined")
-        retried0 = _counter("serve.retried")
+        before = {
+            name: _counter(name)
+            for name in (
+                "serve.quarantined", "serve.crashes", "serve.retried",
+                "serve.worker_spawns",
+            )
+        }
         with serving(
             tmp_path,
             chaos=controller,
             worker_retries=2,
             retry_backoff_s=0.01,
         ) as (server, client):
+            if reused:
+                clean = client.schedule(_request(48), deadline_s=60.0)
+                assert clean["status"] == "ok"
             response = client.schedule(request, deadline_s=60.0)
             assert response["status"] == "ok"
             assert response["provenance"] in ("tuned", "warm-started")
@@ -309,8 +320,13 @@ class TestQuarantine:
             ) == canonical_json(
                 _canonical(tune_request(request).answer.to_record())
             )
-        assert _counter("serve.quarantined") == quarantined0
-        assert _counter("serve.retried") >= retried0 + 1
+        assert controller.kills_fired == 1
+        assert _counter("serve.quarantined") == before["serve.quarantined"]
+        assert _counter("serve.crashes") == before["serve.crashes"] + 1
+        assert _counter("serve.retried") == before["serve.retried"] + 1
+        assert _counter("serve.worker_spawns") == (
+            before["serve.worker_spawns"] + 2
+        )
 
 
 class TestReconnect:
