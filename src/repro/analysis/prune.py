@@ -55,7 +55,6 @@ def prune_reason(
     cluster: Cluster,
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
     params: Optional[MachineParams] = None,
-    check_capacity: bool = True,
     memo: Optional["PruneMemo"] = None,
 ) -> Optional[str]:
     """Why ``decision`` need not be simulated, or ``None``.
@@ -64,9 +63,8 @@ def prune_reason(
     """
     bounds = memo.memory_bounds if memo is not None else memory_bounds
     dominated = memo.dominated if memo is not None else _dominated_loops
-    if check_capacity:
-        if bounds(assignment, decision, cluster, memory).infeasible:
-            return STATIC_OOM
+    if bounds(assignment, decision, cluster, memory).infeasible:
+        return STATIC_OOM
     if params is not None and dominated(assignment, decision, params):
         return STATIC_DOMINATED
     return None

@@ -501,26 +501,23 @@ class ScheduleAnswer:
 # The one engine behind every surface.
 # ----------------------------------------------------------------------
 
-#: Request fields that double as tuner keywords; popped off option
-#: dicts so shims can forward legacy kwargs without duplication.
-REQUEST_OPTIONS = ("seed", "objective", "failure_rate")
-
-
 def tune_request(
     request: ScheduleRequest,
     assignment: Optional[Assignment] = None,
     cluster: Optional[Cluster] = None,
     warm_start=None,
+    params: Optional[MachineParams] = None,
     **options,
 ):
     """Answer a request with the tuner; the single engine behind
     ``Kernel.tune``, the daemon, and the CLI.
 
-    ``assignment``/``cluster`` may be passed to avoid a rebuild when
-    the caller already holds them (``Kernel.tune``); the daemon
-    reconstructs both from the record. Remaining keywords forward to
-    :func:`repro.tuner.search.tune` (``jobs``, ``strategy``,
-    ``ledger``, ...). ``warm_start`` (a decoded
+    ``assignment``/``cluster``/``params`` may be passed to avoid a
+    rebuild when the caller already holds them (``Kernel.tune``); the
+    daemon reconstructs them from the record. The request supplies
+    ``seed``, ``objective`` and ``failure_rate``; remaining keywords
+    forward to :func:`repro.tuner.search.tune` (``jobs``,
+    ``strategy``, ``ledger``, ...). ``warm_start`` (a decoded
     :class:`~repro.tuner.space.Decision` from a tuned neighbor)
     switches provenance to ``warm-started`` when combined with
     ``strategy="warm"``.
@@ -534,11 +531,8 @@ def tune_request(
         assignment = request.assignment()
     if cluster is None:
         cluster = request.cluster()
-    params = options.pop("params", None)
     if params is None:
         params = request.machine_params()
-    for name in REQUEST_OPTIONS:
-        options.pop(name, None)
     result = tuner_tune(
         assignment,
         cluster,

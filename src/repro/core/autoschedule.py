@@ -120,25 +120,15 @@ def auto_schedule(
     assignment: Assignment,
     machine: Machine,
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
-    apply_formats: bool = True,
 ) -> AutoScheduleResult:
-    """Derive a distribution schedule and formats automatically.
-
-    With ``apply_formats=True`` (default) the tensors' formats are
-    replaced by the derived ones; pass False to keep existing formats
-    and let the runtime redistribute.
-    """
+    """Derive a distribution schedule and formats automatically; the
+    tensors' formats are replaced by the derived ones."""
     grid = machine.levels[0]
     distributed = choose_distributed_vars(assignment, grid.dim)
-    if apply_formats:
-        formats = derive_formats(assignment, distributed, machine, memory)
-        for tensor in assignment.tensors():
-            if tensor.name in formats:
-                tensor.format = formats[tensor.name]
-    else:
-        formats = {
-            t.name: t.format for t in assignment.tensors()
-        }
+    formats = derive_formats(assignment, distributed, machine, memory)
+    for tensor in assignment.tensors():
+        if tensor.name in formats:
+            tensor.format = formats[tensor.name]
 
     sched = Schedule(assignment)
     # Move the distributed loops outermost (they may be reduction vars

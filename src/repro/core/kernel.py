@@ -248,8 +248,10 @@ class Kernel:
         tuner also picks the grid organization). Keyword options are
         forwarded to :func:`repro.tuner.search.tune` — notably
         ``jobs`` (parallel oracle workers), ``strategy`` (``"auto"`` /
-        ``"exhaustive"`` / ``"beam"``), ``seed`` (deterministic
-        search), and ``ledger_path`` (persistent incremental re-tunes).
+        ``"exhaustive"`` / ``"beam"``), and ``ledger`` (a
+        :class:`~repro.tuner.oracle.TuningLedger`, for persistent
+        incremental re-tunes). ``seed``, ``objective`` and
+        ``failure_rate`` become fields of the request.
 
         Returns a :class:`~repro.tuner.search.TuneResult`: an ordinary
         :class:`~repro.scheduling.schedule.Schedule` plus formats that
@@ -279,22 +281,14 @@ class Kernel:
             cluster = machine.cluster
         else:
             cluster = machine
-        try:
-            request = api.ScheduleRequest.from_assignment(
-                assignment,
-                cluster,
-                params=params,
-                seed=options.get("seed", 0),
-                objective=options.get("objective", "total"),
-                failure_rate=options.get("failure_rate", 0.0),
-            )
-        except Exception:
-            # Assignments outside the canonical wire grammar (exotic
-            # expression nodes) still tune — they just don't get a
-            # serving-layer answer attached.
-            from repro.tuner.search import tune as tuner_tune
-
-            return tuner_tune(assignment, cluster, params, **options)
+        request = api.ScheduleRequest.from_assignment(
+            assignment,
+            cluster,
+            params=params,
+            seed=options.pop("seed", 0),
+            objective=options.pop("objective", "total"),
+            failure_rate=options.pop("failure_rate", 0.0),
+        )
         return api.tune_request(
             request,
             assignment=assignment,

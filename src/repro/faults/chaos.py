@@ -41,7 +41,9 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
+
+from repro.faults.events import EventPlan
 
 __all__ = [
     "ChaosController",
@@ -121,22 +123,13 @@ class RestartDaemon:
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(EventPlan):
     """A deterministic schedule of serving-layer failures.
 
-    Frozen and hashable like :class:`~repro.faults.events.FaultPlan`;
-    ``seed`` records how the plan was drawn (``None`` for hand-built
-    plans). Extend a sampled plan with hand-placed events (a poison
-    request whose fingerprint is only known at scenario-build time)
-    via :meth:`with_events`.
+    Extend a sampled plan with hand-placed events (a poison request
+    whose fingerprint is only known at scenario-build time) via
+    :meth:`with_events`.
     """
-
-    events: Tuple = ()
-    seed: Optional[int] = None
-
-    def encode(self) -> str:
-        seed = "" if self.seed is None else f"seed={self.seed};"
-        return seed + ";".join(e.encode() for e in self.events)
 
     def with_events(self, *events) -> "ChaosPlan":
         return ChaosPlan(events=self.events + tuple(events), seed=self.seed)

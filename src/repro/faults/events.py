@@ -60,17 +60,27 @@ class Resize:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """A deterministic schedule of failure and resize events.
+class EventPlan:
+    """A frozen, hashable schedule of events.
 
-    ``events`` is a tuple of :class:`KillNode` / :class:`Resize`;
+    ``events`` is a tuple of event records, each with an ``encode()``;
     ``seed`` records how the plan was drawn (``None`` for hand-built
-    plans). Plans are frozen and hashable, so they can ride in ledger
-    keys and test parametrizations.
+    plans). Frozen and hashable, so plans can ride in ledger keys and
+    test parametrizations.
     """
 
     events: Tuple = ()
     seed: Optional[int] = None
+
+    def encode(self) -> str:
+        seed = "" if self.seed is None else f"seed={self.seed};"
+        return seed + ";".join(e.encode() for e in self.events)
+
+
+@dataclass(frozen=True)
+class FaultPlan(EventPlan):
+    """A deterministic schedule of failure and resize events:
+    :class:`KillNode` and :class:`Resize` records."""
 
     def kill_for(self, stage: Optional[str] = None) -> Optional[KillNode]:
         """The kill event scoped to ``stage`` (first match wins).
@@ -91,10 +101,6 @@ class FaultPlan:
             if isinstance(event, Resize) and event.boundary == stage:
                 return event
         return None
-
-    def encode(self) -> str:
-        seed = "" if self.seed is None else f"seed={self.seed};"
-        return seed + ";".join(e.encode() for e in self.events)
 
     @staticmethod
     def sample(
@@ -173,7 +179,7 @@ def lost_instances(plan, machine, node: int) -> Tuple:
     return tuple(sorted(out, key=lambda item: (item[0], item[1])))
 
 
-def install_fault_hook(trace, fault_plan, executor, stage=None):
+def install_fault_hook(trace, fault_plan, executor):
     """Arm ``trace`` so the planned kill interrupts the execution.
 
     The hook fires before each step is created; on the planned phase it
@@ -181,7 +187,7 @@ def install_fault_hook(trace, fault_plan, executor, stage=None):
     phase, the surviving node count, the dead node's home instances,
     and the partial trace of completed steps.
     """
-    kill = fault_plan.kill_for(stage)
+    kill = fault_plan.kill_for()
     if kill is None:
         return
     machine = executor.machine

@@ -151,13 +151,10 @@ def replan_kernel(
     decision: Decision,
     fault_plan: FaultPlan,
     memory: Optional[MemoryKind] = None,
-    mode: str = "orbit",
-    check_capacity: bool = True,
     strategy: str = "auto",
     jobs: int = 1,
     seed: int = 0,
     max_dims: int = 3,
-    ledger=None,
     timeout_s: Optional[float] = None,
     workload: str = "kernel",
 ) -> RecoveryReport:
@@ -179,16 +176,14 @@ def replan_kernel(
     schedule, formats = realize(work, machine, decision, memory=memory)
     kernel = compile_kernel(schedule, machine)
     model = CostModel(cluster, params)
-    baseline = kernel.simulate(
-        params, check_capacity=check_capacity, mode=mode
-    )
+    baseline = kernel.simulate(params)
     steps = max(1, baseline.num_steps)
 
     failure: Optional[NodeFailure] = None
     try:
-        kernel.trace(
-            check_capacity=check_capacity, mode=mode, fault_plan=fault_plan
-        )
+        # Orbit, like the baseline: ``Kernel.trace`` defaults to the
+        # slower batched interpreter (the kill fires at the same phase).
+        kernel.trace(mode="orbit", fault_plan=fault_plan)
     except NodeFailure as err:
         failure = err
     if failure is None:
@@ -219,13 +214,10 @@ def replan_kernel(
         surviving,
         params,
         memory=memory,
-        mode=mode,
-        check_capacity=check_capacity,
         strategy=strategy,
         jobs=jobs,
         seed=seed,
         max_dims=max_dims,
-        ledger=ledger,
         timeout_s=timeout_s,
         warm_start=decision,
     )
@@ -363,9 +355,6 @@ def replan_pipeline(
     params: MachineParams = LASSEN,
     *,
     fault_plan: FaultPlan,
-    memory: Optional[MemoryKind] = None,
-    mode: str = "orbit",
-    check_capacity: bool = True,
     strategy: str = "auto",
     jobs: int = 1,
     seed: int = 0,
@@ -387,10 +376,10 @@ def replan_pipeline(
     """
     from repro.tuner.search import tune  # local: import cycle
 
-    memory = memory if memory is not None else pipeline.default_memory()
+    memory = pipeline.default_memory()
     baseline = (
         pipeline.schedule_with(decisions, memory=memory)
-        .simulate(params, check_capacity=check_capacity, mode=mode)
+        .simulate(params)
         .total_time
     )
 
@@ -411,8 +400,6 @@ def replan_pipeline(
                 current,
                 params,
                 memory=memory,
-                mode=mode,
-                check_capacity=check_capacity,
                 strategy=strategy,
                 jobs=jobs,
                 seed=seed,
@@ -478,8 +465,6 @@ def replan_pipeline(
                 decision=decision,
                 fault_plan=stage_plan,
                 memory=memory,
-                mode=mode,
-                check_capacity=check_capacity,
                 strategy=strategy,
                 jobs=jobs,
                 seed=seed,
@@ -500,9 +485,7 @@ def replan_pipeline(
                     re_work, re_machine, decision, memory=memory
                 )
         else:
-            stage_time = kernel.simulate(
-                params, check_capacity=check_capacity, mode=mode
-            ).total_time
+            stage_time = kernel.simulate(params).total_time
 
         layouts[stage.output] = (
             formats[stage.output], tuple(decision.grid), current

@@ -40,7 +40,6 @@ from repro import cli
 from repro.analysis import comm_lower_bound, memory_bounds, verify_legality
 from repro.machine.cluster import MemoryKind, ProcessorKind
 from repro.sim.params import LASSEN
-from repro.tuner.search import tune
 from repro.tuner.workloads import (
     PIPELINES,
     WORKLOADS,
@@ -64,29 +63,22 @@ def _cost_or_none(outcome):
 
 
 def _tune_unified(args, assignment, cluster, ledger):
-    """Tune through the unified API when the workload is expressible
-    as a canonical request (attaches ``result.answer``); fall back to
-    the direct tuner for anything the einsum printer can't round-trip."""
+    """Tune through the unified API (attaches ``result.answer``)."""
     from repro import api
 
-    common = dict(
+    request = api.ScheduleRequest.from_assignment(
+        assignment, cluster, seed=args.seed
+    )
+    return api.tune_request(
+        request,
+        assignment=assignment,
+        cluster=cluster,
         strategy=args.strategy,
         beam_width=args.beam,
         jobs=args.jobs,
         max_dims=args.max_dims,
         ledger=ledger,
         timeout_s=args.timeout,
-    )
-    try:
-        request = api.ScheduleRequest.from_assignment(
-            assignment, cluster, seed=args.seed
-        )
-    except Exception:
-        return tune(
-            assignment, cluster, LASSEN, seed=args.seed, **common
-        )
-    return api.tune_request(
-        request, assignment=assignment, cluster=cluster, **common
     )
 
 

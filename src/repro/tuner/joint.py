@@ -226,15 +226,12 @@ def tune_pipeline(
     *,
     top_k: int = DEFAULT_TOP_K,
     memory=None,
-    mode: str = "orbit",
-    check_capacity: bool = True,
     strategy: str = "auto",
     beam_width: int = 8,
     coarse_procs: int = 64,
     seed: int = 0,
     jobs: int = 1,
     max_dims: int = 3,
-    ledger_path=None,
     ledger: Optional[TuningLedger] = None,
     timeout_s: Optional[float] = None,
 ) -> PipelineTuneResult:
@@ -249,8 +246,6 @@ def tune_pipeline(
     combination.
     """
     memory = memory if memory is not None else pipeline.default_memory()
-    if ledger is None and ledger_path is not None:
-        ledger = TuningLedger(ledger_path)
 
     stage_results: Dict[str, TuneResult] = {}
     pools: Dict[str, List[Decision]] = {}
@@ -262,8 +257,6 @@ def tune_pipeline(
             pipeline.cluster,
             params,
             memory=memory,
-            mode=mode,
-            check_capacity=check_capacity,
             strategy=strategy,
             beam_width=beam_width,
             coarse_procs=coarse_procs,
@@ -279,8 +272,6 @@ def tune_pipeline(
             pipeline.cluster,
             params=params,
             memory=memory,
-            mode=mode,
-            check_capacity=check_capacity,
             jobs=jobs,
             ledger=ledger,
             timeout_s=timeout_s,
@@ -301,9 +292,7 @@ def tune_pipeline(
             plan = pipeline.schedule_with(
                 decisions, memory=memory, handoffs=handoffs
             )
-            report = plan.simulate(
-                params, check_capacity=check_capacity, mode=mode
-            )
+            report = plan.simulate(params)
         except (OutOfMemoryError, ReproError):
             return None, None
         return plan, report

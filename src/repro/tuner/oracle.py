@@ -140,10 +140,13 @@ def workload_signature(
     cluster: Cluster,
     params: MachineParams,
     memory: MemoryKind,
-    mode: str,
-    check_capacity: bool,
 ) -> str:
-    """Stable identity of one tuning problem (the ledger's namespace)."""
+    """Stable identity of one tuning problem (the ledger's namespace).
+
+    The trailing ``"orbit"`` and ``True`` hash the executor mode and
+    capacity check every tune runs with; they stay in the key so
+    existing ledgers keep their signatures.
+    """
     tensors = ";".join(
         f"{t.name}:{t.shape}:{t.dtype}" for t in assignment.tensors()
     )
@@ -155,8 +158,8 @@ def workload_signature(
             cluster_signature(cluster),
             params_key(params),
             memory.value,
-            mode,
-            check_capacity,
+            "orbit",
+            True,
         )
     )
     return hashlib.sha256(raw.encode()).hexdigest()[:16]
@@ -542,8 +545,6 @@ def evaluate_one(
     decision: Decision,
     params: MachineParams,
     memory: MemoryKind,
-    mode: str,
-    check_capacity: bool,
     timeout_s: Optional[float] = None,
 ) -> EvalOutcome:
     """Realize, compile, and simulate one candidate (mutates the
@@ -565,9 +566,7 @@ def evaluate_one(
                 kernel = compile_kernel(schedule, machine)
             with span("oracle.simulate"):
                 misses = SIM_CACHE.misses
-                report = SIM_CACHE.simulate(
-                    kernel, params, check_capacity, mode
-                )
+                report = SIM_CACHE.simulate(kernel, params)
     except _CandidateTimeout:
         return EvalOutcome(
             decision=decision,
@@ -602,8 +601,6 @@ def tuner_eval_batch(
     decisions: Sequence[Decision],
     params: MachineParams,
     memory: MemoryKind,
-    mode: str,
-    check_capacity: bool,
     timeout_s: Optional[float] = None,
 ) -> List[EvalOutcome]:
     """One sweep point: simulate a chunk of candidates (the oracle has
@@ -616,8 +613,7 @@ def tuner_eval_batch(
     work = copy.deepcopy(assignment)
     return [
         evaluate_one(
-            work, cluster, decision, params, memory, mode,
-            check_capacity, timeout_s=timeout_s,
+            work, cluster, decision, params, memory, timeout_s=timeout_s
         )
         for decision in decisions
     ]
@@ -639,8 +635,6 @@ class Oracle:
         cluster: Cluster,
         params: MachineParams = LASSEN,
         memory: Optional[MemoryKind] = None,
-        mode: str = "orbit",
-        check_capacity: bool = True,
         jobs: int = 1,
         ledger: Optional[TuningLedger] = None,
         static_prune: bool = True,
@@ -655,8 +649,6 @@ class Oracle:
                 else MemoryKind.SYSTEM_MEM
             )
         self.memory = memory
-        self.mode = mode
-        self.check_capacity = check_capacity
         self.jobs = max(1, jobs)
         self.ledger = ledger
         self.static_prune = static_prune
@@ -687,8 +679,6 @@ class Oracle:
             cluster,
             params=self.params,
             memory=self.memory,
-            mode=self.mode,
-            check_capacity=self.check_capacity,
             jobs=self.jobs,
             ledger=self.ledger,
             static_prune=self.static_prune,
@@ -710,7 +700,6 @@ class Oracle:
             self.cluster,
             self.memory,
             params=self.params,
-            check_capacity=self.check_capacity,
             memo=self.prune_memo,
         )
 
@@ -736,12 +725,7 @@ class Oracle:
             if self.ledger is not None else (0, 0)
         )
         wsig = workload_signature(
-            assignment,
-            self.cluster,
-            self.params,
-            self.memory,
-            self.mode,
-            self.check_capacity,
+            assignment, self.cluster, self.params, self.memory
         )
         outcomes: Dict[Decision, EvalOutcome] = {}
         pending: List[Decision] = []
@@ -834,8 +818,6 @@ class Oracle:
             cluster=self.cluster,
             params=self.params,
             memory=self.memory,
-            mode=self.mode,
-            check_capacity=self.check_capacity,
             timeout_s=self.timeout_s,
         )
         if self.jobs <= 1 or len(survivors) <= 1:

@@ -47,6 +47,15 @@ from repro.tuner.space import (
 #: ``strategy="auto"``.
 EXHAUSTIVE_THRESHOLD = 128
 
+#: Beam search's promotion factor: each rung has ``ETA`` times the
+#: processors of the one below and keeps ``beam_width * ETA**r``
+#: survivors, ``r`` rungs from the top.
+ETA = 4
+
+#: Rung 0 scores at most this many candidates; a larger space is
+#: sampled down (seeded) before the coarse projection.
+MAX_RUNG0 = 4096
+
 #: How many top-ranked outcomes a search keeps for its callers (the
 #: joint pipeline tuner builds per-stage candidate pools from these).
 RANKED_KEEP = 32
@@ -140,9 +149,7 @@ def beam_search(
     seed_decision: Decision,
     beam_width: int = 8,
     coarse_procs: int = 64,
-    eta: int = 4,
     seed: int = 0,
-    max_rung0: int = 4096,
     protected: Sequence[Decision] = (),
 ) -> Tuple[List[EvalOutcome], List[Dict]]:
     """Successive halving from a coarse projection up to full scale.
@@ -175,21 +182,19 @@ def beam_search(
         if d not in candidates:
             candidates.append(d)
     candidates.sort(key=Decision.key)
-    if len(candidates) > max_rung0:
-        keep = set(
-            rng.sample(range(len(candidates)), max_rung0)
-        )
+    if len(candidates) > MAX_RUNG0:
+        keep = set(rng.sample(range(len(candidates)), MAX_RUNG0))
         sampled = [c for i, c in enumerate(candidates) if i in keep]
         for d in pinned:
             if d not in sampled:
                 sampled.append(d)
         candidates = sampled
-    # Rung ladder: coarse, coarse*eta, ..., full.
+    # Rung ladder: coarse, coarse*ETA, ..., full.
     targets: List[int] = []
     procs = min(coarse_procs, full_procs)
     while procs < full_procs:
         targets.append(procs)
-        procs *= eta
+        procs *= ETA
     targets.append(full_procs)
 
     # Full-scale static verdicts, for the coarse rungs to honour (a
@@ -275,7 +280,7 @@ def beam_search(
         if level == 0:
             rung0_ranking = prev_ranking
         remaining = len(targets) - 1 - level
-        keep = max(beam_width * eta ** (remaining - 1), beam_width)
+        keep = max(beam_width * ETA ** (remaining - 1), beam_width)
         survivors = [o.decision for o in ranked[:keep]]
         for d in pinned:
             if d not in survivors:
@@ -361,8 +366,6 @@ def tune(
     *,
     seed_grid: Optional[Sequence[int]] = None,
     memory=None,
-    mode: str = "orbit",
-    check_capacity: bool = True,
     strategy: str = "auto",
     static_prune: bool = True,
     beam_width: int = 8,
@@ -370,7 +373,6 @@ def tune(
     seed: int = 0,
     jobs: int = 1,
     max_dims: int = 3,
-    ledger_path=None,
     ledger: Optional[TuningLedger] = None,
     warm_start: Optional[Decision] = None,
     objective: str = "total",
@@ -439,14 +441,10 @@ def tune(
         if extra:
             space = sorted(space + extra, key=Decision.key)
 
-    if ledger is None and ledger_path is not None:
-        ledger = TuningLedger(ledger_path)
     oracle = Oracle(
         cluster,
         params=params,
         memory=memory,
-        mode=mode,
-        check_capacity=check_capacity,
         jobs=jobs,
         ledger=ledger,
         static_prune=static_prune,
@@ -518,9 +516,7 @@ def tune(
     if best.feasible:
         from repro.bench.cache import SIM_CACHE
 
-        report = SIM_CACHE.simulate(
-            kernel, params, check_capacity=check_capacity, mode=mode
-        )
+        report = SIM_CACHE.simulate(kernel, params)
     return TuneResult(
         decision=best.decision,
         schedule=schedule,

@@ -408,7 +408,6 @@ def realize(
     machine: Machine,
     decision: Decision,
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
-    apply_formats: bool = True,
     format_overrides: Optional[Dict[str, Format]] = None,
 ) -> Tuple[Schedule, Dict[str, Format]]:
     """Deterministically rebuild the schedule a decision describes.
@@ -438,10 +437,9 @@ def realize(
                     f"format override names unknown tensor {name!r}"
                 )
             formats[name] = fmt
-    if apply_formats:
-        for tensor in assignment.tensors():
-            if tensor.name in formats:
-                tensor.format = formats[tensor.name]
+    for tensor in assignment.tensors():
+        if tensor.name in formats:
+            tensor.format = formats[tensor.name]
 
     sched = Schedule(assignment)
     dist_vars = [by_name[n] for n in decision.dist]
@@ -573,7 +571,6 @@ def enumerate_space(
     assignment: Assignment,
     num_procs: int,
     max_dims: int = 3,
-    include_loops_leaf: bool = True,
 ) -> List[Decision]:
     """All canonical decision vectors for an assignment and machine size.
 
@@ -587,9 +584,7 @@ def enumerate_space(
     var_names = [v.name for v in assignment.all_vars]
     reductions = [v.name for v in assignment.reduction_vars]
     contraction = bool(reductions) and len(var_names) >= 2
-    leaf_choices = [LEAF_GEMM] if contraction else [LEAF_LOOPS]
-    if contraction and include_loops_leaf:
-        leaf_choices.append(LEAF_LOOPS)
+    leaf_choices = [LEAF_GEMM, LEAF_LOOPS] if contraction else [LEAF_LOOPS]
     out_names = {v.name for v in assignment.lhs.indices}
     seen: Dict[Tuple, Decision] = {}
 

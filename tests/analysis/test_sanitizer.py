@@ -10,7 +10,7 @@ from repro.algorithms.higher_order import innerprod, mttkrp
 from repro.algorithms.matmul import cannon, cosma, solomonik, summa
 from repro.analysis import sanitize_trace
 from repro.core.transfer import transfer_kernel
-from repro.machine.cluster import Cluster
+from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
 from repro.runtime.orbit import OrbitExecutor
 from repro.util.errors import TraceSanityError
 
@@ -186,3 +186,24 @@ class TestCorruptedTraces:
         with pytest.raises(TraceSanityError) as exc:
             executor._sanity_check(executor_trace)
         assert exc.value.findings
+
+
+class TestKernelAnalyze:
+    def test_cannon_is_clean_and_certified(self):
+        """``Kernel.analyze`` end to end: a Cannon whose nodes hold
+        only 64 KiB, so the communication lower bound is not vacuous."""
+        cluster = Cluster.build(
+            num_nodes=64,
+            procs_per_node=1,
+            proc_kind=ProcessorKind.CPU_SOCKET,
+            proc_mem_kind=MemoryKind.SYSTEM_MEM,
+            proc_mem_capacity=64 * 1024,
+            system_mem_capacity=64 * 1024,
+        )
+        kernel = cannon(Machine(cluster, Grid(8, 8)), 256)
+        report = kernel.analyze()
+        assert report.clean
+        assert report.comm_certificate >= 1
+        assert report.memory_high_water == (
+            kernel.trace(mode="batched").memory_high_water
+        )

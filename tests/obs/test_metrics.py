@@ -146,6 +146,7 @@ class TestGlobalRegistry:
         from repro.bench.cache import SIM_CACHE
         from repro.machine.cluster import Cluster
         from repro.obs.spans import reset_spans, set_tracing
+        from repro.tuner.oracle import TuningLedger
         from repro.tuner.search import tune
         from repro.tuner.workloads import matmul
 
@@ -153,7 +154,7 @@ class TestGlobalRegistry:
             SIM_CACHE.clear()
             tune(
                 matmul(2048), Cluster.cpu_cluster(4), jobs=1, seed=7,
-                ledger_path=path,
+                ledger=TuningLedger(path),
             )
             return path.read_bytes()
 

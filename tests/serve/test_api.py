@@ -20,15 +20,43 @@ from repro.api import (
     einsum_of,
     tune_request,
 )
+from repro.ir.expr import index_vars
+from repro.ir.tensor import Assignment, TensorVar
 from repro.machine.cluster import Cluster
 from repro.tuner.workloads import WORKLOADS, sized
 
 
+#: Expressions with ``Add`` and ``Literal`` nodes, which no named
+#: workload has, by their canonical einsum text.
+EXPRESSIONS = (
+    "A[i,j]=B[i,k]*C[k,j]+D[i,j]",
+    "A[i,j]=B[i,j]*(C[i,j]+D[i,j])",
+    "A[i,j]=2.0*B[i,k]*C[k,j]",
+    "A[i,j]=B[i,j]+(C[i,j]+D[i,j])",
+)
+
+
+def _build(name):
+    if name in WORKLOADS:
+        return sized(name, 64)
+    A, B, C, D = (TensorVar(t, (64, 64)) for t in "ABCD")
+    i, j, k = index_vars("i j k")
+    rhs = {
+        EXPRESSIONS[0]: B[i, k] * C[k, j] + D[i, j],
+        EXPRESSIONS[1]: B[i, j] * (C[i, j] + D[i, j]),
+        EXPRESSIONS[2]: 2.0 * B[i, k] * C[k, j],
+        EXPRESSIONS[3]: B[i, j] + (C[i, j] + D[i, j]),
+    }[name]
+    return Assignment(A[i, j], rhs)
+
+
 class TestEinsumRoundTrip:
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(WORKLOADS) + list(EXPRESSIONS))
     def test_round_trip_is_exact(self, name):
-        assignment = sized(name, 64)
+        assignment = _build(name)
         text = einsum_of(assignment)
+        if name in EXPRESSIONS:
+            assert text == name
         shapes = {t.name: list(t.shape) for t in assignment.tensors()}
         rebuilt = assignment_of(
             text, shapes, accumulate=assignment.accumulate
@@ -37,6 +65,17 @@ class TestEinsumRoundTrip:
         # operator associativity, same index-variable names.
         assert repr(rebuilt) == repr(assignment)
         assert einsum_of(rebuilt) == text
+        # Every expression is a canonical request: its record
+        # round-trips to the same fingerprint.
+        request = ScheduleRequest.from_assignment(
+            assignment, Cluster.cpu_cluster(2)
+        )
+        assert request.einsum == text
+        again = ScheduleRequest.from_record(
+            json.loads(json.dumps(request.to_record()))
+        )
+        assert repr(again.assignment()) == repr(assignment)
+        assert again.fingerprint() == request.fingerprint()
 
     def test_matmul_text(self):
         assert einsum_of(sized("matmul", 64)) == "A[i,j]=B[i,k]*C[k,j]"

@@ -10,7 +10,10 @@ requests quarantine durably, and the client reconnects idempotently
 across drops and daemon restarts.
 """
 
+import asyncio
 import contextlib
+import json
+import threading
 import time
 
 import pytest
@@ -162,6 +165,46 @@ class TestDrain:
             response = client.shutdown()
             assert response["stopping"] and response["draining"]
 
+    def test_drain_deadline_answers_a_pending_waiter(self, tmp_path):
+        """A waiter whose tune outlives the drain deadline gets the
+        structured ``draining`` error, not a cancelled future."""
+        request = _request(48)
+        drained0 = _counter("serve.drained")
+        deduped0 = _counter("serve.deduped")
+
+        async def stalled(fingerprint, record, deadline_s):
+            await asyncio.sleep(60)  # outlives the drain deadline
+
+        replies = []
+        with serving(tmp_path, drain_timeout_s=0.2) as (server, client):
+            server._tune_one = stalled
+            first = client.schedule(request, wait=False)
+            assert first["status"] == "pending"
+
+            def wait():
+                with ScheduleClient(
+                    socket_path=server.socket_path, timeout=60.0
+                ) as waiter:
+                    replies.append(waiter._roundtrip({
+                        "op": "schedule",
+                        "request": request.to_record(),
+                    }))
+
+            thread = threading.Thread(target=wait)
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while _counter("serve.deduped") == deduped0:
+                assert time.monotonic() < deadline, "waiter never joined"
+                time.sleep(0.01)
+            assert client.shutdown()["draining"]
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        [reply] = replies
+        assert reply["status"] == "error"
+        assert reply["code"] == "draining"
+        assert reply["fingerprint"] == request.fingerprint()
+        assert _counter("serve.drained") == drained0 + 1
+
 
 class TestFrameDiscipline:
     def test_oversized_line_answers_error_and_keeps_stream(
@@ -285,6 +328,30 @@ class TestQuarantine:
             served = client.schedule(request)
             assert served["provenance"] == "quarantined"
         assert _counter("serve.crashes") == crashes0 + 2
+
+    def test_recorded_crashes_without_answer_quarantine_on_arrival(
+        self, tmp_path
+    ):
+        """A fingerprint at the crash cap in ``QUARANTINE.json`` whose
+        quarantined answer never persisted (the daemon died in
+        between) is answered from the recorded reason, untuned."""
+        request = _request(48)
+        fingerprint = request.fingerprint()
+        root = tmp_path / "ledger"
+        root.mkdir()
+        reason = "tune worker died (signal 9)"
+        (root / QUARANTINE_FILE).write_text(json.dumps(
+            {fingerprint: {"crashes": 3, "error": reason}}
+        ))
+        tunes0 = _counter("serve.tunes")
+        spawns0 = _counter("serve.worker_spawns")
+        with serving(tmp_path, quarantine_after=3) as (server, client):
+            response = client.schedule(request)
+        assert response["status"] == "ok"
+        assert response["provenance"] == "quarantined"
+        assert response["answer"]["quarantine_reason"] == reason
+        assert _counter("serve.tunes") == tunes0
+        assert _counter("serve.worker_spawns") == spawns0
 
     @pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
     def test_transient_crash_retries_to_success(self, tmp_path, reused):

@@ -217,7 +217,7 @@ class TestCrashSafety:
 
 
 class TestTuneAgainstARoot:
-    """``ledger_path=`` on the tuners opens roots too: a re-tune
+    """``TuningLedger(root)`` on the tuners opens roots too: a re-tune
     against a root that already holds the workload simulates nothing."""
 
     def test_tune_replays_a_root(self, tmp_path):
@@ -227,7 +227,7 @@ class TestTuneAgainstARoot:
         first = tune(assignment, cluster, LASSEN, ledger=TuningLedger(root))
         assert first.search.evaluations > 0
         hits = _ledger_hits()
-        again = tune(assignment, cluster, LASSEN, ledger_path=root)
+        again = tune(assignment, cluster, LASSEN, ledger=TuningLedger(root))
         assert again.search.evaluations == 0
         assert _ledger_hits() > hits
         assert again.decision == first.decision
@@ -246,7 +246,9 @@ class TestTuneAgainstARoot:
             r.search.evaluations for r in first.stage_results.values()
         ) > 0
         hits = _ledger_hits()
-        again = tune_pipeline(pipeline(), LASSEN, top_k=3, ledger_path=root)
+        again = tune_pipeline(
+            pipeline(), LASSEN, top_k=3, ledger=TuningLedger(root)
+        )
         assert sum(
             r.search.evaluations for r in again.stage_results.values()
         ) == 0

@@ -17,7 +17,7 @@ from repro.core.kernel import compile_kernel
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
-from repro.tuner.oracle import Oracle
+from repro.tuner.oracle import Oracle, TuningLedger
 from repro.tuner.search import tune
 from repro.tuner.space import enumerate_space, realize
 from repro.tuner.workloads import matmul
@@ -37,7 +37,8 @@ def default_tune(tmp_path_factory):
     SIM_CACHE.clear()
     path = tmp_path_factory.mktemp("ledger") / "ledger.json"
     result = tune(
-        matmul(4096), Cluster.cpu_cluster(8), jobs=1, ledger_path=path
+        matmul(4096), Cluster.cpu_cluster(8), jobs=1,
+        ledger=TuningLedger(path),
     )
     stats = json.loads(path.read_text())["oracle_stats"]
     return result.search, stats

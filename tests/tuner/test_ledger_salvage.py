@@ -89,7 +89,7 @@ class TestSalvage:
         ledger = TuningLedger(path)
         wsig = workload_signature(
             assignment, cluster, LASSEN,
-            MemoryKind.SYSTEM_MEM, "orbit", True,
+            MemoryKind.SYSTEM_MEM,
         )
         hits = 0
         for key in ledger.entries:

@@ -172,21 +172,29 @@ class TestLedger:
 
 
 class TestWorkloadSignature:
+    def test_pinned_value(self):
+        """The ledger key is persistent: a change to what it hashes
+        re-keys every existing ledger, so the value is pinned."""
+        assert workload_signature(
+            matmul(256), Cluster.cpu_cluster(2), LASSEN,
+            MemoryKind.SYSTEM_MEM,
+        ) == "b3efb9439ea8c31e"
+
     def test_distinct_per_axis(self):
         c1, c2 = tiny_cluster(2), tiny_cluster(4)
         base = workload_signature(
-            matmul(256), c1, LASSEN, MemoryKind.SYSTEM_MEM, "orbit", True
+            matmul(256), c1, LASSEN, MemoryKind.SYSTEM_MEM
         )
         assert base == workload_signature(
-            matmul(256), c1, LASSEN, MemoryKind.SYSTEM_MEM, "orbit", True
+            matmul(256), c1, LASSEN, MemoryKind.SYSTEM_MEM
         )
         assert base != workload_signature(
-            matmul(512), c1, LASSEN, MemoryKind.SYSTEM_MEM, "orbit", True
+            matmul(512), c1, LASSEN, MemoryKind.SYSTEM_MEM
         )
         assert base != workload_signature(
-            matmul(256), c2, LASSEN, MemoryKind.SYSTEM_MEM, "orbit", True
+            matmul(256), c2, LASSEN, MemoryKind.SYSTEM_MEM
         )
         assert base != workload_signature(
             matmul(256), c1, LASSEN.with_(overlap=False),
-            MemoryKind.SYSTEM_MEM, "orbit", True,
+            MemoryKind.SYSTEM_MEM,
         )

@@ -72,7 +72,7 @@ class TestEvaluateTimeout:
         monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
         outcome = evaluate_one(
             assignment, cluster, decision, LASSEN,
-            MemoryKind.SYSTEM_MEM, "orbit", True, timeout_s=0.1,
+            MemoryKind.SYSTEM_MEM, timeout_s=0.1,
         )
         assert not outcome.feasible
         assert "Timeout" in outcome.error
@@ -86,11 +86,11 @@ class TestEvaluateTimeout:
 
         timed = evaluate_one(
             copy.deepcopy(assignment), cluster, decision, LASSEN,
-            MemoryKind.SYSTEM_MEM, "orbit", True, timeout_s=60.0,
+            MemoryKind.SYSTEM_MEM, timeout_s=60.0,
         )
         plain = evaluate_one(
             copy.deepcopy(assignment), cluster, decision, LASSEN,
-            MemoryKind.SYSTEM_MEM, "orbit", True,
+            MemoryKind.SYSTEM_MEM,
         )
         assert timed.cost == plain.cost
         assert timed.error == plain.error == ""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
 from repro.sim.params import LASSEN
+from repro.tuner.oracle import TuningLedger
 from repro.tuner.search import (
     balanced_grid,
     default_seed_grid,
@@ -75,7 +76,7 @@ class TestTune:
         results = [
             tune(
                 matmul(4096), cluster, strategy="beam", beam_width=4,
-                coarse_procs=4, seed=7, ledger_path=path,
+                coarse_procs=4, seed=7, ledger=TuningLedger(path),
             )
             for path in paths
         ]
