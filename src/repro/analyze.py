@@ -39,7 +39,7 @@ from repro.analysis import (
     verify_legality,
 )
 from repro.core.kernel import compile_kernel
-from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.sim.params import LASSEN
@@ -56,11 +56,7 @@ def analyze_workload(name: str, cluster: Cluster, assignment, say=print):
     """Run every pass over one workload; returns ``(findings,
     summary)`` where ``summary`` is the JSON-payload row."""
     p = cluster.num_processors
-    memory = (
-        MemoryKind.GPU_FB
-        if cluster.processor_kind is ProcessorKind.GPU
-        else MemoryKind.SYSTEM_MEM
-    )
+    memory = cluster.default_memory
     sizes = {t.name: t.shape for t in assignment.tensors()}
     say(f"analyzing {name} {sizes} on {cluster!r}")
 

@@ -6,7 +6,7 @@ copies of the same flags and printed the metrics registry with its own
 loop. The shared pieces now live here:
 
 * :func:`add_common_args` — the ``--ledger/--jobs/--seed/--json``
-  group (each flag opt-in per CLI, defaults preserved);
+  group (``--json`` on every CLI, the others opt-in);
 * :func:`add_cluster_args` / :func:`build_cluster` — the
   ``--nodes/--size/--gpu`` workload-cluster group;
 * :func:`make_ledger` — the :class:`~repro.tuner.oracle.TuningLedger`
@@ -34,9 +34,7 @@ def add_common_args(
     jobs: bool = True,
     seed: bool = True,
     timeout: bool = False,
-    json_out: bool = True,
     jobs_default: int = 1,
-    seed_default: int = 0,
 ) -> argparse.ArgumentParser:
     """Attach the shared ``--ledger/--jobs/--seed/--json`` group."""
     if ledger:
@@ -58,7 +56,7 @@ def add_common_args(
         parser.add_argument(
             "--seed",
             type=int,
-            default=seed_default,
+            default=0,
             help="deterministic search seed",
         )
     if timeout:
@@ -70,13 +68,12 @@ def add_common_args(
             "candidate that exceeds it becomes an oracle error "
             "instead of hanging the run",
         )
-    if json_out:
-        parser.add_argument(
-            "--json",
-            action="store_true",
-            help="emit one machine-readable JSON summary on stdout "
-            "instead of the human report",
-        )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit one machine-readable JSON summary on stdout "
+        "instead of the human report",
+    )
     return parser
 
 

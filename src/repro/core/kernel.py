@@ -20,7 +20,7 @@ import numpy as np
 from repro.codegen.lower import lower_to_plan
 from repro.codegen.plan import DistributedPlan
 from repro.ir.tensor import Assignment, reference_einsum
-from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.machine import Machine
 from repro.runtime.executor import ExecutionResult, Executor
 from repro.scheduling.schedule import Schedule
@@ -225,11 +225,7 @@ class Kernel:
         from repro.core.autoschedule import auto_schedule
 
         if memory is None:
-            memory = (
-                MemoryKind.GPU_FB
-                if machine.cluster.processor_kind is ProcessorKind.GPU
-                else MemoryKind.SYSTEM_MEM
-            )
+            memory = machine.cluster.default_memory
         result = auto_schedule(assignment, machine, memory=memory)
         return compile_kernel(result.schedule, machine)
 

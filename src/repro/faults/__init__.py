@@ -19,8 +19,8 @@ The package splits into three layers:
 * :mod:`repro.faults.chaos` — the same seeded discipline applied to
   the *serving layer*: :class:`ChaosPlan` schedules worker kills,
   poison requests, dropped connections, torn/oversized frames, and a
-  daemon restart, replayed by ``python -m repro.serve --chaos`` and
-  the chaos soak benchmark.
+  daemon restart, replayed by the chaos benchmark
+  (``benchmarks/test_serve_chaos.py``).
 
 ``python -m repro.faults --demo`` runs a deterministic end-to-end
 recovery scenario (also the CI fault-smoke job).

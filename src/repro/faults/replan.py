@@ -48,21 +48,13 @@ from repro.core.kernel import compile_kernel
 from repro.core.transfer import formats_equivalent, redistribution_trace
 from repro.faults.events import FaultPlan, KillNode
 from repro.ir.tensor import Assignment
-from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN, MachineParams
 from repro.tuner.space import Decision, realize
 from repro.util.errors import NodeFailure
-
-
-def _default_memory(cluster: Cluster) -> MemoryKind:
-    return (
-        MemoryKind.GPU_FB
-        if cluster.processor_kind is ProcessorKind.GPU
-        else MemoryKind.SYSTEM_MEM
-    )
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ def replan_kernel(
     """
     from repro.tuner.search import tune  # local: import cycle
 
-    memory = memory if memory is not None else _default_memory(cluster)
+    memory = memory if memory is not None else cluster.default_memory
     work = copy.deepcopy(assignment)
     machine = Machine(cluster, Grid(*decision.grid))
     schedule, formats = realize(work, machine, decision, memory=memory)
@@ -376,7 +368,7 @@ def replan_pipeline(
     """
     from repro.tuner.search import tune  # local: import cycle
 
-    memory = pipeline.default_memory()
+    memory = pipeline.cluster.default_memory
     baseline = (
         pipeline.schedule_with(decisions, memory=memory)
         .simulate(params)

@@ -145,12 +145,6 @@ class Distribution:
             )
         return dist
 
-    @staticmethod
-    def tiled(ndim: int) -> "Distribution":
-        """The n-D tiling ``T x..z -> x..z M`` (paper Figure 5c)."""
-        names = [chr(ord("a") + i) for i in range(ndim)]
-        return Distribution(names, [DimName(n) for n in names])
-
     def check_machine(self, machine_shape: Sequence[int]):
         """Validate against a concrete machine level shape."""
         if len(machine_shape) != self.machine_ndim:

@@ -147,11 +147,6 @@ class Assignment:
         return f"{self.lhs!r} {op} {self.rhs!r}"
 
 
-def assign(lhs: Access, rhs: Expr) -> Assignment:
-    """Build an assignment; exported for callers who prefer a function."""
-    return Assignment(lhs, rhs)
-
-
 def reference_einsum(
     assignment: Assignment, arrays: Dict[str, np.ndarray]
 ) -> np.ndarray:

@@ -209,6 +209,16 @@ class Cluster:
     def num_processors(self) -> int:
         return self.num_nodes * self.procs_per_node
 
+    @property
+    def default_memory(self) -> MemoryKind:
+        """Where schedules place tensors unless told otherwise: GPU
+        framebuffers on GPU clusters, node system memory elsewhere."""
+        return (
+            MemoryKind.GPU_FB
+            if self.processor_kind is ProcessorKind.GPU
+            else MemoryKind.SYSTEM_MEM
+        )
+
     def memories(self) -> Sequence[Memory]:
         """All distinct memories in the cluster, indexed by memory id."""
         return self._memories

@@ -20,8 +20,8 @@ unifies them:
 the CLIs print it, and ``perfbench``'s serve-mixed workload reports
 the ``serve.*`` counters among its per-layer metrics. Efficiency rules
 that wall-clock noise hides are exact checks where they run:
-``python -m repro.serve --smoke`` fails on any nonzero error, crash,
-quarantine, shed or drain counter, and tier-1 pins the orbit step and
+tier-1 fails when a healthy serving trace moves an error, crash,
+quarantine, shed or drain counter, and pins the orbit step and
 phase-replay counts of weak-scaled Cannon and SUMMA.
 
 Fork merging mirrors the simulation cache's envelope: workers export

@@ -35,7 +35,7 @@ from repro.core.kernel import Kernel, compile_kernel
 from repro.core.transfer import formats_equivalent
 from repro.formats.format import Format
 from repro.ir.tensor import Assignment, TensorVar
-from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.pipeline.redistribute import redistribution_report
@@ -191,13 +191,6 @@ class Pipeline:
     def consumers_of(self, tensor: str) -> List[str]:
         return [e.consumer for e in self.edges if e.tensor == tensor]
 
-    def default_memory(self) -> MemoryKind:
-        return (
-            MemoryKind.GPU_FB
-            if self.cluster.processor_kind is ProcessorKind.GPU
-            else MemoryKind.SYSTEM_MEM
-        )
-
     # ------------------------------------------------------------------
     # Scheduling.
     # ------------------------------------------------------------------
@@ -242,7 +235,7 @@ class Pipeline:
         handoff is free by construction; requires both stages to share
         a grid shape).
         """
-        memory = memory if memory is not None else self.default_memory()
+        memory = memory if memory is not None else self.cluster.default_memory
         handoffs = dict(handoffs or {})
         for tensor, policy in handoffs.items():
             if tensor not in self.intermediates:

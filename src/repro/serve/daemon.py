@@ -733,7 +733,7 @@ class ScheduleServer:
 
 
 class ServerHandle:
-    """A daemon running on a background thread (tests, ``--smoke``)."""
+    """A daemon running on a background thread (tests, benchmarks)."""
 
     def __init__(self, server: ScheduleServer):
         self.server = server

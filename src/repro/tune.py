@@ -38,7 +38,6 @@ import traceback
 
 from repro import cli
 from repro.analysis import comm_lower_bound, memory_bounds, verify_legality
-from repro.machine.cluster import MemoryKind, ProcessorKind
 from repro.sim.params import LASSEN
 from repro.tuner.workloads import (
     PIPELINES,
@@ -118,12 +117,9 @@ def _run_single(args, cluster, ledger) -> int:
         print(f"ILLEGAL winning decision: {diag}", file=sys.stderr)
 
     if args.analyze and not args.json:
-        memory = (
-            MemoryKind.GPU_FB
-            if cluster.processor_kind is ProcessorKind.GPU
-            else MemoryKind.SYSTEM_MEM
+        bound = memory_bounds(
+            assignment, best.decision, cluster, cluster.default_memory
         )
-        bound = memory_bounds(assignment, best.decision, cluster, memory)
         comm = comm_lower_bound(assignment, cluster, LASSEN)
         say(f"winner memory: {bound.describe()}")
         say(f"winner {comm.describe()}")

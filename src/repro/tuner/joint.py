@@ -245,7 +245,7 @@ def tune_pipeline(
     enumerated in a fixed order, and cost ties break on the encoded
     combination.
     """
-    memory = memory if memory is not None else pipeline.default_memory()
+    memory = memory if memory is not None else pipeline.cluster.default_memory
 
     stage_results: Dict[str, TuneResult] = {}
     pools: Dict[str, List[Decision]] = {}

@@ -38,7 +38,7 @@ from repro.bench.cache import SIM_CACHE, cluster_signature, params_key
 from repro.bench.parallel import register_sweep, run_points
 from repro.core.kernel import compile_kernel
 from repro.ir.tensor import Assignment
-from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
+from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS
@@ -643,11 +643,7 @@ class Oracle:
         self.cluster = cluster
         self.params = params
         if memory is None:
-            memory = (
-                MemoryKind.GPU_FB
-                if cluster.processor_kind is ProcessorKind.GPU
-                else MemoryKind.SYSTEM_MEM
-            )
+            memory = cluster.default_memory
         self.memory = memory
         self.jobs = max(1, jobs)
         self.ledger = ledger

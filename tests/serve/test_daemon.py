@@ -35,11 +35,11 @@ def _request(size=64, nodes=1, **options):
 
 
 @contextlib.contextmanager
-def serving(tmp_path, **kwargs):
+def serving(tmp_path, tune_jobs=1, **kwargs):
     server = ScheduleServer(
         tmp_path / "ledger",
         socket_path=str(tmp_path / "serve.sock"),
-        tune_jobs=1,
+        tune_jobs=tune_jobs,
         **kwargs,
     )
     handle = start_background(server)
@@ -144,6 +144,43 @@ class TestDedupAndWarm:
             warmed = client.schedule(_request(size=128))
             assert warmed["provenance"] == "tuned"
         assert _counter("serve.warm_started") == warm0
+
+
+class TestHealthyTrace:
+    def test_mixed_trace_leaves_failure_counters_at_zero(self, tmp_path):
+        """A healthy hit/miss/dedup/warm trace on a two-slot daemon
+        fails no request and crashes, quarantines, sheds or drains
+        nothing."""
+        zero = (
+            "serve.errors",
+            "serve.crashes",
+            "serve.quarantined",
+            "serve.shed",
+            "serve.drained",
+        )
+        floors = {
+            "serve.hits": 20,
+            "serve.misses": 3,
+            "serve.deduped": 1,
+            "serve.tunes": 3,
+            "serve.warm_started": 1,
+        }
+        before = {name: _counter(name) for name in (*zero, *floors)}
+        with serving(tmp_path, tune_jobs=2) as (server, client):
+            assert client.ping()
+            assert client.schedule(_request())["provenance"] == "tuned"
+            client.schedule(_request(size=128), wait=False)
+            client.schedule(_request(size=128), wait=False)
+            warmed = client.schedule(_request(size=128))
+            assert warmed["provenance"] == "warm-started"
+            client.schedule(_request(size=96), wait=False)
+            hits = client.schedule_batch([_request()] * 20)
+            assert all(r["provenance"] == "hit" for r in hits)
+            assert client.schedule(_request(size=96))["status"] == "ok"
+        delta = {name: _counter(name) - base for name, base in before.items()}
+        assert {name: delta[name] for name in zero} == dict.fromkeys(zero, 0)
+        for name, floor in floors.items():
+            assert delta[name] >= floor, (name, delta[name])
 
 
 class TestProtocolOps:

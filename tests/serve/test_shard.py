@@ -164,6 +164,38 @@ class TestMigration:
         assert result.search.evaluations == 0
         assert reopened.hits > 0
 
+    def test_cli_migrate_copies_a_json_ledger(self, tmp_path, capsys):
+        from repro.serve.__main__ import main
+
+        source = tmp_path / "single.json"
+        source.write_text(json.dumps({
+            "version": TuningLedger.VERSION,
+            "entries": {
+                f"{i:016x}/d{i}": {"cost": float(i)} for i in range(5)
+            },
+            "answers": dict(_answer(i) for i in range(3)),
+        }))
+        root = tmp_path / "root"
+        argv = ["--ledger", str(root), "--migrate", str(source), "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        single = TuningLedger(source)
+        assert report["entries"] == len(single) == 5
+        assert report["answers"] == len(single.answers) == 3
+        migrated = TuningLedger(root)
+        assert migrated.entries == single.entries
+        assert migrated.answers == single.answers
+
+    def test_cli_migrate_missing_source_exits_1(self, tmp_path, capsys):
+        from repro.serve.__main__ import main
+
+        root = tmp_path / "root"
+        missing = tmp_path / "absent.json"
+        argv = ["--ledger", str(root), "--migrate", str(missing), "--json"]
+        assert main(argv) == 1
+        assert "no such ledger" in capsys.readouterr().err
+        assert not root.exists()
+
     def test_wsig_routing_matches_workload_signature(self, tmp_path):
         source = tmp_path / "single.json"
         single = TuningLedger(source)
