@@ -62,12 +62,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def run_once(benchmark):
-    """Run an expensive figure generator exactly once under timing."""
+def run_once():
+    """Run an expensive figure generator exactly once (a plain call:
+    the suite needs no benchmarking plugin)."""
 
     def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
+        return fn(*args, **kwargs)
 
     return runner

@@ -2,12 +2,10 @@
 
 Usage::
 
-    python -m repro.analyze matmul [--nodes 16] [--size N] [--gpu]
+    python -m repro.analyze matmul [--nodes 4] [--size N] [--gpu]
         [--json]
-    python -m repro.analyze --all-demos
 
-Runs the analyzer's four passes over one workload (or every demo
-workload at a seconds-scale size):
+Runs the analyzer's four passes over one workload:
 
 * the **legality verifier** over the full enumerated schedule space —
   every candidate the tuner would consider must verify cleanly;
@@ -20,6 +18,8 @@ workload at a seconds-scale size):
 ``--json`` (from the shared :mod:`repro.cli` group) replaces the
 human report with one machine-readable object: per-workload candidate
 counts, violations, pruning rates, and sanitizer findings.
+``tests/analysis/test_analyze_cli.py`` runs every workload at side
+1024 on 4 CPU nodes and pins each row.
 
 Exit status is non-zero when any enumerated candidate fails the
 verifier or the sanitizer reports any finding.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
 from repro import cli
 from repro.analysis import (
@@ -45,11 +44,7 @@ from repro.machine.machine import Machine
 from repro.sim.params import LASSEN
 from repro.tuner.search import default_seed_grid
 from repro.tuner.space import enumerate_space, from_heuristic, realize
-from repro.tuner.workloads import WORKLOADS, sized, weak_scaled
-
-#: ``--all-demos`` problem side: big enough for real phase structure,
-#: small enough that the whole sweep stays in CI-smoke territory.
-DEMO_SIZE = 1024
+from repro.tuner.workloads import WORKLOADS
 
 
 def analyze_workload(name: str, cluster: Cluster, assignment, say=print):
@@ -107,57 +102,14 @@ def analyze_workload(name: str, cluster: Cluster, assignment, say=print):
     return illegal + len(report.findings), summary
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analyze",
-        description="Static legality, bounds, and trace-sanity analysis.",
+def _run(args) -> int:
+    say = cli.reporter(args)
+    findings, summary = analyze_workload(
+        args.workload, cli.build_cluster(args), cli.workload(args), say=say
     )
-    parser.add_argument(
-        "workload", nargs="?", choices=sorted(WORKLOADS), default=None
-    )
-    parser.add_argument(
-        "--all-demos",
-        action="store_true",
-        help="every workload at a seconds-scale demo size (the CI job)",
-    )
-    cli.add_cluster_args(parser, nodes_default=4)
-    cli.add_common_args(parser, ledger=False, jobs=False, seed=False)
-    args = parser.parse_args(argv)
-    if not args.all_demos and args.workload is None:
-        parser.error("name a workload or pass --all-demos")
-
-    say = (lambda *a, **k: None) if args.json else print
-    cluster = cli.build_cluster(args)
-    workloads = []
-    try:
-        if args.all_demos:
-            findings = 0
-            for name in sorted(WORKLOADS):
-                found, summary = analyze_workload(
-                    name,
-                    cluster,
-                    sized(name, args.size or DEMO_SIZE),
-                    say=say,
-                )
-                findings += found
-                workloads.append(summary)
-        else:
-            assignment = (
-                sized(args.workload, args.size)
-                if args.size is not None
-                else weak_scaled(args.workload, args.nodes)
-            )
-            findings, summary = analyze_workload(
-                args.workload, cluster, assignment, say=say
-            )
-            workloads.append(summary)
-    except Exception:
-        traceback.print_exc()
-        print("analysis run failed", file=sys.stderr)
-        return 1
     if not cli.emit(args, {
         "findings": findings,
-        "workloads": workloads,
+        "workloads": [summary],
     }):
         cli.print_metrics()
     if findings:
@@ -165,6 +117,17 @@ def main(argv=None) -> int:
         return 1
     say("all passes clean")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analyze",
+        description="Static legality, bounds, and trace-sanity analysis.",
+    )
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    cli.add_cluster_args(parser, nodes_default=4)
+    cli.add_common_args(parser, ledger=False, jobs=False, seed=False)
+    return cli.guarded("analysis run failed", _run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

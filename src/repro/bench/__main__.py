@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import traceback
 
 from repro import cli
 from repro.bench.figures import (
@@ -54,6 +53,114 @@ SWEEPS = (
 
 def parse_nodes(text):
     return [int(x) for x in text.split(",") if x]
+
+
+def _sweep(args, profile: list) -> int:
+    """Run the sweeps ``args.figure`` names, appending each one's
+    ``(label, wall)`` to ``profile`` as it finishes."""
+    nodes = args.nodes or DEFAULT_NODE_COUNTS
+    tables: list = []
+    say = cli.reporter(args)
+
+    def show(label, rows, title):
+        tables.append({"sweep": label, "title": title, "rows": rows})
+        say(format_table(rows, title))
+
+    def timed(label, thunk):
+        start = time.monotonic()
+        result = thunk()
+        wall = time.monotonic() - start
+        profile.append((label, wall))
+        return result
+
+    if args.figure in ("fig15a", "all"):
+        show(
+            "fig15a",
+            timed("fig15a", lambda: fig15a_cpu_matmul(
+                node_counts=nodes, jobs=args.jobs)),
+            "Figure 15a: CPU matmul weak scaling",
+        )
+    if args.figure in ("fig15b", "all"):
+        show(
+            "fig15b",
+            timed("fig15b", lambda: fig15b_gpu_matmul(
+                node_counts=nodes, jobs=args.jobs)),
+            "Figure 15b: GPU matmul weak scaling",
+        )
+    for kernel in HIGHER_ORDER:
+        if args.figure in (kernel, "all"):
+            rows = timed(kernel, lambda k=kernel: fig16_higher_order(
+                k, gpu=args.gpu, node_counts=nodes, jobs=args.jobs
+            ))
+            label = "GPU" if args.gpu else "CPU"
+            show(
+                kernel, rows,
+                f"Figure 16: {kernel} weak scaling ({label})",
+            )
+    # `all` includes the 512-node sweep; the larger axes run only
+    # when asked for by name.
+    sweep = None
+    if args.figure in ("weak512", "all"):
+        sweep = ("weak512", EXTENDED_NODE_COUNTS)
+    elif args.figure == "weak4096":
+        sweep = (
+            "weak4096",
+            [n for n in EXTREME_NODE_COUNTS if n <= 4096],
+        )
+    elif args.figure == "weak65536":
+        sweep = ("weak65536", EXTREME_NODE_COUNTS)
+    if sweep is not None:
+        name, axis = sweep
+        counts = args.nodes or axis
+        label = "GPU" if args.gpu else "CPU"
+        trio = [n for n in counts if n <= 4096]
+        top = [n for n in counts if n > 4096]
+
+        def run_sweep(trio=trio, top=top):
+            rows = []
+            if trio:
+                rows += matmul_weak_scaling(
+                    node_counts=trio, gpu=args.gpu, jobs=args.jobs
+                )
+            if top:
+                # Beyond 4096 nodes SUMMA's broadcast chunks
+                # straddle home pieces: its phases decompose in one
+                # batch each but never replay (~9 s at 8192 nodes
+                # against Cannon's ~6 s, growing with every
+                # phase), and Johnson's single phase would take
+                # hours at 131k processors.
+                rows += matmul_weak_scaling(
+                    node_counts=top,
+                    algorithms=("cannon",),
+                    gpu=args.gpu,
+                    jobs=args.jobs,
+                )
+            return rows
+
+        rows = timed(name, run_sweep)
+        suffix = "; cannon-only beyond 4096" if top else ""
+        show(
+            name, rows,
+            f"Weak scaling to {counts[-1]} nodes ({label}{suffix})",
+        )
+    ratios = None
+    if args.figure in ("headline", "all"):
+        ratios = timed(
+            "headline",
+            lambda: headline_speedups(node_counts=[nodes[-1]]),
+        )
+        say(f"== Headline speedups at {nodes[-1]} nodes ==")
+        for key, value in ratios.items():
+            say(f"  {key:<28s} {value:6.2f}x")
+    cli.emit(args, {
+        "figure": args.figure,
+        "tables": tables,
+        "headline": ratios,
+        "profile": {
+            label: round(wall, 4) for label, wall in profile
+        },
+    })
+    return 0
 
 
 def main(argv=None) -> int:
@@ -94,124 +201,15 @@ def main(argv=None) -> int:
         return 0
     if args.figure is None:
         parser.error("a sweep name (or --list) is required")
-    nodes = args.nodes or DEFAULT_NODE_COUNTS
     profile: list = []
-    tables: list = []
-
-    def show(label, rows, title):
-        tables.append({"sweep": label, "title": title, "rows": rows})
-        if not args.json:
-            print(format_table(rows, title))
-
-    def timed(label, thunk):
-        start = time.monotonic()
-        result = thunk()
-        wall = time.monotonic() - start
-        profile.append((label, wall))
-        return result
-
-    try:
-        if args.figure in ("fig15a", "all"):
-            show(
-                "fig15a",
-                timed("fig15a", lambda: fig15a_cpu_matmul(
-                    node_counts=nodes, jobs=args.jobs)),
-                "Figure 15a: CPU matmul weak scaling",
-            )
-        if args.figure in ("fig15b", "all"):
-            show(
-                "fig15b",
-                timed("fig15b", lambda: fig15b_gpu_matmul(
-                    node_counts=nodes, jobs=args.jobs)),
-                "Figure 15b: GPU matmul weak scaling",
-            )
-        for kernel in HIGHER_ORDER:
-            if args.figure in (kernel, "all"):
-                rows = timed(kernel, lambda k=kernel: fig16_higher_order(
-                    k, gpu=args.gpu, node_counts=nodes, jobs=args.jobs
-                ))
-                label = "GPU" if args.gpu else "CPU"
-                show(
-                    kernel, rows,
-                    f"Figure 16: {kernel} weak scaling ({label})",
-                )
-        # `all` includes the 512-node sweep; the larger axes run only
-        # when asked for by name.
-        sweep = None
-        if args.figure in ("weak512", "all"):
-            sweep = ("weak512", EXTENDED_NODE_COUNTS)
-        elif args.figure == "weak4096":
-            sweep = (
-                "weak4096",
-                [n for n in EXTREME_NODE_COUNTS if n <= 4096],
-            )
-        elif args.figure == "weak65536":
-            sweep = ("weak65536", EXTREME_NODE_COUNTS)
-        if sweep is not None:
-            name, axis = sweep
-            counts = args.nodes or axis
-            label = "GPU" if args.gpu else "CPU"
-            trio = [n for n in counts if n <= 4096]
-            top = [n for n in counts if n > 4096]
-
-            def run_sweep(trio=trio, top=top):
-                rows = []
-                if trio:
-                    rows += matmul_weak_scaling(
-                        node_counts=trio, gpu=args.gpu, jobs=args.jobs
-                    )
-                if top:
-                    # Beyond 4096 nodes SUMMA's broadcast chunks
-                    # straddle home pieces: its phases decompose in one
-                    # batch each but never replay (~9 s at 8192 nodes
-                    # against Cannon's ~6 s, growing with every
-                    # phase), and Johnson's single phase would take
-                    # hours at 131k processors.
-                    rows += matmul_weak_scaling(
-                        node_counts=top,
-                        algorithms=("cannon",),
-                        gpu=args.gpu,
-                        jobs=args.jobs,
-                    )
-                return rows
-
-            rows = timed(name, run_sweep)
-            suffix = "; cannon-only beyond 4096" if top else ""
-            show(
-                name, rows,
-                f"Weak scaling to {counts[-1]} nodes ({label}{suffix})",
-            )
-        ratios = None
-        if args.figure in ("headline", "all"):
-            ratios = timed(
-                "headline",
-                lambda: headline_speedups(node_counts=[nodes[-1]]),
-            )
-            if not args.json:
-                print(f"== Headline speedups at {nodes[-1]} nodes ==")
-                for key, value in ratios.items():
-                    print(f"  {key:<28s} {value:6.2f}x")
-    except Exception:
-        traceback.print_exc()
-        print("benchmark sweep failed", file=sys.stderr)
-        status = 1
-    else:
-        status = 0
-        cli.emit(args, {
-            "figure": args.figure,
-            "tables": tables,
-            "headline": ratios,
-            "profile": {
-                label: round(wall, 4) for label, wall in profile
-            },
-        })
-
+    status = cli.guarded("benchmark sweep failed", _sweep, args, profile)
     # The profile prints even when the sweep failed: the figures that
     # *did* finish carry the wall-clock evidence of where the run died.
-    if args.profile and not args.json:
-        print("== Wall-clock profile ==")
+    if args.profile:
+        say = cli.reporter(args)
+        say("== Wall-clock profile ==")
         for label, wall in profile:
-            print(f"  {label:<10s} {wall:8.2f}s")
+            say(f"  {label:<10s} {wall:8.2f}s")
     return status
 
 

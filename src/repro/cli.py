@@ -1,22 +1,25 @@
 """Shared command-line plumbing for every ``python -m repro.*`` tool.
 
-Before this module each CLI (``repro.tune``, ``repro.bench``,
-``repro.faults``, ``repro.analyze``, ``repro.obs``) declared its own
-copies of the same flags and printed the metrics registry with its own
-loop. The shared pieces now live here:
+Each CLI (``repro.tune``, ``repro.bench``, ``repro.faults``,
+``repro.analyze``, ``repro.obs``, ``repro.serve``) takes its shared
+flags and the rules they carry from here:
 
 * :func:`add_common_args` — the ``--ledger/--jobs/--seed/--json``
   group (``--json`` on every CLI, the others opt-in);
 * :func:`add_cluster_args` / :func:`build_cluster` — the
-  ``--nodes/--size/--gpu`` workload-cluster group;
+  ``--nodes/--size/--gpu`` workload-cluster group, and
+  :func:`workload` / :func:`pipeline_stages` — the problem ``--size``
+  names, or the weak-scaled default for ``--nodes`` when it is unset;
 * :func:`make_ledger` — the :class:`~repro.tuner.oracle.TuningLedger`
   at ``--ledger``: a ``.json`` file is a one-shard ledger, a directory
   (or a new path without a ``.json`` suffix) a root of shards like the
   serving daemon's;
-* :func:`print_metrics` / :func:`emit` — human metrics printing and
-  the ``--json`` machine-readable alternative. Every CLI supports
-  ``--json``; the payload always carries the metrics snapshot under
-  ``"metrics"``.
+* :func:`reporter`, :func:`print_metrics` / :func:`emit` — the human
+  report, which ``--json`` silences, and the machine-readable
+  alternative. Every CLI supports ``--json``; the payload always
+  carries the metrics snapshot under ``"metrics"``;
+* :func:`guarded` — the failure boundary: a run that raises prints its
+  traceback and a one-line "… failed" message, and exits 1.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Dict
 
 
@@ -122,6 +126,25 @@ def build_cluster(args):
     return Cluster.cpu_cluster(args.nodes)
 
 
+def workload(args):
+    """The ``args.workload`` assignment at ``--size``, or weak-scaled
+    to ``--nodes`` when ``--size`` is unset."""
+    from repro.tuner.workloads import sized, weak_scaled
+
+    if args.size is not None:
+        return sized(args.workload, args.size)
+    return weak_scaled(args.workload, args.nodes)
+
+
+def pipeline_stages(args):
+    """The ``args.pipeline`` stages, sized like :func:`workload`."""
+    from repro.tuner import workloads
+
+    if args.size is not None:
+        return workloads.pipeline_stages(args.pipeline, args.size)
+    return workloads.weak_scaled_pipeline(args.pipeline, args.nodes)
+
+
 def make_ledger(args):
     """Open the ledger named by ``--ledger`` (None when unset)."""
     from repro.tuner.oracle import TuningLedger
@@ -134,6 +157,15 @@ def metrics_snapshot() -> Dict:
     from repro.obs.metrics import METRICS
 
     return METRICS.snapshot()
+
+
+def _silent(*args, **kwargs) -> None:
+    pass
+
+
+def reporter(args):
+    """``print`` for the human report; a no-op under ``--json``."""
+    return _silent if getattr(args, "json", False) else print
 
 
 def print_metrics(stream=None):
@@ -155,6 +187,17 @@ def emit(args, payload: Dict) -> bool:
     body.setdefault("metrics", metrics_snapshot())
     print(json.dumps(body, sort_keys=True, indent=1))
     return True
+
+
+def guarded(failure: str, run, *args) -> int:
+    """``run(*args)``'s exit status; when it raises, its traceback and
+    ``failure`` go to stderr and the status is 1."""
+    try:
+        return run(*args)
+    except Exception:
+        traceback.print_exc()
+        print(failure, file=sys.stderr)
+        return 1
 
 
 def ledger_failed(ledger, stream=None) -> bool:

@@ -22,8 +22,8 @@ The package splits into three layers:
   daemon restart, replayed by the chaos benchmark
   (``benchmarks/test_serve_chaos.py``).
 
-``python -m repro.faults --demo`` runs a deterministic end-to-end
-recovery scenario (also the CI fault-smoke job).
+``python -m repro.faults`` injects a kill (or, with ``--pipeline``, a
+sampled fault plan) and prints the recovery report.
 """
 
 from repro.faults.chaos import (

@@ -2,7 +2,6 @@
 
 Usage::
 
-    python -m repro.faults --demo
     python -m repro.faults --workload matmul --nodes 8 [--size N]
         [--phase P] [--node K] [--fault-seed S] [--checkpoint] [--json]
     python -m repro.faults --pipeline chain-matmul --nodes 8
@@ -15,36 +14,27 @@ decision), and the migration of every input into the re-tuned layout
 is charged through the redistribution planner with the dead node
 excluded as a source.
 
-``--demo`` (the CI fault-smoke job) runs a fixed kill scenario twice
-and exits non-zero if the failure was not replanned (no re-tuned
-decision, infinite recovery cost) or if the two equal-seed recoveries
-are not byte-identical.
-
 With ``--phase``/``--node`` unset, the kill is drawn deterministically
 from ``--fault-seed`` via :meth:`FaultPlan.sample`; ``--pipeline``
 mode always samples (kills and inter-stage regrids) from the seed.
+
+Exit status is non-zero when the run raises or when the failure was
+not replanned (infinite recovered cost).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
-import traceback
 
 from repro import cli
 from repro.faults.events import FaultPlan, KillNode
 from repro.faults.replan import replan_kernel, replan_pipeline
-from repro.machine.cluster import Cluster
 from repro.sim.params import LASSEN
 from repro.tuner.space import Decision, from_heuristic
-from repro.tuner.workloads import (
-    PIPELINES,
-    WORKLOADS,
-    pipeline_stages,
-    sized,
-    weak_scaled,
-    weak_scaled_pipeline,
-)
+from repro.tuner.workloads import PIPELINES, WORKLOADS
 
 
 def _seed_decision(assignment, cluster, max_dims: int) -> Decision:
@@ -58,15 +48,17 @@ def _seed_decision(assignment, cluster, max_dims: int) -> Decision:
     return from_heuristic(assignment, grid)
 
 
-def _run_kernel(args, cluster) -> int:
-    import json
+def _check_replanned(report) -> int:
+    if not math.isfinite(report.total_time):
+        print("failure was not replanned (infinite cost)", file=sys.stderr)
+        return 1
+    return 0
 
-    say = (lambda *a, **k: None) if args.json else print
-    if args.size is not None:
-        assignment = sized(args.workload, args.size)
-    else:
-        assignment = weak_scaled(args.workload, args.nodes)
 
+def _run_kernel(args) -> int:
+    say = cli.reporter(args)
+    cluster = cli.build_cluster(args)
+    assignment = cli.workload(args)
     if args.phase is not None or args.node is not None:
         kill = KillNode(
             phase=args.phase if args.phase is not None else 1,
@@ -101,34 +93,21 @@ def _run_kernel(args, cluster) -> int:
         workload=args.workload,
     )
     say(report.describe())
-    cli.emit(args, {
+    if not cli.emit(args, {
         "workload": args.workload,
         "fault_plan": plan.encode(),
         "report": json.loads(report.to_json()),
-    })
-    return _check_kernel_report(report)
+    }):
+        cli.print_metrics()
+    return _check_replanned(report)
 
 
-def _check_kernel_report(report) -> int:
-    import math
-
-    if report.failed and not math.isfinite(report.total_time):
-        print("failure was not replanned (infinite cost)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_pipeline(args, cluster) -> int:
-    import json
-
+def _run_pipeline(args) -> int:
     from repro.pipeline import Pipeline
 
-    say = (lambda *a, **k: None) if args.json else print
-    if args.size is not None:
-        stages = pipeline_stages(args.pipeline, args.size)
-    else:
-        stages = weak_scaled_pipeline(args.pipeline, args.nodes)
-    pipeline = Pipeline(stages, cluster)
+    say = cli.reporter(args)
+    cluster = cli.build_cluster(args)
+    pipeline = Pipeline(cli.pipeline_stages(args), cluster)
     decisions = {
         stage.name: _seed_decision(
             stage.assignment, cluster, args.max_dims
@@ -160,72 +139,13 @@ def _run_pipeline(args, cluster) -> int:
         workload=args.pipeline,
     )
     say(report.describe())
-    cli.emit(args, {
+    if not cli.emit(args, {
         "pipeline": args.pipeline,
         "fault_plan": plan.encode(),
         "report": json.loads(report.to_json()),
-    })
-    import math
-
-    if not math.isfinite(report.total_time):
-        print("failure was not replanned (infinite cost)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_demo(args) -> int:
-    """The CI fault-smoke scenario: replanned, and bit-reproducible."""
-    import json
-
-    say = (lambda *a, **k: None) if args.json else print
-    cluster = Cluster.cpu_cluster(4)
-    assignment = sized("matmul", 2048)
-    decision = _seed_decision(assignment, cluster, args.max_dims)
-    plan = FaultPlan(events=(KillNode(phase=1, node=2),), seed=11)
-    say(f"demo: injecting {plan.encode()} into matmul on {cluster!r}")
-
-    reports = [
-        replan_kernel(
-            assignment,
-            cluster,
-            LASSEN,
-            decision=decision,
-            fault_plan=plan,
-            strategy="exhaustive",
-            seed=0,
-            max_dims=args.max_dims,
-            workload="matmul",
-        )
-        for _ in range(2)
-    ]
-    say(reports[0].describe())
-
-    status = 0
-    if not reports[0].failed:
-        print("demo kill never triggered", file=sys.stderr)
-        status = 1
-    status |= _check_kernel_report(reports[0])
-    if reports[0].retuned_decision == reports[0].pre_decision:
-        # The re-tuned grid must fit the surviving 3-node machine; an
-        # unchanged decision means the replanner never ran the tuner.
-        print("demo failure was not re-tuned", file=sys.stderr)
-        status = 1
-    if reports[0].to_json() != reports[1].to_json():
-        print(
-            "nondeterministic recovery: equal-seed fault plans "
-            "produced different reports",
-            file=sys.stderr,
-        )
-        status = 1
-    if status == 0:
-        say("demo recovery OK: replanned and bit-reproducible")
-    cli.emit(args, {
-        "demo": True,
-        "fault_plan": plan.encode(),
-        "status": status,
-        "report": json.loads(reports[0].to_json()),
-    })
-    return status
+    }):
+        cli.print_metrics()
+    return _check_replanned(report)
 
 
 def main(argv=None) -> int:
@@ -268,31 +188,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--max-dims", type=int, default=3)
     cli.add_common_args(parser, ledger=False, timeout=True)
-    parser.add_argument(
-        "--demo",
-        action="store_true",
-        help="fixed kill scenario, run twice; non-zero exit on an "
-        "unreplanned failure or nondeterministic recovery cost "
-        "(the CI fault-smoke job)",
-    )
     args = parser.parse_args(argv)
-
-    try:
-        if args.demo:
-            status = _run_demo(args)
-        else:
-            cluster = cli.build_cluster(args)
-            if args.pipeline is not None:
-                status = _run_pipeline(args, cluster)
-            else:
-                status = _run_kernel(args, cluster)
-    except Exception:
-        traceback.print_exc()
-        print("fault replanning failed", file=sys.stderr)
-        return 1
-    if not args.json:
-        cli.print_metrics()
-    return status
+    run = _run_pipeline if args.pipeline is not None else _run_kernel
+    return cli.guarded("fault replanning failed", run, args)
 
 
 if __name__ == "__main__":

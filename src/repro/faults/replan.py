@@ -32,8 +32,8 @@ exactly the failed hardware — with cost identical to avoiding the
 actual dead id.
 
 Everything here is deterministic: equal-seed :class:`FaultPlan`\\ s
-produce byte-identical :meth:`RecoveryReport.to_json` payloads (the CI
-fault-smoke job asserts this).
+produce byte-identical :meth:`RecoveryReport.to_json` payloads
+(``tests/faults/test_faults_cli.py`` pins one such payload's digest).
 """
 
 from __future__ import annotations
@@ -303,14 +303,6 @@ class PipelineRecoveryReport:
     baseline_time: float
     stages: Tuple[StageRecovery, ...] = field(default_factory=tuple)
     total_time: float = 0.0
-
-    @property
-    def migration_bytes(self) -> int:
-        return sum(s.handoff_bytes for s in self.stages) + sum(
-            s.recovery.migration_bytes
-            for s in self.stages
-            if s.recovery is not None
-        )
 
     @property
     def overhead_factor(self) -> float:

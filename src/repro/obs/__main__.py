@@ -6,9 +6,9 @@ Subcommands:
   use), simulate it with a per-phase breakdown, and write a Chrome
   trace-event JSON any trace viewer opens; ``--spans`` merges in
   wall-clock span lanes.
-* ``--demo`` (also ``demo``) — the CI smoke path: export a 64-node
-  weak-scaled Cannon trace with span tracing on, validate it against
-  the minimal trace-event schema, and fail non-zero on any defect.
+* ``--demo`` — the CI smoke path: export a 64-node weak-scaled Cannon
+  trace with span tracing on, validate it against the minimal
+  trace-event schema, and fail non-zero on any defect.
 
 Every subcommand takes ``--json`` (the shared :mod:`repro.cli` flag)
 to emit one machine-readable summary object instead of the human
@@ -31,7 +31,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_trace,
 )
-from repro.obs.metrics import METRICS
 from repro.obs.spans import (
     format_profile,
     set_tracing,
@@ -118,20 +117,17 @@ def _export(args, say):
 
 
 def cmd_export(args) -> int:
-    say = (lambda *a, **k: None) if args.json else print
-    code, payload = _export(args, say)
+    code, payload = _export(args, cli.reporter(args))
     if code != 0:
         return code
     if not cli.emit(args, payload):
-        print("== Metrics ==")
-        for name, value in METRICS.snapshot().items():
-            print(f"  {name} = {value}")
+        cli.print_metrics()
     return 0
 
 
 def cmd_demo(args) -> int:
     """The CI smoke path: export, validate, verify round-trip."""
-    say = (lambda *a, **k: None) if args.json else print
+    say = cli.reporter(args)
     ns = argparse.Namespace(
         workload="cannon", nodes=64, size=None, gpu=False,
         out=args.out or "obs_demo_trace.json", spans=True,
@@ -141,9 +137,7 @@ def cmd_demo(args) -> int:
     if code != 0:
         return code
     if not args.json:
-        print("== Metrics ==")
-        for name, value in METRICS.snapshot().items():
-            print(f"  {name} = {value}")
+        cli.print_metrics()
     # Re-read what was written: the artifact CI uploads must itself
     # parse and validate, not just the in-memory object.
     try:
@@ -194,12 +188,8 @@ def main(argv=None) -> int:
                        help="enable tracing and merge span lanes in")
     cli.add_common_args(p_exp, ledger=False, jobs=False, seed=False)
 
-    p_demo = sub.add_parser("demo", help="alias for --demo")
-    p_demo.add_argument("--out", default=None)
-    cli.add_common_args(p_demo, ledger=False, jobs=False, seed=False)
-
     args = parser.parse_args(argv)
-    if args.demo or args.command == "demo":
+    if args.demo:
         return cmd_demo(args)
     if args.command == "export":
         return cmd_export(args)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 
 from repro import cli
@@ -154,17 +153,10 @@ def main(argv=None) -> int:
         parser, seed=False, timeout=True, jobs_default=2
     )
     args = parser.parse_args(argv)
-
-    try:
-        if args.ledger is None:
-            parser.error("--ledger DIR is required")
-        if args.migrate is not None:
-            return _run_migrate(args)
-        return _run_daemon(args)
-    except Exception:
-        traceback.print_exc()
-        print("serve run failed", file=sys.stderr)
-        return 1
+    if args.ledger is None:
+        parser.error("--ledger DIR is required")
+    run = _run_migrate if args.migrate is not None else _run_daemon
+    return cli.guarded("serve run failed", run, args)
 
 
 if __name__ == "__main__":

@@ -34,19 +34,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import traceback
 
 from repro import cli
 from repro.analysis import comm_lower_bound, memory_bounds, verify_legality
 from repro.sim.params import LASSEN
-from repro.tuner.workloads import (
-    PIPELINES,
-    WORKLOADS,
-    pipeline_stages,
-    sized,
-    weak_scaled,
-    weak_scaled_pipeline,
-)
+from repro.tuner.workloads import PIPELINES, WORKLOADS
 
 
 def _fmt_cost(outcome) -> str:
@@ -82,12 +74,8 @@ def _tune_unified(args, assignment, cluster, ledger):
 
 
 def _run_single(args, cluster, ledger) -> int:
-    say = (lambda *a, **k: None) if args.json else print
-    if args.size is not None:
-        assignment = sized(args.workload, args.size)
-    else:
-        assignment = weak_scaled(args.workload, args.nodes)
-
+    say = cli.reporter(args)
+    assignment = cli.workload(args)
     sizes = cli.workload_sizes(assignment)
     say(
         f"tuning {args.workload} {sizes} on {cluster!r} "
@@ -161,12 +149,8 @@ def _run_pipeline(args, cluster, ledger) -> int:
     from repro.pipeline import Pipeline
     from repro.tuner.joint import tune_pipeline
 
-    say = (lambda *a, **k: None) if args.json else print
-    if args.size is not None:
-        stages = pipeline_stages(args.pipeline, args.size)
-    else:
-        stages = weak_scaled_pipeline(args.pipeline, args.nodes)
-    pipeline = Pipeline(stages, cluster)
+    say = cli.reporter(args)
+    pipeline = Pipeline(cli.pipeline_stages(args), cluster)
     shapes = {
         t.name: t.shape
         for stage in pipeline.stages
@@ -231,6 +215,25 @@ def _run_pipeline(args, cluster, ledger) -> int:
     return result.errors
 
 
+def _run(args) -> int:
+    cluster = cli.build_cluster(args)
+    ledger = cli.make_ledger(args)
+    if args.pipeline is not None:
+        errors = _run_pipeline(args, cluster, ledger)
+    else:
+        errors = _run_single(args, cluster, ledger)
+    status = 0
+    if errors:
+        print(
+            f"{errors} oracle simulation(s) failed (see ledger/errors)",
+            file=sys.stderr,
+        )
+        status = 1
+    if cli.ledger_failed(ledger):
+        status = 1
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tune",
@@ -279,27 +282,7 @@ def main(argv=None) -> int:
         if args.pipeline is None:
             args.workload = "matmul"
 
-    cluster = cli.build_cluster(args)
-    ledger = cli.make_ledger(args)
-    try:
-        if args.pipeline is not None:
-            errors = _run_pipeline(args, cluster, ledger)
-        else:
-            errors = _run_single(args, cluster, ledger)
-    except Exception:
-        traceback.print_exc()
-        print("tuning run failed", file=sys.stderr)
-        return 1
-    status = 0
-    if errors:
-        print(
-            f"{errors} oracle simulation(s) failed (see ledger/errors)",
-            file=sys.stderr,
-        )
-        status = 1
-    if cli.ledger_failed(ledger):
-        status = 1
-    return status
+    return cli.guarded("tuning run failed", _run, args)
 
 
 if __name__ == "__main__":

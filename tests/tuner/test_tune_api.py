@@ -113,6 +113,17 @@ class TestCli:
         assert main(args) == 0
         assert len(json.loads(ledger.read_text())["entries"]) == first
 
+    def test_analyze_prints_winner_bounds(self, capsys):
+        from repro.tune import main
+
+        # No --size: the problem is weak-scaled to --nodes.
+        args = ["--nodes", "2", "--strategy", "exhaustive", "--analyze"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "tuning matmul {'A': (11584, 11584)" in out
+        assert "winner memory: n0/sysmem: peak in" in out
+        assert "winner comm lower bound (volume)" in out
+
     def test_pipeline_smoke(self, capsys):
         from repro.tune import main
 
