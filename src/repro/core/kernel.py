@@ -93,10 +93,13 @@ class Kernel:
 
         ``mode`` selects the interpreter: ``"scalar"`` (the per-context
         reference), ``"batched"`` (vectorized, trace-identical to
-        scalar) or ``"orbit"`` (orbit-compressed: class-representative
-        copies with multiplicities; identical simulated times, but the
-        per-copy record is compressed). Trace analyses default to the
-        full ``"batched"`` record. ``sanitize=True`` replays the trace
+        scalar) or ``"orbit"`` (orbit-compressed: ``step.copies`` are
+        class representatives with multiplicities, while the pricing
+        columns, ``step.columns()``, are per member; identical
+        simulated times). A representative cannot be priced on its own
+        (:class:`~repro.util.errors.RepresentativeCopyError`). Trace
+        analyses default to the full ``"batched"`` record.
+        ``sanitize=True`` replays the trace
         through the analyzer's independent consistency checks and
         raises :class:`~repro.util.errors.TraceSanityError` on any
         finding. ``fault_plan`` (a

@@ -101,6 +101,9 @@ SERVE_COUNTERS = (
 #: * ``orbit.phase_seam`` — conjugate replays with a seam: members the
 #:   map does not explain, joined against the carried request classes;
 #: * ``orbit.phase_replays`` — all replays (conjugate plus seam);
+#: * ``orbit.phase_deltas`` — replays applied as a delta against the
+#:   previous phase: at least one member carried through the member
+#:   map, so only the seam and re-derived members are written;
 #: * ``orbit.members_carried`` — replayed fetching members whose source
 #:   the conjugate map proved (``src(m + s) - s``), kept without the
 #:   holder join and winner selection;
@@ -117,6 +120,7 @@ ORBIT_COUNTERS = (
     "orbit.phase_conjugate",
     "orbit.phase_seam",
     "orbit.phase_replays",
+    "orbit.phase_deltas",
     "orbit.members_carried",
     "orbit.members_rederived",
     "orbit.multi_piece_batches",

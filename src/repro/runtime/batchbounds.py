@@ -194,9 +194,14 @@ def _clip_extent(lo, hi, extent: int) -> BatchInterval:
     """``Interval.clip(Interval.extent(extent))``, element-wise.
 
     Endpoints already inside the extent come back as the same arrays,
-    so memoized values share memory with the context columns.
+    so memoized values share memory with the context columns. Scalar
+    endpoints (sequential loop variables) compare in Python; arrays in
+    one pass.
     """
-    if np.all(lo >= 0) and np.all(hi <= extent) and np.all(hi >= lo):
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        if ((lo >= 0) & (hi >= lo) & (hi <= extent)).all():
+            return (lo, hi)
+    elif 0 <= lo <= hi <= extent:
         return (lo, hi)
     lo2 = np.maximum(lo, 0)
     hi2 = np.maximum(np.minimum(hi, extent), lo2)

@@ -52,7 +52,9 @@ from repro.codegen.plan import LaunchNode, LeafNode, PlanNode, SeqNode
 from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
-from repro.runtime.executor import ExecutionResult, Executor
+from repro.runtime.executor import (
+    ExecutionResult, Executor, _assign_vars,
+)
 from repro.runtime.orbit_state import (
     OrbitState,
     _Chunk,
@@ -63,9 +65,11 @@ from repro.runtime.orbit_state import (
     _linear,
     _MachineTables,
     _pack_key,
+    _Registration,
     _StepBuilder,
     fold_groups,
     fold_rows,
+    gpu_flags,
     machine_tables,
 )
 from repro.runtime.trace import CopyReps, Step, Trace
@@ -108,7 +112,7 @@ class OrbitExecutor(Executor):
         self._phase_memos: Dict[Tuple[int, str], _PhaseMemo] = {}
         #: The previous phase's held rows, per tensor (set by the fetch
         #: path; lets memos separate held-set churn from static rows).
-        self._prev_held: Dict[str, np.ndarray] = {}
+        self._prev_held: Dict[str, _Registration] = {}
         self._shifts: Dict[Tuple[int, ...], np.ndarray] = {}
         #: Coverage counters for the class-batched multi-piece
         #: redistribution, reduction flushes and leaf-level
@@ -127,6 +131,10 @@ class OrbitExecutor(Executor):
         self.phase_conjugate = 0
         self.phase_seam = 0
         self.phase_replays = 0
+        #: Replays applied as a delta against the previous phase: at
+        #: least one member carried through the map, so only the seam
+        #: and re-derived members are written.
+        self.phase_deltas = 0
         #: Replayed fetching members whose source the conjugate map
         #: proved, and those resolved through the derivation.
         self.members_carried = 0
@@ -287,9 +295,8 @@ class OrbitExecutor(Executor):
     def _exec_leaf(self, node: LeafNode, block: CtxBlock):
         step = self.trace.current
         region = self._regions[id(block)]
-        batch = self._leaf_work_batch(node, block)
         if not node.comm and not node.flush:
-            self._orbit_leaf(node, batch, region, step)
+            self._orbit_leaf(node, block, region, step)
             return
         # Leaf-level communication / flushes: resolution and class
         # grouping run batched against the pre-phase state; the memory
@@ -314,33 +321,38 @@ class OrbitExecutor(Executor):
                 )
                 if r is not None:
                     regs.append(r)
-        for pos, (idx, _lo, _hi, mem_rows, byte_rows, _order) in enumerate(
-            regs
-        ):
-            events.add(mem_rows, byte_rows, idx, _EventStream.REGISTER, pos)
-        self._orbit_leaf(node, batch, region, step, events=events)
+        for pos, reg in enumerate(regs):
+            events.add(
+                reg.mem, reg.nbytes, reg.idx, _EventStream.REGISTER, pos
+            )
+        self._orbit_leaf(node, block, region, step, events=events)
         if node.flush:
             self._orbit_flush(node.flush, region, step, events)
-        for pos, (idx, _lo, _hi, mem_rows, byte_rows, _order) in enumerate(
-            regs
-        ):
-            events.add(mem_rows, -byte_rows, idx, _EventStream.RELEASE, pos)
+        for pos, reg in enumerate(regs):
+            events.add(
+                reg.mem, -reg.nbytes, reg.idx, _EventStream.RELEASE, pos
+            )
         self.env.apply_events(*events.ordered())
 
     # -- orbit leaf accounting -----------------------------------------
 
-    def _orbit_leaf(self, node: LeafNode, batch, region: "_Region",
-                    step: Step, events: Optional["_EventStream"] = None):
+    def _orbit_leaf(self, node: LeafNode, block: CtxBlock,
+                    region: "_Region", step: Step,
+                    events: Optional["_EventStream"] = None):
         # Repeating iterations hand the same columns to the same region:
-        # replay the previous call's Work writes. Only calls that staged
-        # no output partials are memoized, so the partial-table state
-        # the skipped half would consult cannot matter.
+        # replay the previous call's Work writes. The work batch is a
+        # function of the leaf key, so equal keys skip computing it.
+        # Only calls that staged no output partials are memoized, so the
+        # partial-table state the skipped half would consult cannot
+        # matter.
+        key = self._leaf_key(node, block)
         memo = region.leaf_memo.pop(id(node), None)
-        if memo is not None and _same_leaf_batch(memo[0], batch):
+        if memo is not None and _same_columns(memo[0], key):
             self.leaf_reused += 1
             self._write_leaf_work(node, step, memo[1])
             region.leaf_memo[id(node)] = memo
             return
+        batch = self._leaf_work_batch(node, block)
         n = region.n
         flops = np.zeros(n, dtype=np.int64)
         nbytes = np.zeros(n, dtype=np.int64)
@@ -402,7 +414,7 @@ class OrbitExecutor(Executor):
                 z = np.zeros((0, rows.size), dtype=np.int64)
                 cands.append((e_idx, rows, z, z))
         if not cands:
-            region.leaf_memo[id(node)] = (batch, writes)
+            region.leaf_memo[id(node)] = (key, writes)
             return
         member = np.concatenate([c[1] for c in cands])
         e_ids = np.concatenate(
@@ -435,6 +447,22 @@ class OrbitExecutor(Executor):
                 mems, amounts, member[krows], _EventStream.PARTIAL, krows
             )
 
+    def _leaf_key(self, node: LeafNode, block: CtxBlock) -> List:
+        """What a leaf's work batch is a function of: the size column of
+        every variable its assignments index (flops, touched and staged
+        bytes, emptiness) and the endpoints of each output access (the
+        partials). Evaluated in :meth:`_leaf_work_batch`'s order, so an
+        inexact slice raises as it would."""
+        graph, full_env = self.graph, self.full_env
+        key = []
+        for assign in node.assigns:
+            for var in _assign_vars(assign):
+                lo, hi = block.values_of(graph, var, full_env, exact=True)
+                key.append(hi - lo)
+            for var in assign.lhs.indices:
+                key.extend(block.values_of(graph, var, full_env, exact=True))
+        return key
+
     def _write_leaf_work(self, node: LeafNode, step: Step, writes):
         """Set each class representative's Work: ``writes`` holds one
         ``(proc id, flops, bytes, staged, invocations, count)`` row per
@@ -457,16 +485,15 @@ class OrbitExecutor(Executor):
 
     def _orbit_fetch(self, names: List[str], block: CtxBlock,
                      step: Step,
-                     release: Optional[Dict[str, np.ndarray]] = None,
-                     ) -> Dict[str, np.ndarray]:
+                     release: Optional[Dict[str, _Registration]] = None,
+                     ) -> Dict[str, _Registration]:
         """Resolve and commit one communication phase for all contexts.
 
-        Returns per-tensor mirror row ids of the newly registered
-        instances (the phase's *held* set, released when its
-        communicate scope ends). ``release`` is the previous phase's
-        held set: releasing it here (after the commit, the scalar
-        order) lets phase memos snapshot the mirror version with no
-        other mutations in between.
+        Returns the per-tensor registrations (the phase's *held* set,
+        released when its communicate scope ends). ``release`` is the
+        previous phase's held set: releasing it here (after the commit,
+        the scalar order) lets phase memos snapshot the mirror version
+        with no other mutations in between.
         """
         region = self._regions[id(block)]
         self._prev_held = release or {}
@@ -485,31 +512,25 @@ class OrbitExecutor(Executor):
                     )
                 )
         # Commit: register instances (pre-phase resolution is complete),
-        # then charge the memory in scalar event order.
-        held: Dict[str, np.ndarray] = {}
-        mem_ids = []
-        amounts = []
-        orders = []
-        for name, reg in zip(effective, resolved):
-            if reg is None:
-                continue
-            idx, lo_rows, hi_rows, mem_rows, byte_rows, order = reg
-            mirror = self.env.mirror(name)
-            coords = region.coords
-            if idx.size < region.n:
-                coords = coords[idx]
-            rows = mirror.add_rows(lo_rows, hi_rows, coords, mem_rows,
-                                   byte_rows)
-            held[name] = rows
-            mem_ids.append(mem_rows)
-            amounts.append(byte_rows)
-            orders.append(order)
-        if mem_ids:
-            self.env.bulk_add(
-                np.concatenate(mem_ids),
-                np.concatenate(amounts),
-                np.concatenate(orders),
-            )
+        # then charge the memory (the per-memory sums; scalar event
+        # order only to replay an overflow).
+        held: Dict[str, _Registration] = {
+            name: reg for name, reg in zip(effective, resolved)
+            if reg is not None
+        }
+        if held:
+            regs = list(held.values())
+            for name, reg in held.items():
+                self.env.mirror(name).add_block(reg)
+            n_mem = self.env.n_mem
+            adds = regs[0].charges(n_mem)
+            for reg in regs[1:]:
+                adds = adds + reg.charges(n_mem)
+            self.env.charge(adds, lambda: (
+                np.concatenate([r.mem for r in regs]),
+                np.concatenate([r.nbytes for r in regs]),
+                np.concatenate([r.order() for r in regs]),
+            ))
         if release:
             self._release_held(release)
         # Pin each memo to the post-commit, post-release mirror version:
@@ -665,11 +686,13 @@ class OrbitExecutor(Executor):
             )
         # The static-row index the next phase's replay probes.
         if ndim:
+            prev_held = self._prev_held.get(name)
             self._rebuild_fixed(
-                memo, mirror, inst_rows, self._prev_held.get(name), ndim
+                memo, mirror, inst_rows,
+                None if prev_held is None else prev_held.rows, ndim,
             )
         reg = self._registration(
-            region, lo_f, hi_f, fetch_idx, tensor, name_pos, n_names
+            region, lo_f, hi_f, fetch_idx, tensor, (name_pos, n_names)
         )
         # Columnar emission for the single-source winners.
         distinct = classes is not None and classes.distinct
@@ -679,7 +702,7 @@ class OrbitExecutor(Executor):
             sources = src_coords
             emitted = self._emit_bulk(
                 step, name, region, fetch_idx, lo_f, hi_f, src_coords,
-                tensor, distinct=distinct, rows=(reg[1], reg[2], reg[4]),
+                tensor, distinct=distinct, reg=reg,
             )
         elif no_src.size < k:
             win_pos = np.flatnonzero(have)
@@ -787,8 +810,7 @@ class OrbitExecutor(Executor):
 
     def _rebuild_fixed(self, memo, mirror, inst_rows, prev_held, ndim):
         """(Re)build the static-instance index: live rows outside the
-        previous phase's held set, with their coords — probed by every
-        replay."""
+        previous phase's held set — probed by every replay."""
         if prev_held is not None and prev_held.size:
             fixed = inst_rows[~np.isin(inst_rows, prev_held)]
         else:
@@ -801,13 +823,9 @@ class OrbitExecutor(Executor):
             horder = np.argsort(h, kind="stable")
             memo.fixed_hash = h[horder]
             memo.fixed_cols = cols[horder]
-            memo.fixed_coords = mirror.coords[fixed[horder]]
         else:
             memo.fixed_hash = np.zeros(0, dtype=np.int64)
             memo.fixed_cols = np.zeros((0, 2 * ndim), dtype=np.int64)
-            memo.fixed_coords = np.zeros(
-                (0, self.machine.dim), dtype=np.int64
-            )
 
     @staticmethod
     def _request_classes(req_k, req_cols) -> Optional["_Classes"]:
@@ -833,21 +851,57 @@ class OrbitExecutor(Executor):
             cls_hash, (cls_hash, np.arange(starts.size, dtype=np.int64)),
         )
 
-    def _registration(self, region, lo_f, hi_f, fetch_idx, tensor,
-                      name_pos, n_names):
+    def _registration(self, region, lo_f, hi_f, fetch_idx, tensor, site,
+                      prev: Optional[_Registration] = None, seam=None):
         """A phase's registration batch (every fetching member, pieces
-        included): ``(ctx rows, lo, hi, mem, bytes, order)``."""
-        vol = np.ones(fetch_idx.size, dtype=np.int64)
-        for d in range(tensor.ndim):
-            vol *= hi_f[d] - lo_f[d]
-        byte_rows = vol * tensor.itemsize
-        mem_rows = np.take(
-            self._mt.tensor_mem_of_proc(tensor),
-            np.take(region.proc, fetch_idx),
+        included).
+
+        A replay passes the previous phase's registration ``prev`` and
+        its ``seam`` (members the map does not carry). Equal members at
+        the same fetch site keep ``prev``'s processors and memories. A
+        carried member's rectangle is its preimage's translated, so it
+        keeps the preimage's payload: with a uniform ``prev``, only
+        seam members' payloads are computed, and with equal members
+        too the per-memory charges are ``prev``'s.
+        """
+        k = fetch_idx.size
+        same = (
+            prev is not None and prev.site == site and prev.idx.size == k
+            and bool((prev.idx == fetch_idx).all())
         )
-        order = fetch_idx.astype(np.int64) * np.int64(n_names) + name_pos
-        return (fetch_idx, lo_f.T.copy(), hi_f.T.copy(), mem_rows,
-                byte_rows, order)
+        uniform = None
+        if prev is not None and prev.uniform is not None:
+            uniform = prev.uniform
+            if seam is not None and seam.size:
+                vol = np.full(seam.size, tensor.itemsize, dtype=np.int64)
+                for d in range(tensor.ndim):
+                    vol *= np.take(hi_f[d], seam) - np.take(lo_f[d], seam)
+                if not bool((vol == uniform).all()):
+                    uniform = None
+        if uniform is None:
+            nbytes = np.full(k, tensor.itemsize, dtype=np.int64)
+            for d in range(tensor.ndim):
+                nbytes *= hi_f[d] - lo_f[d]
+            # Carried members keep their preimages' unequal payloads, so
+            # a replay of unequal ones does not look for one payload.
+            if k and (prev is None or prev.uniform is not None) and bool(
+                (nbytes == nbytes[0]).all()
+            ):
+                uniform = int(nbytes[0])
+        else:
+            nbytes = np.full(k, uniform, dtype=np.int64)
+        if same:
+            proc, mem = prev.proc, prev.mem
+        else:
+            proc = np.take(region.proc, fetch_idx)
+            mem = np.take(self._mt.tensor_mem_of_proc(tensor), proc)
+        charges = None
+        if same and uniform is not None and uniform == prev.uniform:
+            charges = prev.charges(self.env.n_mem)
+        return _Registration(
+            fetch_idx, lo_f, hi_f, proc, mem, nbytes, uniform, site,
+            region.coords, charges,
+        )
 
     @staticmethod
     def _commit_memo(memo, reg, classes, sources, emitted, shift, seam,
@@ -860,7 +914,8 @@ class OrbitExecutor(Executor):
         commit."""
         memo.ready = classes is not None and memo.fixed_hash is not None
         memo.version = -1
-        memo.fetch_idx = reg[0]
+        memo.reg = reg
+        memo.fetch_idx = reg.idx
         memo.classes = classes
         memo.sources = sources
         memo.emit = emitted
@@ -979,7 +1034,13 @@ class OrbitExecutor(Executor):
         * the emission's orbit-class keys (shape and source offset are
           shift invariant) and, when every member carries, the chunk's
           rows as a permutation of the previous chunk's, which lets the
-          step finalize carry its collective groups.
+          step finalize carry its collective groups;
+        * the registration's payloads, processors, memories and memory
+          charges, where the map proves them equal (:meth:`_registration`).
+
+        The replay is thus a delta against the previous phase: the map
+        (``pr``, ``s``, ``d``) and the rows it does not prove, counted
+        in ``phase_deltas``.
 
         Every other member — the seam, classes with several holders,
         guesses that fail a check — goes through the derivation
@@ -1001,9 +1062,9 @@ class OrbitExecutor(Executor):
         if found is None:
             return None
         shift, delta, pr, carried, prev_row = found
+        seam = np.flatnonzero(~carried)
         prev = memo.classes
-        got = self._carry_classes(memo, tensor, lo_f, hi_f, pr, carried,
-                                  delta)
+        got = self._carry_classes(memo, tensor, lo_f, hi_f, pr, seam, delta)
         if got is None:
             return None
         classes, held = got
@@ -1019,12 +1080,13 @@ class OrbitExecutor(Executor):
         if sources is not None:
             src_lin, sdist, redo = self._carried_sources(
                 memo, sources, region, shift, pr, carried, prev_row,
-                classes, held, n_held, owner, valid, req_coords,
+                classes, held, n_held, owner, valid, rem_idx, req_coords,
             )
             if redo.size == k:
                 redo = None
         emit = memo.emit
         key_hi = None
+        key_uniform = False
         src_coords = None
         if redo is None:
             src_coords, _ = self._derive_sources(
@@ -1047,8 +1109,15 @@ class OrbitExecutor(Executor):
                 sdist[redo] = _torus_dist(src_re, req_re, self._mt.shape)
             if emit is not None and emit.key_hi is not None:
                 # Shape and source offset are shift invariant: carried
-                # members keep their preimage's class key.
-                key_hi = np.take(emit.key_hi, pr)
+                # members keep their preimage's class key (one key for
+                # all when the preimages had one).
+                if n_redo == 0 and emit.key_uniform:
+                    # ``pr`` is injective, so the preimages are at least
+                    # ``k``.
+                    key_hi = emit.key_hi[:k]
+                    key_uniform = True
+                else:
+                    key_hi = np.take(emit.key_hi, pr)
                 if n_redo:
                     key_hi[redo] = _pack_key(*self._class_cols(
                         tensor, lo_f[:, redo], hi_f[:, redo], src_re,
@@ -1064,29 +1133,31 @@ class OrbitExecutor(Executor):
             if same or self._mt.bijective:
                 carry = (emit, pr, same)
         reg = self._registration(
-            region, lo_f, hi_f, rem_idx, tensor, name_pos, n_names
+            region, lo_f, hi_f, rem_idx, tensor, (name_pos, n_names),
+            prev=memo.reg, seam=seam,
         )
         emitted = self._emit_bulk(
             step, name, region, rem_idx, lo_f, hi_f, src_coords, tensor,
-            distinct=classes.distinct, other_lin=src_lin,
-            rows=(reg[1], reg[2], reg[4]), key_hi=key_hi, carry=carry,
+            distinct=classes.distinct, other_lin=src_lin, reg=reg,
+            key_hi=key_hi, key_uniform=key_uniform, carry=carry,
         )
         self.phase_replays += 1
         self.members_carried += k - n_redo
         self.members_rederived += n_redo
-        seam = int(k - np.count_nonzero(carried))
-        if seam:
+        if n_redo < k:
+            self.phase_deltas += 1
+        if seam.size:
             self.phase_seam += 1
         else:
             self.phase_conjugate += 1
         self._commit_memo(
             memo, reg, classes,
             src_coords if redo is None else (src_lin, sdist),
-            emitted, shift, seam, probed=True,
+            emitted, shift, seam.size, probed=True,
         )
         return reg
 
-    def _carry_classes(self, memo, tensor, lo_f, hi_f, pr, carried, delta):
+    def _carry_classes(self, memo, tensor, lo_f, hi_f, pr, seam, delta):
         """This phase's request classes, carried from the previous
         phase's: members the map carries inherit their preimage's class,
         seam members join a class by rectangle or found new ones. Row
@@ -1100,6 +1171,11 @@ class OrbitExecutor(Executor):
         ndim = tensor.ndim
         moved = bool(delta.any())
         labels = np.take(prev.labels, pr)
+        # Without a seam the map is a bijection onto the previous
+        # fetchers, so every class keeps its member count.
+        counts = prev.counts if (
+            not seam.size and pr.size == prev.labels.size
+        ) else None
         cols, cls_hash, index = prev.cols, prev.hash, prev.index
         pat, valid = prev.pat, prev.valid
         if moved:
@@ -1110,8 +1186,7 @@ class OrbitExecutor(Executor):
         n_prev = cols.shape[0]
         held = None
         n_fresh = 0
-        if not carried.all():
-            seam = np.flatnonzero(~carried)
+        if seam.size:
             seam_cols = np.concatenate(
                 [lo_f[:, seam].T, hi_f[:, seam].T], axis=1
             )
@@ -1149,8 +1224,11 @@ class OrbitExecutor(Executor):
                     np.arange(n_prev, dtype=np.int64),
                     np.full(n_fresh, -1, dtype=np.int64),
                 ])
-        counts = np.bincount(labels, minlength=cols.shape[0])
-        if 8 * (counts.size - np.count_nonzero(counts)) > counts.size:
+        if counts is None:
+            counts = np.bincount(labels, minlength=cols.shape[0])
+        if counts is not prev.counts and (
+            8 * (counts.size - np.count_nonzero(counts)) > counts.size
+        ):
             # Classes nobody requests stay (a later seam member may
             # request their rectangle again) while they are few: the
             # compaction below renumbers every class.
@@ -1230,7 +1308,7 @@ class OrbitExecutor(Executor):
 
     def _carried_sources(self, memo, sources, region, shift, pr, carried,
                          prev_row, classes, held, n_held, owner, valid,
-                         req_coords):
+                         req_idx, req_coords):
         """The map's guess for each member's source, ``src(m + s) - s``,
         and which guesses are proven winners.
 
@@ -1241,7 +1319,9 @@ class OrbitExecutor(Executor):
         fetched this class's rectangle last phase — at a nonzero
         distance the owner does not undercut (a holder wins distance
         ties). Torus distance is shift invariant, so the guess's
-        distance is its preimage's. Returns ``(src_lin, sdist, redo)``
+        distance is its preimage's. An owner away from the requester is
+        at least one step off, so only guesses farther than one step
+        are measured against it. Returns ``(src_lin, sdist, redo)``
         with ``redo`` the members whose guess is unproven.
         """
         mt = self._mt
@@ -1255,18 +1335,23 @@ class OrbitExecutor(Executor):
         proven = carried & valid & (holders == 0) & (own_lin == guess)
         if n_held.any():
             at = np.take(prev_row, np.take(region.member_of(mt), guess))
-            odist = np.zeros(labels.size, dtype=np.int64)
-            for d in range(len(owner)):
-                gap = np.abs(owner[d] - req_coords[:, d])
-                odist += np.minimum(gap, mt.shape[d] - gap)
-            proven |= (
+            held_ok = (
                 carried
                 & (holders == 1)
                 & (at >= 0)
                 & (np.take(memo.classes.labels, at) == np.take(held, labels))
                 & (sdist > 0)
-                & (~valid | (sdist <= odist))
+                & ~(valid & (own_lin == np.take(region.linear(mt),
+                                                req_idx)))
             )
+            if int(sdist.max()) > 1:
+                far = np.flatnonzero(held_ok & valid & (sdist > 1))
+                odist = _torus_dist(
+                    np.stack([np.take(col, far) for col in owner], axis=1),
+                    np.take(req_coords, far, axis=0), mt.shape,
+                )
+                held_ok[far[np.take(sdist, far) > odist]] = False
+            proven |= held_ok
         return guess, sdist, np.flatnonzero(~proven)
 
     def _derive_sources(self, memo, region, classes, held, redo, owner,
@@ -1337,8 +1422,10 @@ class OrbitExecutor(Executor):
                    member_idx: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    other_coords: Optional[np.ndarray], tensor,
                    reduce: bool = False, distinct: bool = False,
-                   other_lin: Optional[np.ndarray] = None, rows=None,
-                   key_hi: Optional[np.ndarray] = None, carry=None):
+                   other_lin: Optional[np.ndarray] = None,
+                   reg: Optional[_Registration] = None,
+                   key_hi: Optional[np.ndarray] = None,
+                   key_uniform: bool = False, carry=None):
         """Emit one phase-tensor batch: columns plus class representatives
         (``step.copies`` builds those on first read).
 
@@ -1347,25 +1434,26 @@ class OrbitExecutor(Executor):
         ``other_lin``) the machine points on the other: for fetches
         (``reduce=False``) the members *receive* from the resolved
         sources; for reduction write-backs (``reduce=True``) the members
-        *send* their partials to the owners. A replay passes what it
-        already holds: the registration's ``rows`` (``lo``/``hi`` rows
-        and payloads), carried class keys ``key_hi`` and the ``carry``
-        ``(previous emission, member map, same)`` of a chunk whose every
-        row is carried.
+        *send* their partials to the owners. A fetch passes its
+        registration ``reg`` (payloads and member processors); a replay
+        also what it already holds: carried class keys ``key_hi`` (all
+        equal when ``key_uniform``) and the ``carry`` ``(previous
+        emission, member map, same)`` of a chunk whose every row is
+        carried.
         """
         mt = self._mt
         if other_lin is None:
             other_lin = _linear(other_coords, mt.strides)
         other_proc = np.take(mt.proc_of_point, other_lin)
-        member_proc = np.take(region.proc, member_idx)
-        if rows is None:
+        if reg is None:
+            member_proc = np.take(region.proc, member_idx)
             vol = np.ones(member_idx.size, dtype=np.int64)
             for d in range(lo.shape[0]):
                 vol *= hi[d] - lo[d]
             nbytes = vol * tensor.itemsize
-            lo_rows = hi_rows = None
         else:
-            lo_rows, hi_rows, nbytes = rows
+            member_proc = reg.proc
+            nbytes = reg.nbytes
         # Orbit classes: (shape, source offset, inter/intra) — one
         # representative copy per class, weighted by multiplicity. The
         # payload is a function of the shape, so it needs no column.
@@ -1386,10 +1474,16 @@ class OrbitExecutor(Executor):
             if member_idx.size and total < 2 ** 62:
                 key_hi = _pack_key(cols, spans)
         member_key = key_hi
+        if key_hi is not None and not key_uniform:
+            key_uniform = bool((key_hi == key_hi[0]).all())
+        member_uniform = key_uniform
         # The scalar `_emit_copy` rule: zero-byte copies vanish; same-
         # processor transfers vanish for fetches (over-decomposition)
         # but reduction write-backs are recorded even on one processor.
-        keep = nbytes > 0
+        if reg is not None and reg.uniform is not None:
+            keep = np.full(nbytes.size, reg.uniform > 0)
+        else:
+            keep = nbytes > 0
         if not reduce:
             keep &= other_proc != member_proc
         keep_mask = None
@@ -1402,20 +1496,14 @@ class OrbitExecutor(Executor):
             other_proc = np.compress(keep, other_proc)
             member_proc = np.compress(keep, member_proc)
             nbytes = np.compress(keep, nbytes)
-            if lo_rows is None:
-                lo = np.compress(keep, lo, axis=1)
-                hi = np.compress(keep, hi, axis=1)
-            else:
-                lo_rows = np.compress(keep, lo_rows, axis=0)
-                hi_rows = np.compress(keep, hi_rows, axis=0)
+            lo = np.compress(keep, lo, axis=1)
+            hi = np.compress(keep, hi, axis=1)
             if key_hi is not None:
                 key_hi = np.compress(keep, key_hi)
             if cols is not None:
                 cols = [np.compress(keep, col) for col in cols]
                 other_coords = np.compress(keep, other_coords, axis=0)
                 member_coords = np.compress(keep, member_coords, axis=0)
-        if lo_rows is None:
-            lo_rows, hi_rows = lo.T.copy(), hi.T.copy()
         # Endpoint memories as the scalar `_emit_copy` prices them: the
         # instance side (fetch source / reduction destination) is the
         # tensor-preference-aware memory (`source_memory`), the context
@@ -1424,18 +1512,18 @@ class OrbitExecutor(Executor):
         tensor_mem = mt.tensor_mem_of_proc(tensor)
         if reduce:
             src_proc, dst_proc = member_proc, other_proc
-            src_gpu = np.take(mt.proc_gpu, src_proc)
-            dst_gpu = np.take(mt.mem_gpu, np.take(tensor_mem, dst_proc))
+            src_gpu = gpu_flags(mt.residency(), src_proc)
+            dst_gpu = gpu_flags(mt.residency(tensor), dst_proc)
         else:
             src_proc, dst_proc = other_proc, member_proc
-            src_gpu = np.take(mt.mem_gpu, np.take(tensor_mem, src_proc))
-            dst_gpu = np.take(mt.proc_gpu, dst_proc)
+            src_gpu = gpu_flags(mt.residency(tensor), src_proc)
+            dst_gpu = gpu_flags(mt.residency(), dst_proc)
         builder = self._builder(step)
         k = nbytes.size
         chunk = _Chunk(
             tensor_id=self._tensor_ids[name],
-            lo=lo_rows,
-            hi=hi_rows,
+            lo=lo,
+            hi=hi,
             nbytes=nbytes,
             src_proc=src_proc,
             dst_proc=dst_proc,
@@ -1450,7 +1538,9 @@ class OrbitExecutor(Executor):
         inter = np.take(mt.node_of_proc, src_proc) != np.take(
             mt.node_of_proc, dst_proc
         )
-        if key_hi is not None and bool((key_hi == key_hi[0]).all()):
+        if keep_mask is not None and key_hi is not None and not key_uniform:
+            key_uniform = bool((key_hi == key_hi[0]).all())
+        if key_uniform:
             # Uniform-shift fast path: one shape, one offset, one
             # payload — a systolic phase — splits only by inter/intra
             # character, so the class fold collapses to a count.
@@ -1490,8 +1580,8 @@ class OrbitExecutor(Executor):
             dst_mem = np.take(mt.procmem_of_proc, dst_proc[first])
         step.defer_copies(CopyReps(
             tensor=name,
-            lo=lo_rows[first],
-            hi=hi_rows[first],
+            lo=lo[:, first].T,
+            hi=hi[:, first].T,
             nbytes=nbytes[first],
             count=counts,
             src_proc=src_proc[first],
@@ -1506,7 +1596,7 @@ class OrbitExecutor(Executor):
         ))
         return _EmitInfo(
             chunk=chunk, pos=chunk_pos, builder=builder, keep=keep_mask,
-            key_hi=member_key,
+            key_hi=member_key, key_uniform=member_uniform,
         )
 
     @staticmethod
@@ -1517,7 +1607,7 @@ class OrbitExecutor(Executor):
         if carry is None:
             return None
         emit, pr, same = carry
-        if rows != emit.chunk.lo.shape[0]:
+        if rows != emit.chunk.nbytes.size:
             return None
         row_map = None
         if not same:
@@ -1646,11 +1736,11 @@ class OrbitExecutor(Executor):
             owner, tensor, reduce=True,
         )
 
-    def _release_held(self, held: Dict[str, np.ndarray]):
-        for name, rows in held.items():
-            mirror = self.env.mirror(name)
-            self.env.bulk_sub(mirror.mem[rows], mirror.nbytes[rows])
-            mirror.free_rows(rows)
+    def _release_held(self, held: Dict[str, _Registration]):
+        n_mem = self.env.n_mem
+        for name, reg in held.items():
+            self.env.discharge(reg.charges(n_mem))
+            self.env.mirror(name).release_block(reg)
 
 
 class _PhaseMemo:
@@ -1666,9 +1756,9 @@ class _PhaseMemo:
 
     __slots__ = (
         "lo", "hi", "live_all", "ready", "version",
-        "fetch_idx", "classes", "sources", "emit",
+        "reg", "fetch_idx", "classes", "sources", "emit",
         "shifts", "seam", "probed",
-        "fixed_hash", "fixed_cols", "fixed_coords",
+        "fixed_hash", "fixed_cols",
     )
 
     def __init__(self):
@@ -1677,6 +1767,7 @@ class _PhaseMemo:
         self.live_all = False
         self.ready = False
         self.version = -1
+        self.reg = None
         self.fetch_idx = None
         self.classes = None
         self.sources = None
@@ -1686,7 +1777,6 @@ class _PhaseMemo:
         self.probed = False
         self.fixed_hash = None
         self.fixed_cols = None
-        self.fixed_coords = None
 
 
 class _EventStream:
@@ -1813,13 +1903,10 @@ def _rank_within(group: np.ndarray) -> np.ndarray:
     return out
 
 
-def _same_leaf_batch(a, b) -> bool:
-    """Whether two leaf work batches carry equal columns."""
-    cols = ("empty", "flops", "nbytes", "staged", "lhs_los", "lhs_his")
-    return all(
-        np.array_equal(getattr(x, c), getattr(y, c))
-        for x, y in zip(a, b) for c in cols
-    )
+def _same_columns(a, b) -> bool:
+    """Whether two equally long lists of columns (arrays or scalars)
+    are equal element for element."""
+    return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _fan_out(row_class: np.ndarray, inv: np.ndarray, n_classes: int):
@@ -1852,6 +1939,7 @@ class _Region:
         self.proc = proc
         self._home: Dict[str, Tuple] = {}
         self._member_of_linear: Optional[np.ndarray] = None
+        self._linear: Optional[np.ndarray] = None
         self._perms: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
         #: Per leaf node: the last batch it ran and its Work writes.
         self.leaf_memo: Dict[int, Tuple] = {}
@@ -1870,11 +1958,17 @@ class _Region:
         self._perms[key] = out
         return out
 
+    def linear(self, mt: _MachineTables) -> np.ndarray:
+        """Each member's grid point as a linear index."""
+        if self._linear is None:
+            self._linear = _linear(self.coords, mt.strides)
+        return self._linear
+
     def member_of(self, mt: _MachineTables) -> np.ndarray:
         """The member at each grid point (linear index), or -1."""
         if self._member_of_linear is None:
             table = np.full(mt.size, -1, dtype=np.int64)
-            table[self.coords @ mt.strides] = np.arange(
+            table[self.linear(mt)] = np.arange(
                 self.n, dtype=np.int64
             )
             self._member_of_linear = table

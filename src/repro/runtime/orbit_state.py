@@ -255,6 +255,27 @@ class _MachineTables:
         #: Framebuffer residency of each processor's own memory.
         self.proc_gpu = self.mem_gpu[self.procmem_of_proc]
         self._tensor_mem: Dict[Tuple[str, str], np.ndarray] = {}
+        self._residency: Dict[Optional[Tuple[str, str]], Tuple] = {}
+
+    def residency(self, tensor=None) -> Tuple[np.ndarray, Optional[bool]]:
+        """Framebuffer residency per processor of its own memory
+        (``tensor=None``) or of a tensor's instance memory
+        (:meth:`tensor_mem_of_proc`), with the one value every processor
+        shares (``None`` when they differ); see :func:`gpu_flags`."""
+        key = None if tensor is None else (
+            tensor.name, tensor.format.memory.value
+        )
+        cached = self._residency.get(key)
+        if cached is None:
+            flags = (
+                self.proc_gpu if tensor is None
+                else self.mem_gpu[self.tensor_mem_of_proc(tensor)]
+            )
+            uniform = None
+            if flags.all() or not flags.any():
+                uniform = bool(flags[0])
+            cached = self._residency[key] = (flags, uniform)
+        return cached
 
     def tensor_mem_of_proc(self, tensor) -> np.ndarray:
         """Memory id a tensor instance occupies, per processor.
@@ -277,6 +298,16 @@ class _MachineTables:
         return out
 
 
+def gpu_flags(residency, procs: np.ndarray) -> np.ndarray:
+    """A :meth:`_MachineTables.residency` per processor of ``procs``: a
+    fill when every processor shares one value (homogeneous clusters),
+    a gather otherwise."""
+    flags, uniform = residency
+    if uniform is None:
+        return np.take(flags, procs)
+    return (np.ones if uniform else np.zeros)(procs.shape, dtype=bool)
+
+
 def machine_tables(machine: Machine) -> _MachineTables:
     tables = getattr(machine, "_orbit_tables", None)
     if tables is None:
@@ -290,13 +321,72 @@ def machine_tables(machine: Machine) -> _MachineTables:
 # ----------------------------------------------------------------------
 
 
+class _Registration:
+    """One tensor phase's registrations: a cached instance per fetching
+    member, as columns.
+
+    ``idx`` holds the fetching members (region rows), ``lo``/``hi``
+    their ``(ndim, k)`` request columns, ``proc``, ``mem`` and
+    ``nbytes`` the processor, instance memory and payload per member.
+    ``uniform`` is the one payload every member has, or ``None``;
+    :meth:`charges` sums the payloads per memory, once. A registration
+    enters its tensor's mirror as a block whose rows are written only
+    when the mirror is read (:meth:`_Mirror.snapshot`); ``rows`` holds
+    them once written.
+    """
+
+    __slots__ = (
+        "idx", "lo", "hi", "proc", "mem", "nbytes", "uniform", "site",
+        "coords", "rows", "_charges",
+    )
+
+    def __init__(self, idx, lo, hi, proc, mem, nbytes, uniform, site,
+                 coords, charges=None):
+        self.idx = idx
+        self.lo = lo
+        self.hi = hi
+        self.proc = proc
+        self.mem = mem
+        self.nbytes = nbytes
+        self.uniform = uniform
+        #: ``(position, names)`` of the tensor in its fetch list.
+        self.site = site
+        #: The region's coordinate table (holder coords are ``coords[idx]``).
+        self.coords = coords
+        self.rows = None
+        self._charges = charges
+
+    def order(self) -> np.ndarray:
+        """The scalar commit order key of each registration."""
+        pos, names = self.site
+        return self.idx * np.int64(names) + pos
+
+    def charges(self, n_mem: int) -> np.ndarray:
+        """Bytes per memory (read-only; shared by registrations the
+        replay proves equal)."""
+        if self._charges is None:
+            if self.uniform is None:
+                self._charges = np.bincount(
+                    self.mem, weights=self.nbytes.astype(np.float64),
+                    minlength=n_mem,
+                ).astype(np.int64)
+            else:
+                self._charges = np.bincount(
+                    self.mem, minlength=n_mem
+                ) * np.int64(self.uniform)
+        return self._charges
+
+
 class _Mirror:
     """Columnar cached-instance store for one tensor.
 
     Rows are ``(rect lo, rect hi, holder coords, memory, bytes)``.
     Freed rows are recycled, so the arrays stay bounded by the peak
     number of live instances. Row ids are stable for the lifetime of
-    the instance, which is what phase-held bookkeeping releases by.
+    the instance. A phase registers its instances as a block
+    (:meth:`add_block`) whose rows are written on the next read
+    (:meth:`snapshot`): a steady phase's block is usually released a
+    phase later unread, and then never costs a row write.
     """
 
     def __init__(self, ndim: int, mdim: int):
@@ -315,6 +405,8 @@ class _Mirror:
         self.alive = np.zeros(cap, dtype=bool)
         self.tail = 0
         self._free = np.zeros(0, dtype=np.int64)
+        #: Live blocks whose rows are not written yet.
+        self._pending: List[_Registration] = []
 
     def _grow(self, need: int):
         cap = self.alive.size
@@ -347,6 +439,19 @@ class _Mirror:
             self.tail += rest
         return rows
 
+    def add_block(self, reg: _Registration):
+        """Register a phase's instances; rows are written on first read."""
+        self._pending.append(reg)
+        self.version += 1
+
+    def release_block(self, reg: _Registration):
+        """Drop a block registered by :meth:`add_block`."""
+        if reg.rows is None:
+            self._pending = [b for b in self._pending if b is not reg]
+            self.version += 1
+        else:
+            self.free_rows(reg.rows)
+
     def add_rows(self, lo, hi, coords, mem, nbytes) -> np.ndarray:
         rows = self.alloc(lo.shape[0])
         at = rows
@@ -362,7 +467,6 @@ class _Mirror:
         self.mem[at] = mem
         self.nbytes[at] = nbytes
         self.alive[at] = True
-        self.version += 1
         return rows
 
     def free_rows(self, rows: np.ndarray):
@@ -371,7 +475,14 @@ class _Mirror:
         self.version += 1
 
     def snapshot(self) -> np.ndarray:
-        """Row ids of all live instances."""
+        """Row ids of all live instances, pending blocks written first
+        (the contents do not change, so neither does the version)."""
+        for reg in self._pending:
+            reg.rows = self.add_rows(
+                reg.lo.T, reg.hi.T, reg.coords[reg.idx], reg.mem,
+                reg.nbytes,
+            )
+        self._pending = []
         return np.flatnonzero(self.alive[: self.tail])
 
 
@@ -447,6 +558,10 @@ class OrbitState:
             for i in np.flatnonzero(self._touched)
         }
 
+    @property
+    def n_mem(self) -> int:
+        return self._usage_arr.size
+
     def bulk_add(self, mem_ids, amounts, order):
         """Apply a phase's registration charges at once.
 
@@ -458,14 +573,20 @@ class OrbitState:
         """
         if mem_ids.size == 0:
             return
-        n_mem = self._usage_arr.size
         adds = np.bincount(
-            mem_ids, weights=amounts.astype(np.float64), minlength=n_mem
+            mem_ids, weights=amounts.astype(np.float64), minlength=self.n_mem
         ).astype(np.int64)
+        self.charge(adds, lambda: (mem_ids, amounts, order))
+
+    def charge(self, adds, events):
+        """:meth:`bulk_add` from the per-memory sums ``adds``;
+        ``events()`` gives the ``(mem_ids, amounts, order)`` columns,
+        read only to replay a capacity overflow."""
         new_usage = self._usage_arr + adds
         if self.check_capacity and bool(
             np.any(new_usage > self._mt.mem_capacity)
         ):
+            mem_ids, amounts, order = events()
             run = self._usage_arr.copy()
             caps = self._mt.mem_capacity
             seq = np.argsort(order, kind="stable")
@@ -482,15 +603,9 @@ class OrbitState:
         self._touched |= adds > 0
         np.maximum(self._high_arr, new_usage, out=self._high_arr)
 
-    def bulk_sub(self, mem_ids, amounts):
-        if mem_ids.size == 0:
-            return
-        subs = np.bincount(
-            mem_ids,
-            weights=amounts.astype(np.float64),
-            minlength=self._usage_arr.size,
-        ).astype(np.int64)
-        self._usage_arr -= subs
+    def discharge(self, subs):
+        """Release per-memory sums charged earlier."""
+        self._usage_arr = self._usage_arr - subs
 
     def apply_events(self, mem_ids, deltas):
         """Apply an interleaved add/sub event stream exactly.
@@ -704,6 +819,8 @@ class _EmitInfo:
     #: Orbit-class key without the inter-node bit, per member (before
     #: the row filter); ``None`` when the key does not pack.
     key_hi: Optional[np.ndarray]
+    #: Every member has the same key.
+    key_uniform: bool = False
 
 
 @dataclass
@@ -737,7 +854,7 @@ class _Chunk:
     """One bulk emission batch (one tensor, one phase)."""
 
     tensor_id: int
-    lo: np.ndarray  # (k, ndim)
+    lo: np.ndarray  # (ndim, k) rectangle endpoint columns
     hi: np.ndarray
     nbytes: np.ndarray
     src_proc: np.ndarray
@@ -811,7 +928,7 @@ class _StepBuilder:
         at = 0
         for c, s in zip(self.chunks, src.chunks):
             rows = c.carry[2]
-            k = s.lo.shape[0]
+            k = s.nbytes.size
             parts.append(
                 np.arange(at, at + k, dtype=np.int64) if rows is None
                 else rows + at
@@ -821,15 +938,11 @@ class _StepBuilder:
 
     def _build(self, tables: _MachineTables, tensor_ids: Dict[str, int],
                extent_cap: Optional[int], src=None) -> Optional[CopyColumns]:
-        rows = sum(c.lo.shape[0] for c in self.chunks)
+        sizes = [c.nbytes.size for c in self.chunks]
+        rows = sum(sizes)
         if rows == 0:
             return None
-        max_nd = 0
-        for c in self.chunks:
-            max_nd = max(max_nd, c.lo.shape[1])
         tid = np.empty(rows, dtype=np.int64)
-        lo = np.full((rows, max_nd), -1, dtype=np.int64)
-        hi = np.full((rows, max_nd), -1, dtype=np.int64)
         nbytes = np.empty(rows, dtype=np.int64)
         src_proc = np.empty(rows, dtype=np.int64)
         dst_proc = np.empty(rows, dtype=np.int64)
@@ -837,12 +950,9 @@ class _StepBuilder:
         dst_gpu = np.empty(rows, dtype=bool)
         reduce = np.zeros(rows, dtype=bool)
         at = 0
-        for c in self.chunks:
-            k, nd = c.lo.shape
+        for c, k in zip(self.chunks, sizes):
             sl = slice(at, at + k)
             tid[sl] = c.tensor_id
-            lo[sl, :nd] = c.lo
-            hi[sl, :nd] = c.hi
             nbytes[sl] = c.nbytes
             src_proc[sl] = c.src_proc
             dst_proc[sl] = c.dst_proc
@@ -856,6 +966,7 @@ class _StepBuilder:
             # chunks: every copy is a singleton group.
             group = np.arange(rows, dtype=np.int64)
         else:
+            max_nd = max(c.lo.shape[0] for c in self.chunks)
             ranges = None
             if extent_cap is not None:
                 n_procs = tables.node_of_proc.size
@@ -866,16 +977,27 @@ class _StepBuilder:
                 )
 
             def keys(at):
+                # Group key rows of the step rows ``at`` (``None``: all);
+                # rectangles are gathered from the chunks' columns.
                 n = rows if at is None else at.size
-                at = slice(None) if at is None else at
-                gcols = np.empty((n, 2 * max_nd + 3), dtype=np.int64)
-                gcols[:, 0] = reduce[at]
-                gcols[:, 1] = tid[at]
-                gcols[:, 2:2 + max_nd] = lo[at]
-                gcols[:, 2 + max_nd:2 + 2 * max_nd] = hi[at]
+                sel = slice(None) if at is None else at
+                gcols = np.full((n, 2 * max_nd + 3), -1, dtype=np.int64)
+                gcols[:, 0] = reduce[sel]
+                gcols[:, 1] = tid[sel]
                 gcols[:, 2 + 2 * max_nd] = np.where(
-                    reduce[at], dst_proc[at], src_proc[at]
+                    reduce[sel], dst_proc[sel], src_proc[sel]
                 )
+                start = 0
+                for c, k in zip(self.chunks, sizes):
+                    if at is None:
+                        mine, local = slice(start, start + k), slice(None)
+                    else:
+                        mine = np.flatnonzero((at >= start) & (at < start + k))
+                        local = at[mine] - start
+                    nd = c.lo.shape[0]
+                    gcols[mine, 2:2 + nd] = c.lo[:, local].T
+                    gcols[mine, 2 + max_nd:2 + max_nd + nd] = c.hi[:, local].T
+                    start += k
                 return fold_rows(gcols, ranges)
 
             if src is not None:
@@ -906,5 +1028,4 @@ class _StepBuilder:
             dst_gpu=dst_gpu,
             group=group,
             num_groups=int(group.max()) + 1 if rows else 0,
-            count=np.ones(rows, dtype=np.int64),
         )

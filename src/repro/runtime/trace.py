@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.machine.cluster import Memory, MemoryKind, Processor
+from repro.util.errors import RepresentativeCopyError
 from repro.util.geometry import Rect
 
 
@@ -128,9 +129,12 @@ class CopyColumns:
       (selects NVLink vs PCIe vs DRAM for intra-node traffic);
     * ``group`` — collective group id: copies with equal ``(tensor,
       rect, source)`` share a multicast group, reduce copies with equal
-      ``(tensor, rect, destination)`` share a reduction group;
-    * ``count`` — orbit multiplicity of each row (1 everywhere for
-      ordinary traces; see :class:`Copy`).
+      ``(tensor, rect, destination)`` share a reduction group.
+
+    Every row is one physical copy. Orbit class representatives (a
+    :class:`Copy` with ``count > 1``) stand for members whose endpoints
+    they do not carry, so :meth:`from_copies` refuses them; an orbit
+    step's columns are its per-member columns, pinned by the executor.
     """
 
     n: int
@@ -146,44 +150,10 @@ class CopyColumns:
     dst_gpu: np.ndarray
     group: np.ndarray
     num_groups: int
-    count: np.ndarray = None
-
-    def __post_init__(self):
-        if self.count is None:
-            self.count = np.ones(self.n, dtype=np.int64)
-
-    def expanded(self) -> "CopyColumns":
-        """Unit-multiplicity view: each row repeated ``count`` times.
-
-        The cost model's link accounting works on physical copies; rows
-        carrying an orbit multiplicity are expanded before pricing so a
-        compressed step and its full equivalent time out identically.
-        """
-        if bool(np.all(self.count == 1)):
-            return self
-        reps = self.count
-        group = np.repeat(self.group, reps)
-        return CopyColumns(
-            n=int(reps.sum()),
-            nbytes=np.repeat(self.nbytes, reps),
-            src_proc=np.repeat(self.src_proc, reps),
-            dst_proc=np.repeat(self.dst_proc, reps),
-            src_node=np.repeat(self.src_node, reps),
-            dst_node=np.repeat(self.dst_node, reps),
-            inter=np.repeat(self.inter, reps),
-            reduce=np.repeat(self.reduce, reps),
-            gpu_resident=np.repeat(self.gpu_resident, reps),
-            src_gpu=np.repeat(self.src_gpu, reps),
-            dst_gpu=np.repeat(self.dst_gpu, reps),
-            group=group,
-            num_groups=self.num_groups,
-            count=np.ones(group.size, dtype=np.int64),
-        )
 
     @staticmethod
     def from_copies(copies: List["Copy"]) -> "CopyColumns":
         n = len(copies)
-        count = np.empty(n, dtype=np.int64)
         nbytes = np.empty(n, dtype=np.int64)
         src_proc = np.empty(n, dtype=np.int64)
         dst_proc = np.empty(n, dtype=np.int64)
@@ -195,7 +165,12 @@ class CopyColumns:
         group = np.empty(n, dtype=np.int64)
         group_ids: Dict[tuple, int] = {}
         for i, c in enumerate(copies):
-            count[i] = c.count
+            if c.count != 1:
+                raise RepresentativeCopyError(
+                    f"copy {i} of {c.tensor} {c.rect} stands for "
+                    f"{c.count} orbit members; price the step's "
+                    f"per-member columns (step.columns()) instead"
+                )
             nbytes[i] = c.nbytes
             src_proc[i] = c.src_proc.proc_id
             dst_proc[i] = c.dst_proc.proc_id
@@ -227,7 +202,6 @@ class CopyColumns:
             dst_gpu=dst_gpu,
             group=group,
             num_groups=len(group_ids),
-            count=count,
         )
 
 
@@ -316,9 +290,9 @@ class Step:
         """Install a precomputed columnar view (orbit-compressed steps).
 
         The orbit executor keeps ``copies`` as class representatives
-        (with multiplicities) but builds the exact expanded columns
+        (with multiplicities) but builds the exact per-member columns
         directly in numpy; pinning stops :meth:`columns` from rebuilding
-        the view from the compressed list.
+        the view from the compressed list, which it would refuse.
         """
         self._columns = columns
         self._columns_pinned = True

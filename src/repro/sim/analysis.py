@@ -98,13 +98,7 @@ def summarize(trace: Trace, machine: Machine) -> TraceSummary:
         if compressed:
             cols = step.columns()
             if cols.n:
-                fan = Counter()
-                for group, count, reduce in zip(
-                    cols.group, cols.count, cols.reduce
-                ):
-                    if not reduce:
-                        fan[int(group)] += int(count)
-                fanout = fan
+                fanout = Counter(cols.group[~cols.reduce].tolist())
         summary.steps.append(
             StepSummary(
                 label=step.label,
@@ -141,13 +135,12 @@ def node_traffic_matrix(trace: Trace) -> Dict[Tuple[int, int], int]:
         if any(c.count > 1 for c in step.copies):
             cols = step.columns()
             sel = cols.inter
-            for src, dst, nbytes, count in zip(
-                cols.src_node[sel],
-                cols.dst_node[sel],
-                cols.nbytes[sel],
-                cols.count[sel],
+            for src, dst, nbytes in zip(
+                cols.src_node[sel].tolist(),
+                cols.dst_node[sel].tolist(),
+                cols.nbytes[sel].tolist(),
             ):
-                out[(int(src), int(dst))] += int(nbytes) * int(count)
+                out[(src, dst)] += nbytes
             continue
         for copy in step.copies:
             src, dst = copy.src_proc.node_id, copy.dst_proc.node_id

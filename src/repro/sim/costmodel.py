@@ -118,7 +118,6 @@ def _step_digest(cols: CopyColumns) -> Tuple:
         hash(cols.gpu_resident.tobytes()),
         hash(cols.src_gpu.tobytes()),
         hash(cols.dst_gpu.tobytes()),
-        hash(cols.count.tobytes()),
     )
 
 
@@ -330,10 +329,6 @@ class CostModel:
             cols = CopyColumns.from_copies(copies)
         if cols.n == 0:
             return 0.0
-        # Orbit-compressed rows stand for `count` translated copies each;
-        # link accounting needs the physical copies, so expand first
-        # (no-op for ordinary unit-multiplicity traces).
-        cols = cols.expanded()
         params = self.params
         scale = params.collective_efficiency
         inter_bw = np.where(
@@ -516,9 +511,8 @@ class SkeletonAccumulator:
             self._steps.append((t_comm, _work_entries(step)))
             self._labels.append(step.label)
             # Exact sums over the copies, without building them.
-            weighted = cols.nbytes * cols.count
-            self._copy_bytes.append(int(weighted.sum()))
-            self._inter_bytes.append(int(weighted @ cols.inter))
+            self._copy_bytes.append(int(cols.nbytes.sum()))
+            self._inter_bytes.append(int(cols.nbytes @ cols.inter))
             self._replayed.append(hit)
 
     def finish(self, high_water: Dict[str, int]) -> TraceSkeleton:

@@ -61,6 +61,15 @@ class TraceSanityError(ReproError):
         super().__init__(f"trace failed sanity checks: {lines}")
 
 
+class RepresentativeCopyError(ReproError):
+    """Pricing columns were asked of orbit class representatives.
+
+    A representative copy (``count > 1``) carries its own endpoints
+    only, not its members'; per-member columns come from the step that
+    recorded it (:meth:`~repro.runtime.trace.Step.columns`).
+    """
+
+
 class LoweringError(ReproError):
     """Concrete index notation could not be lowered to a runtime plan."""
 

@@ -15,7 +15,7 @@ from repro.algorithms.matmul import cannon, cosma, solomonik, summa
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
-from repro.runtime.batchbounds import CtxBlock
+from repro.runtime.batchbounds import CtxBlock, _clip_extent
 from repro.sim.params import LASSEN
 
 
@@ -83,3 +83,39 @@ def test_entries_survive_sequential_binds(monkeypatch):
     monkeypatch.setattr(orbit_mod, "CtxBlock", _CheckedBlock)
     cannon(_m(8, 4, 4), 256).simulate(LASSEN)
     assert _CheckedBlock.survived > 0
+
+
+class TestClipExtent:
+    """``_clip_extent`` returns in-range endpoints as the same objects
+    and clips the rest, keeping each endpoint's type and dtype."""
+
+    def test_scalars(self):
+        lo, hi = np.int64(2), np.int64(5)
+        out = _clip_extent(lo, hi, 8)
+        assert out[0] is lo and out[1] is hi
+        for lo, hi, want in [
+            (np.int64(-3), np.int64(5), (0, 5)),
+            (np.int64(2), np.int64(11), (2, 8)),
+            (np.int64(6), np.int64(4), (6, 6)),
+            (np.int64(9), np.int64(12), (9, 9)),
+        ]:
+            got = _clip_extent(lo, hi, 8)
+            assert got == want
+            assert all(type(v) is np.int64 for v in got)
+
+    def test_arrays(self):
+        lo = np.array([0, 2, 4], dtype=np.int64)
+        hi = np.array([1, 5, 8], dtype=np.int64)
+        out = _clip_extent(lo, hi, 8)
+        assert out[0] is lo and out[1] is hi
+        got = _clip_extent(lo - 1, hi + 1, 8)
+        assert got[0].tolist() == [0, 1, 3]
+        assert got[1].tolist() == [2, 6, 8]
+        assert got[0].dtype == got[1].dtype == np.int64
+
+    def test_mixed(self):
+        lo = np.array([0, 3], dtype=np.int64)
+        out = _clip_extent(lo, np.int64(4), 8)
+        assert out[0] is lo
+        got = _clip_extent(lo, np.int64(2), 8)
+        assert got[1].tolist() == [2, 3]

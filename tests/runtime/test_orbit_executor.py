@@ -394,8 +394,8 @@ class TestDeferredRepresentatives:
         ):
             cols = step.columns()
             inter = cols.inter
-            assert int(cols.nbytes @ cols.count) == total
-            assert int(cols.nbytes[inter] @ cols.count[inter]) == inter_total
+            assert int(cols.nbytes.sum()) == total
+            assert int(cols.nbytes[inter].sum()) == inter_total
         # The streamed accumulator prices from the columns alone.
         acc = SkeletonAccumulator(CostModel(kernel.machine.cluster, LASSEN))
         streamed = kernel.trace(mode="orbit", skeleton=acc).trace

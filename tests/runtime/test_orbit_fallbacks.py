@@ -32,6 +32,7 @@ from repro.algorithms.higher_order import innerprod, mttkrp
 from repro.algorithms.matmul import cannon, cosma, solomonik, summa
 from repro.bench.weak_scaling import square_grid, weak_matrix_size
 from repro.core.transfer import transfer_kernel
+from repro.faults.events import FaultPlan, KillNode
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
 from repro.obs.metrics import METRICS
 from repro.runtime.batchbounds import batch_bounds
@@ -41,7 +42,7 @@ from repro.runtime.orbit import (
 from repro.runtime.trace import Step
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
-from repro.util.errors import LoweringError, OutOfMemoryError
+from repro.util.errors import LoweringError, NodeFailure, OutOfMemoryError
 
 
 def run_orbit(kernel, check_capacity=False, executor_cls=OrbitExecutor):
@@ -458,12 +459,13 @@ class TestConjugateReplay:
         executor = self._replayed(summa(m84, 2048))
         assert executor.phase_conjugate > 0
 
-    #: Replayed members carried / re-derived at the weak-scaled points.
+    #: Replays applied as deltas, and replayed members carried /
+    #: re-derived, at the weak-scaled points.
     MEMBERS = {
-        ("cannon", 64): (2650, 838),
-        ("summa", 64): (3480, 0),
-        ("cannon", 256): (26314, 3958),
-        ("summa", 256): (30256, 0),
+        ("cannon", 64): (30, 2650, 838),
+        ("summa", 64): (30, 3480, 0),
+        ("cannon", 256): (62, 26314, 3958),
+        ("summa", 256): (62, 30256, 0),
     }
 
     @pytest.mark.parametrize("builder", [cannon, summa])
@@ -473,7 +475,7 @@ class TestConjugateReplay:
     def test_weak_scaled_replay_counts(self, builder, nodes, steps, replays):
         # Exact counts at the Fig 15 weak-scaled sizes: a steady phase
         # that stops replaying shows here as fewer replays, and a replay
-        # that stops carrying as fewer carried members.
+        # that stops carrying as fewer deltas and carried members.
         cluster = Cluster.cpu_cluster(nodes)
         machine = Machine(cluster, Grid(*square_grid(cluster.num_processors)))
         kernel = builder(machine, weak_matrix_size(8192, nodes))
@@ -481,15 +483,15 @@ class TestConjugateReplay:
         kernel.simulate(LASSEN)
         after = METRICS.snapshot(sources=False)
         names = (
-            "orbit.steps", "orbit.phase_replays",
+            "orbit.steps", "orbit.phase_replays", "orbit.phase_deltas",
             "orbit.members_carried", "orbit.members_rederived",
         )
         delta = {
             name: after.get(name, 0) - before.get(name, 0) for name in names
         }
-        carried, rederived = self.MEMBERS[builder.__name__, nodes]
+        deltas, carried, rederived = self.MEMBERS[builder.__name__, nodes]
         assert delta == dict(zip(
-            names, (steps, replays, carried, rederived)
+            names, (steps, replays, deltas, carried, rederived)
         ))
 
     def test_ragged_tiles_not_reused(self, m84):
@@ -499,13 +501,17 @@ class TestConjugateReplay:
 
 
 class _CarryOff(OrbitExecutor):
-    """Re-derives every replayed member's source: no carried winners,
-    class keys, chunk rows or collective groups."""
+    """Re-derives every replayed member's source and registers every
+    member afresh: no carried winners, class keys, chunk rows,
+    collective groups, payloads or memory charges."""
 
     def _carried_sources(self, memo, sources, region, shift, pr, *args):
         k = pr.size
         empty = np.empty(k, dtype=np.int64)
         return empty, empty.copy(), np.arange(k, dtype=np.int64)
+
+    def _registration(self, *args, prev=None, seam=None):
+        return super()._registration(*args)
 
 
 class _WrongGuesses(OrbitExecutor):
@@ -515,6 +521,20 @@ class _WrongGuesses(OrbitExecutor):
     def _carried_sources(self, memo, sources, *args):
         wrong = ((sources[0] + 1) % self._mt.size, sources[1])
         return super()._carried_sources(memo, wrong, *args)
+
+
+class _PayloadLog(OrbitExecutor):
+    """Counts replays whose registration has unequal member payloads."""
+
+    def run(self, inputs=None):
+        self.ragged_replays = 0
+        return super().run(inputs)
+
+    def _registration(self, *args, prev=None, seam=None):
+        reg = super()._registration(*args, prev=prev, seam=seam)
+        if prev is not None and reg.uniform is None:
+            self.ragged_replays += 1
+        return reg
 
 
 class TestCarriedReplay:
@@ -535,11 +555,19 @@ class TestCarriedReplay:
         on, res_on, rep_on = self._run(executor_cls, kernel)
         off, res_off, rep_off = self._run(_CarryOff, kernel)
         assert off.members_carried == 0
+        assert off.phase_deltas == 0
         assert on.members_carried + on.members_rederived == (
             off.members_rederived
         )
-        assert len(res_on.trace.steps) == len(res_off.trace.steps)
-        for a, b in zip(res_on.trace.steps, res_off.trace.steps):
+        self._assert_same_steps(res_on.trace, res_off.trace)
+        assert res_on.memory_high_water == res_off.memory_high_water
+        assert rep_on == rep_off
+        return on
+
+    @staticmethod
+    def _assert_same_steps(trace_on, trace_off):
+        assert len(trace_on.steps) == len(trace_off.steps)
+        for a, b in zip(trace_on.steps, trace_off.steps):
             # The class representatives, built from what each run
             # deferred or recorded; a step with copy rows has some, so
             # the comparison is not of two empty lists.
@@ -552,14 +580,11 @@ class TestCarriedReplay:
             for name in (
                 "n", "num_groups", "nbytes", "src_proc", "dst_proc",
                 "src_node", "dst_node", "inter", "reduce", "gpu_resident",
-                "src_gpu", "dst_gpu", "group", "count",
+                "src_gpu", "dst_gpu", "group",
             ):
                 assert np.array_equal(
                     getattr(ca, name), getattr(cb, name)
                 ), (a.label, name)
-        assert res_on.memory_high_water == res_off.memory_high_water
-        assert rep_on == rep_off
-        return on
 
     @pytest.mark.parametrize("builder", [cannon, summa])
     @pytest.mark.parametrize("nodes, grid, n", [
@@ -588,6 +613,63 @@ class TestCarriedReplay:
         assert on.members_carried > on.members_rederived
 
     @pytest.mark.parametrize("builder", [cannon, summa])
+    def test_shared_processors(self, builder):
+        # Four grid points per processor: collective roots do not move
+        # with the members, so chunk rows and groups are not carried,
+        # while classes, sources and payloads still are.
+        machine = Machine(Cluster.cpu_cluster(4), Grid(8, 4))
+        assert not machine_tables(machine).bijective
+        on = self._assert_carry_exact(builder(machine, 2048))
+        assert on.phase_deltas > 0
+
+    @pytest.mark.parametrize("grid, n", [
+        ((8, 4), 257),  # every phase has ragged edge tiles
+        ((4, 8), 260),  # a phase of equal tiles meets a ragged seam
+    ])
+    def test_ragged_payloads(self, grid, n):
+        # A replay whose members' payloads differ computes and charges
+        # them per member, not from the delta.
+        machine = Machine(Cluster.cpu_cluster(16), Grid(*grid))
+        on = self._assert_carry_exact(cannon(machine, n), _PayloadLog)
+        assert on.phase_deltas > 0
+        assert on.ragged_replays > 0
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
+    def test_fault_kill_in_steady_loop(self, builder):
+        # A kill after several replays: the partial trace keeps the
+        # per-member columns of every completed step, so it prices, and
+        # equally with and without the carry.
+        machine = Machine(Cluster.cpu_cluster(16), Grid(8, 4))
+        kernel = builder(machine, 2048)
+        steps = len(self._run(OrbitExecutor, kernel)[1].trace.steps)
+        plan = FaultPlan(events=(KillNode(phase=steps - 2, node=3),))
+        runs = []
+        for executor_cls in (OrbitExecutor, _CarryOff):
+            executor = executor_cls(kernel.plan, fault_plan=plan)
+            with pytest.raises(NodeFailure) as exc:
+                executor.run()
+            runs.append((executor, exc.value.partial_trace))
+        (on, partial_on), (off, partial_off) = runs
+        assert on.phase_deltas > 0
+        assert len(partial_on.steps) == steps - 2
+        self._assert_same_steps(partial_on, partial_off)
+        model = CostModel(kernel.machine.cluster, LASSEN)
+        assert model.time_trace(partial_on) == model.time_trace(partial_off)
+
+    def test_sanitize(self):
+        # The sanitizer checks the full batched record; the delta-applied
+        # orbit trace beside it prices as without the sanitizer.
+        machine = Machine(Cluster.cpu_cluster(16), Grid(8, 4))
+        kernel = cannon(machine, 2048)
+        executor = OrbitExecutor(kernel.plan, sanitize=True)
+        result = executor.run()
+        assert executor.phase_deltas > 0
+        model = CostModel(kernel.machine.cluster, LASSEN)
+        assert model.time_trace(result.trace) == self._run(
+            OrbitExecutor, kernel
+        )[2]
+
+    @pytest.mark.parametrize("builder", [cannon, summa])
     def test_wrong_guesses_are_rejected(self, builder):
         # Every carried source is proven, not trusted: corrupted guesses
         # fall back to the derivation and the result does not move.
@@ -611,7 +693,7 @@ def test_carried_groups_equal_the_fold():
     def chunk(lo, root):
         ones = np.ones(8, dtype=np.int64)
         return _Chunk(
-            tensor_id=0, lo=lo, hi=lo + 10, nbytes=ones, src_proc=root,
+            tensor_id=0, lo=lo.T, hi=lo.T + 10, nbytes=ones, src_proc=root,
             dst_proc=(root + 1) % 8, src_gpu=ones < 0, dst_gpu=ones < 0,
         )
 

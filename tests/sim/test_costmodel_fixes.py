@@ -7,14 +7,21 @@
 * Task overhead scales with ``Work.invocations`` (over-decomposition
   launches more tasks per processor per step).
 * The vectorized ``comm_time`` matches on columnar and list inputs.
+* Orbit class representatives refuse pricing: a representative stands
+  for members whose endpoints it does not carry (pricing it as
+  ``count`` copies of itself mispriced every step).
 """
 
 import pytest
 
+from repro.algorithms.matmul import summa
 from repro.machine.cluster import Cluster
+from repro.machine.grid import Grid
+from repro.machine.machine import Machine
 from repro.runtime.trace import Copy, CopyColumns, Step, Trace, Work
 from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
+from repro.util.errors import RepresentativeCopyError
 from repro.util.geometry import Interval, Rect
 
 
@@ -183,3 +190,28 @@ class TestColumnarEquivalence:
         step.copies.append(copy_between(cluster, 1, 0, 800))
         cols2 = step.columns()  # invalidated by growth
         assert cols2.n == 2
+
+
+class TestRepresentativesRefusePricing:
+    def test_orbit_steps_price_per_member(self):
+        machine = Machine(Cluster.cpu_cluster(16), Grid(8, 4))
+        kernel = summa(machine, 1024)
+        orbit = kernel.trace(mode="orbit").trace
+        scalar = kernel.trace(mode="scalar").trace
+        model = CostModel(machine.cluster, LASSEN)
+        assert len(orbit.steps) == len(scalar.steps)
+        compressed = 0
+        for o_step, s_step in zip(orbit.steps, scalar.steps):
+            if not o_step.copies:
+                assert not s_step.copies
+                continue
+            compressed += 1
+            assert any(c.count > 1 for c in o_step.copies), o_step.label
+            with pytest.raises(RepresentativeCopyError):
+                model.comm_time(o_step.copies)
+            with pytest.raises(RepresentativeCopyError):
+                CopyColumns.from_copies(o_step.copies)
+            assert model.comm_time(o_step.columns()) == model.comm_time(
+                s_step.copies
+            ), o_step.label
+        assert compressed == 8
