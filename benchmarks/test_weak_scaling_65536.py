@@ -9,10 +9,12 @@ trio through the small counts plus Cannon alone at 32,768 nodes
 (23 s on a 2-core VM); set ``REPRO_FULL_SWEEP=1`` to push the top
 point to the full 65,536 nodes (98 s there, the
 `python -m repro.bench weak65536` axis top). Each simulation prices
-its phases as they close, so the top point stays under 1 GB. Broadcast
-algorithms stop at the small counts: they have no replayable phase
-structure and would dominate the budget without adding information
-about the scaling claim, which is Cannon's.
+its phases as they close, so the top point stays under 1 GB. SUMMA and
+Johnson stop at the small counts; the scaling claim checked here is
+Cannon's. Both would fit: SUMMA replays its steady phases wherever the
+weak-scaled size divides its grid, and only the ragged points (8,192
+and 32,768 nodes, n = 5,792.5 per tile) take the multi-piece path that
+does not replay; Johnson takes 0.41 s at 65,536 nodes.
 """
 
 import os

@@ -40,38 +40,7 @@ Quickstart::
     )
 """
 
-from repro.core.autoschedule import AutoScheduleResult, auto_schedule
-from repro.core.kernel import Kernel, compile_kernel
-# NOTE: the search entry point is ``Kernel.tune`` / ``repro.tuner.tune``;
-# a top-level ``repro.tune`` re-export would be shadowed by the
-# ``python -m repro.tune`` CLI module of the same name.
-from repro.tuner import Decision, TuneResult, TuningLedger
-from repro.core.transfer import (
-    formats_equivalent,
-    redistribution_bytes,
-    redistribution_trace,
-    transfer_kernel,
-)
-from repro.pipeline import Pipeline, PipelinePlan, PipelineReport, Stage
-from repro.tuner.joint import PipelineTuneResult, tune_pipeline
-from repro.formats.distribution import Distribution
-from repro.formats.format import Format
-from repro.ir.expr import Access, IndexVar, index_vars
-from repro.ir.tensor import Assignment, TensorVar, reference_einsum
-from repro.machine.cluster import Cluster, Memory, MemoryKind, ProcessorKind
-from repro.machine.grid import Grid
-from repro.machine.machine import Machine
-from repro.scheduling.schedule import Schedule
-from repro.sim.params import LASSEN, MachineParams
-from repro.sim.report import SimReport
-from repro.util.errors import (
-    DistributionError,
-    LoweringError,
-    OutOfMemoryError,
-    PipelineError,
-    ReproError,
-    ScheduleError,
-)
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -118,3 +87,37 @@ __all__ = [
     "reference_einsum",
     "tune_pipeline",
 ]
+
+# NOTE: the search entry point is ``Kernel.tune`` / ``repro.tuner.tune``;
+# a top-level ``repro.tune`` re-export would be shadowed by the
+# ``python -m repro.tune`` CLI module of the same name.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.autoschedule": ("AutoScheduleResult", "auto_schedule"),
+    "repro.core.kernel": ("Kernel", "compile_kernel"),
+    "repro.tuner.oracle": ("TuningLedger",),
+    "repro.tuner.search": ("TuneResult",),
+    "repro.tuner.space": ("Decision",),
+    "repro.core.transfer": (
+        "formats_equivalent", "redistribution_bytes", "redistribution_trace",
+        "transfer_kernel",
+    ),
+    "repro.pipeline.pipeline": ("Pipeline", "PipelinePlan", "Stage"),
+    "repro.pipeline.report": ("PipelineReport",),
+    "repro.tuner.joint": ("PipelineTuneResult", "tune_pipeline"),
+    "repro.formats.distribution": ("Distribution",),
+    "repro.formats.format": ("Format",),
+    "repro.ir.expr": ("Access", "IndexVar", "index_vars"),
+    "repro.ir.tensor": ("Assignment", "TensorVar", "reference_einsum"),
+    "repro.machine.cluster": (
+        "Cluster", "Memory", "MemoryKind", "ProcessorKind",
+    ),
+    "repro.machine.grid": ("Grid",),
+    "repro.machine.machine": ("Machine",),
+    "repro.scheduling.schedule": ("Schedule",),
+    "repro.sim.params": ("LASSEN", "MachineParams"),
+    "repro.sim.report": ("SimReport",),
+    "repro.util.errors": (
+        "DistributionError", "LoweringError", "OutOfMemoryError",
+        "PipelineError", "ReproError", "ScheduleError",
+    ),
+})

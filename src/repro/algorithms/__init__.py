@@ -6,17 +6,7 @@ data distribution plus a schedule, plus the higher-order tensor kernels of
 the evaluation (TTV, Innerprod, TTM, MTTKRP).
 """
 
-from repro.algorithms.matmul import (
-    cannon,
-    cosma,
-    johnson,
-    matmul_assignment,
-    pumma,
-    solomonik,
-    summa,
-)
-from repro.algorithms.cosma_grid import CosmaDecomposition, optimize_grid
-from repro.algorithms.higher_order import innerprod, mttkrp, ttm, ttv
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "CosmaDecomposition",
@@ -33,3 +23,12 @@ __all__ = [
     "ttm",
     "ttv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.matmul": (
+        "cannon", "cosma", "johnson", "matmul_assignment", "pumma",
+        "solomonik", "summa",
+    ),
+    "repro.algorithms.cosma_grid": ("CosmaDecomposition", "optimize_grid"),
+    "repro.algorithms.higher_order": ("innerprod", "mttkrp", "ttm", "ttv"),
+})

@@ -17,17 +17,7 @@ Four passes, all independent of the simulator:
 zero-simulation static pruner.
 """
 
-from repro.analysis.commbound import CommBound, comm_lower_bound
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.legality import check_legal, verify_legality
-from repro.analysis.membound import MemoryBound, memory_bounds
-from repro.analysis.prune import (
-    STATIC_DOMINATED,
-    STATIC_OOM,
-    prune_reason,
-)
-from repro.analysis.report import AnalysisReport, analyze_kernel
-from repro.analysis.sanitizer import sanitize_trace
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "AnalysisReport",
@@ -44,3 +34,13 @@ __all__ = [
     "sanitize_trace",
     "verify_legality",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.commbound": ("CommBound", "comm_lower_bound"),
+    "repro.analysis.diagnostics": ("Diagnostic",),
+    "repro.analysis.legality": ("check_legal", "verify_legality"),
+    "repro.analysis.membound": ("MemoryBound", "memory_bounds"),
+    "repro.analysis.prune": ("STATIC_DOMINATED", "STATIC_OOM", "prune_reason"),
+    "repro.analysis.report": ("AnalysisReport", "analyze_kernel"),
+    "repro.analysis.sanitizer": ("sanitize_trace",),
+})

@@ -12,15 +12,7 @@ simulator as DISTAL's kernels:
   collectives and (for GPUs) host-resident, out-of-core execution.
 """
 
-from repro.baselines.scalapack import scalapack_matmul
-from repro.baselines.cosma import cosma_reference_matmul
-from repro.baselines.ctf import (
-    ctf_innerprod,
-    ctf_matmul,
-    ctf_mttkrp,
-    ctf_ttm,
-    ctf_ttv,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "cosma_reference_matmul",
@@ -31,3 +23,11 @@ __all__ = [
     "ctf_ttv",
     "scalapack_matmul",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.scalapack": ("scalapack_matmul",),
+    "repro.baselines.cosma": ("cosma_reference_matmul",),
+    "repro.baselines.ctf": (
+        "ctf_innerprod", "ctf_matmul", "ctf_mttkrp", "ctf_ttm", "ctf_ttv",
+    ),
+})

@@ -6,14 +6,7 @@ tags become partition + copy points, and the innermost dense loops become
 leaf operations (optionally substituted by optimized kernels).
 """
 
-from repro.codegen.plan import (
-    DistributedPlan,
-    LaunchNode,
-    LeafNode,
-    PlanNode,
-    SeqNode,
-)
-from repro.codegen.lower import lower_to_plan
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "DistributedPlan",
@@ -23,3 +16,10 @@ __all__ = [
     "SeqNode",
     "lower_to_plan",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.codegen.plan": (
+        "DistributedPlan", "LaunchNode", "LeafNode", "PlanNode", "SeqNode",
+    ),
+    "repro.codegen.lower": ("lower_to_plan",),
+})

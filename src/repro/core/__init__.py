@@ -1,5 +1,9 @@
 """The public compiler API: compile schedules into executable kernels."""
 
-from repro.core.kernel import Kernel, compile_kernel
+from repro.util.lazy import lazy_exports
 
 __all__ = ["Kernel", "compile_kernel"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.kernel": ("Kernel", "compile_kernel"),
+})

@@ -26,36 +26,7 @@ The package splits into three layers:
 sampled fault plan) and prints the recovery report.
 """
 
-from repro.faults.chaos import (
-    ChaosController,
-    ChaosPlan,
-    DropConnection,
-    KillWorker,
-    OversizedLine,
-    PoisonRequest,
-    RestartDaemon,
-    TornLine,
-)
-from repro.faults.events import (
-    FaultPlan,
-    KillNode,
-    Resize,
-    install_fault_hook,
-    lost_instances,
-)
-from repro.faults.objective import (
-    checkpoint_choices,
-    expected_cost,
-    rerank_expected,
-)
-from repro.faults.replan import (
-    PipelineRecoveryReport,
-    RecoveryReport,
-    StageRecovery,
-    replan_kernel,
-    replan_pipeline,
-)
-from repro.util.errors import NodeFailure
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "FaultPlan",
@@ -81,3 +52,22 @@ __all__ = [
     "replan_kernel",
     "replan_pipeline",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.chaos": (
+        "ChaosController", "ChaosPlan", "DropConnection", "KillWorker",
+        "OversizedLine", "PoisonRequest", "RestartDaemon", "TornLine",
+    ),
+    "repro.faults.events": (
+        "FaultPlan", "KillNode", "Resize", "install_fault_hook",
+        "lost_instances",
+    ),
+    "repro.faults.objective": (
+        "checkpoint_choices", "expected_cost", "rerank_expected",
+    ),
+    "repro.faults.replan": (
+        "PipelineRecoveryReport", "RecoveryReport", "StageRecovery",
+        "replan_kernel", "replan_pipeline",
+    ),
+    "repro.util.errors": ("NodeFailure",),
+})

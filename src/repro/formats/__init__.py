@@ -7,7 +7,13 @@ same-named machine dimensions on the right; remaining machine dimensions
 either fix the partition to a coordinate (a digit) or broadcast it (``*``).
 """
 
-from repro.formats.distribution import Distribution, DimName, Broadcast, Fixed
-from repro.formats.format import Format
+from repro.util.lazy import lazy_exports
 
 __all__ = ["Broadcast", "DimName", "Distribution", "Fixed", "Format"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.formats.distribution": (
+        "Distribution", "DimName", "Broadcast", "Fixed",
+    ),
+    "repro.formats.format": ("Format",),
+})

@@ -10,16 +10,7 @@ together: every derived index variable knows how to reconstruct the value
 bounds analysis that drives partitioning, communication and leaf slicing.
 """
 
-from repro.ir.expr import Access, Add, Expr, IndexVar, Literal, Mul, index_vars
-from repro.ir.tensor import Assignment, TensorVar, reference_einsum
-from repro.ir.concrete import Assign, Forall, Sequence, Stmt
-from repro.ir.provenance import (
-    FuseRel,
-    RotateRel,
-    SplitRel,
-    VarGraph,
-)
-from repro.ir.lower_tin import lower_to_concrete
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Access",
@@ -42,3 +33,13 @@ __all__ = [
     "lower_to_concrete",
     "reference_einsum",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ir.expr": (
+        "Access", "Add", "Expr", "IndexVar", "Literal", "Mul", "index_vars",
+    ),
+    "repro.ir.tensor": ("Assignment", "TensorVar", "reference_einsum"),
+    "repro.ir.concrete": ("Assign", "Forall", "Sequence", "Stmt"),
+    "repro.ir.provenance": ("FuseRel", "RotateRel", "SplitRel", "VarGraph"),
+    "repro.ir.lower_tin": ("lower_to_concrete",),
+})

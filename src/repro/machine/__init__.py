@@ -8,16 +8,7 @@ sockets. The *logical* grid (:class:`Machine`) is mapped onto a *physical*
 same schedule target differently shaped hardware.
 """
 
-from repro.machine.cluster import (
-    Cluster,
-    Memory,
-    MemoryKind,
-    Node,
-    Processor,
-    ProcessorKind,
-)
-from repro.machine.grid import Grid
-from repro.machine.machine import Machine
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Cluster",
@@ -29,3 +20,12 @@ __all__ = [
     "Processor",
     "ProcessorKind",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.machine.cluster": (
+        "Cluster", "Memory", "MemoryKind", "Node", "Processor",
+        "ProcessorKind",
+    ),
+    "repro.machine.grid": ("Grid",),
+    "repro.machine.machine": ("Machine",),
+})

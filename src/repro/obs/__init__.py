@@ -24,18 +24,7 @@ stacks, with three pillars:
 ``python -m repro.obs`` exports traces (see :mod:`repro.obs.__main__`).
 """
 
-from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.spans import (
-    export_spans,
-    flat_profile,
-    install_spans,
-    reset_spans,
-    set_tracing,
-    span,
-    span_mark,
-    span_records,
-    tracing_enabled,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "METRICS",
@@ -50,3 +39,11 @@ __all__ = [
     "span_records",
     "tracing_enabled",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.metrics": ("METRICS", "MetricsRegistry"),
+    "repro.obs.spans": (
+        "export_spans", "flat_profile", "install_spans", "reset_spans",
+        "set_tracing", "span", "span_mark", "span_records", "tracing_enabled",
+    ),
+})

@@ -70,6 +70,8 @@ Number = Union[int, float]
 #:   ``"draining"`` error during shutdown;
 #: * ``serve.quarantined`` — requests cut off at the consecutive-crash
 #:   cap with a durable infeasible answer;
+#: * ``serve.warm_lookup_failures`` — misses whose nearest-neighbor
+#:   lookup raised on a malformed indexed record and that tuned cold;
 #: * ``serve.reconnects`` — client-side connection rebuilds
 #:   (:class:`repro.serve.client.ScheduleClient` counts these in its
 #:   own process's registry).
@@ -86,6 +88,7 @@ SERVE_COUNTERS = (
     "serve.worker_spawns",
     "serve.drained",
     "serve.quarantined",
+    "serve.warm_lookup_failures",
     "serve.reconnects",
 )
 
@@ -165,21 +168,22 @@ class MetricsRegistry:
     def snapshot(self, sources: bool = True) -> Dict[str, Number]:
         """Every metric as one sorted ``{name: value}`` dict.
 
-        Sources are consulted last and never clobber an explicit
-        counter/gauge of the same name. A raising source contributes
-        nothing (observability must not fail the observed run).
+        Sources never clobber an explicit counter/gauge of the same
+        name. A raising source contributes nothing (observability must
+        not fail the observed run) and counts one
+        ``obs.source_errors``, which this snapshot already shows.
         """
-        out: Dict[str, Number] = {}
-        out.update(self._counters)
-        out.update(self._gauges)
+        sourced: Dict[str, Number] = {}
         if sources:
             for fn in self._sources.values():
                 try:
                     values = fn()
                 except Exception:
+                    self.inc("obs.source_errors")
                     continue
                 for key, value in values.items():
-                    out.setdefault(key, value)
+                    sourced.setdefault(key, value)
+        out = {**sourced, **self._counters, **self._gauges}
         return {k: out[k] for k in sorted(out)}
 
     # -- fork envelope -------------------------------------------------

@@ -4,17 +4,7 @@ See :mod:`repro.pipeline.pipeline` for the DAG model and
 :mod:`repro.tuner.joint` for joint (format-aware) pipeline tuning.
 """
 
-from repro.pipeline.pipeline import (
-    HANDOFF_DIRECT,
-    HANDOFF_REDISTRIBUTE,
-    Pipeline,
-    PipelineEdge,
-    PipelinePlan,
-    ScheduledStage,
-    Stage,
-)
-from repro.pipeline.redistribute import redistribution_report
-from repro.pipeline.report import EdgeCost, PipelineReport, StageCost
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "HANDOFF_DIRECT",
@@ -29,3 +19,12 @@ __all__ = [
     "StageCost",
     "redistribution_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pipeline.pipeline": (
+        "HANDOFF_DIRECT", "HANDOFF_REDISTRIBUTE", "Pipeline", "PipelineEdge",
+        "PipelinePlan", "ScheduledStage", "Stage",
+    ),
+    "repro.pipeline.redistribute": ("redistribution_report",),
+    "repro.pipeline.report": ("EdgeCost", "PipelineReport", "StageCost"),
+})

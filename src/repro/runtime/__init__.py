@@ -14,9 +14,7 @@ execution records the identical phases without materializing data (used
 for the paper-scale weak-scaling benchmarks).
 """
 
-from repro.runtime.executor import ExecutionResult, Executor
-from repro.runtime.instances import DataEnvironment
-from repro.runtime.trace import Copy, Step, Trace, Work
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Copy",
@@ -27,3 +25,9 @@ __all__ = [
     "Trace",
     "Work",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.executor": ("ExecutionResult", "Executor"),
+    "repro.runtime.instances": ("DataEnvironment",),
+    "repro.runtime.trace": ("Copy", "Step", "Trace", "Work"),
+})

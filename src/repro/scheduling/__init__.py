@@ -7,6 +7,10 @@ concrete index notation, and applies transformations as rewrite rules:
 distributed primitives ``distribute``, ``communicate`` and ``rotate``.
 """
 
-from repro.scheduling.schedule import Schedule
+from repro.util.lazy import lazy_exports
 
 __all__ = ["Schedule"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scheduling.schedule": ("Schedule",),
+})

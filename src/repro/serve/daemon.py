@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api import HIT, QUARANTINED, ScheduleRequest
 from repro.bench.parallel import WorkerSlot
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, SERVE_COUNTERS
 from repro.serve import protocol
 from repro.serve.supervise import (
     QuarantineStore,
@@ -76,8 +76,9 @@ from repro.serve.supervise import (
 )
 from repro.tuner.oracle import TuningLedger
 
-# Import for the side effect: registers the serve_tune sweep in this
-# process, so forked workers inherit it resolved.
+# Import for the side effects: registers the serve_tune sweep in this
+# process and loads the tune closure it declares, so forked workers
+# inherit both resolved.
 from repro.serve import worker as _worker  # noqa: F401
 
 #: Sentinel frame for a line that exceeded the stream limit (the frame
@@ -407,8 +408,9 @@ class ScheduleServer:
             try:
                 request = ScheduleRequest.from_record(record)
                 warm = self._neighbor_decision(request, fingerprint)
-            except Exception:
-                pass
+            except (AttributeError, KeyError, TypeError, ValueError):
+                # A malformed indexed record: tune this miss cold.
+                METRICS.inc("serve.warm_lookup_failures")
         timeout_s = self.timeout_s
         if deadline_s is not None:
             timeout_s = (
@@ -433,16 +435,8 @@ class ScheduleServer:
         """Run one miss on a supervised worker slot and resolve its
         future — *always*, whatever the outcome shape."""
         loop = asyncio.get_running_loop()
-        kwargs = self._dispatch_kwargs(fingerprint, record, deadline_s)
 
         def dispatch():
-            # The one module a tune imports that the daemon does not:
-            # imported here, before the first spawn rather than at
-            # start-up, the first worker and every replacement after a
-            # crash inherit it instead of importing (and, without
-            # bytecode caching, compiling) it.
-            import repro.runtime.orbit  # noqa: F401
-
             def on_attempt(_attempt: int):
                 if self.chaos is not None:
                     kwargs["chaos_kill"] = self.chaos.kill_worker(
@@ -467,6 +461,7 @@ class ScheduleServer:
             "error": "tune dispatch failed",
         }
         try:
+            kwargs = self._dispatch_kwargs(fingerprint, record, deadline_s)
             status, result, crashes = await loop.run_in_executor(
                 self._executor, dispatch
             )
@@ -531,8 +526,6 @@ class ScheduleServer:
             for name, value in snapshot.items()
             if name.startswith("serve.")
         }
-        from repro.obs.metrics import SERVE_COUNTERS
-
         for name in SERVE_COUNTERS:
             counters.setdefault(name, 0)
         return protocol.ok_response(

@@ -27,6 +27,15 @@ from repro.obs.metrics import METRICS
 from repro.tuner.oracle import TuningLedger
 from repro.tuner.space import Decision
 
+# The tune closure: modules a tune imports inside functions (to break
+# import cycles) that the imports above do not load. The daemon imports
+# this module before its first fork, so every worker, and every
+# replacement after a crash, inherits them instead of importing (and,
+# without bytecode caching, compiling) them on its first miss.
+import repro.analysis.legality  # noqa: F401
+import repro.runtime.orbit  # noqa: F401
+import repro.tuner.search  # noqa: F401
+
 
 def serve_tune(
     record: Dict,

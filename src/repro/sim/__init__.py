@@ -8,8 +8,12 @@ NIC per node, with Legion's measured GPU-direct bandwidth limitation and
 its 4-of-40-cores runtime tax.
 """
 
-from repro.sim.params import LASSEN, MachineParams
-from repro.sim.costmodel import CostModel
-from repro.sim.report import SimReport
+from repro.util.lazy import lazy_exports
 
 __all__ = ["CostModel", "LASSEN", "MachineParams", "SimReport"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.params": ("LASSEN", "MachineParams"),
+    "repro.sim.costmodel": ("CostModel",),
+    "repro.sim.report": ("SimReport",),
+})

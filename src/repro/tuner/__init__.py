@@ -16,32 +16,7 @@ Entry points: :meth:`repro.core.kernel.Kernel.tune`,
 ``python -m repro.tune`` command line.
 """
 
-from repro.tuner.oracle import (
-    EvalOutcome,
-    Oracle,
-    TuningLedger,
-    workload_signature,
-)
-from repro.tuner.search import (
-    SearchOutcome,
-    TuneResult,
-    balanced_grid,
-    beam_search,
-    default_seed_grid,
-    exhaustive_search,
-    tune,
-)
-from repro.tuner.space import (
-    Decision,
-    canonicalize,
-    coarsen,
-    enumerate_space,
-    formats_for,
-    from_heuristic,
-    normalize,
-    realize,
-    scale_assignment,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Decision",
@@ -65,3 +40,18 @@ __all__ = [
     "tune",
     "workload_signature",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tuner.oracle": (
+        "EvalOutcome", "Oracle", "TuningLedger", "workload_signature",
+    ),
+    "repro.tuner.search": (
+        "SearchOutcome", "TuneResult", "balanced_grid", "beam_search",
+        "default_seed_grid", "exhaustive_search", "tune",
+    ),
+    "repro.tuner.space": (
+        "Decision", "canonicalize", "coarsen", "enumerate_space",
+        "formats_for", "from_heuristic", "normalize", "realize",
+        "scale_assignment",
+    ),
+})

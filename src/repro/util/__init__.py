@@ -1,14 +1,6 @@
 """Shared utilities: geometry (intervals/rectangles), errors, naming."""
 
-from repro.util.errors import (
-    DistributionError,
-    LoweringError,
-    OutOfMemoryError,
-    ReproError,
-    ScheduleError,
-    UnsupportedScheduleError,
-)
-from repro.util.geometry import Interval, Rect
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "DistributionError",
@@ -20,3 +12,11 @@ __all__ = [
     "ScheduleError",
     "UnsupportedScheduleError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.util.errors": (
+        "DistributionError", "LoweringError", "OutOfMemoryError", "ReproError",
+        "ScheduleError", "UnsupportedScheduleError",
+    ),
+    "repro.util.geometry": ("Interval", "Rect"),
+})

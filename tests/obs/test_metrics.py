@@ -41,7 +41,10 @@ class TestRegistry:
 
         reg.register_source("bad", bad)
         reg.inc("fine", 1)
-        assert reg.snapshot() == {"fine": 1}
+        assert reg.snapshot() == {"fine": 1, "obs.source_errors": 1}
+        # Each snapshot that drops the source counts once more.
+        assert reg.snapshot()["obs.source_errors"] == 2
+        assert reg.snapshot(sources=False)["obs.source_errors"] == 2
 
     def test_snapshot_without_sources(self, reg):
         reg.register_source("src", lambda: {"derived": 5})

@@ -137,6 +137,30 @@ class TestDedupAndWarm:
         record = ledger.get_answer(_request(size=128).fingerprint())
         assert record["answer"]["provenance"] == "warm-started"
 
+    def test_malformed_neighbor_counts_and_tunes_cold(self, tmp_path):
+        """A neighbor record the lookup cannot measure (here a shape
+        extent that is not a number) leaves the miss cold and counts
+        one ``serve.warm_lookup_failures``."""
+        server = ScheduleServer(
+            tmp_path / "ledger", socket_path=str(tmp_path / "serve.sock")
+        )
+        neighbor = _request(size=128).to_record()
+        neighbor["shapes"] = {
+            name: ["many"] * len(shape)
+            for name, shape in neighbor["shapes"].items()
+        }
+        server._index_answer(
+            "neighbor", {"request": neighbor, "answer": {"decision": "d"}}
+        )
+        request = _request()
+        failures0 = _counter("serve.warm_lookup_failures")
+        kwargs = server._dispatch_kwargs(
+            request.fingerprint(), request.to_record(), None
+        )
+        assert kwargs["warm"] is None
+        assert _counter("serve.warm_lookup_failures") == failures0 + 1
+        server._executor.shutdown()
+
     def test_no_warm_flag_disables_transfer(self, tmp_path):
         warm0 = _counter("serve.warm_started")
         with serving(tmp_path, warm_start=False) as (server, client):
@@ -157,6 +181,7 @@ class TestHealthyTrace:
             "serve.quarantined",
             "serve.shed",
             "serve.drained",
+            "serve.warm_lookup_failures",
         )
         floors = {
             "serve.hits": 20,
