@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.formats.distribution import Fixed
 from repro.ir.expr import IndexVar
 from repro.ir.tensor import Assignment
@@ -90,11 +92,17 @@ def memory_bounds(
     decision,
     cluster: Cluster,
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
+    machine: Optional[Machine] = None,
 ) -> MemoryBound:
-    """Bound the peak footprint of node 0's target memory statically."""
+    """Bound the peak footprint of node 0's target memory statically.
+
+    ``machine`` is the decision's grid on ``cluster`` (a fresh one when
+    ``None``).
+    """
     from repro.tuner.space import formats_for
 
-    machine = Machine(cluster, Grid(*decision.grid))
+    if machine is None:
+        machine = Machine(cluster, Grid(*decision.grid))
     formats = formats_for(assignment, decision, memory)
     per_node = memory is MemoryKind.SYSTEM_MEM
     points = _target_points(machine, cluster, per_node)
@@ -104,6 +112,16 @@ def memory_bounds(
         target = cluster.processors[0].memory
     domains = {v.name: e for v, e in assignment.domains().items()}
     tensors = assignment.tensors()
+    # Every tensor's home rectangle at every target point, batched.
+    coords = np.array(points, dtype=np.int64).reshape(
+        len(points), machine.dim
+    )
+    owned = {
+        tensor.name: _owned_rects(
+            formats[tensor.name], machine, coords, tensor.shape
+        )
+        for tensor in tensors
+    }
     output = tensors[0]
     accesses_by_tensor: Dict[str, List] = {}
     for access in assignment.accesses():
@@ -112,15 +130,13 @@ def memory_bounds(
     home = 0
     seen_home: set = set()
     for tensor in tensors:
-        fmt = formats[tensor.name]
-        if not fmt.is_distributed:
+        if not formats[tensor.name].is_distributed:
             if tensor.ndim == 0:
                 continue
             # Undistributed: one instance at the origin (node 0).
             home += tensor.nbytes
             continue
-        for point in points:
-            rect = fmt.owned_rect(machine, point, tensor.shape)
+        for rect in owned[tensor.name]:
             if rect is None or rect.is_empty:
                 continue
             key = (tensor.name, rect)
@@ -159,13 +175,13 @@ def memory_bounds(
     if not known_extents:
         # Unknown loop extents: only the home instances are static.
         points = []
-    for point in points:
+    for p_idx, point in enumerate(points):
         blocks = {
             name: split_evenly(domains[name], decision.grid[d], point[d])
             for name, d in dist_dim.items()
         }
         for tensor in tensors:
-            fmt = formats[tensor.name]
+            home_rect = owned[tensor.name][p_idx]
             is_output = tensor.name == output.name
             if is_output and not output_read:
                 rect = _request_rect(
@@ -175,9 +191,7 @@ def memory_bounds(
                 if rect is None:
                     continue
                 nbytes = rect.volume * tensor.itemsize
-                if not _owned_covers(
-                    fmt, machine, point, tensor.shape, rect
-                ):
+                if not _covers(home_rect, rect):
                     partials += nbytes
                     reduction_transient = max(reduction_transient, nbytes)
                 elif flush_to_owner:
@@ -196,22 +210,18 @@ def memory_bounds(
                 continue
             if stepped:
                 lo, hi = _step_chunk_bounds(
-                    tensor, fmt, machine, point,
+                    tensor, home_rect,
                     accesses_by_tensor[tensor.name], blocks, domains,
                     decision.seq, steps,
                 )
                 step_lb += lo
                 step_ub += hi
-            elif not _owned_covers(
-                fmt, machine, point, tensor.shape, rect
-            ):
+            elif not _covers(home_rect, rect):
                 task_staging += rect.volume * tensor.itemsize
             if is_output and output_read:
                 # A read output also accumulates partials when unowned.
                 nbytes = rect.volume * tensor.itemsize
-                if not _owned_covers(
-                    fmt, machine, point, tensor.shape, rect
-                ):
+                if not _covers(home_rect, rect):
                     partials += nbytes
                     reduction_transient = max(reduction_transient, nbytes)
                 elif flush_to_owner:
@@ -349,16 +359,25 @@ def _request_rect(
     return Rect.from_bounds(los, his)
 
 
-def _owned_covers(fmt, machine, point, shape, rect: Rect) -> bool:
-    owned = fmt.owned_rect(machine, point, shape)
+def _owned_rects(
+    fmt, machine: Machine, coords: np.ndarray, shape
+) -> List[Optional[Rect]]:
+    """:meth:`~repro.formats.format.Format.owned_rect` at each row of
+    ``coords``, from one batched call."""
+    lo, hi, ok = fmt.owned_rect_batch(machine, coords, shape)
+    return [
+        Rect.from_bounds(los, his) if here else None
+        for los, his, here in zip(lo.T.tolist(), hi.T.tolist(), ok.tolist())
+    ]
+
+
+def _covers(owned: Optional[Rect], rect: Rect) -> bool:
     return owned is not None and owned.contains(rect)
 
 
 def _step_chunk_bounds(
     tensor,
-    fmt,
-    machine,
-    point,
+    owned: Optional[Rect],
     accesses,
     blocks,
     domains,
@@ -399,7 +418,6 @@ def _step_chunk_bounds(
     unit = 1
     for mode, ival in enumerate(base.intervals):
         unit *= 1 if mode in seq_modes else ival.size
-    owned = fmt.owned_rect(machine, point, tensor.shape)
     owned_some_block = False
     if owned is not None:
         covers_rest = all(

@@ -23,13 +23,16 @@ the final beam again, and candidates that differ only in ``leaf`` or
 ``rotate`` share one memory bound. A :class:`PruneMemo`, owned by the
 tune's oracle, computes each bound once per
 :func:`~repro.analysis.membound.bound_key` and each dominance verdict
-once per exact decision and efficiency pair.
+once per exact decision and efficiency pair. It also knows the tune's
+enumerated space: a decision of that space is already canonical, so its
+twin is the decision itself with the ``gemm`` leaf, and the verdict
+needs no :func:`~repro.tuner.space.normalize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.analysis.membound import (
     MemoryBound,
@@ -39,6 +42,7 @@ from repro.analysis.membound import (
 )
 from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster, MemoryKind
+from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.sim.params import MachineParams
 
@@ -56,14 +60,17 @@ def prune_reason(
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
     params: Optional[MachineParams] = None,
     memo: Optional["PruneMemo"] = None,
+    machine: Optional[Machine] = None,
 ) -> Optional[str]:
     """Why ``decision`` need not be simulated, or ``None``.
 
-    ``memo`` reuses verdicts computed earlier in the same tune.
+    ``memo`` reuses verdicts computed earlier in the same tune;
+    ``machine`` is the decision's grid on ``cluster`` when the caller
+    has one.
     """
     bounds = memo.memory_bounds if memo is not None else memory_bounds
     dominated = memo.dominated if memo is not None else _dominated_loops
-    if bounds(assignment, decision, cluster, memory).infeasible:
+    if bounds(assignment, decision, cluster, memory, machine).infeasible:
         return STATIC_OOM
     if params is not None and dominated(assignment, decision, params):
         return STATIC_DOMINATED
@@ -81,16 +88,28 @@ class PruneMemo:
     def __init__(self):
         self._bounds: Dict[Tuple, MemoryBound] = {}
         self._dominated: Dict[Tuple, bool] = {}
+        #: Canonical decisions per :func:`assignment_key`.
+        self._canonical: Dict[Tuple, Set] = {}
+
+    def canonical_space(self, assignment: Assignment, space: Iterable):
+        """Record that every decision of ``space`` is a canonical form
+        (a fixed point of :func:`~repro.tuner.space.normalize`) for
+        ``assignment``: the tune's enumerated space."""
+        self._canonical.setdefault(
+            assignment_key(assignment), set()
+        ).update(space)
 
     def memory_bounds(
         self, assignment: Assignment, decision, cluster: Cluster,
-        memory: MemoryKind,
+        memory: MemoryKind, machine: Optional[Machine] = None,
     ) -> MemoryBound:
         key = bound_key(assignment, decision, cluster, memory)
         bound = self._bounds.get(key)
         if bound is None:
             METRICS.inc("analysis.bound_memo_misses")
-            bound = memory_bounds(assignment, decision, cluster, memory)
+            bound = memory_bounds(
+                assignment, decision, cluster, memory, machine
+            )
             self._bounds[key] = bound
         else:
             METRICS.inc("analysis.bound_memo_hits")
@@ -99,28 +118,39 @@ class PruneMemo:
     def dominated(
         self, assignment: Assignment, decision, params: MachineParams
     ) -> bool:
+        akey = assignment_key(assignment)
         key = (
-            assignment_key(assignment),
+            akey,
             decision,
             params.naive_leaf_efficiency,
             params.gemm_efficiency,
         )
         verdict = self._dominated.get(key)
         if verdict is None:
-            verdict = _dominated_loops(assignment, decision, params)
+            verdict = _dominated_loops(
+                assignment, decision, params,
+                canonical=decision in self._canonical.get(akey, ()),
+            )
             self._dominated[key] = verdict
         return verdict
 
 
 def _dominated_loops(
-    assignment: Assignment, decision, params: MachineParams
+    assignment: Assignment, decision, params: MachineParams,
+    canonical: bool = False,
 ) -> bool:
+    """``canonical``: ``decision`` is known to be a canonical form."""
     from repro.tuner.space import LEAF_GEMM, LEAF_LOOPS, normalize
 
     if decision.leaf != LEAF_LOOPS:
         return False
     if params.naive_leaf_efficiency > params.gemm_efficiency:
         return False
+    if canonical:
+        # Normalizing a canonical decision with the other leaf changes
+        # only the leaf, and keeps ``gemm`` exactly for contractions.
+        return bool(assignment.reduction_vars) \
+            and len(assignment.all_vars) >= 2
     twin = normalize(assignment, replace(decision, leaf=LEAF_GEMM))
     # The twin must be a real, distinct candidate of the canonical
     # space: normalize folds non-contractions back to the loops leaf,

@@ -83,22 +83,15 @@ class Assignment:
         self.rhs = rhs
         self.accumulate = accumulate
         self._check_domains()
-
-    @property
-    def free_vars(self) -> List[IndexVar]:
-        """Variables on the left-hand side, in access order."""
-        return list(self.lhs.indices)
-
-    @property
-    def reduction_vars(self) -> List[IndexVar]:
-        """Right-hand-side-only variables, in first-appearance order."""
-        free = set(self.lhs.indices)
-        return [v for v in self.rhs.index_variables() if v not in free]
-
-    @property
-    def all_vars(self) -> List[IndexVar]:
-        """Free variables then reduction variables (default loop order)."""
-        return self.free_vars + self.reduction_vars
+        free = set(lhs.indices)
+        #: Variables on the left-hand side, in access order.
+        self.free_vars: List[IndexVar] = list(lhs.indices)
+        #: Right-hand-side-only variables, in first-appearance order.
+        self.reduction_vars: List[IndexVar] = [
+            v for v in rhs.index_variables() if v not in free
+        ]
+        #: Free variables then reduction variables (default loop order).
+        self.all_vars: List[IndexVar] = self.free_vars + self.reduction_vars
 
     def tensors(self) -> List[TensorVar]:
         """All distinct tensors, output first."""

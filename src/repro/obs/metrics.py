@@ -72,6 +72,10 @@ Number = Union[int, float]
 #:   cap with a durable infeasible answer;
 #: * ``serve.warm_lookup_failures`` — misses whose nearest-neighbor
 #:   lookup raised on a malformed indexed record and that tuned cold;
+#: * ``serve.index_skips`` — answers indexed for hits only, because
+#:   their request record does not parse (no warm-start donor);
+#: * ``serve.persist_failures`` — quarantined answers served and
+#:   indexed but not saved to the ledger;
 #: * ``serve.reconnects`` — client-side connection rebuilds
 #:   (:class:`repro.serve.client.ScheduleClient` counts these in its
 #:   own process's registry).
@@ -89,6 +93,8 @@ SERVE_COUNTERS = (
     "serve.drained",
     "serve.quarantined",
     "serve.warm_lookup_failures",
+    "serve.index_skips",
+    "serve.persist_failures",
     "serve.reconnects",
 )
 

@@ -44,7 +44,7 @@ runs as numpy column arithmetic:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -102,6 +102,9 @@ class OrbitExecutor(Executor):
             default=1,
         )
         self._regions: Dict[int, "_Region"] = {}
+        #: Leaves a sequential loop repeats within one region (the only
+        #: ones whose calls can replay a previous call's Work).
+        self._repeated_leaves = _repeated_leaves(plan.root)
         #: The open step's builder (keyed by step id); popped when the
         #: step closes.
         self._builders: Dict[int, _StepBuilder] = {}
@@ -344,14 +347,17 @@ class OrbitExecutor(Executor):
         # function of the leaf key, so equal keys skip computing it.
         # Only calls that staged no output partials are memoized, so the
         # partial-table state the skipped half would consult cannot
-        # matter.
-        key = self._leaf_key(node, block)
-        memo = region.leaf_memo.pop(id(node), None)
-        if memo is not None and _same_columns(memo[0], key):
-            self.leaf_reused += 1
-            self._write_leaf_work(node, step, memo[1])
-            region.leaf_memo[id(node)] = memo
-            return
+        # matter. A leaf no sequential loop repeats in its region runs
+        # once there, so it neither reads nor writes the memo.
+        repeated = id(node) in self._repeated_leaves
+        if repeated:
+            key = self._leaf_key(node, block)
+            memo = region.leaf_memo.pop(id(node), None)
+            if memo is not None and _same_columns(memo[0], key):
+                self.leaf_reused += 1
+                self._write_leaf_work(node, step, memo[1])
+                region.leaf_memo[id(node)] = memo
+                return
         batch = self._leaf_work_batch(node, block)
         n = region.n
         flops = np.zeros(n, dtype=np.int64)
@@ -414,7 +420,8 @@ class OrbitExecutor(Executor):
                 z = np.zeros((0, rows.size), dtype=np.int64)
                 cands.append((e_idx, rows, z, z))
         if not cands:
-            region.leaf_memo[id(node)] = (key, writes)
+            if repeated:
+                region.leaf_memo[id(node)] = (key, writes)
             return
         member = np.concatenate([c[1] for c in cands])
         e_ids = np.concatenate(
@@ -1923,6 +1930,17 @@ def _fan_out(row_class: np.ndarray, inv: np.ndarray, n_classes: int):
     row = np.repeat(np.arange(row_class.size), reps)
     within = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps, reps)
     return row, order[start[row_class][row] + within]
+
+
+def _repeated_leaves(node: PlanNode, repeated: bool = False) -> Set[int]:
+    """Ids of the leaves below a ``SeqNode`` of extent > 1 that is
+    itself below the leaf's innermost ``LaunchNode`` (every launch
+    opens a fresh region, and with it a fresh leaf memo)."""
+    if isinstance(node, LaunchNode):
+        return _repeated_leaves(node.body)
+    if isinstance(node, SeqNode):
+        return _repeated_leaves(node.body, repeated or node.extent > 1)
+    return {id(node)} if repeated else set()
 
 
 class _Region:

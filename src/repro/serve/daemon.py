@@ -194,8 +194,11 @@ class ScheduleServer:
         try:
             request = ScheduleRequest.from_record(record["request"])
             key = request.structure_key()
-        except Exception:
-            return  # unindexable for warm transfer; still a hit source
+        except (AttributeError, KeyError, TypeError, ValueError):
+            # A malformed request record: unindexable for warm
+            # transfer, still a hit source.
+            METRICS.inc("serve.index_skips")
+            return
         if record.get("answer", {}).get("provenance") == QUARANTINED:
             return  # never a warm-start donor
         bucket = self.neighborhoods.setdefault(key, [])
@@ -387,11 +390,15 @@ class ScheduleServer:
         METRICS.inc("serve.quarantined")
         answer = quarantined_answer(fingerprint, reason)
         entry = {"request": record, "answer": answer}
+        self.ledger.put_answer(fingerprint, entry)
         try:
-            self.ledger.put_answer(fingerprint, entry)
-            self.ledger.save()
-        except Exception:
-            pass  # the QUARANTINE.json count still blocks re-tunes
+            saved = self.ledger.save()
+        except OSError:
+            saved = False
+        if not saved:
+            # Served and indexed anyway; the QUARANTINE.json count
+            # still blocks re-tunes after a restart.
+            METRICS.inc("serve.persist_failures")
         self._index_answer(fingerprint, entry)
         return protocol.ok_response(
             fingerprint=fingerprint,

@@ -171,6 +171,11 @@ MANIFEST = "MANIFEST.json"
 ROOT_SHARDS = 8
 
 
+def _digest(text: str) -> bytes:
+    """A shard file's identity: the SHA-256 digest of its bytes."""
+    return hashlib.sha256(text.encode()).digest()
+
+
 class _Shard:
     """One shard's records: the file's as loaded, plus unsaved puts."""
 
@@ -248,6 +253,12 @@ class TuningLedger:
         self.manifest = p / MANIFEST if is_root else None
         self.shards = self._resolve_shard_count() if is_root else 1
         self._loaded: List[Optional[_Shard]] = [None] * self.shards
+        #: Per shard, the SHA-256 digest of the file contents this
+        #: ledger last parsed or wrote (``None`` before either): a save
+        #: that finds these bytes on disk has nothing to merge. Holding
+        #: the contents themselves pins heap pages for the ledger's
+        #: life, which showed as megabytes of peak RSS.
+        self._synced: List[Optional[bytes]] = [None] * self.shards
         self._dirty: set = set()
         if not is_root:
             self._shard(0)
@@ -297,29 +308,41 @@ class TuningLedger:
             shard = self._loaded[index] = self._read(index)
         return shard
 
-    def _read(self, index: int) -> _Shard:
-        """Shard ``index`` as on disk. Salvaging a corrupt file recovers
-        entries only — answers are re-derivable from a re-tune, entries
-        are the expensive part — and marks the shard for rewriting."""
+    def _text(self, index: int) -> Optional[str]:
+        """Shard ``index``'s file contents (``None`` when absent or
+        unreadable)."""
         path = self._shard_path(index)
         if path is None or not path.exists():
-            return _Shard({}, {})
+            return None
         try:
-            text = path.read_text()
+            return path.read_text()
         except OSError:
+            return None
+
+    def _read(self, index: int) -> _Shard:
+        """Shard ``index`` as on disk (see :meth:`_parse`)."""
+        return self._parse(index, self._text(index))
+
+    def _parse(self, index: int, text: Optional[str]) -> _Shard:
+        """Shard ``index`` from its file contents ``text``. Salvaging a
+        corrupt file recovers entries only — answers are re-derivable
+        from a re-tune, entries are the expensive part — and marks the
+        shard for rewriting."""
+        if text is None:
             return _Shard({}, {})
         try:
             data = json.loads(text)
         except json.JSONDecodeError:
             entries = self._salvage(text)
             self.salvaged += len(entries)
-            self._quarantine(path, text)
+            self._quarantine(self._shard_path(index), text)
             self._dirty.add(index)
             return _Shard(entries, {})
         if isinstance(data, dict) and isinstance(data.get("entries"), dict):
             answers = data.get("answers")
             if not isinstance(answers, dict):
                 answers = {}
+            self._synced[index] = _digest(text)
             return _Shard(data["entries"], answers)
         return _Shard({}, {})
 
@@ -438,6 +461,7 @@ class TuningLedger:
         shards on next use — readers polling a ledger that other
         processes write into."""
         self._loaded = [None] * self.shards
+        self._synced = [None] * self.shards
         self._dirty.clear()
 
     # -- persistence ---------------------------------------------------
@@ -475,11 +499,17 @@ class TuningLedger:
         except OSError:
             return False
         with locked(path):
-            merged = self._read(index)
-            mine = self._loaded[index]
-            merged.entries.update(mine.entries)
-            merged.answers.update(mine.answers)
-            self._loaded[index] = merged
+            text = self._text(index)
+            merged = self._loaded[index]
+            if text is not None and _digest(text) != self._synced[index]:
+                # Other processes wrote since: merge their records
+                # under ours. Unchanged bytes hold only records this
+                # ledger last parsed or wrote, which it still holds.
+                merged = self._parse(index, text)
+                mine = self._loaded[index]
+                merged.entries.update(mine.entries)
+                merged.answers.update(mine.answers)
+                self._loaded[index] = merged
             payload = {"version": self.VERSION, "entries": merged.entries}
             if merged.answers:
                 payload["answers"] = merged.answers
@@ -488,7 +518,10 @@ class TuningLedger:
             text = json.dumps(
                 payload, sort_keys=True, separators=(",", ":")
             ) + "\n"
-            return write_atomic(path, text)
+            if not write_atomic(path, text):
+                return False
+            self._synced[index] = _digest(text)
+            return True
 
     def __len__(self) -> int:
         return sum(
@@ -539,6 +572,22 @@ def _deadline(timeout_s: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+def grid_machine(
+    machines: Dict[tuple, Machine], cluster: Cluster, grid: tuple
+) -> Machine:
+    """The one machine of shape ``grid`` on ``cluster`` in ``machines``
+    (a tune's per-grid table), built on first use.
+
+    Candidates on one grid share it, and with it the orbit executor's
+    machine tables and their home-charge memo
+    (:func:`~repro.runtime.orbit_state.machine_tables`).
+    """
+    machine = machines.get(grid)
+    if machine is None:
+        machine = machines[grid] = Machine(cluster, Grid(*grid))
+    return machine
+
+
 def evaluate_one(
     assignment: Assignment,
     cluster: Cluster,
@@ -546,20 +595,23 @@ def evaluate_one(
     params: MachineParams,
     memory: MemoryKind,
     timeout_s: Optional[float] = None,
+    machine: Optional[Machine] = None,
 ) -> EvalOutcome:
     """Realize, compile, and simulate one candidate (mutates the
     assignment's tensor formats; pass a private copy). Static pruning
     is the caller's: see :meth:`Oracle.prune_reason`.
 
-    ``timeout_s`` bounds the candidate's wall-clock evaluation: a stuck
-    realize/compile/simulate returns an infeasible outcome whose
-    ``error`` names the timeout (counted in :attr:`Oracle.errors`)
-    instead of hanging the whole tune.
+    ``machine`` is the decision's grid on ``cluster`` (a fresh one when
+    ``None``). ``timeout_s`` bounds the candidate's wall-clock
+    evaluation: a stuck realize/compile/simulate returns an infeasible
+    outcome whose ``error`` names the timeout (counted in
+    :attr:`Oracle.errors`) instead of hanging the whole tune.
     """
     try:
         with _deadline(timeout_s):
             with span("oracle.realize"):
-                machine = Machine(cluster, Grid(*decision.grid))
+                if machine is None:
+                    machine = Machine(cluster, Grid(*decision.grid))
                 schedule, _formats = realize(
                     assignment, machine, decision, memory=memory
                 )
@@ -602,18 +654,23 @@ def tuner_eval_batch(
     params: MachineParams,
     memory: MemoryKind,
     timeout_s: Optional[float] = None,
+    machines: Optional[Dict[tuple, Machine]] = None,
 ) -> List[EvalOutcome]:
     """One sweep point: simulate a chunk of candidates (the oracle has
     already settled their static verdicts).
 
-    Registered with :mod:`repro.bench.parallel` so the driver can
-    dispatch it by name; the worker's new simulation-cache entries ride
-    back with the rows and merge into the parent's cache.
+    ``machines`` is the tune's per-grid machine table
+    (:func:`grid_machine`); a chunk without one shares machines within
+    itself. Registered with :mod:`repro.bench.parallel` so the driver
+    can dispatch it by name; the worker's new simulation-cache entries
+    ride back with the rows and merge into the parent's cache.
     """
+    machines = {} if machines is None else machines
     work = copy.deepcopy(assignment)
     return [
         evaluate_one(
-            work, cluster, decision, params, memory, timeout_s=timeout_s
+            work, cluster, decision, params, memory, timeout_s=timeout_s,
+            machine=grid_machine(machines, cluster, decision.grid),
         )
         for decision in decisions
     ]
@@ -667,6 +724,13 @@ class Oracle:
         self.trace_executions = 0
         #: Static verdicts computed so far in this tune.
         self.prune_memo = PruneMemo()
+        #: This tune's one machine per grid shape on ``cluster``
+        #: (:func:`grid_machine`).
+        self.machines: Dict[tuple, Machine] = {}
+
+    def machine(self, grid: tuple) -> Machine:
+        """The tune's machine of shape ``grid`` on this cluster."""
+        return grid_machine(self.machines, self.cluster, grid)
 
     def for_cluster(self, cluster: Cluster) -> "Oracle":
         """A sibling oracle on a different (e.g. coarsened) cluster,
@@ -697,6 +761,7 @@ class Oracle:
             self.memory,
             params=self.params,
             memo=self.prune_memo,
+            machine=self.machine(decision.grid),
         )
 
     def evaluate(
@@ -819,7 +884,9 @@ class Oracle:
         if self.jobs <= 1 or len(survivors) <= 1:
             # In-process: evaluate against a private copy so the
             # caller's tensor formats are not clobbered mid-search.
-            simulated = tuner_eval_batch(decisions=survivors, **common)
+            simulated = tuner_eval_batch(
+                decisions=survivors, machines=self.machines, **common
+            )
         else:
             chunks = min(self.jobs * 4, len(survivors))
             per_point = [

@@ -450,6 +450,7 @@ def tune(
         static_prune=static_prune,
         timeout_s=timeout_s,
     )
+    oracle.prune_memo.canonical_space(assignment, space)
     if strategy == "auto":
         strategy = (
             "exhaustive"
@@ -504,10 +505,9 @@ def tune(
         trace_executions=oracle.trace_executions,
     )
 
-    from repro.machine.grid import Grid
     from repro.tuner.space import realize
 
-    machine = Machine(cluster, Grid(*best.decision.grid))
+    machine = oracle.machine(best.decision.grid)
     schedule, formats = realize(
         assignment, machine, best.decision, memory=oracle.memory
     )

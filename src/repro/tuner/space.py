@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.autoschedule import choose_distributed_vars
 from repro.formats.distribution import (
@@ -212,44 +212,84 @@ def canonicalize(decision: Decision) -> Decision:
     * a sequenced loop no input communicates at is dead — folded away;
     * grid-dimension relabellings (permuting ``grid`` together with
       ``dist``, ``rotate`` and ``steps_dim``) are isomorphic — the
-      lexicographically least relabelling is chosen.
+      relabelling with the least :meth:`Decision.key` is chosen.
     """
-    tiled = tuple(sorted(set(decision.tiled)))
-    step_comm = tuple(sorted(set(decision.step_comm) & set(tiled)))
-    checkpoint = tuple(sorted(set(decision.checkpoint)))
-    seq = decision.seq
-    steps_dim = decision.steps_dim
-    rotate = tuple(
-        sorted({d for d in decision.rotate if decision.grid[d] > 1})
+    return _canonical(
+        decision, decision.tiled, decision.step_comm,
+        decision.output_style, decision.leaf,
     )
+
+
+def _canonical(
+    decision: Decision,
+    tiled: Sequence[str],
+    step_comm: Sequence[str],
+    output_style: str,
+    leaf: str,
+    perms: Optional[List[Tuple[int, ...]]] = None,
+) -> Decision:
+    """:func:`canonicalize` of ``decision`` with the given ``tiled``,
+    ``step_comm``, ``output_style`` and ``leaf``, building one
+    :class:`Decision`.
+
+    A relabelling moves only ``grid``, ``dist``, ``steps_dim`` and
+    ``rotate``; the other fields of :meth:`Decision.key` are equal for
+    every relabelling, so comparing the moved fields in key order picks
+    the same representative as comparing whole keys. ``perms`` is
+    :func:`_relabellings` of the decision's grid and ``dist`` when the
+    caller has it.
+    """
+    tiled = tuple(sorted(set(tiled)))
+    step_comm = tuple(sorted(set(step_comm) & set(tiled)))
+    checkpoint = tuple(sorted(set(decision.checkpoint)))
+    grid, seq, steps_dim = decision.grid, decision.seq, decision.steps_dim
+    rotate = {d for d in decision.rotate if grid[d] > 1}
     if seq is None or not step_comm:
         seq, steps_dim, rotate, step_comm = None, None, (), ()
-    best: Optional[Decision] = None
-    for perm in permutations(range(len(decision.grid))):
-        grid = tuple(decision.grid[p] for p in perm)
-        dist = tuple(decision.dist[p] for p in perm)
-        new_pos = {old: new for new, old in enumerate(perm)}
-        rot = tuple(sorted(new_pos[d] for d in rotate))
-        sdim = None
-        if steps_dim is not None:
-            # Steps only depend on the extent: normalize to the first
-            # dimension with that extent.
-            extent = decision.grid[steps_dim]
-            sdim = min(i for i, g in enumerate(grid) if g == extent)
-        candidate = replace(
-            decision,
-            grid=grid,
-            dist=dist,
-            seq=seq,
-            steps_dim=sdim,
-            rotate=rot,
-            tiled=tiled,
-            step_comm=step_comm,
-            checkpoint=checkpoint,
+    if perms is None:
+        perms = _relabellings(grid, decision.dist)
+    # Steps only depend on the extent: normalize to the first dimension
+    # with that extent.
+    extent = None if steps_dim is None else grid[steps_dim]
+    best = None
+    for perm in perms:
+        pgrid = tuple(grid[p] for p in perm)
+        key = (
+            -1 if extent is None else pgrid.index(extent),
+            tuple(sorted(perm.index(d) for d in rotate)),
+            perm,
         )
-        if best is None or candidate.key() < best.key():
-            best = candidate
-    return best
+        if best is None or key < best:
+            best = key
+    sdim, rot, perm = best
+    return Decision(
+        grid=tuple(grid[p] for p in perm),
+        dist=tuple(decision.dist[p] for p in perm),
+        seq=seq,
+        steps_dim=None if sdim < 0 else sdim,
+        rotate=rot,
+        tiled=tiled,
+        step_comm=step_comm,
+        output_style=output_style,
+        leaf=leaf,
+        checkpoint=checkpoint,
+    )
+
+
+def _relabellings(
+    grid: Tuple[int, ...], dist: Tuple[str, ...]
+) -> List[Tuple[int, ...]]:
+    """The grid-dimension permutations giving the least relabelled
+    ``(grid, dist)`` — the key's leading moved fields. One permutation
+    unless ``dist`` repeats a variable."""
+    best, perms = None, []
+    for perm in permutations(range(len(grid))):
+        key = (tuple(grid[p] for p in perm), tuple(dist[p] for p in perm))
+        if best is None or key < best:
+            best, perms = key, [perm]
+        elif key == best:
+            perms.append(perm)
+    return perms
 
 
 def _input_accesses(assignment: Assignment) -> List[Access]:
@@ -265,23 +305,33 @@ def _input_accesses(assignment: Assignment) -> List[Access]:
     return seen
 
 
+def _input_indices(assignment: Assignment) -> Dict[str, Set[str]]:
+    """Index-variable names of each :func:`_input_accesses` access, by
+    tensor name, in expression order."""
+    return {
+        a.tensor.name: {v.name for v in a.indices}
+        for a in _input_accesses(assignment)
+    }
+
+
 def _tileable_inputs(
-    assignment: Assignment, dist: Sequence[str]
+    assignment: Assignment,
+    dist: Sequence[str],
+    inputs: Optional[Dict[str, Set[str]]] = None,
 ) -> List[str]:
     """Inputs with a mode indexed by an undistributed reduction variable
-    *and* at least one grid dimension that does not index them."""
+    *and* at least one grid dimension that does not index them.
+    ``inputs`` is :func:`_input_indices` when the caller has it."""
     undist_red = {
         v.name for v in assignment.reduction_vars if v.name not in dist
     }
-    out = []
-    for access in _input_accesses(assignment):
-        index_names = {v.name for v in access.indices}
-        if not undist_red & index_names:
-            continue
-        if all(d in index_names for d in dist):
-            continue
-        out.append(access.tensor.name)
-    return out
+    if inputs is None:
+        inputs = _input_indices(assignment)
+    return [
+        name for name, index_names in inputs.items()
+        if undist_red & index_names
+        and not all(d in index_names for d in dist)
+    ]
 
 
 def normalize(assignment: Assignment, decision: Decision) -> Decision:
@@ -295,32 +345,34 @@ def normalize(assignment: Assignment, decision: Decision) -> Decision:
       the output — normalized to ``"face"``;
     * a GEMM leaf needs a contraction with at least two local loops.
     """
-    tileable = set(_tileable_inputs(assignment, decision.dist))
-    tiled = tuple(sorted(set(decision.tiled) & tileable))
-    step_comm = set(decision.step_comm) & set(tiled)
+    inputs = _input_indices(assignment)
+    tileable = _tileable_inputs(assignment, decision.dist, inputs)
+    return _normalized(assignment, decision, tileable, inputs)
+
+
+def _normalized(
+    assignment: Assignment,
+    decision: Decision,
+    tileable: Sequence[str],
+    inputs: Dict[str, Set[str]],
+    perms: Optional[List[Tuple[int, ...]]] = None,
+) -> Decision:
+    """:func:`normalize` given the decision's tileable inputs, the
+    assignment's :func:`_input_indices` and, optionally, the decision's
+    :func:`_relabellings`, which enumeration computes once per grid
+    shape and ``dist``."""
+    tiled = set(decision.tiled).intersection(tileable)
+    step_comm = set(decision.step_comm) & tiled
     if decision.seq is not None:
-        indexed_by_seq = {
-            a.tensor.name
-            for a in _input_accesses(assignment)
-            if decision.seq in {v.name for v in a.indices}
-        }
-        step_comm &= indexed_by_seq
-    out_names = {v.name for v in assignment.lhs.indices}
+        step_comm = {t for t in step_comm if decision.seq in inputs[t]}
     output_style = decision.output_style
-    if all(d in out_names for d in decision.dist):
+    out_names = {v.name for v in assignment.lhs.indices}
+    if all(v in out_names for v in decision.dist):
         output_style = OUTPUT_FACE
     leaf = decision.leaf
     if not assignment.reduction_vars or len(assignment.all_vars) < 2:
         leaf = LEAF_LOOPS
-    return canonicalize(
-        replace(
-            decision,
-            tiled=tiled,
-            step_comm=tuple(sorted(step_comm)),
-            output_style=output_style,
-            leaf=leaf,
-        )
-    )
+    return _canonical(decision, tiled, step_comm, output_style, leaf, perms)
 
 
 # ----------------------------------------------------------------------
@@ -586,10 +638,12 @@ def enumerate_space(
     contraction = bool(reductions) and len(var_names) >= 2
     leaf_choices = [LEAF_GEMM, LEAF_LOOPS] if contraction else [LEAF_LOOPS]
     out_names = {v.name for v in assignment.lhs.indices}
+    inputs = _input_indices(assignment)
     seen: Dict[Tuple, Decision] = {}
 
-    def emit(decision: Decision):
-        norm = normalize(assignment, decision)
+    def emit(decision: Decision, tileable: List[str],
+             perms: List[Tuple[int, ...]]):
+        norm = _normalized(assignment, decision, tileable, inputs, perms)
         seen.setdefault(norm.key(), norm)
 
     for shape in factorizations(num_procs, min(max_dims, len(var_names))):
@@ -601,7 +655,13 @@ def enumerate_space(
             )
             if not extent_ok:
                 continue
-            tileable = _tileable_inputs(assignment, dist)
+            perms = _relabellings(shape, dist)
+            if perms[0] != tuple(range(d)):
+                # A relabelling of a (shape, dist) pair enumerated on
+                # its own: every choice below is relabelling-closed, so
+                # both pairs emit the same canonical forms.
+                continue
+            tileable = _tileable_inputs(assignment, dist, inputs)
             undist_red = [r for r in reductions if r not in dist]
             output_styles = (
                 [OUTPUT_FACE]
@@ -632,14 +692,11 @@ def enumerate_space(
                             tiled=tiled,
                             output_style=out_style,
                             leaf=leaf,
-                        ))
+                        ), tileable, perms)
                         if not tiled:
                             continue
                         for seq in undist_red:
-                            steppable = [
-                                t for t in tiled
-                                if _indexed_by(assignment, t, seq)
-                            ]
+                            steppable = [t for t in tiled if seq in inputs[t]]
                             if not steppable:
                                 continue
                             step_subsets = [
@@ -666,15 +723,12 @@ def enumerate_space(
                                             step_comm=step_comm,
                                             output_style=out_style,
                                             leaf=leaf,
-                                        ))
+                                        ), tileable, perms)
     return [seen[k] for k in sorted(seen)]
 
 
 def _indexed_by(assignment: Assignment, tensor: str, var: str) -> bool:
-    for access in _input_accesses(assignment):
-        if access.tensor.name == tensor:
-            return var in {v.name for v in access.indices}
-    return False
+    return var in _input_indices(assignment).get(tensor, ())
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro import (
     index_vars,
 )
 from repro.algorithms.higher_order import innerprod, mttkrp
-from repro.algorithms.matmul import cannon, cosma, solomonik, summa
+from repro.algorithms.matmul import cannon, cosma, johnson, solomonik, summa
 from repro.bench.weak_scaling import square_grid, weak_matrix_size
 from repro.core.transfer import transfer_kernel
 from repro.faults.events import FaultPlan, KillNode
@@ -498,6 +498,50 @@ class TestConjugateReplay:
         # n=257 gives ragged tiles whose leaf work differs between
         # iterations; reusing a previous iteration's would break parity.
         assert_parity(cannon(m84, 257))
+
+
+class _LeafKeyCounter(OrbitExecutor):
+    """Counts leaf calls and the leaf keys they compute."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.leaf_calls = 0
+        self.keys = 0
+
+    def _orbit_leaf(self, *args, **kwargs):
+        self.leaf_calls += 1
+        return super()._orbit_leaf(*args, **kwargs)
+
+    def _leaf_key(self, node, block):
+        self.keys += 1
+        return super()._leaf_key(node, block)
+
+
+class TestLeafMemoScope:
+    """Only leaves a sequential loop repeats within a region compute a
+    leaf key; the reports stay equal to the scalar interpreter's."""
+
+    def _run(self, kernel):
+        executor = _LeafKeyCounter(kernel.plan)
+        result = executor.run()
+        orbit = CostModel(kernel.machine.cluster, LASSEN).time_trace(
+            result.trace
+        )
+        assert orbit == kernel.simulate(LASSEN, mode="scalar")
+        return executor
+
+    def test_one_shot_leaf_computes_no_key(self):
+        machine = Machine(Cluster.cpu_cluster(4), Grid(2, 2, 2))
+        executor = self._run(johnson(machine, 512))
+        assert executor.leaf_calls > 0
+        assert executor.keys == 0
+        assert executor.leaf_reused == 0
+
+    def test_sequenced_leaf_keys_every_call(self):
+        machine = Machine(Cluster.cpu_cluster(8), Grid(4, 4))
+        executor = self._run(cannon(machine, 512))
+        assert executor.keys == executor.leaf_calls > 1
+        assert executor.leaf_reused > 0
 
 
 class _CarryOff(OrbitExecutor):

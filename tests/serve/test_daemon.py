@@ -170,6 +170,77 @@ class TestDedupAndWarm:
         assert _counter("serve.warm_started") == warm0
 
 
+class TestCountedFailures:
+    """Failures the daemon survives are counted, never swallowed."""
+
+    def test_unparseable_request_record_is_indexed_for_hits_only(
+        self, tmp_path
+    ):
+        server = ScheduleServer(
+            tmp_path / "ledger", socket_path=str(tmp_path / "serve.sock")
+        )
+        good = _request().to_record()
+        bad_seed = dict(good, seed="not-a-number")
+        bad_machine = dict(good, machine=["not", "a", "dict"])
+        records = {
+            "missing": {"einsum": good["einsum"]},  # KeyError
+            "null": None,  # TypeError
+            "seed": bad_seed,  # ValueError
+            "machine": bad_machine,  # TypeError
+        }
+        skips0 = _counter("serve.index_skips")
+        for fingerprint, request in records.items():
+            server._index_answer(
+                fingerprint, {"request": request, "answer": {}}
+            )
+        server._index_answer("good", {"request": good, "answer": {}})
+        assert _counter("serve.index_skips") == skips0 + len(records)
+        assert set(records) | {"good"} <= set(server.index)
+        indexed = [fp for bucket in server.neighborhoods.values()
+                   for fp in bucket]
+        assert indexed == ["good"]
+        server._executor.shutdown()
+
+    @pytest.mark.parametrize("failure", ["returns-false", "raises"])
+    def test_unsaved_quarantine_counts_a_persist_failure(
+        self, tmp_path, monkeypatch, failure
+    ):
+        server = ScheduleServer(
+            tmp_path / "ledger", socket_path=str(tmp_path / "serve.sock")
+        )
+
+        def save(*args, **kwargs):
+            if failure == "raises":
+                raise OSError("disk full")
+            return False
+
+        request = _request()
+        fingerprint = request.fingerprint()
+        failures0 = _counter("serve.persist_failures")
+        monkeypatch.setattr(server.ledger, "save", save)
+        response = server._quarantine(
+            fingerprint, request.to_record(), "worker died"
+        )
+        assert response["provenance"] == "quarantined"
+        assert fingerprint in server.index
+        assert _counter("serve.persist_failures") == failures0 + 1
+        server._executor.shutdown()
+
+    def test_saved_quarantine_counts_nothing(self, tmp_path):
+        server = ScheduleServer(
+            tmp_path / "ledger", socket_path=str(tmp_path / "serve.sock")
+        )
+        request = _request()
+        failures0 = _counter("serve.persist_failures")
+        server._quarantine(
+            request.fingerprint(), request.to_record(), "worker died"
+        )
+        assert _counter("serve.persist_failures") == failures0
+        reopened = TuningLedger(tmp_path / "ledger")
+        assert reopened.get_answer(request.fingerprint()) is not None
+        server._executor.shutdown()
+
+
 class TestHealthyTrace:
     def test_mixed_trace_leaves_failure_counters_at_zero(self, tmp_path):
         """A healthy hit/miss/dedup/warm trace on a two-slot daemon
@@ -182,6 +253,8 @@ class TestHealthyTrace:
             "serve.shed",
             "serve.drained",
             "serve.warm_lookup_failures",
+            "serve.index_skips",
+            "serve.persist_failures",
         )
         floors = {
             "serve.hits": 20,

@@ -150,6 +150,45 @@ class TestLedger:
         merged = TuningLedger(path)
         assert len(merged) == 2
 
+    def test_save_parses_only_bytes_it_did_not_write(
+        self, tmp_path, monkeypatch
+    ):
+        """A save that finds the bytes this ledger last wrote has
+        nothing to merge and does not parse them; another writer's
+        bytes are parsed and merged."""
+        path = tmp_path / "ledger.json"
+        parsed = []
+        parse = TuningLedger._parse
+
+        def counting(self, index, text):
+            parsed.append(text)
+            return parse(self, index, text)
+
+        first = TuningLedger(path)
+        monkeypatch.setattr(TuningLedger, "_parse", counting)
+
+        def outcome(n):
+            return EvalOutcome(
+                decision=Decision(grid=(n,), dist=("i",)), cost=float(n),
+            )
+
+        first.put("w", outcome(2))
+        assert first.save()
+        first.put("w", outcome(3))
+        assert first.save()
+        assert parsed == []
+        second = TuningLedger(path)
+        second.put("w", outcome(4))
+        assert second.save()
+        first.put("w", outcome(5))
+        assert first.save()
+        assert len(parsed) == 2  # second's load, then first's merge
+        assert len(TuningLedger(path)) == 4
+        assert path.read_text() == json.dumps(
+            {"version": 1, "entries": first.entries},
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+
     def test_corrupt_ledger_starts_fresh(self, tmp_path):
         path = tmp_path / "ledger.json"
         path.write_text("{ not json")
