@@ -22,24 +22,15 @@ beam search prunes every candidate before rung 0 and the oracle checks
 the final beam again, and candidates that differ only in ``leaf`` or
 ``rotate`` share one memory bound. A :class:`PruneMemo`, owned by the
 tune's oracle, computes each bound once per
-:func:`~repro.analysis.membound.bound_key` and each dominance verdict
-once per exact decision and efficiency pair. It also knows the tune's
-enumerated space: a decision of that space is already canonical, so its
-twin is the decision itself with the ``gemm`` leaf, and the verdict
-needs no :func:`~repro.tuner.space.normalize`.
+:func:`~repro.analysis.membound.bound_key`. The dominance verdict reads
+only the assignment's precomputed variable sets and needs no memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.analysis.membound import (
-    MemoryBound,
-    assignment_key,
-    bound_key,
-    memory_bounds,
-)
+from repro.analysis.membound import MemoryBound, bound_key, memory_bounds
 from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.machine import Machine
@@ -69,10 +60,9 @@ def prune_reason(
     has one.
     """
     bounds = memo.memory_bounds if memo is not None else memory_bounds
-    dominated = memo.dominated if memo is not None else _dominated_loops
     if bounds(assignment, decision, cluster, memory, machine).infeasible:
         return STATIC_OOM
-    if params is not None and dominated(assignment, decision, params):
+    if params is not None and _dominated_loops(assignment, decision, params):
         return STATIC_DOMINATED
     return None
 
@@ -87,17 +77,6 @@ class PruneMemo:
 
     def __init__(self):
         self._bounds: Dict[Tuple, MemoryBound] = {}
-        self._dominated: Dict[Tuple, bool] = {}
-        #: Canonical decisions per :func:`assignment_key`.
-        self._canonical: Dict[Tuple, Set] = {}
-
-    def canonical_space(self, assignment: Assignment, space: Iterable):
-        """Record that every decision of ``space`` is a canonical form
-        (a fixed point of :func:`~repro.tuner.space.normalize`) for
-        ``assignment``: the tune's enumerated space."""
-        self._canonical.setdefault(
-            assignment_key(assignment), set()
-        ).update(space)
 
     def memory_bounds(
         self, assignment: Assignment, decision, cluster: Cluster,
@@ -115,44 +94,19 @@ class PruneMemo:
             METRICS.inc("analysis.bound_memo_hits")
         return bound
 
-    def dominated(
-        self, assignment: Assignment, decision, params: MachineParams
-    ) -> bool:
-        akey = assignment_key(assignment)
-        key = (
-            akey,
-            decision,
-            params.naive_leaf_efficiency,
-            params.gemm_efficiency,
-        )
-        verdict = self._dominated.get(key)
-        if verdict is None:
-            verdict = _dominated_loops(
-                assignment, decision, params,
-                canonical=decision in self._canonical.get(akey, ()),
-            )
-            self._dominated[key] = verdict
-        return verdict
-
 
 def _dominated_loops(
-    assignment: Assignment, decision, params: MachineParams,
-    canonical: bool = False,
+    assignment: Assignment, decision, params: MachineParams
 ) -> bool:
-    """``canonical``: ``decision`` is known to be a canonical form."""
-    from repro.tuner.space import LEAF_GEMM, LEAF_LOOPS, normalize
+    from repro.tuner.space import LEAF_LOOPS
 
     if decision.leaf != LEAF_LOOPS:
         return False
     if params.naive_leaf_efficiency > params.gemm_efficiency:
         return False
-    if canonical:
-        # Normalizing a canonical decision with the other leaf changes
-        # only the leaf, and keeps ``gemm`` exactly for contractions.
-        return bool(assignment.reduction_vars) \
-            and len(assignment.all_vars) >= 2
-    twin = normalize(assignment, replace(decision, leaf=LEAF_GEMM))
-    # The twin must be a real, distinct candidate of the canonical
-    # space: normalize folds non-contractions back to the loops leaf,
-    # in which case there is nothing dominating this decision.
-    return twin.leaf == LEAF_GEMM and twin != decision
+    # The twin is ``normalize`` of the decision with the ``gemm`` leaf.
+    # It differs from this ``loops`` decision exactly when normalize
+    # keeps the gemm leaf, i.e. for a contraction with at least two
+    # local loops; otherwise it folds back to this very decision and
+    # nothing dominates it.
+    return bool(assignment.reduction_vars) and len(assignment.all_vars) >= 2

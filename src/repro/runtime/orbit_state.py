@@ -256,10 +256,6 @@ class _MachineTables:
         self.proc_gpu = self.mem_gpu[self.procmem_of_proc]
         self._tensor_mem: Dict[Tuple[str, str], np.ndarray] = {}
         self._residency: Dict[Optional[Tuple[str, str]], Tuple] = {}
-        #: Per-memory home-charge totals per plan layout (see
-        #: :meth:`OrbitState._account_home`): plans on this machine
-        #: with equal layouts charge equal home instances.
-        self.home_charges: Dict[Tuple, np.ndarray] = {}
 
     def residency(self, tensor=None) -> Tuple[np.ndarray, Optional[bool]]:
         """Framebuffer residency per processor of its own memory
@@ -577,15 +573,10 @@ class OrbitState:
         """
         if mem_ids.size == 0:
             return
-        self.charge(
-            self._sums(mem_ids, amounts), lambda: (mem_ids, amounts, order)
-        )
-
-    def _sums(self, mem_ids, amounts) -> np.ndarray:
-        """Per-memory totals of a charge column."""
-        return np.bincount(
+        adds = np.bincount(
             mem_ids, weights=amounts.astype(np.float64), minlength=self.n_mem
         ).astype(np.int64)
+        self.charge(adds, lambda: (mem_ids, amounts, order))
 
     def charge(self, adds, events):
         """:meth:`bulk_add` from the per-memory sums ``adds``;
@@ -680,29 +671,7 @@ class OrbitState:
         charges commit through :meth:`bulk_add` in the scalar event
         order (tensor-major, machine-point-minor), so OOM outcomes are
         byte-identical to the reference interpreter.
-
-        The charges are a function of the machine and of each tensor's
-        layout in plan order — format notation, memory kind, shape and
-        itemsize — so their per-memory totals are memoized on the
-        machine tables under that key. The capacity check still runs on
-        every charge; an overflow rebuilds the columns to replay them.
         """
-        key = tuple(
-            (t.format.notation(), t.format.memory.value, t.shape,
-             t.itemsize)
-            for t in self.plan.tensors.values()
-        )
-        memo = self._mt.home_charges
-        events = self._home_columns
-        if key not in memo:
-            columns = self._home_columns()
-            memo[key] = self._sums(*columns[:2])
-            events = lambda: columns  # noqa: E731
-        self.charge(memo[key], events)
-
-    def _home_columns(self):
-        """``(mem_ids, amounts, order)`` of every distinct home
-        instance, in the scalar event order."""
         mt = self._mt
         coords = mt.point_coords
         size = coords.shape[0]
@@ -745,14 +714,12 @@ class OrbitState:
             mem_chunks.append(mem_ids[first])
             amount_chunks.append(vol[take] * tensor.itemsize)
             order_chunks.append(t_pos * size + take)
-        if not mem_chunks:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
-        return (
-            np.concatenate(mem_chunks),
-            np.concatenate(amount_chunks),
-            np.concatenate(order_chunks),
-        )
+        if mem_chunks:
+            self.bulk_add(
+                np.concatenate(mem_chunks),
+                np.concatenate(amount_chunks),
+                np.concatenate(order_chunks),
+            )
 
     # -- pending output partials (columnar) -----------------------------
 

@@ -579,8 +579,7 @@ def grid_machine(
     (a tune's per-grid table), built on first use.
 
     Candidates on one grid share it, and with it the orbit executor's
-    machine tables and their home-charge memo
-    (:func:`~repro.runtime.orbit_state.machine_tables`).
+    machine tables (:func:`~repro.runtime.orbit_state.machine_tables`).
     """
     machine = machines.get(grid)
     if machine is None:
@@ -594,15 +593,15 @@ def evaluate_one(
     decision: Decision,
     params: MachineParams,
     memory: MemoryKind,
+    machine: Machine,
     timeout_s: Optional[float] = None,
-    machine: Optional[Machine] = None,
 ) -> EvalOutcome:
     """Realize, compile, and simulate one candidate (mutates the
     assignment's tensor formats; pass a private copy). Static pruning
     is the caller's: see :meth:`Oracle.prune_reason`.
 
-    ``machine`` is the decision's grid on ``cluster`` (a fresh one when
-    ``None``). ``timeout_s`` bounds the candidate's wall-clock
+    ``machine`` is the decision's grid on ``cluster``
+    (:func:`grid_machine`). ``timeout_s`` bounds the candidate's wall-clock
     evaluation: a stuck realize/compile/simulate returns an infeasible
     outcome whose ``error`` names the timeout (counted in
     :attr:`Oracle.errors`) instead of hanging the whole tune.
@@ -610,8 +609,6 @@ def evaluate_one(
     try:
         with _deadline(timeout_s):
             with span("oracle.realize"):
-                if machine is None:
-                    machine = Machine(cluster, Grid(*decision.grid))
                 schedule, _formats = realize(
                     assignment, machine, decision, memory=memory
                 )
@@ -669,8 +666,9 @@ def tuner_eval_batch(
     work = copy.deepcopy(assignment)
     return [
         evaluate_one(
-            work, cluster, decision, params, memory, timeout_s=timeout_s,
-            machine=grid_machine(machines, cluster, decision.grid),
+            work, cluster, decision, params, memory,
+            grid_machine(machines, cluster, decision.grid),
+            timeout_s=timeout_s,
         )
         for decision in decisions
     ]

@@ -450,7 +450,6 @@ def tune(
         static_prune=static_prune,
         timeout_s=timeout_s,
     )
-    oracle.prune_memo.canonical_space(assignment, space)
     if strategy == "auto":
         strategy = (
             "exhaustive"

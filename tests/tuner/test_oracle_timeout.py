@@ -12,6 +12,7 @@ from repro.tuner.oracle import (
     _CandidateTimeout,
     _deadline,
     evaluate_one,
+    grid_machine,
 )
 from repro.machine.cluster import MemoryKind
 from repro.tuner.search import tune
@@ -71,8 +72,8 @@ class TestEvaluateTimeout:
 
         monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
         outcome = evaluate_one(
-            assignment, cluster, decision, LASSEN,
-            MemoryKind.SYSTEM_MEM, timeout_s=0.1,
+            assignment, cluster, decision, LASSEN, MemoryKind.SYSTEM_MEM,
+            grid_machine({}, cluster, decision.grid), timeout_s=0.1,
         )
         assert not outcome.feasible
         assert "Timeout" in outcome.error
@@ -84,13 +85,16 @@ class TestEvaluateTimeout:
         assignment, cluster, decision = problem
         import copy
 
+        machines = {}
         timed = evaluate_one(
             copy.deepcopy(assignment), cluster, decision, LASSEN,
-            MemoryKind.SYSTEM_MEM, timeout_s=60.0,
+            MemoryKind.SYSTEM_MEM,
+            grid_machine(machines, cluster, decision.grid), timeout_s=60.0,
         )
         plain = evaluate_one(
             copy.deepcopy(assignment), cluster, decision, LASSEN,
             MemoryKind.SYSTEM_MEM,
+            grid_machine(machines, cluster, decision.grid),
         )
         assert timed.cost == plain.cost
         assert timed.error == plain.error == ""

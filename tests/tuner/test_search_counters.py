@@ -2,8 +2,8 @@
 
 ``python -m repro.tune --nodes 512 --strategy beam --jobs 1`` tunes the
 weak-scaled square matmul on 512 CPU nodes; the values below were
-recorded before the tune shared machines, home charges and canonical
-forms across its candidates, none of which may change a count or the
+recorded before the tune shared machines and canonical forms across
+its candidates, none of which may change a count or the
 winner. ``trace_executions`` counts simulation-cache misses, so the
 tune runs against an empty cache, and the process's cache is restored
 afterwards.

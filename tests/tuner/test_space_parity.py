@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from repro.analysis.prune import PruneMemo, _dominated_loops
+from repro.analysis.prune import _dominated_loops
 from repro.ir.expr import IndexVar
 from repro.sim.params import LASSEN
 from repro.tuner.space import (
@@ -290,18 +290,35 @@ def test_canonicalize_equals_reference_off_the_space():
         assert canonicalize(raw) == _ref_canonicalize(raw), raw
 
 
+def _ref_dominated(assignment, decision, params):
+    """The earlier leaf-dominance rule: normalize the decision's ``gemm``
+    twin and check that it is a distinct ``gemm`` candidate."""
+    if decision.leaf != LEAF_LOOPS:
+        return False
+    if params.naive_leaf_efficiency > params.gemm_efficiency:
+        return False
+    twin = normalize(assignment, replace(decision, leaf=LEAF_GEMM))
+    return twin.leaf == LEAF_GEMM and twin != decision
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_dominance_reuses_canonical_forms(workload):
-    """A tune's prune memo knows its space is canonical; its dominance
-    verdicts equal the ones ``normalize`` derives afresh."""
+def test_dominance_matches_normalized_twin(workload):
+    """The leaf-dominance predicate equals the verdict read off the
+    normalized ``gemm`` twin, for canonical decisions and for the same
+    decisions with their leaf flipped and their sets unnormalized."""
     assignment = sized(workload, 64)
-    space = enumerate_space(assignment, 16)
-    memo = PruneMemo()
-    memo.canonical_space(assignment, space)
-    for decision in space:
-        assert normalize(assignment, decision) == decision
-        assert memo.dominated(assignment, decision, LASSEN) == \
-            _dominated_loops(assignment, decision, LASSEN), decision
+    decisions = enumerate_space(assignment, 16)
+    for params in (LASSEN, replace(LASSEN, naive_leaf_efficiency=2.0)):
+        for decision in decisions:
+            raws = (
+                decision,
+                replace(decision, leaf=LEAF_LOOPS),
+                replace(decision, leaf=LEAF_LOOPS, tiled=("A", "B", "C"),
+                        step_comm=("A", "B", "C")),
+            )
+            for raw in raws:
+                assert _dominated_loops(assignment, raw, params) == \
+                    _ref_dominated(assignment, raw, params), raw
 
 
 if __name__ == "__main__":
