@@ -12,6 +12,8 @@ fails the run when over budget if ``REPRO_ENFORCE_BUDGET=1``. Numbers
 that a change claims or is gated on come from ``perfbench/run.py``.
 """
 
+import hashlib
+import json
 import os
 import time
 
@@ -36,6 +38,17 @@ def node_counts(extra=()):
         if n not in base:
             base.append(n)
     return sorted(base)
+
+
+def assert_pinned(table, digest):
+    """Pin a default-axis table: the SHA-256 of its JSON rows (or
+    ratios), recorded before the figures moved onto one sweep driver.
+    A figure's numbers come from the cost model, so cost-model drift
+    fails the named figure. ``REPRO_FULL_SWEEP`` axes are not pinned."""
+    if os.environ.get("REPRO_FULL_SWEEP"):
+        return
+    text = json.dumps(table, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def pytest_sessionstart(session):

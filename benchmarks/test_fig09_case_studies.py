@@ -8,7 +8,7 @@ broadcast), machine organization, and relative communication volume.
 
 import pytest
 
-from conftest import node_counts
+from conftest import assert_pinned
 
 from repro import Cluster, Grid, Machine
 from repro.algorithms import cannon, cosma, johnson, pumma, solomonik, summa
@@ -63,6 +63,10 @@ def test_fig09_case_studies(run_once, cluster):
         return rows
 
     rows = run_once(build_all)
+    assert_pinned(
+        rows,
+        "9e4886de0ef6ad5c27d9d8947d45149c7517cd4fc0029ee84f6646d845063856",
+    )
     print()
     print("== Figure 9 case studies (n=32768, 64 processors) ==")
     print(f"{'algorithm':<12s}{'inter-node GB':>15s}{'max shift':>11s}"

@@ -9,16 +9,20 @@ the node axis — and asserts its qualitative conclusions:
 * CTF and ScaLAPACK trail at roughly 80% of the leaders.
 """
 
-from conftest import node_counts
+from conftest import assert_pinned, node_counts
 
-from repro.bench.figures import fig15a_cpu_matmul, format_table, series
+from repro.bench.figures import format_table, series, sweep
 
 
 def test_fig15a(run_once):
     counts = node_counts(extra=[256])
-    rows = run_once(fig15a_cpu_matmul, node_counts=counts)
+    rows = run_once(sweep, "gemm", counts)
     print()
     print(format_table(rows, "Figure 15a: CPU matmul weak scaling"))
+    assert_pinned(
+        rows,
+        "a1be52cb1e1e32cb4f1e080349785648babf734cc0961fd06f0647627fd54466",
+    )
 
     top = counts[-1]
     cosma = series(rows, "COSMA")[top]

@@ -10,16 +10,20 @@ Asserts the paper's GPU conclusions:
   family stays at the front at scale.
 """
 
-from conftest import node_counts
+from conftest import assert_pinned, node_counts
 
-from repro.bench.figures import fig15b_gpu_matmul, format_table, series
+from repro.bench.figures import format_table, series, sweep
 
 
 def test_fig15b(run_once):
     counts = node_counts(extra=[32, 256])
-    rows = run_once(fig15b_gpu_matmul, node_counts=counts)
+    rows = run_once(sweep, "gemm", counts, gpu=True)
     print()
     print(format_table(rows, "Figure 15b: GPU matmul weak scaling"))
+    assert_pinned(
+        rows,
+        "4cc197ec95ba051090b87119a9102e9776daa62145e53ee60470641887c37cf4",
+    )
 
     cosma = series(rows, "COSMA")
     cannon = series(rows, "Our Cannon")

@@ -6,18 +6,20 @@ element-wise machinery (paper: "CTF achieves good weak scaling ... but
 is still slower than our implementation").
 """
 
-from conftest import node_counts
+from conftest import assert_pinned, node_counts
 
-from repro.bench.figures import fig16_higher_order, format_table, series
+from repro.bench.figures import format_table, series, sweep
 
 
 def test_fig16b_cpu(run_once):
     counts = node_counts()
-    rows = run_once(
-        fig16_higher_order, "innerprod", gpu=False, node_counts=counts
-    )
+    rows = run_once(sweep, "innerprod", counts, gpu=False)
     print()
     print(format_table(rows, "Figure 16b: Innerprod weak scaling (CPU)"))
+    assert_pinned(
+        rows,
+        "e0fed3084fb8679c68df6cdd7c403f3280e4963053551d36f5921c316039db87",
+    )
 
     ours = series(rows, "Ours")
     ctf = series(rows, "CTF")
@@ -31,10 +33,12 @@ def test_fig16b_cpu(run_once):
 
 def test_fig16b_gpu(run_once):
     counts = node_counts()
-    rows = run_once(
-        fig16_higher_order, "innerprod", gpu=True, node_counts=counts
-    )
+    rows = run_once(sweep, "innerprod", counts, gpu=True)
     print()
     print(format_table(rows, "Figure 16b: Innerprod weak scaling (GPU)"))
+    assert_pinned(
+        rows,
+        "542989c0db59d65d56dc3344ada3ede306714fdcf17a148777faf93554abc660",
+    )
     ours = series(rows, "Ours")
     assert max(ours.values()) / min(ours.values()) < 1.15

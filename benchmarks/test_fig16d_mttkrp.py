@@ -6,18 +6,20 @@ into the output); CTF folds through two matmuls with a large
 intermediate and stays flat but far below.
 """
 
-from conftest import node_counts
+from conftest import assert_pinned, node_counts
 
-from repro.bench.figures import fig16_higher_order, format_table, series
+from repro.bench.figures import format_table, series, sweep
 
 
 def test_fig16d_cpu(run_once):
     counts = node_counts()
-    rows = run_once(
-        fig16_higher_order, "mttkrp", gpu=False, node_counts=counts
-    )
+    rows = run_once(sweep, "mttkrp", counts, gpu=False)
     print()
     print(format_table(rows, "Figure 16d: MTTKRP weak scaling (CPU)"))
+    assert_pinned(
+        rows,
+        "54c0958479379220e0bf66ef46eee52828ca77428d293838648721c65ceba0bc",
+    )
 
     ours = series(rows, "Ours")
     ctf = series(rows, "CTF")
@@ -32,10 +34,12 @@ def test_fig16d_cpu(run_once):
 
 def test_fig16d_gpu(run_once):
     counts = node_counts()
-    rows = run_once(
-        fig16_higher_order, "mttkrp", gpu=True, node_counts=counts
-    )
+    rows = run_once(sweep, "mttkrp", counts, gpu=True)
     print()
     print(format_table(rows, "Figure 16d: MTTKRP weak scaling (GPU)"))
+    assert_pinned(
+        rows,
+        "7a2dd2c8ae8171de69191e30cdf1e99c01a41c96dacca6c5baaa606623ac3107",
+    )
     ours = series(rows, "Ours")
     assert all(v is not None and v > 0 for v in ours.values())

@@ -6,9 +6,9 @@ class, so an 8192-processor sweep is minutes of work. Checks that
 per-node throughput stays flat out to 4096 nodes.
 """
 
-from conftest import node_counts
+from conftest import assert_pinned, node_counts
 
-from repro.bench.weak_scaling import matmul_weak_scaling
+from repro.bench.figures import sweep
 
 
 def series(rows, system):
@@ -21,10 +21,12 @@ def test_weak_scaling_to_4096_nodes(run_once):
     counts = node_counts(extra=(512, 4096))
 
     rows = run_once(
-        matmul_weak_scaling,
-        node_counts=counts,
-        algorithms=("cannon", "summa", "johnson"),
+        sweep, "weak", counts, systems=("cannon", "summa", "johnson"),
         jobs=4,
+    )
+    assert_pinned(
+        rows,
+        "deb2fd524c7d121ee57e2f56a62100baf9454429e7a91fff9874f6404087b0b2",
     )
 
     print()

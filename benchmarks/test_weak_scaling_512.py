@@ -8,9 +8,9 @@ extended scale (weak scaling: the whole point is a flat curve).
 
 import pytest
 
-from conftest import node_counts
+from conftest import assert_pinned, node_counts
 
-from repro.bench.weak_scaling import matmul_weak_scaling
+from repro.bench.figures import sweep
 
 
 def series(rows, system):
@@ -23,9 +23,11 @@ def test_weak_scaling_to_512_nodes(run_once):
     counts = node_counts(extra=(256, 512))
 
     rows = run_once(
-        matmul_weak_scaling,
-        node_counts=counts,
-        algorithms=("cannon", "summa", "johnson"),
+        sweep, "weak", counts, systems=("cannon", "summa", "johnson")
+    )
+    assert_pinned(
+        rows,
+        "0ffbc7f2e7aa361fc7f7fd24dbc4ed804e36cb697e0906f4be7c1a85a84eb777",
     )
 
     print()

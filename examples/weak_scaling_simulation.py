@@ -11,12 +11,7 @@ Run:  python examples/weak_scaling_simulation.py          (CPU, quick)
 
 import sys
 
-from repro.bench.figures import (
-    fig15a_cpu_matmul,
-    fig15b_gpu_matmul,
-    format_table,
-    series,
-)
+from repro.bench.figures import format_table, series, sweep
 
 NODE_COUNTS = [1, 4, 16, 64]
 
@@ -24,10 +19,10 @@ NODE_COUNTS = [1, 4, 16, 64]
 def main():
     gpu = len(sys.argv) > 1 and sys.argv[1] == "gpu"
     if gpu:
-        rows = fig15b_gpu_matmul(node_counts=NODE_COUNTS)
+        rows = sweep("gemm", NODE_COUNTS, gpu=True)
         print(format_table(rows, "Figure 15b: GPU matmul weak scaling"))
     else:
-        rows = fig15a_cpu_matmul(node_counts=NODE_COUNTS)
+        rows = sweep("gemm", NODE_COUNTS)
         print(format_table(rows, "Figure 15a: CPU matmul weak scaling"))
         top = NODE_COUNTS[-1]
         ours = series(rows, "Our Cannon")[top]

@@ -1,4 +1,5 @@
-"""Benchmark harness: weak-scaling drivers and figure generators.
+"""Benchmark harness: the figure tables, their sweep driver and the
+weak-scaling sizing helpers.
 
 Regenerates every table and figure of the paper's evaluation (Section 7)
 as printable rows; the ``benchmarks/`` pytest suite wraps these and
@@ -9,15 +10,14 @@ from repro.util.lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_NODE_COUNTS",
+    "FIGURES",
     "cube_grid",
-    "fig15a_cpu_matmul",
-    "fig15b_gpu_matmul",
-    "fig16_higher_order",
     "format_table",
     "grid_25d",
     "headline_speedups",
     "series",
     "square_grid",
+    "sweep",
     "weak_cube_side",
     "weak_matrix_size",
 ]
@@ -28,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "weak_matrix_size",
     ),
     "repro.bench.figures": (
-        "DEFAULT_NODE_COUNTS", "fig15a_cpu_matmul", "fig15b_gpu_matmul",
-        "fig16_higher_order", "format_table", "headline_speedups", "series",
+        "DEFAULT_NODE_COUNTS", "FIGURES", "format_table",
+        "headline_speedups", "series", "sweep",
     ),
 })

@@ -5,20 +5,22 @@ Usage::
     python -m repro.bench fig15a [--nodes 1,4,16,64,256] [--jobs 8]
     python -m repro.bench fig15b
     python -m repro.bench ttv|innerprod|ttm|mttkrp [--gpu]
-    python -m repro.bench weak512 [--gpu]
-    python -m repro.bench weak4096 [--gpu]
-    python -m repro.bench weak65536 [--gpu]
+    python -m repro.bench weak512|weak4096|weak65536 [--gpu]
     python -m repro.bench headline
     python -m repro.bench all [--profile]
     python -m repro.bench --list
 
-Prints the corresponding paper table. ``--jobs N`` (from the shared
-:mod:`repro.cli` group) distributes sweep points over worker
-processes; ``--json`` emits the tables as one machine-readable object
-instead of formatted text; ``--profile`` prints per-figure wall-clock,
-even when a sweep fails. ``--list`` prints the available sweep names
-one per line (CI workflows iterate it instead of hard-coding names). A
-sweep that raises produces a non-zero exit code.
+Prints the corresponding paper table. Every table runs through one
+driver, :func:`repro.bench.figures.sweep`; the weak sweeps run Cannon,
+SUMMA and Johnson at every node count of their axis, and ``all`` runs
+Figures 15a/b and 16, ``weak512`` and the headline ratios. ``--jobs N``
+(from the shared :mod:`repro.cli` group) runs each table as one worker
+point per (node count, system), largest node counts first; ``--json``
+emits the tables as one machine-readable object instead of formatted
+text; ``--profile`` prints per-figure wall-clock, even when a sweep
+fails. ``--list`` prints the available sweep names one per line (CI
+workflows iterate it instead of hard-coding names). A sweep that
+raises produces a non-zero exit code.
 """
 
 from __future__ import annotations
@@ -30,126 +32,87 @@ import time
 from repro import cli
 from repro.bench.figures import (
     DEFAULT_NODE_COUNTS,
-    fig15a_cpu_matmul,
-    fig15b_gpu_matmul,
-    fig16_higher_order,
+    HIGHER_ORDER,
     format_table,
     headline_speedups,
-)
-from repro.bench.weak_scaling import (
-    EXTENDED_NODE_COUNTS,
-    EXTREME_NODE_COUNTS,
-    matmul_weak_scaling,
+    sweep,
 )
 
-HIGHER_ORDER = ("ttv", "innerprod", "ttm", "mttkrp")
+#: The weak-scaling sweeps' node axes: the paper's 1..256 doubled out
+#: to 512, 4,096 and 65,536 nodes (131,072 processors). Every axis runs
+#: Cannon, SUMMA and Johnson at every count.
+WEAK_AXES = {
+    f"weak{top}": [2 ** k for k in range(top.bit_length())]
+    for top in (512, 4096, 65536)
+}
 
 #: Every invocable sweep, in display order (`--list` prints these).
 SWEEPS = (
-    "fig15a", "fig15b", *HIGHER_ORDER, "weak512", "weak4096",
-    "weak65536", "headline", "all",
+    "fig15a", "fig15b", *HIGHER_ORDER, *WEAK_AXES, "headline", "all",
 )
+
+#: What ``all`` runs: the larger weak axes run only when asked for by
+#: name.
+ALL = {"fig15a", "fig15b", *HIGHER_ORDER, "weak512", "headline"}
 
 
 def parse_nodes(text):
     return [int(x) for x in text.split(",") if x]
 
 
+def _tables(gpu: bool):
+    """Every figure table the CLI prints, in display order:
+    ``(sweep name, figure, gpu, node axis, title)``. A title's
+    ``{top}`` is the largest node count swept."""
+    kind = "GPU" if gpu else "CPU"
+    return [
+        ("fig15a", "gemm", False, DEFAULT_NODE_COUNTS,
+         "Figure 15a: CPU matmul weak scaling"),
+        ("fig15b", "gemm", True, DEFAULT_NODE_COUNTS,
+         "Figure 15b: GPU matmul weak scaling"),
+        *(
+            (kernel, kernel, gpu, DEFAULT_NODE_COUNTS,
+             f"Figure 16: {kernel} weak scaling ({kind})")
+            for kernel in HIGHER_ORDER
+        ),
+        *(
+            (name, "weak", gpu, axis,
+             f"Weak scaling to {{top}} nodes ({kind})")
+            for name, axis in WEAK_AXES.items()
+        ),
+    ]
+
+
 def _sweep(args, profile: list) -> int:
     """Run the sweeps ``args.figure`` names, appending each one's
     ``(label, wall)`` to ``profile`` as it finishes."""
-    nodes = args.nodes or DEFAULT_NODE_COUNTS
+    wanted = ALL if args.figure == "all" else {args.figure}
     tables: list = []
     say = cli.reporter(args)
-
-    def show(label, rows, title):
-        tables.append({"sweep": label, "title": title, "rows": rows})
-        say(format_table(rows, title))
 
     def timed(label, thunk):
         start = time.monotonic()
         result = thunk()
-        wall = time.monotonic() - start
-        profile.append((label, wall))
+        profile.append((label, time.monotonic() - start))
         return result
 
-    if args.figure in ("fig15a", "all"):
-        show(
-            "fig15a",
-            timed("fig15a", lambda: fig15a_cpu_matmul(
-                node_counts=nodes, jobs=args.jobs)),
-            "Figure 15a: CPU matmul weak scaling",
-        )
-    if args.figure in ("fig15b", "all"):
-        show(
-            "fig15b",
-            timed("fig15b", lambda: fig15b_gpu_matmul(
-                node_counts=nodes, jobs=args.jobs)),
-            "Figure 15b: GPU matmul weak scaling",
-        )
-    for kernel in HIGHER_ORDER:
-        if args.figure in (kernel, "all"):
-            rows = timed(kernel, lambda k=kernel: fig16_higher_order(
-                k, gpu=args.gpu, node_counts=nodes, jobs=args.jobs
-            ))
-            label = "GPU" if args.gpu else "CPU"
-            show(
-                kernel, rows,
-                f"Figure 16: {kernel} weak scaling ({label})",
-            )
-    # `all` includes the 512-node sweep; the larger axes run only
-    # when asked for by name.
-    sweep = None
-    if args.figure in ("weak512", "all"):
-        sweep = ("weak512", EXTENDED_NODE_COUNTS)
-    elif args.figure == "weak4096":
-        sweep = (
-            "weak4096",
-            [n for n in EXTREME_NODE_COUNTS if n <= 4096],
-        )
-    elif args.figure == "weak65536":
-        sweep = ("weak65536", EXTREME_NODE_COUNTS)
-    if sweep is not None:
-        name, axis = sweep
+    for label, figure, gpu, axis, title in _tables(args.gpu):
+        if label not in wanted:
+            continue
         counts = args.nodes or axis
-        label = "GPU" if args.gpu else "CPU"
-        trio = [n for n in counts if n <= 4096]
-        top = [n for n in counts if n > 4096]
-
-        def run_sweep(trio=trio, top=top):
-            rows = []
-            if trio:
-                rows += matmul_weak_scaling(
-                    node_counts=trio, gpu=args.gpu, jobs=args.jobs
-                )
-            if top:
-                # Beyond 4096 nodes the axis runs Cannon alone. SUMMA
-                # replays its steady phases wherever the weak-scaled
-                # size divides its grid; only the ragged points (8192
-                # and 32768 nodes) straddle home pieces and take the
-                # multi-piece path, which does not replay. Johnson
-                # takes 0.41 s at 65536 nodes.
-                rows += matmul_weak_scaling(
-                    node_counts=top,
-                    algorithms=("cannon",),
-                    gpu=args.gpu,
-                    jobs=args.jobs,
-                )
-            return rows
-
-        rows = timed(name, run_sweep)
-        suffix = "; cannon-only beyond 4096" if top else ""
-        show(
-            name, rows,
-            f"Weak scaling to {counts[-1]} nodes ({label}{suffix})",
-        )
+        rows = timed(label, lambda: sweep(
+            figure, counts, gpu=gpu, jobs=args.jobs
+        ))
+        title = title.format(top=counts[-1])
+        tables.append({"sweep": label, "title": title, "rows": rows})
+        say(format_table(rows, title))
     ratios = None
-    if args.figure in ("headline", "all"):
+    if "headline" in wanted:
+        top = (args.nodes or DEFAULT_NODE_COUNTS)[-1]
         ratios = timed(
-            "headline",
-            lambda: headline_speedups(node_counts=[nodes[-1]]),
+            "headline", lambda: headline_speedups(node_counts=[top])
         )
-        say(f"== Headline speedups at {nodes[-1]} nodes ==")
+        say(f"== Headline speedups at {top} nodes ==")
         for key, value in ratios.items():
             say(f"  {key:<28s} {value:6.2f}x")
     cli.emit(args, {
@@ -185,7 +148,8 @@ def main(argv=None) -> int:
         help="comma-separated node counts (default: the paper's axis)",
     )
     parser.add_argument(
-        "--gpu", action="store_true", help="GPU variant of Figure 16 kernels"
+        "--gpu", action="store_true",
+        help="GPU variant of the Figure 16 and weak-scaling sweeps",
     )
     cli.add_common_args(parser, ledger=False, seed=False)
     parser.add_argument(

@@ -1,8 +1,16 @@
-"""Per-figure benchmark generators (Section 7's plots, as tables).
+"""The paper's evaluation figures (Section 7's plots) as tables, and the
+one driver that runs them.
 
-Each ``fig*`` function returns rows ``{"system", "nodes", "value",
-"unit", "note"}`` — one per plotted point. ``value`` is ``None`` with
-``note="OOM"`` where the paper's corresponding run exhausted memory.
+A figure is a :class:`Figure`: a unit, a weak-scaling size law and a
+list of :class:`Series`, one per plotted system, each computing its
+report at one node count. :func:`sweep` runs a figure over a node axis
+and returns rows ``{"system", "nodes", "value", "unit", "note"}`` — one
+per plotted point. ``value`` is ``None`` with ``note="OOM"`` where the
+paper's corresponding run exhausted memory.
+
+:data:`FIGURES` holds every table: ``gemm`` (Figure 15a on CPUs, 15b on
+GPUs), one per higher-order kernel (Figure 16a–d) and ``weak`` (the
+Cannon/SUMMA/Johnson GEMM sweeps beyond the paper's axis).
 
 All simulations go through the process-global plan/trace cache
 (:mod:`repro.bench.cache`): identical configurations — the same kernel
@@ -14,7 +22,9 @@ one dictionary lookup.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.higher_order import innerprod, mttkrp, ttm, ttv
 from repro.algorithms.matmul import (
@@ -35,277 +45,245 @@ from repro.baselines.ctf import (
 )
 from repro.baselines.scalapack import scalapack_matmul
 from repro.bench.cache import SIM_CACHE, cached_baseline
+from repro.bench.parallel import register_sweep, run_points
 from repro.bench.weak_scaling import (
-    Row,
     cube_grid,
     factor3,
     grid_25d,
-    run_point as _run,
     square_grid,
     weak_cube_side,
     weak_matrix_size,
 )
-from repro.machine.cluster import Cluster, MemoryKind
+from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.sim.params import LASSEN
+from repro.sim.report import SimReport
 from repro.util.errors import OutOfMemoryError
+
+#: One plotted point of a figure table.
+Row = Dict[str, object]
 
 DEFAULT_NODE_COUNTS = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
+HIGHER_ORDER = ("ttv", "innerprod", "ttm", "mttkrp")
 
-def _solomonik_gflops(
-    cluster: Cluster, n: int, memory: MemoryKind
-) -> float:
+#: The factor-matrix rank of TTM and MTTKRP (Figure 16c/d).
+RANK = 64
+
+GFLOPS = "GFLOP/s/node"
+GBYTES = "GB/s/node"
+
+
+class Point:
+    """One node count's setup, shared by every series of a figure: the
+    cluster, the memory kind schedules pin data in, and the problem
+    size."""
+
+    def __init__(self, nodes: int, gpu: bool, n: int):
+        self.cluster = (
+            Cluster.gpu_cluster(nodes) if gpu else Cluster.cpu_cluster(nodes)
+        )
+        self.p = self.cluster.num_processors
+        self.memory = self.cluster.default_memory
+        self.n = n
+
+    def machine(self, shape: Tuple[int, ...]) -> Machine:
+        return Machine(self.cluster, Grid(*shape))
+
+
+@dataclass(frozen=True)
+class Series:
+    """One plotted system: its name and its report at a :class:`Point`
+    (raising :class:`OutOfMemoryError` where the run does not fit)."""
+
+    system: str
+    report: Callable[[Point], SimReport]
+    #: The paper runs this system on CPUs only.
+    cpu_only: bool = False
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One weak-scaling table: its unit, its size law
+    (``size(base_n, nodes)``), its one-node ``base_n`` on CPUs and on
+    GPUs, and its series in display order."""
+
+    unit: str
+    size: Callable[[int, int], int]
+    base_n: Tuple[int, int]
+    series: Tuple[Series, ...]
+
+    def available(self, gpu: bool) -> Dict[str, Series]:
+        return {
+            s.system: s for s in self.series if not (gpu and s.cpu_only)
+        }
+
+
+def _simulate(build, grid: Callable[[int], Tuple[int, ...]],
+              at: Point) -> SimReport:
+    """A DISTAL schedule ``build(machine, n, memory=...)`` on the grid
+    ``grid(processors)``, simulated."""
+    kern = build(at.machine(grid(at.p)), at.n, memory=at.memory)
+    return SIM_CACHE.simulate(kern, LASSEN)
+
+
+def _ours(system: str, build, grid: Callable[[int], Tuple[int, ...]]):
+    return Series(system, partial(_simulate, build, grid))
+
+
+def _pumma(at: Point) -> SimReport:
+    """PUMMA, simulated after Cannon on the same machine.
+
+    The two schedules differ only in their rotate relations, which the
+    ``SIM_CACHE`` key does not print, so in a sweep PUMMA reads the
+    report Cannon cached (on 16+ GPU nodes a fresh PUMMA simulation
+    differs). Simulating Cannon first gives a forked point that runs
+    PUMMA alone the same report a sequential sweep gives it.
+    """
+    _simulate(cannon, square_grid, at)
+    return _simulate(pumma, square_grid, at)
+
+
+def _baseline(system: str, model, *args, cpu_only: bool = True, **kwargs):
+    """A closed-form baseline ``model(cluster, n, *args, **kwargs)``."""
+    return Series(system, lambda at: cached_baseline(
+        model, at.cluster, at.n, *args, **kwargs
+    ), cpu_only)
+
+
+def _solomonik(at: Point) -> SimReport:
     """Best 2.5-D configuration: use "extra memory when possible".
 
     Solomonik's algorithm interpolates between 3-D (large c) and 2-D
     (c=1): we try replication factors from large to small and keep the
     first that fits memory, exactly the algorithm's stated adaptivity
     (Section 7.1.2). Falls back to a 2-D grid when the processor count
-    admits no efficient q x q x c factorization.
+    admits no efficient q x q x c factorization, or no factorization
+    fits.
     """
-    p = cluster.num_processors
-    last_error: Optional[OutOfMemoryError] = None
     for max_c in (8, 4, 2, 1):
-        q, _q, c = grid_25d(p, max_c=max_c)
-        if q * q * c < 0.75 * p:
+        q, _q, c = grid_25d(at.p, max_c=max_c)
+        if q * q * c < 0.75 * at.p:
             continue
-        machine = Machine(cluster, Grid(q, q, c))
         try:
-            kern = solomonik(machine, n, memory=memory)
-            return SIM_CACHE.simulate(kern, LASSEN).gflops_per_node
-        except OutOfMemoryError as err:
-            last_error = err
+            return _simulate(solomonik, lambda p: (q, q, c), at)
+        except OutOfMemoryError:
             continue
-    gx, gy = square_grid(p)
-    machine = Machine(cluster, Grid(gx, gy))
-    try:
-        return SIM_CACHE.simulate(
-            cannon(machine, n, memory=memory), LASSEN
-        ).gflops_per_node
-    except OutOfMemoryError:
-        raise last_error if last_error is not None else OutOfMemoryError(
-            "gpu_fb", 0, 0
-        )
+    return _simulate(cannon, square_grid, at)
 
 
-# ----------------------------------------------------------------------
-# Figure 15a: CPU matrix-multiplication weak scaling.
-# ----------------------------------------------------------------------
-
-def fig15a_cpu_matmul(
-    node_counts: Optional[List[int]] = None,
-    base_n: int = 8192,
-    jobs: int = 1,
-) -> List[Row]:
-    """GFLOP/s per node for GEMM on CPUs, all systems (Figure 15a)."""
-    node_counts = node_counts or DEFAULT_NODE_COUNTS
-    if jobs > 1 and len(node_counts) > 1:
-        from repro.bench.parallel import run_points
-
-        return run_points(
-            "fig15a_cpu_matmul",
-            [{"node_counts": [n], "base_n": base_n} for n in node_counts],
-            jobs,
-        )
-    unit = "GFLOP/s/node"
-    rows: List[Row] = []
-    for nodes in node_counts:
-        cluster = Cluster.cpu_cluster(nodes)
-        p = cluster.num_processors
-        n = weak_matrix_size(base_n, nodes)
-        gx, gy = square_grid(p)
-        m2 = Machine(cluster, Grid(gx, gy))
-        g3 = cube_grid(p)
-        m3 = Machine(cluster, Grid(*g3))
-
-        def sim(kernel) -> float:
-            return SIM_CACHE.simulate(kernel, LASSEN).gflops_per_node
-
-        rows.append(_run("COSMA", nodes, unit,
-                         lambda: cached_baseline(
-                             cosma_reference_matmul, cluster, n
-                         ).gflops_per_node))
-        rows.append(_run("COSMA (Restricted CPUs)", nodes, unit,
-                         lambda: cached_baseline(
-                             cosma_reference_matmul, cluster, n,
-                             restricted_cpus=True).gflops_per_node))
-        rows.append(_run("CTF", nodes, unit,
-                         lambda: cached_baseline(
-                             ctf_matmul, cluster, n).gflops_per_node))
-        rows.append(_run("ScaLAPACK", nodes, unit,
-                         lambda: cached_baseline(
-                             scalapack_matmul, cluster, n).gflops_per_node))
-        rows.append(_run("Our Cannon", nodes, unit,
-                         lambda: sim(cannon(m2, n))))
-        rows.append(_run("Our SUMMA", nodes, unit,
-                         lambda: sim(summa(m2, n))))
-        rows.append(_run("Our PUMMA", nodes, unit,
-                         lambda: sim(pumma(m2, n))))
-        rows.append(_run("Our Solomonik", nodes, unit,
-                         lambda: _solomonik_gflops(
-                             cluster, n, MemoryKind.SYSTEM_MEM)))
-        rows.append(_run("Our Johnson", nodes, unit,
-                         lambda: sim(johnson(m3, n))))
-        rows.append(_run("Our COSMA", nodes, unit,
-                         lambda: sim(cosma(cluster, n))))
-    return rows
+def _cosma_schedule(at: Point) -> SimReport:
+    kern = cosma(at.cluster, at.n, memory=at.memory)
+    return SIM_CACHE.simulate(kern, LASSEN)
 
 
-# ----------------------------------------------------------------------
-# Figure 15b: GPU matrix-multiplication weak scaling.
-# ----------------------------------------------------------------------
-
-def fig15b_gpu_matmul(
-    node_counts: Optional[List[int]] = None,
-    base_n: int = 20000,
-    jobs: int = 1,
-) -> List[Row]:
-    """GFLOP/s per node for GEMM on GPUs (Figure 15b).
-
-    DISTAL kernels pin data in framebuffer memory (and can OOM, like
-    Johnson's and the COSMA schedule at 32+ nodes); the reference COSMA
-    keeps data host-resident and out-of-core.
-    """
-    node_counts = node_counts or DEFAULT_NODE_COUNTS
-    if jobs > 1 and len(node_counts) > 1:
-        from repro.bench.parallel import run_points
-
-        return run_points(
-            "fig15b_gpu_matmul",
-            [{"node_counts": [n], "base_n": base_n} for n in node_counts],
-            jobs,
-        )
-    unit = "GFLOP/s/node"
-    fb = MemoryKind.GPU_FB
-    rows: List[Row] = []
-    for nodes in node_counts:
-        cluster = Cluster.gpu_cluster(nodes)
-        p = cluster.num_processors
-        n = weak_matrix_size(base_n, nodes)
-        gx, gy = square_grid(p)
-        m2 = Machine(cluster, Grid(gx, gy))
-        g3 = cube_grid(p)
-        m3 = Machine(cluster, Grid(*g3))
-
-        def sim(kernel) -> float:
-            return SIM_CACHE.simulate(kernel, LASSEN).gflops_per_node
-
-        rows.append(_run("COSMA", nodes, unit,
-                         lambda: cached_baseline(
-                             cosma_reference_matmul, cluster, n
-                         ).gflops_per_node))
-        rows.append(_run("Our Cannon", nodes, unit,
-                         lambda: sim(cannon(m2, n, memory=fb))))
-        rows.append(_run("Our SUMMA", nodes, unit,
-                         lambda: sim(summa(m2, n, memory=fb))))
-        rows.append(_run("Our PUMMA", nodes, unit,
-                         lambda: sim(pumma(m2, n, memory=fb))))
-        rows.append(_run("Our Solomonik", nodes, unit,
-                         lambda: _solomonik_gflops(cluster, n, fb)))
-        rows.append(_run("Our Johnson", nodes, unit,
-                         lambda: sim(johnson(m3, n, memory=fb))))
-        rows.append(_run("Our COSMA", nodes, unit,
-                         lambda: sim(cosma(cluster, n, memory=fb))))
-    return rows
+def _higher_order(unit: str, ours: Series, ctf: Series) -> Figure:
+    return Figure(unit, weak_cube_side, (700, 900), (ours, ctf))
 
 
-# ----------------------------------------------------------------------
-# Figure 16: higher-order tensor kernels.
-# ----------------------------------------------------------------------
+FIGURES: Dict[str, Figure] = {
+    # Figure 15a/b. DISTAL kernels pin data in framebuffer memory on
+    # GPUs (and can OOM, like Johnson's and the COSMA schedule at 32+
+    # nodes); the reference COSMA keeps data host-resident and
+    # out-of-core.
+    "gemm": Figure(GFLOPS, weak_matrix_size, (8192, 20000), (
+        _baseline("COSMA", cosma_reference_matmul, cpu_only=False),
+        _baseline("COSMA (Restricted CPUs)", cosma_reference_matmul,
+                  restricted_cpus=True),
+        _baseline("CTF", ctf_matmul),
+        _baseline("ScaLAPACK", scalapack_matmul),
+        _ours("Our Cannon", cannon, square_grid),
+        _ours("Our SUMMA", summa, square_grid),
+        Series("Our PUMMA", _pumma),
+        Series("Our Solomonik", _solomonik),
+        _ours("Our Johnson", johnson, cube_grid),
+        Series("Our COSMA", _cosma_schedule),
+    )),
+    # Figure 16a-d: Ours vs CTF. Bandwidth-bound kernels report GB/s
+    # per node, the rest GFLOP/s per node. The paper reports CTF on
+    # CPUs only (its GPU backend does not build); we do the same.
+    "ttv": _higher_order(
+        GBYTES, _ours("Ours", ttv, square_grid), _baseline("CTF", ctf_ttv)
+    ),
+    "innerprod": _higher_order(
+        GBYTES, _ours("Ours", innerprod, square_grid),
+        _baseline("CTF", ctf_innerprod),
+    ),
+    "ttm": _higher_order(
+        GFLOPS, _ours("Ours", partial(ttm, r=RANK), lambda p: (p,)),
+        _baseline("CTF", ctf_ttm, RANK),
+    ),
+    # Ballard's MTTKRP accepts any 3-D grid; use the most balanced full
+    # factorization instead of Johnson's strict cube.
+    "mttkrp": _higher_order(
+        GFLOPS, _ours("Ours", partial(mttkrp, r=RANK), factor3),
+        _baseline("CTF", ctf_mttkrp, RANK),
+    ),
+    # Figure 15's three scaling schedules on the extended axes.
+    "weak": Figure(GFLOPS, weak_matrix_size, (8192, 8192), (
+        _ours("cannon", cannon, square_grid),
+        _ours("summa", summa, square_grid),
+        _ours("johnson", johnson, cube_grid),
+    )),
+}
 
-def fig16_higher_order(
-    kernel: str,
+
+def sweep(
+    figure: str,
+    node_counts: Sequence[int],
     gpu: bool = False,
-    node_counts: Optional[List[int]] = None,
-    base_n: Optional[int] = None,
-    rank: int = 64,
+    systems: Optional[Sequence[str]] = None,
     jobs: int = 1,
 ) -> List[Row]:
-    """Weak scaling of TTV / Innerprod / TTM / MTTKRP, Ours vs CTF.
+    """Run one :data:`FIGURES` table over ``node_counts``.
 
-    ``kernel`` is one of ``"ttv"``, ``"innerprod"``, ``"ttm"``,
-    ``"mttkrp"``. Bandwidth-bound kernels report GB/s per node, the
-    rest GFLOP/s per node (Figure 16). The paper reports CTF on CPUs
-    only (its GPU backend does not build); we do the same.
+    ``systems`` picks series by name (default: every series the figure
+    plots on this processor kind). Rows come in node-count order, then in
+    ``systems`` order. ``jobs > 1`` runs one point per (node count,
+    series) on forked workers (:mod:`repro.bench.parallel`), largest
+    node counts first, so the most expensive points never serialize
+    behind each other in one worker; their cache deltas merge back into
+    this process, and the rows equal a sequential run's.
     """
-    node_counts = node_counts or DEFAULT_NODE_COUNTS
-    if jobs > 1 and len(node_counts) > 1:
-        from repro.bench.parallel import run_points
-
+    table = FIGURES[figure]
+    available = table.available(gpu)
+    systems = list(systems or available)
+    unknown = set(systems) - set(available)
+    if unknown:
+        raise ValueError(f"unknown {figure} systems {sorted(unknown)}")
+    if jobs > 1 and len(node_counts) * len(systems) > 1:
+        points = [(n, s) for n in node_counts for s in systems]
         return run_points(
-            "fig16_higher_order",
+            "sweep",
             [
-                {
-                    "kernel": kernel,
-                    "gpu": gpu,
-                    "node_counts": [n],
-                    "base_n": base_n,
-                    "rank": rank,
-                }
-                for n in node_counts
+                {"figure": figure, "node_counts": [n], "gpu": gpu,
+                 "systems": [s]}
+                for n, s in points
             ],
             jobs,
+            costs=[n for n, _ in points],
         )
-    if base_n is None:
-        base_n = 900 if gpu else 700
-    bandwidth_bound = kernel in ("ttv", "innerprod")
-    unit = "GB/s/node" if bandwidth_bound else "GFLOP/s/node"
-    fb = MemoryKind.GPU_FB if gpu else MemoryKind.SYSTEM_MEM
     rows: List[Row] = []
     for nodes in node_counts:
-        if gpu:
-            cluster = Cluster.gpu_cluster(nodes)
-        else:
-            cluster = Cluster.cpu_cluster(nodes)
-        p = cluster.num_processors
-        n = weak_cube_side(base_n, nodes)
-        gx, gy = square_grid(p)
-        m2 = Machine(cluster, Grid(gx, gy))
-        m1 = Machine(cluster, Grid(p))
-        # Ballard's MTTKRP accepts any 3-D grid; use the most balanced
-        # full factorization instead of Johnson's strict cube.
-        m3 = Machine(cluster, Grid(*factor3(p)))
-
-        def metric(kern) -> float:
-            rep = SIM_CACHE.simulate(kern, LASSEN)
-            return rep.gbytes_per_node if bandwidth_bound else rep.gflops_per_node
-
-        if kernel == "ttv":
-            rows.append(_run("Ours", nodes, unit,
-                             lambda: metric(ttv(m2, n, memory=fb))))
-            if not gpu:
-                rows.append(_run("CTF", nodes, unit,
-                                 lambda: cached_baseline(
-                                     ctf_ttv, cluster, n).gbytes_per_node))
-        elif kernel == "innerprod":
-            rows.append(_run("Ours", nodes, unit,
-                             lambda: metric(innerprod(m2, n, memory=fb))))
-            if not gpu:
-                rows.append(_run("CTF", nodes, unit,
-                                 lambda: cached_baseline(
-                                     ctf_innerprod, cluster, n
-                                 ).gbytes_per_node))
-        elif kernel == "ttm":
-            rows.append(_run("Ours", nodes, unit,
-                             lambda: metric(ttm(m1, n, r=rank, memory=fb))))
-            if not gpu:
-                rows.append(_run("CTF", nodes, unit,
-                                 lambda: cached_baseline(
-                                     ctf_ttm, cluster, n, rank
-                                 ).gflops_per_node))
-        elif kernel == "mttkrp":
-            rows.append(_run("Ours", nodes, unit,
-                             lambda: metric(mttkrp(m3, n, r=rank, memory=fb))))
-            if not gpu:
-                rows.append(_run("CTF", nodes, unit,
-                                 lambda: cached_baseline(
-                                     ctf_mttkrp, cluster, n, rank
-                                 ).gflops_per_node))
-        else:
-            raise ValueError(f"unknown higher-order kernel {kernel!r}")
+        at = Point(nodes, gpu, table.size(table.base_n[gpu], nodes))
+        for system in systems:
+            try:
+                report = available[system].report(at)
+                value = (
+                    report.gbytes_per_node if table.unit == GBYTES
+                    else report.gflops_per_node
+                )
+            except OutOfMemoryError:
+                value = None
+            rows.append({
+                "system": system, "nodes": nodes, "value": value,
+                "unit": table.unit, "note": "OOM" if value is None else "",
+            })
     return rows
+
+
+register_sweep("sweep", sweep)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +334,7 @@ def headline_speedups(
     """
     node_counts = node_counts or [64]
     top = node_counts[-1]
-    cpu = fig15a_cpu_matmul(node_counts=[top])
+    cpu = sweep("gemm", [top])
     best_ours = max(
         v
         for name in ("Our Cannon", "Our SUMMA", "Our Solomonik")
@@ -368,8 +346,8 @@ def headline_speedups(
         "vs_ctf_gemm": best_ours / series(cpu, "CTF")[top],
         "vs_cosma": best_ours / series(cpu, "COSMA")[top],
     }
-    for kernel in ("ttv", "innerprod", "ttm", "mttkrp"):
-        rows = fig16_higher_order(kernel, gpu=False, node_counts=[top])
+    for kernel in HIGHER_ORDER:
+        rows = sweep(kernel, [top])
         ours = series(rows, "Ours")[top]
         ctf = series(rows, "CTF")[top]
         out[f"higher_order_{kernel}"] = ours / ctf

@@ -1,11 +1,12 @@
 """The one process supervisor: sweeps, the tuning oracle and the daemon.
 
-Weak-scaling sweeps are embarrassingly parallel across node counts —
-each point compiles and simulates its own kernels — but the paper's
-figure tables must come back in axis order, and the keyed plan/trace
-cache (:mod:`repro.bench.cache`) should stay warm across the whole
-benchmark session. Every dispatcher (figure sweeps, ``Oracle(jobs>1)``
-through :func:`run_points`, the serving daemon through
+Figure sweeps are embarrassingly parallel across their (node count,
+series) points — each point compiles and simulates its own kernels —
+but the paper's figure tables must come back in axis order, and the
+keyed plan/trace cache (:mod:`repro.bench.cache`) should stay warm
+across the whole benchmark session. Every dispatcher (figure sweeps
+and ``Oracle(jobs>1)`` through :func:`run_points`, the serving daemon
+through
 :func:`repro.serve.supervise.run_supervised`) runs on one supervised
 primitive, the :class:`WorkerSlot`:
 
@@ -46,7 +47,8 @@ from repro.bench.cache import (
 from repro.obs.metrics import METRICS
 from repro.obs.spans import export_spans, install_spans, span_mark
 
-#: Resolved lazily per worker; maps registered sweep names to callables.
+#: Maps registered sweep names to callables. A module registers its
+#: sweeps when imported, and forked workers inherit the registry.
 _SWEEPS: Dict[str, Callable] = {}
 
 #: Serializes the parent-side cache/metrics merge (and the sequential
@@ -70,20 +72,10 @@ def register_sweep(name: str, fn: Callable):
 
 
 def _resolve(name: str) -> Callable:
-    fn = _SWEEPS.get(name)
-    if fn is not None:
-        return fn
-    # Import lazily so workers resolve the callable after the fork.
-    from repro.bench import figures, weak_scaling
-    from repro.tuner import oracle as tuner_oracle
-
-    from repro.serve import worker as serve_worker
-
-    for module in (figures, weak_scaling, tuner_oracle, serve_worker):
-        fn = getattr(module, name, None)
-        if fn is not None:
-            return fn
-    raise ValueError(f"unknown sweep {name!r}")
+    try:
+        return _SWEEPS[name]
+    except KeyError:
+        raise ValueError(f"unknown sweep {name!r}") from None
 
 
 def _run_point(payload):

@@ -1,46 +1,19 @@
-"""Weak-scaling problem sizing, grid selection, and large-scale sweeps.
+"""Weak-scaling problem sizing and grid selection.
 
 The paper weak-scales: memory per node stays constant, so matrix sides
 grow with ``sqrt(nodes)`` and 3-tensor sides with ``cbrt(nodes)``
 (Section 7.1). Grid helpers pick the processor organizations each
 algorithm family expects; imperfect factorizations (non-square,
 non-cube node counts) are deliberately kept — their imbalance is part
-of the measured behaviour.
-
-:func:`matmul_weak_scaling` extends the paper's 1–256-node axis to 512
-nodes (1024 processors) — a sweep that was impractical on the seed's
-per-context interpreter and is routine on the batched executor.
+of the measured behaviour. The figure tables that sweep these sizes
+live in :mod:`repro.bench.figures`; they simulate through the
+plan/trace cache (``SIM_CACHE``) on the orbit executor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.util.errors import OutOfMemoryError
-
-#: One plotted point of a figure-style table.
-Row = Dict[str, object]
-
-
-def figure_row(system: str, nodes: int, value: Optional[float], unit: str,
-               note: str = "") -> Row:
-    return {
-        "system": system,
-        "nodes": nodes,
-        "value": value,
-        "unit": unit,
-        "note": note,
-    }
-
-
-def run_point(system: str, nodes: int, unit: str,
-              thunk: Callable[[], float]) -> Row:
-    """Evaluate one sweep point; OOM becomes a ``note="OOM"`` row."""
-    try:
-        return figure_row(system, nodes, thunk(), unit)
-    except OutOfMemoryError:
-        return figure_row(system, nodes, None, unit, note="OOM")
+from typing import Tuple
 
 
 def weak_matrix_size(base_n: int, nodes: int, multiple: int = 64) -> int:
@@ -95,92 +68,6 @@ def factor3(p: int) -> Tuple[int, int, int]:
             best_spread = spread
             best = tuple(sorted((gx, gy, gz), reverse=True))
     return best
-
-
-#: The extended weak-scaling axis: the paper's 1..256 plus 512 nodes.
-EXTENDED_NODE_COUNTS = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-
-#: The orbit-compressed executor's axis, out to 65,536 nodes (131,072
-#: processors — ``python -m repro.bench weak65536``); the phase-replay
-#: fast paths make the top counts simulable at all. ``weak4096`` runs
-#: the prefix up to 4096.
-EXTREME_NODE_COUNTS = EXTENDED_NODE_COUNTS + [
-    1024, 2048, 4096, 8192, 16384, 32768, 65536,
-]
-
-
-def matmul_weak_scaling(
-    node_counts: Optional[Sequence[int]] = None,
-    base_n: int = 8192,
-    algorithms: Sequence[str] = ("cannon", "summa", "johnson"),
-    gpu: bool = False,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Weak-scale GEMM out to 512 nodes (Figure 15's axis, extended).
-
-    Returns figure-style rows ``{"system", "nodes", "value", "unit",
-    "note"}`` with GFLOP/s per node; OOM configurations report ``value
-    None`` and ``note "OOM"``. Simulations run through the plan/trace
-    cache, so repeating a sweep (or sharing configurations with the
-    Figure 15 generators) is free. ``jobs > 1`` distributes the node
-    counts over forked worker processes (:mod:`repro.bench.parallel`),
-    merging their cache deltas back into this process.
-    """
-    node_counts = list(node_counts or EXTENDED_NODE_COUNTS)
-    if jobs > 1 and len(node_counts) * len(algorithms) > 1:
-        from repro.bench.parallel import run_points
-
-        # One point per (node count, algorithm): the largest node counts
-        # dominate the sweep, so splitting them by algorithm keeps every
-        # worker busy instead of serializing the whole top count in one.
-        return run_points(
-            "matmul_weak_scaling",
-            [
-                {
-                    "node_counts": [n],
-                    "base_n": base_n,
-                    "algorithms": (algo,),
-                    "gpu": gpu,
-                }
-                for n in node_counts
-                for algo in algorithms
-            ],
-            jobs,
-            costs=[n for n in node_counts for _ in algorithms],
-        )
-    # Imported here: the algorithms pull in the full compilation
-    # pipeline, which this sizing module should not load eagerly.
-    from repro.algorithms.matmul import cannon, johnson, summa
-    from repro.bench.cache import SIM_CACHE
-    from repro.machine.cluster import Cluster, MemoryKind
-    from repro.machine.grid import Grid
-    from repro.machine.machine import Machine
-    from repro.sim.params import LASSEN
-
-    builders = {"cannon": cannon, "summa": summa, "johnson": johnson}
-    unknown = set(algorithms) - set(builders)
-    if unknown:
-        raise ValueError(f"unknown weak-scaling algorithms {sorted(unknown)}")
-    memory = MemoryKind.GPU_FB if gpu else MemoryKind.SYSTEM_MEM
-    rows: List[Row] = []
-    for nodes in node_counts:
-        cluster = (
-            Cluster.gpu_cluster(nodes) if gpu else Cluster.cpu_cluster(nodes)
-        )
-        p = cluster.num_processors
-        n = weak_matrix_size(base_n, nodes)
-        for name in algorithms:
-            if name == "johnson":
-                machine = Machine(cluster, Grid(*cube_grid(p)))
-            else:
-                machine = Machine(cluster, Grid(*square_grid(p)))
-
-            def point(build=builders[name], machine=machine):
-                kern = build(machine, n, memory=memory)
-                return SIM_CACHE.simulate(kern, LASSEN).gflops_per_node
-
-            rows.append(run_point(name, nodes, "GFLOP/s/node", point))
-    return rows
 
 
 def grid_25d(p: int, max_c: int = 8) -> Tuple[int, int, int]:

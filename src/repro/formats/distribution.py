@@ -22,6 +22,7 @@ string mini-language used throughout the paper, e.g.::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -113,9 +114,10 @@ class Distribution:
         """Parse the paper's string form, e.g. ``"xy -> xy0*"``.
 
         Left of ``->``: one letter per tensor dimension. Right: letters
-        (partition), digits (fix), or ``*`` (broadcast). Whitespace is
-        ignored. ``machine_dims``, when given, is checked against the
-        right-hand side length.
+        (partition), digits (fix), or ``*`` (broadcast). A fixed
+        coordinate of 10 or more is parenthesized, e.g. ``"xy -> (11)0"``.
+        Whitespace is ignored. ``machine_dims``, when given, is checked
+        against the right-hand side length.
         """
         if "->" not in notation:
             raise DistributionError(
@@ -124,13 +126,11 @@ class Distribution:
         lhs, rhs = notation.split("->", 1)
         tensor_names = [c for c in lhs if not c.isspace()]
         mdims: List[MachineDim] = []
-        for c in rhs:
-            if c.isspace():
-                continue
+        for c in re.findall(r"\(\d+\)|\S", rhs):
             if c == "*":
                 mdims.append(Broadcast())
-            elif c.isdigit():
-                mdims.append(Fixed(int(c)))
+            elif c.isdigit() or c[1:-1].isdigit():
+                mdims.append(Fixed(int(c.strip("()"))))
             elif c.isalpha():
                 mdims.append(DimName(c))
             else:
@@ -338,7 +338,8 @@ class Distribution:
             if isinstance(mdim, DimName):
                 rhs.append(mdim.name)
             elif isinstance(mdim, Fixed):
-                rhs.append(str(mdim.value))
+                value = str(mdim.value)
+                rhs.append(value if len(value) == 1 else f"({value})")
             else:
                 rhs.append("*")
         return f"{''.join(self.tensor_dims)} -> {''.join(rhs)}"

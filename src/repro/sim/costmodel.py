@@ -75,17 +75,15 @@ class TraceSkeleton:
     inter_node_bytes: float
     total_copy_bytes: float
     num_nodes: int
-    memory_high_water: Dict[str, int] = field(default_factory=dict)
     #: Per-step attribution columns the observability layer consumes
     #: (``price_skeleton(..., breakdown=True)``): phase labels, byte
     #: totals, and whether the step's communication price was replayed
-    #: from an earlier identical copy batch. Optional — a skeleton
-    #: without them prices identically but yields label-less
-    #: breakdowns.
-    labels: Optional[Tuple[str, ...]] = None
-    step_copy_bytes: Optional[Tuple[int, ...]] = None
-    step_inter_bytes: Optional[Tuple[int, ...]] = None
-    price_replayed: Optional[Tuple[bool, ...]] = None
+    #: from an earlier identical copy batch.
+    labels: Tuple[str, ...]
+    step_copy_bytes: Tuple[int, ...]
+    step_inter_bytes: Tuple[int, ...]
+    price_replayed: Tuple[bool, ...]
+    memory_high_water: Dict[str, int] = field(default_factory=dict)
 
 
 def _work_entries(step: Step) -> Tuple[WorkEntry, ...]:
@@ -201,35 +199,19 @@ class CostModel:
             if breakdown:
                 phases.append(PhaseCost(
                     index=index,
-                    label=(
-                        skeleton.labels[index]
-                        if skeleton.labels is not None
-                        else f"step {index}"
-                    ),
+                    label=skeleton.labels[index],
                     comm_s=t_comm,
                     compute_s=t_compute,
                     overhead_s=overhead,
                     total_s=t_step,
-                    copy_bytes=(
-                        skeleton.step_copy_bytes[index]
-                        if skeleton.step_copy_bytes is not None
-                        else 0
-                    ),
-                    inter_node_bytes=(
-                        skeleton.step_inter_bytes[index]
-                        if skeleton.step_inter_bytes is not None
-                        else 0
-                    ),
+                    copy_bytes=skeleton.step_copy_bytes[index],
+                    inter_node_bytes=skeleton.step_inter_bytes[index],
                     flops=step_flops,
                     class_times=tuple(
                         (entry[0], entry[5], float(entry_times[i]))
                         for i, entry in enumerate(work)
                     ),
-                    price_replayed=(
-                        skeleton.price_replayed[index]
-                        if skeleton.price_replayed is not None
-                        else False
-                    ),
+                    price_replayed=skeleton.price_replayed[index],
                 ))
         return SimReport(
             total_time=total,

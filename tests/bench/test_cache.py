@@ -9,7 +9,7 @@ from repro.bench.cache import (
     cluster_signature,
     kernel_fingerprint,
 )
-from repro.bench.weak_scaling import matmul_weak_scaling
+from repro.bench.figures import sweep
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
@@ -123,9 +123,7 @@ class TestCachedBaseline:
 
 class TestWeakScalingSweep:
     def test_small_sweep_produces_rows(self):
-        rows = matmul_weak_scaling(
-            node_counts=[1, 2], base_n=256, algorithms=("cannon", "summa")
-        )
+        rows = sweep("weak", [1, 2], systems=("cannon", "summa"))
         assert len(rows) == 4
         assert {r["system"] for r in rows} == {"cannon", "summa"}
         assert all(
@@ -134,4 +132,4 @@ class TestWeakScalingSweep:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            matmul_weak_scaling(node_counts=[1], algorithms=("strassen",))
+            sweep("weak", [1], systems=("strassen",))

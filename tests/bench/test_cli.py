@@ -47,10 +47,10 @@ class TestCli:
     def test_failing_sweep_exits_nonzero(self, capsys, monkeypatch):
         import repro.bench.__main__ as cli
 
-        def boom(**kwargs):
+        def boom(*args, **kwargs):
             raise RuntimeError("sweep exploded")
 
-        monkeypatch.setattr(cli, "fig15a_cpu_matmul", boom)
+        monkeypatch.setattr(cli, "sweep", boom)
         assert main(["fig15a", "--nodes", "1"]) == 1
         err = capsys.readouterr().err
         assert "benchmark sweep failed" in err
@@ -60,10 +60,14 @@ class TestCli:
         # wall-clock: the evidence of where the run died.
         import repro.bench.__main__ as cli
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("sweep exploded")
+        real = cli.sweep
 
-        monkeypatch.setattr(cli, "fig16_higher_order", boom)
+        def boom(figure, *args, **kwargs):
+            if figure == "ttv":
+                raise RuntimeError("sweep exploded")
+            return real(figure, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", boom)
         assert main(["all", "--nodes", "1", "--profile"]) == 1
         out = capsys.readouterr().out
         profile = out.split("Wall-clock profile")[1]

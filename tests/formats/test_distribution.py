@@ -42,11 +42,26 @@ class TestParsing:
         for s in ["x -> x", "xy -> x", "xy -> xy0", "xy -> xy*", "xyz -> xy"]:
             assert Distribution.parse(s).notation() == s
 
+    def test_multi_digit_fixed_roundtrips(self):
+        """Coordinates of 10 or more are parenthesized, so ``1,10`` and
+        ``11,0`` no longer both print ``110``."""
+        points = [(1, 10), (11, 0), (0, 0)]
+        dists = [Distribution("xy", [Fixed(v) for v in p]) for p in points]
+        assert [d.notation() for d in dists] == [
+            "xy -> 1(10)", "xy -> (11)0", "xy -> 00",
+        ]
+        for d in dists:
+            assert Distribution.parse(d.notation()).machine_dims == (
+                d.machine_dims
+            )
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(DistributionError):
             Distribution.parse("xy")
         with pytest.raises(DistributionError):
             Distribution.parse("xy -> x?")
+        with pytest.raises(DistributionError):
+            Distribution.parse("xy -> x(1")
 
     def test_machine_dims_check(self):
         with pytest.raises(DistributionError):

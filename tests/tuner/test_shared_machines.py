@@ -11,6 +11,7 @@ import copy
 
 import pytest
 
+from repro.bench.cache import SimulationCache
 from repro.core.kernel import compile_kernel
 from repro.scheduling.schedule import Schedule
 from repro.formats.distribution import Distribution, Fixed
@@ -101,13 +102,13 @@ def _placed_at(point, machine):
 
 
 def test_shared_machine_tells_fixed_points_apart():
-    """``Fixed(1), Fixed(10)`` and ``Fixed(11), Fixed(0)`` print alike;
-    on one machine each plan still charges ``B`` to its own memory."""
+    """``Fixed(1), Fixed(10)`` and ``Fixed(11), Fixed(0)``: on one
+    machine each plan charges ``B`` to its own memory."""
     points = ((1, 10), (11, 0))
     shared = Machine.flat(12, 11)
     kernels = [_placed_at(p, shared) for p in points]
     notations = {k.plan.tensors["B"].format.notation() for k in kernels}
-    assert len(notations) == 1
+    assert len(notations) == 2
     on_shared = [k.simulate(LASSEN).memory_high_water for k in kernels]
     on_fresh = [
         _placed_at(p, Machine.flat(12, 11)).simulate(LASSEN)
@@ -116,3 +117,15 @@ def test_shared_machine_tells_fixed_points_apart():
     ]
     assert on_shared == on_fresh
     assert on_shared[0] != on_shared[1]
+
+
+def test_sim_cache_tells_fixed_points_apart():
+    """The ``SIM_CACHE`` key prints each format: ``Fixed(1), Fixed(10)``
+    and ``Fixed(11), Fixed(0)`` must key two entries, each kernel
+    getting its own fresh report."""
+    cache = SimulationCache()
+    for point in ((1, 10), (11, 0)):
+        cached = cache.simulate(_placed_at(point, Machine.flat(12, 11)))
+        fresh = _placed_at(point, Machine.flat(12, 11)).simulate(LASSEN)
+        assert cached.memory_high_water == fresh.memory_high_water
+    assert len(cache) == 2
