@@ -19,15 +19,15 @@ import numpy as np
 from repro import (
     Assignment,
     Format,
+    Kernel,
     Machine,
     TensorVar,
-    compile_kernel,
     index_vars,
 )
 from repro.codegen.placement import describe_placement
-from repro.core.autoschedule import auto_schedule
 from repro.core.transfer import redistribution_bytes, transfer_kernel
 from repro.sim.analysis import communication_report
+from repro.tuner.space import heuristic_decision
 
 
 def main():
@@ -58,9 +58,11 @@ def main():
     i, j, k = index_vars("i j k")
     stmt = Assignment(A[i, j], B[i, j, k] * c[k])
 
-    result = auto_schedule(stmt, m2)
-    print(result.describe())
-    kern = compile_kernel(result.schedule, m2)
+    decision = heuristic_decision(stmt, m2.levels[0].shape)
+    print(f"auto-schedule: {decision.describe()}")
+    kern = Kernel.autoschedule(stmt, m2)
+    for tensor in stmt.tensors():
+        print(f"  format {tensor.name}: {tensor.format.notation()}")
     res = kern.execute(
         {"B": rng.random((n, n, n)), "c": rng.random(n)}, verify=True
     )

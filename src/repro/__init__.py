@@ -46,8 +46,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Access",
-    "AutoScheduleResult",
-    "auto_schedule",
     "redistribution_bytes",
     "transfer_kernel",
     "Assignment",
@@ -92,7 +90,6 @@ __all__ = [
 # a top-level ``repro.tune`` re-export would be shadowed by the
 # ``python -m repro.tune`` CLI module of the same name.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.core.autoschedule": ("AutoScheduleResult", "auto_schedule"),
     "repro.core.kernel": ("Kernel", "compile_kernel"),
     "repro.tuner.oracle": ("TuningLedger",),
     "repro.tuner.search": ("TuneResult",),

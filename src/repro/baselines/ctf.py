@@ -27,6 +27,7 @@ from typing import List, Tuple
 
 from repro.algorithms.higher_order import innerprod as distal_innerprod
 from repro.algorithms.matmul import solomonik, summa_rect
+from repro.bench.weak_scaling import square_grid
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
@@ -193,9 +194,7 @@ def ctf_innerprod(
     CTF executes this well (flat weak scaling) but with its generic
     element-wise leaf and blocking collectives.
     """
-    from repro.baselines.scalapack import best_2d_grid
-
-    gx, gy = best_2d_grid(cluster.num_processors)
+    gx, gy = square_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = distal_innerprod(machine, n)
     trace = kernel.trace(check_capacity=True).trace

@@ -10,10 +10,8 @@ rectangular grids at non-square counts cause its visible variability.
 
 from __future__ import annotations
 
-import math
-from typing import Tuple
-
 from repro.algorithms.matmul import summa
+from repro.bench.weak_scaling import square_grid
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
@@ -22,21 +20,13 @@ from repro.sim.params import SCALAPACK_PARAMS, MachineParams
 from repro.sim.report import SimReport
 
 
-def best_2d_grid(p: int) -> Tuple[int, int]:
-    """The most-square factorization ``gx * gy == p`` with ``gx >= gy``."""
-    gy = int(math.isqrt(p))
-    while p % gy != 0:
-        gy -= 1
-    return p // gy, gy
-
-
 def scalapack_matmul(
     cluster: Cluster,
     n: int,
     params: MachineParams = SCALAPACK_PARAMS,
 ) -> SimReport:
     """Simulate PDGEMM on ``n x n`` matrices over the whole cluster."""
-    gx, gy = best_2d_grid(cluster.num_processors)
+    gx, gy = square_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = summa(machine, n, leaf="blas_gemm")
     trace = kernel.trace(check_capacity=True).trace

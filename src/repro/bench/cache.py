@@ -33,7 +33,8 @@ figure sweeps and tuning searches alike.
 
 Baseline models (ScaLAPACK, CTF, reference COSMA) build traces from
 closed-form formulas rather than kernels; :func:`cached_baseline`
-memoizes those per ``(function, cluster signature, arguments)``.
+memoizes those in the same store, keyed ``("baseline", function,
+cluster signature, arguments)``, without counting hits or misses.
 """
 
 from __future__ import annotations
@@ -114,22 +115,34 @@ class SimulationCache:
         check_capacity: bool = True,
         mode: str = "orbit",
     ) -> SimReport:
-        """``kernel.simulate(params, check_capacity, mode)``, memoized."""
+        """``kernel.simulate(params, check_capacity, mode)``, memoized.
+        ``hits``/``misses`` count these kernel lookups only."""
         key = self._key(kernel, params, check_capacity, mode)
+        if key in self._store:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return self.memoized(key, lambda: kernel.simulate(
+            params, check_capacity=check_capacity, mode=mode
+        ))
+
+    def memoized(
+        self, key: Tuple, compute: Callable[[], SimReport]
+    ) -> SimReport:
+        """``compute()``, memoized under ``key``; an OOM outcome is
+        stored and re-raised on every later lookup."""
         hit = self._store.get(key)
         if hit is not None:
-            self.hits += 1
             outcome, payload = hit
             if outcome == "oom":
                 raise OutOfMemoryError(*payload)
             return payload
-        self.misses += 1
         try:
-            report = kernel.simulate(
-                params, check_capacity=check_capacity, mode=mode
-            )
+            report = compute()
         except OutOfMemoryError as err:
-            self._store[key] = ("oom", _oom_args(err))
+            self._store[key] = ("oom", (
+                err.memory_name, err.needed_bytes, err.capacity_bytes
+            ))
             raise
         self._store[key] = ("ok", report)
         return report
@@ -159,54 +172,22 @@ class SimulationCache:
 #: Process-global cache used by the figure generators and benchmarks.
 SIM_CACHE = SimulationCache()
 
-_BASELINE_STORE: Dict[Tuple, Tuple[str, object]] = {}
-
 
 def cached_baseline(
     fn: Callable[..., SimReport], cluster: Cluster, *args, **kwargs
 ) -> SimReport:
     """Memoized call of a closed-form baseline model.
 
-    Baselines are deterministic in ``(cluster, arguments)``; OOM
-    outcomes are cached and re-raised like :class:`SimulationCache`.
+    Baselines are deterministic in ``(cluster, arguments)``; they are
+    keys of :data:`SIM_CACHE`'s one store (OOM outcomes included), so
+    forked sweep points ship them back with the kernel simulations.
     """
     key = (
+        "baseline",
         fn.__module__,
         fn.__qualname__,
         cluster_signature(cluster),
         args,
         tuple(sorted(kwargs.items())),
     )
-    hit = _BASELINE_STORE.get(key)
-    if hit is not None:
-        outcome, payload = hit
-        if outcome == "oom":
-            raise OutOfMemoryError(*payload)
-        return payload
-    try:
-        report = fn(cluster, *args, **kwargs)
-    except OutOfMemoryError as err:
-        _BASELINE_STORE[key] = ("oom", _oom_args(err))
-        raise
-    _BASELINE_STORE[key] = ("ok", report)
-    return report
-
-
-def _oom_args(err: OutOfMemoryError) -> Tuple:
-    return (err.memory_name, err.needed_bytes, err.capacity_bytes)
-
-
-def baseline_key_set():
-    return set(_BASELINE_STORE)
-
-
-def export_baselines(exclude=None) -> Dict[Tuple, Tuple[str, object]]:
-    """Baseline-store entries (optionally minus ``exclude``), picklable."""
-    if not exclude:
-        return dict(_BASELINE_STORE)
-    return {k: v for k, v in _BASELINE_STORE.items() if k not in exclude}
-
-
-def install_baselines(entries: Dict[Tuple, Tuple[str, object]]):
-    """Merge baseline entries exported by another process."""
-    _BASELINE_STORE.update(entries)
+    return SIM_CACHE.memoized(key, lambda: fn(cluster, *args, **kwargs))

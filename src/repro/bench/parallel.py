@@ -15,7 +15,7 @@ primitive, the :class:`WorkerSlot`:
   so it inherits the parent's warm cache and keeps the skeletons and
   plans it builds for its later points;
 * every point ships back its rows *plus* the cache entries it added
-  (both the simulation cache and the closed-form baseline store) and
+  (kernel simulations and closed-form baselines share one store) and
   its observability deltas (metric counters, wall-clock spans), which
   :func:`install_envelope` merges into the parent's process-global
   state, so a figure computed with ``--jobs 8`` leaves the same cache
@@ -38,12 +38,7 @@ import traceback
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List
 from typing import Sequence, Tuple
 
-from repro.bench.cache import (
-    SIM_CACHE,
-    baseline_key_set,
-    export_baselines,
-    install_baselines,
-)
+from repro.bench.cache import SIM_CACHE
 from repro.obs.metrics import METRICS
 from repro.obs.spans import export_spans, install_spans, span_mark
 
@@ -88,7 +83,6 @@ def _run_point(payload):
     """
     name, kwargs = payload
     sim_before = SIM_CACHE.key_set()
-    base_before = baseline_key_set()
     metrics_before = METRICS.export()
     mark = span_mark()
     try:
@@ -101,7 +95,6 @@ def _run_point(payload):
     return ("ok", (
         rows,
         SIM_CACHE.export(exclude=sim_before),
-        export_baselines(exclude=base_before),
         METRICS.delta(metrics_before),
         export_spans(since=mark),
     ))
@@ -256,10 +249,9 @@ def run_forked(
 def install_envelope(envelope):
     """Merge a point's envelope into this process's global caches,
     metrics and spans; returns the point's rows."""
-    rows, sim_delta, base_delta, metrics_delta, spans = envelope
+    rows, sim_delta, metrics_delta, spans = envelope
     with _DISPATCH_LOCK:
         SIM_CACHE.install(sim_delta)
-        install_baselines(base_delta)
         METRICS.install(metrics_delta)
         install_spans(spans)
     return rows
@@ -365,19 +357,14 @@ def _run_point_strict(payload):
     """
     name, kwargs = payload
     sim_before = SIM_CACHE.key_set()
-    base_before = baseline_key_set()
     rows = _resolve(name)(**kwargs)
     return ("ok", (
         rows,
         SIM_CACHE.export(exclude=sim_before),
-        export_baselines(exclude=base_before),
         {},
         [],
     ))
 
 
 def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:
-        return False
+    return "fork" in multiprocessing.get_all_start_methods()

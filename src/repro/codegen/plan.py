@@ -29,13 +29,10 @@ from repro.machine.machine import Machine
 
 
 class PlanNode:
-    """Base class of plan tree nodes."""
+    """Base class of plan tree nodes; each defines ``pretty(indent)``."""
 
     comm: List[str]
     flush: List[str]
-
-    def pretty(self, indent: int = 0) -> str:
-        raise NotImplementedError
 
 
 @dataclass

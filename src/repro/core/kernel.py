@@ -220,17 +220,19 @@ class Kernel:
     ) -> "Kernel":
         """Compile with the one-shot heuristic (Section 9's baseline).
 
-        Derives a distribution schedule and per-tensor formats with
-        :func:`repro.core.autoschedule.auto_schedule` (applying the
-        formats to the assignment's tensors) and compiles the result.
-        This is also the seed candidate of :meth:`tune`.
+        Builds :func:`repro.tuner.space.heuristic_decision` on the
+        machine's own outer grid with the tuner's schedule builder,
+        applying the derived formats to the assignment's tensors, and
+        compiles the result. Normalized, the same decision is the seed
+        candidate of :meth:`tune`.
         """
-        from repro.core.autoschedule import auto_schedule
+        from repro.tuner.space import build_schedule, heuristic_decision
 
         if memory is None:
             memory = machine.cluster.default_memory
-        result = auto_schedule(assignment, machine, memory=memory)
-        return compile_kernel(result.schedule, machine)
+        decision = heuristic_decision(assignment, machine.levels[0].shape)
+        schedule, _ = build_schedule(assignment, machine, decision, memory)
+        return compile_kernel(schedule, machine)
 
     @staticmethod
     def tune(

@@ -15,19 +15,14 @@ from repro.ir.expr import Access, Expr, IndexVar
 
 
 class Stmt:
-    """Base class of concrete index notation statements."""
-
-    def pretty(self, indent: int = 0) -> str:
-        raise NotImplementedError
+    """Base class of concrete index notation statements; each defines
+    ``pretty(indent)``."""
 
     def foralls(self) -> List["Forall"]:
         """All foralls in the tree, outermost first (pre-order)."""
         out: List[Forall] = []
         _collect_foralls(self, out)
         return out
-
-    def __repr__(self) -> str:
-        return self.pretty()
 
 
 @dataclass

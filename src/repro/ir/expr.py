@@ -43,7 +43,8 @@ def index_vars(names: str) -> List[IndexVar]:
 
 
 class Expr:
-    """Base class of index expressions."""
+    """Base class of index expressions; each defines ``accesses()``,
+    its tensor accesses left to right."""
 
     def __add__(self, other: "ExprLike") -> "Add":
         return Add(self, _as_expr(other))
@@ -56,10 +57,6 @@ class Expr:
 
     def __rmul__(self, other: "ExprLike") -> "Mul":
         return Mul(_as_expr(other), self)
-
-    def accesses(self) -> Iterator["Access"]:
-        """All tensor accesses in the expression, left to right."""
-        raise NotImplementedError
 
     def index_variables(self) -> List[IndexVar]:
         """All distinct index variables, in first-appearance order."""

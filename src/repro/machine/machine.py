@@ -62,11 +62,6 @@ class Machine:
         return Machine(cluster, grid)
 
     @property
-    def grid(self) -> Grid:
-        """The outermost grid level."""
-        return self.levels[0]
-
-    @property
     def dim(self) -> int:
         """Total number of grid dimensions across all levels."""
         return sum(grid.dim for grid in self.levels)
@@ -86,18 +81,6 @@ class Machine:
         for d in self.shape:
             n *= d
         return n
-
-    @property
-    def x(self) -> int:
-        return self.shape[0]
-
-    @property
-    def y(self) -> int:
-        return self.shape[1]
-
-    @property
-    def z(self) -> int:
-        return self.shape[2]
 
     def level_coords(
         self, coords: Sequence[int]

@@ -245,13 +245,12 @@ METRICS = MetricsRegistry()
 def _sim_cache_source() -> Dict[str, Number]:
     # Lazy import: the registry must stay importable from anywhere
     # (including the executors) without pulling the bench stack in.
-    from repro.bench.cache import SIM_CACHE, baseline_key_set
+    from repro.bench.cache import SIM_CACHE
 
     return {
         "sim_cache.hits": SIM_CACHE.hits,
         "sim_cache.misses": SIM_CACHE.misses,
         "sim_cache.entries": len(SIM_CACHE),
-        "baseline_cache.entries": len(baseline_key_set()),
     }
 
 

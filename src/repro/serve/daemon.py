@@ -632,8 +632,10 @@ class ScheduleServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:
-                pass
+            except OSError:
+                # The peer reset or dropped the transport before the
+                # close finished; the connection is gone either way.
+                METRICS.inc("serve.close_failures")
 
     # -- lifecycle -----------------------------------------------------
 

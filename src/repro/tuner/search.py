@@ -381,9 +381,10 @@ def tune(
 ) -> TuneResult:
     """Search the schedule space for one assignment on one cluster.
 
-    The heuristic (:func:`repro.core.autoschedule.auto_schedule`,
-    encoded as a decision vector) seeds the search and survives every
-    cut, so the result is never worse than the one-shot heuristic.
+    The heuristic (:func:`~repro.tuner.space.from_heuristic`, the
+    decision :meth:`repro.core.kernel.Kernel.autoschedule` compiles,
+    normalized) seeds the search and survives every cut, so the result
+    is never worse than the one-shot heuristic.
     Returns a :class:`TuneResult` whose schedule and formats are
     realized on the *caller's* assignment (formats applied), compiled
     and simulated.

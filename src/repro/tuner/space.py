@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.autoschedule import choose_distributed_vars
 from repro.formats.distribution import (
     Broadcast,
     DimName,
@@ -413,7 +412,10 @@ def formats_for(
         mode_names = [_MODE_NAMES[m] for m in range(tensor.ndim)]
         used = set()
         mdims: List = []
-        for var in decision.dist:
+        for pos in range(len(decision.grid)):
+            # Grid dimensions past ``dist`` (the heuristic on a grid
+            # with more dimensions than loops) partition nothing.
+            var = decision.dist[pos] if pos < len(decision.dist) else None
             if var in index_names:
                 mode = index_names.index(var)
                 mdims.append(DimName(mode_names[mode]))
@@ -479,6 +481,26 @@ def realize(
     check_legal(
         assignment, decision, grid_shape=machine.levels[0].shape
     )
+    return build_schedule(
+        assignment, machine, decision, memory, format_overrides
+    )
+
+
+def build_schedule(
+    assignment: Assignment,
+    machine: Machine,
+    decision: Decision,
+    memory: MemoryKind = MemoryKind.SYSTEM_MEM,
+    format_overrides: Optional[Dict[str, Format]] = None,
+) -> Tuple[Schedule, Dict[str, Format]]:
+    """:func:`realize` without its legality check.
+
+    :meth:`repro.core.kernel.Kernel.autoschedule` builds the raw
+    :func:`heuristic_decision` here, because the heuristic also
+    compiles what the tuner's space rules out: grids with more
+    dimensions than the assignment has loops, and loops shorter than
+    their grid dimension.
+    """
     by_name = {v.name: v for v in assignment.all_vars}
     formats = formats_for(assignment, decision, memory)
     if format_overrides:
@@ -553,43 +575,60 @@ def realize(
 # ----------------------------------------------------------------------
 
 
-def from_heuristic(
+def heuristic_decision(
     assignment: Assignment, grid_shape: Sequence[int]
 ) -> Decision:
-    """Encode :func:`repro.core.autoschedule.auto_schedule`'s choice.
+    """The one-shot heuristic (the paper's Section 9 extension) as a
+    decision vector on the given grid, not normalized.
 
-    The heuristic distributes output (then reduction) variables over
-    the given grid, replicates every tensor across the grid dimensions
-    it does not follow, communicates everything at the innermost
-    distributed loop, and substitutes a GEMM leaf for contractions —
-    all expressible as a pull/one-shot decision vector, which seeds the
-    search so the tuner can never return something worse.
+    Owner-computes: distribute the loops that index the output (inputs
+    are pulled toward a stationary output, Section 3.3), then reduction
+    loops if the output has fewer dimensions than the grid. Every
+    tensor is replicated across the grid dimensions it does not follow,
+    everything is communicated once per task at the innermost
+    distributed loop, and contractions substitute a GEMM leaf.
+    :meth:`repro.core.kernel.Kernel.autoschedule` compiles it with
+    :func:`build_schedule`; :func:`from_heuristic` normalizes it into
+    the tuner's seed.
     """
-    grid_shape = tuple(int(g) for g in grid_shape)
-    dist = choose_distributed_vars(assignment, len(grid_shape))
-    if len(dist) < len(grid_shape):
-        from repro.analysis.diagnostics import Diagnostic
-        from repro.util.errors import LegalityError
-
-        raise LegalityError([Diagnostic(
-            "dist-arity", "dist",
-            f"assignment has {len(dist)} distributable variables but "
-            f"the grid has {len(grid_shape)} dimensions",
-        )])
+    candidates = list(assignment.free_vars)
+    candidates += [
+        v for v in assignment.reduction_vars if v not in candidates
+    ]
     leaf = (
         LEAF_GEMM
         if assignment.reduction_vars and len(assignment.all_vars) >= 2
         else LEAF_LOOPS
     )
-    return normalize(
-        assignment,
-        Decision(
-            grid=grid_shape,
-            dist=tuple(v.name for v in dist),
-            output_style=OUTPUT_REPLICATE,
-            leaf=leaf,
-        ),
+    return Decision(
+        grid=tuple(int(g) for g in grid_shape),
+        dist=tuple(v.name for v in candidates[:len(grid_shape)]),
+        output_style=OUTPUT_REPLICATE,
+        leaf=leaf,
     )
+
+
+def from_heuristic(
+    assignment: Assignment, grid_shape: Sequence[int]
+) -> Decision:
+    """The tuner's seed: :func:`heuristic_decision`, normalized.
+
+    Every heuristic choice is a pull/one-shot decision vector, so the
+    seed is in the search space and the tuner can never return
+    something worse. Raises :class:`LegalityError` when the grid has
+    more dimensions than the assignment has distributable loops.
+    """
+    decision = heuristic_decision(assignment, grid_shape)
+    if len(decision.dist) < len(decision.grid):
+        from repro.analysis.diagnostics import Diagnostic
+        from repro.util.errors import LegalityError
+
+        raise LegalityError([Diagnostic(
+            "dist-arity", "dist",
+            f"assignment has {len(decision.dist)} distributable variables "
+            f"but the grid has {len(decision.grid)} dimensions",
+        )])
+    return normalize(assignment, decision)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from repro.baselines.ctf import (
     ctf_ttv,
     redistribution_steps,
 )
-from repro.baselines.scalapack import best_2d_grid, scalapack_matmul
+from repro.baselines.scalapack import scalapack_matmul
+from repro.bench.weak_scaling import square_grid
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +25,10 @@ def cpu8():
 
 class TestGridSelection:
     def test_best_2d_grid(self):
-        assert best_2d_grid(16) == (4, 4)
-        assert best_2d_grid(8) == (4, 2)
-        assert best_2d_grid(7) == (7, 1)
+        # ScaLAPACK and CTF's inner product run on the most-square grid.
+        assert square_grid(16) == (4, 4)
+        assert square_grid(8) == (4, 2)
+        assert square_grid(7) == (7, 1)
 
     def test_best_25d_grid(self):
         assert best_25d_grid(16) == (4, 4, 1)

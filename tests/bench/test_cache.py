@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms.matmul import cannon, summa
 from repro.bench.cache import (
+    SIM_CACHE,
     SimulationCache,
     cached_baseline,
     cluster_signature,
@@ -114,11 +115,32 @@ class TestCachedBaseline:
 
             return scalapack_matmul(cl, n)
 
+        counts = SIM_CACHE.hits, SIM_CACHE.misses
+        before = SIM_CACHE.key_set()
         r1 = cached_baseline(model, cluster, 512)
         r2 = cached_baseline(model, cluster, 512)
         cached_baseline(model, cluster, 1024)
         assert calls == [512, 1024]
         assert r2 is r1
+        # Baselines are keys of the simulation cache's one store, so a
+        # forked point ships them in its one cache delta; the hit and
+        # miss counters still count kernel simulations only.
+        assert len(SIM_CACHE.key_set() - before) == 2
+        assert (SIM_CACHE.hits, SIM_CACHE.misses) == counts
+
+    def test_oom_outcome_is_cached(self):
+        cluster = Cluster.cpu_cluster(2)
+        calls = []
+
+        def model(cl, n):
+            calls.append(n)
+            raise OutOfMemoryError("sysmem", n, 1)
+
+        for _ in range(2):
+            with pytest.raises(OutOfMemoryError) as err:
+                cached_baseline(model, cluster, 1 << 40)
+            assert err.value.needed_bytes == 1 << 40
+        assert calls == [1 << 40]
 
 
 class TestWeakScalingSweep:

@@ -138,11 +138,29 @@ class TestRunPointEnvelope:
     def test_run_point_ok_envelope(self):
         status, payload = parallel._run_point(("_good_point", {"value": 7}))
         assert status == "ok"
-        rows, _sim, _base, metrics_delta, spans = payload
+        rows, _sim, metrics_delta, spans = payload
         assert rows == [("row", 7)]
         # The observability deltas ride the same envelope.
         assert set(metrics_delta) <= {"counters", "gauges"}
         assert isinstance(spans, list)
+
+    def test_fork_probe_swallows_nothing(self, monkeypatch):
+        import multiprocessing
+
+        assert parallel._fork_available() == (
+            "fork" in multiprocessing.get_all_start_methods()
+        )
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        assert parallel._fork_available() is False
+
+        def broken():
+            raise RuntimeError("no start methods")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", broken)
+        with pytest.raises(RuntimeError):
+            parallel._fork_available()
 
     def test_run_point_strict_raises(self):
         with pytest.raises(ValueError):

@@ -3,16 +3,12 @@
 
 from repro import (
     Assignment,
+    Kernel,
     Machine,
     TensorVar,
-    compile_kernel,
     index_vars,
 )
-from repro.core.autoschedule import (
-    auto_schedule,
-    choose_distributed_vars,
-    derive_formats,
-)
+from repro.tuner.space import heuristic_decision
 
 
 def fresh_gemm(n=16):
@@ -27,21 +23,20 @@ class TestChoices:
     def test_prefers_output_vars(self):
         stmt = fresh_gemm()
         i, j = stmt.free_vars
-        assert choose_distributed_vars(stmt, 2) == [i, j]
+        assert heuristic_decision(stmt, (2, 2)).dist == (i.name, j.name)
 
     def test_falls_back_to_reductions(self):
         stmt = fresh_gemm()
         i, j = stmt.free_vars
         (k,) = stmt.reduction_vars
-        assert choose_distributed_vars(stmt, 3) == [i, j, k]
+        assert heuristic_decision(stmt, (2, 2, 2)).dist == (
+            i.name, j.name, k.name
+        )
 
     def test_derive_formats_tiles_and_replicates(self):
         stmt = fresh_gemm()
-        machine = Machine.flat(2, 2)
-        dist = choose_distributed_vars(stmt, 2)
-        formats = derive_formats(
-            stmt, dist, machine, stmt.lhs.tensor.format.memory
-        )
+        Kernel.autoschedule(stmt, Machine.flat(2, 2))
+        formats = {t.name: t.format for t in stmt.tensors()}
         assert formats["A"].notation() == "ab -> ab"
         # B(i, k): i is distributed dim 0, j (dim 1) doesn't index B.
         assert formats["B"].notation() == "ab -> a*"
@@ -52,8 +47,7 @@ class TestEndToEnd:
     def test_matmul_correct(self, rng):
         stmt = fresh_gemm()
         machine = Machine.flat(2, 2)
-        result = auto_schedule(stmt, machine)
-        kern = compile_kernel(result.schedule, machine)
+        kern = Kernel.autoschedule(stmt, machine)
         kern.execute(
             {"B": rng.random((16, 16)), "C": rng.random((16, 16))},
             verify=True,
@@ -64,8 +58,7 @@ class TestEndToEnd:
         # owner-computes with no communication.
         stmt = fresh_gemm()
         machine = Machine.flat(2, 2)
-        result = auto_schedule(stmt, machine)
-        kern = compile_kernel(result.schedule, machine)
+        kern = Kernel.autoschedule(stmt, machine)
         res = kern.execute(
             {"B": rng.random((16, 16)), "C": rng.random((16, 16))}
         )
@@ -79,8 +72,7 @@ class TestEndToEnd:
         i, j, k = index_vars("i j k")
         stmt = Assignment(A[i, j], B[i, j, k] * c[k])
         machine = Machine.flat(2, 2)
-        result = auto_schedule(stmt, machine)
-        kern = compile_kernel(result.schedule, machine)
+        kern = Kernel.autoschedule(stmt, machine)
         res = kern.execute(
             {"B": rng.random((n, n, n)), "c": rng.random(n)}, verify=True
         )
@@ -96,8 +88,7 @@ class TestEndToEnd:
         i, j, k, l = index_vars("i j k l")
         stmt = Assignment(A[i, l], B[i, j, k] * C[j, l] * D[k, l])
         machine = Machine.flat(2, 2, 2)
-        result = auto_schedule(stmt, machine)
-        kern = compile_kernel(result.schedule, machine)
+        kern = Kernel.autoschedule(stmt, machine)
         kern.execute(
             {
                 "B": rng.random((n, n, n)),
@@ -114,14 +105,5 @@ class TestEndToEnd:
         i, j = index_vars("i j")
         stmt = Assignment(a[()], B[i, j] * B[i, j])
         machine = Machine.flat(2, 2)
-        result = auto_schedule(stmt, machine)
-        kern = compile_kernel(result.schedule, machine)
+        kern = Kernel.autoschedule(stmt, machine)
         kern.execute({"B": rng.random((n, n))}, verify=True)
-
-    def test_describe(self):
-        stmt = fresh_gemm()
-        machine = Machine.flat(2, 2)
-        result = auto_schedule(stmt, machine)
-        text = result.describe()
-        assert "format A" in text
-        assert "distribute" in text

@@ -27,6 +27,24 @@ class TestCollapse:
         kern = compile_kernel(sched, Machine.flat(3))
         kern.execute({"B": rng.random((n, n))}, verify=True)
 
+    def test_collapsed_loops_batched_bounds_match_scalar(self):
+        # The batched and orbit executors evaluate bounds through the
+        # fused variable's relation; they must price what scalar does.
+        n = 6
+        f = Format("xy -> x")
+        A = TensorVar("A", (n, n), f)
+        B = TensorVar("B", (n, n), f)
+        i, j, fv = index_vars("i j f")
+        stmt = Assignment(A[i, j], B[i, j])
+        kern = compile_kernel(
+            Schedule(stmt).collapse(i, j, fv), Machine.flat(3)
+        )
+        ref = kern.simulate(mode="scalar")
+        for mode in ("batched", "orbit"):
+            rep = kern.simulate(mode=mode)
+            assert rep.total_time == ref.total_time
+            assert rep.inter_node_bytes == ref.inter_node_bytes
+
     def test_collapsed_then_split_distributed(self, rng):
         # Distribute the fused loop: each point task maps back to a
         # unique (i, j) pair — the supported (point) side of fusion.

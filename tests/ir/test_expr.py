@@ -68,6 +68,9 @@ class TestOperators:
         assert isinstance(expr.rhs, Literal)
         expr2 = 3 * b[i]
         assert isinstance(expr2, Mul)
+        expr3 = 2 + b[i]
+        assert isinstance(expr3, Add)
+        assert isinstance(expr3.lhs, Literal) and expr3.rhs.tensor is b
 
     def test_index_variables_order(self):
         i, j, k = index_vars("i j k")

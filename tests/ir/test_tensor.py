@@ -18,6 +18,14 @@ class TestTensorVar:
         assert a.ndim == 0
         assert a.nbytes == 8
 
+    def test_hash_pairs_with_equality(self):
+        # Tensors are identified by name: equal tensors hash alike, so
+        # sets and dict keys treat a re-created tensor as the same one.
+        a, again = TensorVar("A", (3, 5)), TensorVar("A", (3, 5))
+        assert a == again and hash(a) == hash(again)
+        assert {a: 1}[again] == 1
+        assert len({a, again, TensorVar("B", (3, 5))}) == 2
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             TensorVar("", (2,))

@@ -35,6 +35,14 @@ class TestCpuCluster:
         assert len(mems) == 1
         assert node.processors[0].memory.kind is MemoryKind.SYSTEM_MEM
 
+    def test_processor_hash_pairs_with_equality(self):
+        # Processors are identified by id: two clusters of one anatomy
+        # build equal processors that hash alike.
+        a, b = Cluster.cpu_cluster(2), Cluster.cpu_cluster(2)
+        assert a.processors[1] == b.processors[1]
+        assert hash(a.processors[1]) == hash(b.processors[1])
+        assert len(set(a.processors) | set(b.processors)) == 4
+
     def test_node_ids(self):
         cl = Cluster.cpu_cluster(3)
         assert [p.node_id for p in cl.processors] == [0, 0, 1, 1, 2, 2]

@@ -6,6 +6,7 @@ assertions are on *deltas* — the ``serve.*`` counters live in the
 process-global metrics registry.
 """
 
+import asyncio
 import contextlib
 import multiprocessing
 import os
@@ -224,6 +225,35 @@ class TestCountedFailures:
         assert response["provenance"] == "quarantined"
         assert fingerprint in server.index
         assert _counter("serve.persist_failures") == failures0 + 1
+        server._executor.shutdown()
+
+    @pytest.mark.parametrize("error", [None, ConnectionResetError])
+    def test_connection_close_failure_is_counted(self, tmp_path, error):
+        server = ScheduleServer(
+            tmp_path / "ledger", socket_path=str(tmp_path / "serve.sock")
+        )
+
+        class Reader:
+            async def readuntil(self, separator):
+                return b""  # EOF: the handler goes straight to close
+
+        class Writer:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                if error is not None:
+                    raise error("peer reset the connection")
+
+        writer = Writer()
+        failures0 = _counter("serve.close_failures")
+        asyncio.run(server._handle_connection(Reader(), writer))
+        assert writer.closed
+        assert _counter("serve.close_failures") == failures0 + (
+            error is not None
+        )
         server._executor.shutdown()
 
     def test_saved_quarantine_counts_nothing(self, tmp_path):

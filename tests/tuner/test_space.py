@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import Machine, compile_kernel
-from repro.core.autoschedule import auto_schedule
+from repro import Kernel, Machine, compile_kernel
 from repro.tuner.space import (
     Decision,
     canonicalize,
@@ -229,11 +228,10 @@ class TestRealize:
         sched, fmts = realize(stmt, machine, seed)
         tuned_plan = compile_kernel(sched, machine).plan.pretty()
         ref_stmt = matmul(64)
-        ref = auto_schedule(ref_stmt, machine)
-        ref_plan = compile_kernel(ref.schedule, machine).plan.pretty()
+        ref_plan = Kernel.autoschedule(ref_stmt, machine).plan.pretty()
         assert tuned_plan == ref_plan
         assert {n: f.notation() for n, f in fmts.items()} == {
-            n: f.notation() for n, f in ref.formats.items()
+            t.name: t.format.notation() for t in ref_stmt.tensors()
         }
 
     def test_realized_cannon_matches_reference_cost(self):

@@ -7,8 +7,9 @@ import pytest
 from repro import Grid, Kernel, Machine, Schedule, compile_kernel
 from repro.machine.cluster import Cluster
 from repro.tuner.search import TuneResult
-from repro.tuner.space import realize
+from repro.tuner.space import from_heuristic, heuristic_decision, realize
 from repro.tuner.workloads import matmul
+from repro.util.errors import LegalityError
 
 
 class TestAutoschedule:
@@ -22,14 +23,26 @@ class TestAutoschedule:
         )
 
     def test_matches_auto_schedule_module(self):
-        from repro.core.autoschedule import auto_schedule
-
+        # The heuristic compiles through the tuner's builder: on a
+        # legal grid, the checked realize builds the same plan.
         machine = Machine.flat(2, 2)
         kern = Kernel.autoschedule(matmul(64), machine)
-        ref = auto_schedule(matmul(64), machine)
+        stmt = matmul(64)
+        sched, _ = realize(stmt, machine, heuristic_decision(stmt, (2, 2)))
         assert kern.plan.pretty() == compile_kernel(
-            ref.schedule, machine
+            sched, machine
         ).plan.pretty()
+
+    def test_builds_on_the_machines_own_grid(self):
+        # The tuner's seed relabels a (4, 2) grid to (2, 4); the
+        # heuristic keeps the machine's grid, and compiles grids the
+        # tuner rejects (here, more grid dimensions than loops).
+        assert from_heuristic(matmul(64), (4, 2)).grid == (2, 4)
+        kern = Kernel.autoschedule(matmul(64), Machine.flat(4, 2))
+        assert "i_o:4->m0, j_o:2->m1" in kern.plan.pretty()
+        with pytest.raises(LegalityError):
+            from_heuristic(matmul(64), (2, 2, 2, 2))
+        Kernel.autoschedule(matmul(16), Machine.flat(2, 2, 2, 2))
 
     def test_gpu_machines_default_to_framebuffer(self):
         from repro.machine.cluster import MemoryKind

@@ -82,3 +82,8 @@ def test_simulate_path_import_closure_and_lazy_exports():
     ]
     assert leaked == []
     assert result["problems"] == []
+
+
+def test_dir_lists_lazy_exports_before_first_read():
+    # dir() of a package names every export, loaded or not.
+    assert set(repro.__all__) <= set(dir(repro))
