@@ -122,15 +122,17 @@ class SimulationCache:
             self.hits += 1
         else:
             self.misses += 1
-        return self.memoized(key, lambda: kernel.simulate(
-            params, check_capacity=check_capacity, mode=mode
-        ))
+        return self.memoized(
+            key, kernel.simulate, params,
+            check_capacity=check_capacity, mode=mode,
+        )
 
     def memoized(
-        self, key: Tuple, compute: Callable[[], SimReport]
+        self, key: Tuple, compute: Callable[..., SimReport], *args,
+        **kwargs,
     ) -> SimReport:
-        """``compute()``, memoized under ``key``; an OOM outcome is
-        stored and re-raised on every later lookup."""
+        """``compute(*args, **kwargs)``, memoized under ``key``; an OOM
+        outcome is stored and re-raised on every later lookup."""
         hit = self._store.get(key)
         if hit is not None:
             outcome, payload = hit
@@ -138,7 +140,7 @@ class SimulationCache:
                 raise OutOfMemoryError(*payload)
             return payload
         try:
-            report = compute()
+            report = compute(*args, **kwargs)
         except OutOfMemoryError as err:
             self._store[key] = ("oom", (
                 err.memory_name, err.needed_bytes, err.capacity_bytes
@@ -190,4 +192,4 @@ def cached_baseline(
         args,
         tuple(sorted(kwargs.items())),
     )
-    return SIM_CACHE.memoized(key, lambda: fn(cluster, *args, **kwargs))
+    return SIM_CACHE.memoized(key, fn, cluster, *args, **kwargs)

@@ -400,6 +400,11 @@ def formats_for(
         for v in assignment.reduction_vars
         if v.name not in decision.dist and v.name not in tile_priority
     ]
+    # Grid dimensions past ``dist`` (the heuristic on a grid with more
+    # dimensions than loops) partition nothing.
+    grid_vars = decision.dist + (None,) * (
+        len(decision.grid) - len(decision.dist)
+    )
     formats: Dict[str, Format] = {}
     for access in assignment.accesses():
         tensor = access.tensor
@@ -412,10 +417,7 @@ def formats_for(
         mode_names = [_MODE_NAMES[m] for m in range(tensor.ndim)]
         used = set()
         mdims: List = []
-        for pos in range(len(decision.grid)):
-            # Grid dimensions past ``dist`` (the heuristic on a grid
-            # with more dimensions than loops) partition nothing.
-            var = decision.dist[pos] if pos < len(decision.dist) else None
+        for var in grid_vars:
             if var in index_names:
                 mode = index_names.index(var)
                 mdims.append(DimName(mode_names[mode]))
