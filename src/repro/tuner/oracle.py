@@ -2,9 +2,11 @@
 
 Candidates are scored by compiling and simulating them through
 ``Kernel.simulate(mode="orbit")`` — the orbit-compressed executor PRs
-1–2 made fast precisely so it can be queried thousands of times. Three
+1–2 made fast precisely so it can be queried thousands of times. Four
 layers keep re-evaluation cheap:
 
+* one candidate per index-symmetry class is simulated, and the others
+  get its outcome (:meth:`Oracle._evaluate_pending`);
 * the process-global :data:`~repro.bench.cache.SIM_CACHE` memoizes
   ``(plan, machine, params, mode)`` so identical candidates (canonical
   representatives, repeated rungs) simulate once. It is the oracle's
@@ -29,7 +31,7 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -44,7 +46,12 @@ from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.obs.spans import span
 from repro.sim.params import LASSEN, MachineParams
-from repro.tuner.space import Decision, realize
+from repro.tuner.space import (
+    Decision,
+    index_symmetries,
+    realize,
+    symmetry_representative,
+)
 from repro.util.errors import OutOfMemoryError, ReproError
 from repro.util.fileio import locked, write_atomic
 
@@ -720,6 +727,10 @@ class Oracle:
         #: (cache-state dependent).
         self.scored = 0
         self.trace_executions = 0
+        #: Candidates given their index-symmetry class leader's outcome
+        #: instead of a simulation of their own (see
+        #: :meth:`_evaluate_pending`).
+        self.symmetry_shared = 0
         #: Static verdicts computed so far in this tune.
         self.prune_memo = PruneMemo()
         #: This tune's one machine per grid shape on ``cluster``
@@ -776,7 +787,7 @@ class Oracle:
             name: getattr(self, name)
             for name in (
                 "scored", "simulated", "pruned_static", "errors",
-                "trace_executions",
+                "trace_executions", "symmetry_shared",
             )
         }
         ledger_before = (
@@ -858,20 +869,68 @@ class Oracle:
         self.pruned_static += other.pruned_static
         self.scored += other.scored
         self.trace_executions += other.trace_executions
+        self.symmetry_shared += other.symmetry_shared
 
     def _evaluate_pending(
         self, assignment: Assignment, pending: List[Decision]
     ) -> List[EvalOutcome]:
-        # Static verdicts are settled here, against the memo, so only
-        # candidates that need a simulation reach the workers.
+        """Outcomes for ``pending``, simulating one member per
+        index-symmetry class.
+
+        Static verdicts are settled first, against the memo, so only
+        candidates that need a simulation reach the workers. The
+        survivors are then grouped by
+        :func:`~repro.tuner.space.symmetry_representative`: only each
+        class's least-key member is simulated, and every other member
+        gets its outcome with its own ``decision`` and
+        ``executed=False`` (counted in :attr:`symmetry_shared`). A class
+        differs only in which variable each grid dimension distributes
+        (:func:`~repro.tuner.space.index_symmetries`), so its members
+        simulate alike; a non-OOM error names its decision's variables,
+        so the members of an erroring class are simulated themselves.
+        """
         outcomes: Dict[Decision, EvalOutcome] = {}
-        survivors: List[Decision] = []
+        classes: Dict[Decision, List[Decision]] = {}
+        symmetries = index_symmetries(assignment)
         for decision in pending:
             reason = self.prune_reason(assignment, decision)
             if reason is None:
-                survivors.append(decision)
+                rep = symmetry_representative(decision, symmetries)
+                classes.setdefault(rep, []).append(decision)
             else:
                 outcomes[decision] = EvalOutcome.pruned_by(decision, reason)
+        leaders = {
+            min(members, key=Decision.key): members
+            for members in classes.values()
+        }
+        outcomes.update(
+            (o.decision, o)
+            for o in self._simulate(assignment, list(leaders))
+        )
+        unshared: List[Decision] = []
+        for leader, members in leaders.items():
+            outcome = outcomes[leader]
+            others = [m for m in members if m != leader]
+            if outcome.error and not outcome.oom:
+                unshared += others
+                continue
+            for member in others:
+                outcomes[member] = replace(
+                    outcome, decision=member, executed=False
+                )
+            self.symmetry_shared += len(others)
+        outcomes.update(
+            (o.decision, o) for o in self._simulate(assignment, unshared)
+        )
+        return [outcomes[d] for d in pending]
+
+    def _simulate(
+        self, assignment: Assignment, decisions: List[Decision]
+    ) -> List[EvalOutcome]:
+        """Simulated outcomes of ``decisions``: in-process, or in chunks
+        over forked workers when ``jobs > 1``."""
+        if not decisions:
+            return []
         common = dict(
             assignment=assignment,
             cluster=self.cluster,
@@ -879,19 +938,15 @@ class Oracle:
             memory=self.memory,
             timeout_s=self.timeout_s,
         )
-        if self.jobs <= 1 or len(survivors) <= 1:
+        if self.jobs <= 1 or len(decisions) <= 1:
             # In-process: evaluate against a private copy so the
             # caller's tensor formats are not clobbered mid-search.
-            simulated = tuner_eval_batch(
-                decisions=survivors, machines=self.machines, **common
+            return tuner_eval_batch(
+                decisions=decisions, machines=self.machines, **common
             )
-        else:
-            chunks = min(self.jobs * 4, len(survivors))
-            per_point = [
-                dict(common, decisions=survivors[c::chunks])
-                for c in range(chunks)
-            ]
-            simulated = run_points("tuner_eval_batch", per_point, self.jobs)
-        for outcome in simulated:
-            outcomes[outcome.decision] = outcome
-        return [outcomes[d] for d in pending]
+        chunks = min(self.jobs * 4, len(decisions))
+        per_point = [
+            dict(common, decisions=decisions[c::chunks])
+            for c in range(chunks)
+        ]
+        return run_points("tuner_eval_batch", per_point, self.jobs)

@@ -82,6 +82,9 @@ class SearchOutcome:
     #: Candidates that missed ``SIM_CACHE`` and ran a trace (see
     #: :mod:`repro.tuner.oracle`).
     trace_executions: int = 0
+    #: Candidates given their index-symmetry class leader's outcome
+    #: instead of a simulation (see :class:`~repro.tuner.oracle.Oracle`).
+    symmetry_shared: int = 0
     #: Always 0; kept only because ``perfbench/tune_cold.py`` reads
     #: them. A ``benchmark`` change drops both (ROADMAP item 9).
     repriced: int = 0
@@ -97,7 +100,8 @@ class SearchOutcome:
             f"strategy {self.strategy}: {self.space_size} candidates, "
             f"{self.evaluations} evaluated "
             f"({self.pruned_static} statically pruned, "
-            f"{self.trace_executions} trace executions)",
+            f"{self.trace_executions} trace executions, "
+            f"{self.symmetry_shared} shared by symmetry)",
         ]
         for rung in self.rungs:
             lines.append(
@@ -503,6 +507,7 @@ def tune(
         errors=oracle.errors,
         pruned_static=oracle.pruned_static,
         trace_executions=oracle.trace_executions,
+        symmetry_shared=oracle.symmetry_shared,
     )
 
     from repro.tuner.space import realize

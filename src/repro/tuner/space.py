@@ -291,6 +291,70 @@ def _relabellings(
     return perms
 
 
+def index_symmetries(assignment: Assignment) -> List[Dict[str, str]]:
+    """The index-variable relabellings that fix every tensor.
+
+    Each is a non-identity permutation π of the output's index
+    variables (a ``name -> name`` dict over them) that keeps
+    every extent and maps each access's variable set, the output's
+    included, onto itself, so every tensor maps to itself with
+    equal-extent modes permuted: TTV's and TTM's ``i``↔``j`` turns
+    ``B(i,j,k)`` into ``B(j,i,k)``. A decision and its image under π
+    (:func:`symmetry_representative`) differ only in which variable
+    each grid dimension distributes; the grid, node packing, tensor
+    names and copy-emission order are unchanged, so both simulate to
+    the same outcome, and the oracle simulates one member per class.
+
+    Two kinds of relabelling are left out because they are not exact:
+
+    * operand swaps: matmul's ``i``↔``j`` maps ``B(i,k)`` onto the
+      variables of ``C(k,j)``, which moves the simulated float
+      summation order;
+    * reduction variables: a tiled input partitions its reduction
+      modes in their order of first appearance (:func:`formats_for`),
+      which a permutation of them does not follow.
+    """
+    domains = {v.name: e for v, e in assignment.domains().items()}
+    free = [v.name for v in assignment.free_vars]
+    var_sets = {
+        frozenset(v.name for v in access.indices)
+        for access in assignment.accesses()
+    }
+    out = []
+    for image in permutations(free):
+        pi = dict(zip(free, image))
+        if image != tuple(free) and all(
+            domains[v] == domains[w] for v, w in pi.items()
+        ) and all(frozenset(pi.get(v, v) for v in s) == s for s in var_sets):
+            out.append(pi)
+    return out
+
+
+def symmetry_representative(
+    decision: Decision, symmetries: Sequence[Dict[str, str]]
+) -> Decision:
+    """The least-key member of ``decision``'s index-symmetry class: the
+    decision and its images ``π(decision)``, ``π`` in ``symmetries``
+    (:func:`index_symmetries`), which rename ``dist`` and ``seq``.
+
+    An image is not normalized: canonicalizing it would relabel grid
+    dimensions, which moves rotations and steps onto other dimensions
+    and is not exact. So a class's members all lie in the space only
+    when ``π`` keeps the decision canonical (TTV's ``grid=2x4;
+    dist=i,j`` and ``dist=j,i``), and a class otherwise holds one
+    member.
+    """
+    images = [
+        replace(
+            decision,
+            dist=tuple(pi.get(v, v) for v in decision.dist),
+            seq=pi.get(decision.seq, decision.seq),
+        )
+        for pi in symmetries
+    ]
+    return min(images + [decision], key=Decision.key)
+
+
 def _input_accesses(assignment: Assignment) -> List[Access]:
     """First access of each distinct input tensor, in expression order."""
     seen = []

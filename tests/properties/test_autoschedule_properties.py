@@ -38,11 +38,12 @@ EXTENTS = {v: e for v, e in zip(VARS, (5, 6, 4, 3))}
 GOLDEN = Path(__file__).with_name("autoschedule_golden.json")
 
 
-def build_einsum(integer, permutation, boolean):
+def build_einsum(integer, permutation, boolean, extents=EXTENTS):
     """A random assignment: product(s) of random accesses.
 
     ``integer(lo, hi)``, ``permutation(seq)`` and ``boolean()`` make
-    the random choices, in this order.
+    the random choices, in this order; ``extents`` maps each of
+    ``VARS`` to its extent.
     """
     n_out = integer(0, 2)
     out_vars = list(permutation(VARS))[:n_out]
@@ -51,7 +52,7 @@ def build_einsum(integer, permutation, boolean):
     for idx in range(n_inputs):
         n_dims = integer(1, 3)
         dims = list(permutation(VARS))[:n_dims]
-        shape = tuple(EXTENTS[v] for v in dims)
+        shape = tuple(extents[v] for v in dims)
         tensor = TensorVar(f"T{idx}", shape)
         accesses.append(Access(tensor, tuple(dims)))
     rhs: Expr = accesses[0]
@@ -60,7 +61,7 @@ def build_einsum(integer, permutation, boolean):
     # Optionally a second additive term reusing the first access.
     if boolean() and len(accesses) >= 2:
         rhs = rhs + accesses[0]
-    out_shape = tuple(EXTENTS[v] for v in out_vars)
+    out_shape = tuple(extents[v] for v in out_vars)
     out = TensorVar("OUT", out_shape)
     return Assignment(Access(out, tuple(out_vars)), rhs)
 
@@ -74,12 +75,13 @@ def random_einsum(draw):
     )
 
 
-def seeded_einsum(seed):
+def seeded_einsum(seed, extents=EXTENTS):
     rng = random.Random(seed)
     return build_einsum(
         rng.randint,
         lambda seq: rng.sample(list(seq), len(seq)),
         lambda: rng.random() < 0.5,
+        extents,
     )
 
 

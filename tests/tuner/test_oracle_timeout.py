@@ -16,8 +16,12 @@ from repro.tuner.oracle import (
 )
 from repro.machine.cluster import MemoryKind
 from repro.tuner.search import tune
-from repro.tuner.space import enumerate_space
-from repro.tuner.workloads import lean_cluster, matmul
+from repro.tuner.space import (
+    enumerate_space,
+    index_symmetries,
+    symmetry_representative,
+)
+from repro.tuner.workloads import lean_cluster, matmul, ttv
 
 
 class TestDeadline:
@@ -115,6 +119,31 @@ class TestEvaluateTimeout:
         outcomes = oracle.evaluate(assignment, space[:2])
         assert oracle.errors == 2
         assert all("Timeout" in o.error for o in outcomes)
+
+    def test_an_erroring_class_is_not_shared(self, monkeypatch):
+        """A timeout names no decision's variables, but no error outcome
+        is shared: each member of the class runs into its own."""
+        cluster = lean_cluster(4)
+        assignment = ttv(64)
+        symmetries = index_symmetries(assignment)
+        classes = {}
+        for decision in enumerate_space(assignment, cluster.num_processors):
+            rep = symmetry_representative(decision, symmetries)
+            classes.setdefault(rep, []).append(decision)
+        pair = next(members for members in classes.values()
+                    if len(members) == 2)
+
+        def stuck(*args, **kwargs):
+            time.sleep(30)
+
+        monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
+        oracle = Oracle(
+            cluster, params=LASSEN, static_prune=False, timeout_s=0.1
+        )
+        outcomes = oracle.evaluate(assignment, pair)
+        assert [o.decision for o in outcomes] == pair
+        assert all("Timeout" in o.error for o in outcomes)
+        assert (oracle.errors, oracle.symmetry_shared) == (2, 0)
 
     def test_tune_forwards_timeout(self, problem):
         assignment, cluster, _ = problem

@@ -1,4 +1,5 @@
-"""The 512-node beam tune's search, counter for counter.
+"""Tuner search counters: the 512-node beam tune's, counter for
+counter, and where a TTV tune's surviving candidates went.
 
 ``python -m repro.tune --nodes 512 --strategy beam --jobs 1`` tunes the
 weak-scaled square matmul on 512 CPU nodes; the values below were
@@ -12,7 +13,10 @@ afterwards.
 from repro import api
 from repro.bench.cache import SIM_CACHE
 from repro.machine.cluster import Cluster
-from repro.tuner.workloads import weak_scaled
+from repro.obs.metrics import METRICS
+from repro.tuner.oracle import Oracle
+from repro.tuner.search import tune
+from repro.tuner.workloads import ttv, weak_scaled
 
 
 def test_512_node_beam_tune_counters():
@@ -40,3 +44,59 @@ def test_512_node_beam_tune_counters():
         "grid=2x512;dist=i,j;out=face;leaf=gemm"
     )
     assert search.best.cost == 39.098207354184744
+
+
+def _shared_metric():
+    return METRICS.snapshot(sources=False).get("oracle.symmetry_shared", 0)
+
+
+def _cold_tune(monkeypatch, **options):
+    """A TTV tune from an empty cache, with the ``SIM_CACHE`` hits taken
+    inside ``Oracle.evaluate`` (``tune`` looks the winner up once more
+    afterwards) and the ``oracle.symmetry_shared`` metric's growth."""
+    hits = []
+    evaluate = Oracle.evaluate
+
+    def counted(self, assignment, decisions):
+        before = SIM_CACHE.hits
+        try:
+            return evaluate(self, assignment, decisions)
+        finally:
+            hits.append(SIM_CACHE.hits - before)
+
+    monkeypatch.setattr(Oracle, "evaluate", counted)
+    saved = SIM_CACHE.export()
+    counts = SIM_CACHE.hits, SIM_CACHE.misses
+    metric = _shared_metric()
+    SIM_CACHE.clear()
+    try:
+        result = tune(ttv(64), Cluster.cpu_cluster(4), **options)
+    finally:
+        SIM_CACHE.clear()
+        SIM_CACHE.install(saved)
+        SIM_CACHE.hits, SIM_CACHE.misses = counts
+    return result.search, sum(hits), _shared_metric() - metric
+
+
+def test_every_survivor_is_traced_hit_or_shared(monkeypatch):
+    search, hits, metric = _cold_tune(monkeypatch, strategy="exhaustive")
+    survivors = search.evaluations - search.pruned_static
+    assert search.symmetry_shared > 0
+    assert survivors == (
+        search.trace_executions + hits + search.symmetry_shared
+    )
+    assert metric == search.symmetry_shared
+    assert f"{search.symmetry_shared} shared by symmetry" in (
+        search.describe()
+    )
+
+
+def test_beam_folds_in_the_coarse_rungs_sharing(monkeypatch):
+    """The coarse rung's oracle shares too (18 candidates at 2
+    processors, 3 more at full scale); ``merge_counters`` folds its
+    count into the search's."""
+    search, _, metric = _cold_tune(
+        monkeypatch, strategy="beam", coarse_procs=2
+    )
+    assert [rung["procs"] for rung in search.rungs] == [2, 8]
+    assert metric == search.symmetry_shared == 21
