@@ -166,7 +166,7 @@ class ScheduleClient:
             raise ConnectionLost("daemon closed the connection")
         try:
             response = protocol.decode(line)
-        except Exception as err:
+        except ValueError as err:
             self._poison()
             raise ProtocolError(f"undecodable response: {err}") from err
         if response.get("protocol") not in (None, protocol.PROTOCOL_VERSION):

@@ -612,7 +612,7 @@ class ScheduleServer:
                 try:
                     try:
                         message = protocol.decode(frame)
-                    except Exception as err:
+                    except ValueError as err:
                         response = protocol.error_response(
                             f"undecodable message: {err}"
                         )

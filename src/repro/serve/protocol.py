@@ -61,7 +61,12 @@ def encode(message: Dict) -> bytes:
 
 
 def decode(line: bytes) -> Dict:
-    message = json.loads(line.decode("utf-8"))
+    """One wire line's message; ``ValueError`` when the line is not one
+    UTF-8 JSON object, nested too deeply for the parser included."""
+    try:
+        message = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("message nested too deeply to parse") from None
     if not isinstance(message, dict):
         raise ValueError("protocol messages must be JSON objects")
     return message

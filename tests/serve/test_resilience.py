@@ -221,6 +221,20 @@ class TestFrameDiscipline:
             assert client.ping()
         assert _counter("serve.errors") == errors0 + 1
 
+    def test_undecodable_lines_answer_error_and_keep_stream(
+        self, tmp_path
+    ):
+        # Bad UTF-8, a JSON array, and nesting too deep for the parser
+        # (a RecursionError inside json.loads).
+        with serving(tmp_path) as (server, client):
+            for line in (b"\xff\xfe", b"[1, 2]", b"[" * 100000):
+                client._file.write(line + b"\n")
+                client._file.flush()
+                response = client._recv()
+                assert response["status"] == "error"
+                assert response["error"].startswith("undecodable message")
+            assert client.ping()
+
     def test_torn_final_line_just_closes_the_connection(self, tmp_path):
         with serving(tmp_path) as (server, client):
             client._file.write(b'{"op": "pi')
