@@ -13,7 +13,8 @@ flags and the rules they carry from here:
 * :func:`make_ledger` — the :class:`~repro.tuner.oracle.TuningLedger`
   at ``--ledger``: a ``.json`` file is a one-shard ledger, a directory
   (or a new path without a ``.json`` suffix) a root of shards like the
-  serving daemon's;
+  serving daemon's — and :func:`ledger_failed`, which compacts it at
+  exit;
 * :func:`reporter`, :func:`print_metrics` / :func:`emit` — the human
   report, which ``--json`` silences, and the machine-readable
   alternative. Every CLI supports ``--json``; the payload always
@@ -201,8 +202,11 @@ def guarded(failure: str, run, *args) -> int:
 
 
 def ledger_failed(ledger, stream=None) -> bool:
-    """Shared exit-path check: report unwritable ledgers loudly."""
+    """Shared exit path: compact the ledger (its journals fold into
+    the snapshots), and report an unwritable ledger loudly."""
     stream = stream or sys.stderr
+    if ledger is not None:
+        ledger.compact()
     if ledger is not None and ledger.save_failures:
         print(
             f"tuning ledger could not be written to {ledger.path}",

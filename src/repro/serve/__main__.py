@@ -17,7 +17,8 @@ is preferred; without one the daemon binds localhost TCP.
 
 ``--migrate`` copies every record of another ledger (typically a
 one-shard ``.json`` file) into the ``--ledger`` ledger, routed to its
-shards, and exits (the source is left untouched).
+shards, and exits (the source is left untouched). Both modes compact
+the root's journals into its shard snapshots at exit.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def _run_daemon(args) -> int:
         asyncio.run(server.serve_until_stopped())
     except KeyboardInterrupt:
         pass
+    server.ledger.compact()
     return 0
 
 
@@ -74,7 +76,7 @@ def _run_migrate(args) -> int:
         return 1
     target = TuningLedger(args.ledger)
     target.copy_from(TuningLedger(source))
-    target.save()
+    target.compact()  # saves the copies, folded into the snapshots
     entries = len(target)
     answers = len(target.answers)
     payload = {

@@ -47,8 +47,9 @@ a warm miss simulates only that small neighborhood instead of the
 full space.
 
 Completed answers are persisted to the ledger root's shards *by the
-worker child* using the lock/salvage pattern, then installed into the
-in-memory index here; a daemon restart rebuilds the index from the
+worker child*, group-committed with the tune's records as one locked,
+fsync'd journal append per shard, then installed into the in-memory
+index here; a daemon restart rebuilds the index from the
 shards and serves every previously tuned answer as a hit.
 """
 

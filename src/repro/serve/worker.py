@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import signal
+from contextlib import nullcontext
 from typing import Dict, Optional
 
 from repro.api import ScheduleRequest, tune_request
@@ -36,6 +37,32 @@ import repro.analysis.legality  # noqa: F401
 import repro.runtime.orbit  # noqa: F401
 import repro.tuner.search  # noqa: F401
 
+#: The ledger a forked worker keeps open between misses, by path: each
+#: miss refreshes it, reading only the journal bytes other processes
+#: appended since, instead of parsing its shards again. The child
+#: process owns it; it dies with the child.
+_LEDGERS: Dict[str, TuningLedger] = {}
+
+
+def _open_ledger(
+    path: Optional[str], parent_pid: Optional[int]
+) -> Optional[TuningLedger]:
+    if path is None:
+        return None
+    if parent_pid is None or os.getpid() == parent_pid:
+        # Running in the daemon process itself (no fork): its
+        # dispatcher threads must not share one ledger.
+        return TuningLedger(path)
+    ledger = _LEDGERS.get(path)
+    if ledger is None:
+        ledger = _LEDGERS[path] = TuningLedger(path)
+        # Parse every shard on the first miss, as the daemon did at
+        # startup, so no later miss parses one.
+        len(ledger)
+    else:
+        ledger.refresh()
+    return ledger
+
 
 def serve_tune(
     record: Dict,
@@ -50,9 +77,10 @@ def serve_tune(
     ``warm`` is the *encoded decision* of the request's nearest tuned
     neighbor; when given, the tune searches only the warm neighborhood
     (``strategy="warm"`` — strictly fewer simulations than a cold
-    tune). A completed answer is persisted to the ledger
-    (lock-merge-save, so concurrent workers never drop each other's
-    work) before the row is returned.
+    tune). The tune's per-rung saves and the answer are group-committed
+    to the ledger — one locked journal append and fsync per shard
+    touched, so concurrent workers never drop each other's work — and
+    the row is returned only after that commit.
 
     The row is ``{"status": "ok", "fingerprint", "answer"}`` or
     ``{"status": "error", "fingerprint", "error"}``.
@@ -69,32 +97,33 @@ def serve_tune(
         and os.getpid() != parent_pid
     ):
         os.kill(os.getpid(), signal.SIGKILL)
-    ledger = TuningLedger(ledger_path) if ledger_path is not None else None
+    ledger = _open_ledger(ledger_path, parent_pid)
     fingerprint = ""
     try:
         request = ScheduleRequest.from_record(record)
         fingerprint = request.fingerprint()
-        if warm:
-            METRICS.inc("serve.warm_started")
-            result = tune_request(
-                request,
-                warm_start=Decision.decode(warm),
-                strategy="warm",
-                ledger=ledger,
-                timeout_s=timeout_s,
-            )
-        else:
-            result = tune_request(
-                request, ledger=ledger, timeout_s=timeout_s
-            )
-        answer = result.answer
-        METRICS.inc("serve.tunes")
-        if ledger is not None:
-            ledger.put_answer(
-                fingerprint,
-                {"request": record, "answer": answer.to_record()},
-            )
-            ledger.save()
+        with ledger.group_commit() if ledger is not None else nullcontext():
+            if warm:
+                METRICS.inc("serve.warm_started")
+                result = tune_request(
+                    request,
+                    warm_start=Decision.decode(warm),
+                    strategy="warm",
+                    ledger=ledger,
+                    timeout_s=timeout_s,
+                )
+            else:
+                result = tune_request(
+                    request, ledger=ledger, timeout_s=timeout_s
+                )
+            answer = result.answer
+            METRICS.inc("serve.tunes")
+            if ledger is not None:
+                ledger.put_answer(
+                    fingerprint,
+                    {"request": record, "answer": answer.to_record()},
+                )
+                ledger.save()
         return {
             "status": "ok",
             "fingerprint": fingerprint,

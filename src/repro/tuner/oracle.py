@@ -17,9 +17,10 @@ layers keep re-evaluation cheap:
   (:mod:`repro.bench.parallel`), whose forked slot children inherit
   the warm cache and ship their deltas back;
 * a persistent :class:`TuningLedger` (one JSON file, or a directory of
-  JSON shards; written atomically) maps ``workload-signature/decision``
-  to the simulated summary, so a re-tune — same workload, same params —
-  replays from disk without simulating anything.
+  JSON shards, each with an fsync'd append-only journal) maps
+  ``workload-signature/decision`` to the simulated summary, so a
+  re-tune — same workload, same params — replays from disk without
+  simulating anything.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.tuner.space import (
     symmetry_representative,
 )
 from repro.util.errors import OutOfMemoryError, ReproError
-from repro.util.fileio import locked, write_atomic
+from repro.util.fileio import fsync_dir, locked, write_all, write_atomic
 
 #: Cost assigned to candidates that OOM or fail to compile: they sort
 #: after every feasible candidate but remain in the ledger.
@@ -176,21 +177,73 @@ def workload_signature(
 MANIFEST = "MANIFEST.json"
 #: Shard count of a fresh ledger root (an existing manifest wins).
 ROOT_SHARDS = 8
+#: A shard is compacted once its journal outgrows ``max(snapshot
+#: bytes, COMPACT_FLOOR)``; the floor keeps a fresh shard (an empty
+#: snapshot) from being compacted on every append.
+COMPACT_FLOOR = 1 << 20
 
 
-def _digest(text: str) -> bytes:
-    """A shard file's identity: the SHA-256 digest of its bytes."""
-    return hashlib.sha256(text.encode()).digest()
+def _journal(path: Path) -> Path:
+    """The append-only journal beside shard snapshot ``path``."""
+    return path.with_name(path.name + ".journal")
+
+
+def _identity(path: Path):
+    """Snapshot ``path``'s identity, ``None`` when unreadable. Compaction
+    replaces the file, so a changed identity means another process
+    compacted the shard."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _open_journal(path: Path) -> Optional[int]:
+    """A read-only descriptor on journal ``path`` (``None`` when it
+    does not exist)."""
+    try:
+        return os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return None
+
+
+def _compact_json(payload: Dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class _Shard:
-    """One shard's records: the file's as loaded, plus unsaved puts."""
+    """One shard as replayed: its records, the ``oracle_stats`` of the
+    last save (``None`` when that save passed none), and what the
+    replay read."""
 
-    __slots__ = ("entries", "answers")
+    __slots__ = ("entries", "answers", "stats", "snapshot", "journal",
+                 "offset")
 
-    def __init__(self, entries: Dict[str, Dict], answers: Dict[str, Dict]):
+    def __init__(self, entries: Dict[str, Dict], answers: Dict[str, Dict],
+                 stats: Optional[Dict] = None):
         self.entries = entries
         self.answers = answers
+        self.stats = stats
+        #: The replayed snapshot's :func:`_identity`.
+        self.snapshot = None
+        #: The replayed journal's inode (``None`` when there was none)
+        #: and how many of its bytes were replayed: always the end of
+        #: a complete line.
+        self.journal: Optional[int] = None
+        self.offset = 0
+
+
+class _Pending:
+    """One shard's records put since its last append, and the stats of
+    the last :meth:`TuningLedger.save` that covered them."""
+
+    __slots__ = ("entries", "answers", "stats")
+
+    def __init__(self):
+        self.entries: set = set()
+        self.answers: set = set()
+        self.stats: Optional[Dict] = None
 
 
 class TuningLedger:
@@ -224,19 +277,34 @@ class TuningLedger:
       gets :data:`ROOT_SHARDS` shards; an existing manifest's count
       wins, so every process that opens a root routes identically.
 
-    A one-shard ledger loads its file in the constructor; a root loads
-    each shard on first use (a daemon answering one workload never
-    parses the others). Saves write only the shards changed since the
-    last save, each through a temporary file and ``os.replace`` so a
-    crashed or concurrent tune can never truncate it; entries are
-    sorted on save so equal tuning runs produce byte-identical files.
+    Each shard is a *snapshot* (the file above) plus an append-only
+    *journal* beside it (``<shard>.journal``), as in a log-structured
+    merge tree. A :meth:`save` appends, per shard it changed, one JSON
+    line holding the records put since the last save and that save's
+    ``stats``, as one ``O_APPEND`` write and one fsync under the
+    shard's advisory lock; nothing is re-read or re-serialized, so a
+    save costs what it adds. A load replays the journal's complete
+    lines over the snapshot, and :meth:`refresh` reads only the bytes
+    other processes appended since. Once a journal outgrows
+    ``max(snapshot bytes, COMPACT_FLOOR)``, the save that grew it
+    *compacts* the shard: the sorted snapshot is rewritten through a
+    temp file and ``os.replace``, and the journal is removed. Every CLI
+    that writes a ledger compacts at exit (:meth:`compact`), so equal
+    tuning runs leave byte-identical snapshots and no journal.
+    Inside :meth:`group_commit` saves defer their appends to the end of
+    the block: one append and fsync per shard touched.
 
-    Loads are crash-hardened: a torn or corrupt shard (killed writer on
-    a filesystem without atomic replace, stray editor, disk-full
-    truncation) is *salvaged* — every entry record that still parses is
-    kept, and the next save rewrites the shard — and the damaged
-    original is quarantined to ``<shard>.corrupt`` for inspection, so
-    one bad byte never silently discards a night of tuning.
+    Durability: a record is on disk once the save that covered it
+    returned True. A crashed append can only leave a torn last line;
+    loads ignore it, and the next save cuts it off under the lock
+    (``ledger.torn_lines``) before appending after it.
+
+    Snapshot loads are crash-hardened: a corrupt snapshot (stray
+    editor, disk-full truncation, a filesystem without atomic replace)
+    is *salvaged* — every entry record that still parses is kept, and
+    the next save rewrites the snapshot — and the damaged original is
+    quarantined to ``<shard>.corrupt`` for inspection, so one bad byte
+    never silently discards a night of tuning.
     """
 
     VERSION = 1
@@ -249,8 +317,8 @@ class TuningLedger:
         #: unwritable path — counted so callers like the CLI can fail
         #: loudly; a pathless in-memory ledger never counts).
         self.save_failures = 0
-        #: Entries recovered from corrupt shards at load time (each
-        #: original was quarantined to ``<shard>.corrupt``).
+        #: Entries recovered from corrupt snapshots (each original was
+        #: quarantined to ``<shard>.corrupt``) or journal lines.
         self.salvaged = 0
         p = self.path
         is_root = p is not None and (
@@ -260,13 +328,14 @@ class TuningLedger:
         self.manifest = p / MANIFEST if is_root else None
         self.shards = self._resolve_shard_count() if is_root else 1
         self._loaded: List[Optional[_Shard]] = [None] * self.shards
-        #: Per shard, the SHA-256 digest of the file contents this
-        #: ledger last parsed or wrote (``None`` before either): a save
-        #: that finds these bytes on disk has nothing to merge. Holding
-        #: the contents themselves pins heap pages for the ledger's
-        #: life, which showed as megabytes of peak RSS.
-        self._synced: List[Optional[bytes]] = [None] * self.shards
-        self._dirty: set = set()
+        #: Per shard, the records put since its last append.
+        self._pending: Dict[int, _Pending] = {}
+        #: Shards put into since the last :meth:`save` call.
+        self._unsaved: set = set()
+        #: Shards whose snapshot was salvaged: the next save rewrites it.
+        self._heal: set = set()
+        #: Inside :meth:`group_commit`: saves defer their appends.
+        self._deferred = False
         if not is_root:
             self._shard(0)
 
@@ -315,43 +384,90 @@ class TuningLedger:
             shard = self._loaded[index] = self._read(index)
         return shard
 
-    def _text(self, index: int) -> Optional[str]:
-        """Shard ``index``'s file contents (``None`` when absent or
-        unreadable)."""
-        path = self._shard_path(index)
-        if path is None or not path.exists():
-            return None
-        try:
-            return path.read_text()
-        except OSError:
-            return None
-
     def _read(self, index: int) -> _Shard:
-        """Shard ``index`` as on disk (see :meth:`_parse`)."""
-        return self._parse(index, self._text(index))
-
-    def _parse(self, index: int, text: Optional[str]) -> _Shard:
-        """Shard ``index`` from its file contents ``text``. Salvaging a
-        corrupt file recovers entries only — answers are re-derivable
-        from a re-tune, entries are the expensive part — and marks the
-        shard for rewriting."""
-        if text is None:
+        """Shard ``index`` as on disk: the snapshot, then the journal's
+        complete lines replayed over it. The journal is opened first,
+        so a compaction racing this read leaves an old journal over a
+        new snapshot, which replays to the same records."""
+        path = self._shard_path(index)
+        if path is None:
             return _Shard({}, {})
+        try:
+            fd = _open_journal(_journal(path))
+        except OSError:
+            fd = None
+        shard = self._parse(index, path)
+        try:
+            if fd is not None:
+                st = os.fstat(fd)
+                data = os.pread(fd, st.st_size, 0)
+                shard.journal = st.st_ino
+                self._replay(shard, data)
+        except OSError:
+            pass  # an unreadable journal: the snapshot alone
+        finally:
+            if fd is not None:
+                os.close(fd)
+        return shard
+
+    def _parse(self, index: int, path: Path) -> _Shard:
+        """Shard ``index`` as its snapshot at ``path`` holds it.
+        Salvaging a corrupt file recovers entries only — answers are
+        re-derivable from a re-tune, entries are the expensive part —
+        and marks the snapshot for rewriting."""
+        try:
+            with open(path, "rb") as handle:
+                st = os.fstat(handle.fileno())
+                text = handle.read().decode(errors="replace")
+        except OSError:
+            shard = _Shard({}, {})
+            shard.snapshot = _identity(path)
+            return shard
         try:
             data = json.loads(text)
         except json.JSONDecodeError:
             entries = self._salvage(text)
             self.salvaged += len(entries)
-            self._quarantine(self._shard_path(index), text)
-            self._dirty.add(index)
-            return _Shard(entries, {})
-        if isinstance(data, dict) and isinstance(data.get("entries"), dict):
-            answers = data.get("answers")
-            if not isinstance(answers, dict):
-                answers = {}
-            self._synced[index] = _digest(text)
-            return _Shard(data["entries"], answers)
-        return _Shard({}, {})
+            self._quarantine(path, text)
+            self._heal.add(index)
+            shard = _Shard(entries, {})
+        else:
+            shard = _Shard({}, {})
+            if isinstance(data, dict) and isinstance(data.get("entries"),
+                                                     dict):
+                answers = data.get("answers")
+                shard = _Shard(
+                    data["entries"],
+                    answers if isinstance(answers, dict) else {},
+                    data.get("oracle_stats"),
+                )
+        shard.snapshot = (st.st_ino, st.st_size, st.st_mtime_ns)
+        return shard
+
+    def _replay(self, shard: _Shard, data: bytes):
+        """Apply the complete journal lines in ``data`` (the bytes at
+        ``shard.offset``) in order, and advance the offset past them;
+        an incomplete last line is left unread. A complete line that
+        does not parse is salvaged like a corrupt snapshot."""
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].splitlines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            entries = answers = None
+            if isinstance(record, dict):
+                entries = record.get("entries", {})
+                answers = record.get("answers", {})
+            if not (isinstance(entries, dict) and isinstance(answers, dict)):
+                salvaged = self._salvage(line.decode(errors="replace"))
+                self.salvaged += len(salvaged)
+                shard.entries.update(salvaged)
+                continue
+            shard.entries.update(entries)
+            shard.answers.update(answers)
+            shard.stats = record.get("oracle_stats")
+        shard.offset += end
 
     @staticmethod
     def _salvage(text: str) -> Dict[str, Dict]:
@@ -418,11 +534,19 @@ class TuningLedger:
             return None
         return EvalOutcome.from_record(record)
 
+    def _put(self, index: int, field: str, key: str, record: Dict):
+        getattr(self._shard(index), field)[key] = record
+        if self.path is None:
+            return
+        pending = self._pending.get(index)
+        if pending is None:
+            pending = self._pending[index] = _Pending()
+        getattr(pending, field).add(key)
+        self._unsaved.add(index)
+
     def put(self, wsig: str, outcome: EvalOutcome):
-        index = self._route(wsig)
         key = f"{wsig}/{outcome.decision.encode()}"
-        self._shard(index).entries[key] = outcome.to_record()
-        self._dirty.add(index)
+        self._put(self._route(wsig), "entries", key, outcome.to_record())
 
     def get_answer(self, fingerprint: str) -> Optional[Dict]:
         return self._shard(self._route(fingerprint)).answers.get(fingerprint)
@@ -430,9 +554,7 @@ class TuningLedger:
     def put_answer(self, fingerprint: str, record: Dict):
         """Store a serving answer record ``{"request": ..., "answer":
         ...}`` under its request fingerprint."""
-        index = self._route(fingerprint)
-        self._shard(index).answers[fingerprint] = record
-        self._dirty.add(index)
+        self._put(self._route(fingerprint), "answers", fingerprint, record)
 
     def _merged(self, field: str) -> Dict[str, Dict]:
         merged: Dict[str, Dict] = {}
@@ -457,78 +579,235 @@ class TuningLedger:
         ``source`` is left untouched; the copies persist on the next
         :meth:`save`."""
         for key, record in source.entries.items():
-            index = self._route(key.split("/", 1)[0])
-            self._shard(index).entries[key] = record
-            self._dirty.add(index)
+            self._put(self._route(key.split("/", 1)[0]), "entries", key,
+                      record)
         for fingerprint, record in source.answers.items():
             self.put_answer(fingerprint, record)
 
     def reload(self):
         """Drop the in-memory state (unsaved records too) and re-read
-        shards on next use — readers polling a ledger that other
-        processes write into."""
+        shards on next use."""
         self._loaded = [None] * self.shards
-        self._synced = [None] * self.shards
-        self._dirty.clear()
+        self._pending.clear()
+        self._unsaved.clear()
+        self._heal.clear()
+
+    def refresh(self):
+        """Bring every loaded shard up to date with other processes'
+        saves, reading only the journal bytes past this ledger's
+        offset (a whole shard only after another process compacted
+        it). Unsaved records here are kept and win over theirs — a
+        long-lived reader, such as a serve worker between misses."""
+        for index, shard in enumerate(self._loaded):
+            if shard is not None:
+                try:
+                    self._refresh(index)
+                except OSError:
+                    pass  # unreadable right now: keep what we hold
+
+    def _refresh(self, index: int):
+        shard = self._loaded[index]
+        path = self._shard_path(index)
+        fd = _open_journal(_journal(path))
+        try:
+            st = os.fstat(fd) if fd is not None else None
+            inode = st.st_ino if st is not None else None
+            size = st.st_size if st is not None else 0
+            if (_identity(path) != shard.snapshot
+                    or shard.journal not in (None, inode)
+                    or size < shard.offset):
+                # Another process compacted the shard: replay it anew.
+                fresh = self._loaded[index] = self._read(index)
+                self._restore(fresh, self._own(index, shard))
+                return
+            shard.journal = inode
+            if size > shard.offset:
+                own = self._own(index, shard)
+                self._replay(
+                    shard, os.pread(fd, size - shard.offset, shard.offset)
+                )
+                self._restore(shard, own)
+        finally:
+            if fd is not None:
+                os.close(fd)
+
+    def _own(self, index: int, shard: _Shard):
+        """This ledger's unappended records of shard ``index``."""
+        pending = self._pending.get(index)
+        if pending is None:
+            return None
+        return (
+            {key: shard.entries[key] for key in pending.entries},
+            {key: shard.answers[key] for key in pending.answers},
+        )
+
+    @staticmethod
+    def _restore(shard: _Shard, own):
+        """Re-apply :meth:`_own`'s records after a replay: ours win on
+        key conflicts (evaluation is deterministic, so conflicting
+        records are equal anyway)."""
+        if own is not None:
+            shard.entries.update(own[0])
+            shard.answers.update(own[1])
 
     # -- persistence ---------------------------------------------------
 
     def save(self, stats: Optional[Dict] = None) -> bool:
         """Persist every changed shard; returns False when the path is
-        unset or any (atomic) write failed.
+        unset or any write failed (inside :meth:`group_commit`, True:
+        the appends wait for the end of the block).
 
-        Each shard save takes the shard's advisory lock, re-reads the
-        file, and merges records other processes added since we loaded
-        it (ours win on key conflicts — evaluation is deterministic, so
-        conflicting records are equal anyway), so concurrent tunes
+        Each changed shard gets one journal append (see the class
+        docstring), made under the shard's advisory lock after reading
+        the lines other processes appended since, so concurrent tunes
         sharing one ledger never drop each other's work.
 
         ``stats`` (the oracle's hit counts; see :meth:`Oracle.stats`)
-        is recorded under ``"oracle_stats"`` in every shard written —
-        counters are derived from candidate fingerprints, not cache
-        state, so equal-seed runs still write byte-identical ledgers.
+        rides in the appended lines as ``"oracle_stats"``, and a
+        compacted snapshot carries the last save's (none when that save
+        passed none) — counters are derived from candidate
+        fingerprints, not cache state, so equal-seed runs still write
+        byte-identical ledgers.
         """
         if self.path is None:
             return False
+        for index in self._unsaved:
+            self._pending[index].stats = stats
+        self._unsaved.clear()
+        if self._deferred:
+            return True
+        return self._commit()
+
+    @contextmanager
+    def group_commit(self):
+        """Defer the appends of every save inside the block to its end
+        (also when it raises): one append and one fsync per shard
+        touched, however many saves the block made."""
+        self._deferred = True
+        try:
+            yield self
+        finally:
+            self._deferred = False
+            self._commit()
+
+    def _commit(self) -> bool:
         ok = True
-        for index in sorted(self._dirty):
-            if self._save_shard(index, stats):
-                self._dirty.discard(index)
-            else:
+        for index in sorted(self._pending.keys() | self._heal):
+            if not self._persist(index):
                 self.save_failures += 1
                 ok = False
         return ok
 
-    def _save_shard(self, index: int, stats: Optional[Dict]) -> bool:
+    def _persist(self, index: int, compact: bool = False) -> bool:
+        """Under shard ``index``'s lock: catch up with other processes'
+        appends, cut a torn tail, append the shard's pending records as
+        one line, and compact when due (or when ``compact``)."""
         path = self._shard_path(index)
+        journal = _journal(path)
+        pending = self._pending.get(index)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            with locked(path):
+                self._shard(index)
+                self._refresh(index)
+                shard = self._loaded[index]
+                self._cut_torn_tail(journal, shard)
+                if pending is not None:
+                    self._append(journal, shard, pending)
+                    del self._pending[index]
+                    self._unsaved.discard(index)
+                limit = max(
+                    shard.snapshot[1] if shard.snapshot else 0,
+                    COMPACT_FLOOR,
+                )
+                if compact or index in self._heal or shard.offset > limit:
+                    return self._compact(index, path, journal, shard)
         except OSError:
             return False
-        with locked(path):
-            text = self._text(index)
-            merged = self._loaded[index]
-            if text is not None and _digest(text) != self._synced[index]:
-                # Other processes wrote since: merge their records
-                # under ours. Unchanged bytes hold only records this
-                # ledger last parsed or wrote, which it still holds.
-                merged = self._parse(index, text)
-                mine = self._loaded[index]
-                merged.entries.update(mine.entries)
-                merged.answers.update(mine.answers)
-                self._loaded[index] = merged
-            payload = {"version": self.VERSION, "entries": merged.entries}
-            if merged.answers:
-                payload["answers"] = merged.answers
-            if stats is not None:
-                payload["oracle_stats"] = stats
-            text = json.dumps(
-                payload, sort_keys=True, separators=(",", ":")
-            ) + "\n"
-            if not write_atomic(path, text):
-                return False
-            self._synced[index] = _digest(text)
-            return True
+        return True
+
+    @staticmethod
+    def _cut_torn_tail(journal: Path, shard: _Shard):
+        """Under the lock nobody appends, so journal bytes past the
+        replayed offset are a crashed append's torn last line."""
+        try:
+            size = os.stat(journal).st_size
+        except FileNotFoundError:
+            return
+        if size > shard.offset:
+            os.truncate(journal, shard.offset)
+            METRICS.inc("ledger.torn_lines")
+
+    @staticmethod
+    def _append(journal: Path, shard: _Shard, pending: _Pending):
+        body: Dict = {}
+        if pending.entries:
+            body["entries"] = {k: shard.entries[k] for k in pending.entries}
+        if pending.answers:
+            body["answers"] = {k: shard.answers[k] for k in pending.answers}
+        if pending.stats is not None:
+            body["oracle_stats"] = pending.stats
+        line = (_compact_json(body) + "\n").encode()
+        fd = os.open(journal, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            write_all(fd, line)
+            os.fsync(fd)
+            st = os.fstat(fd)
+        finally:
+            os.close(fd)
+        if shard.journal is None:
+            fsync_dir(journal.parent)  # the new journal's name, too
+        if st.st_size == shard.offset + len(line):
+            shard.offset = st.st_size  # else replayed by the next refresh
+        shard.journal = st.st_ino
+        shard.stats = pending.stats
+        METRICS.inc("ledger.appends")
+        METRICS.inc("ledger.append_bytes", len(line))
+
+    def _compact(self, index: int, path: Path, journal: Path,
+                 shard: _Shard) -> bool:
+        """Rewrite shard ``index``'s snapshot from its replayed records
+        and remove the journal (the caller holds the lock). A crash
+        between the two leaves the old journal over the new snapshot,
+        which replays to the same records."""
+        payload = {"version": self.VERSION, "entries": shard.entries}
+        if shard.answers:
+            payload["answers"] = shard.answers
+        if shard.stats is not None:
+            payload["oracle_stats"] = shard.stats
+        if not write_atomic(path, _compact_json(payload) + "\n"):
+            return False
+        try:
+            os.unlink(journal)
+        except FileNotFoundError:
+            pass
+        shard.snapshot = _identity(path)
+        shard.journal = None
+        shard.offset = 0
+        self._heal.discard(index)
+        METRICS.inc("ledger.compactions")
+        return True
+
+    def compact(self) -> bool:
+        """Commit what is pending, then fold every non-empty journal
+        into its snapshot. Every CLI that writes a ledger calls this at
+        exit, so the snapshots it leaves are byte-identical to what
+        rewriting whole shards on every save wrote."""
+        if self.path is None:
+            return False
+        ok = self._commit()
+        for index in range(self.shards):
+            journal = _journal(self._shard_path(index))
+            try:
+                if os.stat(journal).st_size == 0:
+                    continue
+            except FileNotFoundError:
+                continue
+            except OSError:
+                pass  # let the locked attempt report it
+            if not self._persist(index, compact=True):
+                self.save_failures += 1
+                ok = False
+        return ok
 
     def __len__(self) -> int:
         return sum(

@@ -3,9 +3,11 @@
 The tuning ledger (:class:`repro.tuner.oracle.TuningLedger`) and the
 serving daemon's quarantine store (:mod:`repro.serve.supervise`) both
 persist with the same discipline: writers serialize on an advisory
-lock beside the target (:func:`locked`), and every write lands through
-a same-directory temp file and ``os.replace`` (:func:`write_atomic`),
-so readers never observe a torn file.
+lock beside the target (:func:`locked`), and every whole-file write
+lands through a same-directory temp file and ``os.replace``
+(:func:`write_atomic`), so readers never observe a torn file. The
+ledger's shard journals append in place instead (:func:`write_all`)
+and make their creation durable with :func:`fsync_dir`.
 """
 
 from __future__ import annotations
@@ -54,9 +56,34 @@ def locked(path: Path):
             lock_file.close()
 
 
+def write_all(fd: int, data: bytes):
+    """Write every byte of ``data`` to ``fd`` (``os.write`` may write
+    fewer than it is given)."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def fsync_dir(path: Path):
+    """Make directory ``path``'s entries durable: a rename or a newly
+    created file inside it survives a power loss only once its
+    directory is fsync'd too."""
+    fd = os.open(str(path), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_atomic(path: Path, text: str) -> bool:
     """Write ``text`` to ``path`` via a same-directory temp file and
-    ``os.replace``, so readers never observe a torn file."""
+    ``os.replace``, so readers never observe a torn file.
+
+    The order is write, fsync the file, replace, fsync the directory:
+    without the first fsync a crash can publish an *empty* temp file
+    under the final name, and without the second a power loss can
+    forget the rename itself.
+    """
     try:
         fd, tmp = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name, suffix=".tmp"
@@ -64,15 +91,13 @@ def write_atomic(path: Path, text: str) -> bool:
     except OSError:
         return False
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            # fsync before the rename: without it, a crash (or power
-            # loss) between write and replace can publish an *empty*
-            # temp file under the final name — a stale-but-valid log
-            # that silently drops every record written so far.
-            os.fsync(handle.fileno())
+        try:
+            write_all(fd, text.encode())
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
+        fsync_dir(path.parent)
     except OSError:
         try:
             os.unlink(tmp)

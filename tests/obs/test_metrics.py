@@ -155,10 +155,12 @@ class TestGlobalRegistry:
 
         def run(path):
             SIM_CACHE.clear()
+            ledger = TuningLedger(path)
             tune(
                 matmul(2048), Cluster.cpu_cluster(4), jobs=1, seed=7,
-                ledger=TuningLedger(path),
+                ledger=ledger,
             )
+            assert ledger.compact()
             return path.read_bytes()
 
         set_tracing(True)

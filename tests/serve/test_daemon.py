@@ -333,11 +333,23 @@ class TestProtocolOps:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
+            # The socket file exists before the daemon listens on it:
+            # retry the connection until a ping answers.
             deadline = time.monotonic() + 30
-            while not sock.exists() and time.monotonic() < deadline:
+            while True:
+                try:
+                    client = ScheduleClient(
+                        socket_path=str(sock), timeout=30, retries=0
+                    )
+                except OSError:  # no socket yet, or not listening
+                    client = None
+                if client is not None and client.ping():
+                    break
+                if client is not None:
+                    client.close()
+                assert time.monotonic() < deadline, "daemon never pinged"
                 time.sleep(0.02)
-            with ScheduleClient(socket_path=str(sock), timeout=30) as c:
-                assert c.ping()
+            with client as c:
                 assert c.shutdown()["stopping"]
             _, stderr = proc.communicate(timeout=60)
         finally:

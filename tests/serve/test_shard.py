@@ -95,6 +95,7 @@ class TestRouting:
         ):
             ledger.copy_from(records)
             assert ledger.save()
+            assert ledger.compact()
         assert (tmp_path / "root" / "shard-00.json").read_bytes() == (
             tmp_path / "single.json"
         ).read_bytes()
@@ -116,6 +117,7 @@ class TestOpenLedger:
         assert ledger.shards == 1
         ledger.put_answer(*_answer(1))
         assert ledger.save()
+        assert ledger.compact()  # folds and removes the journal
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ledger.json", "ledger.json.lock",
         ]
@@ -146,6 +148,7 @@ class TestMigration:
         fingerprint, record = _answer(7)
         single.put_answer(fingerprint, record)
         assert single.save()
+        assert single.compact()
         before = json.loads(source.read_text())
 
         sharded = _root(tmp_path / "root", 4)
@@ -223,6 +226,7 @@ class TestCrashSafety:
         for i in range(8):
             ledger.put_answer(*_answer(i))
         assert ledger.save()
+        assert ledger.compact()
         # Torch one shard mid-file, as a partial non-atomic write would.
         victim = root / "shard-00.json"
         victim.write_text(victim.read_text()[:20])

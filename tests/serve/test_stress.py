@@ -2,10 +2,11 @@
 
 The acceptance bar for a ledger root is a one-shard file's, under
 load: N uncoordinated writer processes lose nothing to each other
-(every shard save is an advisory-locked read-merge-write), equal-seed
+(every shard save is an advisory-locked journal append), equal-seed
 writer schedules leave byte-identical root directories, and a
 ``kill -9`` landing anywhere inside the persistence path never leaves
-a corrupt shard on disk (every replace is atomic).
+a corrupt shard on disk (every replace is atomic, and an append can
+only leave a torn last journal line, which loads ignore).
 """
 
 import json
@@ -113,14 +114,22 @@ class TestKillDuringPersistence:
         victim.join(timeout=30)
         assert victim.exitcode == -signal.SIGKILL
 
-        # Every file on disk parses: the atomic-replace persistence
-        # path leaves either the old or the new version, never a torn
-        # one. The saves that completed before the kill are all there.
+        # Every file on disk parses: snapshots and the manifest are
+        # replaced atomically (the old or the new version, never a
+        # torn one), and every complete journal line parses, with at
+        # most one torn tail after them (a kill mid-append). The saves
+        # that completed before the kill are all there.
         for path in sorted(root.iterdir()):
             if path.name.endswith(".corrupt"):
                 raise AssertionError(f"quarantined shard: {path}")
             if path.name.endswith(".lock"):
                 continue  # advisory-lock sentinels, always empty
+            if path.name.endswith(".journal"):
+                *lines, tail = path.read_bytes().split(b"\n")
+                for line in lines:
+                    json.loads(line)
+                assert b"\n" not in tail  # at most one torn tail
+                continue
             json.loads(path.read_text())
         reopened = TuningLedger(root)
         answers = reopened.answers

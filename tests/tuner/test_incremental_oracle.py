@@ -36,10 +36,11 @@ def default_tune(tmp_path_factory):
     ``oracle_stats`` block of the ledger it wrote."""
     SIM_CACHE.clear()
     path = tmp_path_factory.mktemp("ledger") / "ledger.json"
+    ledger = TuningLedger(path)
     result = tune(
-        matmul(4096), Cluster.cpu_cluster(8), jobs=1,
-        ledger=TuningLedger(path),
+        matmul(4096), Cluster.cpu_cluster(8), jobs=1, ledger=ledger,
     )
+    assert ledger.compact()
     stats = json.loads(path.read_text())["oracle_stats"]
     return result.search, stats
 

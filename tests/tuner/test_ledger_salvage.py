@@ -27,6 +27,7 @@ def populated(tmp_path):
     space = enumerate_space(assignment, cluster.num_processors)
     oracle.evaluate(assignment, space[:4])
     assert ledger.save()
+    assert ledger.compact()  # the tests below edit the snapshot file
     return path, cluster, assignment
 
 

@@ -1,6 +1,7 @@
 """The simulate-oracle: caching, ledger persistence, parallel fan-out."""
 
 import json
+import os
 
 
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
@@ -127,6 +128,7 @@ class TestLedger:
             decision=Decision(grid=(2,), dist=("i",)), cost=1.0,
         ))
         ledger.save()
+        assert ledger.compact()  # the journal folds into the snapshot
         data = json.loads(path.read_text())
         assert data["version"] == 1
         assert list(data["entries"]) == sorted(data["entries"])
@@ -153,19 +155,21 @@ class TestLedger:
     def test_save_parses_only_bytes_it_did_not_write(
         self, tmp_path, monkeypatch
     ):
-        """A save that finds the bytes this ledger last wrote has
-        nothing to merge and does not parse them; another writer's
-        bytes are parsed and merged."""
+        """A save that finds only the journal bytes this ledger
+        appended reads nothing back; another writer's appended line is
+        read exactly (its bytes, no more) and merged."""
         path = tmp_path / "ledger.json"
-        parsed = []
-        parse = TuningLedger._parse
+        journal = tmp_path / "ledger.json.journal"
+        read = []
+        pread = os.pread
 
-        def counting(self, index, text):
-            parsed.append(text)
-            return parse(self, index, text)
+        def counting(fd, length, offset):
+            data = pread(fd, length, offset)
+            read.append(data)
+            return data
 
         first = TuningLedger(path)
-        monkeypatch.setattr(TuningLedger, "_parse", counting)
+        monkeypatch.setattr(os, "pread", counting)
 
         def outcome(n):
             return EvalOutcome(
@@ -176,14 +180,18 @@ class TestLedger:
         assert first.save()
         first.put("w", outcome(3))
         assert first.save()
-        assert parsed == []
+        assert read == []
         second = TuningLedger(path)
+        assert read == [journal.read_bytes()]  # its load replays both
+        before = journal.stat().st_size
         second.put("w", outcome(4))
         assert second.save()
+        line = journal.read_bytes()[before:]
         first.put("w", outcome(5))
         assert first.save()
-        assert len(parsed) == 2  # second's load, then first's merge
+        assert read[1:] == [line]  # first's merge: second's line only
         assert len(TuningLedger(path)) == 4
+        assert first.compact()
         assert path.read_text() == json.dumps(
             {"version": 1, "entries": first.entries},
             sort_keys=True, separators=(",", ":"),

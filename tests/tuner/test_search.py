@@ -73,13 +73,16 @@ class TestTune:
         """Two runs with the same seed write byte-identical ledgers."""
         cluster = Cluster.cpu_cluster(8)
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        ledgers = [TuningLedger(path) for path in paths]
         results = [
             tune(
                 matmul(4096), cluster, strategy="beam", beam_width=4,
-                coarse_procs=4, seed=7, ledger=TuningLedger(path),
+                coarse_procs=4, seed=7, ledger=ledger,
             )
-            for path in paths
+            for ledger in ledgers
         ]
+        for ledger in ledgers:
+            assert ledger.compact()
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert results[0].decision == results[1].decision
 
