@@ -99,26 +99,28 @@ def memory_bounds(
     ``machine`` is the decision's grid on ``cluster`` (a fresh one when
     ``None``).
     """
+    from repro.runtime.orbit_state import machine_tables
     from repro.tuner.space import formats_for
 
     if machine is None:
         machine = Machine(cluster, Grid(*decision.grid))
     formats = formats_for(assignment, decision, memory)
     per_node = memory is MemoryKind.SYSTEM_MEM
-    points = _target_points(machine, cluster, per_node)
+    linears = _target_points(machine, cluster, per_node)
+    tables = machine_tables(machine)
+    points = [tuple(p) for p in tables.point_coords[linears].tolist()]
     if per_node:
         target = cluster.nodes[0].system_memory
     else:
         target = cluster.processors[0].memory
     domains = {v.name: e for v, e in assignment.domains().items()}
     tensors = assignment.tensors()
-    # Every tensor's home rectangle at every target point, batched.
-    coords = np.array(points, dtype=np.int64).reshape(
-        len(points), machine.dim
-    )
+    # Every tensor's home rectangle at every target point, from the
+    # grid's home table.
     owned = {
         tensor.name: _owned_rects(
-            formats[tensor.name], machine, coords, tensor.shape
+            tables.home(machine, formats[tensor.name], tensor.shape),
+            linears,
         )
         for tensor in tensors
     }
@@ -285,8 +287,9 @@ def assignment_key(assignment: Assignment) -> Tuple:
 
 def _target_points(
     machine: Machine, cluster: Cluster, per_node: bool
-) -> List[Tuple[int, ...]]:
-    """Grid points whose instances land in the target memory.
+) -> np.ndarray:
+    """Linear indices of the grid points whose instances land in the
+    target memory.
 
     Row-major placement puts linear point ``L`` on processor
     ``L % num_procs``; node 0 owns the first ``procs_per_node``
@@ -301,22 +304,9 @@ def _target_points(
     else:
         target_procs = 1
     if total <= num_procs or total > _POINT_LIMIT:
-        linears = range(min(target_procs, total))
-    else:
-        linears = (
-            linear
-            for linear in range(total)
-            if linear % num_procs < target_procs
-        )
-    points = []
-    for linear in linears:
-        coords = []
-        rem = linear
-        for extent in reversed(shape):
-            rem, c = divmod(rem, extent)
-            coords.append(c)
-        points.append(tuple(reversed(coords)))
-    return points
+        return np.arange(min(target_procs, total))
+    linears = np.arange(total)
+    return linears[linears % num_procs < target_procs]
 
 
 def _request_rect(
@@ -359,15 +349,16 @@ def _request_rect(
     return Rect.from_bounds(los, his)
 
 
-def _owned_rects(
-    fmt, machine: Machine, coords: np.ndarray, shape
-) -> List[Optional[Rect]]:
-    """:meth:`~repro.formats.format.Format.owned_rect` at each row of
-    ``coords``, from one batched call."""
-    lo, hi, ok = fmt.owned_rect_batch(machine, coords, shape)
+def _owned_rects(home, at: np.ndarray) -> List[Optional[Rect]]:
+    """:meth:`~repro.formats.format.Format.owned_rect` at the grid points
+    ``at`` (linear indices), gathered from a home table ``(lo, hi,
+    ok)``."""
+    lo, hi, ok = home
     return [
         Rect.from_bounds(los, his) if here else None
-        for los, his, here in zip(lo.T.tolist(), hi.T.tolist(), ok.tolist())
+        for los, his, here in zip(
+            lo[:, at].T.tolist(), hi[:, at].T.tolist(), ok[at].tolist()
+        )
     ]
 
 

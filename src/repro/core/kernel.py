@@ -181,7 +181,13 @@ class Kernel:
                 fault_plan=fault_plan,
             )
             return model.time_trace(result.trace, breakdown=breakdown)
-        acc = SkeletonAccumulator(model)
+        shared = None
+        if mode == "orbit":
+            # Runs on one grid share its step prices.
+            from repro.runtime.orbit_state import machine_tables
+
+            shared = machine_tables(self.machine).prices(params)
+        acc = SkeletonAccumulator(model, shared)
         result = self.trace(
             check_capacity=check_capacity, mode=mode, skeleton=acc
         )

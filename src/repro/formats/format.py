@@ -63,10 +63,22 @@ class Format:
         self.distributions: Tuple[Distribution, ...] = tuple(levels)
         self.memory = memory
         self.modes = tuple(modes) if modes is not None else None
+        self._key: Optional[Tuple[str, ...]] = None
 
     @property
     def is_distributed(self) -> bool:
         return bool(self.distributions)
+
+    def key(self) -> Tuple[str, ...]:
+        """Structural identity: each level's notation, then the memory
+        kind. Formats are not mutated after construction, so it is
+        computed once; equal keys place a tensor identically on any
+        machine."""
+        if self._key is None:
+            self._key = tuple(
+                d.notation() for d in self.distributions
+            ) + (self.memory.value,)
+        return self._key
 
     def check(self, tensor_ndim: int, machine: Machine):
         """Validate the distribution chain against a tensor and machine."""

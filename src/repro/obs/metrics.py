@@ -123,7 +123,13 @@ SERVE_COUNTERS = (
 #:   multi-piece, reduction-flush and leaf-communication paths;
 #: * ``orbit.leaf_reused`` — leaf calls whose work columns equal the
 #:   previous iteration's in the same region, replayed without the
-#:   per-processor fold.
+#:   per-processor fold;
+#: * ``orbit.home_shared`` — home-layout lookups (rectangles per grid
+#:   point, or a tensor's distinct home charges) answered by the
+#:   machine's grid-scoped table instead of derived again;
+#: * ``orbit.leaf_shared`` — repeated-leaf calls that missed the
+#:   region's memo and took their work writes from the machine's
+#:   grid-scoped memo, which another region or run filled.
 ORBIT_COUNTERS = (
     "orbit.phase_full",
     "orbit.phase_conjugate",
@@ -136,6 +142,8 @@ ORBIT_COUNTERS = (
     "orbit.flush_batches",
     "orbit.leaf_comm_phases",
     "orbit.leaf_reused",
+    "orbit.home_shared",
+    "orbit.leaf_shared",
 )
 
 

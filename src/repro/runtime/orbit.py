@@ -44,6 +44,7 @@ runs as numpy column arithmetic:
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
 from repro.runtime.executor import (
-    ExecutionResult, Executor, _assign_vars,
+    ExecutionResult, Executor, _assign_vars, _ops_per_point,
 )
 from repro.runtime.orbit_state import (
     OrbitState,
@@ -126,6 +127,10 @@ class OrbitExecutor(Executor):
         self.leaf_comm_phases = 0
         #: Leaf calls that replayed the previous iteration's Work.
         self.leaf_reused = 0
+        #: Home lookups and repeated-leaf Work the grid's tables held
+        #: from an earlier run on this machine or an earlier region.
+        self.home_shared = 0
+        self.leaf_shared = 0
         #: Resolve outcomes per tensor phase (``orbit.phase_*`` in the
         #: metrics registry): full resolves, and conjugate replays of
         #: the previous phase — seamless, or with a seam of members the
@@ -146,6 +151,7 @@ class OrbitExecutor(Executor):
     # -- plumbing ------------------------------------------------------
 
     def run(self, inputs=None) -> ExecutionResult:
+        home_hits = self._mt.home_hits
         self.env = OrbitState(
             self.plan, check_capacity=self.check_capacity, tables=self._mt
         )
@@ -162,6 +168,7 @@ class OrbitExecutor(Executor):
             self._close_step()
         high_water = self.env.high_water
         self.trace.memory_high_water = high_water
+        self.home_shared += self._mt.home_hits - home_hits
         METRICS.inc("orbit.runs")
         METRICS.inc("orbit.steps", len(self.trace.steps))
         for counter in ORBIT_COUNTERS:
@@ -348,7 +355,9 @@ class OrbitExecutor(Executor):
         # Only calls that staged no output partials are memoized, so the
         # partial-table state the skipped half would consult cannot
         # matter. A leaf no sequential loop repeats in its region runs
-        # once there, so it neither reads nor writes the memo.
+        # once there, so it neither reads nor writes the memo. Misses
+        # consult the grid's memo of such writes, which other regions
+        # and other runs on this machine filled.
         repeated = id(node) in self._repeated_leaves
         if repeated:
             key = self._leaf_key(node, block)
@@ -357,6 +366,13 @@ class OrbitExecutor(Executor):
                 self.leaf_reused += 1
                 self._write_leaf_work(node, step, memo[1])
                 region.leaf_memo[id(node)] = memo
+                return
+            grid_key = self._grid_leaf_key(node, region, key)
+            writes = self._mt.leaf_work.get(grid_key)
+            if writes is not None:
+                self.leaf_shared += 1
+                self._write_leaf_work(node, step, writes)
+                region.leaf_memo[id(node)] = (key, writes)
                 return
         batch = self._leaf_work_batch(node, block)
         n = region.n
@@ -384,11 +400,11 @@ class OrbitExecutor(Executor):
         keys = fold_rows(rows)
         _, first, counts = np.unique(keys, return_index=True,
                                      return_counts=True)
-        writes = [
+        writes = tuple(
             (pid, float(agg_f[pid]), float(agg_b[pid]), float(agg_s[pid]),
              int(agg_i[pid]), int(cnt))
             for pid, cnt in zip(pids[first].tolist(), counts)
-        ]
+        )
         self._write_leaf_work(node, step, writes)
         # Non-owned output writes become pending partials, exactly as
         # the scalar interpreter records them (context-major, assign-
@@ -422,6 +438,7 @@ class OrbitExecutor(Executor):
         if not cands:
             if repeated:
                 region.leaf_memo[id(node)] = (key, writes)
+                self._mt.leaf_work[grid_key] = writes
             return
         member = np.concatenate([c[1] for c in cands])
         e_ids = np.concatenate(
@@ -469,6 +486,38 @@ class OrbitExecutor(Executor):
             for var in assign.lhs.indices:
                 key.extend(block.values_of(graph, var, full_env, exact=True))
         return key
+
+    def _grid_leaf_key(self, node: LeafNode, region: "_Region",
+                       key: List) -> Tuple:
+        """A repeated leaf call's key in the grid's leaf-work memo:
+        everything :meth:`_leaf_work_batch` and the partial check read.
+        That is the leaf's shape (per assignment: operation count, and
+        per access its variables' positions, item size, memory kind and
+        whether it writes the output; the kernel and parallel flag; the
+        output's format key and shape), then a 128-bit BLAKE2 digest of
+        the region's coordinates and the leaf-key columns, each prefixed
+        by its rank and shape (a grid-sized key would otherwise keep a
+        copy of its columns as long as the machine lives)."""
+        out = self.plan.tensors[self.plan.output]
+        assigns = []
+        for assign in node.assigns:
+            pos = {var: p for p, var in enumerate(_assign_vars(assign))}
+            assigns.append((_ops_per_point(assign), len(pos), tuple(
+                (tuple(pos[v] for v in access.indices),
+                 access.tensor.itemsize,
+                 access.tensor.format.memory.value,
+                 access.tensor.name == out.name)
+                for access in [assign.lhs] + list(assign.rhs.accesses())
+            )))
+        digest = hashlib.blake2b(digest_size=16)
+        for col in [region.coords] + key:
+            col = np.asarray(col, dtype=np.int64)
+            digest.update(
+                np.array((col.ndim,) + col.shape, dtype=np.int64).tobytes()
+            )
+            digest.update(col.tobytes())
+        return (tuple(assigns), node.kernel, node.parallel,
+                out.format.key(), tuple(out.shape), digest.digest())
 
     def _write_leaf_work(self, node: LeafNode, step: Step, writes):
         """Set each class representative's Work: ``writes`` holds one
@@ -1993,26 +2042,22 @@ class _Region:
         return self._member_of_linear
 
     def home(self, executor: OrbitExecutor, name: str):
-        """Home-rectangle endpoint columns per context (lazy, cached).
-
-        Derived for the whole region at once via
-        :meth:`~repro.formats.format.Format.owned_rect_batch` — the
-        per-context ``owned_rect`` walk was the dominant scalar cost of
-        large-grid executions.
-        """
+        """Home-rectangle endpoint columns per context (lazy, cached),
+        gathered from the grid's home table
+        (:meth:`~repro.runtime.orbit_state._MachineTables.home`); empty
+        pieces count as not held and read zero."""
         cached = self._home.get(name)
         if cached is not None:
             return cached
         tensor = executor.plan.tensors[name]
-        ndim = tensor.ndim
-        h_lo, h_hi, h_ok = tensor.format.owned_rect_batch(
-            executor.machine, self.coords, tensor.shape
-        )
-        if ndim:
+        mt = executor._mt
+        lo, hi, ok = mt.home(executor.machine, tensor.format, tensor.shape)
+        at = self.linear(mt)
+        h_lo, h_hi, h_ok = lo[:, at], hi[:, at], ok[at]
+        if tensor.ndim:
             h_ok = h_ok & np.all(h_hi > h_lo, axis=0)
             h_lo[:, ~h_ok] = 0
             h_hi[:, ~h_ok] = 0
         out = (h_lo, h_hi, h_ok)
         self._home[name] = out
         return out
-

@@ -203,7 +203,30 @@ def _hash_rows(mat: np.ndarray) -> np.ndarray:
 
 
 class _MachineTables:
-    """Numpy lookup tables for grid points, processors and memories."""
+    """Numpy lookup tables for grid points, processors and memories,
+    and the grid-scoped memos every run on the machine shares.
+
+    A tune builds one machine per grid (``tuner.oracle.grid_machine``),
+    so its candidates on one grid share these tables. Three memos hold
+    what the candidates would otherwise each derive again:
+
+    * **homes** — per ``(Format.key(), shape)``, every grid point's home
+      rectangle ``(lo, hi, ok)`` (:meth:`home`), and per ``(Format.key(),
+      shape, itemsize)`` the distinct home-instance charges
+      (:meth:`home_charges`);
+    * **step prices** — per cost-model parameter set, the communication
+      price of each step digest (:meth:`prices`);
+    * **leaf work** — the ``Work`` writes of repeated leaves that
+      staged no output partials (``leaf_work``), keyed by everything
+      the work batch and the partial check read (the grid-sized
+      columns by digest; ``OrbitExecutor._grid_leaf_key``).
+
+    Keys are structural (a format's notation and memory kind, never an
+    object's identity), so an entry is exactly what a fresh derivation
+    would give. The memos live and die with the machine; every array
+    they hand out is read-only. ``home_hits`` counts home lookups the
+    tables answered.
+    """
 
     def __init__(self, machine: Machine):
         cluster = machine.cluster
@@ -256,6 +279,59 @@ class _MachineTables:
         self.proc_gpu = self.mem_gpu[self.procmem_of_proc]
         self._tensor_mem: Dict[Tuple[str, str], np.ndarray] = {}
         self._residency: Dict[Optional[Tuple[str, str]], Tuple] = {}
+        self._homes: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
+        self._home_charges: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
+        self._prices: Dict[object, Dict[Tuple, float]] = {}
+        self.leaf_work: Dict[Tuple, Tuple] = {}
+        self.home_hits = 0
+
+    def home(self, machine: Machine, fmt, shape) -> Tuple[np.ndarray, ...]:
+        """:meth:`~repro.formats.format.Format.owned_rect_batch` over
+        every grid point (row-major, as ``point_coords``): ``(ndim,
+        size)`` endpoint columns and the per-point ``ok`` flags."""
+        key = (fmt.key(), tuple(shape))
+        cached = self._homes.get(key)
+        if cached is not None:
+            self.home_hits += 1
+            return cached
+        cached = self._homes[key] = _read_only(
+            fmt.owned_rect_batch(machine, self.point_coords, shape)
+        )
+        return cached
+
+    def home_charges(self, machine: Machine, tensor) -> Tuple[np.ndarray, ...]:
+        """A distributed tensor's distinct home instances: the memory,
+        byte charge and grid point of each, in grid-point order.
+        Replicas collapse to one charge per distinct ``(memory,
+        rectangle)``."""
+        fmt = tensor.format
+        key = (fmt.key(), tuple(tensor.shape), tensor.itemsize)
+        cached = self._home_charges.get(key)
+        if cached is not None:
+            self.home_hits += 1
+            return cached
+        lo, hi, ok = self.home(machine, fmt, tensor.shape)
+        live = ok
+        vol = np.ones(self.size, dtype=np.int64)
+        for d in range(tensor.ndim):
+            vol *= hi[d] - lo[d]
+            live = live & (hi[d] > lo[d])
+        sel = np.flatnonzero(live)
+        mem_ids = self.tensor_mem_of_proc(tensor)[self.proc_of_point[sel]]
+        rows = np.column_stack([mem_ids, lo[:, sel].T, hi[:, sel].T])
+        _, first = np.unique(fold_rows(rows), return_index=True)
+        first.sort()
+        take = sel[first]
+        cached = self._home_charges[key] = _read_only(
+            (mem_ids[first], vol[take] * tensor.itemsize, take)
+        )
+        return cached
+
+    def prices(self, params) -> Dict[Tuple, float]:
+        """Communication prices by step digest under the cost-model
+        parameters ``params``, shared by every run on this grid (see
+        :class:`~repro.sim.costmodel.SkeletonAccumulator`)."""
+        return self._prices.setdefault(params, {})
 
     def residency(self, tensor=None) -> Tuple[np.ndarray, Optional[bool]]:
         """Framebuffer residency per processor of its own memory
@@ -296,6 +372,13 @@ class _MachineTables:
             out = self.procmem_of_proc.copy()
         self._tensor_mem[key] = out
         return out
+
+
+def _read_only(arrays) -> Tuple[np.ndarray, ...]:
+    """``arrays`` as a tuple, each array made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
 
 
 def gpu_flags(residency, procs: np.ndarray) -> np.ndarray:
@@ -664,17 +747,16 @@ class OrbitState:
     def _account_home(self):
         """Charge every distinct home instance to its memory.
 
-        Vectorized replacement of the scalar per-point loop: home
-        rectangles come from :meth:`Format.owned_rect_batch` over every
-        machine point at once, replicas collapse to one charge per
-        distinct ``(memory, rectangle)`` via row folding, and the
+        Vectorized replacement of the scalar per-point loop: each
+        distributed tensor's distinct charges come from the grid's
+        table (:meth:`_MachineTables.home_charges`, derived once per
+        format, shape and item size), and the
         charges commit through :meth:`bulk_add` in the scalar event
         order (tensor-major, machine-point-minor), so OOM outcomes are
         byte-identical to the reference interpreter.
         """
         mt = self._mt
-        coords = mt.point_coords
-        size = coords.shape[0]
+        size = mt.size
         mem_chunks = []
         amount_chunks = []
         order_chunks = []
@@ -693,26 +775,11 @@ class OrbitState:
                     np.array([t_pos * size], dtype=np.int64)
                 )
                 continue
-            lo, hi, ok = tensor.format.owned_rect_batch(
-                self.machine, coords, tensor.shape
-            )
-            live = ok
-            vol = np.ones(size, dtype=np.int64)
-            for d in range(tensor.ndim):
-                vol *= hi[d] - lo[d]
-                live = live & (hi[d] > lo[d])
-            sel = np.flatnonzero(live)
-            if sel.size == 0:
+            mem_ids, amounts, take = mt.home_charges(self.machine, tensor)
+            if take.size == 0:
                 continue
-            mem_ids = mt.tensor_mem_of_proc(tensor)[mt.proc_of_point[sel]]
-            rows = np.column_stack(
-                [mem_ids, lo[:, sel].T, hi[:, sel].T]
-            )
-            _, first = np.unique(fold_rows(rows), return_index=True)
-            first.sort()
-            take = sel[first]
-            mem_chunks.append(mem_ids[first])
-            amount_chunks.append(vol[take] * tensor.itemsize)
+            mem_chunks.append(mem_ids)
+            amount_chunks.append(amounts)
             order_chunks.append(t_pos * size + take)
         if mem_chunks:
             self.bulk_add(

@@ -466,12 +466,22 @@ class SkeletonAccumulator:
     of *distinct* steps. The digest hit pattern is kept per step
     (``price_replayed``) — the replay provenance the observability
     layer surfaces — and counted in the metrics registry.
+
+    ``shared`` is a digest-to-price dict that outlives the run: the
+    grid's prices under the model's parameters
+    (:meth:`~repro.runtime.orbit_state._MachineTables.prices`), so a
+    step another run on the grid priced is not priced again. It only
+    saves the pricing: ``price_replayed`` keeps its per-run meaning,
+    and ``costmodel.shared_price_hits`` counts the steps it served.
     """
 
-    def __init__(self, model: CostModel):
+    def __init__(self, model: CostModel,
+                 shared: Optional[Dict[Tuple, float]] = None):
         self._model = model
         self._steps: List[Tuple[float, Tuple[WorkEntry, ...]]] = []
         self._priced: Dict[Tuple, float] = {}
+        self._shared = {} if shared is None else shared
+        self._shared_hits = 0
         self._labels: List[str] = []
         self._copy_bytes: List[int] = []
         self._inter_bytes: List[int] = []
@@ -488,7 +498,12 @@ class SkeletonAccumulator:
                 t_comm = self._priced.get(digest)
                 hit = t_comm is not None
                 if not hit:
-                    t_comm = self._model.comm_time(cols)
+                    t_comm = self._shared.get(digest)
+                    if t_comm is None:
+                        t_comm = self._model.comm_time(cols)
+                        self._shared[digest] = t_comm
+                    else:
+                        self._shared_hits += 1
                     self._priced[digest] = t_comm
             self._steps.append((t_comm, _work_entries(step)))
             self._labels.append(step.label)
@@ -503,6 +518,7 @@ class SkeletonAccumulator:
         METRICS.inc(
             "costmodel.step_price_misses", len(self._steps) - price_hits
         )
+        METRICS.inc("costmodel.shared_price_hits", self._shared_hits)
         # The per-step byte columns sum (exact integers, same order) to
         # the trace aggregates the seed read directly.
         return TraceSkeleton(
