@@ -7,7 +7,7 @@ Four passes, all independent of the simulator:
 * :mod:`repro.analysis.membound` — per-node peak-footprint lower/upper
   bounds from the decision vector alone.
 * :mod:`repro.analysis.commbound` — per-kernel communication lower
-  bounds (Irony–Toledo–Tishby / Loomis–Whitney for matmul, volume-based
+  bounds (Irony–Toledo–Tiskin / Loomis–Whitney for matmul, volume-based
   for higher-order contractions).
 * :mod:`repro.analysis.sanitizer` — an independent consistency check
   over execution traces (write–write races, misplaced reductions,

@@ -19,7 +19,7 @@ certificate used in reports.
   ``V * |T| / I`` distinct elements of ``T``; summed over operands and
   less the ``L`` bytes already local, the rest must arrive over the
   NIC.
-* **Irony–Toledo–Tishby / Loomis–Whitney bound** (matmul-like kernels:
+* **Irony–Toledo–Tiskin / Loomis–Whitney bound** (matmul-like kernels:
   three index variables, three rank-2 operands): a node performing
   ``V`` multiply-adds with ``M`` words of memory moves at least
   ``V / (2 * sqrt(2 * M)) - M`` words (ITT Theorem 3.1); without the

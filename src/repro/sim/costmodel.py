@@ -19,7 +19,8 @@ Per step (bulk-synchronous phase):
 
   The whole analysis is vectorized: it consumes the step's columnar copy
   view (:class:`~repro.runtime.trace.CopyColumns`) and aggregates link
-  traffic with numpy scatter-adds rather than per-copy Python loops.
+  traffic with one ``np.bincount`` per link array rather than per-copy
+  Python loops.
 * **Compute.** Per processor, a roofline: FLOPs at the leaf kernel's
   efficiency or bytes at memory bandwidth, whichever dominates. Flops
   are priced per kernel (``Work.kernel_flops``): a processor running a
@@ -302,6 +303,15 @@ class CostModel:
         Consumes the columnar view (:class:`CopyColumns`) — pass it
         directly, or pass a ``Copy`` list to have it columnarized (the
         convenience path tests and analyses use).
+
+        Each link array sums its terms in one fixed order: per-copy
+        terms in row order, then collective roots in group order, then
+        broadcast forwarders by group and row. ``np.bincount`` adds its
+        weights sequentially, so one ``bincount`` per link over the
+        concatenated terms gives the floats one scatter-add per category
+        would. Categories a step lacks are skipped, uniform residency
+        divides by a scalar bandwidth, and a step whose every copy is
+        its own collective group skips the group analysis.
         """
         if isinstance(copies, CopyColumns):
             cols = copies
@@ -309,144 +319,202 @@ class CostModel:
             cols = columns
         else:
             cols = CopyColumns.from_copies(copies)
-        if cols.n == 0:
+        n = cols.n
+        if n == 0:
             return 0.0
         params = self.params
         scale = params.collective_efficiency
-        inter_bw = np.where(
+        nbytes = cols.nbytes
+        cross = np.flatnonzero(cols.inter)
+        local = np.flatnonzero(~cols.inter)
+        reduce = cols.reduce if cols.reduce.any() else None
+        inter_bw = _select(
             cols.gpu_resident, params.nic_bw_gpu_direct, params.nic_bw
         )
-        intra_bw = np.where(
+        intra_bw = _select(
             cols.src_gpu & cols.dst_gpu,
             params.nvlink_bw,
-            np.where(
-                cols.src_gpu | cols.dst_gpu,
-                params.pcie_bw,
-                params.cpu_mem_bw,
+            _select(
+                cols.src_gpu | cols.dst_gpu, params.pcie_bw, params.cpu_mem_bw
             ),
         )
-        node_out = np.zeros(self.cluster.num_nodes)
-        node_in = np.zeros(self.cluster.num_nodes)
-        proc_out = np.zeros(self.cluster.num_processors)
-        proc_in = np.zeros(self.cluster.num_processors)
-
-        group = cols.group
-        n_groups = cols.num_groups
-        idx = np.arange(cols.n)
-        inter = cols.inter
-        reduce = cols.reduce
-        multicast = ~reduce
-
-        # Per-group shape: fan counts and first members (emission order).
-        fan = np.bincount(group, minlength=n_groups)
-        n_inter = np.bincount(group[inter], minlength=n_groups)
-        n_intra = fan - n_inter
-        first_inter = np.full(n_groups, cols.n)
-        np.minimum.at(first_inter, group[inter], idx[inter])
-        first_intra = np.full(n_groups, cols.n)
-        np.minimum.at(first_intra, group[~inter], idx[~inter])
-        first_any = np.minimum(first_inter, first_intra)
-        grp_reduce = reduce[first_any]
-        max_stages = int(np.ceil(np.log2(fan + 1)).max())
-        max_stages = max(1, max_stages)
+        # Row categories: multicast/reduction x inter/intra-node.
+        mi, ri = _split(cross, reduce)
+        mI, rI = _split(local, reduce)
 
         # Every receiver pulls one payload in (multicast) / every sender
-        # pushes one out (reduction) — per-copy scatter-adds.
-        sel = multicast & inter
-        np.add.at(
-            node_in,
-            cols.dst_node[sel],
-            scale * cols.nbytes[sel] / inter_bw[sel],
-        )
-        sel = reduce & inter
-        np.add.at(
-            node_out,
-            cols.src_node[sel],
-            scale * cols.nbytes[sel] / inter_bw[sel],
-        )
-        sel = multicast & ~inter
-        np.add.at(
-            proc_in, cols.dst_proc[sel], cols.nbytes[sel] / intra_bw[sel]
-        )
-        sel = reduce & ~inter
-        np.add.at(
-            proc_out, cols.src_proc[sel], cols.nbytes[sel] / intra_bw[sel]
-        )
+        # pushes one out (reduction): (link index, weight) terms.
+        w_mi = scale * nbytes[mi] / _at(inter_bw, mi)
+        w_mI = nbytes[mI] / _at(intra_bw, mI)
+        node_out, node_in = [], [(cols.dst_node[mi], w_mi)]
+        proc_out, proc_in = [], [(cols.dst_proc[mI], w_mI)]
+        if reduce is not None:
+            w_ri = scale * nbytes[ri] / _at(inter_bw, ri)
+            w_rI = nbytes[rI] / _at(intra_bw, rI)
+            node_out.append((cols.src_node[ri], w_ri))
+            proc_out.append((cols.src_proc[rI], w_rI))
 
-        # Collective roots: the source (multicast) / destination
-        # (reduction) link carries at most ``bcast_relay_factor``
-        # payloads, rated at the first inter-node member's bandwidth.
-        groups_mi = np.flatnonzero((n_inter > 0) & ~grp_reduce)
-        if groups_mi.size:
-            fi = first_inter[groups_mi]
-            relay = np.minimum(n_inter[groups_mi], params.bcast_relay_factor)
-            np.add.at(
-                node_out,
-                cols.src_node[fi],
-                scale * relay * cols.nbytes[fi] / inter_bw[fi],
-            )
-        groups_ri = np.flatnonzero((n_inter > 0) & grp_reduce)
-        if groups_ri.size:
-            fi = first_inter[groups_ri]
-            relay = np.minimum(n_inter[groups_ri], params.bcast_relay_factor)
-            np.add.at(
-                node_in,
-                cols.dst_node[fi],
-                scale * relay * cols.nbytes[fi] / inter_bw[fi],
-            )
+        if cols.num_groups == n and np.array_equal(cols.group, np.arange(n)):
+            # One copy per group, in row order: a group's root is its
+            # row, every fan-out is 1 and nothing forwards. An intra-node
+            # root relays 1 payload and an inter-node one
+            # min(1, bcast_relay_factor), so a root's term is its row's
+            # own per-copy term whenever that relay is 1 too.
+            relay = min(1, params.bcast_relay_factor)
 
-        # Interior nodes of broadcast trees retransmit: ceil(fan_out/2)
-        # of the inter-node receivers forward the full payload once.
-        fwd_groups = (n_inter > 2) & ~grp_reduce
-        if np.any(fwd_groups):
-            sel = multicast & inter
-            sel_idx = idx[sel]
-            sel_grp = group[sel]
-            order = np.argsort(sel_grp, kind="stable")
-            sorted_grp = sel_grp[order]
-            sorted_idx = sel_idx[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_grp[1:] != sorted_grp[:-1]]
-            )
-            seg_len = np.diff(np.r_[starts, sorted_grp.size])
-            rank = np.arange(sorted_grp.size) - np.repeat(starts, seg_len)
-            quota = -(-n_inter // 2)  # ceil(fan_out / 2)
-            take = fwd_groups[sorted_grp] & (rank < quota[sorted_grp])
-            takers = sorted_idx[take]
-            fi = first_inter[sorted_grp[take]]
-            np.add.at(
-                node_out,
-                cols.dst_node[takers],
-                scale * cols.nbytes[fi] / inter_bw[fi],
-            )
+            def roots(rows, w):
+                if relay == 1:
+                    return w
+                return scale * relay * nbytes[rows] / _at(inter_bw, rows)
 
-        # Intra-node collective roots.
-        groups_mI = np.flatnonzero((n_intra > 0) & ~grp_reduce)
-        if groups_mI.size:
-            fi = first_intra[groups_mI]
-            relay = np.minimum(n_intra[groups_mI], 2)
-            np.add.at(
-                proc_out,
-                cols.src_proc[fi],
-                relay * cols.nbytes[fi] / intra_bw[fi],
-            )
-        groups_rI = np.flatnonzero((n_intra > 0) & grp_reduce)
-        if groups_rI.size:
-            fi = first_intra[groups_rI]
-            relay = np.minimum(n_intra[groups_rI], 2)
-            np.add.at(
-                proc_in,
-                cols.dst_proc[fi],
-                relay * cols.nbytes[fi] / intra_bw[fi],
+            node_out.append((cols.src_node[mi], roots(mi, w_mi)))
+            proc_out.append((cols.src_proc[mI], w_mI))
+            if reduce is not None:
+                node_in.append((cols.dst_node[ri], roots(ri, w_ri)))
+                proc_in.append((cols.dst_proc[rI], w_rI))
+            max_stages = 1
+        else:
+            max_stages = self._group_terms(
+                cols, cross, local, inter_bw, intra_bw, reduce,
+                node_out, node_in, proc_out, proc_in,
             )
 
         worst_link = max(
-            node_out.max(),
-            node_in.max(),
-            proc_out.max(),
-            proc_in.max(),
+            _link_max(node_out, self.cluster.num_nodes),
+            _link_max(node_in, self.cluster.num_nodes),
+            _link_max(proc_out, self.cluster.num_processors),
+            _link_max(proc_in, self.cluster.num_processors),
         )
         return float(worst_link) + params.latency * max_stages
+
+    def _group_terms(self, cols, cross, local, inter_bw, intra_bw, reduce,
+                     node_out, node_in, proc_out, proc_in) -> int:
+        """Append the collective roots' and broadcast forwarders' terms
+        of a step with shared groups, in group order, and return the
+        step's tree depth ``max_stages``.
+
+        A group's copies are all multicasts or all reductions (its key
+        carries the flag), so a broadcast's inter-node receivers are its
+        rows among ``cross``. Those rows, stably sorted by group, give
+        each group's inter-node fan-out, its first member (the root's
+        row) and its first ``ceil(fan_out / 2)`` receivers (the
+        forwarders), in group, then row, order.
+        """
+        params = self.params
+        scale = params.collective_efficiency
+        nbytes = cols.nbytes
+        by_inter, n_inter, at_inter, first_inter = _by_group(
+            cross, cols.group, cols.num_groups, cols.n
+        )
+        _, n_intra, _, first_intra = _by_group(
+            local, cols.group, cols.num_groups, cols.n
+        )
+        # ceil(log2(f + 1)) == f.bit_length() for integers f >= 0.
+        max_stages = max(1, int((n_inter + n_intra).max()).bit_length())
+        if reduce is None:
+            multicast_grp = None
+        else:
+            reduce_grp = reduce[np.minimum(first_inter, first_intra)]
+            multicast_grp = ~reduce_grp
+
+        # Collective roots: the source (multicast) / destination
+        # (reduction) link carries at most ``bcast_relay_factor``
+        # payloads, rated at the first inter-node member's bandwidth;
+        # an intra-node root relays at most 2.
+        roots = [(multicast_grp, cols.src_node, cols.src_proc,
+                  node_out, proc_out)]
+        if reduce is not None:
+            roots.append((reduce_grp, cols.dst_node, cols.dst_proc,
+                          node_in, proc_in))
+        for members, node, proc, node_terms, proc_terms in roots:
+            grp = _groups(n_inter > 0, members)
+            fi = first_inter[grp]
+            relay = np.minimum(n_inter[grp], params.bcast_relay_factor)
+            node_terms.append(
+                (node[fi], scale * relay * nbytes[fi] / _at(inter_bw, fi))
+            )
+            grp = _groups(n_intra > 0, members)
+            fi = first_intra[grp]
+            relay = np.minimum(n_intra[grp], 2)
+            proc_terms.append(
+                (proc[fi], relay * nbytes[fi] / _at(intra_bw, fi))
+            )
+
+        # Interior nodes of broadcast trees retransmit: ceil(fan_out/2)
+        # of the inter-node receivers forward the root's payload once.
+        fwd = _groups(n_inter > 2, multicast_grp)
+        if fwd.size:
+            quota = -(-n_inter[fwd] // 2)
+            skip = at_inter[fwd] - (np.cumsum(quota) - quota)
+            takers = by_inter[np.arange(quota.sum()) + np.repeat(skip, quota)]
+            fi = first_inter[fwd]
+            node_out.append((
+                cols.dst_node[takers],
+                np.repeat(scale * nbytes[fi] / _at(inter_bw, fi), quota),
+            ))
+        return max_stages
+
+
+def _split(rows: np.ndarray, reduce: Optional[np.ndarray]):
+    """``rows`` split into their multicast and reduction rows (``None``
+    where the step has no reductions)."""
+    if reduce is None:
+        return rows, None
+    r = reduce[rows]
+    return rows[~r], rows[r]
+
+
+def _by_group(rows: np.ndarray, group: np.ndarray, n_groups: int, n: int):
+    """``rows`` stably sorted by group, with each group's row count, the
+    offset of its rows in that order and its first row (``n``: none)."""
+    grp = group[rows]
+    count = np.bincount(grp, minlength=n_groups)
+    if not np.all(grp[1:] >= grp[:-1]):
+        # A stable sort is one permutation; numpy radix-sorts 16-bit
+        # keys, so narrow the ids when they fit.
+        key = grp.astype(np.uint16) if n_groups <= 1 << 16 else grp
+        rows = rows[np.argsort(key, kind="stable")]
+    at = np.cumsum(count) - count
+    first = np.full(n_groups, n)
+    has = count > 0
+    first[has] = rows[at[has]]
+    return rows, count, at, first
+
+
+def _groups(has: np.ndarray, members: Optional[np.ndarray]) -> np.ndarray:
+    """Ids of the groups where ``has`` holds, among ``members`` (None:
+    every group)."""
+    return np.flatnonzero(has if members is None else has & members)
+
+
+def _select(values: np.ndarray, a, b):
+    """``np.where(values, a, b)``, or ``a`` / ``b`` itself where
+    ``values`` is uniform: dividing by a scalar gives the floats that
+    dividing by an array of it does."""
+    if values.all():
+        return a
+    if not values.any():
+        return b
+    return np.where(values, a, b)
+
+
+def _at(bw, rows):
+    """A bandwidth (scalar or per-row array) at ``rows``."""
+    return bw[rows] if isinstance(bw, np.ndarray) else bw
+
+
+def _link_max(terms, size: int) -> float:
+    """Worst load of one link array, its ``(index, weight)`` terms
+    summed per link in the order given."""
+    terms = [t for t in terms if t[0].size]
+    if not terms:
+        return 0.0
+    if len(terms) == 1:
+        index, weight = terms[0]
+    else:
+        index = np.concatenate([t[0] for t in terms])
+        weight = np.concatenate([t[1] for t in terms])
+    return np.bincount(index, weights=weight, minlength=size).max()
 
 
 class SkeletonAccumulator:

@@ -7,6 +7,8 @@
 * Task overhead scales with ``Work.invocations`` (over-decomposition
   launches more tasks per processor per step).
 * The vectorized ``comm_time`` matches on columnar and list inputs.
+* Hand-priced steps pin the forwarder quota, the out-of-core naive leaf
+  and the price-memo counters exactly.
 * Orbit class representatives refuse pricing: a representative stands
   for members whose endpoints it does not carry (pricing it as
   ``count`` copies of itself mispriced every step).
@@ -15,6 +17,7 @@
 import pytest
 
 from repro.algorithms.matmul import summa
+from repro.obs.metrics import METRICS
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
@@ -83,6 +86,23 @@ class TestMixedKernelPricing:
         all_at_gemm = 2e12 / (rate * LASSEN.gemm_efficiency)
         assert t1 > all_at_gemm  # naive flops are not discounted
 
+    def test_out_of_core_naive_leaf(self):
+        # A GPU leaf whose data is staged from host memory runs at the
+        # out-of-core efficiency on top of the naive-leaf efficiency:
+        # both divide the GPU's flop rate.
+        cluster = Cluster.gpu_cluster(1)
+        model = CostModel(cluster, LASSEN)
+        step = Step(label="naive-ooc")
+        step.work_for(cluster.processors[0]).add(
+            1e12, 0.0, None, False, staged_bytes=1e6
+        )
+        expected = 1e12 / (
+            LASSEN.gpu_gflops
+            * LASSEN.naive_leaf_efficiency
+            * LASSEN.out_of_core_efficiency
+        )
+        assert model.compute_time(step) == pytest.approx(expected, rel=1e-12)
+
     def test_work_tracks_per_kernel_flops(self):
         w = Work()
         w.add(100.0, 0.0, "blas_gemm", False)
@@ -119,6 +139,57 @@ class TestBroadcastForwarding:
             3 * payload + LASSEN.latency * stages, rel=1e-9
         )
 
+    @pytest.mark.parametrize("fan_out", [5, 6])
+    def test_forwarder_quota_is_ceil_half(self, fan_out):
+        # Broadcast T: node 0 -> nodes 1..fan_out, one per node, so its
+        # first ceil(fan_out / 2) = 3 receivers (nodes 1..3) forward one
+        # payload each. Node 3 (the last forwarder) and node 4 (the
+        # first receiver that does not forward) also root big singleton
+        # copies to spare nodes. Node 3's out-link is the worst link by
+        # half a payload over node 4's; one forwarder more or fewer
+        # moves the worst link.
+        cluster = Cluster.cpu_cluster(fan_out + 3, sockets_per_node=1)
+        model = CostModel(cluster, LASSEN)
+        nbytes = 100_000_000
+        copies = [
+            copy_between(cluster, 0, dst, nbytes, tensor="T")
+            for dst in range(1, fan_out + 1)
+        ]
+        copies += [
+            copy_between(cluster, 3, fan_out + 1, 4 * nbytes, tensor="S3"),
+            copy_between(cluster, 4, fan_out + 2, 9 * nbytes // 2,
+                         tensor="S4"),
+        ]
+        t = model.comm_time(copies)
+        payload = LASSEN.collective_efficiency * nbytes / LASSEN.nic_bw
+        stages = 3  # ceil(log2(fan_out + 1))
+        assert t == pytest.approx(
+            5 * payload + LASSEN.latency * stages, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("fan_out, forwards", [(2, 0), (3, 1)])
+    def test_forwarding_starts_above_fan_out_two(self, fan_out, forwards):
+        # Broadcast T: node 0 -> nodes 1..fan_out. Node 1, its first
+        # receiver, also roots a singleton copy of three payloads, so
+        # its out-link is the worst link, plus one payload if it
+        # forwards T.
+        cluster = Cluster.cpu_cluster(fan_out + 2, sockets_per_node=1)
+        model = CostModel(cluster, LASSEN)
+        nbytes = 100_000_000
+        copies = [
+            copy_between(cluster, 0, dst, nbytes, tensor="T")
+            for dst in range(1, fan_out + 1)
+        ]
+        copies.append(
+            copy_between(cluster, 1, fan_out + 1, 3 * nbytes, tensor="S")
+        )
+        t = model.comm_time(copies)
+        payload = LASSEN.collective_efficiency * nbytes / LASSEN.nic_bw
+        stages = 2  # ceil(log2(fan_out + 1))
+        assert t == pytest.approx(
+            (3 + forwards) * payload + LASSEN.latency * stages, rel=1e-12
+        )
+
     def test_small_fanout_does_not_forward(self):
         # Fan-out of 2 fits under the source's relay factor: receivers
         # never retransmit.
@@ -134,6 +205,28 @@ class TestBroadcastForwarding:
         assert t == pytest.approx(
             2 * payload + LASSEN.latency * stages, rel=1e-9
         )
+
+
+class TestStepPriceCounters:
+    def test_hits_and_misses_of_a_fixed_trace(self):
+        # Steps A, B, A, (no copies), B: the repeated batches are price
+        # hits; the first of each batch and the copy-free step are
+        # misses. (A and B move the same bytes in opposite directions.)
+        cluster = Cluster.cpu_cluster(2, sockets_per_node=1)
+        trace = Trace()
+        for batch in ("A", "B", "A", None, "B"):
+            step = trace.new_step(f"step-{batch}")
+            if batch is not None:
+                src = 0 if batch == "A" else 1
+                step.copies.append(copy_between(
+                    cluster, src, 1 - src, 1 << 20, tensor=batch
+                ))
+        before = METRICS.export()
+        skeleton = CostModel(cluster, LASSEN).skeleton_of(trace)
+        counters = METRICS.delta(before)["counters"]
+        assert skeleton.price_replayed == (False, False, True, False, True)
+        assert counters.get("costmodel.step_price_hits") == 2
+        assert counters.get("costmodel.step_price_misses") == 3
 
 
 class TestTaskOverheadScaling:
