@@ -246,8 +246,9 @@ def batch_bounds(
                 los[d, :] = lo
                 his[d, :] = hi
             empty = (his <= los).any(axis=0)
-            los = np.where(empty, big, los)
-            his = np.where(empty, -big, his)
+            if empty.any():
+                los = np.where(empty, big, los)
+                his = np.where(empty, -big, his)
             if lo_min is None:
                 lo_min, hi_max, live = los, his, ~empty
             else:

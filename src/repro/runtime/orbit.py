@@ -60,14 +60,23 @@ from repro.runtime.orbit_state import (
     OrbitState,
     _Chunk,
     _Classes,
+    _concat_owners,
     _EmitInfo,
+    _EventStream,
+    _fan_out,
+    _first_rows,
     _fold_keys,
     _hash_rows,
     _linear,
-    _MachineTables,
     _pack_key,
+    _PhaseMemo,
+    _probe_index,
+    _rank_within,
+    _Region,
     _Registration,
+    _same_columns,
     _StepBuilder,
+    _torus_dist,
     fold_groups,
     fold_rows,
     gpu_flags,
@@ -654,7 +663,7 @@ class OrbitExecutor(Executor):
         ):
             out = self._replay_conjugate(
                 memo, name, name_pos, n_names, region, step, lo, hi,
-                prev_lo, prev_hi, tensor, rem_idx,
+                prev_lo, prev_hi, tensor, rem_idx, local,
             )
             if out is not None:
                 return out
@@ -949,8 +958,11 @@ class OrbitExecutor(Executor):
         if same:
             proc, mem = prev.proc, prev.mem
         else:
-            proc = np.take(region.proc, fetch_idx)
-            mem = np.take(self._mt.tensor_mem_of_proc(tensor), proc)
+            mt = self._mt
+            proc = fetch_idx if mt.points_are_procs and region.is_grid(
+                mt
+            ) else np.take(region.proc, fetch_idx)
+            mem = np.take(mt.tensor_mem_of_proc(tensor), proc)
         charges = None
         if same and uniform is not None and uniform == prev.uniform:
             charges = prev.charges(self.env.n_mem)
@@ -961,25 +973,46 @@ class OrbitExecutor(Executor):
 
     @staticmethod
     def _commit_memo(memo, reg, classes, sources, emitted, shift, seam,
-                     probed):
+                     probed, same_fetch=False):
         """Remember what the next phase's conjugate replay carries: the
-        fetchers, request classes, sources (when every fetcher has
-        one: coordinates, or linear index and torus distance), the
-        emission, the map and whether the classes were probed against
-        the static rows. The caller pins ``memo.version`` after the
-        commit."""
+        fetchers (their position table while they stay the same,
+        ``same_fetch``), request classes, sources (when every fetcher
+        has one: coordinates, or linear index and torus distance), the
+        emission, the map (and whether it was the older of the last
+        two) and whether the classes were probed against the static
+        rows. The caller pins ``memo.version`` after the commit."""
         memo.ready = classes is not None and memo.fixed_hash is not None
         memo.version = -1
         memo.reg = reg
         memo.fetch_idx = reg.idx
+        if not same_fetch:
+            memo.prev_row = None
         memo.classes = classes
         memo.sources = sources
         memo.emit = emitted
+        recent = memo.shifts
+        memo.alternating = shift is not None and len(recent) > 1 and (
+            np.array_equal(recent[1], shift)
+        )
         memo.shifts = [] if shift is None else [shift] + [
-            s for s in memo.shifts[:1] if not np.array_equal(s, shift)
+            s for s in recent[:1] if not np.array_equal(s, shift)
         ]
         memo.seam = seam
         memo.probed = probed
+
+    def _prev_row(self, memo, region):
+        """Each member's position among the previous phase's fetchers
+        (-1: it did not fetch); the extra last slot answers -1 for grid
+        points outside the region. Carried in the memo: a phase whose
+        fetchers are its predecessor's has the same table."""
+        table = memo.prev_row
+        if table is None:
+            table = np.full(region.n + 1, -1, dtype=np.int64)
+            table[memo.fetch_idx] = np.arange(
+                memo.fetch_idx.size, dtype=np.int64
+            )
+            memo.prev_row = table
+        return table
 
     def _conjugate_map(self, memo, region, lo_f, hi_f, prev_lo, prev_hi,
                        rem_idx):
@@ -988,54 +1021,43 @@ class OrbitExecutor(Executor):
         A fetching member ``m`` is *carried* by a torus shift ``s`` and a
         translation ``d`` when the member at ``coords(m) + s`` fetched
         last phase and requested exactly ``request(m) - d``; the rest
-        form the seam. The last two maps are tried first, and one is
-        kept while its seam does not grow; otherwise zero and the unit
-        shifts are screened by how many members' preimages did not
-        fetch, and the smallest seam wins, preferring ``d = 0`` (whose
-        request classes carry their holders). Returns ``(s, d, preimage
-        rows, carried, prev row)`` — ``prev row`` is each member's
-        previous fetch position — or ``None`` when every map leaves over
-        half of the members unexplained.
+        form the seam. The last two maps are tried first — the older one
+        first when the last replay took it (SUMMA's roots move every
+        other phase, so its maps alternate) — and one is kept while its
+        seam does not grow; otherwise zero and the unit shifts are
+        screened by how many members' preimages did not fetch, and the
+        smallest seam wins, preferring ``d = 0`` (whose request classes
+        carry their holders). Returns ``(s, d, preimage rows, carried,
+        preimages)`` — ``preimage rows`` is each member's preimage's
+        previous fetch position, ``preimages`` the preimage members — or
+        ``None`` when every map leaves over half of the members
+        unexplained.
         """
         mt = self._mt
         k = rem_idx.size
-        # Previous fetch position per member; the extra slot answers -1
-        # for grid points outside the region.
-        prev_row = np.full(region.n + 1, -1, dtype=np.int64)
-        prev_row[memo.fetch_idx] = np.arange(
-            memo.fetch_idx.size, dtype=np.int64
-        )
-
-        def carry(s, src, pr):
-            ok = pr >= 0
-            ref = int(np.argmax(ok))
-            delta = lo_f[:, ref] - prev_lo[:, src[ref]]
-            for d in range(lo_f.shape[0]):
-                ok &= lo_f[d] == np.take(prev_lo[d], src) + delta[d]
-                ok &= hi_f[d] == np.take(prev_hi[d], src) + delta[d]
-            rank = (bool(delta.any()), k - int(np.count_nonzero(ok)))
-            return rank, (s, delta, pr, ok, prev_row)
+        prev_row = self._prev_row(memo, region)
+        whole = k == region.n
 
         def preimage(s):
             perm = region.perm_for_shift(s, mt)
             if perm is None:
                 return None
-            src = np.take(perm, rem_idx)
+            src = perm if whole else np.take(perm, rem_idx)
             return src, np.take(prev_row, src)
 
         best = None
         tried = []
-        for i, s in enumerate(memo.shifts):
-            # The last two maps first (SUMMA's roots move every other
-            # phase, so its maps alternate); the older one is skipped
-            # when its preimages lose more members than the last seam.
+        recent = memo.shifts[::-1] if memo.alternating else memo.shifts
+        for i, s in enumerate(recent):
+            # The second map is skipped when its preimages lose more
+            # members than the last seam.
             got = preimage(s)
             if got is None or (
                 i and np.count_nonzero(got[1] < 0) > memo.seam
             ):
                 continue
             tried.append(s)
-            got = carry(s, *got)
+            got = self._map_carry(s, *got, lo_f, hi_f, prev_lo, prev_hi)
             if got[0][1] <= memo.seam:
                 return got[1]
             if best is None or got[0] < best[0]:
@@ -1053,7 +1075,7 @@ class OrbitExecutor(Executor):
         for lost, _, s, got in screened:
             if lost * 2 > k or (best is not None and (False, lost) >= best[0]):
                 break
-            got = carry(s, *got)
+            got = self._map_carry(s, *got, lo_f, hi_f, prev_lo, prev_hi)
             if best is None or got[0] < best[0]:
                 best = got
             if best[0][1] == 0:
@@ -1062,8 +1084,28 @@ class OrbitExecutor(Executor):
             return None
         return best[1]
 
+    @staticmethod
+    def _map_carry(s, src, pr, lo_f, hi_f, prev_lo, prev_hi):
+        """Verify the map ``s`` (preimage members ``src``, their previous
+        fetch positions ``pr``): the members it carries, the translation
+        ``d`` read off the first preimage that fetched, and the map's
+        rank ``(d != 0, seam size)``."""
+        k = pr.size
+        ok = pr >= 0
+        ref = int(np.argmax(ok))
+        delta = lo_f[:, ref] - prev_lo[:, src[ref]]
+        for d in range(lo_f.shape[0]):
+            for cur, old in ((lo_f[d], prev_lo[d]), (hi_f[d], prev_hi[d])):
+                moved = np.take(old, src)
+                if delta[d]:
+                    moved += delta[d]
+                ok &= cur == moved
+        rank = (bool(delta.any()), k - int(np.count_nonzero(ok)))
+        return rank, (s, delta, pr, ok, src)
+
     def _replay_conjugate(self, memo, name, name_pos, n_names, region,
-                          step, lo, hi, prev_lo, prev_hi, tensor, rem_idx):
+                          step, lo, hi, prev_lo, prev_hi, tensor, rem_idx,
+                          local):
         """Resolve a phase as the conjugate image of the previous one.
 
         Systolic loops repeat one phase up to a torus shift ``s`` of the
@@ -1072,25 +1114,28 @@ class OrbitExecutor(Executor):
         moving broadcast roots (``s, d != 0``), plain translations
         (``s = 0``). :meth:`_conjugate_map` finds the map ``m -> m + s``;
         members it does not explain form a small seam (Cannon's wrap
-        column on grids narrower than its tile count).
+        column on grids narrower than its tile count). ``local`` marks
+        the members that fetch nothing.
 
         What the map proves is carried, not re-derived:
 
+        * the previous fetch positions (``prev_row``), kept while the
+          fetching members stay the same (:meth:`_prev_row`);
         * the request classes (distinct rectangles) with their row
-          hashes, sorted hash index and owners (:meth:`_carry_classes`);
-          the mirror provably holds exactly the previous phase's
-          registrations plus static rows (version chain), so a class's
-          holders are the previous fetchers of the class with the same
-          rectangle;
+          hashes, sorted hash index and member counts, the counts moved
+          by the seam's delta (:meth:`_carry_classes`); when ``d = 0``,
+          each class's owner (linear index and validity) and its
+          holders: the mirror provably holds exactly the previous
+          phase's registrations plus static rows (version chain), so a
+          class's holders are the previous fetchers of its rectangle;
         * each carried member's source, guessed as ``src(m + s) - s``
-          and kept when the guess is provably the winner: the class has
-          no holder and the guess is its owner, or the class has one
-          holder, it is the guess, it is not the requester and the
-          owner does not beat it (:meth:`_carried_sources`);
+          and kept when the guess is provably the winner
+          (:meth:`_carried_sources`);
         * the emission's orbit-class keys (shape and source offset are
           shift invariant) and, when every member carries, the chunk's
           rows as a permutation of the previous chunk's, which lets the
-          step finalize carry its collective groups;
+          emission carry its row filter and inter-node flags and the
+          step finalize its collective groups;
         * the registration's payloads, processors, memories and memory
           charges, where the map proves them equal (:meth:`_registration`).
 
@@ -1106,37 +1151,38 @@ class OrbitExecutor(Executor):
         ``None`` and the caller resolves in full.
         """
         k = rem_idx.size
-        if k == region.n:
-            lo_f, hi_f, req_coords = lo, hi, region.coords
+        whole = k == region.n
+        if whole:
+            lo_f, hi_f = lo, hi
         else:
             lo_f = np.take(lo, rem_idx, axis=1)
             hi_f = np.take(hi, rem_idx, axis=1)
-            req_coords = np.take(region.coords, rem_idx, axis=0)
         found = self._conjugate_map(
             memo, region, lo_f, hi_f, prev_lo, prev_hi, rem_idx
         )
         if found is None:
             return None
-        shift, delta, pr, carried, prev_row = found
+        shift, delta, pr, carried, src = found
         seam = np.flatnonzero(~carried)
         prev = memo.classes
-        got = self._carry_classes(memo, tensor, lo_f, hi_f, pr, seam, delta)
+        moved = bool(delta.any())
+        same_fetch = k == memo.fetch_idx.size and (
+            whole or np.array_equal(rem_idx, memo.fetch_idx)
+        )
+        lost = self._lost_rows(memo, region, shift, pr, seam, local)
+        got = self._carry_classes(
+            memo, tensor, lo_f, hi_f, pr, seam, delta, lost
+        )
         if got is None:
             return None
         classes, held = got
-        if delta.any():
-            held = _match_rows(classes.cols, prev.cols)
-        n_held = np.where(held >= 0, np.take(prev.counts, held), 0)
-        held = np.where(n_held > 0, held, -1)
-        owner, valid = self._member_owners(
-            classes.pat, classes.valid, classes.labels, req_coords
-        )
+        held = self._holder_map(prev, classes, moved, held)
         sources = self._prev_sources(memo, region)
         redo = None  # every member
         if sources is not None:
             src_lin, sdist, redo = self._carried_sources(
-                memo, sources, region, shift, pr, carried, prev_row,
-                classes, held, n_held, owner, valid, rem_idx, req_coords,
+                memo, sources, region, shift, pr, carried, src, classes,
+                held, moved, rem_idx,
             )
             if redo.size == k:
                 redo = None
@@ -1146,7 +1192,7 @@ class OrbitExecutor(Executor):
         src_coords = None
         if redo is None:
             src_coords, _ = self._derive_sources(
-                memo, region, classes, held, None, owner, valid, req_coords
+                memo, region, classes, held, None, rem_idx
             )
             if src_coords is None:
                 return None
@@ -1156,8 +1202,7 @@ class OrbitExecutor(Executor):
             n_redo = redo.size
             if n_redo:
                 src_re, req_re = self._derive_sources(
-                    memo, region, classes, held, redo, owner, valid,
-                    req_coords,
+                    memo, region, classes, held, redo, rem_idx
                 )
                 if src_re is None:
                     return None
@@ -1183,11 +1228,11 @@ class OrbitExecutor(Executor):
         if n_redo == 0 and emit is not None and (
             k == memo.fetch_idx.size
         ):
-            same = not shift.any() and np.array_equal(rem_idx, memo.fetch_idx)
+            same = same_fetch and not shift.any()
             # Rows move rigidly only when every grid point has its own
             # processor (the row filter and group roots then move too).
             if same or self._mt.bijective:
-                carry = (emit, pr, same)
+                carry = (emit, pr, same, shift)
         reg = self._registration(
             region, lo_f, hi_f, rem_idx, tensor, (name_pos, n_names),
             prev=memo.reg, seam=seam,
@@ -1209,38 +1254,88 @@ class OrbitExecutor(Executor):
         self._commit_memo(
             memo, reg, classes,
             src_coords if redo is None else (src_lin, sdist),
-            emitted, shift, seam.size, probed=True,
+            emitted, shift, seam.size, probed=True, same_fetch=same_fetch,
         )
         return reg
 
-    def _carry_classes(self, memo, tensor, lo_f, hi_f, pr, seam, delta):
+    def _lost_rows(self, memo, region, shift, pr, seam, local):
+        """The previous fetch positions no carried member maps to: the
+        seam's preimages, and the preimages of the members that fetch
+        nothing now (``local``). The map composes a bijection of the
+        region with :meth:`_prev_row`, so each other previous fetcher is
+        exactly one carried member's preimage."""
+        n_lost = memo.fetch_idx.size - (pr.size - seam.size)
+        if n_lost == 0:
+            return np.zeros(0, dtype=np.int64)
+        at = np.take(pr, seam)
+        at = at[at >= 0]
+        if at.size < n_lost:
+            perm = region.perm_for_shift(shift, self._mt)
+            out = np.take(
+                self._prev_row(memo, region),
+                np.take(perm, np.flatnonzero(local)),
+            )
+            at = np.concatenate([at, out[out >= 0]])
+        return at
+
+    def _class_counts(self, prev, labels, n_classes, seam, lost):
+        """Fetching members per class, by the seam's delta: the previous
+        counts, less one per previous fetcher no carried member maps to
+        (``lost``), plus one per seam member. Exact: a carried member's
+        class is its preimage's."""
+        if not seam.size and not lost.size:
+            return prev.counts
+        counts = np.zeros(n_classes, dtype=np.int64)
+        counts[:prev.counts.size] = prev.counts
+        np.subtract.at(counts, np.take(prev.labels, lost), 1)
+        np.add.at(counts, np.take(labels, seam), 1)
+        return counts
+
+    def _class_owners(self, tensor, cols):
+        """Owner pattern, validity and owner linear index (``None`` when
+        the pattern has replica dimensions, whose owner coordinate is
+        the requester's) of class rectangles."""
+        ndim = tensor.ndim
+        pat, valid = self._owners(tensor, cols[:, :ndim].T, cols[:, ndim:].T)
+        own_lin = None
+        if not bool((pat < 0).any()):
+            own_lin = _linear(pat.T, self._mt.strides)
+        return pat, valid, own_lin
+
+    @staticmethod
+    def _carried_owners(prev):
+        """The previous classes' owners, which ``d = 0`` carries: the
+        class rectangles do not move."""
+        if prev.pat is None:
+            return None
+        return prev.pat, prev.valid, prev.own_lin
+
+    def _carry_classes(self, memo, tensor, lo_f, hi_f, pr, seam, delta,
+                       lost):
         """This phase's request classes, carried from the previous
         phase's: members the map carries inherit their preimage's class,
         seam members join a class by rectangle or found new ones. Row
         hashes move with one add (``_hash_rows`` is linear mod 2**64);
+        member counts move by the seam's delta (:meth:`_class_counts`);
         when ``d = 0`` the sorted hash index, the owners and the static-
         row verdict carry too. Returns ``(classes, held)`` — ``held``
-        maps each class to the previous class with its rectangle (``-1``
-        for new ones; meaningful when ``d = 0``) — or ``None`` on a hash
-        collision or a static-row match."""
+        maps each class to the previous class with its rectangle (-1 for
+        new ones; ``None``: the identity on the previous classes;
+        meaningful when ``d = 0``) — or ``None`` on a hash collision or
+        a static-row match."""
         prev = memo.classes
-        ndim = tensor.ndim
         moved = bool(delta.any())
         labels = np.take(prev.labels, pr)
-        # Without a seam the map is a bijection onto the previous
-        # fetchers, so every class keeps its member count.
-        counts = prev.counts if (
-            not seam.size and pr.size == prev.labels.size
-        ) else None
         cols, cls_hash, index = prev.cols, prev.hash, prev.index
-        pat, valid = prev.pat, prev.valid
+        owners = None
         if moved:
             dd = np.concatenate([delta, delta])
             cols = cols + dd
             cls_hash = cls_hash + _hash_rows(dd[None, :])
-            index = pat = valid = None
+            index = None
+        else:
+            owners = self._carried_owners(prev)
         n_prev = cols.shape[0]
-        held = None
         n_fresh = 0
         if seam.size:
             seam_cols = np.concatenate(
@@ -1276,12 +1371,12 @@ class OrbitExecutor(Executor):
                         n_prev, n_prev + n_fresh, dtype=np.int64
                     )),
                 )
-                held = np.concatenate([
-                    np.arange(n_prev, dtype=np.int64),
-                    np.full(n_fresh, -1, dtype=np.int64),
-                ])
-        if counts is None:
-            counts = np.bincount(labels, minlength=cols.shape[0])
+                if owners is not None:
+                    owners = _concat_owners(
+                        owners, self._class_owners(tensor, fcols[first])
+                    )
+        counts = self._class_counts(prev, labels, cols.shape[0], seam, lost)
+        held = None
         if counts is not prev.counts and (
             8 * (counts.size - np.count_nonzero(counts)) > counts.size
         ):
@@ -1294,46 +1389,106 @@ class OrbitExecutor(Executor):
             cols = cols[used]
             cls_hash = cls_hash[used]
             counts = counts[used]
-            if held is None:
-                held = np.arange(n_prev, dtype=np.int64)
-            held = held[used]
+            ids = np.flatnonzero(used)
+            held = np.where(ids < n_prev, ids, -1)
             if index is not None:
                 live = np.take(used, index[1])
                 index = (index[0][live], np.take(remap, index[1][live]))
-        renumbered = held is not None
-        if not renumbered:
-            held = np.arange(n_prev, dtype=np.int64)
+            if owners is not None:
+                owners = tuple(
+                    None if a is None else np.compress(used, a, axis=-1)
+                    for a in owners
+                )
         if memo.fixed_hash.size and (moved or not memo.probed or n_fresh):
             # Static rows: a class matching one is not carried. Classes
             # whose rectangles were probed last phase need no probe.
-            probe = (
-                slice(None) if moved or not memo.probed
-                else np.flatnonzero(held < 0)
-            )
+            if moved or not memo.probed:
+                probe = slice(None)
+            elif held is None:
+                probe = slice(n_prev, None)
+            else:
+                probe = np.flatnonzero(held < 0)
             fix_req, _ = _probe_index(
                 memo.fixed_hash, cls_hash[probe], memo.fixed_cols,
                 cols[probe],
             )
             if fix_req.size:
                 return None
-        classes = _Classes(labels, cols, counts, cls_hash, index, pat, valid)
-        if pat is None:
+        if owners is None:
             # Owners per class: a moved class has a new rectangle, and a
             # full resolve derived them per member.
-            classes.pat, classes.valid = self._owners(
-                tensor, cols[:, :ndim].T, cols[:, ndim:].T
+            owners = (
+                self._translated_owners(memo, tensor, cols, delta) if moved
+                else self._class_owners(tensor, cols)
             )
-        elif renumbered:
-            kept = held >= 0
-            classes.pat = np.take(pat, np.where(kept, held, 0), axis=1)
-            classes.valid = np.take(valid, np.where(kept, held, 0))
-            if not kept.all():
-                new = np.flatnonzero(~kept)
-                c_lo, c_hi = cols[new, :ndim].T, cols[new, ndim:].T
-                classes.pat[:, new], classes.valid[new] = self._owners(
-                    tensor, c_lo, c_hi
+        return _Classes(
+            labels, cols, counts, cls_hash, index, *owners
+        ), held
+
+    #: Phases of translated class owners derived at once.
+    OWNERS_AHEAD = 8
+
+    def _translated_owners(self, memo, tensor, cols, delta):
+        """The owners of classes translated by ``d``. A steady
+        translation (SUMMA's panels move one step per phase) moves the
+        table by ``d`` again next phase, so the owners of the next
+        :attr:`OWNERS_AHEAD` phases' tables are derived in one call and
+        served while the class table equals its prediction exactly (an
+        owner is a function of its rectangle alone)."""
+        c = cols.shape[0]
+        ahead = memo.owners_ahead
+        if ahead is not None:
+            table, owners, at = ahead
+            if at < table.shape[0] and table.shape[1] == c and (
+                np.array_equal(table[at], cols)
+            ):
+                memo.owners_ahead = (table, owners, at + 1)
+                part = slice(at * c, (at + 1) * c)
+                return (
+                    owners[0][:, part], owners[1][part],
+                    None if owners[2] is None else owners[2][part],
                 )
-        return classes, held
+        steps = np.arange(self.OWNERS_AHEAD, dtype=np.int64)
+        table = cols[None] + steps[:, None, None] * np.concatenate(
+            [delta, delta]
+        )
+        owners = self._class_owners(tensor, table.reshape(-1, cols.shape[1]))
+        memo.owners_ahead = (table, owners, 1)
+        return owners[0][:, :c], owners[1][:c], (
+            None if owners[2] is None else owners[2][:c]
+        )
+
+    @staticmethod
+    def _holder_map(prev, classes, moved, held):
+        """Each class's previous class with its rectangle: the carry's
+        map when ``d = 0`` (the class rectangles did not move), else
+        matched by rectangle, probing the previous classes' row hashes
+        (both tables carry theirs)."""
+        if not moved:
+            return held
+        if prev.index is None:
+            order = np.argsort(prev.hash, kind="stable")
+            prev.index = (prev.hash[order], order)
+        sorted_hash, order = prev.index
+        at, pos = _probe_index(
+            sorted_hash, classes.hash, prev.cols, classes.cols, order
+        )
+        out = np.full(classes.cols.shape[0], -1, dtype=np.int64)
+        out[at] = np.take(order, pos)
+        return out
+
+    @staticmethod
+    def _holders(prev, held, cls):
+        """For classes ``cls``: the previous class with their rectangle
+        when it had fetchers (else -1) and its fetcher count — the
+        class's holders. ``held`` maps classes to previous ones
+        (``None``: the identity on the previous classes)."""
+        if held is None:
+            hc = np.where(cls < prev.counts.size, cls, -1)
+        else:
+            hc = np.take(held, cls)
+        n_held = np.where(hc >= 0, np.take(prev.counts, hc), 0)
+        return np.where(n_held > 0, hc, -1), n_held
 
     def _point_shift(self, shift: np.ndarray) -> np.ndarray:
         """Linear index of ``coords - shift`` (torus) per grid point,
@@ -1362,56 +1517,102 @@ class OrbitExecutor(Executor):
             )
         return sources
 
+    def _member_owner_lin(self, classes, region, req_idx):
+        """Each member's owner as a linear index, and its validity: the
+        class's, gathered, or with replica dimensions concretized at the
+        requester."""
+        labels = classes.labels
+        valid = np.take(classes.valid, labels)
+        if classes.own_lin is not None:
+            return np.take(classes.own_lin, labels), valid
+        owner, _ = self._member_owners(
+            classes.pat, classes.valid, labels,
+            np.take(region.coords, req_idx, axis=0),
+        )
+        return _linear(np.stack(owner, axis=1), self._mt.strides), valid
+
     def _carried_sources(self, memo, sources, region, shift, pr, carried,
-                         prev_row, classes, held, n_held, owner, valid,
-                         req_idx, req_coords):
+                         src, classes, held, moved, req_idx):
         """The map's guess for each member's source, ``src(m + s) - s``,
         and which guesses are proven winners.
 
-        A carried member's class has ``n_held`` holders: the previous
-        fetchers of its rectangle. With none, the owner wins, so the
-        guess stands when it is the (valid) owner. With one, the guess
-        stands when that holder is the guess — the member at the guess
-        fetched this class's rectangle last phase — at a nonzero
-        distance the owner does not undercut (a holder wins distance
-        ties). Torus distance is shift invariant, so the guess's
-        distance is its preimage's. An owner away from the requester is
-        at least one step off, so only guesses farther than one step
-        are measured against it. Returns ``(src_lin, sdist, redo)``
-        with ``redo`` the members whose guess is unproven.
+        A carried member's class has holders: the previous fetchers of
+        its rectangle. With none, the owner wins, so the guess stands
+        when it is the (valid) owner. With one, the guess stands when
+        that holder is the guess — the member at the guess fetched this
+        class's rectangle last phase — at a nonzero distance the owner
+        does not undercut (a holder wins distance ties). When ``d = 0``
+        and the previous classes had one fetcher each, a carried
+        member's one holder is its own preimage (``src``), so the check
+        is that the guess is the preimage's grid point. Torus distance
+        is shift invariant, so the guess's distance is its preimage's.
+        An owner away from the requester is at least one step off, so
+        only guesses farther than one step are measured against it.
+        Returns ``(src_lin, sdist, redo)`` with ``redo`` the members
+        whose guess is unproven.
         """
         mt = self._mt
+        prev = memo.classes
         labels = classes.labels
         guess = np.take(self._point_shift(shift), np.take(sources[0], pr))
         sdist = np.take(sources[1], pr)
-        holders = np.take(n_held, labels)
-        own_lin = owner[0] * mt.strides[0]
-        for d in range(1, len(owner)):
-            own_lin = own_lin + owner[d] * mt.strides[d]
-        proven = carried & valid & (holders == 0) & (own_lin == guess)
-        if n_held.any():
-            at = np.take(prev_row, np.take(region.member_of(mt), guess))
-            held_ok = (
-                carried
-                & (holders == 1)
-                & (at >= 0)
-                & (np.take(memo.classes.labels, at) == np.take(held, labels))
-                & (sdist > 0)
-                & ~(valid & (own_lin == np.take(region.linear(mt),
-                                                req_idx)))
+        own_lin, valid = self._member_owner_lin(classes, region, req_idx)
+        # Members as grid points (the identity when the region is the
+        # grid in row-major order).
+        grid = region.is_grid(mt)
+        linear = region.linear(mt)
+
+        def points(members):
+            return members if grid else np.take(linear, members)
+
+        def at_req():
+            # The owner is the requester itself.
+            return valid & (own_lin == points(req_idx))
+
+        if not moved and prev.distinct:
+            held_ok = carried & (guess == points(src))
+            held_ok &= sdist > 0
+            held_ok &= ~at_req()
+            proven = held_ok
+        else:
+            hc, n_held = self._holders(
+                prev, held, np.arange(classes.counts.size)
             )
+            proven = carried & valid & (own_lin == guess)
+            held_ok = None
+            if n_held.any():
+                holders = np.take(n_held, labels)
+                at = np.take(
+                    self._prev_row(memo, region),
+                    guess if grid else np.take(region.member_of(mt), guess),
+                )
+                held_ok = (
+                    carried
+                    & (holders == 1)
+                    & (at >= 0)
+                    & (np.take(prev.labels, at) == np.take(hc, labels))
+                    & (sdist > 0)
+                    & ~at_req()
+                )
+                proven &= holders == 0
+        if held_ok is not None:
             if int(sdist.max()) > 1:
                 far = np.flatnonzero(held_ok & valid & (sdist > 1))
+                owner, _ = self._member_owners(
+                    classes.pat, classes.valid, np.take(labels, far),
+                    np.take(region.coords, np.take(req_idx, far), axis=0),
+                )
                 odist = _torus_dist(
-                    np.stack([np.take(col, far) for col in owner], axis=1),
-                    np.take(req_coords, far, axis=0), mt.shape,
+                    np.stack(owner, axis=1),
+                    np.take(region.coords, np.take(req_idx, far), axis=0),
+                    mt.shape,
                 )
                 held_ok[far[np.take(sdist, far) > odist]] = False
-            proven |= held_ok
+            if held_ok is not proven:
+                proven |= held_ok
         return guess, sdist, np.flatnonzero(~proven)
 
-    def _derive_sources(self, memo, region, classes, held, redo, owner,
-                        valid, req_coords):
+    def _derive_sources(self, memo, region, classes, held, redo, req_idx):
         """Resolve the sources of members ``redo`` (``None``: all) by
         the full rules: holder pairs from the previous fetchers of each
         class's rectangle, then winner selection against the owner. Returns
@@ -1419,13 +1620,15 @@ class OrbitExecutor(Executor):
         None)`` when one has no single source or holds its own request.
         """
         prev = memo.classes
-        labels, req_re = classes.labels, req_coords
+        labels = classes.labels
         if redo is not None:
             labels = np.take(labels, redo)
-            req_re = np.take(req_coords, redo, axis=0)
-            owner = [np.take(col, redo) for col in owner]
-            valid = np.take(valid, redo)
-        hc = np.take(held, labels)
+            req_idx = np.take(req_idx, redo)
+        req_re = np.take(region.coords, req_idx, axis=0)
+        owner, valid = self._member_owners(
+            classes.pat, classes.valid, labels, req_re
+        )
+        hc, _ = self._holders(prev, held, labels)
         rows = np.flatnonzero(hc >= 0)
         pair_req = np.zeros(0, dtype=np.int64)
         pair_coords = None
@@ -1494,13 +1697,15 @@ class OrbitExecutor(Executor):
         registration ``reg`` (payloads and member processors); a replay
         also what it already holds: carried class keys ``key_hi`` (all
         equal when ``key_uniform``) and the ``carry`` ``(previous
-        emission, member map, same)`` of a chunk whose every row is
-        carried.
+        emission, member map, same, shift)`` of a chunk whose every row
+        is carried.
         """
         mt = self._mt
         if other_lin is None:
             other_lin = _linear(other_coords, mt.strides)
-        other_proc = np.take(mt.proc_of_point, other_lin)
+        other_proc = other_lin if mt.points_are_procs else np.take(
+            mt.proc_of_point, other_lin
+        )
         if reg is None:
             member_proc = np.take(region.proc, member_idx)
             vol = np.ones(member_idx.size, dtype=np.int64)
@@ -1533,17 +1738,26 @@ class OrbitExecutor(Executor):
         if key_hi is not None and not key_uniform:
             key_uniform = bool((key_hi == key_hi[0]).all())
         member_uniform = key_uniform
-        # The scalar `_emit_copy` rule: zero-byte copies vanish; same-
-        # processor transfers vanish for fetches (over-decomposition)
-        # but reduction write-backs are recorded even on one processor.
-        if reg is not None and reg.uniform is not None:
-            keep = np.full(nbytes.size, reg.uniform > 0)
+        prior = None if carry is None else carry[0]
+        if prior is not None and prior.keep is None:
+            # Every row is its preimage's moved rigidly: the same
+            # payload and, with one processor per grid point (or the
+            # same rows), endpoints on one processor exactly when the
+            # preimage's were. Every preimage row was kept.
+            keep = None
         else:
-            keep = nbytes > 0
-        if not reduce:
-            keep &= other_proc != member_proc
+            # The scalar `_emit_copy` rule: zero-byte copies vanish;
+            # same-processor transfers vanish for fetches (over-
+            # decomposition) but reduction write-backs are recorded
+            # even on one processor.
+            if reg is not None and reg.uniform is not None:
+                keep = np.full(nbytes.size, reg.uniform > 0)
+            else:
+                keep = nbytes > 0
+            if not reduce:
+                keep &= other_proc != member_proc
         keep_mask = None
-        if not keep.all():
+        if keep is not None and not keep.all():
             if not keep.any():
                 return None
             keep_mask = keep
@@ -1591,11 +1805,23 @@ class OrbitExecutor(Executor):
         chunk.carry = self._chunk_carry(carry, keep_mask, k)
         chunk_pos = len(builder.chunks)
         builder.chunks.append(chunk)
-        inter = np.take(mt.node_of_proc, src_proc) != np.take(
-            mt.node_of_proc, dst_proc
+        rigid = chunk.carry is not None and (
+            carry[2] or mt.node_rigid(carry[3])
         )
+        if rigid:
+            # The rows are the previous chunk's moved by a shift that
+            # maps nodes onto nodes: each keeps its inter-node flag.
+            row_map = chunk.carry[2]
+            inter = prior.inter if row_map is None else np.take(
+                prior.inter, row_map
+            )
+        else:
+            inter = np.take(mt.node_of_proc, src_proc) != np.take(
+                mt.node_of_proc, dst_proc
+            )
         if keep_mask is not None and key_hi is not None and not key_uniform:
             key_uniform = bool((key_hi == key_hi[0]).all())
+        fold = None
         if key_uniform:
             # Uniform-shift fast path: one shape, one offset, one
             # payload — a systolic phase — splits only by inter/intra
@@ -1612,8 +1838,19 @@ class OrbitExecutor(Executor):
                     dtype=np.int64,
                 )
                 counts = np.array([k - n_inter, n_inter], dtype=np.int64)
+        elif rigid and prior.fold is not None:
+            # Each row keeps its preimage row's key and inter-node flag,
+            # so the groups and their counts are the previous fold's,
+            # permuted; only each group's first row is found again.
+            dense, rank, counts = prior.fold
+            if row_map is not None:
+                dense = np.take(dense, row_map)
+            first = _first_rows(dense, rank, counts.size)
+            fold = (dense, rank, counts)
         elif key_hi is not None:
-            first, counts = _fold_keys(key_hi * 2 + inter)
+            first, counts, fold = _fold_keys(key_hi * 2 + inter)
+            if fold is not None:
+                fold += (counts,)
         else:
             spans = [e + 1 for e in tensor.shape] + [int(e) for e in mt.shape]
             first, counts = fold_groups(
@@ -1652,17 +1889,19 @@ class OrbitExecutor(Executor):
         ))
         return _EmitInfo(
             chunk=chunk, pos=chunk_pos, builder=builder, keep=keep_mask,
-            key_hi=member_key, key_uniform=member_uniform,
+            key_hi=member_key, key_uniform=member_uniform, inter=inter,
+            fold=fold,
         )
 
     @staticmethod
     def _chunk_carry(carry, keep, rows):
         """A chunk's :attr:`_Chunk.carry` from a replay's ``(previous
-        emission, member map, same)``, given the chunk's row filter over
-        the members and its row count; ``None`` without one."""
+        emission, member map, same, shift)``, given the chunk's row
+        filter over the members and its row count; ``None`` without
+        one."""
         if carry is None:
             return None
-        emit, pr, same = carry
+        emit, pr, same, _ = carry
         if rows != emit.chunk.nbytes.size:
             return None
         row_map = None
@@ -1799,188 +2038,6 @@ class OrbitExecutor(Executor):
             self.env.mirror(name).release_block(reg)
 
 
-class _PhaseMemo:
-    """One tensor's previous communication phase, for conjugate replay.
-
-    Holds what :meth:`OrbitExecutor._replay_conjugate` carries into the
-    next phase: the request endpoints, the fetching members and their
-    request classes, sources, the emission, the map that produced the
-    phase and the static-instance index. ``ready`` marks a phase
-    whose state a replay may build on; ``version`` pins the mirror
-    after the phase's commit.
-    """
-
-    __slots__ = (
-        "lo", "hi", "live_all", "ready", "version",
-        "reg", "fetch_idx", "classes", "sources", "emit",
-        "shifts", "seam", "probed",
-        "fixed_hash", "fixed_cols",
-    )
-
-    def __init__(self):
-        self.lo = None
-        self.hi = None
-        self.live_all = False
-        self.ready = False
-        self.version = -1
-        self.reg = None
-        self.fetch_idx = None
-        self.classes = None
-        self.sources = None
-        self.emit = None
-        self.shifts = []
-        self.seam = 0
-        self.probed = False
-        self.fixed_hash = None
-        self.fixed_cols = None
-
-
-class _EventStream:
-    """Memory add/sub events accumulated out of order, replayed exactly.
-
-    Phases whose state mutations interleave per context (reduction
-    flushes, leaf-level communication) are built as column batches in
-    whatever order is convenient; each event carries a sort key
-    ``(context member, phase, k2, k3, k4)`` that reproduces the scalar
-    interpreter's commit order, and :meth:`ordered` emits the stream
-    sorted for :meth:`OrbitState.apply_events`.
-    """
-
-    REGISTER = 0
-    PARTIAL = 1
-    FLUSH = 2
-    RELEASE = 3
-
-    def __init__(self):
-        self._mem: List[np.ndarray] = []
-        self._delta: List[np.ndarray] = []
-        self._keys: List[np.ndarray] = []
-
-    def add(self, mem, delta, k0, k1, k2=0, k3=0, k4=0):
-        mem = np.asarray(mem, dtype=np.int64).reshape(-1)
-        n = mem.size
-        if n == 0:
-            return
-        self._mem.append(mem)
-        self._delta.append(
-            np.broadcast_to(np.asarray(delta, dtype=np.int64), (n,))
-        )
-        cols = [
-            np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
-            for k in (k0, k1, k2, k3, k4)
-        ]
-        self._keys.append(np.column_stack(cols))
-
-    def ordered(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(mem_ids, deltas)`` stream in scalar event order."""
-        if not self._mem:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        mem = np.concatenate(self._mem)
-        delta = np.concatenate(self._delta)
-        keys = np.vstack(self._keys)
-        order = np.lexsort(keys.T[::-1])
-        return mem[order], delta[order]
-
-
-def _probe_index(sorted_hash: np.ndarray, req_k: np.ndarray,
-                 sorted_cols: np.ndarray, req_cols: np.ndarray,
-                 order: Optional[np.ndarray] = None):
-    """Match request rows against a pre-sorted row-hash index.
-
-    Returns ``(pair_req, pair_pos)``: request positions (non-
-    decreasing) and matching index positions, every candidate verified
-    exactly on the original columns. With ``order`` the columns are
-    unsorted: index position ``i`` is row ``order[i]`` of them.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    if sorted_hash.size == 0 or req_k.size == 0:
-        return empty, empty
-    left = np.searchsorted(sorted_hash, req_k, side="left")
-    right = np.searchsorted(sorted_hash, req_k, side="right")
-    cnt = right - left
-    total = int(cnt.sum())
-    if total == 0:
-        return empty, empty
-    pair_req = np.repeat(np.arange(req_k.size, dtype=np.int64), cnt)
-    starts = np.cumsum(cnt) - cnt
-    rank = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
-    pair_pos = np.repeat(left, cnt) + rank
-    at = pair_pos if order is None else np.take(order, pair_pos)
-    genuine = np.all(sorted_cols[at] == req_cols[pair_req], axis=1)
-    if not genuine.all():
-        pair_req = pair_req[genuine]
-        pair_pos = pair_pos[genuine]
-    return pair_req, pair_pos
-
-
-def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row of ``a``, the index of the equal row of ``b`` (rows
-    of ``b`` pairwise distinct), or -1. The larger side is sorted and
-    the smaller probes it (a binary search per probe costs more than a
-    sort per element)."""
-    out = np.full(a.shape[0], -1, dtype=np.int64)
-    if not a.shape[0] or not b.shape[0]:
-        return out
-    ha = _hash_rows(a)
-    hb = _hash_rows(b)
-    if a.shape[0] > b.shape[0]:
-        order = np.argsort(ha)
-        b_pos, a_pos = _probe_index(ha[order], hb, a[order], b)
-        out[order[a_pos]] = b_pos
-    else:
-        order = np.argsort(hb)
-        a_pos, b_pos = _probe_index(hb[order], ha, b[order], a)
-        out[a_pos] = order[b_pos]
-    return out
-
-
-def _torus_dist(a: np.ndarray, b: np.ndarray, shape: np.ndarray):
-    """Per-row torus (wraparound Manhattan) distance between two
-    ``(k, mdim)`` coordinate matrices."""
-    dist = np.zeros(a.shape[0], dtype=np.int64)
-    for d in range(a.shape[1]):
-        delta = np.abs(a[:, d] - b[:, d])
-        dist += np.minimum(delta, shape[d] - delta)
-    return dist
-
-
-def _rank_within(group: np.ndarray) -> np.ndarray:
-    """Each element's rank among equal values (stable, in input order)."""
-    order = np.argsort(group, kind="stable")
-    sg = group[order]
-    starts = np.flatnonzero(np.r_[True, sg[1:] != sg[:-1]])
-    seg_len = np.diff(np.r_[starts, sg.size])
-    rank_sorted = np.arange(sg.size, dtype=np.int64) - np.repeat(
-        starts, seg_len
-    )
-    out = np.empty(group.size, dtype=np.int64)
-    out[order] = rank_sorted
-    return out
-
-
-def _same_columns(a, b) -> bool:
-    """Whether two equally long lists of columns (arrays or scalars)
-    are equal element for element."""
-    return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def _fan_out(row_class: np.ndarray, inv: np.ndarray, n_classes: int):
-    """Pair each table row with every member of its class.
-
-    ``row_class`` is each table row's class (non-decreasing) and
-    ``inv`` each member's class. Returns ``(row, pos)`` per pair,
-    ordered by row and then by ascending member position.
-    """
-    order = np.argsort(inv, kind="stable")
-    size = np.bincount(inv, minlength=n_classes)
-    start = np.cumsum(size) - size
-    reps = size[row_class]
-    row = np.repeat(np.arange(row_class.size), reps)
-    within = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    return row, order[start[row_class][row] + within]
-
-
 def _repeated_leaves(node: PlanNode, repeated: bool = False) -> Set[int]:
     """Ids of the leaves below a ``SeqNode`` of extent > 1 that is
     itself below the leaf's innermost ``LaunchNode`` (every launch
@@ -1990,74 +2047,3 @@ def _repeated_leaves(node: PlanNode, repeated: bool = False) -> Set[int]:
     if isinstance(node, SeqNode):
         return _repeated_leaves(node.body, repeated or node.extent > 1)
     return {id(node)} if repeated else set()
-
-
-class _Region:
-    """Per-context-batch lookup tables (one plan launch region):
-    each context's machine coordinates ``(n, mdim)`` and processor id."""
-
-    def __init__(self, coords: np.ndarray, proc: np.ndarray,
-                 block: CtxBlock):
-        # Holding the block keeps its id — the region and phase-memo
-        # key — from being reused.
-        self.block = block
-        self.n = proc.size
-        self.coords = coords
-        self.proc = proc
-        self._home: Dict[str, Tuple] = {}
-        self._member_of_linear: Optional[np.ndarray] = None
-        self._linear: Optional[np.ndarray] = None
-        self._perms: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
-        #: Per leaf node: the last batch it ran and its Work writes.
-        self.leaf_memo: Dict[int, Tuple] = {}
-
-    def perm_for_shift(self, shift: np.ndarray,
-                       mt: _MachineTables) -> Optional[np.ndarray]:
-        """Member permutation mapping each context to the one at
-        ``coords + shift`` (torus), or ``None`` if any target is not a
-        member of this region."""
-        key = tuple(int(s) for s in shift)
-        if key in self._perms:
-            return self._perms[key]
-        target = (self.coords + shift) % mt.shape
-        perm = self.member_of(mt)[target @ mt.strides]
-        out = None if bool(np.any(perm < 0)) else perm
-        self._perms[key] = out
-        return out
-
-    def linear(self, mt: _MachineTables) -> np.ndarray:
-        """Each member's grid point as a linear index."""
-        if self._linear is None:
-            self._linear = _linear(self.coords, mt.strides)
-        return self._linear
-
-    def member_of(self, mt: _MachineTables) -> np.ndarray:
-        """The member at each grid point (linear index), or -1."""
-        if self._member_of_linear is None:
-            table = np.full(mt.size, -1, dtype=np.int64)
-            table[self.linear(mt)] = np.arange(
-                self.n, dtype=np.int64
-            )
-            self._member_of_linear = table
-        return self._member_of_linear
-
-    def home(self, executor: OrbitExecutor, name: str):
-        """Home-rectangle endpoint columns per context (lazy, cached),
-        gathered from the grid's home table
-        (:meth:`~repro.runtime.orbit_state._MachineTables.home`); empty
-        pieces count as not held and read zero."""
-        cached = self._home.get(name)
-        if cached is not None:
-            return cached
-        tensor = executor.plan.tensors[name]
-        mt = executor._mt
-        lo, hi, ok = mt.home(executor.machine, tensor.format, tensor.shape)
-        at = self.linear(mt)
-        h_lo, h_hi, h_ok = lo[:, at], hi[:, at], ok[at]
-        if tensor.ndim:
-            h_ok = h_ok & np.all(h_hi > h_lo, axis=0)
-            h_lo[:, ~h_ok] = 0
-            h_hi[:, ~h_ok] = 0
-        out = (h_lo, h_hi, h_ok)
-        self._home[name] = out
-        return out

@@ -2,19 +2,22 @@
 
 Collision-free row keys and row hashes for vectorized joins, the
 per-machine lookup tables, the columnar instance mirrors and partial
-tables, the memory accounting (:class:`OrbitState`) and the per-step
-copy-column builder every emission path feeds (:class:`_StepBuilder`).
+tables, the memory accounting (:class:`OrbitState`), the per-step
+copy-column builder every emission path feeds (:class:`_StepBuilder`),
+and the executor's phase memos, event streams, join helpers and launch
+regions.
 
 Kept apart from the executor because Python compiles each module from
 source whenever no bytecode cache is written: one module holding both
 left about 2.7 MB more resident after its import than the two halves
-(8.1 against 5.4 MB).
+(8.1 against 5.4 MB), and the compile peak of the larger module sets
+the import's high-water mark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +25,10 @@ from repro.machine.cluster import MemoryKind
 from repro.machine.machine import Machine
 from repro.runtime.trace import CopyColumns, Step
 from repro.util.errors import OutOfMemoryError
+
+if TYPE_CHECKING:
+    from repro.runtime.batchbounds import CtxBlock
+    from repro.runtime.orbit import OrbitExecutor
 
 # ----------------------------------------------------------------------
 # Key folding: collision-free int64 row keys for vectorized joins.
@@ -134,25 +141,46 @@ def fold_two(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return keys[: a.shape[0]], keys[a.shape[0]:]
 
 
-def _fold_keys(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Equal-key groups of an int64 key column: ``(first, counts)`` in
-    key order, as :func:`fold_groups` orders them. A dense key range
-    folds by counting, with no sort."""
+def _fold_keys(key: np.ndarray):
+    """Equal-key groups of an int64 key column: ``(first, counts,
+    dense)`` with ``first`` and ``counts`` in key order, as
+    :func:`fold_groups` orders them. A dense key range folds by
+    counting, with no sort; ``dense`` is then ``(keys - min, rank)``
+    (``rank``: each dense key's group), from which :func:`_first_rows`
+    finds the groups of a permutation of the rows again, else
+    ``None``."""
     base = int(key.min())
     span = int(key.max()) - base + 1
     if span <= 4 * key.size + 1024:
         dense = key - base
         full = np.bincount(dense, minlength=span)
         present = full > 0
-        inv = np.take(np.cumsum(present) - 1, dense)
+        rank = np.cumsum(present) - 1
         counts = full[present]
-    else:
-        _, inv, counts = np.unique(
-            key, return_inverse=True, return_counts=True
-        )
+        return _first_rows(dense, rank, counts.size), counts, (dense, rank)
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
     first = np.full(counts.size, key.size, dtype=np.int64)
     np.minimum.at(first, inv, np.arange(key.size, dtype=np.int64))
-    return first, counts
+    return first, counts, None
+
+
+def _first_rows(dense: np.ndarray, rank: np.ndarray,
+                n_groups: int) -> np.ndarray:
+    """Each group's first row, the rows' groups being ``rank[dense]``:
+    found in a short prefix when every group shows up there (a
+    systolic phase's groups do, within a grid row), else by a scan."""
+    head = 8 * n_groups + 256
+    if head < dense.size:
+        groups, first = np.unique(
+            np.take(rank, dense[:head]), return_index=True
+        )
+        if groups.size == n_groups:
+            return first
+    first = np.full(n_groups, dense.size, dtype=np.int64)
+    np.minimum.at(
+        first, np.take(rank, dense), np.arange(dense.size, dtype=np.int64)
+    )
+    return first
 
 
 def _pack_key(cols, spans) -> Optional[np.ndarray]:
@@ -269,6 +297,10 @@ class _MachineTables:
             ppn = cluster.procs_per_node
             table = node_lin * ppn + (inner @ istr) % ppn
         self.proc_of_point = table
+        #: Point ``i`` runs on processor ``i`` (the table is the identity).
+        self.points_are_procs = bool(
+            (table == np.arange(self.size)).all()
+        )
         #: Each grid point on its own processor: collective-group keys
         #: (which name roots by processor) then move rigidly with the
         #: grid points, so a carried step may carry its group partition.
@@ -282,8 +314,27 @@ class _MachineTables:
         self._homes: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
         self._home_charges: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
         self._prices: Dict[object, Dict[Tuple, float]] = {}
+        self._rigid: Dict[Tuple[int, ...], bool] = {}
         self.leaf_work: Dict[Tuple, Tuple] = {}
         self.home_hits = 0
+
+    def node_rigid(self, shift: np.ndarray) -> bool:
+        """Whether moving every grid point by ``-shift`` (torus) maps
+        nodes onto nodes: two points then share a node exactly when
+        their images do, so a moved copy keeps its inter-node flag."""
+        key = tuple(int(s) for s in shift)
+        out = self._rigid.get(key)
+        if out is None:
+            node = self.node_of_proc[self.proc_of_point]
+            moved = node[((self.point_coords - shift) % self.shape)
+                         @ self.strides]
+            image = np.full(int(node.max()) + 1, -1, dtype=np.int64)
+            image[node] = moved
+            out = bool((image[node] == moved).all()) and int(
+                np.bincount(image[image >= 0]).max()
+            ) <= 1
+            self._rigid[key] = out
+        return out
 
     def home(self, machine: Machine, fmt, shape) -> Tuple[np.ndarray, ...]:
         """:meth:`~repro.formats.format.Format.owned_rect_batch` over
@@ -888,6 +939,11 @@ class _EmitInfo:
     key_hi: Optional[np.ndarray]
     #: Every member has the same key.
     key_uniform: bool = False
+    #: Each row's inter-node flag.
+    inter: Optional[np.ndarray] = None
+    #: The class fold's ``(dense keys, rank, counts)`` per row, when the
+    #: keys differ and fold densely (:func:`_fold_keys`).
+    fold: Optional[Tuple[np.ndarray, ...]] = None
 
 
 @dataclass
@@ -903,17 +959,17 @@ class _Classes:
     #: or ``None`` until first needed.
     index: Optional[Tuple[np.ndarray, np.ndarray]] = None
     #: Owner pattern and validity per class (``owner_pattern_batch``),
-    #: set by a replay.
+    #: set by a replay, and the owner's linear index (``None`` when the
+    #: pattern has replica dimensions).
     pat: Optional[np.ndarray] = None
     valid: Optional[np.ndarray] = None
+    own_lin: Optional[np.ndarray] = None
     #: No class has two members (classes may have none: a replay keeps
     #: classes nobody requests for a while).
     distinct: bool = field(init=False)
 
     def __post_init__(self):
-        self.distinct = self.counts.size == self.labels.size or int(
-            self.counts.max(initial=0)
-        ) <= 1
+        self.distinct = int(self.counts.max(initial=0)) <= 1
 
 
 @dataclass
@@ -1096,3 +1152,272 @@ class _StepBuilder:
             group=group,
             num_groups=int(group.max()) + 1 if rows else 0,
         )
+
+
+# ----------------------------------------------------------------------
+# Phase memos, event streams, join helpers and launch regions.
+# ----------------------------------------------------------------------
+
+
+class _PhaseMemo:
+    """One tensor's previous communication phase, for conjugate replay.
+
+    Holds what :meth:`OrbitExecutor._replay_conjugate` carries into the
+    next phase: the request endpoints, the fetching members (and their
+    position table, ``prev_row``) and their request classes, sources,
+    the emission, the maps that produced the last phases (``shifts``,
+    newest first; ``alternating`` when the last replay took the older
+    one), translated class owners derived ahead (``owners_ahead``) and
+    the static-instance index. ``ready`` marks a phase whose
+    state a replay may build on; ``version`` pins the mirror after the
+    phase's commit.
+    """
+
+    __slots__ = (
+        "lo", "hi", "live_all", "ready", "version",
+        "reg", "fetch_idx", "prev_row", "classes", "sources", "emit",
+        "shifts", "alternating", "seam", "probed", "owners_ahead",
+        "fixed_hash", "fixed_cols",
+    )
+
+    def __init__(self):
+        self.lo = None
+        self.hi = None
+        self.live_all = False
+        self.ready = False
+        self.version = -1
+        self.reg = None
+        self.fetch_idx = None
+        self.prev_row = None
+        self.classes = None
+        self.sources = None
+        self.emit = None
+        self.shifts = []
+        self.alternating = False
+        self.owners_ahead = None
+        self.seam = 0
+        self.probed = False
+        self.fixed_hash = None
+        self.fixed_cols = None
+
+
+class _EventStream:
+    """Memory add/sub events accumulated out of order, replayed exactly.
+
+    Phases whose state mutations interleave per context (reduction
+    flushes, leaf-level communication) are built as column batches in
+    whatever order is convenient; each event carries a sort key
+    ``(context member, phase, k2, k3, k4)`` that reproduces the scalar
+    interpreter's commit order, and :meth:`ordered` emits the stream
+    sorted for :meth:`OrbitState.apply_events`.
+    """
+
+    REGISTER = 0
+    PARTIAL = 1
+    FLUSH = 2
+    RELEASE = 3
+
+    def __init__(self):
+        self._mem: List[np.ndarray] = []
+        self._delta: List[np.ndarray] = []
+        self._keys: List[np.ndarray] = []
+
+    def add(self, mem, delta, k0, k1, k2=0, k3=0, k4=0):
+        mem = np.asarray(mem, dtype=np.int64).reshape(-1)
+        n = mem.size
+        if n == 0:
+            return
+        self._mem.append(mem)
+        self._delta.append(
+            np.broadcast_to(np.asarray(delta, dtype=np.int64), (n,))
+        )
+        cols = [
+            np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
+            for k in (k0, k1, k2, k3, k4)
+        ]
+        self._keys.append(np.column_stack(cols))
+
+    def ordered(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(mem_ids, deltas)`` stream in scalar event order."""
+        if not self._mem:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        mem = np.concatenate(self._mem)
+        delta = np.concatenate(self._delta)
+        keys = np.vstack(self._keys)
+        order = np.lexsort(keys.T[::-1])
+        return mem[order], delta[order]
+
+
+def _probe_index(sorted_hash: np.ndarray, req_k: np.ndarray,
+                 sorted_cols: np.ndarray, req_cols: np.ndarray,
+                 order: Optional[np.ndarray] = None):
+    """Match request rows against a pre-sorted row-hash index.
+
+    Returns ``(pair_req, pair_pos)``: request positions (non-
+    decreasing) and matching index positions, every candidate verified
+    exactly on the original columns. With ``order`` the columns are
+    unsorted: index position ``i`` is row ``order[i]`` of them.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if sorted_hash.size == 0 or req_k.size == 0:
+        return empty, empty
+    left = np.searchsorted(sorted_hash, req_k, side="left")
+    right = np.searchsorted(sorted_hash, req_k, side="right")
+    cnt = right - left
+    if int(cnt.max()) <= 1:
+        # At most one candidate per request (distinct index hashes).
+        pair_req = np.flatnonzero(cnt)
+        if not pair_req.size:
+            return empty, empty
+        pair_pos = np.take(left, pair_req)
+    else:
+        total = int(cnt.sum())
+        pair_req = np.repeat(np.arange(req_k.size, dtype=np.int64), cnt)
+        starts = np.cumsum(cnt) - cnt
+        rank = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
+        pair_pos = np.repeat(left, cnt) + rank
+    at = pair_pos if order is None else np.take(order, pair_pos)
+    genuine = np.all(sorted_cols[at] == req_cols[pair_req], axis=1)
+    if not genuine.all():
+        pair_req = pair_req[genuine]
+        pair_pos = pair_pos[genuine]
+    return pair_req, pair_pos
+
+
+def _concat_owners(a, b):
+    """Two class tables' ``(pattern, validity, owner linear index)``,
+    concatenated."""
+    return (
+        np.concatenate([a[0], b[0]], axis=1),
+        np.concatenate([a[1], b[1]]),
+        None if a[2] is None or b[2] is None
+        else np.concatenate([a[2], b[2]]),
+    )
+
+
+def _torus_dist(a: np.ndarray, b: np.ndarray, shape: np.ndarray):
+    """Per-row torus (wraparound Manhattan) distance between two
+    ``(k, mdim)`` coordinate matrices."""
+    dist = np.zeros(a.shape[0], dtype=np.int64)
+    for d in range(a.shape[1]):
+        delta = np.abs(a[:, d] - b[:, d])
+        dist += np.minimum(delta, shape[d] - delta)
+    return dist
+
+
+def _rank_within(group: np.ndarray) -> np.ndarray:
+    """Each element's rank among equal values (stable, in input order)."""
+    order = np.argsort(group, kind="stable")
+    sg = group[order]
+    starts = np.flatnonzero(np.r_[True, sg[1:] != sg[:-1]])
+    seg_len = np.diff(np.r_[starts, sg.size])
+    rank_sorted = np.arange(sg.size, dtype=np.int64) - np.repeat(
+        starts, seg_len
+    )
+    out = np.empty(group.size, dtype=np.int64)
+    out[order] = rank_sorted
+    return out
+
+
+def _same_columns(a, b) -> bool:
+    """Whether two equally long lists of columns (arrays or scalars)
+    are equal element for element."""
+    return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _fan_out(row_class: np.ndarray, inv: np.ndarray, n_classes: int):
+    """Pair each table row with every member of its class.
+
+    ``row_class`` is each table row's class (non-decreasing) and
+    ``inv`` each member's class. Returns ``(row, pos)`` per pair,
+    ordered by row and then by ascending member position.
+    """
+    order = np.argsort(inv, kind="stable")
+    size = np.bincount(inv, minlength=n_classes)
+    start = np.cumsum(size) - size
+    reps = size[row_class]
+    row = np.repeat(np.arange(row_class.size), reps)
+    within = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return row, order[start[row_class][row] + within]
+
+
+class _Region:
+    """Per-context-batch lookup tables (one plan launch region):
+    each context's machine coordinates ``(n, mdim)`` and processor id."""
+
+    def __init__(self, coords: np.ndarray, proc: np.ndarray,
+                 block: CtxBlock):
+        # Holding the block keeps its id — the region and phase-memo
+        # key — from being reused.
+        self.block = block
+        self.n = proc.size
+        self.coords = coords
+        self.proc = proc
+        self._home: Dict[str, Tuple] = {}
+        self._member_of_linear: Optional[np.ndarray] = None
+        self._linear: Optional[np.ndarray] = None
+        self._grid: Optional[bool] = None
+        self._perms: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
+        #: Per leaf node: the last batch it ran and its Work writes.
+        self.leaf_memo: Dict[int, Tuple] = {}
+
+    def perm_for_shift(self, shift: np.ndarray,
+                       mt: _MachineTables) -> Optional[np.ndarray]:
+        """Member permutation mapping each context to the one at
+        ``coords + shift`` (torus), or ``None`` if any target is not a
+        member of this region."""
+        key = tuple(int(s) for s in shift)
+        if key in self._perms:
+            return self._perms[key]
+        target = (self.coords + shift) % mt.shape
+        perm = self.member_of(mt)[target @ mt.strides]
+        out = None if bool(np.any(perm < 0)) else perm
+        self._perms[key] = out
+        return out
+
+    def linear(self, mt: _MachineTables) -> np.ndarray:
+        """Each member's grid point as a linear index."""
+        if self._linear is None:
+            self._linear = _linear(self.coords, mt.strides)
+        return self._linear
+
+    def is_grid(self, mt: _MachineTables) -> bool:
+        """Whether the members are the grid's points in row-major
+        order: member ``i`` is point ``i``."""
+        if self._grid is None:
+            self._grid = self.n == mt.size and bool(
+                (self.linear(mt) == np.arange(self.n)).all()
+            )
+        return self._grid
+
+    def member_of(self, mt: _MachineTables) -> np.ndarray:
+        """The member at each grid point (linear index), or -1."""
+        if self._member_of_linear is None:
+            table = np.full(mt.size, -1, dtype=np.int64)
+            table[self.linear(mt)] = np.arange(
+                self.n, dtype=np.int64
+            )
+            self._member_of_linear = table
+        return self._member_of_linear
+
+    def home(self, executor: OrbitExecutor, name: str):
+        """Home-rectangle endpoint columns per context (lazy, cached),
+        gathered from the grid's home table
+        (:meth:`~repro.runtime.orbit_state._MachineTables.home`); empty
+        pieces count as not held and read zero."""
+        cached = self._home.get(name)
+        if cached is not None:
+            return cached
+        tensor = executor.plan.tensors[name]
+        mt = executor._mt
+        lo, hi, ok = mt.home(executor.machine, tensor.format, tensor.shape)
+        at = self.linear(mt)
+        h_lo, h_hi, h_ok = lo[:, at], hi[:, at], ok[at]
+        if tensor.ndim:
+            h_ok = h_ok & np.all(h_hi > h_lo, axis=0)
+            h_lo[:, ~h_ok] = 0
+            h_hi[:, ~h_ok] = 0
+        out = (h_lo, h_hi, h_ok)
+        self._home[name] = out
+        return out

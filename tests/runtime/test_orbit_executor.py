@@ -35,8 +35,9 @@ from repro.machine.machine import Machine
 from repro.runtime import orbit as orbit_module
 from repro.runtime.orbit import (
     OrbitExecutor,
+    _Classes,
     _fold_keys,
-    _match_rows,
+    _hash_rows,
     fold_groups,
     fold_rows,
 )
@@ -602,16 +603,24 @@ class TestFoldRows:
         # both must give fold_groups' groups in fold_groups' order.
         rng = np.random.default_rng(1)
         key = rng.integers(0, high, size=400)
-        first, counts = _fold_keys(key)
+        first, counts, _ = _fold_keys(key)
         ref_first, ref_counts = fold_groups(key[:, None])
         assert np.array_equal(first, ref_first)
         assert np.array_equal(counts, ref_counts)
 
-    def test_match_rows_finds_equal_rows(self):
+    def test_holder_map_finds_equal_rectangles(self):
+        # Translated classes find the previous class with their
+        # rectangle through the row hashes both tables carry.
+        def classes(cols):
+            ones = np.ones(cols.shape[0], dtype=np.int64)
+            return _Classes(np.arange(cols.shape[0]), cols, ones,
+                            _hash_rows(cols))
+
         rng = np.random.default_rng(2)
         b = np.unique(rng.integers(0, 6, size=(40, 4)), axis=0)
+        prev = classes(b)
         for a in (b[::3], np.vstack([b, b + 100])):
-            out = _match_rows(a, b)
+            out = OrbitExecutor._holder_map(prev, classes(a), True, None)
             for row, hit in zip(a, out):
                 found = np.flatnonzero(np.all(b == row, axis=1))
                 assert hit == (found[0] if found.size else -1)

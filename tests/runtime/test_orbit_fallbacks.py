@@ -44,6 +44,10 @@ from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
 from repro.util.errors import LoweringError, NodeFailure, OutOfMemoryError
 
+from carry_off import (
+    CarryOff, assert_carry_exact, assert_same_steps, run_priced,
+)
+
 
 def run_orbit(kernel, check_capacity=False, executor_cls=OrbitExecutor):
     """Execute on a fresh orbit executor; return (executor, report)."""
@@ -422,6 +426,25 @@ class _FullResolveCounter(OrbitExecutor):
         return out
 
 
+class _MapChecks(OrbitExecutor):
+    """Records, per tensor, how many maps each replay verified."""
+
+    def run(self, inputs=None):
+        self.checks = {}
+        self._count = 0
+        return super().run(inputs)
+
+    def _map_carry(self, *args):
+        self._count += 1
+        return super()._map_carry(*args)
+
+    def _replay_conjugate(self, memo, name, *args):
+        before = self._count
+        out = super()._replay_conjugate(memo, name, *args)
+        self.checks.setdefault(name, []).append(self._count - before)
+        return out
+
+
 class TestConjugateReplay:
     """Steady systolic phases replay as conjugates of the previous one.
 
@@ -458,6 +481,18 @@ class TestConjugateReplay:
     def test_summa_moving_roots(self, m84):
         executor = self._replayed(summa(m84, 2048))
         assert executor.phase_conjugate > 0
+
+    def test_summa_alternating_maps(self, m84):
+        # B's broadcast roots move every other phase, so its maps
+        # alternate: its second and third replays verify both of the
+        # last two maps. Once a replay took the older one, the next
+        # tries that one first, and every later replay verifies one.
+        executor = _MapChecks(summa(m84, 2048).plan)
+        executor.run()
+        assert executor.phase_replays == 14
+        assert executor.checks == {
+            "B": [1, 2, 2, 1, 1, 1, 1], "C": [1] * 7,
+        }
 
     #: Replays applied as deltas, and replayed members carried /
     #: re-derived, at the weak-scaled points.
@@ -544,20 +579,6 @@ class TestLeafMemoScope:
         assert executor.leaf_reused > 0
 
 
-class _CarryOff(OrbitExecutor):
-    """Re-derives every replayed member's source and registers every
-    member afresh: no carried winners, class keys, chunk rows,
-    collective groups, payloads or memory charges."""
-
-    def _carried_sources(self, memo, sources, region, shift, pr, *args):
-        k = pr.size
-        empty = np.empty(k, dtype=np.int64)
-        return empty, empty.copy(), np.arange(k, dtype=np.int64)
-
-    def _registration(self, *args, prev=None, seam=None):
-        return super()._registration(*args)
-
-
 class _WrongGuesses(OrbitExecutor):
     """Feeds the carry a wrong source guess for every member: the grid
     point after its true previous source. The proofs must reject them."""
@@ -586,50 +607,6 @@ class TestCarriedReplay:
     step columns (collective groups included), class representatives,
     memory high-water marks and the priced report."""
 
-    @staticmethod
-    def _run(executor_cls, kernel):
-        executor = executor_cls(kernel.plan)
-        result = executor.run()
-        report = CostModel(kernel.machine.cluster, LASSEN).time_trace(
-            result.trace
-        )
-        return executor, result, report
-
-    def _assert_carry_exact(self, kernel, executor_cls=OrbitExecutor):
-        on, res_on, rep_on = self._run(executor_cls, kernel)
-        off, res_off, rep_off = self._run(_CarryOff, kernel)
-        assert off.members_carried == 0
-        assert off.phase_deltas == 0
-        assert on.members_carried + on.members_rederived == (
-            off.members_rederived
-        )
-        self._assert_same_steps(res_on.trace, res_off.trace)
-        assert res_on.memory_high_water == res_off.memory_high_water
-        assert rep_on == rep_off
-        return on
-
-    @staticmethod
-    def _assert_same_steps(trace_on, trace_off):
-        assert len(trace_on.steps) == len(trace_off.steps)
-        for a, b in zip(trace_on.steps, trace_off.steps):
-            # The class representatives, built from what each run
-            # deferred or recorded; a step with copy rows has some, so
-            # the comparison is not of two empty lists.
-            assert a.copies == b.copies, a.label
-            if a._columns is None:
-                assert b._columns is None
-                continue
-            ca, cb = a.columns(), b.columns()
-            assert bool(a.copies) == bool(ca.n), a.label
-            for name in (
-                "n", "num_groups", "nbytes", "src_proc", "dst_proc",
-                "src_node", "dst_node", "inter", "reduce", "gpu_resident",
-                "src_gpu", "dst_gpu", "group",
-            ):
-                assert np.array_equal(
-                    getattr(ca, name), getattr(cb, name)
-                ), (a.label, name)
-
     @pytest.mark.parametrize("builder", [cannon, summa])
     @pytest.mark.parametrize("nodes, grid, n", [
         (16, (8, 4), 2048),   # Cannon's seam; SUMMA's moving roots
@@ -638,20 +615,20 @@ class TestCarriedReplay:
     ])
     def test_small_grids(self, builder, nodes, grid, n):
         machine = Machine(Cluster.cpu_cluster(nodes), Grid(*grid))
-        on = self._assert_carry_exact(builder(machine, n))
+        on = assert_carry_exact(builder(machine, n))
         assert on.members_carried > 0
 
     @pytest.mark.parametrize("builder", [cannon, summa])
     def test_gpu_cluster(self, builder):
         machine = Machine(Cluster.gpu_cluster(4), Grid(4, 4))
-        self._assert_carry_exact(builder(machine, 1024))
+        assert_carry_exact(builder(machine, 1024))
 
     @pytest.mark.parametrize("builder", [cannon, summa])
     @pytest.mark.parametrize("nodes", [64, 256])
     def test_weak_scaled(self, builder, nodes):
         cluster = Cluster.cpu_cluster(nodes)
         machine = Machine(cluster, Grid(*square_grid(cluster.num_processors)))
-        on = self._assert_carry_exact(
+        on = assert_carry_exact(
             builder(machine, weak_matrix_size(8192, nodes))
         )
         assert on.members_carried > on.members_rederived
@@ -663,7 +640,7 @@ class TestCarriedReplay:
         # while classes, sources and payloads still are.
         machine = Machine(Cluster.cpu_cluster(4), Grid(8, 4))
         assert not machine_tables(machine).bijective
-        on = self._assert_carry_exact(builder(machine, 2048))
+        on = assert_carry_exact(builder(machine, 2048))
         assert on.phase_deltas > 0
 
     @pytest.mark.parametrize("grid, n", [
@@ -674,7 +651,7 @@ class TestCarriedReplay:
         # A replay whose members' payloads differ computes and charges
         # them per member, not from the delta.
         machine = Machine(Cluster.cpu_cluster(16), Grid(*grid))
-        on = self._assert_carry_exact(cannon(machine, n), _PayloadLog)
+        on = assert_carry_exact(cannon(machine, n), _PayloadLog)
         assert on.phase_deltas > 0
         assert on.ragged_replays > 0
 
@@ -685,10 +662,10 @@ class TestCarriedReplay:
         # equally with and without the carry.
         machine = Machine(Cluster.cpu_cluster(16), Grid(8, 4))
         kernel = builder(machine, 2048)
-        steps = len(self._run(OrbitExecutor, kernel)[1].trace.steps)
+        steps = len(run_priced(OrbitExecutor, kernel)[1].trace.steps)
         plan = FaultPlan(events=(KillNode(phase=steps - 2, node=3),))
         runs = []
-        for executor_cls in (OrbitExecutor, _CarryOff):
+        for executor_cls in (OrbitExecutor, CarryOff):
             executor = executor_cls(kernel.plan, fault_plan=plan)
             with pytest.raises(NodeFailure) as exc:
                 executor.run()
@@ -696,7 +673,7 @@ class TestCarriedReplay:
         (on, partial_on), (off, partial_off) = runs
         assert on.phase_deltas > 0
         assert len(partial_on.steps) == steps - 2
-        self._assert_same_steps(partial_on, partial_off)
+        assert_same_steps(partial_on, partial_off)
         model = CostModel(kernel.machine.cluster, LASSEN)
         assert model.time_trace(partial_on) == model.time_trace(partial_off)
 
@@ -709,7 +686,7 @@ class TestCarriedReplay:
         result = executor.run()
         assert executor.phase_deltas > 0
         model = CostModel(kernel.machine.cluster, LASSEN)
-        assert model.time_trace(result.trace) == self._run(
+        assert model.time_trace(result.trace) == run_priced(
             OrbitExecutor, kernel
         )[2]
 
@@ -719,8 +696,8 @@ class TestCarriedReplay:
         # fall back to the derivation and the result does not move.
         machine = Machine(Cluster.cpu_cluster(64), Grid(16, 8))
         kernel = builder(machine, 2048)
-        wrong = self._assert_carry_exact(kernel, _WrongGuesses)
-        right = self._assert_carry_exact(kernel)
+        wrong = assert_carry_exact(kernel, _WrongGuesses)
+        right = assert_carry_exact(kernel)
         assert wrong.members_rederived > right.members_rederived
 
 
