@@ -1,6 +1,6 @@
 """Static schedule analysis: passes over decision vectors and traces.
 
-Four passes, all independent of the simulator:
+Five passes, all independent of the simulator:
 
 * :mod:`repro.analysis.legality` — reject ill-formed decision vectors
   with structured diagnostics before any compilation.
@@ -12,6 +12,8 @@ Four passes, all independent of the simulator:
 * :mod:`repro.analysis.sanitizer` — an independent consistency check
   over execution traces (write–write races, misplaced reductions,
   copies whose source never held the data).
+* :mod:`repro.analysis.timebound` — a lower bound on a candidate's
+  simulated time from the decision vector alone.
 
 :mod:`repro.analysis.prune` glues the first two into the tuner's
 zero-simulation static pruner.
@@ -32,6 +34,7 @@ __all__ = [
     "memory_bounds",
     "prune_reason",
     "sanitize_trace",
+    "time_lower_bound",
     "verify_legality",
 ]
 
@@ -43,4 +46,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.analysis.prune": ("STATIC_DOMINATED", "STATIC_OOM", "prune_reason"),
     "repro.analysis.report": ("AnalysisReport", "analyze_kernel"),
     "repro.analysis.sanitizer": ("sanitize_trace",),
+    "repro.analysis.timebound": ("time_lower_bound",),
 })

@@ -6,7 +6,10 @@ Candidates are scored by compiling and simulating them through
 layers keep re-evaluation cheap:
 
 * one candidate per index-symmetry class is simulated, and the others
-  get its outcome (:meth:`Oracle._evaluate_pending`);
+  get its outcome (:meth:`Oracle._evaluate_pending`); a search that
+  keeps only its best few outcomes visits the classes in order of a
+  static time lower bound and skips those the bound proves cannot
+  place (:meth:`Oracle.evaluate_top`);
 * the process-global :data:`~repro.bench.cache.SIM_CACHE` memoizes
   ``(plan, machine, params, mode)`` so identical candidates (canonical
   representatives, repeated rungs) simulate once. It is the oracle's
@@ -25,9 +28,11 @@ layers keep re-evaluation cheap:
 
 from __future__ import annotations
 
+import bisect
 import copy
 import hashlib
 import json
+import math
 import os
 import signal
 import threading
@@ -37,6 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.prune import PruneMemo, STATIC_OOM, prune_reason
+from repro.analysis.timebound import time_lower_bound
 from repro.bench.cache import SIM_CACHE, cluster_signature, params_key
 from repro.bench.parallel import register_sweep, run_points
 from repro.core.kernel import compile_kernel
@@ -1010,8 +1016,16 @@ class Oracle:
         #: instead of a simulation of their own (see
         #: :meth:`_evaluate_pending`).
         self.symmetry_shared = 0
+        #: Candidates :meth:`evaluate_top` skipped because their time
+        #: lower bound proved they cannot place (no ledger entry, and
+        #: not counted in :attr:`simulated`).
+        self.bound_skipped = 0
         #: Static verdicts computed so far in this tune.
         self.prune_memo = PruneMemo()
+        #: Time lower bounds computed so far in this tune, by workload
+        #: signature and decision without ``rotate`` (which the bound
+        #: does not read).
+        self.time_bounds: Dict[tuple, float] = {}
         #: This tune's one machine per grid shape on ``cluster``
         #: (:func:`grid_machine`).
         self.machines: Dict[tuple, Machine] = {}
@@ -1059,14 +1073,39 @@ class Oracle:
         with span("oracle.evaluate"):
             return self._evaluate(assignment, decisions)
 
+    def evaluate_top(
+        self,
+        assignment: Assignment,
+        decisions: Sequence[Decision],
+        keep: int,
+        first: Decision,
+    ) -> List[EvalOutcome]:
+        """Outcomes, in input order, for every decision of ``decisions``
+        that can rank among the ``keep`` best by ``(cost, key)``.
+
+        ``first``'s symmetry class is simulated first; the other
+        classes follow in order of their time lower bound, and the
+        search stops at the first class whose bound exceeds the
+        ``keep``-th best cost known (:meth:`_simulate_leaders`). A
+        skipped candidate costs at least its bound, so ranking the
+        returned outcomes gives the ``keep`` best of ``decisions``
+        exactly; skipped ones are left out and counted in
+        :attr:`bound_skipped`.
+        """
+        with span("oracle.evaluate"):
+            return self._evaluate(assignment, decisions, (keep, first))
+
     def _evaluate(
-        self, assignment: Assignment, decisions: Sequence[Decision]
+        self,
+        assignment: Assignment,
+        decisions: Sequence[Decision],
+        top: Optional[tuple] = None,
     ) -> List[EvalOutcome]:
         before = {
             name: getattr(self, name)
             for name in (
                 "scored", "simulated", "pruned_static", "errors",
-                "trace_executions", "symmetry_shared",
+                "trace_executions", "symmetry_shared", "bound_skipped",
             )
         }
         ledger_before = (
@@ -1079,6 +1118,8 @@ class Oracle:
         outcomes: Dict[Decision, EvalOutcome] = {}
         pending: List[Decision] = []
         queued = set()
+        #: Feasible costs known before any simulation.
+        known: List[float] = []
         for decision in decisions:
             if decision in outcomes or decision in queued:
                 continue
@@ -1088,6 +1129,8 @@ class Oracle:
             if hit is not None:
                 self.ledger.hits += 1
                 outcomes[decision] = hit
+                if hit.feasible:
+                    known.append(hit.cost)
                 if hit.pruned:
                     self.pruned_static += 1
                 elif hit.error and not hit.oom:
@@ -1099,7 +1142,13 @@ class Oracle:
                 queued.add(decision)
         self.scored += len(decisions)
         if pending:
-            for outcome in self._evaluate_pending(assignment, pending):
+            if top is not None and len(decisions) <= top[0]:
+                top = None  # nothing can fall out of the top
+            scored = self._evaluate_pending(
+                assignment, pending, top, known, wsig
+            )
+            self.bound_skipped += len(pending) - len(scored)
+            for outcome in scored:
                 outcomes[outcome.decision] = outcome
                 if outcome.pruned:
                     self.pruned_static += 1
@@ -1108,7 +1157,7 @@ class Oracle:
                 self.trace_executions += outcome.executed
                 if self.ledger is not None:
                     self.ledger.put(wsig, outcome)
-            self.simulated += len(pending)
+            self.simulated += len(scored)
             if self.ledger is not None:
                 self.ledger.save(stats=self.stats())
         for name, prev in before.items():
@@ -1121,7 +1170,7 @@ class Oracle:
                 "oracle.ledger_misses",
                 self.ledger.misses - ledger_before[1],
             )
-        return [outcomes[d] for d in decisions]
+        return [outcomes[d] for d in decisions if d in outcomes]
 
     def stats(self) -> Dict[str, int]:
         """Deterministic incrementality counters for the ledger.
@@ -1133,6 +1182,7 @@ class Oracle:
             "scored": self.scored,
             "simulated": self.simulated,
             "pruned_static": self.pruned_static,
+            "bound_skipped": self.bound_skipped,
             "ledger_hits": (
                 self.ledger.hits if self.ledger is not None else 0
             ),
@@ -1151,7 +1201,12 @@ class Oracle:
         self.symmetry_shared += other.symmetry_shared
 
     def _evaluate_pending(
-        self, assignment: Assignment, pending: List[Decision]
+        self,
+        assignment: Assignment,
+        pending: List[Decision],
+        top: Optional[tuple] = None,
+        known: Sequence[float] = (),
+        wsig: str = "",
     ) -> List[EvalOutcome]:
         """Outcomes for ``pending``, simulating one member per
         index-symmetry class.
@@ -1167,6 +1222,11 @@ class Oracle:
         (:func:`~repro.tuner.space.index_symmetries`), so its members
         simulate alike; a non-OOM error names its decision's variables,
         so the members of an erroring class are simulated themselves.
+
+        With ``top = (keep, first)`` (:meth:`evaluate_top`), classes
+        are visited in bound order and the ones proven out of the top
+        ``keep`` get no outcome; ``known`` holds the feasible costs of
+        the call's ledger hits.
         """
         outcomes: Dict[Decision, EvalOutcome] = {}
         classes: Dict[Decision, List[Decision]] = {}
@@ -1182,13 +1242,24 @@ class Oracle:
             min(members, key=Decision.key): members
             for members in classes.values()
         }
-        outcomes.update(
-            (o.decision, o)
-            for o in self._simulate(assignment, list(leaders))
-        )
+        work = copy.deepcopy(assignment) if leaders else None
+        if top is None:
+            simulated = self._simulate(assignment, work, list(leaders))
+        else:
+            keep, first = top
+            seed_class = classes.get(
+                symmetry_representative(first, symmetries), ()
+            )
+            simulated = self._simulate_leaders(
+                assignment, work, leaders, keep,
+                min(seed_class, key=Decision.key, default=None), known, wsig,
+            )
+        outcomes.update((o.decision, o) for o in simulated)
         unshared: List[Decision] = []
         for leader, members in leaders.items():
-            outcome = outcomes[leader]
+            outcome = outcomes.get(leader)
+            if outcome is None:
+                continue  # skipped by its bound
             others = [m for m in members if m != leader]
             if outcome.error and not outcome.oom:
                 unshared += others
@@ -1199,17 +1270,116 @@ class Oracle:
                 )
             self.symmetry_shared += len(others)
         outcomes.update(
-            (o.decision, o) for o in self._simulate(assignment, unshared)
+            (o.decision, o)
+            for o in self._simulate(assignment, work, unshared)
         )
-        return [outcomes[d] for d in pending]
+        return [outcomes[d] for d in pending if d in outcomes]
+
+    def _simulate_leaders(
+        self,
+        assignment: Assignment,
+        work: Assignment,
+        leaders: Dict[Decision, List[Decision]],
+        keep: int,
+        first: Decision,
+        known: Sequence[float],
+        wsig: str,
+    ) -> List[EvalOutcome]:
+        """Simulate class ``leaders`` best bound first, stopping at the
+        first whose :func:`~repro.analysis.timebound.time_lower_bound`
+        is strictly above the ``keep``-th best feasible cost known.
+
+        The class of ``first`` (the heuristic seed's representative)
+        goes first, unconditionally. A simulated class contributes its
+        cost once per member, as its members rank; ``known`` seeds the
+        costs, so a re-tune from a ledger skips what the first tune
+        skipped before simulating anything. Bound ties keep key order,
+        the order the leaders would simulate in without a bound (the
+        order matters while rotation siblings share a ``SIM_CACHE``
+        entry; ROADMAP item 3). With ``jobs > 1`` the leaders no
+        threshold can skip fan out over the workers first, then waves
+        of ``jobs`` leaders; the threshold is re-read between waves.
+        """
+        best = sorted(known)[:keep]
+        bounds = {
+            d: self._time_bound(assignment, d, wsig) for d in leaders
+        }
+        queue = [first] if first in leaders else []
+        queue += sorted(
+            (d for d in leaders if d != first),
+            key=lambda d: (bounds[d], d.key()),
+        )
+        wave_size = self.jobs
+        if self.jobs > 1:
+            # No threshold falls below the keep-th smallest of the
+            # bounds (once per member) and ledger costs, since every
+            # cost is at least its bound: the leaders under that floor
+            # simulate whatever happens, so they go out as one wave.
+            floors = sorted(list(known) + [
+                bounds[d] for d, members in leaders.items()
+                for _ in range(min(len(members), keep))
+            ])[:keep]
+            floor = floors[-1] if len(floors) == keep else math.inf
+            wave_size = max(wave_size, sum(
+                1 for d in queue if d == first or bounds[d] <= floor
+            ))
+        simulated: List[EvalOutcome] = []
+        pos = 0
+        while pos < len(queue):
+            limit = best[-1] if len(best) == keep else math.inf
+            wave: List[Decision] = []
+            while pos < len(queue) and len(wave) < wave_size:
+                decision = queue[pos]
+                if decision != first and bounds[decision] > limit:
+                    break
+                wave.append(decision)
+                pos += 1
+            if not wave:
+                break
+            wave_size = self.jobs
+            for outcome in self._simulate(assignment, work, wave):
+                simulated.append(outcome)
+                if outcome.feasible:
+                    members = len(leaders[outcome.decision])
+                    for _ in range(min(members, keep)):
+                        bisect.insort(best, outcome.cost)
+                    del best[keep:]
+        return simulated
+
+    def _time_bound(
+        self, assignment: Assignment, decision: Decision, wsig: str
+    ) -> float:
+        """:func:`~repro.analysis.timebound.time_lower_bound` of
+        ``decision`` (signature ``wsig``), once per rotation class."""
+        key = (wsig, replace(decision, rotate=()))
+        bound = self.time_bounds.get(key)
+        if bound is None:
+            bound = self.time_bounds[key] = time_lower_bound(
+                assignment, decision, self.cluster, self.params,
+                self.memory, self.machine(decision.grid),
+            )
+        return bound
 
     def _simulate(
-        self, assignment: Assignment, decisions: List[Decision]
+        self,
+        assignment: Assignment,
+        work: Optional[Assignment],
+        decisions: List[Decision],
     ) -> List[EvalOutcome]:
-        """Simulated outcomes of ``decisions``: in-process, or in chunks
-        over forked workers when ``jobs > 1``."""
+        """Simulated outcomes of ``decisions``: in-process against
+        ``work`` (the evaluate call's private copy of ``assignment``, so
+        the caller's tensor formats are not clobbered mid-search), or
+        in chunks over forked workers when ``jobs > 1``."""
         if not decisions:
             return []
+        if self.jobs <= 1 or len(decisions) <= 1:
+            return [
+                evaluate_one(
+                    work, self.cluster, decision, self.params, self.memory,
+                    self.machine(decision.grid), timeout_s=self.timeout_s,
+                )
+                for decision in decisions
+            ]
         common = dict(
             assignment=assignment,
             cluster=self.cluster,
@@ -1217,12 +1387,6 @@ class Oracle:
             memory=self.memory,
             timeout_s=self.timeout_s,
         )
-        if self.jobs <= 1 or len(decisions) <= 1:
-            # In-process: evaluate against a private copy so the
-            # caller's tensor formats are not clobbered mid-search.
-            return tuner_eval_batch(
-                decisions=decisions, machines=self.machines, **common
-            )
         chunks = min(self.jobs * 4, len(decisions))
         per_point = [
             dict(common, decisions=decisions[c::chunks])

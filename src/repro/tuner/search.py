@@ -85,6 +85,10 @@ class SearchOutcome:
     #: Candidates given their index-symmetry class leader's outcome
     #: instead of a simulation (see :class:`~repro.tuner.oracle.Oracle`).
     symmetry_shared: int = 0
+    #: Final-rung candidates skipped because a static time lower bound
+    #: proved they cannot reach :data:`RANKED_KEEP` (see
+    #: :meth:`~repro.tuner.oracle.Oracle.evaluate_top`).
+    bound_skipped: int = 0
     #: Always 0; kept only because ``perfbench/tune_cold.py`` reads
     #: them. A ``benchmark`` change drops both (ROADMAP item 9).
     repriced: int = 0
@@ -101,7 +105,8 @@ class SearchOutcome:
             f"{self.evaluations} evaluated "
             f"({self.pruned_static} statically pruned, "
             f"{self.trace_executions} trace executions, "
-            f"{self.symmetry_shared} shared by symmetry)",
+            f"{self.symmetry_shared} shared by symmetry), "
+            f"{self.bound_skipped} skipped by bound",
         ]
         for rung in self.rungs:
             lines.append(
@@ -125,12 +130,35 @@ def _rank(outcomes: Sequence[EvalOutcome]) -> List[EvalOutcome]:
     return sorted(outcomes, key=lambda o: (o.cost, o.decision.key()))
 
 
+def _evaluate_final(
+    assignment: Assignment,
+    oracle: Oracle,
+    decisions: List[Decision],
+    seed_decision: Optional[Decision],
+) -> List[EvalOutcome]:
+    """The final rung's outcomes: with a ``seed_decision``, only those
+    that can reach the top :data:`RANKED_KEEP` (bound-ordered, see
+    :meth:`~repro.tuner.oracle.Oracle.evaluate_top`); otherwise all."""
+    if seed_decision is None:
+        return oracle.evaluate(assignment, decisions)
+    return oracle.evaluate_top(
+        assignment, decisions, RANKED_KEEP, seed_decision
+    )
+
+
 def exhaustive_search(
     assignment: Assignment,
     oracle: Oracle,
     decisions: Sequence[Decision],
+    seed_decision: Optional[Decision] = None,
 ) -> Tuple[List[EvalOutcome], List[Dict]]:
-    outcomes = oracle.evaluate(assignment, list(decisions))
+    """Every candidate at full scale, ranked. Given the
+    ``seed_decision`` (simulated first), the ranking is exact only in
+    its top :data:`RANKED_KEEP`: the candidates a static time bound
+    proves cannot reach it are skipped and left out."""
+    outcomes = _evaluate_final(
+        assignment, oracle, list(decisions), seed_decision
+    )
     rung = {
         "procs": oracle.cluster.num_processors,
         "candidates": len(decisions),
@@ -155,6 +183,7 @@ def beam_search(
     coarse_procs: int = 64,
     seed: int = 0,
     protected: Sequence[Decision] = (),
+    bound_skip: bool = False,
 ) -> Tuple[List[EvalOutcome], List[Dict]]:
     """Successive halving from a coarse projection up to full scale.
 
@@ -162,7 +191,8 @@ def beam_search(
     statistics. The seed decision survives every cut, so the final
     ranking always contains the heuristic; ``protected`` decisions
     (e.g. warm-start projections of a pre-failure winner) get the same
-    immunity.
+    immunity. With ``bound_skip`` the full-scale rung is ranked exactly
+    only in its top :data:`RANKED_KEEP`, as in :func:`exhaustive_search`.
 
     Two guards keep the coarse rungs honest:
 
@@ -221,7 +251,10 @@ def beam_search(
             # ones it evaluates here, the rest were cut on coarse rungs.
             tried = set(candidates)
             oracle.pruned_static += sum(1 for d in dead if d not in tried)
-            outcomes = oracle.evaluate(assignment, candidates)
+            outcomes = _evaluate_final(
+                assignment, oracle, candidates,
+                seed_decision if bound_skip else None,
+            )
             ranked = _rank(outcomes)
             # Refill: if nothing in the beam fits at full scale, pull
             # the next-ranked survivors of the previous rung, then —
@@ -461,8 +494,14 @@ def tune(
             if len(space) <= EXHAUSTIVE_THRESHOLD
             else "beam"
         )
+    # ``rerank_expected`` re-scores the whole ranking, so only the
+    # total-time objective may leave its tail unsimulated.
+    bound_skip = objective == "total"
     if strategy in ("exhaustive", "warm"):
-        ranked, rungs = exhaustive_search(assignment, oracle, space)
+        ranked, rungs = exhaustive_search(
+            assignment, oracle, space,
+            seed_decision if bound_skip else None,
+        )
     elif strategy == "beam":
         ranked, rungs = beam_search(
             assignment,
@@ -473,6 +512,7 @@ def tune(
             coarse_procs=coarse_procs,
             seed=seed,
             protected=warm,
+            bound_skip=bound_skip,
         )
     else:
         raise ValueError(
@@ -508,6 +548,7 @@ def tune(
         pruned_static=oracle.pruned_static,
         trace_executions=oracle.trace_executions,
         symmetry_shared=oracle.symmetry_shared,
+        bound_skipped=oracle.bound_skipped,
     )
 
     from repro.tuner.space import realize

@@ -23,8 +23,10 @@ from repro.obs.metrics import METRICS
 from repro.runtime.orbit import OrbitExecutor, machine_tables
 from repro.sim.params import LASSEN
 from repro.tuner.oracle import Oracle
-from repro.tuner.search import tune
-from repro.tuner.space import enumerate_space, realize
+from repro.tuner.search import default_seed_grid
+from repro.tuner.space import (
+    Decision, enumerate_space, from_heuristic, realize,
+)
 from repro.tuner.workloads import WORKLOADS, matmul, sized
 from repro.util.errors import OutOfMemoryError
 
@@ -142,16 +144,27 @@ def test_shared_tables_are_read_only():
 
 
 def test_small_tune_sharing_counters():
-    """A matmul(256) tune on 4 CPU nodes from an empty cache (68 traces):
-    what the grid memos served. ``orbit.leaf_reused`` (108) and
-    ``costmodel.step_price_hits`` (20) are the values the tune had
-    before the memos existed."""
+    """A matmul(256) tune's candidates on 4 CPU nodes from an empty
+    cache (68 traces): what the grid memos served. ``orbit.leaf_reused``
+    (108) and ``costmodel.step_price_hits`` (20) are the values the tune
+    had before the memos existed. ``Oracle.evaluate`` scores every
+    candidate the tune's one full-scale rung is given, in its order,
+    without skipping any by bound."""
+    assignment = matmul(256)
+    cluster = Cluster.cpu_cluster(4)
+    seed = from_heuristic(
+        assignment, default_seed_grid(assignment, cluster.num_processors)
+    )
+    candidates = sorted(
+        set(enumerate_space(assignment, cluster.num_processors)) | {seed},
+        key=Decision.key,
+    )
     saved = SIM_CACHE.export()
     counts = SIM_CACHE.hits, SIM_CACHE.misses
     before = METRICS.snapshot(sources=False)
     SIM_CACHE.clear()
     try:
-        tune(matmul(256), Cluster.cpu_cluster(4), jobs=1)
+        Oracle(cluster).evaluate(assignment, candidates)
     finally:
         SIM_CACHE.clear()
         SIM_CACHE.install(saved)

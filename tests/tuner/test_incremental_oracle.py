@@ -89,7 +89,10 @@ class TestIncrementalOracle:
         # The pruned and scored counts land in the ledger.
         search, stats = default_tune
         assert stats["pruned_static"] == search.pruned_static
-        assert stats["scored"] == stats["simulated"] + stats["ledger_hits"]
+        assert stats["bound_skipped"] == search.bound_skipped
+        assert stats["scored"] == (
+            stats["simulated"] + stats["ledger_hits"] + stats["bound_skipped"]
+        )
 
     def test_pruning_preserves_the_winner(self):
         cluster = Cluster.cpu_cluster(4)

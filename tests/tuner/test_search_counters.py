@@ -52,19 +52,20 @@ def _shared_metric():
 
 def _cold_tune(monkeypatch, **options):
     """A TTV tune from an empty cache, with the ``SIM_CACHE`` hits taken
-    inside ``Oracle.evaluate`` (``tune`` looks the winner up once more
-    afterwards) and the ``oracle.symmetry_shared`` metric's growth."""
+    inside the oracle's evaluations (``tune`` looks the winner up once
+    more afterwards) and the ``oracle.symmetry_shared`` metric's
+    growth."""
     hits = []
-    evaluate = Oracle.evaluate
+    evaluate = Oracle._evaluate
 
-    def counted(self, assignment, decisions):
+    def counted(self, *args):
         before = SIM_CACHE.hits
         try:
-            return evaluate(self, assignment, decisions)
+            return evaluate(self, *args)
         finally:
             hits.append(SIM_CACHE.hits - before)
 
-    monkeypatch.setattr(Oracle, "evaluate", counted)
+    monkeypatch.setattr(Oracle, "_evaluate", counted)
     saved = SIM_CACHE.export()
     counts = SIM_CACHE.hits, SIM_CACHE.misses
     metric = _shared_metric()
@@ -80,10 +81,14 @@ def _cold_tune(monkeypatch, **options):
 
 def test_every_survivor_is_traced_hit_or_shared(monkeypatch):
     search, hits, metric = _cold_tune(monkeypatch, strategy="exhaustive")
-    survivors = search.evaluations - search.pruned_static
+    survivors = (
+        search.evaluations + search.bound_skipped - search.pruned_static
+    )
     assert search.symmetry_shared > 0
+    assert search.bound_skipped > 0
     assert survivors == (
         search.trace_executions + hits + search.symmetry_shared
+        + search.bound_skipped
     )
     assert metric == search.symmetry_shared
     assert f"{search.symmetry_shared} shared by symmetry" in (
