@@ -46,7 +46,7 @@ def pipeline(cluster):
 
 @pytest.fixture(scope="module")
 def decisions(pipeline):
-    result = tune_pipeline(pipeline, LASSEN, seed=0)
+    result = tune_pipeline(pipeline, LASSEN)
     return {
         name: r.decision for name, r in result.stage_results.items()
     }
@@ -58,7 +58,7 @@ def recovery(pipeline, decisions):
         events=(KillNode(phase=1, node=NODES - 3, stage="T"),), seed=42
     )
     report = replan_pipeline(
-        pipeline, decisions, LASSEN, fault_plan=plan, seed=0,
+        pipeline, decisions, LASSEN, fault_plan=plan,
         workload="chain-matmul",
     )
     return plan, report
@@ -73,7 +73,7 @@ class TestPinnedRecovery:
         # surviving machine with no failure to pay for.
         surviving = pipeline.cluster.resized(NODES - 1)
         scratch = tune_pipeline(
-            Pipeline(matmul_chain(SIDE), surviving), LASSEN, seed=0
+            Pipeline(matmul_chain(SIDE), surviving), LASSEN
         )
         optimum = scratch.report.combined.total_time
         assert optimum > 0
@@ -91,7 +91,7 @@ class TestPinnedRecovery:
     ):
         plan, report = recovery
         again = replan_pipeline(
-            pipeline, decisions, LASSEN, fault_plan=plan, seed=0,
+            pipeline, decisions, LASSEN, fault_plan=plan,
             workload="chain-matmul",
         )
         assert report.to_json() == again.to_json()
@@ -100,22 +100,20 @@ class TestPinnedRecovery:
 class TestKernelRecoveryPin:
     def test_single_kernel_recovery_near_scratch_optimum(self, cluster):
         assignment = matmul(SIDE)
-        decision = tune(
-            matmul(SIDE), cluster, LASSEN, seed=0
-        ).decision
+        decision = tune(matmul(SIDE), cluster, LASSEN).decision
         plan = FaultPlan(events=(KillNode(phase=1, node=3),), seed=7)
         report = replan_kernel(
             assignment, cluster, LASSEN,
-            decision=decision, fault_plan=plan, seed=0,
+            decision=decision, fault_plan=plan,
         )
         assert report.failed
         surviving = cluster.resized(NODES - 1)
-        scratch = tune(matmul(SIDE), surviving, LASSEN, seed=0)
+        scratch = tune(matmul(SIDE), surviving, LASSEN)
         optimum = scratch.report.total_time
         assert report.total_time <= PIN_FACTOR * optimum
         # Byte-determinism holds at the kernel level too.
         again = replan_kernel(
             assignment, cluster, LASSEN,
-            decision=decision, fault_plan=plan, seed=0,
+            decision=decision, fault_plan=plan,
         )
         assert report.to_json() == again.to_json()

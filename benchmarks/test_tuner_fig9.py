@@ -47,10 +47,7 @@ def tuned():
         matmul(n),
         cluster,
         LASSEN,
-        strategy="beam",
-        beam_width=8,
         jobs=JOBS,
-        seed=0,
     )
     wall = time.monotonic() - start
     return cluster, n, result, wall

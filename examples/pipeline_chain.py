@@ -42,7 +42,6 @@ def main():
         LASSEN,
         top_k=4,
         max_dims=2,
-        coarse_procs=16,
         jobs=args.jobs,
     )
     print()

@@ -17,11 +17,9 @@ Two rules keep candidates out of the simulator entirely:
 :func:`prune_reason` returns the human-readable reason string (one of
 the module constants) or ``None`` when the candidate must be simulated.
 
-A tune asks for the same verdicts many times: with coarse rungs the
-beam search prunes every candidate before rung 0 and the oracle checks
-the final beam again, and candidates that differ only in ``leaf`` or
-``rotate`` share one memory bound. A :class:`PruneMemo`, owned by the
-tune's oracle, computes each bound once per
+A tune asks for the same memory bound many times: candidates that
+differ only in ``leaf`` or ``rotate`` share one. A :class:`PruneMemo`,
+owned by the tune's oracle, computes each bound once per
 :func:`~repro.analysis.membound.bound_key`. The dominance verdict reads
 only the assignment's precomputed variable sets and needs no memo.
 """

@@ -285,8 +285,10 @@ class ScheduleRequest:
 
     ``params`` is the *fully explicit* cost-model knob dict (no named
     registry — a record must mean the same thing on every machine that
-    ever reads it). ``seed`` is the deterministic search seed; equal
-    requests produce byte-identical answers.
+    ever reads it). Equal requests produce byte-identical answers.
+    ``seed`` does not steer the search, which is deterministic; it
+    stays in the record and the fingerprint because dropping it would
+    re-key every stored answer.
     """
 
     einsum: str
@@ -515,7 +517,7 @@ def tune_request(
     ``assignment``/``cluster``/``params`` may be passed to avoid a
     rebuild when the caller already holds them (``Kernel.tune``); the
     daemon reconstructs them from the record. The request supplies
-    ``seed``, ``objective`` and ``failure_rate``; remaining keywords
+    ``objective`` and ``failure_rate``; remaining keywords
     forward to :func:`repro.tuner.search.tune` (``jobs``,
     ``strategy``, ``ledger``, ...). ``warm_start`` (a decoded
     :class:`~repro.tuner.space.Decision` from a tuned neighbor)
@@ -537,7 +539,6 @@ def tune_request(
         assignment,
         cluster,
         params,
-        seed=request.seed,
         objective=request.objective,
         failure_rate=request.failure_rate,
         warm_start=warm_start,

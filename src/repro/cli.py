@@ -62,7 +62,9 @@ def add_common_args(
             "--seed",
             type=int,
             default=0,
-            help="deterministic search seed",
+            help="the request's seed: part of its fingerprint, so it "
+            "keys the stored answer (the search itself is "
+            "deterministic)",
         )
     if timeout:
         parser.add_argument(

@@ -254,8 +254,9 @@ class Kernel:
         search) or a bare :class:`~repro.machine.cluster.Cluster` (the
         tuner also picks the grid organization). Keyword options are
         forwarded to :func:`repro.tuner.search.tune` — notably
-        ``jobs`` (parallel oracle workers), ``strategy`` (``"auto"`` /
-        ``"exhaustive"`` / ``"beam"``), and ``ledger`` (a
+        ``jobs`` (parallel oracle workers), ``strategy``
+        (``"exhaustive"``, the default, or ``"warm"`` with a
+        ``warm_start``), and ``ledger`` (a
         :class:`~repro.tuner.oracle.TuningLedger`, for persistent
         incremental re-tunes). ``seed``, ``objective`` and
         ``failure_rate`` become fields of the request.
@@ -264,7 +265,7 @@ class Kernel:
         :class:`~repro.scheduling.schedule.Schedule` plus formats that
         replay byte-identically from the winning decision vector, the
         compiled kernel, and its :class:`~repro.sim.report.SimReport`.
-        The heuristic seeds the search and is never eliminated, so the
+        The heuristic seeds the search and is always simulated, so the
         tuned schedule is never worse than :meth:`autoschedule`'s.
 
         This method is a shim over the unified scheduling API: it

@@ -85,9 +85,7 @@ def _run_kernel(args) -> int:
         LASSEN,
         decision=decision,
         fault_plan=plan,
-        strategy=args.strategy,
         jobs=args.jobs,
-        seed=args.seed,
         max_dims=args.max_dims,
         timeout_s=args.timeout,
         workload=args.workload,
@@ -131,9 +129,7 @@ def _run_pipeline(args) -> int:
         decisions,
         LASSEN,
         fault_plan=plan,
-        strategy=args.strategy,
         jobs=args.jobs,
-        seed=args.seed,
         max_dims=args.max_dims,
         timeout_s=args.timeout,
         workload=args.pipeline,
@@ -183,11 +179,8 @@ def main(argv=None) -> int:
         help="checkpoint the output tensor each phase (the completed "
         "prefix survives the failure)",
     )
-    parser.add_argument(
-        "--strategy", choices=["auto", "exhaustive", "beam"], default="auto"
-    )
     parser.add_argument("--max-dims", type=int, default=3)
-    cli.add_common_args(parser, ledger=False, timeout=True)
+    cli.add_common_args(parser, ledger=False, seed=False, timeout=True)
     args = parser.parse_args(argv)
     run = _run_pipeline if args.pipeline is not None else _run_kernel
     return cli.guarded("fault replanning failed", run, args)

@@ -11,8 +11,8 @@ execution, three questions decide the cost of carrying on:
    node fewer, so the old grid no longer exists. The remainder is
    re-tuned with the ordinary tuner, *warm-started* from the
    pre-failure decision vector: its same-rank grid projections join
-   the space and survive every beam cut, so the re-tuned schedule can
-   only improve on naively replaying the old structure.
+   the space, so the re-tuned schedule can only improve on naively
+   replaying the old structure.
 3. **What does it cost to get there?** Every input (and checkpointed
    state) must move from its pre-failure layout into the re-tuned one
    — charged exactly through
@@ -143,9 +143,7 @@ def replan_kernel(
     decision: Decision,
     fault_plan: FaultPlan,
     memory: Optional[MemoryKind] = None,
-    strategy: str = "auto",
     jobs: int = 1,
-    seed: int = 0,
     max_dims: int = 3,
     timeout_s: Optional[float] = None,
     workload: str = "kernel",
@@ -158,7 +156,7 @@ def replan_kernel(
     from ``decision``, and charges the migration of every input — plus
     checkpointed state — into the re-tuned layout through
     :func:`redistribution_trace` with the dead node excluded as a
-    source. Deterministic for a fixed ``(fault_plan, seed)``.
+    source. Deterministic for a fixed ``fault_plan``.
     """
     from repro.tuner.search import tune  # local: import cycle
 
@@ -206,9 +204,7 @@ def replan_kernel(
         surviving,
         params,
         memory=memory,
-        strategy=strategy,
         jobs=jobs,
-        seed=seed,
         max_dims=max_dims,
         timeout_s=timeout_s,
         warm_start=decision,
@@ -339,9 +335,7 @@ def replan_pipeline(
     params: MachineParams = LASSEN,
     *,
     fault_plan: FaultPlan,
-    strategy: str = "auto",
     jobs: int = 1,
-    seed: int = 0,
     max_dims: int = 3,
     timeout_s: Optional[float] = None,
     workload: str = "pipeline",
@@ -384,9 +378,7 @@ def replan_pipeline(
                 current,
                 params,
                 memory=memory,
-                strategy=strategy,
                 jobs=jobs,
-                seed=seed,
                 max_dims=max_dims,
                 timeout_s=timeout_s,
                 warm_start=decision,
@@ -449,9 +441,7 @@ def replan_pipeline(
                 decision=decision,
                 fault_plan=stage_plan,
                 memory=memory,
-                strategy=strategy,
                 jobs=jobs,
-                seed=seed,
                 max_dims=max_dims,
                 timeout_s=timeout_s,
                 workload=stage.name,

@@ -77,7 +77,7 @@ def serve_tune(
     ``warm`` is the *encoded decision* of the request's nearest tuned
     neighbor; when given, the tune searches only the warm neighborhood
     (``strategy="warm"`` — strictly fewer simulations than a cold
-    tune). The tune's per-rung saves and the answer are group-committed
+    tune). The tune's oracle saves and the answer are group-committed
     to the ledger — one locked journal append and fsync per shard
     touched, so concurrent workers never drop each other's work — and
     the row is returned only after that commit.

@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro.tune --workload matmul --nodes 64 [--gpu]
-        [--jobs 8] [--strategy auto|exhaustive|beam] [--seed 0]
-        [--beam 8] [--size N] [--ledger PATH] [--max-dims 3]
+        [--jobs 8] [--seed 0] [--size N] [--ledger PATH] [--max-dims 3]
         [--timeout SECONDS] [--json]
     python -m repro.tune --pipeline chain-matmul --nodes 64 [--top-k 6]
     python -m repro.tune --demo
@@ -64,8 +63,6 @@ def _tune_unified(args, assignment, cluster, ledger):
         request,
         assignment=assignment,
         cluster=cluster,
-        strategy=args.strategy,
-        beam_width=args.beam,
         jobs=args.jobs,
         max_dims=args.max_dims,
         ledger=ledger,
@@ -165,9 +162,6 @@ def _run_pipeline(args, cluster, ledger) -> int:
         pipeline,
         LASSEN,
         top_k=args.top_k,
-        strategy=args.strategy,
-        beam_width=args.beam,
-        seed=args.seed,
         jobs=args.jobs,
         max_dims=args.max_dims,
         ledger=ledger,
@@ -251,10 +245,6 @@ def main(argv=None) -> int:
     )
     cli.add_cluster_args(parser, nodes_default=16, system_mem=True)
     parser.add_argument(
-        "--strategy", choices=["auto", "exhaustive", "beam"], default="auto"
-    )
-    parser.add_argument("--beam", type=int, default=8)
-    parser.add_argument(
         "--top-k",
         type=int,
         default=6,
@@ -278,7 +268,6 @@ def main(argv=None) -> int:
 
     if args.demo:
         args.nodes, args.size = 4, 4096
-        args.strategy = "exhaustive"
         if args.pipeline is None:
             args.workload = "matmul"
 

@@ -7,9 +7,9 @@ The subsystem has three layers:
 * :mod:`repro.tuner.oracle` — candidate scoring through the
   orbit-compressed simulator, fanned out over the sweep supervisor,
   with a persistent tuning ledger;
-* :mod:`repro.tuner.search` — exhaustive search for small spaces and
-  beam search with successive halving for large ones, seeded with the
-  one-shot heuristic so tuning never regresses.
+* :mod:`repro.tuner.search` — one full-scale search of the whole
+  space, ordered and cut short by a static time lower bound, seeded
+  with the one-shot heuristic so tuning never regresses.
 
 Entry points: :meth:`repro.core.kernel.Kernel.tune`,
 :meth:`repro.core.kernel.Kernel.autoschedule`, and the
@@ -26,9 +26,7 @@ __all__ = [
     "TuneResult",
     "TuningLedger",
     "balanced_grid",
-    "beam_search",
     "canonicalize",
-    "coarsen",
     "default_seed_grid",
     "enumerate_space",
     "exhaustive_search",
@@ -36,7 +34,6 @@ __all__ = [
     "from_heuristic",
     "normalize",
     "realize",
-    "scale_assignment",
     "tune",
     "workload_signature",
 ]
@@ -46,12 +43,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "EvalOutcome", "Oracle", "TuningLedger", "workload_signature",
     ),
     "repro.tuner.search": (
-        "SearchOutcome", "TuneResult", "balanced_grid", "beam_search",
+        "SearchOutcome", "TuneResult", "balanced_grid",
         "default_seed_grid", "exhaustive_search", "tune",
     ),
     "repro.tuner.space": (
-        "Decision", "canonicalize", "coarsen", "enumerate_space",
-        "formats_for", "from_heuristic", "normalize", "realize",
-        "scale_assignment",
+        "Decision", "canonicalize", "enumerate_space", "formats_for",
+        "from_heuristic", "normalize", "realize",
     ),
 })

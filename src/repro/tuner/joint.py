@@ -7,8 +7,8 @@ between them can dwarf the time either stage saves. The joint mode
 searches the *pipeline* space:
 
 * each stage ranges over the top candidates of its own single-kernel
-  search (:func:`repro.tuner.search.tune` keeps the ranked tail of the
-  final rung precisely for this);
+  search (:func:`repro.tuner.search.tune` keeps the ranked head of its
+  space precisely for this);
 * each intermediate tensor additionally ranges over a **handoff
   choice** — ``redistribute`` (the consumer reads its own derived
   format, paying explicit copy traffic when it differs from the
@@ -226,24 +226,25 @@ def tune_pipeline(
     *,
     top_k: int = DEFAULT_TOP_K,
     memory=None,
-    strategy: str = "auto",
-    beam_width: int = 8,
-    coarse_procs: int = 64,
-    seed: int = 0,
     jobs: int = 1,
     max_dims: int = 3,
     ledger: Optional[TuningLedger] = None,
     timeout_s: Optional[float] = None,
+    coarse_procs: Optional[int] = None,
 ) -> PipelineTuneResult:
     """Jointly tune every stage of a pipeline plus its handoff formats.
 
-    Runs the single-kernel search per stage (all keyword knobs are
+    Runs the single-kernel search per stage (the search knobs are
     forwarded), then scores the product of each stage's ``top_k``
     candidates × per-edge handoff choices through
     ``PipelinePlan.simulate()``. Deterministic: candidate pools come
     from the deterministic per-stage searches, combinations are
     enumerated in a fixed order, and cost ties break on the encoded
     combination.
+
+    ``coarse_procs`` is accepted and ignored; it is kept only because
+    ``perfbench/tune_cold.py`` passes it. A ``benchmark`` change drops
+    it (ROADMAP item 9).
     """
     memory = memory if memory is not None else pipeline.cluster.default_memory
 
@@ -257,10 +258,6 @@ def tune_pipeline(
             pipeline.cluster,
             params,
             memory=memory,
-            strategy=strategy,
-            beam_width=beam_width,
-            coarse_procs=coarse_procs,
-            seed=seed,
             jobs=jobs,
             max_dims=max_dims,
             ledger=ledger,

@@ -12,7 +12,7 @@ layers keep re-evaluation cheap:
   place (:meth:`Oracle.evaluate_top`);
 * the process-global :data:`~repro.bench.cache.SIM_CACHE` memoizes
   ``(plan, machine, params, mode)`` so identical candidates (canonical
-  representatives, repeated rungs) simulate once. It is the oracle's
+  representatives, repeated tunes) simulate once. It is the oracle's
   only simulation memo: every candidate is scored by one
   ``SIM_CACHE.simulate`` call, the same ``Kernel.simulate`` path the
   figures take;
@@ -1034,21 +1034,6 @@ class Oracle:
         """The tune's machine of shape ``grid`` on this cluster."""
         return grid_machine(self.machines, self.cluster, grid)
 
-    def for_cluster(self, cluster: Cluster) -> "Oracle":
-        """A sibling oracle on a different (e.g. coarsened) cluster,
-        sharing this one's static verdicts."""
-        sibling = Oracle(
-            cluster,
-            params=self.params,
-            memory=self.memory,
-            jobs=self.jobs,
-            ledger=self.ledger,
-            static_prune=self.static_prune,
-            timeout_s=self.timeout_s,
-        )
-        sibling.prune_memo = self.prune_memo
-        return sibling
-
     def prune_reason(
         self, assignment: Assignment, decision: Decision
     ) -> Optional[str]:
@@ -1190,15 +1175,6 @@ class Oracle:
                 self.ledger.misses if self.ledger is not None else 0
             ),
         }
-
-    def merge_counters(self, other: "Oracle"):
-        """Fold a sibling (coarse-rung) oracle's accounting into ours."""
-        self.simulated += other.simulated
-        self.errors += other.errors
-        self.pruned_static += other.pruned_static
-        self.scored += other.scored
-        self.trace_executions += other.trace_executions
-        self.symmetry_shared += other.symmetry_shared
 
     def _evaluate_pending(
         self,

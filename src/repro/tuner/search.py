@@ -1,27 +1,20 @@
-"""Search strategies over the schedule space.
+"""The schedule search: every candidate of the space, bound-ordered.
 
-Two strategies, picked automatically by space size:
+:func:`tune` enumerates the canonical schedule space at full scale and
+ranks it exactly in its top :data:`RANKED_KEEP`: the heuristic seed is
+simulated first, then one candidate per index-symmetry class in order
+of a static time lower bound, until the bound alone proves that no
+remaining candidate can reach the top (branch and bound;
+:meth:`~repro.tuner.oracle.Oracle.evaluate_top`). A warm-started tune
+(``strategy="warm"``) ranks only the warm neighborhood the same way.
 
-* **exhaustive** — simulate every canonical candidate at full scale;
-  right for the small spaces of low processor counts.
-* **beam + successive halving** — score the whole space on a *coarse*
-  projection first (grids shrunk toward ``coarse_procs`` processors, the
-  problem weak-scaled down to match, a proportionally smaller cluster),
-  then promote a geometrically shrinking beam of survivors through
-  intermediate sizes up to the full machine. Only the final beam — plus
-  the heuristic seed, which is never eliminated — is simulated at full
-  scale, so the 512-node space costs a few full-size simulations
-  instead of thousands.
-
-Both are deterministic: candidate order is the canonical-key order,
-ties break on the key, and the only randomness (sampling an oversized
-rung 0) comes from an explicit ``seed``. Two runs with the same seed
-therefore evaluate the same candidates and write identical ledgers.
+The search is deterministic: candidate order is the canonical-key
+order and ties break on the key, so two equal runs evaluate the same
+candidates and write identical ledgers.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,25 +29,10 @@ from repro.tuner.oracle import (
 )
 from repro.tuner.space import (
     Decision,
-    coarsen,
     enumerate_space,
     from_heuristic,
-    scale_assignment,
     warm_variants,
 )
-
-#: Spaces at most this large are searched exhaustively under
-#: ``strategy="auto"``.
-EXHAUSTIVE_THRESHOLD = 128
-
-#: Beam search's promotion factor: each rung has ``ETA`` times the
-#: processors of the one below and keeps ``beam_width * ETA**r``
-#: survivors, ``r`` rungs from the top.
-ETA = 4
-
-#: Rung 0 scores at most this many candidates; a larger space is
-#: sampled down (seeded) before the coarse projection.
-MAX_RUNG0 = 4096
 
 #: How many top-ranked outcomes a search keeps for its callers (the
 #: joint pipeline tuner builds per-stage candidate pools from these).
@@ -70,8 +48,7 @@ class SearchOutcome:
     strategy: str
     space_size: int
     evaluations: int
-    rungs: List[Dict] = field(default_factory=list)
-    #: Top outcomes of the final (full-scale) rung, best first.
+    #: Top outcomes, best first.
     ranked: List[EvalOutcome] = field(default_factory=list)
     #: Candidates whose compile/simulation *errored* (OOMs excluded).
     errors: int = 0
@@ -85,7 +62,7 @@ class SearchOutcome:
     #: Candidates given their index-symmetry class leader's outcome
     #: instead of a simulation (see :class:`~repro.tuner.oracle.Oracle`).
     symmetry_shared: int = 0
-    #: Final-rung candidates skipped because a static time lower bound
+    #: Candidates skipped because a static time lower bound
     #: proved they cannot reach :data:`RANKED_KEEP` (see
     #: :meth:`~repro.tuner.oracle.Oracle.evaluate_top`).
     bound_skipped: int = 0
@@ -108,11 +85,6 @@ class SearchOutcome:
             f"{self.symmetry_shared} shared by symmetry), "
             f"{self.bound_skipped} skipped by bound",
         ]
-        for rung in self.rungs:
-            lines.append(
-                f"  rung @{rung['procs']} procs: {rung['candidates']} "
-                f"candidates -> {rung['survivors']} survivors"
-            )
         seed = self.seed_outcome
         seed_cost = "OOM" if not seed.feasible else f"{seed.cost:.4f}s"
         lines.append(f"  heuristic seed: {seed_cost} ({seed.decision.encode()})")
@@ -130,205 +102,24 @@ def _rank(outcomes: Sequence[EvalOutcome]) -> List[EvalOutcome]:
     return sorted(outcomes, key=lambda o: (o.cost, o.decision.key()))
 
 
-def _evaluate_final(
-    assignment: Assignment,
-    oracle: Oracle,
-    decisions: List[Decision],
-    seed_decision: Optional[Decision],
-) -> List[EvalOutcome]:
-    """The final rung's outcomes: with a ``seed_decision``, only those
-    that can reach the top :data:`RANKED_KEEP` (bound-ordered, see
-    :meth:`~repro.tuner.oracle.Oracle.evaluate_top`); otherwise all."""
-    if seed_decision is None:
-        return oracle.evaluate(assignment, decisions)
-    return oracle.evaluate_top(
-        assignment, decisions, RANKED_KEEP, seed_decision
-    )
-
-
 def exhaustive_search(
     assignment: Assignment,
     oracle: Oracle,
     decisions: Sequence[Decision],
     seed_decision: Optional[Decision] = None,
-) -> Tuple[List[EvalOutcome], List[Dict]]:
+) -> List[EvalOutcome]:
     """Every candidate at full scale, ranked. Given the
     ``seed_decision`` (simulated first), the ranking is exact only in
     its top :data:`RANKED_KEEP`: the candidates a static time bound
-    proves cannot reach it are skipped and left out."""
-    outcomes = _evaluate_final(
-        assignment, oracle, list(decisions), seed_decision
-    )
-    rung = {
-        "procs": oracle.cluster.num_processors,
-        "candidates": len(decisions),
-        "survivors": 1,
-    }
-    return _rank(outcomes), [rung]
-
-
-def _problem_exponent(assignment: Assignment) -> float:
-    """Weak-scaling exponent: per-processor footprint is preserved when
-    extents scale with procs^(1/ndim) of the largest tensor."""
-    ndim = max((t.ndim for t in assignment.tensors()), default=1)
-    return 1.0 / max(1, ndim if ndim else 1)
-
-
-def beam_search(
-    assignment: Assignment,
-    oracle: Oracle,
-    decisions: Sequence[Decision],
-    seed_decision: Decision,
-    beam_width: int = 8,
-    coarse_procs: int = 64,
-    seed: int = 0,
-    protected: Sequence[Decision] = (),
-    bound_skip: bool = False,
-) -> Tuple[List[EvalOutcome], List[Dict]]:
-    """Successive halving from a coarse projection up to full scale.
-
-    Returns the final-rung outcomes (full scale, ranked) and per-rung
-    statistics. The seed decision survives every cut, so the final
-    ranking always contains the heuristic; ``protected`` decisions
-    (e.g. warm-start projections of a pre-failure winner) get the same
-    immunity. With ``bound_skip`` the full-scale rung is ranked exactly
-    only in its top :data:`RANKED_KEEP`, as in :func:`exhaustive_search`.
-
-    Two guards keep the coarse rungs honest:
-
-    * candidates that are *statically* infeasible at full scale (their
-      home-instance memory lower bound exceeds capacity — replication
-      footprints shrink relative to capacity under coarsening, so the
-      coarse rung alone would rank them well) are pinned to infinite
-      cost on every rung instead of being simulated coarsely;
-    * if the final full-scale rung comes back with no feasible
-      candidate anyway, the beam is refilled with the next-ranked
-      survivors of the previous rung until one fits or the space is
-      exhausted.
-    """
-    full_procs = oracle.cluster.num_processors
-    rng = random.Random(seed)
-    pinned = [seed_decision] + [
-        d for d in protected if d != seed_decision
-    ]
-    candidates = list(decisions)
-    for d in pinned:
-        if d not in candidates:
-            candidates.append(d)
-    candidates.sort(key=Decision.key)
-    if len(candidates) > MAX_RUNG0:
-        keep = set(rng.sample(range(len(candidates)), MAX_RUNG0))
-        sampled = [c for i, c in enumerate(candidates) if i in keep]
-        for d in pinned:
-            if d not in sampled:
-                sampled.append(d)
-        candidates = sampled
-    # Rung ladder: coarse, coarse*ETA, ..., full.
-    targets: List[int] = []
-    procs = min(coarse_procs, full_procs)
-    while procs < full_procs:
-        targets.append(procs)
-        procs *= ETA
-    targets.append(full_procs)
-
-    # Full-scale static verdicts, for the coarse rungs to honour (a
-    # lone full-scale rung gets them from the oracle).
-    dead: Dict[Decision, str] = {}
-    if len(targets) > 1:
-        for c in candidates:
-            reason = oracle.prune_reason(assignment, c)
-            if reason is not None:
-                dead[c] = reason
-
-    exponent = _problem_exponent(assignment)
-    rungs: List[Dict] = []
-    prev_ranking: List[Decision] = []
-    rung0_ranking: List[Decision] = []
-    for level, procs in enumerate(targets):
-        last = level == len(targets) - 1
-        if last:
-            # Each pruned candidate counts once: the oracle counts the
-            # ones it evaluates here, the rest were cut on coarse rungs.
-            tried = set(candidates)
-            oracle.pruned_static += sum(1 for d in dead if d not in tried)
-            outcomes = _evaluate_final(
-                assignment, oracle, candidates,
-                seed_decision if bound_skip else None,
-            )
-            ranked = _rank(outcomes)
-            # Refill: if nothing in the beam fits at full scale, pull
-            # the next-ranked survivors of the previous rung, then —
-            # because coarse rungs are blind to fetch-staging OOMs that
-            # only appear at scale — fall all the way back to the full
-            # rung-0 ranking before giving up.
-            pool = [
-                d for d in prev_ranking
-                if d not in tried and d not in dead
-            ]
-            pool += [
-                d for d in rung0_ranking
-                if d not in tried and d not in set(pool) and d not in dead
-            ]
-            while pool and not any(o.feasible for o in ranked):
-                refill, pool = pool[:beam_width], pool[beam_width:]
-                candidates = candidates + refill
-                ranked = _rank(
-                    ranked + oracle.evaluate(assignment, refill)
-                )
-            rungs.append({
-                "procs": procs,
-                "candidates": len(candidates),
-                "survivors": 1,
-            })
-            return ranked, rungs
-        cluster = oracle.cluster
-        coarse_cluster = cluster.resized(
-            max(1, procs // cluster.procs_per_node)
+    proves cannot reach it are skipped and left out (see
+    :meth:`~repro.tuner.oracle.Oracle.evaluate_top`)."""
+    if seed_decision is None:
+        outcomes = oracle.evaluate(assignment, list(decisions))
+    else:
+        outcomes = oracle.evaluate_top(
+            assignment, list(decisions), RANKED_KEEP, seed_decision
         )
-        actual = coarse_cluster.num_processors
-        scale = (actual / full_procs) ** exponent
-        coarse_assignment = scale_assignment(assignment, scale)
-        coarse_oracle = oracle.for_cluster(coarse_cluster)
-        alive = [c for c in candidates if c not in dead]
-        coarse_outcomes = dict(zip(alive, coarse_oracle.evaluate(
-            coarse_assignment, [coarsen(c, actual) for c in alive]
-        )))
-        oracle.merge_counters(coarse_oracle)
-        outcomes = []
-        for original in candidates:
-            if original in dead:
-                outcomes.append(
-                    EvalOutcome.pruned_by(original, dead[original])
-                )
-                continue
-            co = coarse_outcomes[original]
-            outcomes.append(EvalOutcome(
-                decision=original,
-                cost=co.cost,
-                oom=co.oom,
-                error=co.error,
-                comm_time=co.comm_time,
-                compute_time=co.compute_time,
-                inter_node_bytes=co.inter_node_bytes,
-                max_memory_bytes=co.max_memory_bytes,
-            ))
-        ranked = _rank(outcomes)
-        prev_ranking = [o.decision for o in ranked]
-        if level == 0:
-            rung0_ranking = prev_ranking
-        remaining = len(targets) - 1 - level
-        keep = max(beam_width * ETA ** (remaining - 1), beam_width)
-        survivors = [o.decision for o in ranked[:keep]]
-        for d in pinned:
-            if d not in survivors:
-                survivors.append(d)
-        rungs.append({
-            "procs": procs,
-            "candidates": len(candidates),
-            "survivors": len(survivors),
-        })
-        candidates = survivors
-    raise AssertionError("unreachable")  # pragma: no cover
+    return _rank(outcomes)
 
 
 @dataclass
@@ -403,11 +194,8 @@ def tune(
     *,
     seed_grid: Optional[Sequence[int]] = None,
     memory=None,
-    strategy: str = "auto",
+    strategy: str = "exhaustive",
     static_prune: bool = True,
-    beam_width: int = 8,
-    coarse_procs: int = 64,
-    seed: int = 0,
     jobs: int = 1,
     max_dims: int = 3,
     ledger: Optional[TuningLedger] = None,
@@ -420,8 +208,8 @@ def tune(
 
     The heuristic (:func:`~repro.tuner.space.from_heuristic`, the
     decision :meth:`repro.core.kernel.Kernel.autoschedule` compiles,
-    normalized) seeds the search and survives every cut, so the result
-    is never worse than the one-shot heuristic.
+    normalized) seeds the search and is always simulated, so the
+    result is never worse than the one-shot heuristic.
     Returns a :class:`TuneResult` whose schedule and formats are
     realized on the *caller's* assignment (formats applied), compiled
     and simulated.
@@ -429,8 +217,8 @@ def tune(
     ``warm_start`` injects a known-good decision from another machine
     size (fault replanning's pre-failure winner, or the serving
     daemon's nearest tuned neighbor): its same-rank grid projections
-    join the space and survive every beam cut, so the re-tune can only
-    improve on replaying the old structure.
+    join the space, so the re-tune can only improve on replaying the
+    old structure.
 
     ``strategy="warm"`` goes further: instead of joining the full
     space, the search is *restricted* to the warm neighborhood — the
@@ -442,9 +230,11 @@ def tune(
 
     ``objective="expected"`` optimizes expected cost under a per-phase
     failure probability of ``failure_rate`` instead of raw simulated
-    time: the final ranking is re-scored with recomputation exposure
-    and checkpoint placement (the ``Decision.checkpoint`` axis) by
-    :func:`repro.faults.objective.rerank_expected`. ``timeout_s``
+    time: the ranking is re-scored with recomputation exposure and
+    checkpoint placement (the ``Decision.checkpoint`` axis) by
+    :func:`repro.faults.objective.rerank_expected`. That re-scores
+    every candidate, so this objective skips nothing by bound and
+    simulates every survivor of static pruning. ``timeout_s``
     bounds each candidate's wall-clock evaluation (see
     :class:`~repro.tuner.oracle.Oracle`).
     """
@@ -454,6 +244,11 @@ def tune(
         raise ValueError(
             f"unknown objective {objective!r} "
             f"(expected 'total' or 'expected')"
+        )
+    if strategy not in ("exhaustive", "warm"):
+        raise ValueError(
+            f"unknown strategy {strategy!r} "
+            f"(expected 'exhaustive' or 'warm')"
         )
     p = cluster.num_processors
     if seed_grid is None:
@@ -488,37 +283,12 @@ def tune(
         static_prune=static_prune,
         timeout_s=timeout_s,
     )
-    if strategy == "auto":
-        strategy = (
-            "exhaustive"
-            if len(space) <= EXHAUSTIVE_THRESHOLD
-            else "beam"
-        )
     # ``rerank_expected`` re-scores the whole ranking, so only the
     # total-time objective may leave its tail unsimulated.
-    bound_skip = objective == "total"
-    if strategy in ("exhaustive", "warm"):
-        ranked, rungs = exhaustive_search(
-            assignment, oracle, space,
-            seed_decision if bound_skip else None,
-        )
-    elif strategy == "beam":
-        ranked, rungs = beam_search(
-            assignment,
-            oracle,
-            space,
-            seed_decision,
-            beam_width=beam_width,
-            coarse_procs=coarse_procs,
-            seed=seed,
-            protected=warm,
-            bound_skip=bound_skip,
-        )
-    else:
-        raise ValueError(
-            f"unknown strategy {strategy!r} "
-            f"(expected 'auto', 'exhaustive', 'beam' or 'warm')"
-        )
+    ranked = exhaustive_search(
+        assignment, oracle, space,
+        seed_decision if objective == "total" else None,
+    )
     if objective == "expected":
         from repro.faults.objective import rerank_expected  # local: cycle
 
@@ -542,7 +312,6 @@ def tune(
         strategy=strategy,
         space_size=len(space),
         evaluations=oracle.simulated,
-        rungs=rungs,
         ranked=ranked[:RANKED_KEEP],
         errors=oracle.errors,
         pruned_static=oracle.pruned_static,

@@ -37,7 +37,6 @@ one that is simulated.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -49,8 +48,8 @@ from repro.formats.distribution import (
     Fixed,
 )
 from repro.formats.format import Format
-from repro.ir.expr import Access, Add, Expr, IndexVar, Literal, Mul
-from repro.ir.tensor import Assignment, TensorVar
+from repro.ir.expr import Access, IndexVar
+from repro.ir.tensor import Assignment
 from repro.machine.cluster import MemoryKind, ProcessorKind
 from repro.machine.machine import Machine
 from repro.scheduling.schedule import Schedule
@@ -836,30 +835,6 @@ def _indexed_by(assignment: Assignment, tensor: str, var: str) -> bool:
     return var in _input_indices(assignment).get(tensor, ())
 
 
-# ----------------------------------------------------------------------
-# Coarse projections (successive halving's cheap rung).
-# ----------------------------------------------------------------------
-
-
-def coarsen(decision: Decision, target_procs: int) -> Decision:
-    """Shrink a decision's grid to at most ``target_procs`` points.
-
-    Extents shrink by their smallest prime factor, largest extent
-    first, so the grid's *shape character* (square vs. skewed vs.
-    one-dimensional) survives the projection — that is what the coarse
-    rung is ranking.
-    """
-    grid = list(decision.grid)
-    while math.prod(grid) > target_procs:
-        idx = max(range(len(grid)), key=lambda j: (grid[j], -j))
-        g = grid[idx]
-        if g <= 1:
-            break
-        factor = _smallest_prime_factor(g)
-        grid[idx] = g // factor
-    return replace(decision, grid=tuple(grid))
-
-
 def warm_variants(
     assignment: Assignment, warm: Decision, num_procs: int
 ) -> List[Decision]:
@@ -887,58 +862,3 @@ def warm_variants(
             norm = normalize(assignment, candidate)
             out.setdefault(norm.key(), norm)
     return [out[k] for k in sorted(out)]
-
-
-def _smallest_prime_factor(n: int) -> int:
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
-def scale_assignment(
-    assignment: Assignment, scale: float, multiple: int = 8
-) -> Assignment:
-    """A fresh copy of an assignment with every index extent scaled.
-
-    Used to weak-scale the problem alongside a coarsened machine so
-    per-processor footprints — and therefore OOM feasibility — carry
-    over to the cheap rung. Tensor formats are reset (the tuner applies
-    per-candidate formats anyway).
-    """
-    new_extent: Dict[str, int] = {}
-    for var, extent in assignment.domains().items():
-        if extent is None:
-            continue
-        scaled = max(1, int(round(extent * scale)))
-        if extent >= multiple:
-            scaled = max(multiple, round(scaled / multiple) * multiple)
-        new_extent[var.name] = min(scaled, extent)
-    tensors: Dict[str, TensorVar] = {}
-
-    def rebuild_tensor(access: Access) -> TensorVar:
-        old = access.tensor
-        if old.name not in tensors:
-            shape = tuple(
-                new_extent.get(v.name, e)
-                for v, e in zip(access.indices, old.shape)
-            )
-            tensors[old.name] = TensorVar(
-                old.name, shape, Format(memory=old.format.memory),
-                dtype=old.dtype,
-            )
-        return tensors[old.name]
-
-    def rebuild(expr: Expr) -> Expr:
-        if isinstance(expr, Access):
-            return Access(rebuild_tensor(expr), expr.indices)
-        if isinstance(expr, Literal):
-            return Literal(expr.value)
-        if isinstance(expr, (Add, Mul)):
-            return type(expr)(rebuild(expr.lhs), rebuild(expr.rhs))
-        raise TypeError(f"unexpected expression node {expr!r}")
-
-    lhs = Access(rebuild_tensor(assignment.lhs), assignment.lhs.indices)
-    return Assignment(lhs, rebuild(assignment.rhs), assignment.accumulate)

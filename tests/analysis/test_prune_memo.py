@@ -16,13 +16,7 @@ from repro.analysis.prune import (
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.obs.metrics import METRICS
 from repro.sim.params import LASSEN
-from repro.tuner.search import _problem_exponent
-from repro.tuner.space import (
-    Decision,
-    coarsen,
-    enumerate_space,
-    scale_assignment,
-)
+from repro.tuner.space import Decision, enumerate_space
 from repro.tuner.workloads import matmul, mttkrp, ttm
 
 #: (cluster, memory, workloads): sized so every space mixes feasible,
@@ -71,28 +65,6 @@ def test_memo_matches_fresh_computation(workload, target):
         PruneMemo(), assignment, space, cluster, memory
     )
     assert {STATIC_OOM, STATIC_DOMINATED, None} <= set(reasons)
-
-
-def test_memo_matches_fresh_on_a_coarse_rung():
-    # One memo for the full-scale space and its coarse projection, as
-    # the beam search's oracle shares it with its coarse sibling.
-    assignment = matmul(16384)
-    cluster = Cluster.cpu_cluster(8, system_mem_gib=1)
-    memory = MemoryKind.SYSTEM_MEM
-    space = enumerate_space(assignment, cluster.num_processors)
-    coarse_cluster = cluster.resized(4 // cluster.procs_per_node)
-    procs = coarse_cluster.num_processors
-    coarse_assignment = scale_assignment(
-        assignment,
-        (procs / cluster.num_processors) ** _problem_exponent(assignment),
-    )
-    memo = PruneMemo()
-    full = assert_memo_matches_fresh(memo, assignment, space, cluster, memory)
-    coarse = assert_memo_matches_fresh(
-        memo, coarse_assignment, [coarsen(d, procs) for d in space],
-        coarse_cluster, memory,
-    )
-    assert STATIC_OOM in full and STATIC_OOM in coarse
 
 
 def test_decisions_differing_outside_the_key_share_an_entry():

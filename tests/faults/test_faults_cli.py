@@ -43,8 +43,6 @@ class TestFixedKill:
                 LASSEN,
                 decision=decision,
                 fault_plan=plan,
-                strategy="exhaustive",
-                seed=0,
                 workload="matmul",
             )
             for _ in range(2)
@@ -73,8 +71,7 @@ class TestFixedKill:
 class TestCli:
     def test_weak_scaled_kernel_run(self, capsys):
         # No --size: the problem is weak-scaled to --nodes.
-        args = ["--workload", "matmul", "--nodes", "2",
-                "--strategy", "exhaustive"]
+        args = ["--workload", "matmul", "--nodes", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert (
@@ -86,8 +83,7 @@ class TestCli:
 
     def test_pipeline_json(self, capsys):
         args = ["--pipeline", "chain-matmul", "--nodes", "4",
-                "--size", "256", "--fault-seed", "5",
-                "--strategy", "exhaustive", "--json"]
+                "--size", "256", "--fault-seed", "5", "--json"]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pipeline"] == "chain-matmul"

@@ -24,9 +24,8 @@ def setup():
 
 
 def replan(pipeline, decisions, plan, **kw):
-    kw.setdefault("strategy", "exhaustive")
     return replan_pipeline(
-        pipeline, decisions, LASSEN, fault_plan=plan, seed=0, **kw
+        pipeline, decisions, LASSEN, fault_plan=plan, **kw
     )
 
 

@@ -21,10 +21,9 @@ def setup():
 
 
 def replan(assignment, cluster, decision, plan, **kw):
-    kw.setdefault("strategy", "exhaustive")
     return replan_kernel(
         assignment, cluster, LASSEN,
-        decision=decision, fault_plan=plan, seed=0, **kw,
+        decision=decision, fault_plan=plan, **kw,
     )
 
 

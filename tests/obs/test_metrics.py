@@ -157,7 +157,7 @@ class TestGlobalRegistry:
             SIM_CACHE.clear()
             ledger = TuningLedger(path)
             tune(
-                matmul(2048), Cluster.cpu_cluster(4), jobs=1, seed=7,
+                matmul(2048), Cluster.cpu_cluster(4), jobs=1,
                 ledger=ledger,
             )
             assert ledger.compact()

@@ -23,7 +23,6 @@ def chain_256_result():
         LASSEN,
         top_k=4,
         max_dims=2,
-        coarse_procs=16,
     )
 
 

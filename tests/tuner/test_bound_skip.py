@@ -5,8 +5,8 @@ A search that keeps its top ``RANKED_KEEP`` outcomes skips candidates
 whose static time lower bound exceeds the ``RANKED_KEEP``-th best cost
 known. Against the same search with every bound ``0.0`` (``BoundOff``,
 which skips nothing), the best and seed outcomes and every ranked record
-must be equal — for every tuner workload, exhaustively and through a
-one-rung beam, on CPU and GPU clusters, and for the joint pipeline demo.
+must be equal — for every tuner workload, on CPU and GPU clusters, and
+for the joint pipeline demo.
 """
 
 import functools
@@ -27,11 +27,10 @@ from bound_off import (
 )
 
 #: Four processors: spaces of 40-488 candidates, each tuned in
-#: 0.03-0.2 s. The CPU cluster searches exhaustively; the GPU cluster
-#: through a beam whose only rung is the full machine.
+#: 0.03-0.2 s.
 SEARCHES = {
     "cpu-exhaustive": (Cluster.cpu_cluster(2), "exhaustive"),
-    "gpu-beam": (Cluster.gpu_cluster(1), "beam"),
+    "gpu-exhaustive": (Cluster.gpu_cluster(1), "exhaustive"),
 }
 
 
@@ -42,7 +41,6 @@ def _searches(workload, search):
     cluster, strategy = SEARCHES[search]
     return assert_skip_exact(lambda: tune(
         sized(workload, 64), cluster, strategy=strategy,
-        coarse_procs=cluster.num_processors,
     ))
 
 
@@ -50,10 +48,6 @@ def _searches(workload, search):
 @pytest.mark.parametrize("workload", list(WORKLOADS))
 def test_skipping_keeps_the_top_exact(workload, search):
     skipped, _ = _searches(workload, search)
-    cluster, _ = SEARCHES[search]
-    assert [rung["procs"] for rung in skipped.search.rungs] == [
-        cluster.num_processors
-    ]
     # TTV's 40 candidates on four processors leave nothing to skip.
     assert (skipped.search.bound_skipped > 0) == (workload != "ttv")
 

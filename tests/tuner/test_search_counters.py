@@ -1,13 +1,10 @@
-"""Tuner search counters: the 512-node beam tune's, counter for
-counter, and where a TTV tune's surviving candidates went.
+"""Tuner search counters: the 512-node tune's, counter for counter,
+and where a TTV tune's surviving candidates went.
 
-``python -m repro.tune --nodes 512 --strategy beam --jobs 1`` tunes the
-weak-scaled square matmul on 512 CPU nodes; the values below were
-recorded before the tune shared machines and canonical forms across
-its candidates, none of which may change a count or the
-winner. ``trace_executions`` counts simulation-cache misses, so the
-tune runs against an empty cache, and the process's cache is restored
-afterwards.
+``python -m repro.tune --nodes 512 --jobs 1`` tunes the weak-scaled
+square matmul on 512 CPU nodes. ``trace_executions`` counts
+simulation-cache misses, so the tune runs against an empty cache, and
+the process's cache is restored afterwards.
 """
 
 from repro import api
@@ -19,7 +16,7 @@ from repro.tuner.search import tune
 from repro.tuner.workloads import ttv, weak_scaled
 
 
-def test_512_node_beam_tune_counters():
+def test_512_node_tune_counters():
     assignment = weak_scaled("matmul", 512)
     cluster = Cluster.cpu_cluster(512)
     request = api.ScheduleRequest.from_assignment(assignment, cluster)
@@ -29,7 +26,7 @@ def test_512_node_beam_tune_counters():
     try:
         result = api.tune_request(
             request, assignment=assignment, cluster=cluster,
-            strategy="beam", beam_width=8, jobs=1, max_dims=3,
+            jobs=1, max_dims=3,
         )
     finally:
         SIM_CACHE.clear()
@@ -38,8 +35,8 @@ def test_512_node_beam_tune_counters():
     search = result.search
     assert (
         search.space_size, search.evaluations, search.trace_executions,
-        search.pruned_static, search.errors,
-    ) == (988, 342, 210, 522, 0)
+        search.pruned_static, search.bound_skipped, search.errors,
+    ) == (988, 660, 138, 522, 328, 0)
     assert search.best.decision.encode() == (
         "grid=2x512;dist=i,j;out=face;leaf=gemm"
     )
@@ -94,14 +91,3 @@ def test_every_survivor_is_traced_hit_or_shared(monkeypatch):
     assert f"{search.symmetry_shared} shared by symmetry" in (
         search.describe()
     )
-
-
-def test_beam_folds_in_the_coarse_rungs_sharing(monkeypatch):
-    """The coarse rung's oracle shares too (18 candidates at 2
-    processors, 3 more at full scale); ``merge_counters`` folds its
-    count into the search's."""
-    search, _, metric = _cold_tune(
-        monkeypatch, strategy="beam", coarse_procs=2
-    )
-    assert [rung["procs"] for rung in search.rungs] == [2, 8]
-    assert metric == search.symmetry_shared == 21

@@ -6,14 +6,12 @@ from repro import Kernel, Machine, compile_kernel
 from repro.tuner.space import (
     Decision,
     canonicalize,
-    coarsen,
     enumerate_space,
     factorizations,
     formats_for,
     from_heuristic,
     normalize,
     realize,
-    scale_assignment,
 )
 from repro.tuner.workloads import matmul, mttkrp, ttm, ttv
 from repro.util.errors import ScheduleError
@@ -271,26 +269,3 @@ class TestRealize:
         stmt = matmul(64)
         with pytest.raises(ScheduleError):
             realize(stmt, Machine.flat(4, 4), cannon_decision((2, 2)))
-
-
-class TestCoarsen:
-    def test_shrinks_toward_target_keeping_shape(self):
-        d = Decision(grid=(32, 32), dist=("i", "j"))
-        assert coarsen(d, 64).grid == (8, 8)
-        skew = Decision(grid=(2, 512), dist=("i", "j"))
-        assert coarsen(skew, 64).grid == (2, 32)
-
-    def test_noop_when_small_enough(self):
-        d = Decision(grid=(4, 4), dist=("i", "j"))
-        assert coarsen(d, 64) is not None
-        assert coarsen(d, 64).grid == (4, 4)
-
-    def test_scale_assignment_preserves_structure(self):
-        stmt = matmul(1024)
-        small = scale_assignment(stmt, 0.25)
-        assert small.lhs.tensor.shape == (256, 256)
-        assert repr(small) == repr(stmt).replace("1024", "1024")  # structure
-        assert [v.name for v in small.all_vars] == ["i", "j", "k"]
-        # never upscales
-        same = scale_assignment(stmt, 4.0)
-        assert same.lhs.tensor.shape == (1024, 1024)

@@ -130,7 +130,7 @@ class TestCli:
         from repro.tune import main
 
         # No --size: the problem is weak-scaled to --nodes.
-        args = ["--nodes", "2", "--strategy", "exhaustive", "--analyze"]
+        args = ["--nodes", "2", "--analyze"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "tuning matmul {'A': (11584, 11584)" in out
