@@ -29,8 +29,8 @@ from bound_off import (
 #: Four processors: spaces of 40-488 candidates, each tuned in
 #: 0.03-0.2 s.
 SEARCHES = {
-    "cpu-exhaustive": (Cluster.cpu_cluster(2), "exhaustive"),
-    "gpu-exhaustive": (Cluster.gpu_cluster(1), "exhaustive"),
+    "cpu-exhaustive": Cluster.cpu_cluster(2),
+    "gpu-exhaustive": Cluster.gpu_cluster(1),
 }
 
 
@@ -38,10 +38,9 @@ SEARCHES = {
 def _searches(workload, search):
     """The tune of ``workload`` at size 64 by ``search``, with and
     without the bound (:func:`assert_skip_exact`; computed once)."""
-    cluster, strategy = SEARCHES[search]
-    return assert_skip_exact(lambda: tune(
-        sized(workload, 64), cluster, strategy=strategy,
-    ))
+    return assert_skip_exact(
+        lambda: tune(sized(workload, 64), SEARCHES[search])
+    )
 
 
 @pytest.mark.parametrize("search", list(SEARCHES))
@@ -59,9 +58,8 @@ def test_waves_over_workers_skip_alike():
     a cache entry, so forked workers simulate it exactly; ROADMAP
     item 3.)"""
     skipped, full = _searches("mttkrp", "cpu-exhaustive")
-    cluster, strategy = SEARCHES["cpu-exhaustive"]
     waves = from_empty_cache(lambda: tune(
-        sized("mttkrp", 64), cluster, strategy=strategy, jobs=2,
+        sized("mttkrp", 64), SEARCHES["cpu-exhaustive"], jobs=2,
     ))
     assert_same_search(waves.search, full.search)
     assert waves.search.bound_skipped == skipped.search.bound_skipped

@@ -47,7 +47,7 @@ def _shared_metric():
     return METRICS.snapshot(sources=False).get("oracle.symmetry_shared", 0)
 
 
-def _cold_tune(monkeypatch, **options):
+def _cold_tune(monkeypatch):
     """A TTV tune from an empty cache, with the ``SIM_CACHE`` hits taken
     inside the oracle's evaluations (``tune`` looks the winner up once
     more afterwards) and the ``oracle.symmetry_shared`` metric's
@@ -68,7 +68,7 @@ def _cold_tune(monkeypatch, **options):
     metric = _shared_metric()
     SIM_CACHE.clear()
     try:
-        result = tune(ttv(64), Cluster.cpu_cluster(4), **options)
+        result = tune(ttv(64), Cluster.cpu_cluster(4))
     finally:
         SIM_CACHE.clear()
         SIM_CACHE.install(saved)
@@ -77,7 +77,7 @@ def _cold_tune(monkeypatch, **options):
 
 
 def test_every_survivor_is_traced_hit_or_shared(monkeypatch):
-    search, hits, metric = _cold_tune(monkeypatch, strategy="exhaustive")
+    search, hits, metric = _cold_tune(monkeypatch)
     survivors = (
         search.evaluations + search.bound_skipped - search.pruned_static
     )
