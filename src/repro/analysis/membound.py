@@ -27,12 +27,17 @@ All four coexist at the end of the last step's leaf, so
 ``lower = home + task + step_lb + partials`` is a true peak lower
 bound; ``upper`` adds the chunk double-hold and the owner's transient
 reduction-staging instance.
+
+The same walk over node 0's points (:func:`node_walk`) also yields the
+bytes that must cross node 0's NIC, which
+:mod:`~repro.analysis.timebound` prices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,6 +57,11 @@ from repro.util.geometry import (
 
 #: Above this many grid points, node-0 membership is not enumerated.
 _POINT_LIMIT = 1 << 16
+
+#: Above this many distinct node-0 home pieces of one tensor, the
+#: covered volume is bounded by their sum instead of by
+#: inclusion-exclusion.
+_EXACT_PIECES = 6
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,18 @@ class MemoryBound:
         )
 
 
+@dataclass(frozen=True)
+class NodeWalk:
+    """What one static walk over node 0's grid points yields."""
+
+    #: The target memory's peak-footprint bounds.
+    memory: MemoryBound
+    #: Bytes that must cross node 0's NIC in the task-start step, over
+    #: the sequenced steps and in the task-end reduction step (all 0 on
+    #: one node, or when node 0's points are not enumerated).
+    nic_bytes: Tuple[int, int, int]
+
+
 def memory_bounds(
     assignment: Assignment,
     decision,
@@ -99,6 +121,34 @@ def memory_bounds(
     ``machine`` is the decision's grid on ``cluster`` (a fresh one when
     ``None``).
     """
+    return node_walk(assignment, decision, cluster, memory, machine).memory
+
+
+def node_walk(
+    assignment: Assignment,
+    decision,
+    cluster: Cluster,
+    memory: MemoryKind = MemoryKind.SYSTEM_MEM,
+    machine: Optional[Machine] = None,
+) -> NodeWalk:
+    """Walk node 0's grid points once, with the tensors in ``memory``.
+
+    The memory bound sums over the target memory's points: node 0's
+    for system memory, processor 0's (a subset) for a framebuffer.
+
+    The NIC bytes are node 0's least inbound and outbound traffic.
+    Every fetch resolves against the state before its step and emits
+    one copy per requesting task, so in the task-start step (only home
+    instances exist) each node-0 task pulls what no node-0 home holds.
+    A per-step fetch may instead read what another node-0 task fetched
+    earlier, so over the sequenced steps only the largest of those
+    shortfalls per tensor is certain. Each task whose leaf ran sends
+    the pieces of its output partial that no node-0 home owns out in
+    the task-end step.
+
+    ``machine`` is the decision's grid on ``cluster`` (a fresh one when
+    ``None``).
+    """
     from repro.runtime.orbit_state import machine_tables
     from repro.tuner.space import formats_for
 
@@ -106,7 +156,15 @@ def memory_bounds(
         machine = Machine(cluster, Grid(*decision.grid))
     formats = formats_for(assignment, decision, memory)
     per_node = memory is MemoryKind.SYSTEM_MEM
-    linears = _target_points(machine, cluster, per_node)
+    linears = _target_points(machine, cluster)
+    in_target = linears % cluster.num_processors < (
+        cluster.procs_per_node if per_node else 1
+    )
+    nic = cluster.num_nodes > 1 and machine.size <= _POINT_LIMIT
+    if not nic:
+        linears = linears[in_target]
+        in_target = in_target[in_target]
+    in_target = in_target.tolist()
     tables = machine_tables(machine)
     points = [tuple(p) for p in tables.point_coords[linears].tolist()]
     if per_node:
@@ -115,7 +173,7 @@ def memory_bounds(
         target = cluster.processors[0].memory
     domains = {v.name: e for v, e in assignment.domains().items()}
     tensors = assignment.tensors()
-    # Every tensor's home rectangle at every target point, from the
+    # Every tensor's home rectangle at every walked point, from the
     # grid's home table.
     owned = {
         tensor.name: _owned_rects(
@@ -131,6 +189,8 @@ def memory_bounds(
 
     home = 0
     seen_home: set = set()
+    # Node 0's distinct home rectangles per distributed tensor.
+    held: Dict[str, List[Rect]] = {}
     for tensor in tensors:
         if not formats[tensor.name].is_distributed:
             if tensor.ndim == 0:
@@ -138,8 +198,12 @@ def memory_bounds(
             # Undistributed: one instance at the origin (node 0).
             home += tensor.nbytes
             continue
-        for rect in owned[tensor.name]:
-            if rect is None or rect.is_empty:
+        if nic and tensor.ndim:
+            held[tensor.name] = list(dict.fromkeys(
+                rect for rect in owned[tensor.name] if rect is not None
+            ))
+        for rect, mine in zip(owned[tensor.name], in_target):
+            if not mine or rect is None or rect.is_empty:
                 continue
             key = (tensor.name, rect)
             if key in seen_home:
@@ -147,8 +211,8 @@ def memory_bounds(
             seen_home.add(key)
             home += rect.volume * tensor.itemsize
 
-    output_read = assignment.accumulate or any(
-        a.tensor.name == output.name for a in assignment.accesses()[1:]
+    output_read = (
+        assignment.accumulate or len(accesses_by_tensor[output.name]) > 1
     )
     # A 0-face-homed output means non-face tasks exist that flush their
     # partials to the face owners; each flush transiently registers one
@@ -171,6 +235,9 @@ def memory_bounds(
     step_ub = 0
     partials = 0
     reduction_transient = 0
+    nic_start = 0
+    nic_steps: Dict[str, int] = {}
+    nic_end = 0
     known_extents = all(
         domains.get(n) is not None for n in dist_dim
     ) and (decision.seq is None or domains.get(decision.seq) is not None)
@@ -182,48 +249,56 @@ def memory_bounds(
             name: split_evenly(domains[name], decision.grid[d], point[d])
             for name, d in dist_dim.items()
         }
+        leaf_runs = all(domains.values()) and all(
+            block.size for block in blocks.values()
+        )
         for tensor in tensors:
             home_rect = owned[tensor.name][p_idx]
             is_output = tensor.name == output.name
-            if is_output and not output_read:
-                rect = _request_rect(
-                    tensor, accesses_by_tensor[tensor.name], blocks,
-                    domains, None, None,
-                )
-                if rect is None:
-                    continue
-                nbytes = rect.volume * tensor.itemsize
-                if not _covers(home_rect, rect):
-                    partials += nbytes
-                    reduction_transient = max(reduction_transient, nbytes)
-                elif flush_to_owner:
-                    reduction_transient = max(reduction_transient, nbytes)
+            accesses = accesses_by_tensor[tensor.name]
+            rect = _request_rect(tensor, accesses, blocks, domains)
+            if rect is None:
                 continue
             stepped = (
                 tensor.name in step_set
                 and decision.seq is not None
                 and not is_output
             )
-            rect = _request_rect(
-                tensor, accesses_by_tensor[tensor.name], blocks, domains,
-                decision.seq if stepped else None, steps,
-            )
-            if rect is None:
+            if tensor.name in held and (leaf_runs or not is_output):
+                # Only the written rectangle of a leaf that ran leaves
+                # as a partial.
+                sent = rect
+                if is_output and len(accesses) > 1:
+                    sent = _request_rect(
+                        tensor, accesses[:1], blocks, domains
+                    )
+                missing = _uncovered(sent, held[tensor.name])
+                missing *= tensor.itemsize
+                if is_output:
+                    nic_end += missing
+                elif stepped:
+                    nic_steps[tensor.name] = max(
+                        nic_steps.get(tensor.name, 0), missing
+                    )
+                else:
+                    nic_start += missing
+            if not in_target[p_idx]:
                 continue
             if stepped:
                 lo, hi = _step_chunk_bounds(
-                    tensor, home_rect,
-                    accesses_by_tensor[tensor.name], blocks, domains,
+                    tensor, home_rect, accesses, rect, domains,
                     decision.seq, steps,
                 )
                 step_lb += lo
                 step_ub += hi
-            elif not _covers(home_rect, rect):
-                task_staging += rect.volume * tensor.itemsize
-            if is_output and output_read:
-                # A read output also accumulates partials when unowned.
-                nbytes = rect.volume * tensor.itemsize
-                if not _covers(home_rect, rect):
+                continue
+            nbytes = rect.volume * tensor.itemsize
+            covered = _covers(home_rect, rect)
+            if not covered and (output_read or not is_output):
+                task_staging += nbytes
+            if is_output:
+                # An unowned output accumulates partials, read or not.
+                if not covered:
                     partials += nbytes
                     reduction_transient = max(reduction_transient, nbytes)
                 elif flush_to_owner:
@@ -231,16 +306,19 @@ def memory_bounds(
 
     lower = home + task_staging + step_lb + partials
     upper = home + task_staging + step_ub + partials + reduction_transient
-    return MemoryBound(
-        memory_name=target.name,
-        capacity_bytes=target.capacity_bytes,
-        lower_bytes=lower,
-        upper_bytes=upper,
-        home_bytes=home,
-        task_staging_bytes=task_staging,
-        step_staging_lower=step_lb,
-        step_staging_upper=step_ub,
-        partial_bytes=partials,
+    return NodeWalk(
+        memory=MemoryBound(
+            memory_name=target.name,
+            capacity_bytes=target.capacity_bytes,
+            lower_bytes=lower,
+            upper_bytes=upper,
+            home_bytes=home,
+            task_staging_bytes=task_staging,
+            step_staging_lower=step_lb,
+            step_staging_upper=step_ub,
+            partial_bytes=partials,
+        ),
+        nic_bytes=(nic_start, sum(nic_steps.values()), nic_end),
     )
 
 
@@ -250,13 +328,13 @@ def bound_key(
     cluster: Cluster,
     memory: MemoryKind = MemoryKind.SYSTEM_MEM,
 ) -> Tuple:
-    """Everything :func:`memory_bounds` reads, as a hashable key.
+    """Everything :func:`node_walk` reads, as a hashable key.
 
     Of the decision it reads ``grid``, ``dist``, ``seq``, ``steps_dim``
     and ``step_comm`` directly, and ``tiled`` and ``output_style``
     through :func:`~repro.tuner.space.formats_for`; decisions that
     differ only elsewhere (``rotate``, ``leaf``, ``checkpoint``) share
-    one bound. A field the bound starts reading must join this key.
+    one walk. A field the walk starts reading must join this key.
     """
     from repro.bench.cache import cluster_signature
 
@@ -285,24 +363,19 @@ def assignment_key(assignment: Assignment) -> Tuple:
     )
 
 
-def _target_points(
-    machine: Machine, cluster: Cluster, per_node: bool
-) -> np.ndarray:
-    """Linear indices of the grid points whose instances land in the
-    target memory.
+def _target_points(machine: Machine, cluster: Cluster) -> np.ndarray:
+    """Linear indices of node 0's grid points.
 
     Row-major placement puts linear point ``L`` on processor
     ``L % num_procs``; node 0 owns the first ``procs_per_node``
     processors. With over-decomposed grids past ``_POINT_LIMIT`` only
-    the leading points are counted (the bound stays a lower bound).
+    the leading points are counted (the memory bound stays a lower
+    bound).
     """
     shape = machine.shape
     total = math.prod(shape)
     num_procs = cluster.num_processors
-    if per_node:
-        target_procs = min(cluster.procs_per_node, num_procs)
-    else:
-        target_procs = 1
+    target_procs = min(cluster.procs_per_node, num_procs)
     if total <= num_procs or total > _POINT_LIMIT:
         return np.arange(min(target_procs, total))
     linears = np.arange(total)
@@ -314,9 +387,6 @@ def _request_rect(
     accesses,
     blocks: Dict[str, Interval],
     domains: Dict[str, int],
-    step_var: Optional[str],
-    steps: Optional[int],
-    step_index: int = 0,
 ) -> Optional[Rect]:
     """The rectangle one task requests for a tensor (bounding box over
     its accesses), or ``None`` when an access is not a plain variable
@@ -336,8 +406,6 @@ def _request_rect(
                 return None
             if var.name in blocks:
                 ival = blocks[var.name]
-            elif var.name == step_var and steps is not None:
-                ival = split_evenly(extent, steps, step_index)
             else:
                 ival = Interval.extent(extent)
             if los[mode] is None or ival.lo < los[mode]:
@@ -366,35 +434,65 @@ def _covers(owned: Optional[Rect], rect: Rect) -> bool:
     return owned is not None and owned.contains(rect)
 
 
+def _uncovered(rect: Rect, holders: List[Rect]) -> int:
+    """How many points of ``rect`` no rectangle of ``holders`` covers:
+    exact by inclusion-exclusion over the distinct pieces (one sum when
+    they are disjoint), or at least ``rect`` minus their summed volume
+    when there are more than ``_EXACT_PIECES``."""
+    if any(holder.contains(rect) for holder in holders):
+        return 0
+    pieces = list(dict.fromkeys(
+        piece for piece in (h.intersect(rect) for h in holders)
+        if piece.volume
+    ))
+    covered = sum(piece.volume for piece in pieces)
+    if len(pieces) > _EXACT_PIECES or not any(
+        a.intersect(b).volume for a, b in combinations(pieces, 2)
+    ):
+        return max(0, rect.volume - covered)
+    for k in range(2, len(pieces) + 1):
+        for group in combinations(pieces, k):
+            common = group[0]
+            for piece in group[1:]:
+                common = common.intersect(piece)
+            covered += (-1) ** (k + 1) * common.volume
+    return rect.volume - covered
+
+
+def _seq_blocks(extent: int, steps: int) -> Tuple[Tuple[int, int], ...]:
+    """The non-empty blocks of ``split_evenly(extent, steps, b)`` as
+    ``(size, count)`` pairs, the largest first."""
+    tile = ceil_div(extent, steps)
+    if tile == 0:
+        return ()
+    full, short = divmod(extent, tile)
+    return ((tile, full),) + (((short, 1),) if short else ())
+
+
 def _step_chunk_bounds(
     tensor,
     owned: Optional[Rect],
     accesses,
-    blocks,
+    base: Rect,
     domains,
     seq: str,
     steps: int,
 ) -> Tuple[int, int]:
-    """(guaranteed-resident, worst-transient) bytes for per-step chunks.
+    """(guaranteed-resident, worst-transient) bytes for per-step chunks
+    of the task's request rectangle ``base``.
 
     Chunks differ only along the sequenced variable's blocks; the lower
     bound is the smallest chunk any step can stage (0 when the task owns
-    one of the blocks — rotation may park it there at any step), the
-    upper bound twice the largest (registered-before-released swap).
+    one of the blocks — rotation may park it there at any step, or when
+    some step stages nothing), the upper bound twice the largest
+    (registered-before-released swap).
     """
     extent = domains[seq]
-    tile = ceil_div(extent, steps)
-    full_blocks, short = divmod(extent, tile)
-    nonzero_blocks = full_blocks + (1 if short else 0)
+    blocks = _seq_blocks(extent, steps)
+    tile = blocks[0][0] if blocks else 0
     min_seq = (
-        0 if steps > nonzero_blocks else (short if short else tile)
+        blocks[-1][0] if sum(count for _, count in blocks) == steps else 0
     )
-    max_seq = tile
-    base = _request_rect(
-        tensor, accesses, blocks, domains, None, None
-    )
-    if base is None:
-        return 0, 0
     # Per-unit-of-seq volume: the bounding rect with seq collapsed.
     seq_modes = {
         mode
@@ -423,5 +521,5 @@ def _step_chunk_bounds(
                 if not block.is_empty and span.contains(block):
                     owned_some_block = True
     lo = 0 if owned_some_block else min_seq * unit * itemsize
-    hi = 2 * max_seq * unit * itemsize
+    hi = 2 * tile * unit * itemsize
     return lo, hi

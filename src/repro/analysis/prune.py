@@ -19,8 +19,10 @@ the module constants) or ``None`` when the candidate must be simulated.
 
 A tune asks for the same memory bound many times: candidates that
 differ only in ``leaf`` or ``rotate`` share one. A :class:`PruneMemo`,
-owned by the tune's oracle, computes each bound once per
-:func:`~repro.analysis.membound.bound_key`. The dominance verdict reads
+owned by the tune's oracle, walks node 0 once per
+:func:`~repro.analysis.membound.bound_key`
+(:func:`~repro.analysis.membound.node_walk`); the memory verdict and
+the time lower bound both read that walk. The dominance verdict reads
 only the assignment's precomputed variable sets and needs no memo.
 """
 
@@ -28,7 +30,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.membound import MemoryBound, bound_key, memory_bounds
+from repro.analysis.membound import (
+    MemoryBound, NodeWalk, bound_key, memory_bounds, node_walk,
+)
+from repro.analysis.timebound import priced_walk
 from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.machine import Machine
@@ -66,31 +71,46 @@ def prune_reason(
 
 
 class PruneMemo:
-    """Static verdicts of one tune, each computed once.
+    """Node-0 walks of one tune, each computed once.
 
-    Holds every verdict it computed and is never cleared, so it must not
-    outlive the tune: the oracle that owns it shares it with its coarse
-    siblings only.
+    Holds every walk it computed and is never cleared, so it must not
+    outlive the tune that owns it.
     """
 
     def __init__(self):
-        self._bounds: Dict[Tuple, MemoryBound] = {}
+        self._walks: Dict[Tuple, NodeWalk] = {}
+
+    def walk(
+        self, assignment: Assignment, decision, cluster: Cluster,
+        memory: MemoryKind, machine: Optional[Machine] = None,
+    ) -> NodeWalk:
+        key = bound_key(assignment, decision, cluster, memory)
+        walk = self._walks.get(key)
+        if walk is None:
+            METRICS.inc("analysis.bound_memo_misses")
+            walk = node_walk(assignment, decision, cluster, memory, machine)
+            self._walks[key] = walk
+        else:
+            METRICS.inc("analysis.bound_memo_hits")
+        return walk
 
     def memory_bounds(
         self, assignment: Assignment, decision, cluster: Cluster,
         memory: MemoryKind, machine: Optional[Machine] = None,
     ) -> MemoryBound:
-        key = bound_key(assignment, decision, cluster, memory)
-        bound = self._bounds.get(key)
-        if bound is None:
-            METRICS.inc("analysis.bound_memo_misses")
-            bound = memory_bounds(
-                assignment, decision, cluster, memory, machine
-            )
-            self._bounds[key] = bound
-        else:
-            METRICS.inc("analysis.bound_memo_hits")
-        return bound
+        return self.walk(assignment, decision, cluster, memory, machine).memory
+
+    def time_lower_bound(
+        self, assignment: Assignment, decision, cluster: Cluster,
+        params: MachineParams, memory: MemoryKind,
+        machine: Optional[Machine] = None,
+    ) -> float:
+        """:func:`~repro.analysis.timebound.time_lower_bound` from the
+        memoized walk."""
+        return priced_walk(
+            self.walk(assignment, decision, cluster, memory, machine),
+            assignment, decision, cluster, params,
+        )
 
 
 def _dominated_loops(

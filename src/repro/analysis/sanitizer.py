@@ -32,13 +32,13 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.membound import _POINT_LIMIT
 from repro.codegen.plan import DistributedPlan
 from repro.runtime.instances import DataEnvironment
 from repro.runtime.trace import Trace
 from repro.util.geometry import Rect
 
 _MAX_FINDINGS = 50
-_POINT_LIMIT = 1 << 16
 
 
 def sanitize_trace(plan: DistributedPlan, trace: Trace) -> List[Diagnostic]:

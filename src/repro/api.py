@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.expr import Access, Add, Expr, IndexVar, Literal, Mul
@@ -551,7 +551,3 @@ def tune_request(
     )
     result.answer = ScheduleAnswer.from_result(request, result, provenance)
     return result
-
-
-# Keep the dataclass-field import alive for subclasses/tools.
-_ = fields

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.prune import PruneMemo, STATIC_OOM, prune_reason
-from repro.analysis.timebound import time_lower_bound
 from repro.bench.cache import SIM_CACHE, cluster_signature, params_key
 from repro.bench.parallel import register_sweep, run_points
 from repro.core.kernel import compile_kernel
@@ -1020,12 +1019,9 @@ class Oracle:
         #: lower bound proved they cannot place (no ledger entry, and
         #: not counted in :attr:`simulated`).
         self.bound_skipped = 0
-        #: Static verdicts computed so far in this tune.
+        #: Node-0 walks computed so far in this tune: the static prune
+        #: verdicts and the time lower bounds read them.
         self.prune_memo = PruneMemo()
-        #: Time lower bounds computed so far in this tune, by workload
-        #: signature and decision without ``rotate`` (which the bound
-        #: does not read).
-        self.time_bounds: Dict[tuple, float] = {}
         #: This tune's one machine per grid shape on ``cluster``
         #: (:func:`grid_machine`).
         self.machines: Dict[tuple, Machine] = {}
@@ -1129,9 +1125,7 @@ class Oracle:
         if pending:
             if top is not None and len(decisions) <= top[0]:
                 top = None  # nothing can fall out of the top
-            scored = self._evaluate_pending(
-                assignment, pending, top, known, wsig
-            )
+            scored = self._evaluate_pending(assignment, pending, top, known)
             self.bound_skipped += len(pending) - len(scored)
             for outcome in scored:
                 outcomes[outcome.decision] = outcome
@@ -1182,7 +1176,6 @@ class Oracle:
         pending: List[Decision],
         top: Optional[tuple] = None,
         known: Sequence[float] = (),
-        wsig: str = "",
     ) -> List[EvalOutcome]:
         """Outcomes for ``pending``, simulating one member per
         index-symmetry class.
@@ -1228,7 +1221,7 @@ class Oracle:
             )
             simulated = self._simulate_leaders(
                 assignment, work, leaders, keep,
-                min(seed_class, key=Decision.key, default=None), known, wsig,
+                min(seed_class, key=Decision.key, default=None), known,
             )
         outcomes.update((o.decision, o) for o in simulated)
         unshared: List[Decision] = []
@@ -1259,7 +1252,6 @@ class Oracle:
         keep: int,
         first: Decision,
         known: Sequence[float],
-        wsig: str,
     ) -> List[EvalOutcome]:
         """Simulate class ``leaders`` best bound first, stopping at the
         first whose :func:`~repro.analysis.timebound.time_lower_bound`
@@ -1278,7 +1270,11 @@ class Oracle:
         """
         best = sorted(known)[:keep]
         bounds = {
-            d: self._time_bound(assignment, d, wsig) for d in leaders
+            d: self.prune_memo.time_lower_bound(
+                assignment, d, self.cluster, self.params, self.memory,
+                self.machine(d.grid),
+            )
+            for d in leaders
         }
         queue = [first] if first in leaders else []
         queue += sorted(
@@ -1321,20 +1317,6 @@ class Oracle:
                         bisect.insort(best, outcome.cost)
                     del best[keep:]
         return simulated
-
-    def _time_bound(
-        self, assignment: Assignment, decision: Decision, wsig: str
-    ) -> float:
-        """:func:`~repro.analysis.timebound.time_lower_bound` of
-        ``decision`` (signature ``wsig``), once per rotation class."""
-        key = (wsig, replace(decision, rotate=()))
-        bound = self.time_bounds.get(key)
-        if bound is None:
-            bound = self.time_bounds[key] = time_lower_bound(
-                assignment, decision, self.cluster, self.params,
-                self.memory, self.machine(decision.grid),
-            )
-        return bound
 
     def _simulate(
         self,

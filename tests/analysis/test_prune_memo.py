@@ -1,7 +1,8 @@
 """The tuner's static-verdict memo: every memoized verdict equals a
-fresh computation, and the memory-bound key holds exactly the decision
-fields ``memory_bounds`` reads."""
+fresh computation, the memory-bound key holds exactly the decision
+fields ``memory_bounds`` reads, and a tune walks node 0 once per key."""
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -15,9 +16,11 @@ from repro.analysis.prune import (
 )
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.obs.metrics import METRICS
+from repro.runtime import orbit_state
 from repro.sim.params import LASSEN
+from repro.tuner.search import tune
 from repro.tuner.space import Decision, enumerate_space
-from repro.tuner.workloads import matmul, mttkrp, ttm
+from repro.tuner.workloads import matmul, mttkrp, sized, ttm
 
 #: (cluster, memory, workloads): sized so every space mixes feasible,
 #: memory-infeasible and leaf-dominated candidates.
@@ -128,3 +131,29 @@ def test_every_keyed_field_can_change_the_bound(base, field, value):
     assert memory_bounds(
         assignment, changed, cluster, memory
     ) != memory_bounds(assignment, base, cluster, memory)
+
+
+def test_a_tune_walks_node_0_once_per_key(monkeypatch):
+    """Every static pass over a layout reads the grid's tables once.
+    In a tune on two nodes (where the time bound prices node 0's NIC),
+    those reads equal the memo's misses, one per distinct
+    ``bound_key``: the time bounds that order the search read the
+    memo's walks and add none of their own."""
+    walks = []
+    tables = orbit_state.machine_tables
+
+    def counted(machine):
+        caller = sys._getframe(1).f_globals["__name__"]
+        if caller.startswith("repro.analysis."):
+            walks.append(caller)
+        return tables(machine)
+
+    monkeypatch.setattr(orbit_state, "machine_tables", counted)
+    before = METRICS.export()["counters"].get("analysis.bound_memo_misses", 0)
+    result = tune(sized("matmul", 64), Cluster.cpu_cluster(2))
+    misses = (
+        METRICS.export()["counters"]["analysis.bound_memo_misses"] - before
+    )
+    assert result.search.bound_skipped > 0
+    assert misses > 0
+    assert len(walks) == misses

@@ -6,14 +6,20 @@ real cost would silently drop that candidate from the ranking. Checked
 for every statically surviving candidate of every tuner workload on
 the two-processor CPU, GPU and memory-starved clusters the grid-memo
 tests use, and as a property over random einsums and parameter sets.
+Every candidate's memory and time bounds on those clusters are also
+pinned by a digest, so a refactor of the static walk moves no byte and
+no float.
 """
 
 import copy
+import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.membound import memory_bounds
 from repro.analysis.timebound import time_lower_bound
 from repro.core.kernel import compile_kernel
 from repro.machine.cluster import Cluster
@@ -69,6 +75,26 @@ SOUNDNESS_CLUSTERS = dict(
 )
 
 
+#: SHA-256 of every candidate's memory and time bounds on
+#: ``SOUNDNESS_CLUSTERS`` (:func:`test_bounds_match_their_digest`).
+BOUND_DIGEST = (
+    "a1f9dd59dc78cfec82c8ff018e941f3f5fa832bb02aa63e23a3eaba70efd83b7"
+)
+
+
+def _candidates(cluster):
+    """Every candidate of every tuner workload at size 64 on
+    ``cluster`` (MTTKRP only up to two processors), as ``(assignment,
+    oracle, decision)`` with one oracle per workload."""
+    for workload in WORKLOADS:
+        if workload == "mttkrp" and cluster.num_processors > 2:
+            continue
+        assignment = sized(workload, 64)
+        oracle = Oracle(cluster)
+        for decision in enumerate_space(assignment, cluster.num_processors):
+            yield assignment, oracle, decision
+
+
 @pytest.mark.parametrize("cluster", list(SOUNDNESS_CLUSTERS))
 def test_bound_below_every_simulation(cluster):
     """Every workload's statically surviving candidates at size 64 (at
@@ -76,16 +102,36 @@ def test_bound_below_every_simulation(cluster):
     for some of them, so it is not trivially loose either."""
     cluster = SOUNDNESS_CLUSTERS[cluster]
     verdicts = []
-    for workload in WORKLOADS:
-        if workload == "mttkrp" and cluster.num_processors > 2:
-            continue
-        assignment = sized(workload, 64)
-        oracle = Oracle(cluster)
-        for decision in enumerate_space(assignment, cluster.num_processors):
-            if oracle.prune_reason(assignment, decision) is None:
-                verdicts.append(_assert_sound(assignment, oracle, decision))
+    for assignment, oracle, decision in _candidates(cluster):
+        if oracle.prune_reason(assignment, decision) is None:
+            verdicts.append(_assert_sound(assignment, oracle, decision))
     assert len(verdicts) >= 16
     assert any(verdicts)
+
+
+def test_bounds_match_their_digest():
+    """Every candidate's encoding, every field of its memory bound and
+    the ``repr`` of its time bound, computed without a memo, hash to
+    the pinned digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for name, cluster in SOUNDNESS_CLUSTERS.items():
+        for assignment, oracle, decision in _candidates(cluster):
+            machine = oracle.machine(decision.grid)
+            memory = memory_bounds(
+                assignment, decision, cluster, oracle.memory, machine
+            )
+            time = time_lower_bound(
+                assignment, decision, cluster, oracle.params,
+                oracle.memory, machine,
+            )
+            digest.update(repr((
+                name, decision.encode(), dataclasses.astuple(memory),
+                time,
+            )).encode())
+            count += 1
+    assert count == 1148
+    assert digest.hexdigest() == BOUND_DIGEST
 
 
 @given(

@@ -1,28 +1,28 @@
 """The oracle with its time lower bound switched off.
 
-``BoundOff`` patches the oracle's
-:func:`~repro.analysis.timebound.time_lower_bound` to return ``0.0``.
-No bound then exceeds a cost, so a bound-ordered search
+``BoundOff`` patches the time lower bound the oracle reads from its
+memo (:meth:`~repro.analysis.prune.PruneMemo.time_lower_bound`) to
+return ``0.0``. No bound then exceeds a cost, so a bound-ordered search
 (``Oracle.evaluate_top``) simulates every class — the heuristic seed's
 first, the rest in key order — and skips nothing. Tests run a tune with
 and without it and require the searches to agree exactly
 (:func:`assert_skip_exact`).
 """
 
+from repro.analysis.prune import PruneMemo
 from repro.bench.cache import SIM_CACHE
-from repro.tuner import oracle
 
 
 class BoundOff:
     """Context manager: every time lower bound is ``0.0`` inside."""
 
     def __enter__(self):
-        self._saved = oracle.time_lower_bound
-        oracle.time_lower_bound = lambda *args: 0.0
+        self._saved = PruneMemo.time_lower_bound
+        PruneMemo.time_lower_bound = lambda self, *args: 0.0
         return self
 
     def __exit__(self, *exc):
-        oracle.time_lower_bound = self._saved
+        PruneMemo.time_lower_bound = self._saved
         return False
 
 
