@@ -24,7 +24,7 @@ between grid points of one processor are elided by the executor, so
 coordinate-level tracking would report false positives on
 over-decomposed machines). On orbit-compressed traces (``count > 1``
 representatives) only the per-step checks run; hold tracking needs the
-full trace, which is how the executors' ``sanitize`` mode obtains it.
+full trace (``Kernel.trace()``'s default batched record).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.algorithms.matmul import cosma as distal_cosma
 from repro.machine.cluster import Cluster, MemoryKind
-from repro.sim.costmodel import CostModel
 from repro.sim.params import (
     COSMA_PARAMS,
     COSMA_RESTRICTED_PARAMS,
@@ -49,5 +48,4 @@ def cosma_reference_matmul(
         params = COSMA_RESTRICTED_PARAMS if restricted_cpus else COSMA_PARAMS
     # Host-resident data even on GPU machines: out-of-core execution.
     kernel = distal_cosma(cluster, n, memory=MemoryKind.SYSTEM_MEM)
-    trace = kernel.trace(check_capacity=True).trace
-    return CostModel(cluster, params).time_trace(trace)
+    return kernel.simulate(params)

@@ -23,16 +23,17 @@ Consequences reproduced, per the paper's Section 7.2.2:
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.algorithms.higher_order import innerprod as distal_innerprod
 from repro.algorithms.matmul import solomonik, summa_rect
 from repro.bench.weak_scaling import square_grid
+from repro.core.kernel import Kernel
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
-from repro.runtime.trace import Copy, Step, Trace
-from repro.sim.costmodel import CostModel
+from repro.runtime.trace import Copy, Step
+from repro.sim.costmodel import CostModel, SkeletonAccumulator
 from repro.sim.params import CTF_PARAMS, MachineParams
 from repro.sim.report import SimReport
 from repro.util.geometry import Interval, Rect
@@ -124,17 +125,23 @@ def redistribution_steps(
 
 
 def _compose(cluster: Cluster, params: MachineParams, *parts) -> SimReport:
-    """Time a sequence of traces / step lists as one execution."""
-    combined = Trace()
+    """Time a sequence of kernels / step lists as one execution.
+
+    Every part is priced, in order, into one skeleton: step lists as
+    they are, kernels streamed through the orbit executor.
+    """
+    model = CostModel(cluster, params)
+    acc = SkeletonAccumulator(model)
+    high_water: Dict[str, int] = {}
     for part in parts:
-        steps = part.steps if isinstance(part, Trace) else part
-        combined.steps.extend(steps)
-        if isinstance(part, Trace):
-            for mem, hw in part.memory_high_water.items():
-                combined.memory_high_water[mem] = max(
-                    combined.memory_high_water.get(mem, 0), hw
-                )
-    return CostModel(cluster, params).time_trace(combined)
+        if isinstance(part, Kernel):
+            trace = part.trace(mode="orbit", skeleton=acc).trace
+            for mem, hw in trace.memory_high_water.items():
+                high_water[mem] = max(high_water.get(mem, 0), hw)
+        else:
+            for step in part:
+                acc.add(step)
+    return model.price_skeleton(acc.finish(high_water))
 
 
 # ----------------------------------------------------------------------
@@ -161,8 +168,7 @@ def ctf_matmul(
         kernel = summa_rect(
             machine, n, n, n, chunk=max(1, n // 16), leaf="blas_gemm"
         )
-    trace = kernel.trace(check_capacity=True).trace
-    return _compose(cluster, params, trace)
+    return kernel.simulate(params)
 
 
 def ctf_ttv(
@@ -180,10 +186,9 @@ def ctf_ttv(
     gx, gy = best_rect_grid(p, m_dim, 1)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = summa_rect(machine, m_dim, n, 1, chunk=max(1, n // 8), leaf=None)
-    trace = kernel.trace(check_capacity=True).trace
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     post = redistribution_steps(cluster, float(n) ** 2 * ITEM, "unfold-A")
-    return _compose(cluster, params, pre, trace, post)
+    return _compose(cluster, params, pre, kernel, post)
 
 
 def ctf_innerprod(
@@ -196,9 +201,7 @@ def ctf_innerprod(
     """
     gx, gy = square_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
-    kernel = distal_innerprod(machine, n)
-    trace = kernel.trace(check_capacity=True).trace
-    return _compose(cluster, params, trace)
+    return distal_innerprod(machine, n).simulate(params)
 
 
 def ctf_ttm(
@@ -213,10 +216,9 @@ def ctf_ttm(
     kernel = summa_rect(
         machine, m_dim, n, r, chunk=max(1, n // 8), leaf="blas_gemm"
     )
-    trace = kernel.trace(check_capacity=True).trace
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     post = redistribution_steps(cluster, float(n) ** 2 * r * ITEM, "unfold-A")
-    return _compose(cluster, params, pre, trace, post)
+    return _compose(cluster, params, pre, kernel, post)
 
 
 def ctf_mttkrp(
@@ -236,16 +238,14 @@ def ctf_mttkrp(
     stage1 = summa_rect(
         machine, m_dim, n, r, chunk=max(1, n // 8), leaf="blas_gemm"
     )
-    trace1 = stage1.trace(check_capacity=True).trace
     # Stage 2 as a batched matvec: model with a rectangular matmul of the
     # same flop count ((i) x (j) contracted per l slice).
     gx2, gy2 = best_rect_grid(p, n, r)
     machine2 = Machine(cluster, Grid(gx2, gy2))
     stage2 = summa_rect(machine2, n, n, r, chunk=max(1, n // 8), leaf=None)
-    trace2 = stage2.trace(check_capacity=True).trace
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     mid = redistribution_steps(
         cluster, float(n) ** 2 * r * ITEM, "redist-T"
     )
     post = redistribution_steps(cluster, float(n) * r * ITEM, "unfold-A")
-    return _compose(cluster, params, pre, trace1, mid, trace2, post)
+    return _compose(cluster, params, pre, stage1, mid, stage2, post)

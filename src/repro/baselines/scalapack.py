@@ -15,7 +15,6 @@ from repro.bench.weak_scaling import square_grid
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
-from repro.sim.costmodel import CostModel
 from repro.sim.params import SCALAPACK_PARAMS, MachineParams
 from repro.sim.report import SimReport
 
@@ -29,5 +28,4 @@ def scalapack_matmul(
     gx, gy = square_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = summa(machine, n, leaf="blas_gemm")
-    trace = kernel.trace(check_capacity=True).trace
-    return CostModel(cluster, params).time_trace(trace)
+    return kernel.simulate(params)

@@ -8,33 +8,34 @@ figures in one process. Symbolic execution is deterministic — a kernel's
 machine, and the cost-model parameters — so results are memoized under a
 structural key:
 
-``(kernel fingerprint, machine shape, cluster signature, tensor sizes,
-params, check_capacity, executor mode)``
+``(kernel fingerprint, params)``
 
-The :class:`~repro.sim.params.MachineParams` and the executor mode
-(orbit / batched / scalar) are part of the key, so parameter sweeps and
-mode toggles can never alias to stale entries. Cache contents are
+where the *kernel fingerprint* is the plan's printed form (loop
+structure, extents, communication points, leaf kernels — i.e. the
+schedule), the machine shape, the cluster signature and every tensor's
+shape/dtype/format. Every entry is ``kernel.simulate(params)``: the
+orbit executor with capacity checks on. The
+:class:`~repro.sim.params.MachineParams` are part of the key, so
+parameter sweeps can never alias to stale entries. Out-of-memory
+outcomes are cached too: a configuration that OOMs re-raises
+:class:`~repro.util.errors.OutOfMemoryError` on every hit, so OOM rows
+in a sweep are as cheap as successful ones. Cache contents are
 picklable and exportable (:meth:`SimulationCache.export` /
 :meth:`SimulationCache.install`), which is how the process-parallel
 sweep driver (:mod:`repro.bench.parallel`) shares one logical cache
 across workers.
-
-where the *kernel fingerprint* is the plan's printed form (loop
-structure, extents, communication points, leaf kernels — i.e. the
-schedule) plus every tensor's shape/dtype/format. Out-of-memory
-outcomes are cached too: a configuration that OOMs re-raises
-:class:`~repro.util.errors.OutOfMemoryError` on every hit, so OOM rows
-in a sweep are as cheap as successful ones.
 
 The tuner's cost oracle (:mod:`repro.tuner.oracle`) scores every
 candidate through :meth:`SimulationCache.simulate` as well, so this is
 the one kernel-simulation memo in the process: its ``hits``/``misses`` count
 figure sweeps and tuning searches alike.
 
-Baseline models (ScaLAPACK, CTF, reference COSMA) build traces from
-closed-form formulas rather than kernels; :func:`cached_baseline`
-memoizes those in the same store, keyed ``("baseline", function,
-cluster signature, arguments)``, without counting hits or misses.
+Baseline models (ScaLAPACK, CTF, reference COSMA) compile their
+algorithms' kernels and price them through ``Kernel.simulate`` (CTF
+adds its fold redistributions to the same skeleton);
+:func:`cached_baseline` memoizes each model call in the same store,
+keyed ``("baseline", function, cluster signature, arguments)``, without
+counting hits or misses.
 """
 
 from __future__ import annotations
@@ -99,33 +100,20 @@ class SimulationCache:
         self.misses = 0
 
     @staticmethod
-    def _key(kernel, params: MachineParams, check_capacity: bool,
-             mode: str) -> Tuple:
-        return (
-            kernel_fingerprint(kernel),
-            params_key(params),
-            check_capacity,
-            mode,
-        )
+    def _key(kernel, params: MachineParams) -> Tuple:
+        return (kernel_fingerprint(kernel), params_key(params))
 
     def simulate(
-        self,
-        kernel,
-        params: MachineParams = LASSEN,
-        check_capacity: bool = True,
-        mode: str = "orbit",
+        self, kernel, params: MachineParams = LASSEN
     ) -> SimReport:
-        """``kernel.simulate(params, check_capacity, mode)``, memoized.
-        ``hits``/``misses`` count these kernel lookups only."""
-        key = self._key(kernel, params, check_capacity, mode)
+        """``kernel.simulate(params)``, memoized. ``hits``/``misses``
+        count these kernel lookups only."""
+        key = self._key(kernel, params)
         if key in self._store:
             self.hits += 1
         else:
             self.misses += 1
-        return self.memoized(
-            key, kernel.simulate, params,
-            check_capacity=check_capacity, mode=mode,
-        )
+        return self.memoized(key, kernel.simulate, params)
 
     def memoized(
         self, key: Tuple, compute: Callable[..., SimReport], *args,

@@ -84,7 +84,6 @@ class Kernel:
         self,
         check_capacity: bool = True,
         mode: str = "batched",
-        sanitize: bool = False,
         fault_plan=None,
         *,
         skeleton=None,
@@ -99,10 +98,7 @@ class Kernel:
         simulated times). A representative cannot be priced on its own
         (:class:`~repro.util.errors.RepresentativeCopyError`). Trace
         analyses default to the full ``"batched"`` record.
-        ``sanitize=True`` replays the trace
-        through the analyzer's independent consistency checks and
-        raises :class:`~repro.util.errors.TraceSanityError` on any
-        finding. ``fault_plan`` (a
+        ``fault_plan`` (a
         :class:`~repro.faults.events.FaultPlan`) arms fault injection:
         a planned node kill raises
         :class:`~repro.util.errors.NodeFailure` at the exact phase
@@ -120,8 +116,7 @@ class Kernel:
 
             executor = OrbitExecutor(
                 self.plan, check_capacity=check_capacity,
-                sanitize=sanitize, fault_plan=fault_plan,
-                skeleton=skeleton,
+                fault_plan=fault_plan, skeleton=skeleton,
             )
         elif mode in ("batched", "scalar"):
             executor = Executor(
@@ -129,7 +124,6 @@ class Kernel:
                 materialize=False,
                 check_capacity=check_capacity,
                 batched=(mode == "batched"),
-                sanitize=sanitize,
                 fault_plan=fault_plan,
             )
         else:
@@ -148,7 +142,6 @@ class Kernel:
         params: MachineParams = LASSEN,
         check_capacity: bool = True,
         mode: str = "orbit",
-        fault_plan=None,
         breakdown: bool = False,
     ) -> SimReport:
         """Symbolically execute and time the kernel on the cost model.
@@ -169,18 +162,8 @@ class Kernel:
         uncompressed interpreters. ``breakdown=True`` attaches the
         per-phase :class:`~repro.sim.report.PhaseBreakdown` without
         changing any report number.
-
-        With a ``fault_plan`` the run keeps every step's columns, so
-        the :class:`~repro.util.errors.NodeFailure` a kill raises
-        carries a partial trace that can still be priced.
         """
         model = CostModel(self.machine.cluster, params)
-        if fault_plan is not None:
-            result = self.trace(
-                check_capacity=check_capacity, mode=mode,
-                fault_plan=fault_plan,
-            )
-            return model.time_trace(result.trace, breakdown=breakdown)
         shared = None
         if mode == "orbit":
             # Runs on one grid share its step prices.

@@ -362,31 +362,21 @@ class PipelinePlan:
             consumer.machine,
         )
 
-    def simulate(
-        self,
-        params: MachineParams = LASSEN,
-        check_capacity: bool = True,
-        mode: str = "orbit",
-    ) -> PipelineReport:
+    def simulate(self, params: MachineParams = LASSEN) -> PipelineReport:
         """Simulate every stage plus every unmatched handoff.
 
         Stage simulations go through the shared
         :data:`~repro.bench.cache.SIM_CACHE`; redistribution reports are
         memoized per layout pair. Raises
         :class:`~repro.util.errors.OutOfMemoryError` when any stage
-        exceeds capacity (with ``check_capacity=True``).
+        exceeds capacity.
         """
         from repro.bench.cache import SIM_CACHE
 
         stage_costs = [
             StageCost(
                 name=stage.name,
-                report=SIM_CACHE.simulate(
-                    stage.kernel,
-                    params,
-                    check_capacity=check_capacity,
-                    mode=mode,
-                ),
+                report=SIM_CACHE.simulate(stage.kernel, params),
             )
             for stage in self.stages
         ]

@@ -128,11 +128,6 @@ class Executor:
         accounting) runs on the vectorized batch path. Defaults to
         symbolic-only; pass False to force the scalar reference
         interpreter (used by the parity tests).
-    sanitize:
-        Debug mode: after the run, replay the trace through the static
-        analyzer's sanitizer (:func:`repro.analysis.sanitize_trace`) and
-        raise :class:`~repro.util.errors.TraceSanityError` on any
-        finding. Findings are also kept on ``self.sanity_findings``.
     """
 
     def __init__(
@@ -141,7 +136,6 @@ class Executor:
         materialize: bool = True,
         check_capacity: bool = False,
         batched: Optional[bool] = None,
-        sanitize: bool = False,
         fault_plan=None,
     ):
         self.plan = plan
@@ -150,9 +144,7 @@ class Executor:
         self.materialize = materialize
         self.check_capacity = check_capacity
         self.batched = (not materialize) if batched is None else batched
-        self.sanitize = sanitize
         self.fault_plan = fault_plan
-        self.sanity_findings = []
         self.full_env: Dict[IndexVar, Interval] = {}
         self._collect_extents(plan.root)
         self._fetch_output = self._output_is_read()
@@ -241,8 +233,6 @@ class Executor:
         ctxs = [root_ctx]
         self._exec(self.plan.root, ctxs, self._make_block(ctxs))
         self.trace.memory_high_water = dict(self.env.high_water)
-        if self.sanitize:
-            self._sanity_check(self.trace)
         outputs = {}
         if self.materialize:
             outputs[self.plan.output] = self.arrays[self.plan.output]
@@ -265,15 +255,6 @@ class Executor:
         from repro.faults.events import install_fault_hook  # local: cycle
 
         install_fault_hook(self.trace, self.fault_plan, self)
-
-    def _sanity_check(self, trace: Trace):
-        """Replay ``trace`` through the independent analyzer pass."""
-        from repro.analysis.sanitizer import sanitize_trace
-        from repro.util.errors import TraceSanityError
-
-        self.sanity_findings = sanitize_trace(self.plan, trace)
-        if self.sanity_findings:
-            raise TraceSanityError(self.sanity_findings)
 
     # ------------------------------------------------------------------
     # Interpreter.

@@ -95,12 +95,12 @@ class OrbitExecutor(Executor):
     """Symbolic interpreter with orbit-compressed phase execution."""
 
     def __init__(
-        self, plan, check_capacity: bool = False, sanitize: bool = False,
-        fault_plan=None, skeleton=None,
+        self, plan, check_capacity: bool = False, fault_plan=None,
+        skeleton=None,
     ):
         super().__init__(
             plan, materialize=False, check_capacity=check_capacity,
-            batched=True, sanitize=sanitize, fault_plan=fault_plan,
+            fault_plan=fault_plan,
         )
         #: A :class:`~repro.sim.costmodel.SkeletonAccumulator` that
         #: prices each step as it closes, after which the step's copy
@@ -182,16 +182,6 @@ class OrbitExecutor(Executor):
         METRICS.inc("orbit.steps", len(self.trace.steps))
         for counter in ORBIT_COUNTERS:
             METRICS.inc(counter, getattr(self, counter[len("orbit."):]))
-        if self.sanitize:
-            # Orbit traces are class-compressed (one representative copy
-            # per orbit); the sanitizer's hold tracking needs the full
-            # per-context trace, so the debug mode replays the plan
-            # through the exact batched interpreter and checks that.
-            full = Executor(
-                self.plan, materialize=False,
-                check_capacity=self.check_capacity,
-            ).run(None)
-            self._sanity_check(full.trace)
         return ExecutionResult(
             trace=self.trace,
             outputs={},

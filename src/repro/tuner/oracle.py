@@ -983,7 +983,6 @@ class Oracle:
         memory: Optional[MemoryKind] = None,
         jobs: int = 1,
         ledger: Optional[TuningLedger] = None,
-        static_prune: bool = True,
         timeout_s: Optional[float] = None,
     ):
         self.cluster = cluster
@@ -993,7 +992,6 @@ class Oracle:
         self.memory = memory
         self.jobs = max(1, jobs)
         self.ledger = ledger
-        self.static_prune = static_prune
         #: Per-candidate wall-clock bound (None = unbounded). A stuck
         #: simulation becomes an infeasible, error-carrying outcome
         #: instead of a hung tune.
@@ -1033,10 +1031,7 @@ class Oracle:
     def prune_reason(
         self, assignment: Assignment, decision: Decision
     ) -> Optional[str]:
-        """Why ``decision`` need not be simulated here, or ``None``
-        (always ``None`` with static pruning off)."""
-        if not self.static_prune:
-            return None
+        """Why ``decision`` need not be simulated here, or ``None``."""
         return prune_reason(
             assignment,
             decision,

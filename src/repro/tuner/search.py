@@ -195,7 +195,6 @@ def tune(
     seed_grid: Optional[Sequence[int]] = None,
     memory=None,
     strategy: str = "exhaustive",
-    static_prune: bool = True,
     jobs: int = 1,
     max_dims: int = 3,
     ledger: Optional[TuningLedger] = None,
@@ -280,7 +279,6 @@ def tune(
         memory=memory,
         jobs=jobs,
         ledger=ledger,
-        static_prune=static_prune,
         timeout_s=timeout_s,
     )
     # ``rerank_expected`` re-scores the whole ranking, so only the

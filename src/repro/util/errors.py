@@ -46,21 +46,6 @@ class LegalityError(ScheduleError):
         super().__init__(f"illegal schedule decision: {lines}")
 
 
-class TraceSanityError(ReproError):
-    """The trace sanitizer found an inconsistent execution trace.
-
-    Raised only in the opt-in ``sanitize=True`` executor debug mode;
-    ``findings`` holds the sanitizer's structured diagnostics.
-    """
-
-    def __init__(self, findings):
-        self.findings = list(findings)
-        lines = "; ".join(
-            f"[{d.rule}] {d.field}: {d.message}" for d in self.findings
-        )
-        super().__init__(f"trace failed sanity checks: {lines}")
-
-
 class RepresentativeCopyError(ReproError):
     """Pricing columns were asked of orbit class representatives.
 

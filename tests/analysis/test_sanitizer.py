@@ -11,8 +11,6 @@ from repro.algorithms.matmul import cannon, cosma, solomonik, summa
 from repro.analysis import sanitize_trace
 from repro.core.transfer import transfer_kernel
 from repro.machine.cluster import Cluster, MemoryKind, ProcessorKind
-from repro.runtime.orbit import OrbitExecutor
-from repro.util.errors import TraceSanityError
 
 
 def m44():
@@ -58,15 +56,9 @@ class TestCleanTraces:
         ids=[n for n, _ in PARITY_KERNELS],
     )
     def test_sanitize_mode_passes(self, build):
-        # The opt-in executor debug mode: raises on any finding.
-        kernel = build()
-        kernel.trace(check_capacity=False, mode="batched", sanitize=True)
-
-    def test_orbit_sanitize_mode_re_executes_full_trace(self):
-        kernel = cannon(m44(), 256)
-        executor = OrbitExecutor(kernel.plan, sanitize=True)
-        executor.run()
-        assert executor.sanity_findings == []
+        # The opt-in sanitizer route: ``Kernel.analyze`` replays one full
+        # symbolic trace through the sanitizer and reports it clean.
+        assert build().analyze().findings == []
 
 
 def clean_trace(kernel):
@@ -174,18 +166,6 @@ class TestCorruptedTraces:
         step.copies.append(dataclasses.replace(copy, reduce=False))
         findings = sanitize_trace(kernel.plan, trace)
         assert any(f.rule == "reduction-order" for f in findings)
-
-    def test_sanitize_mode_raises(self):
-        kernel = cannon(m44(), 256)
-        executor_trace = clean_trace(kernel)
-        step = step_with_copies(executor_trace)
-        step.copies[0] = dataclasses.replace(step.copies[0], tensor="Z")
-        from repro.runtime.executor import Executor
-
-        executor = Executor(kernel.plan, materialize=False, sanitize=True)
-        with pytest.raises(TraceSanityError) as exc:
-            executor._sanity_check(executor_trace)
-        assert exc.value.findings
 
 
 class TestKernelAnalyze:

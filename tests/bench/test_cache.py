@@ -60,17 +60,6 @@ class TestSimulationCache:
         cache.simulate(cannon(machine, 256), LASSEN.with_(overlap=False))
         assert cache.misses == 2
 
-    def test_executor_mode_is_part_of_the_key(self, machine):
-        # Orbit and batched runs must never alias — a stale entry from
-        # one mode would defeat the parity guarantees of the other.
-        cache = SimulationCache()
-        r1 = cache.simulate(cannon(machine, 256), LASSEN, mode="orbit")
-        r2 = cache.simulate(cannon(machine, 256), LASSEN, mode="batched")
-        assert cache.misses == 2 and cache.hits == 0
-        assert r1 == r2  # parity, but distinct cache entries
-        cache.simulate(cannon(machine, 256), LASSEN, mode="orbit")
-        assert cache.hits == 1
-
     def test_param_sweep_never_aliases(self, machine):
         # Every distinct MachineParams lands in its own slot.
         cache = SimulationCache()

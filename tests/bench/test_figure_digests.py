@@ -14,9 +14,10 @@ import json
 
 import pytest
 
-from repro.bench import figures, parallel
+from repro.bench import cache, figures, parallel
 from repro.bench.cache import SimulationCache
-from repro.bench.figures import sweep
+from repro.bench.figures import FIGURES, sweep
+from repro.runtime.executor import Executor
 
 NODES = [1, 2, 4]
 
@@ -100,3 +101,19 @@ def test_each_series_alone_reports_what_the_sweep_does(monkeypatch):
         monkeypatch.setattr(figures, "SIM_CACHE", SimulationCache())
         alone = sweep("gemm", [32], gpu=True, systems=[row["system"]])
         assert alone == [row]
+
+
+def test_sweeps_price_every_series_through_the_orbit_executor(monkeypatch):
+    """Baselines and schedules alike simulate on the orbit executor:
+    from an empty cache, no figure point runs the batched or scalar
+    interpreter (``OrbitExecutor`` overrides ``Executor.run``)."""
+    def run(self, inputs=None):
+        raise AssertionError(f"a figure sweep ran {type(self).__name__}")
+
+    monkeypatch.setattr(Executor, "run", run)
+    empty = SimulationCache()
+    monkeypatch.setattr(cache, "SIM_CACHE", empty)
+    monkeypatch.setattr(figures, "SIM_CACHE", empty)
+    for figure in FIGURES:
+        for gpu in (False, True):
+            sweep(figure, [1, 2], gpu=gpu)

@@ -83,7 +83,7 @@ class TestInjection:
     def test_simulate_also_injects(self, kernel):
         plan = FaultPlan(events=(KillNode(phase=1, node=0),))
         with pytest.raises(NodeFailure) as exc:
-            kernel.simulate(fault_plan=plan)
+            kernel.trace(mode="orbit", fault_plan=plan)
         # The failure's partial trace keeps its columns: it still prices.
         model = CostModel(kernel.machine.cluster, LASSEN)
         assert model.time_trace(exc.value.partial_trace).num_steps == 1

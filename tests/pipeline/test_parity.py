@@ -45,13 +45,12 @@ def chain_decisions(pipe, grid_t=(2, 2), grid_d=(2, 2), tiled=("T",)):
 
 
 class TestSingleStageParity:
-    @pytest.mark.parametrize("mode", ["orbit", "batched"])
-    def test_byte_identical_to_kernel_simulate(self, mode):
+    def test_byte_identical_to_kernel_simulate(self):
         cluster = Cluster.cpu_cluster(4)
         pipe = Pipeline([matmul(2048)], cluster)
         plan = pipe.autoschedule()
-        combined = plan.simulate(LASSEN, mode=mode).combined
-        reference = plan.stages[0].kernel.simulate(LASSEN, mode=mode)
+        combined = plan.simulate(LASSEN).combined
+        reference = plan.stages[0].kernel.simulate(LASSEN)
         assert combined == reference  # dataclass equality: every field
 
     def test_single_stage_report_has_no_edges(self):

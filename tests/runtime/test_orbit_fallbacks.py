@@ -678,11 +678,11 @@ class TestCarriedReplay:
         assert model.time_trace(partial_on) == model.time_trace(partial_off)
 
     def test_sanitize(self):
-        # The sanitizer checks the full batched record; the delta-applied
-        # orbit trace beside it prices as without the sanitizer.
+        # A delta-applied orbit trace kept whole (no skeleton) prices as
+        # the fresh run does.
         machine = Machine(Cluster.cpu_cluster(16), Grid(8, 4))
         kernel = cannon(machine, 2048)
-        executor = OrbitExecutor(kernel.plan, sanitize=True)
+        executor = OrbitExecutor(kernel.plan)
         result = executor.run()
         assert executor.phase_deltas > 0
         model = CostModel(kernel.machine.cluster, LASSEN)

@@ -22,6 +22,8 @@ from repro.tuner.search import tune
 from repro.tuner.space import enumerate_space, realize
 from repro.tuner.workloads import matmul
 
+from prune_off import PruneOff
+
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
@@ -97,10 +99,8 @@ class TestIncrementalOracle:
     def test_pruning_preserves_the_winner(self):
         cluster = Cluster.cpu_cluster(4)
         pruned = tune(matmul(2048), cluster, strategy="exhaustive")
-        unpruned = tune(
-            matmul(2048), cluster, strategy="exhaustive",
-            static_prune=False,
-        )
+        with PruneOff():
+            unpruned = tune(matmul(2048), cluster, strategy="exhaustive")
         assert pruned.decision == unpruned.decision
         assert pruned.search.best.cost == unpruned.search.best.cost
 

@@ -16,6 +16,8 @@ from repro.tuner.space import Decision, enumerate_space, from_heuristic
 from repro.tuner.workloads import matmul
 from repro.sim.params import LASSEN
 
+from prune_off import PruneOff
+
 GIB = 1024 ** 3
 
 
@@ -37,8 +39,9 @@ class TestOracle:
         cluster = tiny_cluster()
         stmt = matmul(256)
         decisions = enumerate_space(stmt, 4)[:6]
-        oracle = Oracle(cluster, static_prune=False)
-        outcomes = oracle.evaluate(stmt, decisions)
+        oracle = Oracle(cluster)
+        with PruneOff():
+            outcomes = oracle.evaluate(stmt, decisions)
         assert [o.decision for o in outcomes] == decisions
         assert all(o.feasible for o in outcomes)
         assert all(o.cost > 0 for o in outcomes)

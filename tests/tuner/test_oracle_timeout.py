@@ -23,6 +23,8 @@ from repro.tuner.space import (
 )
 from repro.tuner.workloads import lean_cluster, matmul, ttv
 
+from prune_off import PruneOff
+
 
 class TestDeadline:
     def test_expires_on_slow_work(self):
@@ -112,11 +114,10 @@ class TestEvaluateTimeout:
             time.sleep(30)
 
         monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
-        oracle = Oracle(
-            cluster, params=LASSEN, static_prune=False, timeout_s=0.1
-        )
+        oracle = Oracle(cluster, params=LASSEN, timeout_s=0.1)
         space = enumerate_space(assignment, cluster.num_processors)
-        outcomes = oracle.evaluate(assignment, space[:2])
+        with PruneOff():
+            outcomes = oracle.evaluate(assignment, space[:2])
         assert oracle.errors == 2
         assert all("Timeout" in o.error for o in outcomes)
 
@@ -137,10 +138,9 @@ class TestEvaluateTimeout:
             time.sleep(30)
 
         monkeypatch.setattr(SIM_CACHE, "simulate", stuck)
-        oracle = Oracle(
-            cluster, params=LASSEN, static_prune=False, timeout_s=0.1
-        )
-        outcomes = oracle.evaluate(assignment, pair)
+        oracle = Oracle(cluster, params=LASSEN, timeout_s=0.1)
+        with PruneOff():
+            outcomes = oracle.evaluate(assignment, pair)
         assert [o.decision for o in outcomes] == pair
         assert all("Timeout" in o.error for o in outcomes)
         assert (oracle.errors, oracle.symmetry_shared) == (2, 0)
