@@ -229,6 +229,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.tuner.joint import DEFAULT_TOP_K
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.tune",
         description="Search-based schedule and format selection.",
@@ -247,8 +249,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--top-k",
         type=int,
-        default=6,
-        help="per-stage candidates the joint pipeline product ranges over",
+        default=DEFAULT_TOP_K,
+        help="per-stage candidates the joint pipeline product ranges "
+        "over (at least 1)",
     )
     parser.add_argument(
         "--max-dims", type=int, default=3, help="max machine-grid rank"
@@ -265,6 +268,8 @@ def main(argv=None) -> int:
         help="print the winner's static memory/communication bounds",
     )
     args = parser.parse_args(argv)
+    if args.top_k < 1:
+        parser.error(f"--top-k must be at least 1, got {args.top_k}")
 
     if args.demo:
         args.nodes, args.size = 4, 4096

@@ -6,9 +6,9 @@ input in a layout the producer does not write, and the redistribution
 between them can dwarf the time either stage saves. The joint mode
 searches the *pipeline* space:
 
-* each stage ranges over the top candidates of its own single-kernel
-  search (:func:`repro.tuner.search.tune` keeps the ranked head of its
-  space precisely for this);
+* each stage ranges over the top ``top_k`` candidates of its own
+  single-kernel search (:func:`repro.tuner.search.tune` with
+  ``keep=top_k`` ranks exactly that many);
 * each intermediate tensor additionally ranges over a **handoff
   choice** — ``redistribute`` (the consumer reads its own derived
   format, paying explicit copy traffic when it differs from the
@@ -125,22 +125,11 @@ class PipelineTuneResult:
         return "\n".join(lines)
 
 
-def _candidate_pool(
-    result: TuneResult, top_k: int
-) -> List[Decision]:
-    """Distinct feasible decisions of one stage's search, best first."""
-    pool: List[Decision] = []
-    for outcome in result.search.ranked:
-        if not outcome.feasible:
-            continue
-        if outcome.decision not in pool:
-            pool.append(outcome.decision)
-        if len(pool) >= top_k:
-            break
-    if result.decision not in pool:
-        pool.insert(0, result.decision)
-        pool = pool[:max(top_k, 1)]
-    return pool
+def _candidate_pool(result: TuneResult) -> List[Decision]:
+    """One stage's feasible ranked decisions, best first (its search
+    ranked ``top_k``); its answer alone when none is feasible."""
+    pool = [o.decision for o in result.search.ranked if o.feasible]
+    return pool or [result.decision]
 
 
 def _inject_compatible(
@@ -235,17 +224,20 @@ def tune_pipeline(
     """Jointly tune every stage of a pipeline plus its handoff formats.
 
     Runs the single-kernel search per stage (the search knobs are
-    forwarded), then scores the product of each stage's ``top_k``
-    candidates × per-edge handoff choices through
-    ``PipelinePlan.simulate()``. Deterministic: candidate pools come
-    from the deterministic per-stage searches, combinations are
-    enumerated in a fixed order, and cost ties break on the encoded
-    combination.
+    forwarded, and each ranks its top ``top_k``), then scores the
+    product of each stage's ``top_k`` candidates × per-edge handoff
+    choices through ``PipelinePlan.simulate()``. Deterministic:
+    candidate pools come from the deterministic per-stage searches,
+    combinations are enumerated in a fixed order, and cost ties break
+    on the encoded combination. ``top_k`` below 1 raises
+    ``ValueError``.
 
     ``coarse_procs`` is accepted and ignored; it is kept only because
     ``perfbench/tune_cold.py`` passes it. A ``benchmark`` change drops
     it (ROADMAP item 9).
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     memory = memory if memory is not None else pipeline.cluster.default_memory
 
     stage_results: Dict[str, TuneResult] = {}
@@ -262,9 +254,10 @@ def tune_pipeline(
             max_dims=max_dims,
             ledger=ledger,
             timeout_s=timeout_s,
+            keep=top_k,
         )
         stage_results[stage.name] = result
-        pools[stage.name] = _candidate_pool(result, top_k)
+        pools[stage.name] = _candidate_pool(result)
         oracle_for[stage.name] = Oracle(
             pipeline.cluster,
             params=params,

@@ -1,12 +1,14 @@
 """The schedule search: every candidate of the space, bound-ordered.
 
 :func:`tune` enumerates the canonical schedule space at full scale and
-ranks it exactly in its top :data:`RANKED_KEEP`: the heuristic seed is
+ranks it exactly in its top ``keep`` (1 for an answer, the joint
+tuner's ``top_k`` for its candidate pools): the heuristic seed is
 simulated first, then one candidate per index-symmetry class in order
 of a static time lower bound, until the bound alone proves that no
-remaining candidate can reach the top (branch and bound;
-:meth:`~repro.tuner.oracle.Oracle.evaluate_top`). A warm-started tune
-(``strategy="warm"``) ranks only the warm neighborhood the same way.
+remaining candidate can reach the top (branch and bound's fathoming
+rule; :meth:`~repro.tuner.oracle.Oracle.evaluate_top`). A warm-started
+tune (``strategy="warm"``) ranks only the warm neighborhood the same
+way.
 
 The search is deterministic: candidate order is the canonical-key
 order and ties break on the key, so two equal runs evaluate the same
@@ -34,11 +36,6 @@ from repro.tuner.space import (
     warm_variants,
 )
 
-#: How many top-ranked outcomes a search keeps for its callers (the
-#: joint pipeline tuner builds per-stage candidate pools from these).
-RANKED_KEEP = 32
-
-
 @dataclass
 class SearchOutcome:
     """Everything a tuning run decided and measured."""
@@ -48,7 +45,7 @@ class SearchOutcome:
     strategy: str
     space_size: int
     evaluations: int
-    #: Top outcomes, best first.
+    #: The top ``keep`` outcomes, best first.
     ranked: List[EvalOutcome] = field(default_factory=list)
     #: Candidates whose compile/simulation *errored* (OOMs excluded).
     errors: int = 0
@@ -63,7 +60,7 @@ class SearchOutcome:
     #: instead of a simulation (see :class:`~repro.tuner.oracle.Oracle`).
     symmetry_shared: int = 0
     #: Candidates skipped because a static time lower bound
-    #: proved they cannot reach :data:`RANKED_KEEP` (see
+    #: proved they cannot reach the top ``keep`` (see
     #: :meth:`~repro.tuner.oracle.Oracle.evaluate_top`).
     bound_skipped: int = 0
     #: Always 0; kept only because ``perfbench/tune_cold.py`` reads
@@ -107,17 +104,18 @@ def exhaustive_search(
     oracle: Oracle,
     decisions: Sequence[Decision],
     seed_decision: Optional[Decision] = None,
+    keep: int = 1,
 ) -> List[EvalOutcome]:
     """Every candidate at full scale, ranked. Given the
     ``seed_decision`` (simulated first), the ranking is exact only in
-    its top :data:`RANKED_KEEP`: the candidates a static time bound
-    proves cannot reach it are skipped and left out (see
+    its top ``keep``: the candidates a static time bound proves cannot
+    reach it are skipped and left out (see
     :meth:`~repro.tuner.oracle.Oracle.evaluate_top`)."""
     if seed_decision is None:
         outcomes = oracle.evaluate(assignment, list(decisions))
     else:
         outcomes = oracle.evaluate_top(
-            assignment, list(decisions), RANKED_KEEP, seed_decision
+            assignment, list(decisions), keep, seed_decision
         )
     return _rank(outcomes)
 
@@ -202,6 +200,7 @@ def tune(
     objective: str = "total",
     failure_rate: float = 0.0,
     timeout_s: Optional[float] = None,
+    keep: int = 1,
 ) -> TuneResult:
     """Search the schedule space for one assignment on one cluster.
 
@@ -236,6 +235,14 @@ def tune(
     simulates every survivor of static pruning. ``timeout_s``
     bounds each candidate's wall-clock evaluation (see
     :class:`~repro.tuner.oracle.Oracle`).
+
+    ``keep`` is how many outcomes ``search.ranked`` holds, best first.
+    With ``objective="total"`` the search simulates until its bound
+    proves those ``keep`` exact, so a deeper ranking costs more
+    simulations. Answers (:func:`repro.api.tune_request`, the serving
+    daemon, fault replanning) read only ``best`` and keep the default
+    1; :func:`repro.tuner.joint.tune_pipeline` passes its ``top_k``,
+    because it builds each stage's candidate pool from the ranking.
     """
     from repro.core.kernel import compile_kernel  # local: avoid cycle
 
@@ -249,6 +256,8 @@ def tune(
             f"unknown strategy {strategy!r} "
             f"(expected 'exhaustive' or 'warm')"
         )
+    if keep < 1:
+        raise ValueError(f"keep must be at least 1, got {keep}")
     p = cluster.num_processors
     if seed_grid is None:
         seed_grid = default_seed_grid(assignment, p)
@@ -286,6 +295,7 @@ def tune(
     ranked = exhaustive_search(
         assignment, oracle, space,
         seed_decision if objective == "total" else None,
+        keep,
     )
     if objective == "expected":
         from repro.faults.objective import rerank_expected  # local: cycle
@@ -310,7 +320,7 @@ def tune(
         strategy=strategy,
         space_size=len(space),
         evaluations=oracle.simulated,
-        ranked=ranked[:RANKED_KEEP],
+        ranked=ranked[:keep],
         errors=oracle.errors,
         pruned_static=oracle.pruned_static,
         trace_executions=oracle.trace_executions,

@@ -75,6 +75,12 @@ class TestJointSmall:
             <= result.independent_report.combined.total_time
         )
 
+    def test_top_k_below_one_raises(self):
+        pipeline = Pipeline(matmul_chain(1024, 256), Cluster.cpu_cluster(2))
+        for top_k in (0, -1):
+            with pytest.raises(ValueError, match="top_k must be at least 1"):
+                tune_pipeline(pipeline, LASSEN, top_k=top_k)
+
     def test_deterministic(self):
         cluster = Cluster.cpu_cluster(2)
         first = tune_pipeline(

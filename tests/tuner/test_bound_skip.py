@@ -1,12 +1,13 @@
 """Bound-ordered search is exact: skipping changes what is simulated,
 never what is found.
 
-A search that keeps its top ``RANKED_KEEP`` outcomes skips candidates
-whose static time lower bound exceeds the ``RANKED_KEEP``-th best cost
-known. Against the same search with every bound ``0.0`` (``BoundOff``,
-which skips nothing), the best and seed outcomes and every ranked record
-must be equal — for every tuner workload, on CPU and GPU clusters, and
-for the joint pipeline demo.
+A search that keeps its top ``keep`` outcomes skips candidates whose
+static time lower bound exceeds the ``keep``-th best cost known.
+Against the same search with every bound ``0.0`` (``BoundOff``, which
+skips nothing), the best and seed outcomes and every ranked record
+must be equal — at the depth answers read (1) and the one the joint
+tuner reads (``DEFAULT_TOP_K``), for every tuner workload, on CPU and
+GPU clusters, and for the joint pipeline demo.
 """
 
 import functools
@@ -16,9 +17,9 @@ import pytest
 from repro.machine.cluster import Cluster
 from repro.pipeline import Pipeline
 from repro.sim.params import LASSEN
-from repro.tuner.joint import tune_pipeline
+from repro.tuner.joint import DEFAULT_TOP_K, tune_pipeline
 from repro.tuner.oracle import Oracle, TuningLedger
-from repro.tuner.search import RANKED_KEEP, tune
+from repro.tuner.search import tune
 from repro.tuner.space import enumerate_space
 from repro.tuner.workloads import WORKLOADS, matmul, matmul_chain, sized
 
@@ -34,21 +35,62 @@ SEARCHES = {
 }
 
 
+#: Candidates the bound skips, by ``(workload, search)``, at the depth
+#: answers read and at the joint tuner's.
+SKIPPED = {
+    1: {
+        ("matmul", "cpu-exhaustive"): 28,
+        ("matmul", "gpu-exhaustive"): 30,
+        ("matmul-rect", "cpu-exhaustive"): 28,
+        ("matmul-rect", "gpu-exhaustive"): 35,
+        ("ttv", "cpu-exhaustive"): 14,
+        ("ttv", "gpu-exhaustive"): 14,
+        ("ttm", "cpu-exhaustive"): 64,
+        ("ttm", "gpu-exhaustive"): 68,
+        ("mttkrp", "cpu-exhaustive"): 197,
+        ("mttkrp", "gpu-exhaustive"): 198,
+    },
+    DEFAULT_TOP_K: {
+        ("matmul", "cpu-exhaustive"): 28,
+        ("matmul", "gpu-exhaustive"): 24,
+        ("matmul-rect", "cpu-exhaustive"): 28,
+        ("matmul-rect", "gpu-exhaustive"): 24,
+        ("ttv", "cpu-exhaustive"): 10,
+        ("ttv", "gpu-exhaustive"): 8,
+        ("ttm", "cpu-exhaustive"): 64,
+        ("ttm", "gpu-exhaustive"): 64,
+        ("mttkrp", "cpu-exhaustive"): 197,
+        ("mttkrp", "gpu-exhaustive"): 198,
+    },
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _searches(workload, search):
-    """The tune of ``workload`` at size 64 by ``search``, with and
-    without the bound (:func:`assert_skip_exact`; computed once)."""
+def _searches(workload, search, keep):
+    """The tune of ``workload`` at size 64 by ``search``, ranking its top
+    ``keep``, with and without the bound (:func:`assert_skip_exact`;
+    computed once)."""
     return assert_skip_exact(
-        lambda: tune(sized(workload, 64), SEARCHES[search])
+        lambda: tune(sized(workload, 64), SEARCHES[search], keep=keep)
     )
+
+
+def _assert_top_exact(workload, search, keep):
+    skipped, _ = _searches(workload, search, keep)
+    assert len(skipped.search.ranked) == keep
+    assert skipped.search.bound_skipped == SKIPPED[keep][workload, search]
 
 
 @pytest.mark.parametrize("search", list(SEARCHES))
 @pytest.mark.parametrize("workload", list(WORKLOADS))
 def test_skipping_keeps_the_top_exact(workload, search):
-    skipped, _ = _searches(workload, search)
-    # TTV's 40 candidates on four processors leave nothing to skip.
-    assert (skipped.search.bound_skipped > 0) == (workload != "ttv")
+    _assert_top_exact(workload, search, 1)
+
+
+@pytest.mark.parametrize("search", list(SEARCHES))
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_skipping_keeps_the_top_k_exact(workload, search):
+    _assert_top_exact(workload, search, DEFAULT_TOP_K)
 
 
 def test_waves_over_workers_skip_alike():
@@ -57,7 +99,7 @@ def test_waves_over_workers_skip_alike():
     and the search is exact. (MTTKRP has no rotation siblings sharing
     a cache entry, so forked workers simulate it exactly; ROADMAP
     item 3.)"""
-    skipped, full = _searches("mttkrp", "cpu-exhaustive")
+    skipped, full = _searches("mttkrp", "cpu-exhaustive", 1)
     waves = from_empty_cache(lambda: tune(
         sized("mttkrp", 64), SEARCHES["cpu-exhaustive"], jobs=2,
     ))
@@ -89,6 +131,48 @@ def test_joint_pipeline_demo_is_exact():
     ) > 0
 
 
+@pytest.mark.parametrize("n", [64, 4096])
+def test_mixed_depths_through_one_ledger_stay_exact(n):
+    """A joint tune at ``top_k=4`` from a ledger that depth-1 stage
+    tunes filled simulates exactly what they left out of a depth-4
+    search, and plans as it does from an empty ledger. (At ``n=64`` the
+    depths simulate different candidates; at 4096 the same ones.)"""
+    cluster = Cluster.cpu_cluster(4)
+
+    def joint(ledger):
+        return tune_pipeline(
+            Pipeline(matmul_chain(n), cluster), LASSEN, top_k=4,
+            ledger=ledger,
+        )
+
+    def shallow_then_joint():
+        ledger = TuningLedger(None)
+        shallow = [
+            tune(
+                stage.assignment, cluster, LASSEN,
+                memory=cluster.default_memory, ledger=ledger,
+            )
+            for stage in Pipeline(matmul_chain(n), cluster).stages
+        ]
+        return shallow, joint(ledger)
+
+    def evaluations(results):
+        return sum(r.search.evaluations for r in results)
+
+    fresh = from_empty_cache(lambda: joint(TuningLedger(None)))
+    shallow, mixed = from_empty_cache(shallow_then_joint)
+    assert evaluations(shallow) + evaluations(
+        mixed.stage_results.values()
+    ) == evaluations(fresh.stage_results.values())
+    assert mixed.decisions == fresh.decisions
+    assert mixed.handoffs == fresh.handoffs
+    assert mixed.report.combined.total_time == (
+        fresh.report.combined.total_time
+    )
+    for name, result in mixed.stage_results.items():
+        assert_same_search(result.search, fresh.stage_results[name].search)
+
+
 def test_retune_from_the_ledger_simulates_nothing():
     """The threshold starts from the ledger hits: a re-tune skips what
     the first tune skipped before simulating anything."""
@@ -112,9 +196,9 @@ def test_direct_evaluate_and_small_spaces_never_skip():
     assert oracle.bound_skipped == 0
     # Fewer decisions than the ranking keeps: nothing can fall out.
     top = from_empty_cache(lambda: Oracle(cluster).evaluate_top(
-        assignment, space[:RANKED_KEEP], RANKED_KEEP, space[0]
+        assignment, space[:DEFAULT_TOP_K], DEFAULT_TOP_K, space[0]
     ))
-    assert top == outcomes[:RANKED_KEEP]
+    assert top == outcomes[:DEFAULT_TOP_K]
 
 
 def test_expected_objective_never_skips():

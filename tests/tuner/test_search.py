@@ -156,3 +156,8 @@ class TestTune:
         for strategy in ("magic", "auto", "beam"):
             with pytest.raises(ValueError):
                 tune(matmul(256), Cluster.cpu_cluster(1), strategy=strategy)
+
+    def test_keep_below_one_raises(self):
+        for keep in (0, -1):
+            with pytest.raises(ValueError, match="keep must be at least 1"):
+                tune(matmul(256), Cluster.cpu_cluster(1), keep=keep)

@@ -153,6 +153,30 @@ class TestCli:
 class TestCliExitCodes:
     """`python -m repro.tune` fails loudly, like `repro.bench` does."""
 
+    def test_top_k_below_one_is_a_usage_error(self, capsys):
+        from repro.tune import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--pipeline", "chain-matmul", "--top-k", "0"])
+        assert exit_info.value.code == 2
+        assert "--top-k must be at least 1" in capsys.readouterr().err
+
+    def test_top_k_defaults_to_the_joint_tuners(self, monkeypatch):
+        import repro.tune as tune_cli
+        import repro.tuner.joint as joint
+
+        seen = []
+
+        def recording_tune_pipeline(*args, **kwargs):
+            seen.append(kwargs["top_k"])
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(joint, "tune_pipeline", recording_tune_pipeline)
+        monkeypatch.setattr(joint, "DEFAULT_TOP_K", 3)
+        args = ["--pipeline", "chain-matmul", "--nodes", "2"]
+        assert tune_cli.main(args) == 1
+        assert seen == [3]
+
     def test_unwritable_ledger_exits_nonzero(self, capsys):
         from repro.tune import main
 
