@@ -154,7 +154,8 @@ class Kernel:
         scales with the number of distinct per-context behaviours
         instead of the grid size, with byte-identical ``SimReport``
         numbers (``tests/runtime/test_orbit_executor.py``). Each step
-        is priced as it closes and its copy columns dropped, so peak
+        is priced as it closes (one ``CostModel.comm_time`` call, no
+        price memo) and its copy columns dropped, so peak
         memory grows with the processor count, not with processors ×
         phases: Cannon on 65,536 CPU nodes peaks under 400 MB.
         The report equals ``CostModel.time_trace`` of the full trace.
@@ -164,13 +165,7 @@ class Kernel:
         changing any report number.
         """
         model = CostModel(self.machine.cluster, params)
-        shared = None
-        if mode == "orbit":
-            # Runs on one grid share its step prices.
-            from repro.runtime.orbit_state import machine_tables
-
-            shared = machine_tables(self.machine).prices(params)
-        acc = SkeletonAccumulator(model, shared)
+        acc = SkeletonAccumulator(model)
         result = self.trace(
             check_capacity=check_capacity, mode=mode, skeleton=acc
         )

@@ -85,9 +85,13 @@ def transfer_kernel(
 def redistribution_bytes(
     src: TensorVar, dst_format: Format, machine: Machine
 ) -> int:
-    """Bytes a layout change moves, without executing it functionally."""
+    """Bytes a layout change moves, without executing it functionally.
+
+    Traced by the orbit executor: ``Step.total_copy_bytes`` weighs each
+    class representative by its multiplicity, so the count equals the
+    uncompressed trace's."""
     kernel = transfer_kernel(src, dst_format, machine)
-    result = kernel.trace(check_capacity=False)
+    result = kernel.trace(check_capacity=False, mode="orbit")
     return result.trace.total_copy_bytes
 
 

@@ -182,6 +182,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-dims", type=int, default=3)
     cli.add_common_args(parser, ledger=False, seed=False, timeout=True)
     args = parser.parse_args(argv)
+    if args.max_dims < 1:
+        parser.error(f"--max-dims must be at least 1, got {args.max_dims}")
     run = _run_pipeline if args.pipeline is not None else _run_kernel
     return cli.guarded("fault replanning failed", run, args)
 

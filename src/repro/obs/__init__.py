@@ -16,9 +16,9 @@ stacks, with three pillars:
   driver's envelope, exported to the same Chrome-trace format plus an
   aggregated flat profile.
 * **Metrics registry** — :data:`repro.obs.metrics.METRICS` unifies the
-  counters previously scattered across five subsystems (orbit phase
-  replays, cost-model step-price hits, simulation-cache hits, oracle
-  incrementality, sweep worker retries) behind one snapshot API,
+  counters previously scattered across subsystems (orbit phase
+  replays, simulation-cache hits, oracle incrementality, sweep worker
+  retries) behind one snapshot API,
   surfaced by the CLIs.
 
 ``python -m repro.obs`` exports traces (see :mod:`repro.obs.__main__`).

@@ -7,8 +7,7 @@ slices with microsecond ``ts``/``dur``.
 
 * :func:`breakdown_to_chrome` lays a :class:`~repro.sim.report
   .PhaseBreakdown` out in *simulated* time: one summary lane per phase
-  plus one lane per node class, with comm/compute sub-slices, replayed
-  phases tagged so a viewer query isolates steady-state provenance.
+  plus one lane per node class, with comm/compute sub-slices.
 * :func:`spans_to_chrome` lays recorded wall-clock spans out by their
   epoch timestamps, one process lane per recording pid (fork workers
   show up as separate lanes).
@@ -69,7 +68,7 @@ def breakdown_to_chrome(
             "name": phase.label,
             "ph": "X", "ts": ts, "dur": dur,
             "pid": _SIM_PID, "tid": 0,
-            "cat": "replayed" if phase.price_replayed else "priced",
+            "cat": "phase",
             "args": {
                 "index": phase.index,
                 "dominant": phase.dominant,
@@ -79,7 +78,6 @@ def breakdown_to_chrome(
                 "copy_bytes": phase.copy_bytes,
                 "inter_node_bytes": phase.inter_node_bytes,
                 "flops": phase.flops,
-                "price_replayed": phase.price_replayed,
             },
         })
         if phase.comm_s > 0:

@@ -126,10 +126,7 @@ SERVE_COUNTERS = (
 #:   per-processor fold;
 #: * ``orbit.home_shared`` — home-layout lookups (rectangles per grid
 #:   point, or a tensor's distinct home charges) answered by the
-#:   machine's grid-scoped table instead of derived again;
-#: * ``orbit.leaf_shared`` — repeated-leaf calls that missed the
-#:   region's memo and took their work writes from the machine's
-#:   grid-scoped memo, which another region or run filled.
+#:   machine's grid-scoped table instead of derived again.
 ORBIT_COUNTERS = (
     "orbit.phase_full",
     "orbit.phase_conjugate",
@@ -143,7 +140,6 @@ ORBIT_COUNTERS = (
     "orbit.leaf_comm_phases",
     "orbit.leaf_reused",
     "orbit.home_shared",
-    "orbit.leaf_shared",
 )
 
 

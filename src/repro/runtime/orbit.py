@@ -44,7 +44,6 @@ runs as numpy column arithmetic:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -53,9 +52,7 @@ from repro.codegen.plan import LaunchNode, LeafNode, PlanNode, SeqNode
 from repro.obs.metrics import METRICS, ORBIT_COUNTERS
 from repro.obs.spans import span
 from repro.runtime.batchbounds import CtxBlock, batch_bounds
-from repro.runtime.executor import (
-    ExecutionResult, Executor, _assign_vars, _ops_per_point,
-)
+from repro.runtime.executor import ExecutionResult, Executor, _assign_vars
 from repro.runtime.orbit_state import (
     OrbitState,
     _Chunk,
@@ -136,10 +133,9 @@ class OrbitExecutor(Executor):
         self.leaf_comm_phases = 0
         #: Leaf calls that replayed the previous iteration's Work.
         self.leaf_reused = 0
-        #: Home lookups and repeated-leaf Work the grid's tables held
-        #: from an earlier run on this machine or an earlier region.
+        #: Home lookups the grid's tables held from an earlier run on
+        #: this machine or an earlier region.
         self.home_shared = 0
-        self.leaf_shared = 0
         #: Resolve outcomes per tensor phase (``orbit.phase_*`` in the
         #: metrics registry): full resolves, and conjugate replays of
         #: the previous phase — seamless, or with a seam of members the
@@ -354,9 +350,7 @@ class OrbitExecutor(Executor):
         # Only calls that staged no output partials are memoized, so the
         # partial-table state the skipped half would consult cannot
         # matter. A leaf no sequential loop repeats in its region runs
-        # once there, so it neither reads nor writes the memo. Misses
-        # consult the grid's memo of such writes, which other regions
-        # and other runs on this machine filled.
+        # once there, so it neither reads nor writes the memo.
         repeated = id(node) in self._repeated_leaves
         if repeated:
             key = self._leaf_key(node, block)
@@ -365,13 +359,6 @@ class OrbitExecutor(Executor):
                 self.leaf_reused += 1
                 self._write_leaf_work(node, step, memo[1])
                 region.leaf_memo[id(node)] = memo
-                return
-            grid_key = self._grid_leaf_key(node, region, key)
-            writes = self._mt.leaf_work.get(grid_key)
-            if writes is not None:
-                self.leaf_shared += 1
-                self._write_leaf_work(node, step, writes)
-                region.leaf_memo[id(node)] = (key, writes)
                 return
         batch = self._leaf_work_batch(node, block)
         n = region.n
@@ -437,7 +424,6 @@ class OrbitExecutor(Executor):
         if not cands:
             if repeated:
                 region.leaf_memo[id(node)] = (key, writes)
-                self._mt.leaf_work[grid_key] = writes
             return
         member = np.concatenate([c[1] for c in cands])
         e_ids = np.concatenate(
@@ -485,38 +471,6 @@ class OrbitExecutor(Executor):
             for var in assign.lhs.indices:
                 key.extend(block.values_of(graph, var, full_env, exact=True))
         return key
-
-    def _grid_leaf_key(self, node: LeafNode, region: "_Region",
-                       key: List) -> Tuple:
-        """A repeated leaf call's key in the grid's leaf-work memo:
-        everything :meth:`_leaf_work_batch` and the partial check read.
-        That is the leaf's shape (per assignment: operation count, and
-        per access its variables' positions, item size, memory kind and
-        whether it writes the output; the kernel and parallel flag; the
-        output's format key and shape), then a 128-bit BLAKE2 digest of
-        the region's coordinates and the leaf-key columns, each prefixed
-        by its rank and shape (a grid-sized key would otherwise keep a
-        copy of its columns as long as the machine lives)."""
-        out = self.plan.tensors[self.plan.output]
-        assigns = []
-        for assign in node.assigns:
-            pos = {var: p for p, var in enumerate(_assign_vars(assign))}
-            assigns.append((_ops_per_point(assign), len(pos), tuple(
-                (tuple(pos[v] for v in access.indices),
-                 access.tensor.itemsize,
-                 access.tensor.format.memory.value,
-                 access.tensor.name == out.name)
-                for access in [assign.lhs] + list(assign.rhs.accesses())
-            )))
-        digest = hashlib.blake2b(digest_size=16)
-        for col in [region.coords] + key:
-            col = np.asarray(col, dtype=np.int64)
-            digest.update(
-                np.array((col.ndim,) + col.shape, dtype=np.int64).tobytes()
-            )
-            digest.update(col.tobytes())
-        return (tuple(assigns), node.kernel, node.parallel,
-                out.format.key(), tuple(out.shape), digest.digest())
 
     def _write_leaf_work(self, node: LeafNode, step: Step, writes):
         """Set each class representative's Work: ``writes`` holds one

@@ -235,19 +235,13 @@ class _MachineTables:
     and the grid-scoped memos every run on the machine shares.
 
     A tune builds one machine per grid (``tuner.oracle.grid_machine``),
-    so its candidates on one grid share these tables. Three memos hold
-    what the candidates would otherwise each derive again:
-
-    * **homes** — per ``(Format.key(), shape)``, every grid point's home
-      rectangle ``(lo, hi, ok)`` (:meth:`home`), and per ``(Format.key(),
-      shape, itemsize)`` the distinct home-instance charges
-      (:meth:`home_charges`);
-    * **step prices** — per cost-model parameter set, the communication
-      price of each step digest (:meth:`prices`);
-    * **leaf work** — the ``Work`` writes of repeated leaves that
-      staged no output partials (``leaf_work``), keyed by everything
-      the work batch and the partial check read (the grid-sized
-      columns by digest; ``OrbitExecutor._grid_leaf_key``).
+    so its candidates on one grid share these tables. One memo holds
+    what the candidates would otherwise each derive again, the
+    **homes**: per ``(Format.key(), shape)``, every grid point's home
+    rectangle ``(lo, hi, ok)`` (:meth:`home`), and per ``(Format.key(),
+    shape, itemsize)`` the distinct home-instance charges
+    (:meth:`home_charges`). Steps and leaf work are not memoized across
+    runs: the traffic repeats too few of them to pay for a key.
 
     Keys are structural (a format's notation and memory kind, never an
     object's identity), so an entry is exactly what a fresh derivation
@@ -313,9 +307,7 @@ class _MachineTables:
         self._residency: Dict[Optional[Tuple[str, str]], Tuple] = {}
         self._homes: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
         self._home_charges: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
-        self._prices: Dict[object, Dict[Tuple, float]] = {}
         self._rigid: Dict[Tuple[int, ...], bool] = {}
-        self.leaf_work: Dict[Tuple, Tuple] = {}
         self.home_hits = 0
 
     def node_rigid(self, shift: np.ndarray) -> bool:
@@ -377,12 +369,6 @@ class _MachineTables:
             (mem_ids[first], vol[take] * tensor.itemsize, take)
         )
         return cached
-
-    def prices(self, params) -> Dict[Tuple, float]:
-        """Communication prices by step digest under the cost-model
-        parameters ``params``, shared by every run on this grid (see
-        :class:`~repro.sim.costmodel.SkeletonAccumulator`)."""
-        return self._prices.setdefault(params, {})
 
     def residency(self, tensor=None) -> Tuple[np.ndarray, Optional[bool]]:
         """Framebuffer residency per processor of its own memory

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.machine.cluster import Cluster, ProcessorKind
-from repro.obs.metrics import METRICS
 from repro.obs.spans import span
 from repro.runtime.trace import CopyColumns, Step, Trace
 from repro.sim.params import MachineParams
@@ -77,13 +76,11 @@ class TraceSkeleton:
     total_copy_bytes: float
     num_nodes: int
     #: Per-step attribution columns the observability layer consumes
-    #: (``price_skeleton(..., breakdown=True)``): phase labels, byte
-    #: totals, and whether the step's communication price was replayed
-    #: from an earlier identical copy batch.
+    #: (``price_skeleton(..., breakdown=True)``): phase labels and byte
+    #: totals.
     labels: Tuple[str, ...]
     step_copy_bytes: Tuple[int, ...]
     step_inter_bytes: Tuple[int, ...]
-    price_replayed: Tuple[bool, ...]
     memory_high_water: Dict[str, int] = field(default_factory=dict)
 
 
@@ -99,24 +96,6 @@ def _work_entries(step: Step) -> Tuple[WorkEntry, ...]:
             w.count,
         )
         for proc_id, w in step.work.items()
-    )
-
-
-def _step_digest(cols: CopyColumns) -> Tuple:
-    """Content digest of a step's copy batch (collision-checked only by
-    probability; used to reuse a *price* across identical steps, where a
-    collision would mis-time both executors identically)."""
-    return (
-        cols.n,
-        cols.num_groups,
-        hash(cols.nbytes.tobytes()),
-        hash(cols.src_proc.tobytes()),
-        hash(cols.dst_proc.tobytes()),
-        hash(cols.group.tobytes()),
-        hash(cols.reduce.tobytes()),
-        hash(cols.gpu_resident.tobytes()),
-        hash(cols.src_gpu.tobytes()),
-        hash(cols.dst_gpu.tobytes()),
     )
 
 
@@ -212,7 +191,6 @@ class CostModel:
                         (entry[0], entry[5], float(entry_times[i]))
                         for i, entry in enumerate(work)
                     ),
-                    price_replayed=skeleton.price_replayed[index],
                 ))
         return SimReport(
             total_time=total,
@@ -528,65 +506,30 @@ class SkeletonAccumulator:
     columns; :meth:`CostModel.skeleton_of` adds a finished trace's
     steps in order. Both give the same skeleton.
 
-    Steps with byte-identical copy batches (a systolic algorithm's
-    steady state repeats one batch every iteration) are priced once via
-    a content digest, so communication pricing scales with the number
-    of *distinct* steps. The digest hit pattern is kept per step
-    (``price_replayed``) — the replay provenance the observability
-    layer surfaces — and counted in the metrics registry.
-
-    ``shared`` is a digest-to-price dict that outlives the run: the
-    grid's prices under the model's parameters
-    (:meth:`~repro.runtime.orbit_state._MachineTables.prices`), so a
-    step another run on the grid priced is not priced again. It only
-    saves the pricing: ``price_replayed`` keeps its per-run meaning,
-    and ``costmodel.shared_price_hits`` counts the steps it served.
+    Every step is priced by one :meth:`CostModel.comm_time` call: a
+    cost model is a plain function of the step, so equal copy batches
+    price to equal floats without a memo.
     """
 
-    def __init__(self, model: CostModel,
-                 shared: Optional[Dict[Tuple, float]] = None):
+    def __init__(self, model: CostModel):
         self._model = model
         self._steps: List[Tuple[float, Tuple[WorkEntry, ...]]] = []
-        self._priced: Dict[Tuple, float] = {}
-        self._shared = {} if shared is None else shared
-        self._shared_hits = 0
         self._labels: List[str] = []
         self._copy_bytes: List[int] = []
         self._inter_bytes: List[int] = []
-        self._replayed: List[bool] = []
 
     def add(self, step: Step):
         with span("costmodel.skeleton"):
             cols = step.columns()
-            hit = False
-            if cols.n == 0:
-                t_comm = 0.0
-            else:
-                digest = _step_digest(cols)
-                t_comm = self._priced.get(digest)
-                hit = t_comm is not None
-                if not hit:
-                    t_comm = self._shared.get(digest)
-                    if t_comm is None:
-                        t_comm = self._model.comm_time(cols)
-                        self._shared[digest] = t_comm
-                    else:
-                        self._shared_hits += 1
-                    self._priced[digest] = t_comm
-            self._steps.append((t_comm, _work_entries(step)))
+            self._steps.append(
+                (self._model.comm_time(cols), _work_entries(step))
+            )
             self._labels.append(step.label)
             # Exact sums over the copies, without building them.
             self._copy_bytes.append(int(cols.nbytes.sum()))
             self._inter_bytes.append(int(cols.nbytes @ cols.inter))
-            self._replayed.append(hit)
 
     def finish(self, high_water: Dict[str, int]) -> TraceSkeleton:
-        price_hits = sum(self._replayed)
-        METRICS.inc("costmodel.step_price_hits", price_hits)
-        METRICS.inc(
-            "costmodel.step_price_misses", len(self._steps) - price_hits
-        )
-        METRICS.inc("costmodel.shared_price_hits", self._shared_hits)
         # The per-step byte columns sum (exact integers, same order) to
         # the trace aggregates the seed read directly.
         return TraceSkeleton(
@@ -598,5 +541,4 @@ class SkeletonAccumulator:
             labels=tuple(self._labels),
             step_copy_bytes=tuple(self._copy_bytes),
             step_inter_bytes=tuple(self._inter_bytes),
-            price_replayed=tuple(self._replayed),
         )

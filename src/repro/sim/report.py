@@ -23,10 +23,7 @@ class PhaseCost:
     ``class_times`` attributes compute to node classes: one ``(proc_id,
     count, seconds)`` triple per work entry, where ``proc_id`` is the
     class representative's processor and ``count`` the orbit
-    multiplicity (1 everywhere in uncompressed traces). ``price_replayed``
-    marks phases whose communication price was reused from an earlier
-    byte-identical copy batch (the cost model's step digest) — the
-    steady-state provenance a trace viewer shades differently.
+    multiplicity (1 everywhere in uncompressed traces).
     """
 
     index: int
@@ -39,7 +36,6 @@ class PhaseCost:
     inter_node_bytes: int
     flops: float
     class_times: Tuple[Tuple[int, int, float], ...] = ()
-    price_replayed: bool = False
 
     @property
     def dominant(self) -> str:

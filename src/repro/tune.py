@@ -270,6 +270,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.top_k < 1:
         parser.error(f"--top-k must be at least 1, got {args.top_k}")
+    if args.max_dims < 1:
+        parser.error(f"--max-dims must be at least 1, got {args.max_dims}")
 
     if args.demo:
         args.nodes, args.size = 4, 4096

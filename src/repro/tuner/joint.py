@@ -230,7 +230,7 @@ def tune_pipeline(
     candidate pools come from the deterministic per-stage searches,
     combinations are enumerated in a fixed order, and cost ties break
     on the encoded combination. ``top_k`` below 1 raises
-    ``ValueError``.
+    ``ValueError``, as does ``max_dims`` below 1 (from :func:`tune`).
 
     ``coarse_procs`` is accepted and ignored; it is kept only because
     ``perfbench/tune_cold.py`` passes it. A ``benchmark`` change drops

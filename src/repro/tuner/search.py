@@ -258,6 +258,8 @@ def tune(
         )
     if keep < 1:
         raise ValueError(f"keep must be at least 1, got {keep}")
+    if max_dims < 1:
+        raise ValueError(f"max_dims must be at least 1, got {max_dims}")
     p = cluster.num_processors
     if seed_grid is None:
         seed_grid = default_seed_grid(assignment, p)

@@ -96,6 +96,12 @@ class TestCli:
         assert digest == PIPELINE_REPORT_SHA256
         assert "metrics" in payload
 
+    def test_max_dims_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workload", "matmul", "--nodes", "2", "--max-dims", "0"])
+        assert exit_info.value.code == 2
+        assert "--max-dims must be at least 1" in capsys.readouterr().err
+
     def test_unreplanned_failure_exits_nonzero(self, monkeypatch, capsys):
         import repro.faults.__main__ as faults_cli
 

@@ -27,7 +27,7 @@ def make_breakdown():
         PhaseCost(
             index=1, label="fetch A", comm_s=0.5, compute_s=1.0,
             overhead_s=0.1, total_s=1.1, copy_bytes=100,
-            inter_node_bytes=80, flops=1e9, price_replayed=True,
+            inter_node_bytes=80, flops=1e9,
         ),
     ))
 
@@ -52,14 +52,6 @@ class TestBreakdownExport:
         assert slices[0]["ts"] == 0
         assert slices[1]["ts"] == pytest.approx(1.1e6)
         assert slices[0]["dur"] == pytest.approx(1.1e6)
-
-    def test_replay_provenance_is_a_category(self):
-        trace = breakdown_to_chrome(make_breakdown())
-        cats = [
-            e.get("cat") for e in trace["traceEvents"]
-            if e["ph"] == "X" and e["tid"] == 0
-        ]
-        assert cats == ["priced", "replayed"]
 
     def test_one_lane_per_node_class(self):
         trace = breakdown_to_chrome(make_breakdown())

@@ -81,6 +81,11 @@ class TestJointSmall:
             with pytest.raises(ValueError, match="top_k must be at least 1"):
                 tune_pipeline(pipeline, LASSEN, top_k=top_k)
 
+    def test_max_dims_below_one_raises(self):
+        pipeline = Pipeline(matmul_chain(1024, 256), Cluster.cpu_cluster(2))
+        with pytest.raises(ValueError, match="max_dims must be at least 1"):
+            tune_pipeline(pipeline, LASSEN, max_dims=0)
+
     def test_deterministic(self):
         cluster = Cluster.cpu_cluster(2)
         first = tune_pipeline(

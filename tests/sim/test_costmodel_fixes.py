@@ -17,7 +17,6 @@
 import pytest
 
 from repro.algorithms.matmul import summa
-from repro.obs.metrics import METRICS
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
@@ -207,12 +206,13 @@ class TestBroadcastForwarding:
         )
 
 
-class TestStepPriceCounters:
-    def test_hits_and_misses_of_a_fixed_trace(self):
-        # Steps A, B, A, (no copies), B: the repeated batches are price
-        # hits; the first of each batch and the copy-free step are
-        # misses. (A and B move the same bytes in opposite directions.)
+class TestStepPrices:
+    def test_each_step_priced_by_comm_time(self):
+        # Steps A, B, A, (no copies), B: every step's price is its own
+        # comm_time, so the two A steps price to the same float. (A and
+        # B move the same bytes in opposite directions.)
         cluster = Cluster.cpu_cluster(2, sockets_per_node=1)
+        model = CostModel(cluster, LASSEN)
         trace = Trace()
         for batch in ("A", "B", "A", None, "B"):
             step = trace.new_step(f"step-{batch}")
@@ -221,12 +221,11 @@ class TestStepPriceCounters:
                 step.copies.append(copy_between(
                     cluster, src, 1 - src, 1 << 20, tensor=batch
                 ))
-        before = METRICS.export()
-        skeleton = CostModel(cluster, LASSEN).skeleton_of(trace)
-        counters = METRICS.delta(before)["counters"]
-        assert skeleton.price_replayed == (False, False, True, False, True)
-        assert counters.get("costmodel.step_price_hits") == 2
-        assert counters.get("costmodel.step_price_misses") == 3
+        skeleton = model.skeleton_of(trace)
+        prices = [t_comm for t_comm, _work in skeleton.steps]
+        assert prices == [model.comm_time(s.columns()) for s in trace.steps]
+        assert prices[0] == prices[2]
+        assert prices[3] == 0.0
 
 
 class TestTaskOverheadScaling:

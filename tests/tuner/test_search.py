@@ -161,3 +161,10 @@ class TestTune:
         for keep in (0, -1):
             with pytest.raises(ValueError, match="keep must be at least 1"):
                 tune(matmul(256), Cluster.cpu_cluster(1), keep=keep)
+
+    def test_max_dims_below_one_raises(self):
+        for max_dims in (0, -1):
+            with pytest.raises(
+                ValueError, match="max_dims must be at least 1"
+            ):
+                tune(matmul(256), Cluster.cpu_cluster(1), max_dims=max_dims)

@@ -161,6 +161,14 @@ class TestCliExitCodes:
         assert exit_info.value.code == 2
         assert "--top-k must be at least 1" in capsys.readouterr().err
 
+    def test_max_dims_below_one_is_a_usage_error(self, capsys):
+        from repro.tune import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--demo", "--max-dims", "0", "--json"])
+        assert exit_info.value.code == 2
+        assert "--max-dims must be at least 1" in capsys.readouterr().err
+
     def test_top_k_defaults_to_the_joint_tuners(self, monkeypatch):
         import repro.tune as tune_cli
         import repro.tuner.joint as joint
