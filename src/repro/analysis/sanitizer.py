@@ -18,7 +18,7 @@ previously re-checked:
   sources are exempt — partials are produced by local leaf work.)
 
 The checks consume ``step.copies`` — the canonical per-copy record —
-rather than the lossy ``skeleton_of`` projection, which keeps neither
+rather than the cost model's copy columns, which keep neither
 rectangles nor coordinates. Holds are tracked per *processor* (copies
 between grid points of one processor are elided by the executor, so
 coordinate-level tracking would report false positives on

@@ -1,6 +1,6 @@
 """Pass 5: a static lower bound on a candidate's simulated time.
 
-:meth:`~repro.sim.costmodel.CostModel.price_skeleton` charges every
+:meth:`~repro.sim.costmodel.SkeletonAccumulator.add` charges every
 step ``max(comm, compute)`` (``comm + compute`` without overlap) plus
 ``task_overhead * max(invocations, default=1)``; a step's compute is
 the roofline of its busiest processor and its communication the load of

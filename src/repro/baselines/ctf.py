@@ -127,8 +127,8 @@ def redistribution_steps(
 def _compose(cluster: Cluster, params: MachineParams, *parts) -> SimReport:
     """Time a sequence of kernels / step lists as one execution.
 
-    Every part is priced, in order, into one skeleton: step lists as
-    they are, kernels streamed through the orbit executor.
+    Every part is priced, in order, into one accumulator: step lists
+    as they are, kernels streamed through the orbit executor.
     """
     model = CostModel(cluster, params)
     acc = SkeletonAccumulator(model)
@@ -141,7 +141,7 @@ def _compose(cluster: Cluster, params: MachineParams, *parts) -> SimReport:
         else:
             for step in part:
                 acc.add(step)
-    return model.price_skeleton(acc.finish(high_water))
+    return model.price_skeleton(acc, high_water)
 
 
 # ----------------------------------------------------------------------

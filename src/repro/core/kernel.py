@@ -165,13 +165,11 @@ class Kernel:
         changing any report number.
         """
         model = CostModel(self.machine.cluster, params)
-        acc = SkeletonAccumulator(model)
+        acc = SkeletonAccumulator(model, breakdown=breakdown)
         result = self.trace(
             check_capacity=check_capacity, mode=mode, skeleton=acc
         )
-        return model.price_skeleton(
-            acc.finish(result.trace.memory_high_water), breakdown=breakdown
-        )
+        return model.price_skeleton(acc, result.trace.memory_high_water)
 
     def analyze(
         self,

@@ -166,6 +166,8 @@ class Cluster:
     ):
         if num_nodes <= 0 or procs_per_node <= 0:
             raise ValueError("node and processor counts must be positive")
+        if proc_mem_capacity <= 0 or system_mem_capacity <= 0:
+            raise ValueError("memory capacities must be positive")
         self.num_nodes = num_nodes
         self.procs_per_node = procs_per_node
         self.processor_kind = proc_kind

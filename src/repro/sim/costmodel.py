@@ -38,65 +38,17 @@ Per step (bulk-synchronous phase):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.machine.cluster import Cluster, ProcessorKind
 from repro.obs.spans import span
-from repro.runtime.trace import CopyColumns, Step, Trace
+from repro.runtime.trace import CopyColumns, Step, Trace, Work
 from repro.sim.params import MachineParams
 from repro.sim.report import PhaseBreakdown, PhaseCost, SimReport
 
 GEMM_KERNELS = {"blas_gemm", "cublas_gemm", "gemm"}
-
-#: One processor-class's leaf work inside a skeleton step:
-#: ``(proc_id, ((kernel, flops), ...), bytes_touched, staged_bytes,
-#: invocations, count)``.
-WorkEntry = Tuple[int, Tuple[Tuple[Optional[str], float], ...], float,
-                  float, int, int]
-
-
-@dataclass
-class TraceSkeleton:
-    """A priced sub-trace: everything needed to re-derive a
-    :class:`SimReport` without the trace.
-
-    Communication is pre-priced per step (``t_comm``); compute is kept
-    as per-processor-class work entries, priced by the roofline in
-    :meth:`CostModel.price_skeleton`. Skeletons are small — per-class
-    work rows and one float per step — independent of the machine size,
-    so ``Kernel.simulate`` can accumulate one while a run streams its
-    steps and drop each step's copy columns as it closes.
-    """
-
-    steps: List[Tuple[float, Tuple[WorkEntry, ...]]]
-    inter_node_bytes: float
-    total_copy_bytes: float
-    num_nodes: int
-    #: Per-step attribution columns the observability layer consumes
-    #: (``price_skeleton(..., breakdown=True)``): phase labels and byte
-    #: totals.
-    labels: Tuple[str, ...]
-    step_copy_bytes: Tuple[int, ...]
-    step_inter_bytes: Tuple[int, ...]
-    memory_high_water: Dict[str, int] = field(default_factory=dict)
-
-
-def _work_entries(step: Step) -> Tuple[WorkEntry, ...]:
-    """A step's work table as skeleton entries (one layout, one place)."""
-    return tuple(
-        (
-            proc_id,
-            tuple(w.kernel_flops.items()),
-            w.bytes_touched,
-            w.staged_bytes,
-            w.invocations,
-            w.count,
-        )
-        for proc_id, w in step.work.items()
-    )
 
 
 class CostModel:
@@ -117,94 +69,35 @@ class CostModel:
         ``breakdown=True`` attaches a per-phase
         :class:`~repro.sim.report.PhaseBreakdown` to the report; every
         scalar number is unchanged (the breakdown is derived from the
-        same priced columns, in the same order).
+        same per-step prices, in the same order).
         """
-        return self.price_skeleton(
-            self.skeleton_of(trace), breakdown=breakdown
-        )
-
-    def skeleton_of(self, trace: Trace) -> TraceSkeleton:
-        """Price a finished trace's steps into a skeleton (see
-        :class:`SkeletonAccumulator`, which also prices steps as a run
-        produces them)."""
-        acc = SkeletonAccumulator(self)
+        acc = SkeletonAccumulator(self, breakdown=breakdown)
         for step in trace.steps:
             acc.add(step)
-        return acc.finish(trace.memory_high_water)
+        return self.price_skeleton(acc, trace.memory_high_water)
 
     def price_skeleton(
         self,
-        skeleton: TraceSkeleton,
-        breakdown: bool = False,
+        acc: SkeletonAccumulator,
+        high_water: Dict[str, int],
     ) -> SimReport:
-        """A :class:`SimReport` from a priced sub-trace: each step's
-        pre-priced communication plus its work entries' roofline
-        compute, overlapped or summed per ``params.overlap``.
-
-        ``breakdown=True`` additionally attaches a
-        :class:`~repro.sim.report.PhaseBreakdown` built from the same
-        per-step quantities (identical floats, identical summation
-        order), so parity-pinned reports stay byte-identical.
-        """
-        total = 0.0
-        comm_total = 0.0
-        compute_total = 0.0
-        flops = 0.0
-        bytes_touched = 0.0
-        phases: List[PhaseCost] = []
-        for index, (t_comm, work) in enumerate(skeleton.steps):
-            if breakdown:
-                entry_times = self._compute_entries(work, per_entry=True)
-                t_compute = (
-                    float(entry_times.max()) if entry_times.size else 0.0
-                )
-            else:
-                t_compute = self._compute_entries(work)
-            if self.params.overlap:
-                t_step = max(t_comm, t_compute)
-            else:
-                t_step = t_comm + t_compute
-            overhead = self.params.task_overhead * max(
-                (entry[4] for entry in work), default=1
-            )
-            t_step += overhead
-            total += t_step
-            comm_total += t_comm
-            compute_total += t_compute
-            step_flops = 0.0
-            for entry in work:
-                step_flops += sum(fl for _k, fl in entry[1]) * entry[5]
-                bytes_touched += entry[2] * entry[5]
-            flops += step_flops
-            if breakdown:
-                phases.append(PhaseCost(
-                    index=index,
-                    label=skeleton.labels[index],
-                    comm_s=t_comm,
-                    compute_s=t_compute,
-                    overhead_s=overhead,
-                    total_s=t_step,
-                    copy_bytes=skeleton.step_copy_bytes[index],
-                    inter_node_bytes=skeleton.step_inter_bytes[index],
-                    flops=step_flops,
-                    class_times=tuple(
-                        (entry[0], entry[5], float(entry_times[i]))
-                        for i, entry in enumerate(work)
-                    ),
-                ))
+        """The :class:`SimReport` of the steps ``acc`` priced, with the
+        run's per-memory ``high_water`` marks; its per-phase breakdown
+        when ``acc`` was made with ``breakdown=True``."""
         return SimReport(
-            total_time=total,
-            comm_time=comm_total,
-            compute_time=compute_total,
-            total_flops=flops,
-            bytes_touched=bytes_touched,
-            inter_node_bytes=skeleton.inter_node_bytes,
-            total_copy_bytes=skeleton.total_copy_bytes,
-            num_nodes=skeleton.num_nodes,
-            memory_high_water=dict(skeleton.memory_high_water),
-            num_steps=len(skeleton.steps),
+            total_time=acc.total_time,
+            comm_time=acc.comm_time,
+            compute_time=acc.compute_time,
+            total_flops=acc.flops,
+            bytes_touched=acc.bytes_touched,
+            inter_node_bytes=acc.inter_node_bytes,
+            total_copy_bytes=acc.copy_bytes,
+            num_nodes=self.cluster.num_nodes,
+            memory_high_water=dict(high_water),
+            num_steps=acc.num_steps,
             breakdown=(
-                PhaseBreakdown(phases=tuple(phases)) if breakdown else None
+                None if acc.phases is None
+                else PhaseBreakdown(phases=tuple(acc.phases))
             ),
         )
 
@@ -213,40 +106,31 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def compute_time(self, step: Step) -> float:
-        return self._compute_entries(_work_entries(step))
+        """Roofline time of a step's slowest processor."""
+        return _slowest(self._compute_entries(list(step.work.values())))
 
-    def _compute_entries(
-        self,
-        entries: Tuple[WorkEntry, ...],
-        per_entry: bool = False,
-    ):
-        """Compute time of a step's work entries.
-
-        Returns the bulk-synchronous step time ``float(worst.max())``,
-        or — with ``per_entry=True`` — the per-entry ``worst`` array
-        itself, whose max is that same float (the breakdown's per-class
-        attribution reuses the identical roofline evaluation).
-        """
-        if not entries:
-            return np.empty(0) if per_entry else 0.0
+    def _compute_entries(self, works: List[Work]) -> np.ndarray:
+        """Roofline time of each of a step's work entries."""
+        if not works:
+            return np.empty(0)
         params = self.params
-        n = len(entries)
+        n = len(works)
         gemm_flops = np.empty(n)
         other_flops = np.empty(n)
         bytes_touched = np.empty(n)
         staged = np.empty(n)
         is_gpu = np.full(n, self._gpu)
-        for i, entry in enumerate(entries):
+        for i, w in enumerate(works):
             g = o = 0.0
-            for kern, fl in entry[1]:
+            for kern, fl in w.kernel_flops.items():
                 if kern in GEMM_KERNELS:
                     g += fl
                 else:
                     o += fl
             gemm_flops[i] = g
             other_flops[i] = o
-            bytes_touched[i] = entry[2]
-            staged[i] = entry[3]
+            bytes_touched[i] = w.bytes_touched
+            staged[i] = w.staged_bytes
         rate = np.where(
             is_gpu,
             params.gpu_gflops,
@@ -262,20 +146,13 @@ class CostModel:
         t_flops += other_flops / (rate * params.naive_leaf_efficiency * ooc)
         t_bytes = bytes_touched / mem_bw
         t_staged = staged / params.pcie_bw
-        worst = np.maximum(np.maximum(t_flops, t_bytes), t_staged)
-        if per_entry:
-            return worst
-        return float(worst.max())
+        return np.maximum(np.maximum(t_flops, t_bytes), t_staged)
 
     # ------------------------------------------------------------------
     # Communication.
     # ------------------------------------------------------------------
 
-    def comm_time(
-        self,
-        copies,
-        columns: Optional[CopyColumns] = None,
-    ) -> float:
+    def comm_time(self, copies) -> float:
         """Communication time of one step's copy batch.
 
         Consumes the columnar view (:class:`CopyColumns`) — pass it
@@ -293,8 +170,6 @@ class CostModel:
         """
         if isinstance(copies, CopyColumns):
             cols = copies
-        elif columns is not None:
-            cols = columns
         else:
             cols = CopyColumns.from_copies(copies)
         n = cols.n
@@ -495,50 +370,85 @@ def _link_max(terms, size: int) -> float:
     return np.bincount(index, weights=weight, minlength=size).max()
 
 
+def _slowest(times: np.ndarray) -> float:
+    """A lockstep step's compute time: its slowest entry's (0 if none)."""
+    return float(times.max()) if times.size else 0.0
+
+
 class SkeletonAccumulator:
-    """Prices steps one at a time into a :class:`TraceSkeleton`.
+    """Prices steps one at a time, as they close, into running totals.
 
-    ``add(step)`` prices a completed step's communication and captures
-    its work entries; ``finish(high_water)`` returns the skeleton. An
-    executor given an accumulator (``Kernel.trace(skeleton=...)``)
-    adds each step as it closes and then releases the step's copy
-    columns, so a streamed run never holds more than one step's
-    columns; :meth:`CostModel.skeleton_of` adds a finished trace's
-    steps in order. Both give the same skeleton.
+    ``add(step)`` prices the whole step: its communication (one
+    :meth:`CostModel.comm_time` call on its columns), its work
+    entries' roofline compute, overlapped or summed per
+    ``params.overlap``, and the launch overhead. An executor given an
+    accumulator (``Kernel.trace(skeleton=...)``) adds each step as it
+    closes and then releases the step's copy columns, so a streamed
+    run never holds more than one step's columns;
+    :meth:`CostModel.time_trace` adds a finished trace's steps in
+    order. Both sum the same floats in the same order, and
+    :meth:`CostModel.price_skeleton` turns the totals into a report.
 
-    Every step is priced by one :meth:`CostModel.comm_time` call: a
-    cost model is a plain function of the step, so equal copy batches
-    price to equal floats without a memo.
+    ``breakdown=True`` also keeps one
+    :class:`~repro.sim.report.PhaseCost` per step (``phases``).
     """
 
-    def __init__(self, model: CostModel):
+    def __init__(self, model: CostModel, breakdown: bool = False):
         self._model = model
-        self._steps: List[Tuple[float, Tuple[WorkEntry, ...]]] = []
-        self._labels: List[str] = []
-        self._copy_bytes: List[int] = []
-        self._inter_bytes: List[int] = []
+        self.phases: Optional[List[PhaseCost]] = [] if breakdown else None
+        self.total_time = 0.0
+        self.comm_time = 0.0
+        self.compute_time = 0.0
+        self.flops = 0.0
+        self.bytes_touched = 0.0
+        self.inter_node_bytes = 0
+        self.copy_bytes = 0
+        self.num_steps = 0
 
     def add(self, step: Step):
         with span("costmodel.skeleton"):
+            model = self._model
+            params = model.params
             cols = step.columns()
-            self._steps.append(
-                (self._model.comm_time(cols), _work_entries(step))
+            t_comm = model.comm_time(cols)
+            works = list(step.work.values())
+            times = model._compute_entries(works)
+            t_compute = _slowest(times)
+            if params.overlap:
+                t_step = max(t_comm, t_compute)
+            else:
+                t_step = t_comm + t_compute
+            overhead = params.task_overhead * max(
+                (w.invocations for w in works), default=1
             )
-            self._labels.append(step.label)
+            t_step += overhead
+            self.total_time += t_step
+            self.comm_time += t_comm
+            self.compute_time += t_compute
+            step_flops = 0.0
+            for w in works:
+                step_flops += sum(w.kernel_flops.values()) * w.count
+                self.bytes_touched += w.bytes_touched * w.count
+            self.flops += step_flops
             # Exact sums over the copies, without building them.
-            self._copy_bytes.append(int(cols.nbytes.sum()))
-            self._inter_bytes.append(int(cols.nbytes @ cols.inter))
-
-    def finish(self, high_water: Dict[str, int]) -> TraceSkeleton:
-        # The per-step byte columns sum (exact integers, same order) to
-        # the trace aggregates the seed read directly.
-        return TraceSkeleton(
-            steps=self._steps,
-            inter_node_bytes=sum(self._inter_bytes),
-            total_copy_bytes=sum(self._copy_bytes),
-            num_nodes=self._model.cluster.num_nodes,
-            memory_high_water=dict(high_water),
-            labels=tuple(self._labels),
-            step_copy_bytes=tuple(self._copy_bytes),
-            step_inter_bytes=tuple(self._inter_bytes),
-        )
+            copy_bytes = int(cols.nbytes.sum())
+            inter_bytes = int(cols.nbytes @ cols.inter)
+            self.copy_bytes += copy_bytes
+            self.inter_node_bytes += inter_bytes
+            if self.phases is not None:
+                self.phases.append(PhaseCost(
+                    index=self.num_steps,
+                    label=step.label,
+                    comm_s=t_comm,
+                    compute_s=t_compute,
+                    overhead_s=overhead,
+                    total_s=t_step,
+                    copy_bytes=copy_bytes,
+                    inter_node_bytes=inter_bytes,
+                    flops=step_flops,
+                    class_times=tuple(
+                        (proc_id, w.count, float(t))
+                        for (proc_id, w), t in zip(step.work.items(), times)
+                    ),
+                ))
+            self.num_steps += 1

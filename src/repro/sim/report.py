@@ -96,9 +96,9 @@ class SimReport:
     # both scale with the phase count.
     num_steps: int = 0
     # Optional per-phase attribution (requested via
-    # ``CostModel.price_skeleton(..., breakdown=True)``). Excluded from
-    # equality and repr: two reports priced from the same skeleton are
-    # equal whether or not either carries the breakdown.
+    # ``SkeletonAccumulator(..., breakdown=True)``). Excluded from
+    # equality and repr: two reports of the same steps are equal
+    # whether or not either carries the breakdown.
     breakdown: Optional[PhaseBreakdown] = field(
         default=None, compare=False, repr=False
     )

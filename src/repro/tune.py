@@ -270,6 +270,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.top_k < 1:
         parser.error(f"--top-k must be at least 1, got {args.top_k}")
+    if args.system_mem_gib is not None and args.system_mem_gib < 1:
+        parser.error(
+            f"--system-mem-gib must be at least 1, got {args.system_mem_gib}"
+        )
     if args.max_dims < 1:
         parser.error(f"--max-dims must be at least 1, got {args.max_dims}")
 

@@ -92,6 +92,20 @@ class TestValidation:
                 proc_mem_capacity=GIB,
             )
 
+    @pytest.mark.parametrize("capacity", [0, -1])
+    @pytest.mark.parametrize("which", ["proc", "system"])
+    def test_non_positive_capacities(self, which, capacity):
+        sizes = {"proc": GIB, "system": GIB, which: capacity}
+        with pytest.raises(ValueError, match="capacities must be positive"):
+            Cluster.build(
+                num_nodes=1,
+                procs_per_node=1,
+                proc_kind=ProcessorKind.CPU_SOCKET,
+                proc_mem_kind=MemoryKind.SYSTEM_MEM,
+                proc_mem_capacity=sizes["proc"],
+                system_mem_capacity=sizes["system"],
+            )
+
 
 # ----------------------------------------------------------------------
 # On-demand objects against an eager reference.

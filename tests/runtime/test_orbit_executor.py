@@ -398,11 +398,12 @@ class TestDeferredRepresentatives:
             assert int(cols.nbytes.sum()) == total
             assert int(cols.nbytes[inter].sum()) == inter_total
         # The streamed accumulator prices from the columns alone.
-        acc = SkeletonAccumulator(CostModel(kernel.machine.cluster, LASSEN))
+        acc = SkeletonAccumulator(
+            CostModel(kernel.machine.cluster, LASSEN), breakdown=True
+        )
         streamed = kernel.trace(mode="orbit", skeleton=acc).trace
-        skeleton = acc.finish(streamed.memory_high_water)
-        assert skeleton.step_copy_bytes == tuple(copy_bytes)
-        assert skeleton.step_inter_bytes == tuple(inter_bytes)
+        assert [p.copy_bytes for p in acc.phases] == copy_bytes
+        assert [p.inter_node_bytes for p in acc.phases] == inter_bytes
         assert not any(step._copies for step in streamed.steps)
 
     def test_deferred_step_pickles_and_compares(self, m44):
@@ -544,9 +545,11 @@ class TestStreamedPricing:
         for step in steps:
             with pytest.raises(RuntimeError, match="released"):
                 step.columns()
-        skeleton = probe.finish(result.trace.memory_high_water)
+        high_water = result.trace.memory_high_water
         full = kernel.trace(check_capacity=False, mode="orbit").trace
-        assert model.price_skeleton(skeleton) == model.time_trace(full)
+        assert model.price_skeleton(probe, high_water) == model.time_trace(
+            full
+        )
 
     def test_unstreamed_trace_keeps_its_columns(self, m44):
         trace = cannon(m44, 256).trace(mode="orbit").trace

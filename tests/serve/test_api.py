@@ -115,6 +115,16 @@ class TestRequestRecord:
             assert MachineSpec.from_cluster(again) == spec
             assert again.num_processors == cluster.num_processors
 
+    @pytest.mark.parametrize("field", ["proc_mem_bytes", "system_mem_bytes"])
+    def test_non_positive_memory_is_refused(self, field):
+        record = ScheduleRequest.from_assignment(
+            sized("matmul", 64), Cluster.cpu_cluster(4)
+        ).to_record()
+        record["machine"][field] = -1
+        request = ScheduleRequest.from_record(record)
+        with pytest.raises(ValueError, match="capacities must be positive"):
+            tune_request(request)
+
 
 class TestTuneRequest:
     def test_equal_requests_tune_byte_identically(self):

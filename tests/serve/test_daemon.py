@@ -108,6 +108,19 @@ class TestHitMiss:
             assert response["status"] == "error"
         assert _counter("serve.errors") == errors0 + 1
 
+    def test_non_positive_memory_is_an_error_row(self, tmp_path):
+        record = _request(nodes=4).to_record()
+        record["machine"]["proc_mem_bytes"] = -1
+        fingerprint = ScheduleRequest.from_record(record).fingerprint()
+        with serving(tmp_path) as (server, client):
+            response = client._roundtrip(
+                {"op": "schedule", "request": record}
+            )
+            assert response["status"] == "error"
+            assert "capacities must be positive" in response["error"]
+            assert fingerprint not in server.index
+        assert TuningLedger(tmp_path / "ledger").answers == {}
+
 
 class TestDedupAndWarm:
     def test_identical_inflight_misses_share_one_tune(self, tmp_path):

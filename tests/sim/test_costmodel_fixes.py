@@ -221,8 +221,8 @@ class TestStepPrices:
                 step.copies.append(copy_between(
                     cluster, src, 1 - src, 1 << 20, tensor=batch
                 ))
-        skeleton = model.skeleton_of(trace)
-        prices = [t_comm for t_comm, _work in skeleton.steps]
+        phases = model.time_trace(trace, breakdown=True).breakdown.phases
+        prices = [phase.comm_s for phase in phases]
         assert prices == [model.comm_time(s.columns()) for s in trace.steps]
         assert prices[0] == prices[2]
         assert prices[3] == 0.0
@@ -268,9 +268,7 @@ class TestColumnarEquivalence:
             copy_between(cluster, 5, 0, 16_000_000, tensor="B", reduce=True),
         ]
         via_list = model.comm_time(copies)
-        via_columns = model.comm_time(
-            copies, columns=CopyColumns.from_copies(copies)
-        )
+        via_columns = model.comm_time(CopyColumns.from_copies(copies))
         assert via_list == via_columns
 
     def test_step_caches_columns(self):

@@ -169,6 +169,18 @@ class TestCliExitCodes:
         assert exit_info.value.code == 2
         assert "--max-dims must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gib", ["0", "-1"])
+    def test_system_mem_below_one_is_a_usage_error(self, gib, capsys):
+        from repro.tune import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--nodes", "4", "--size", "64", "--system-mem-gib", gib,
+                  "--json"])
+        assert exit_info.value.code == 2
+        assert "--system-mem-gib must be at least 1" in (
+            capsys.readouterr().err
+        )
+
     def test_top_k_defaults_to_the_joint_tuners(self, monkeypatch):
         import repro.tune as tune_cli
         import repro.tuner.joint as joint
