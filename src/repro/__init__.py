@@ -44,52 +44,10 @@ from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Access",
-    "redistribution_bytes",
-    "transfer_kernel",
-    "Assignment",
-    "Cluster",
-    "Decision",
-    "Distribution",
-    "DistributionError",
-    "Format",
-    "Grid",
-    "IndexVar",
-    "Kernel",
-    "LASSEN",
-    "LoweringError",
-    "Machine",
-    "MachineParams",
-    "Memory",
-    "MemoryKind",
-    "OutOfMemoryError",
-    "Pipeline",
-    "PipelineError",
-    "PipelinePlan",
-    "PipelineReport",
-    "PipelineTuneResult",
-    "ProcessorKind",
-    "ReproError",
-    "ScheduleError",
-    "Schedule",
-    "SimReport",
-    "Stage",
-    "TensorVar",
-    "TuneResult",
-    "TuningLedger",
-    "compile_kernel",
-    "formats_equivalent",
-    "index_vars",
-    "redistribution_trace",
-    "reference_einsum",
-    "tune_pipeline",
-]
-
 # NOTE: the search entry point is ``Kernel.tune`` / ``repro.tuner.tune``;
 # a top-level ``repro.tune`` re-export would be shadowed by the
 # ``python -m repro.tune`` CLI module of the same name.
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.kernel": ("Kernel", "compile_kernel"),
     "repro.tuner.oracle": ("TuningLedger",),
     "repro.tuner.search": ("TuneResult",),

@@ -8,23 +8,7 @@ the evaluation (TTV, Innerprod, TTM, MTTKRP).
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CosmaDecomposition",
-    "cannon",
-    "cosma",
-    "innerprod",
-    "johnson",
-    "matmul_assignment",
-    "mttkrp",
-    "optimize_grid",
-    "pumma",
-    "solomonik",
-    "summa",
-    "ttm",
-    "ttv",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.algorithms.matmul": (
         "cannon", "cosma", "johnson", "matmul_assignment", "pumma",
         "solomonik", "summa",

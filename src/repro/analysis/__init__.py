@@ -21,24 +21,7 @@ zero-simulation static pruner.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AnalysisReport",
-    "CommBound",
-    "Diagnostic",
-    "MemoryBound",
-    "STATIC_DOMINATED",
-    "STATIC_OOM",
-    "analyze_kernel",
-    "check_legal",
-    "comm_lower_bound",
-    "memory_bounds",
-    "prune_reason",
-    "sanitize_trace",
-    "time_lower_bound",
-    "verify_legality",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.analysis.commbound": ("CommBound", "comm_lower_bound"),
     "repro.analysis.diagnostics": ("Diagnostic",),
     "repro.analysis.legality": ("check_legal", "verify_legality"),

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.ir.tensor import Assignment
-from repro.machine.cluster import Cluster, MemoryKind
+from repro.machine.cluster import Cluster
 from repro.sim.params import LASSEN, MachineParams
 
 
@@ -73,9 +73,12 @@ def comm_lower_bound(
     cluster: Cluster,
     params: MachineParams = LASSEN,
     local_bytes: Optional[int] = None,
-    memory: MemoryKind = MemoryKind.SYSTEM_MEM,
 ) -> CommBound:
-    """Lower-bound the busiest node's NIC ingress for ``assignment``."""
+    """Lower-bound the busiest node's NIC ingress for ``assignment``.
+
+    ``local_bytes`` defaults to the smaller of the node's system-memory
+    capacity and the operands' total size.
+    """
     nodes = max(1, cluster.num_nodes)
     domains = assignment.domains()
     extents = [e for e in domains.values() if e is not None]
@@ -87,13 +90,9 @@ def comm_lower_bound(
     itemsize = min(t.itemsize for t in tensors)
 
     if local_bytes is None:
-        if memory is not MemoryKind.GPU_FB:
-            capacity = cluster.system_mem_capacity
-        elif cluster.proc_mem_kind is MemoryKind.GPU_FB:
-            capacity = cluster.procs_per_node * cluster.proc_mem_capacity
-        else:
-            capacity = 0
-        local_bytes = min(capacity, sum(t.nbytes for t in tensors))
+        local_bytes = min(
+            cluster.system_mem_capacity, sum(t.nbytes for t in tensors)
+        )
 
     # Volume bound: distinct operand bytes the busiest node touches.
     touched = 0.0
@@ -114,11 +113,10 @@ def comm_lower_bound(
             per_node = math.floor(best)
             model = "itt-loomis-whitney"
 
-    nic = params.nic_bw if params.nic_bw else 1.0
     return CommBound(
         model=model,
         per_node_bytes=per_node,
-        time_s=per_node / nic,
+        time_s=per_node / params.nic_bw,
         iterations_per_node=per_node_iters,
         local_bytes=local_bytes,
         num_nodes=nodes,

@@ -305,12 +305,10 @@ def _accesses_with(assignment: Assignment, tensor: str, var: str) -> bool:
 def check_legal(
     assignment: Assignment,
     decision,
-    num_procs: Optional[int] = None,
     grid_shape: Optional[Sequence[int]] = None,
 ) -> None:
-    """Raise :class:`LegalityError` if the decision is ill-formed."""
-    diags = verify_legality(
-        assignment, decision, num_procs=num_procs, grid_shape=grid_shape
-    )
+    """Raise :class:`LegalityError` if the decision is ill-formed
+    (:func:`verify_legality` with no processor-count pin)."""
+    diags = verify_legality(assignment, decision, grid_shape=grid_shape)
     if diags:
         raise LegalityError(diags)

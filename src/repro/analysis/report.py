@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from repro.analysis.commbound import CommBound, comm_lower_bound
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.sanitizer import sanitize_trace
-from repro.sim.params import LASSEN, MachineParams
+from repro.sim.params import LASSEN
 
 
 @dataclass
@@ -59,19 +59,16 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze_kernel(
-    kernel,
-    params: MachineParams = LASSEN,
-    check_capacity: bool = False,
-) -> AnalysisReport:
-    """Sanitize one full symbolic execution and certify its traffic."""
+def analyze_kernel(kernel) -> AnalysisReport:
+    """Sanitize one full symbolic execution (no capacity checks) and
+    certify its traffic, priced under :data:`~repro.sim.params.LASSEN`."""
     from repro.sim.costmodel import CostModel
 
-    result = kernel.trace(check_capacity=check_capacity, mode="batched")
+    result = kernel.trace(check_capacity=False, mode="batched")
     findings = sanitize_trace(kernel.plan, result.trace)
     cluster = kernel.machine.cluster
-    report = CostModel(cluster, params).time_trace(result.trace)
-    comm = comm_lower_bound(kernel.assignment, cluster, params)
+    report = CostModel(cluster, LASSEN).time_trace(result.trace)
+    comm = comm_lower_bound(kernel.assignment, cluster, LASSEN)
     return AnalysisReport(
         findings=findings,
         comm=comm,

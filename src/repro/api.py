@@ -196,7 +196,8 @@ def assignment_of(
     """Build a fresh :class:`Assignment` from canonical einsum text.
 
     Tensors get default (undistributed) formats — exactly what the
-    tuner expects, since it derives formats per candidate.
+    tuner expects, since it derives formats per candidate. ``shapes``
+    must name exactly the einsum's tensors.
     """
     lhs_text, sep, rhs_text = einsum.partition("=")
     if not sep:
@@ -209,7 +210,13 @@ def assignment_of(
     if not isinstance(lhs, Access):
         raise ValueError("einsum left-hand side must be a tensor access")
     rhs = _Parser(rhs_text, tensors).parse()
-    return Assignment(lhs, rhs, accumulate=accumulate)
+    assignment = Assignment(lhs, rhs, accumulate=accumulate)
+    unused = set(shapes) - {t.name for t in assignment.tensors()}
+    if unused:
+        raise ValueError(
+            f"shapes name tensors the einsum does not use: {sorted(unused)}"
+        )
+    return assignment
 
 
 # ----------------------------------------------------------------------

@@ -14,17 +14,7 @@ simulator as DISTAL's kernels:
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "cosma_reference_matmul",
-    "ctf_innerprod",
-    "ctf_matmul",
-    "ctf_mttkrp",
-    "ctf_ttm",
-    "ctf_ttv",
-    "scalapack_matmul",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.baselines.scalapack": ("scalapack_matmul",),
     "repro.baselines.cosma": ("cosma_reference_matmul",),
     "repro.baselines.ctf": (

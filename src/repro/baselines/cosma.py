@@ -22,11 +22,7 @@ from __future__ import annotations
 
 from repro.algorithms.matmul import cosma as distal_cosma
 from repro.machine.cluster import Cluster, MemoryKind
-from repro.sim.params import (
-    COSMA_PARAMS,
-    COSMA_RESTRICTED_PARAMS,
-    MachineParams,
-)
+from repro.sim.params import COSMA_PARAMS, COSMA_RESTRICTED_PARAMS
 from repro.sim.report import SimReport
 
 
@@ -34,7 +30,6 @@ def cosma_reference_matmul(
     cluster: Cluster,
     n: int,
     restricted_cpus: bool = False,
-    params: MachineParams = None,
 ) -> SimReport:
     """Simulate the reference COSMA on ``n x n`` matrices.
 
@@ -42,10 +37,10 @@ def cosma_reference_matmul(
     inter-node copies run at the full NIC rate and the GEMM pays PCIe
     staging, matching the paper's description of the author
     implementation. ``restricted_cpus`` models the Figure 15a run pinned
-    to 36 of 40 cores.
+    to 36 of 40 cores (:data:`~repro.sim.params.COSMA_RESTRICTED_PARAMS`
+    instead of :data:`~repro.sim.params.COSMA_PARAMS`).
     """
-    if params is None:
-        params = COSMA_RESTRICTED_PARAMS if restricted_cpus else COSMA_PARAMS
+    params = COSMA_RESTRICTED_PARAMS if restricted_cpus else COSMA_PARAMS
     # Host-resident data even on GPU machines: out-of-core execution.
     kernel = distal_cosma(cluster, n, memory=MemoryKind.SYSTEM_MEM)
     return kernel.simulate(params)

@@ -18,6 +18,8 @@ Consequences reproduced, per the paper's Section 7.2.2:
 * MTTKRP needs two folded contractions with a large intermediate;
 * Innerprod needs no fold (a pure reduction) and weak-scales flat, just
   slower than a bespoke kernel.
+
+Every kernel below is priced under :data:`~repro.sim.params.CTF_PARAMS`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.runtime.trace import Copy, Step
 from repro.sim.costmodel import CostModel, SkeletonAccumulator
-from repro.sim.params import CTF_PARAMS, MachineParams
+from repro.sim.params import CTF_PARAMS
 from repro.sim.report import SimReport
 from repro.util.geometry import Interval, Rect
 
@@ -124,13 +126,14 @@ def redistribution_steps(
     return [step]
 
 
-def _compose(cluster: Cluster, params: MachineParams, *parts) -> SimReport:
-    """Time a sequence of kernels / step lists as one execution.
+def _compose(cluster: Cluster, *parts) -> SimReport:
+    """Time a sequence of kernels / step lists as one execution under
+    :data:`~repro.sim.params.CTF_PARAMS`.
 
     Every part is priced, in order, into one accumulator: step lists
     as they are, kernels streamed through the orbit executor.
     """
-    model = CostModel(cluster, params)
+    model = CostModel(cluster, CTF_PARAMS)
     acc = SkeletonAccumulator(model)
     high_water: Dict[str, int] = {}
     for part in parts:
@@ -148,9 +151,7 @@ def _compose(cluster: Cluster, params: MachineParams, *parts) -> SimReport:
 # Kernels.
 # ----------------------------------------------------------------------
 
-def ctf_matmul(
-    cluster: Cluster, n: int, params: MachineParams = CTF_PARAMS
-) -> SimReport:
+def ctf_matmul(cluster: Cluster, n: int) -> SimReport:
     """CTF's native strength: the 2.5-D matmul, no fold required.
 
     When the processor count does not factor into a usable ``q x q x c``
@@ -168,12 +169,10 @@ def ctf_matmul(
         kernel = summa_rect(
             machine, n, n, n, chunk=max(1, n // 16), leaf="blas_gemm"
         )
-    return kernel.simulate(params)
+    return kernel.simulate(CTF_PARAMS)
 
 
-def ctf_ttv(
-    cluster: Cluster, n: int, params: MachineParams = CTF_PARAMS
-) -> SimReport:
+def ctf_ttv(cluster: Cluster, n: int) -> SimReport:
     """TTV folded to a distributed matvec.
 
     ``B(i,j,k) c(k)`` becomes ``Bm((ij), k) @ c(k)``: the whole 3-tensor
@@ -188,12 +187,10 @@ def ctf_ttv(
     kernel = summa_rect(machine, m_dim, n, 1, chunk=max(1, n // 8), leaf=None)
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     post = redistribution_steps(cluster, float(n) ** 2 * ITEM, "unfold-A")
-    return _compose(cluster, params, pre, kernel, post)
+    return _compose(cluster, pre, kernel, post)
 
 
-def ctf_innerprod(
-    cluster: Cluster, n: int, params: MachineParams = CTF_PARAMS
-) -> SimReport:
+def ctf_innerprod(cluster: Cluster, n: int) -> SimReport:
     """Innerprod needs no fold: local reductions plus a global tree.
 
     CTF executes this well (flat weak scaling) but with its generic
@@ -201,12 +198,10 @@ def ctf_innerprod(
     """
     gx, gy = square_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
-    return distal_innerprod(machine, n).simulate(params)
+    return distal_innerprod(machine, n).simulate(CTF_PARAMS)
 
 
-def ctf_ttm(
-    cluster: Cluster, n: int, r: int, params: MachineParams = CTF_PARAMS
-) -> SimReport:
+def ctf_ttm(cluster: Cluster, n: int, r: int) -> SimReport:
     """TTM folded to ``((ij), k) @ (k, l)``: redistribute the 3-tensor
     into matrix layout, one rectangular matmul, fold the result back."""
     p = cluster.num_processors
@@ -218,12 +213,10 @@ def ctf_ttm(
     )
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     post = redistribution_steps(cluster, float(n) ** 2 * r * ITEM, "unfold-A")
-    return _compose(cluster, params, pre, kernel, post)
+    return _compose(cluster, pre, kernel, post)
 
 
-def ctf_mttkrp(
-    cluster: Cluster, n: int, r: int, params: MachineParams = CTF_PARAMS
-) -> SimReport:
+def ctf_mttkrp(cluster: Cluster, n: int, r: int) -> SimReport:
     """MTTKRP as two folded contractions with a large intermediate.
 
     Stage 1: ``T(i,j,l) = B(i,j,k) D(k,l)`` — a TTM (fold + matmul).
@@ -248,4 +241,4 @@ def ctf_mttkrp(
         cluster, float(n) ** 2 * r * ITEM, "redist-T"
     )
     post = redistribution_steps(cluster, float(n) * r * ITEM, "unfold-A")
-    return _compose(cluster, params, pre, stage1, mid, stage2, post)
+    return _compose(cluster, pre, stage1, mid, stage2, post)

@@ -15,17 +15,14 @@ from repro.bench.weak_scaling import square_grid
 from repro.machine.cluster import Cluster
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
-from repro.sim.params import SCALAPACK_PARAMS, MachineParams
+from repro.sim.params import SCALAPACK_PARAMS
 from repro.sim.report import SimReport
 
 
-def scalapack_matmul(
-    cluster: Cluster,
-    n: int,
-    params: MachineParams = SCALAPACK_PARAMS,
-) -> SimReport:
-    """Simulate PDGEMM on ``n x n`` matrices over the whole cluster."""
+def scalapack_matmul(cluster: Cluster, n: int) -> SimReport:
+    """Simulate PDGEMM on ``n x n`` matrices over the whole cluster
+    under :data:`~repro.sim.params.SCALAPACK_PARAMS`."""
     gx, gy = square_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = summa(machine, n, leaf="blas_gemm")
-    return kernel.simulate(params)
+    return kernel.simulate(SCALAPACK_PARAMS)

@@ -8,21 +8,7 @@ asserts the paper's qualitative results hold.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_NODE_COUNTS",
-    "FIGURES",
-    "cube_grid",
-    "format_table",
-    "grid_25d",
-    "headline_speedups",
-    "series",
-    "square_grid",
-    "sweep",
-    "weak_cube_side",
-    "weak_matrix_size",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.bench.weak_scaling": (
         "cube_grid", "grid_25d", "square_grid", "weak_cube_side",
         "weak_matrix_size",

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
+from repro.machine.grid import balanced_grid
+
 
 def weak_matrix_size(base_n: int, nodes: int, multiple: int = 64) -> int:
     """Matrix side at a node count, keeping per-node memory constant."""
@@ -30,10 +32,7 @@ def weak_cube_side(base_n: int, nodes: int, multiple: int = 8) -> int:
 
 def square_grid(p: int) -> Tuple[int, int]:
     """Most-square 2-D factorization of ``p`` (gx >= gy)."""
-    gy = int(math.isqrt(p))
-    while p % gy != 0:
-        gy -= 1
-    return p // gy, gy
+    return balanced_grid(p, 2)
 
 
 def cube_grid(p: int) -> Tuple[int, int, int]:
@@ -53,21 +52,7 @@ def factor3(p: int) -> Tuple[int, int, int]:
     Used by algorithms that accept any 3-D grid (e.g. Ballard et al.'s
     MTTKRP); unlike :func:`cube_grid` it always uses every processor.
     """
-    best = (p, 1, 1)
-    best_spread = p
-    for gz in range(1, int(round(p ** (1.0 / 3.0))) + 1):
-        if p % gz != 0:
-            continue
-        rest = p // gz
-        gy = int(math.isqrt(rest))
-        while rest % gy != 0:
-            gy -= 1
-        gx = rest // gy
-        spread = max(gx, gy, gz) / min(gx, gy, gz)
-        if spread < best_spread:
-            best_spread = spread
-            best = tuple(sorted((gx, gy, gz), reverse=True))
-    return best
+    return balanced_grid(p, 3)
 
 
 def grid_25d(p: int, max_c: int = 8) -> Tuple[int, int, int]:

@@ -8,16 +8,7 @@ leaf operations (optionally substituted by optimized kernels).
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DistributedPlan",
-    "LaunchNode",
-    "LeafNode",
-    "PlanNode",
-    "SeqNode",
-    "lower_to_plan",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.codegen.plan": (
         "DistributedPlan", "LaunchNode", "LeafNode", "PlanNode", "SeqNode",
     ),

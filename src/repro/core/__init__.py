@@ -2,8 +2,6 @@
 
 from repro.util.lazy import lazy_exports
 
-__all__ = ["Kernel", "compile_kernel"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.kernel": ("Kernel", "compile_kernel"),
 })

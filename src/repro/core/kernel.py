@@ -13,14 +13,14 @@ derivation — and returns a :class:`Kernel` that can
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from repro.codegen.lower import lower_to_plan
 from repro.codegen.plan import DistributedPlan
 from repro.ir.tensor import Assignment, reference_einsum
-from repro.machine.cluster import Cluster, MemoryKind
+from repro.machine.cluster import Cluster
 from repro.machine.machine import Machine
 from repro.runtime.executor import ExecutionResult, Executor
 from repro.scheduling.schedule import Schedule
@@ -171,24 +171,18 @@ class Kernel:
         )
         return model.price_skeleton(acc, result.trace.memory_high_water)
 
-    def analyze(
-        self,
-        params: MachineParams = LASSEN,
-        check_capacity: bool = False,
-    ):
+    def analyze(self):
         """Run the static analyzer over this kernel.
 
-        Executes one full (uncompressed) symbolic trace, replays it
-        through the trace sanitizer, and certifies the simulated
-        cross-node traffic against the schedule-independent
-        communication lower bound. Returns a
+        Executes one full (uncompressed) symbolic trace without capacity
+        checks, replays it through the trace sanitizer, and certifies the
+        traffic simulated under :data:`~repro.sim.params.LASSEN` against
+        the schedule-independent communication lower bound. Returns a
         :class:`~repro.analysis.report.AnalysisReport`.
         """
         from repro.analysis.report import analyze_kernel
 
-        return analyze_kernel(
-            self, params=params, check_capacity=check_capacity
-        )
+        return analyze_kernel(self)
 
     # ------------------------------------------------------------------
     # Automatic scheduling (Section 9): heuristic and search.
@@ -198,22 +192,22 @@ class Kernel:
     def autoschedule(
         assignment: Assignment,
         machine: Machine,
-        memory: Optional[MemoryKind] = None,
     ) -> "Kernel":
         """Compile with the one-shot heuristic (Section 9's baseline).
 
         Builds :func:`repro.tuner.space.heuristic_decision` on the
         machine's own outer grid with the tuner's schedule builder,
-        applying the derived formats to the assignment's tensors, and
-        compiles the result. Normalized, the same decision is the seed
-        candidate of :meth:`tune`.
+        applying the derived formats (in the cluster's default memory)
+        to the assignment's tensors, and compiles the result.
+        Normalized, the same decision is the seed candidate of
+        :meth:`tune`.
         """
         from repro.tuner.space import build_schedule, heuristic_decision
 
-        if memory is None:
-            memory = machine.cluster.default_memory
         decision = heuristic_decision(assignment, machine.levels[0].shape)
-        schedule, _ = build_schedule(assignment, machine, decision, memory)
+        schedule, _ = build_schedule(
+            assignment, machine, decision, machine.cluster.default_memory
+        )
         return compile_kernel(schedule, machine)
 
     @staticmethod

@@ -22,10 +22,10 @@ from repro.formats.format import Format
 from repro.formats.distribution import DimName
 from repro.ir.expr import IndexVar
 from repro.ir.tensor import Assignment, TensorVar
-from repro.machine.cluster import Memory, MemoryKind, Processor
 from repro.machine.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.obs.spans import span
+from repro.runtime.instances import instance_memory
 from repro.runtime.trace import Copy, Trace
 from repro.scheduling.schedule import Schedule
 from repro.util.geometry import Interval, Rect
@@ -35,19 +35,16 @@ def transfer_kernel(
     src: TensorVar,
     dst_format: Format,
     machine: Machine,
-    dst_name: Optional[str] = None,
 ) -> Kernel:
     """Compile a kernel that rewrites ``src`` into ``dst_format``.
 
-    The returned kernel's output tensor (named ``dst_name`` or
-    ``<src>_re``) has the new format; executing it produces the array
-    and a trace whose copies are precisely the redistribution traffic.
+    The returned kernel's output tensor (named ``<src>_re``) has the new
+    format; executing it produces the array and a trace whose copies are
+    precisely the redistribution traffic.
     """
     dst_format.check(src.ndim, machine)
     METRICS.inc("transfer.kernels_compiled")
-    dst = TensorVar(
-        dst_name or f"{src.name}_re", src.shape, dst_format, dtype=src.dtype
-    )
+    dst = TensorVar(f"{src.name}_re", src.shape, dst_format, dtype=src.dtype)
     ivars = [IndexVar(f"t{d}") for d in range(src.ndim)]
     stmt = Assignment(dst[tuple(ivars)], src[tuple(ivars)])
     sched = Schedule(stmt)
@@ -124,18 +121,6 @@ def formats_equivalent(
         and tuple(g.shape for g in src_machine.levels)
         == tuple(g.shape for g in dst_machine.levels)
     )
-
-
-def _instance_memory(
-    machine: Machine, proc: Processor, wants: MemoryKind
-) -> Memory:
-    """Where an instance lives on a processor (mirrors the runtime's
-    ``InstanceTable._memory_for`` placement rule)."""
-    if wants is MemoryKind.GPU_FB and proc.memory.kind is MemoryKind.GPU_FB:
-        return proc.memory
-    if wants is MemoryKind.SYSTEM_MEM:
-        return machine.cluster.nodes[proc.node_id].system_memory
-    return proc.memory
 
 
 def _canonical_coords(machine: Machine, proc_id: int) -> Tuple[int, ...]:
@@ -306,13 +291,13 @@ def _redistribution_trace(
     for r in range(req.size):
         j = int(req[r])
         dst_proc = dst_procs[j]
-        dst_mem = _instance_memory(dst_machine, dst_proc, dst_mem_kind)
+        dst_mem = instance_memory(dst_machine, dst_proc, dst_mem_kind)
         coords = tuple(int(c) for c in src_coords[:, r])
         if avoid:
             rep = tuple(int(d) for d in np.flatnonzero(pattern[:, r] < 0))
             coords = _redirect_coords(src_machine, coords, rep, avoid)
         src_proc = src_machine.proc_at(coords)
-        src_mem = _instance_memory(src_machine, src_proc, src_mem_kind)
+        src_mem = instance_memory(src_machine, src_proc, src_mem_kind)
         if src_proc.proc_id == dst_proc.proc_id and src_mem is dst_mem:
             continue  # already resident: nothing to move
         piece = Rect(

@@ -28,32 +28,7 @@ sampled fault plan) and prints the recovery report.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "KillNode",
-    "Resize",
-    "ChaosPlan",
-    "ChaosController",
-    "KillWorker",
-    "PoisonRequest",
-    "DropConnection",
-    "TornLine",
-    "OversizedLine",
-    "RestartDaemon",
-    "NodeFailure",
-    "install_fault_hook",
-    "lost_instances",
-    "checkpoint_choices",
-    "expected_cost",
-    "rerank_expected",
-    "RecoveryReport",
-    "PipelineRecoveryReport",
-    "StageRecovery",
-    "replan_kernel",
-    "replan_pipeline",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.faults.chaos": (
         "ChaosController", "ChaosPlan", "DropConnection", "KillWorker",
         "OversizedLine", "PoisonRequest", "RestartDaemon", "TornLine",

@@ -9,9 +9,7 @@ either fix the partition to a coordinate (a digit) or broadcast it (``*``).
 
 from repro.util.lazy import lazy_exports
 
-__all__ = ["Broadcast", "DimName", "Distribution", "Fixed", "Format"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.formats.distribution": (
         "Distribution", "DimName", "Broadcast", "Fixed",
     ),

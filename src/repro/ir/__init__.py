@@ -12,29 +12,7 @@ bounds analysis that drives partitioning, communication and leaf slicing.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Access",
-    "Add",
-    "Assign",
-    "Assignment",
-    "Expr",
-    "Forall",
-    "FuseRel",
-    "IndexVar",
-    "Literal",
-    "Mul",
-    "RotateRel",
-    "Sequence",
-    "SplitRel",
-    "Stmt",
-    "TensorVar",
-    "VarGraph",
-    "index_vars",
-    "lower_to_concrete",
-    "reference_einsum",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.ir.expr": (
         "Access", "Add", "Expr", "IndexVar", "Literal", "Mul", "index_vars",
     ),

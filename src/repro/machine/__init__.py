@@ -10,18 +10,7 @@ same schedule target differently shaped hardware.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Grid",
-    "Machine",
-    "Memory",
-    "MemoryKind",
-    "Node",
-    "Processor",
-    "ProcessorKind",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.machine.cluster": (
         "Cluster", "Memory", "MemoryKind", "Node", "Processor",
         "ProcessorKind",

@@ -315,14 +315,14 @@ class Cluster:
         gpus_per_node: int = 4,
         framebuffer_gib: int = 16,
         reserved_gib: float = 1.0,
-        system_mem_gib: int = 256,
     ) -> "Cluster":
         """A Lassen-like GPU cluster: four 16 GiB V100s per node.
 
         ``reserved_gib`` models the framebuffer the CUDA context and the
         runtime's internal pools consume; tensor instances can only use
         the remainder (this is what pushes replication-heavy algorithms
-        over the edge at scale, Section 7.1.2).
+        over the edge at scale, Section 7.1.2). Each node's system
+        memory is Lassen's 256 GiB.
         """
         usable = int((framebuffer_gib - reserved_gib) * GIB)
         return Cluster.build(
@@ -331,7 +331,7 @@ class Cluster:
             proc_kind=ProcessorKind.GPU,
             proc_mem_kind=MemoryKind.GPU_FB,
             proc_mem_capacity=usable,
-            system_mem_capacity=system_mem_gib * GIB,
+            system_mem_capacity=256 * GIB,
         )
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -94,3 +94,34 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid({', '.join(str(d) for d in self.shape)})"
+
+
+def balanced_grid(p: int, dims: int) -> Tuple[int, ...]:
+    """Most-balanced ``dims``-way factorization of ``p`` (descending).
+
+    The least largest-to-smallest ratio wins; ties go to the
+    lexicographically smaller shape. Every processor is used.
+    """
+    if dims <= 1:
+        return (p,)
+    best: Optional[Tuple[int, ...]] = None
+    best_spread: Optional[float] = None
+
+    def rec(remaining: int, left: int, prefix: Tuple[int, ...]):
+        nonlocal best, best_spread
+        if left == 1:
+            shape = tuple(sorted(prefix + (remaining,), reverse=True))
+            spread = shape[0] / shape[-1]
+            if best_spread is None or (spread, shape) < (best_spread, best):
+                best, best_spread = shape, spread
+            return
+        f = 1
+        while f * f <= remaining:
+            if remaining % f == 0:
+                rec(remaining // f, left - 1, prefix + (f,))
+                rec(f, left - 1, prefix + (remaining // f,))
+            f += 1
+
+    rec(p, dims, ())
+    assert best is not None
+    return best

@@ -26,21 +26,7 @@ stacks, with three pillars:
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "METRICS",
-    "MetricsRegistry",
-    "export_spans",
-    "flat_profile",
-    "install_spans",
-    "reset_spans",
-    "set_tracing",
-    "span",
-    "span_mark",
-    "span_records",
-    "tracing_enabled",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.metrics": ("METRICS", "MetricsRegistry"),
     "repro.obs.spans": (
         "export_spans", "flat_profile", "install_spans", "reset_spans",

@@ -198,11 +198,9 @@ def flat_profile(
     return dict(sorted(out.items(), key=lambda kv: -kv[1][2]))
 
 
-def format_profile(
-    records: Optional[List[SpanRecord]] = None,
-) -> str:
-    """The flat profile as an aligned text table."""
-    prof = flat_profile(records)
+def format_profile() -> str:
+    """The flat profile of every record so far as an aligned text table."""
+    prof = flat_profile()
     if not prof:
         return "(no spans recorded; set REPRO_TRACE=1)"
     lines = [f"  {'span':<28s} {'calls':>8s} {'total':>10s} {'self':>10s}"]

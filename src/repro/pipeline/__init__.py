@@ -6,21 +6,7 @@ See :mod:`repro.pipeline.pipeline` for the DAG model and
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "HANDOFF_DIRECT",
-    "HANDOFF_REDISTRIBUTE",
-    "EdgeCost",
-    "Pipeline",
-    "PipelineEdge",
-    "PipelinePlan",
-    "PipelineReport",
-    "ScheduledStage",
-    "Stage",
-    "StageCost",
-    "redistribution_report",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.pipeline.pipeline": (
         "HANDOFF_DIRECT", "HANDOFF_REDISTRIBUTE", "Pipeline", "PipelineEdge",
         "PipelinePlan", "ScheduledStage", "Stage",

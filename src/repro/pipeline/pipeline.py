@@ -195,29 +195,25 @@ class Pipeline:
     # Scheduling.
     # ------------------------------------------------------------------
 
-    def autoschedule(
-        self,
-        grids: Optional[Dict[str, Sequence[int]]] = None,
-        memory: Optional[MemoryKind] = None,
-    ) -> "PipelinePlan":
+    def autoschedule(self) -> "PipelinePlan":
         """Schedule every stage with the one-shot heuristic.
 
-        ``grids`` optionally pins per-stage machine grids; by default
-        each stage gets the most-balanced grid over its distributable
-        variables (the same rule ``Kernel.tune`` seeds with).
+        Each stage gets the most-balanced grid over its distributable
+        variables (the same rule ``Kernel.tune`` seeds with) and the
+        cluster's default memory.
         """
         from repro.tuner.search import default_seed_grid
 
-        decisions = {}
-        for stage in self.stages:
-            if grids and stage.name in grids:
-                shape = tuple(int(g) for g in grids[stage.name])
-            else:
-                shape = default_seed_grid(
+        decisions = {
+            stage.name: from_heuristic(
+                stage.assignment,
+                default_seed_grid(
                     stage.assignment, self.cluster.num_processors
-                )
-            decisions[stage.name] = from_heuristic(stage.assignment, shape)
-        return self.schedule_with(decisions, memory=memory)
+                ),
+            )
+            for stage in self.stages
+        }
+        return self.schedule_with(decisions)
 
     def schedule_with(
         self,

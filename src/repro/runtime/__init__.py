@@ -16,17 +16,7 @@ for the paper-scale weak-scaling benchmarks).
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Copy",
-    "DataEnvironment",
-    "ExecutionResult",
-    "Executor",
-    "Step",
-    "Trace",
-    "Work",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.runtime.executor": ("ExecutionResult", "Executor"),
     "repro.runtime.instances": ("DataEnvironment",),
     "repro.runtime.trace": ("Copy", "Step", "Trace", "Work"),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.plan import DistributedPlan
-from repro.machine.cluster import Memory, MemoryKind
+from repro.machine.cluster import Memory, MemoryKind, Processor
 from repro.machine.machine import Machine
 from repro.util.errors import LoweringError, OutOfMemoryError
 from repro.util.geometry import Rect
@@ -32,6 +32,18 @@ InstanceKey = Tuple[str, Rect]
 
 # Cache-miss sentinel (``None`` is a valid cached value).
 _MISS = object()
+
+
+def instance_memory(
+    machine: Machine, proc: Processor, wants: MemoryKind
+) -> Memory:
+    """The memory an instance of a format asking for ``wants`` occupies
+    on ``proc``: host-resident formats use the node's system memory,
+    everything else the processor's own memory (the framebuffer on
+    GPUs)."""
+    if wants is MemoryKind.SYSTEM_MEM:
+        return machine.cluster.nodes[proc.node_id].system_memory
+    return proc.memory
 
 
 class DataEnvironment:
@@ -117,19 +129,13 @@ class DataEnvironment:
         cached = self._memory_cache.get(key)
         if cached is not None:
             return cached
-        mem = self._memory_for_uncached(coords, name)
+        mem = instance_memory(
+            self.machine,
+            self.machine.proc_at(coords),
+            self.plan.tensors[name].format.memory,
+        )
         self._memory_cache[key] = mem
         return mem
-
-    def _memory_for_uncached(self, coords: Coords, name: str) -> Memory:
-        proc = self.machine.proc_at(coords)
-        tensor = self.plan.tensors[name]
-        wants = tensor.format.memory
-        if wants is MemoryKind.GPU_FB and proc.memory.kind is MemoryKind.GPU_FB:
-            return proc.memory
-        if wants is MemoryKind.SYSTEM_MEM:
-            return self.machine.cluster.nodes[proc.node_id].system_memory
-        return proc.memory
 
     def _add_bytes(self, mem: Memory, n: int):
         usage = self._usage.get(mem, 0) + n

@@ -393,10 +393,10 @@ class _MachineTables:
     def tensor_mem_of_proc(self, tensor) -> np.ndarray:
         """Memory id a tensor instance occupies, per processor.
 
-        Mirrors ``DataEnvironment._memory_for_uncached``: framebuffer-
-        pinned formats use the processor memory (which *is* the
-        framebuffer on GPUs), host-resident formats use the node system
-        memory when one exists.
+        Mirrors :func:`~repro.runtime.instances.instance_memory`:
+        framebuffer-pinned formats use the processor memory (which *is*
+        the framebuffer on GPUs), host-resident formats use the node
+        system memory when one exists.
         """
         wants = tensor.format.memory
         key = (tensor.name, wants.value)

@@ -9,8 +9,6 @@ distributed primitives ``distribute``, ``communicate`` and ``rotate``.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = ["Schedule"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.scheduling.schedule": ("Schedule",),
 })

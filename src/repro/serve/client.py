@@ -274,8 +274,6 @@ class ScheduleClient:
     def schedule_batch(
         self,
         requests: Sequence[Requestish],
-        wait: bool = True,
-        deadline_s: Optional[float] = None,
     ) -> List[Dict]:
         """Pipelined: requests stream from a writer thread while this
         thread drains responses (the daemon answers in order per
@@ -287,18 +285,13 @@ class ScheduleClient:
         A connection lost mid-batch resumes where it stopped: the
         unanswered tail re-sends on the new connection (idempotent by
         fingerprint), so the returned list always matches ``requests``
-        one to one.
+        one to one. Every request waits for its answer, with no
+        deadline.
         """
-        messages = []
-        for request in requests:
-            message = {
-                "op": "schedule",
-                "request": _record(request),
-                "wait": wait,
-            }
-            if deadline_s is not None:
-                message["deadline_s"] = deadline_s
-            messages.append(message)
+        messages = [
+            {"op": "schedule", "request": _record(request), "wait": True}
+            for request in requests
+        ]
         responses: List[Dict] = []
         attempts = self.retries + 1
         for attempt in range(attempts):

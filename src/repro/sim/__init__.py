@@ -10,9 +10,7 @@ its 4-of-40-cores runtime tax.
 
 from repro.util.lazy import lazy_exports
 
-__all__ = ["CostModel", "LASSEN", "MachineParams", "SimReport"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.params": ("LASSEN", "MachineParams"),
     "repro.sim.costmodel": ("CostModel",),
     "repro.sim.report": ("SimReport",),

@@ -16,12 +16,23 @@ Numbers are drawn from the paper and public V100/Power9 specifications:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+#: Knobs that may be zero; every other numeric knob (bandwidths,
+#: throughputs, efficiencies, the core fraction, the relay factor)
+#: divides or scales a cost and must be positive.
+_MAY_BE_ZERO = ("latency", "task_overhead")
 
 
 @dataclass(frozen=True)
 class MachineParams:
-    """Cost-model knobs. All bandwidths in bytes/s, rates in FLOP/s."""
+    """Cost-model knobs. All bandwidths in bytes/s, rates in FLOP/s.
+
+    Construction raises :class:`ValueError` on a non-finite knob, a
+    negative ``latency`` or ``task_overhead``, or any other knob that is
+    not positive.
+    """
 
     # Compute throughput.
     cpu_socket_gflops: float = 380e9
@@ -54,6 +65,21 @@ class MachineParams:
     # Runtime behaviour.
     overlap: bool = True
     runtime_core_fraction: float = 0.9  # 36 of 40 cores compute (DISTAL)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in _MAY_BE_ZERO:
+                if value < 0:
+                    raise ValueError(
+                        f"{f.name} must be non-negative, got {value!r}"
+                    )
+            elif value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
 
     def with_(self, **kwargs) -> "MachineParams":
         """A copy with some knobs replaced."""

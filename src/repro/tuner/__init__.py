@@ -18,27 +18,7 @@ Entry points: :meth:`repro.core.kernel.Kernel.tune`,
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Decision",
-    "EvalOutcome",
-    "Oracle",
-    "SearchOutcome",
-    "TuneResult",
-    "TuningLedger",
-    "balanced_grid",
-    "canonicalize",
-    "default_seed_grid",
-    "enumerate_space",
-    "exhaustive_search",
-    "formats_for",
-    "from_heuristic",
-    "normalize",
-    "realize",
-    "tune",
-    "workload_signature",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.tuner.oracle": (
         "EvalOutcome", "Oracle", "TuningLedger", "workload_signature",
     ),

@@ -942,18 +942,17 @@ def tuner_eval_batch(
     params: MachineParams,
     memory: MemoryKind,
     timeout_s: Optional[float] = None,
-    machines: Optional[Dict[tuple, Machine]] = None,
 ) -> List[EvalOutcome]:
     """One sweep point: simulate a chunk of candidates (the oracle has
     already settled their static verdicts).
 
-    ``machines`` is the tune's per-grid machine table
-    (:func:`grid_machine`); a chunk without one shares machines within
-    itself. Registered with :mod:`repro.bench.parallel` so the driver
-    can dispatch it by name; the worker's new simulation-cache entries
-    ride back with the rows and merge into the parent's cache.
+    The chunk's candidates share one machine per grid
+    (:func:`grid_machine`). Registered with :mod:`repro.bench.parallel`
+    so ``run_points`` can dispatch it by name; the worker's new
+    simulation-cache entries ride back with the rows and merge into the
+    parent's cache.
     """
-    machines = {} if machines is None else machines
+    machines: Dict[tuple, Machine] = {}
     work = copy.deepcopy(assignment)
     return [
         evaluate_one(

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.tensor import Assignment
 from repro.machine.cluster import Cluster
+from repro.machine.grid import balanced_grid
 from repro.machine.machine import Machine
 from repro.sim.params import LASSEN, MachineParams
 from repro.tuner.oracle import (
@@ -158,33 +159,6 @@ def default_seed_grid(assignment: Assignment, num_procs: int) -> Tuple[int, ...]
     return balanced_grid(num_procs, dims)
 
 
-def balanced_grid(p: int, dims: int) -> Tuple[int, ...]:
-    """Most-balanced ``dims``-way factorization of ``p`` (descending)."""
-    if dims <= 1:
-        return (p,)
-    best: Optional[Tuple[int, ...]] = None
-    best_spread: Optional[float] = None
-
-    def rec(remaining: int, left: int, prefix: Tuple[int, ...]):
-        nonlocal best, best_spread
-        if left == 1:
-            shape = tuple(sorted(prefix + (remaining,), reverse=True))
-            spread = shape[0] / shape[-1]
-            if best_spread is None or (spread, shape) < (best_spread, best):
-                best, best_spread = shape, spread
-            return
-        f = 1
-        while f * f <= remaining:
-            if remaining % f == 0:
-                rec(remaining // f, left - 1, prefix + (f,))
-                rec(f, left - 1, prefix + (remaining // f,))
-            f += 1
-
-    rec(p, dims, ())
-    assert best is not None
-    return best
-
-
 def tune(
     assignment: Assignment,
     cluster: Cluster,
@@ -255,6 +229,10 @@ def tune(
         raise ValueError(
             f"unknown strategy {strategy!r} "
             f"(expected 'exhaustive' or 'warm')"
+        )
+    if not 0.0 <= failure_rate <= 1.0:
+        raise ValueError(
+            f"failure_rate must lie in [0, 1], got {failure_rate!r}"
         )
     if keep < 1:
         raise ValueError(f"keep must be at least 1, got {keep}")

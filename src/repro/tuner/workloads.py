@@ -99,11 +99,17 @@ def sized(workload: str, n: int) -> Assignment:
     return builder(n)
 
 
-def weak_scaled(workload: str, nodes: int, base: int = 8192) -> Assignment:
+#: One-node sizes the weak-scaling rule grows from: matrix side and
+#: 3-tensor side.
+MATRIX_BASE = 8192
+CUBE_BASE = 512
+
+
+def weak_scaled(workload: str, nodes: int) -> Assignment:
     """A named workload at the paper's weak-scaled size for ``nodes``."""
     if workload in ("matmul", "matmul-rect"):
-        return sized(workload, weak_matrix_size(base, nodes))
-    return sized(workload, weak_cube_side(min(base, 512), nodes))
+        return sized(workload, weak_matrix_size(MATRIX_BASE, nodes))
+    return sized(workload, weak_cube_side(CUBE_BASE, nodes))
 
 
 WORKLOADS: Dict[str, Callable] = {
@@ -177,10 +183,8 @@ def pipeline_stages(name: str, n: int) -> List[Assignment]:
     return builder(n)
 
 
-def weak_scaled_pipeline(
-    name: str, nodes: int, base: int = 8192
-) -> List[Assignment]:
+def weak_scaled_pipeline(name: str, nodes: int) -> List[Assignment]:
     """A named pipeline at the paper's weak-scaled size for ``nodes``."""
     if name == "chain-matmul":
-        return pipeline_stages(name, weak_matrix_size(base, nodes))
-    return pipeline_stages(name, weak_cube_side(min(base, 512), nodes))
+        return pipeline_stages(name, weak_matrix_size(MATRIX_BASE, nodes))
+    return pipeline_stages(name, weak_cube_side(CUBE_BASE, nodes))

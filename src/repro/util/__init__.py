@@ -2,18 +2,7 @@
 
 from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DistributionError",
-    "Interval",
-    "LoweringError",
-    "OutOfMemoryError",
-    "Rect",
-    "ReproError",
-    "ScheduleError",
-    "UnsupportedScheduleError",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.util.errors": (
         "DistributionError", "LoweringError", "OutOfMemoryError", "ReproError",
         "ScheduleError", "UnsupportedScheduleError",

@@ -1,5 +1,7 @@
 """Tests for the weak-scaling sizing and grid-selection helpers."""
 
+import hashlib
+import json
 
 import pytest
 
@@ -51,6 +53,21 @@ class TestGrids:
     def test_factor3_balanced(self):
         assert factor3(512) == (8, 8, 8)
         assert factor3(128) == (8, 4, 4)
+
+    def test_square_grid_and_factor3_digest(self):
+        # Figures, ScaLAPACK and perfbench read these grids; the digest
+        # was recorded from the standalone 2-D and 3-D factorizers that
+        # ``balanced_grid`` replaced.
+        rows = [
+            [p, list(square_grid(p)), list(factor3(p))]
+            for p in range(1, 4097)
+        ]
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert digest == (
+            "07604aac15f9c5f2c3e4b107db16a31c757d4c1472c2d1c5bce1d3afd02146fe"
+        )
 
     def test_grid_25d_constraints(self):
         for p in (4, 16, 32, 64, 512, 1024):

@@ -8,6 +8,7 @@ answers no matter which entry point tuned them.
 """
 
 import json
+import math
 
 import pytest
 
@@ -124,6 +125,40 @@ class TestRequestRecord:
         request = ScheduleRequest.from_record(record)
         with pytest.raises(ValueError, match="capacities must be positive"):
             tune_request(request)
+
+
+    @pytest.mark.parametrize("rate", [-1.0, 2.0, math.nan])
+    def test_failure_rate_outside_unit_interval_is_refused(self, rate):
+        request = ScheduleRequest.from_assignment(
+            sized("matmul", 64), Cluster.cpu_cluster(2),
+            objective="expected", failure_rate=rate,
+        )
+        with pytest.raises(ValueError, match="failure_rate must lie"):
+            tune_request(request)
+
+    @pytest.mark.parametrize("value", [0.0, -25e9, math.inf])
+    def test_invalid_machine_params_are_refused(self, value):
+        record = ScheduleRequest.from_assignment(
+            sized("matmul", 64), Cluster.cpu_cluster(2)
+        ).to_record()
+        record["params"]["nic_bw"] = value
+        request = ScheduleRequest.from_record(record)
+        with pytest.raises(ValueError, match="nic_bw must be"):
+            tune_request(request)
+
+    def test_shape_of_unused_tensor_is_refused(self):
+        record = ScheduleRequest.from_assignment(
+            sized("matmul", 64), Cluster.cpu_cluster(2)
+        ).to_record()
+        record["shapes"]["Z"] = [3]
+        request = ScheduleRequest.from_record(record)
+        with pytest.raises(ValueError, match=r"does not use: \['Z'\]"):
+            tune_request(request)
+        with pytest.raises(ValueError, match="'Z'"):
+            assignment_of(
+                "A[i,j]=B[i,k]*C[k,j]",
+                {"A": [4, 4], "B": [4, 4], "C": [4, 4], "Z": [3]},
+            )
 
 
 class TestTuneRequest:

@@ -8,6 +8,7 @@ process-global metrics registry.
 
 import asyncio
 import contextlib
+import math
 import multiprocessing
 import os
 import subprocess
@@ -118,6 +119,27 @@ class TestHitMiss:
             )
             assert response["status"] == "error"
             assert "capacities must be positive" in response["error"]
+            assert fingerprint not in server.index
+        assert TuningLedger(tmp_path / "ledger").answers == {}
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda r: r.update(objective="expected", failure_rate=2.0),
+         "failure_rate must lie"),
+        (lambda r: r.update(objective="expected", failure_rate=math.nan),
+         "failure_rate must lie"),
+        (lambda r: r["params"].update(nic_bw=0.0), "nic_bw must be positive"),
+        (lambda r: r["shapes"].update(Z=[3]), "does not use"),
+    ], ids=["rate-above-one", "rate-nan", "zero-nic-bw", "unused-shape"])
+    def test_invalid_request_is_an_error_row(self, tmp_path, edit, error):
+        record = _request(nodes=2).to_record()
+        edit(record)
+        fingerprint = ScheduleRequest.from_record(record).fingerprint()
+        with serving(tmp_path) as (server, client):
+            response = client._roundtrip(
+                {"op": "schedule", "request": record}
+            )
+            assert response["status"] == "error"
+            assert error in response["error"]
             assert fingerprint not in server.index
         assert TuningLedger(tmp_path / "ledger").answers == {}
 

@@ -1,5 +1,7 @@
 """Tests for SimReport derived metrics and parameter variants."""
 
+import math
+
 import pytest
 
 from repro.sim.params import (
@@ -100,3 +102,43 @@ class TestParams:
     def test_frozen(self):
         with pytest.raises(Exception):
             LASSEN.overlap = False
+
+
+class TestParamValidation:
+    @pytest.mark.parametrize("field", [
+        "cpu_mem_bw", "gpu_mem_bw", "nic_bw", "nic_bw_gpu_direct",
+        "nvlink_bw", "pcie_bw",
+    ])
+    @pytest.mark.parametrize("value", [0.0, -25e9])
+    def test_bandwidth_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            LASSEN.with_(**{field: value})
+
+    @pytest.mark.parametrize("field", ["cpu_socket_gflops", "gpu_gflops"])
+    def test_throughput_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            LASSEN.with_(**{field: 0.0})
+
+    @pytest.mark.parametrize("field", [
+        "gemm_efficiency", "naive_leaf_efficiency", "collective_efficiency",
+        "out_of_core_efficiency", "runtime_core_fraction",
+        "bcast_relay_factor",
+    ])
+    def test_efficiency_fraction_and_relay_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            LASSEN.with_(**{field: 0.0})
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            LASSEN.with_(**{field: -0.5})
+
+    @pytest.mark.parametrize("field", ["latency", "task_overhead"])
+    def test_latency_and_overhead_may_be_zero_not_negative(self, field):
+        assert getattr(LASSEN.with_(**{field: 0.0}), field) == 0.0
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            LASSEN.with_(**{field: -1e-6})
+
+    @pytest.mark.parametrize("field", ["nic_bw", "latency", "gemm_efficiency"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LASSEN.with_(**{field: value})
+

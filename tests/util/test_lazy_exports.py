@@ -1,6 +1,7 @@
 """Package namespaces are lazy: importing one layer does not load the
 others, and every re-exported name is its defining module's object."""
 
+import ast
 import json
 import os
 import subprocess
@@ -65,6 +66,12 @@ for name in packages:
             and not hasattr(module, "__path__")
         ):
             problems.append(f"{name}.{export} has no defining module")
+    if hasattr(package, "__all__"):
+        bound = {}
+        exec(f"from {name} import *", bound)
+        bound.pop("__builtins__")
+        if sorted(bound) != package.__all__:
+            problems.append(f"{name}: import * binds {sorted(bound)}")
 print(json.dumps({"loaded": loaded, "problems": problems}))
 """
 
@@ -87,3 +94,20 @@ def test_simulate_path_import_closure_and_lazy_exports():
 def test_dir_lists_lazy_exports_before_first_read():
     # dir() of a package names every export, loaded or not.
     assert set(repro.__all__) <= set(dir(repro))
+
+
+def test_all_comes_from_the_lazy_table():
+    # A package lists its exports once, in its lazy_exports table:
+    # ``__all__`` is never assigned by hand next to it.
+    for init in sorted(Path(SRC, "repro").rglob("__init__.py")):
+        for node in ast.parse(init.read_text()).body:
+            if not isinstance(node, ast.Assign):
+                continue
+            targets = [
+                t.id for t in ast.walk(node.targets[0])
+                if isinstance(t, ast.Name)
+            ]
+            if "__all__" in targets:
+                assert targets == ["__all__", "__getattr__", "__dir__"], init
+                assert node.value.func.id == "lazy_exports", init
+
